@@ -594,6 +594,23 @@ def run_adapt_request(request):
     return adapted, optimizer
 
 
+def _binary_labels(labels):
+    """Labels as a flat int64 0/1 vector; a ``ValueError`` names the
+    first entry that is anything else (NaN, 2, -1, 0.7, ...) rather than
+    letting ``astype(int64)`` coerce it into a training target."""
+    raw = np.asarray(labels).ravel()
+    try:
+        values = raw.astype(np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("labels must be numeric 0/1 values, got dtype "
+                         "{}".format(raw.dtype)) from None
+    bad = np.flatnonzero((values != 0) & (values != 1))
+    if bad.size:
+        raise ValueError("label at position {} is {}; expected 0 or 1"
+                         .format(bad[0], raw[bad[0]]))
+    return values.astype(np.int64)
+
+
 class _SubspaceSession:
     """Online state of one subspace inside a session."""
 
@@ -620,7 +637,7 @@ class _SubspaceSession:
     # ------------------------------------------------------------------
     def validate_initial_labels(self, labels):
         """Check an initial label vector; returns it as int64."""
-        labels = np.asarray(labels).ravel().astype(np.int64)
+        labels = _binary_labels(labels)
         if labels.size != len(self.initial_x):
             raise ValueError("expected {} labels, got {}".format(
                 len(self.initial_x), labels.size))
@@ -629,12 +646,17 @@ class _SubspaceSession:
     def validate_extra_labels(self, tuples, labels):
         """Check an iterative-exploration round; returns (tuples, labels)."""
         tuples = np.atleast_2d(np.asarray(tuples, dtype=np.float64))
-        labels = np.asarray(labels).ravel().astype(np.int64)
+        labels = _binary_labels(labels)
         if len(tuples) != len(labels):
             raise ValueError("tuples/labels length mismatch")
         if tuples.shape[1] != self.initial_x.shape[1]:
             raise ValueError("expected {}-D subspace tuples, got {}-D".format(
                 self.initial_x.shape[1], tuples.shape[1]))
+        bad = np.argwhere(~np.isfinite(tuples))
+        if len(bad):
+            row, col = (int(i) for i in bad[0])
+            raise ValueError("tuple {} has non-finite value {!r} in column "
+                             "{}".format(row, float(tuples[row, col]), col))
         return tuples, labels
 
     def build_initial_request(self, labels):

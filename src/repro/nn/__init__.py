@@ -5,11 +5,10 @@ equivalent functionality on plain numpy so the reproduction has no deep
 learning framework dependency.  See DESIGN.md section 2.
 """
 
-from . import compile, functional, init
+from . import functional, init
 from .batching import (BatchedUISClassifier, fused_local_adapt, grad_stacks,
                        load_flat_stack, stack_conversions, stacked_predict,
                        theta_r_grad_stack)
-from .compile import backend_scope, get_backend, set_backend
 from .layers import (MLP, BatchedLinear, Linear, Module, ReLU, Sequential,
                      Sigmoid, batch_modules, unstack_modules)
 from .optim import Adam, Optimizer, SGD
@@ -22,6 +21,5 @@ __all__ = [
     "BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
     "load_flat_stack", "theta_r_grad_stack", "grad_stacks", "stacked_predict",
     "Optimizer", "SGD", "Adam",
-    "get_backend", "set_backend", "backend_scope",
-    "functional", "init", "compile",
+    "functional", "init",
 ]

@@ -16,6 +16,9 @@ program.  This module is the shared substrate both layers build on:
   slices out of the stacked parameters, in the exact layout of the
   corresponding per-task model (the meta-training global phase and the
   memory EMA updates consume these);
+* :func:`stacked_loss_backward` — one forward + backward of the summed
+  per-task BCE loss (the meta-training global phase and the pooled
+  pretraining step);
 * :func:`stacked_predict` — fused no-grad 0/1 predictions.
 
 Because the stacked computation is block-diagonal across tasks, every
@@ -33,14 +36,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compile import get_backend
-from .functional import batched_pos_weight
+from .functional import (batched_binary_cross_entropy_with_logits,
+                         batched_pos_weight)
 from .layers import Module, batch_modules, unstack_modules
-from .tensor import Parameter, Tensor
+from .optim import SGD, Adam
+from .tensor import Parameter, Tensor, no_grad
 
 __all__ = ["BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
            "load_flat_stack", "theta_r_grad_stack", "grad_stacks",
-           "copy_grad_stacks", "stacked_predict"]
+           "stacked_loss_backward", "stacked_predict"]
 
 
 class BatchedUISClassifier(Module):
@@ -194,13 +198,6 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     :class:`Parameter` (or ``None``).  The gradients of the *last* step
     are left on the parameters so callers can slice them
     (:func:`theta_r_grad_stack`) before reusing the stacks.
-
-    Execution runs on the active :mod:`repro.nn.compile` backend.
-    Parity guarantee: every backend evaluates the identical float64 op
-    sequence in the identical order, so the adapted parameters,
-    last-step gradients, and downstream predictions are bit-identical
-    regardless of backend (the ``-m compile`` suite asserts this
-    against the eager reference).
     """
     if batched is None:
         batched = BatchedUISClassifier(models)
@@ -214,9 +211,19 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     ys = np.asarray(ys, dtype=np.float64)
     pos_weight = batched_pos_weight(ys) if balance_classes else None
 
-    get_backend().local_adapt(batched, conversion, features, xs, ys,
-                              pos_weight, steps=steps, lr=lr,
-                              optimizer_kind=optimizer_kind)
+    trainable = list(batched.parameters())
+    if conversion is not None:
+        trainable.append(conversion)
+    optimizer = (Adam if optimizer_kind == "adam" else SGD)(trainable, lr=lr)
+    for _ in range(steps):
+        optimizer.zero_grad()
+        logits = batched.forward(features, xs, conversion=conversion)
+        # Sum of per-task mean losses: block-diagonal, so each task's
+        # parameters see exactly their own sequential gradient.
+        loss = batched_binary_cross_entropy_with_logits(
+            logits, ys, pos_weight=pos_weight).sum()
+        loss.backward()
+        optimizer.step()
     return batched, conversion
 
 
@@ -248,28 +255,28 @@ def grad_stacks(batched):
     return {name: param.grad for name, param in batched.named_parameters()}
 
 
-def copy_grad_stacks(stacks):
-    """Detached float64 copies of a :func:`grad_stacks` mapping.
+def stacked_loss_backward(batched, conversion, features, xs, ys, pos_weight):
+    """One forward + backward of the summed per-task BCE loss.
 
-    Under the fused :mod:`repro.nn.compile` backend the gradient arrays
-    alias the plan's reusable workspace, so they are only valid until
-    the next program runs.  Take copies before holding them across
-    another forward/backward; values are preserved bit-for-bit, so the
-    deterministic reduction downstream is unaffected.  (Shipping stacks
-    over a process pipe also detaches them — pickling copies — but an
-    explicit copy keeps the lifetime obvious.)
+    Zeroes the gradients of ``batched`` (and of ``conversion`` when it
+    is a :class:`Parameter`; a plain array is a constant input), leaves
+    the new gradients on them and returns the (K,) per-task loss vector.
     """
-    return {name: None if grad is None
-            else np.array(grad, dtype=np.float64)
-            for name, grad in stacks.items()}
+    batched.zero_grad()
+    if isinstance(conversion, Parameter):
+        conversion.zero_grad()
+    logits = batched.forward(features, xs, conversion=conversion)
+    task_losses = batched_binary_cross_entropy_with_logits(
+        logits, ys, pos_weight=pos_weight)
+    task_losses.sum().backward()
+    return task_losses.data
 
 
 def stacked_predict(batched, features, xs, conversion=None, threshold=0.5):
-    """Fused no-grad 0/1 predictions, shape (K, n).
-
-    The sigmoid probabilities come from the active
-    :mod:`repro.nn.compile` backend (bit-identical across backends).
-    """
-    proba = get_backend().predict_proba(batched, features, xs,
-                                        conversion=conversion)
+    """Fused no-grad 0/1 predictions, shape (K, n)."""
+    if isinstance(conversion, Parameter):
+        conversion = conversion.data
+    with no_grad():
+        logits = batched.forward(features, xs, conversion=conversion)
+    proba = logits.sigmoid().numpy()
     return (proba >= threshold).astype(np.int64)

@@ -63,20 +63,12 @@ class Optimizer:
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum."""
 
-    def __init__(self, params, lr, momentum=0.0, velocity=None):
+    def __init__(self, params, lr, momentum=0.0):
         super().__init__(params, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = momentum
-        if velocity is None:
-            self._velocity = [np.zeros_like(p.data) for p in self.params]
-        else:
-            # Adopted (pooled) buffers: validated, zeroed in place, and
-            # updated in place — the lender sees this optimizer's state.
-            self._check_buffers(velocity, "velocity")
-            self._velocity = list(velocity)
-            for buffer in self._velocity:
-                buffer.fill(0.0)
+        self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def state_dict(self):
         state = super().state_dict()
@@ -107,29 +99,13 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015)."""
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 moments=None):
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._step = 0
-        if moments is None:
-            self._m = [np.zeros_like(p.data) for p in self.params]
-            self._v = [np.zeros_like(p.data) for p in self.params]
-        else:
-            # Adopted (pooled) first/second-moment buffers: validated,
-            # zeroed in place, and updated in place.  A fresh-constructed
-            # Adam over pooled buffers is therefore bit-identical to one
-            # over newly allocated zeros.
-            m_buffers, v_buffers = moments
-            self._check_buffers(m_buffers, "first-moment")
-            self._check_buffers(v_buffers, "second-moment")
-            self._m = list(m_buffers)
-            self._v = list(v_buffers)
-            for buffer in self._m:
-                buffer.fill(0.0)
-            for buffer in self._v:
-                buffer.fill(0.0)
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
 
     def state_dict(self):
         state = super().state_dict()

@@ -21,25 +21,6 @@ __all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled"]
 
 _GRAD_ENABLED = [True]
 
-# Active op tracers (innermost last).  Installed by repro.nn.compile
-# while it records a program; every ``Tensor._from_op`` call reports the
-# op name, parents and attributes to the top tracer.  Kept as a plain
-# module-level list so the non-tracing hot path pays only one truthiness
-# check.
-_TRACERS = []
-
-
-def _push_tracer(tracer):
-    """Activate an op tracer (see :mod:`repro.nn.compile.trace`)."""
-    _TRACERS.append(tracer)
-
-
-def _pop_tracer(tracer):
-    """Deactivate ``tracer``; must be the innermost active one."""
-    if not _TRACERS or _TRACERS[-1] is not tracer:
-        raise RuntimeError("tracer stack corrupted")
-    _TRACERS.pop()
-
 
 @contextlib.contextmanager
 def no_grad():
@@ -106,20 +87,13 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     @staticmethod
-    def _from_op(data, parents, backward, op=None, attrs=None):
-        """Create a graph node. ``backward(grad)`` yields per-parent grads.
-
-        ``op`` / ``attrs`` name the operation for the trace hooks of
-        :mod:`repro.nn.compile`; they are ignored unless a tracer is
-        active, so the eager path pays only one truthiness check.
-        """
+    def _from_op(data, parents, backward):
+        """Create a graph node. ``backward(grad)`` yields per-parent grads."""
         track = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=track)
         if track:
             out._parents = tuple(parents)
             out._backward = backward
-        if _TRACERS:
-            _TRACERS[-1].record(out, op, parents, attrs, track)
         return out
 
     # ------------------------------------------------------------------
@@ -169,8 +143,7 @@ class Tensor:
             return (_unbroadcast(grad, self.shape),
                     _unbroadcast(grad, other.shape))
 
-        return self._from_op(self.data + other.data, (self, other), backward,
-                             "add")
+        return self._from_op(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -178,7 +151,7 @@ class Tensor:
         def backward(grad):
             return (-grad,)
 
-        return self._from_op(-self.data, (self,), backward, "neg")
+        return self._from_op(-self.data, (self,), backward)
 
     def __sub__(self, other):
         other = self._wrap(other)
@@ -187,8 +160,7 @@ class Tensor:
             return (_unbroadcast(grad, self.shape),
                     _unbroadcast(-grad, other.shape))
 
-        return self._from_op(self.data - other.data, (self, other), backward,
-                             "sub")
+        return self._from_op(self.data - other.data, (self, other), backward)
 
     def __rsub__(self, other):
         return self._wrap(other).__sub__(self)
@@ -200,8 +172,7 @@ class Tensor:
             return (_unbroadcast(grad * other.data, self.shape),
                     _unbroadcast(grad * self.data, other.shape))
 
-        return self._from_op(self.data * other.data, (self, other), backward,
-                             "mul")
+        return self._from_op(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -213,8 +184,7 @@ class Tensor:
             gb = _unbroadcast(-grad * self.data / (other.data ** 2), other.shape)
             return (ga, gb)
 
-        return self._from_op(self.data / other.data, (self, other), backward,
-                             "div")
+        return self._from_op(self.data / other.data, (self, other), backward)
 
     def __rtruediv__(self, other):
         return self._wrap(other).__truediv__(self)
@@ -226,8 +196,7 @@ class Tensor:
         def backward(grad):
             return (grad * exponent * self.data ** (exponent - 1),)
 
-        return self._from_op(self.data ** exponent, (self,), backward, "pow",
-                             {"exponent": exponent})
+        return self._from_op(self.data ** exponent, (self,), backward)
 
     def __matmul__(self, other):
         other = self._wrap(other)
@@ -254,8 +223,7 @@ class Tensor:
                 if need_b else None
             return (ga, gb)
 
-        return self._from_op(self.data @ other.data, (self, other), backward,
-                             "matmul")
+        return self._from_op(self.data @ other.data, (self, other), backward)
 
     # ------------------------------------------------------------------
     # Elementwise non-linearities
@@ -266,7 +234,7 @@ class Tensor:
         def backward(grad):
             return (grad * mask,)
 
-        return self._from_op(self.data * mask, (self,), backward, "relu")
+        return self._from_op(self.data * mask, (self,), backward)
 
     def sigmoid(self):
         out_data = np.empty_like(self.data)
@@ -278,7 +246,7 @@ class Tensor:
         def backward(grad):
             return (grad * out_data * (1.0 - out_data),)
 
-        return self._from_op(out_data, (self,), backward, "sigmoid")
+        return self._from_op(out_data, (self,), backward)
 
     def tanh(self):
         out_data = np.tanh(self.data)
@@ -286,7 +254,7 @@ class Tensor:
         def backward(grad):
             return (grad * (1.0 - out_data ** 2),)
 
-        return self._from_op(out_data, (self,), backward, "tanh")
+        return self._from_op(out_data, (self,), backward)
 
     def exp(self):
         out_data = np.exp(self.data)
@@ -294,13 +262,13 @@ class Tensor:
         def backward(grad):
             return (grad * out_data,)
 
-        return self._from_op(out_data, (self,), backward, "exp")
+        return self._from_op(out_data, (self,), backward)
 
     def log(self):
         def backward(grad):
             return (grad / self.data,)
 
-        return self._from_op(np.log(self.data), (self,), backward, "log")
+        return self._from_op(np.log(self.data), (self,), backward)
 
     def sqrt(self):
         out_data = np.sqrt(self.data)
@@ -308,7 +276,7 @@ class Tensor:
         def backward(grad):
             return (grad * 0.5 / out_data,)
 
-        return self._from_op(out_data, (self,), backward, "sqrt")
+        return self._from_op(out_data, (self,), backward)
 
     def abs(self):
         sign = np.sign(self.data)
@@ -316,7 +284,7 @@ class Tensor:
         def backward(grad):
             return (grad * sign,)
 
-        return self._from_op(np.abs(self.data), (self,), backward, "abs")
+        return self._from_op(np.abs(self.data), (self,), backward)
 
     def clip(self, low, high):
         mask = (self.data > low) & (self.data < high)
@@ -324,8 +292,7 @@ class Tensor:
         def backward(grad):
             return (grad * mask,)
 
-        return self._from_op(np.clip(self.data, low, high), (self,), backward,
-                             "clip", {"low": low, "high": high})
+        return self._from_op(np.clip(self.data, low, high), (self,), backward)
 
     # ------------------------------------------------------------------
     # Reductions and shape ops
@@ -338,8 +305,7 @@ class Tensor:
             return (np.broadcast_to(g, self.shape).copy(),)
 
         return self._from_op(self.data.sum(axis=axis, keepdims=keepdims),
-                             (self,), backward, "sum",
-                             {"axis": axis, "keepdims": keepdims})
+                             (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -354,9 +320,7 @@ class Tensor:
             return (np.broadcast_to(g, self.shape).copy(),)
 
         return self._from_op(self.data.mean(axis=axis, keepdims=keepdims),
-                             (self,), backward, "mean",
-                             {"axis": axis, "keepdims": keepdims,
-                              "count": count})
+                             (self,), backward)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -366,8 +330,7 @@ class Tensor:
         def backward(grad):
             return (grad.reshape(old_shape),)
 
-        return self._from_op(self.data.reshape(shape), (self,), backward,
-                             "reshape")
+        return self._from_op(self.data.reshape(shape), (self,), backward)
 
     def flatten(self):
         return self.reshape(-1)
@@ -383,15 +346,14 @@ class Tensor:
             return (np.swapaxes(grad, axis1, axis2),)
 
         return self._from_op(np.swapaxes(self.data, axis1, axis2),
-                             (self,), backward, "swapaxes",
-                             {"axis1": axis1, "axis2": axis2})
+                             (self,), backward)
 
     @property
     def T(self):
         def backward(grad):
             return (grad.T,)
 
-        return self._from_op(self.data.T, (self,), backward, "transpose")
+        return self._from_op(self.data.T, (self,), backward)
 
     def __getitem__(self, index):
         def backward(grad):
@@ -399,8 +361,7 @@ class Tensor:
             np.add.at(full, index, grad)
             return (full,)
 
-        return self._from_op(self.data[index], (self,), backward, "getitem",
-                             {"index": index})
+        return self._from_op(self.data[index], (self,), backward)
 
     @staticmethod
     def concat(tensors, axis=-1):
@@ -414,8 +375,7 @@ class Tensor:
                          for g in np.split(grad, splits, axis=axis))
 
         data = np.concatenate([t.data for t in tensors], axis=axis)
-        return Tensor._from_op(data, tuple(tensors), backward, "concat",
-                               {"axis": axis, "splits": splits})
+        return Tensor._from_op(data, tuple(tensors), backward)
 
     @staticmethod
     def stack(tensors, axis=0):
@@ -428,8 +388,7 @@ class Tensor:
                          for i in range(len(tensors)))
 
         data = np.stack([t.data for t in tensors], axis=axis)
-        return Tensor._from_op(data, tuple(tensors), backward, "stack",
-                               {"axis": axis})
+        return Tensor._from_op(data, tuple(tensors), backward)
 
     # ------------------------------------------------------------------
     # Backpropagation

@@ -52,16 +52,6 @@ name                                             kind        unit
 ``store.freshness.drift_score``                  histogram   score
 ``geometry.pack_cache.hits``                     counter     lookups
 ``geometry.pack_cache.misses``                   counter     lookups
-``nn.compile.plan_cache.hits``                   counter     lookups
-``nn.compile.plan_cache.misses``                 counter     lookups
-``nn.compile.plan_cache.evictions``              counter     plans
-``nn.compile.plan_cache.unsupported``            counter     keys
-``nn.compile.plan_cache.arena_bytes``            gauge       bytes
-``nn.compile.moment_pool.hits``                  counter     leases
-``nn.compile.moment_pool.misses``                counter     leases
-``nn.compile.moment_pool.evictions``             counter     entries
-``nn.compile.backend.replays``                   counter     replays
-``nn.compile.backend.fallbacks``                 counter     calls
 ``train.offline.pretrain_epoch.seconds``         histogram   seconds
 ``train.offline.meta_epoch.seconds``             histogram   seconds
 ``train.offline.epochs.pretrain``                counter     epochs

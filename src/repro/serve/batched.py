@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
-from ..nn.batching import BatchedUISClassifier, fused_local_adapt
+from ..nn.batching import (BatchedUISClassifier, fused_local_adapt,
+                           stacked_predict)
 from ..nn.tensor import Parameter
 from ..core.framework import run_adapt_request
 from ..core.meta_learner import UISClassifier
@@ -71,13 +71,7 @@ def _prepare_local_models(requests):
 
 
 def _adapt_bucket(requests):
-    """Fused adaptation of shape-compatible requests (one per task).
-
-    Rides :func:`fused_local_adapt` and therefore the active
-    :mod:`repro.nn.compile` backend — under ``fused``, a recurring
-    bucket shape replays one compiled plan with zero graph construction
-    (bit-identical results either way).
-    """
+    """Fused adaptation of shape-compatible requests (one per task)."""
     first = requests[0]
     models, conversions = _prepare_local_models(requests)
 
@@ -134,14 +128,8 @@ def predict_adapted_batch(adapted_classifiers, tuple_vectors, threshold=0.5):
     tuple_vectors = np.asarray(tuple_vectors, dtype=np.float64)
     xs = np.broadcast_to(tuple_vectors,
                          (batched.k,) + tuple_vectors.shape)
-    # Deliberately NOT routed through the compiled backend: xs is a
-    # stride-0 broadcast of one shared row block, which the eager path
-    # feeds to the gemm zero-copy; a compiled plan's input copy-in
-    # would materialize it K times over.
-    with nn.no_grad():
-        logits = batched.forward(features, xs, conversion=conversion)
-    proba = logits.sigmoid().numpy()
-    return (proba >= threshold).astype(np.int64)
+    return stacked_predict(batched, features, xs, conversion=conversion,
+                           threshold=threshold)
 
 
 def run_adapt_requests(requests):

@@ -32,9 +32,9 @@ from collections import namedtuple
 import numpy as np
 
 from ..nn.batching import (BatchedUISClassifier, fused_local_adapt,
-                           grad_stacks, load_flat_stack, stacked_predict,
+                           grad_stacks, load_flat_stack,
+                           stacked_loss_backward, stacked_predict,
                            theta_r_grad_stack)
-from ..nn.compile import get_backend
 from ..nn.functional import batched_pos_weight
 from ..nn.optim import Adam
 
@@ -208,18 +208,8 @@ def compute_meta_batch(models, params, inputs):
     which is what lets the data-parallel engine split a batch across
     worker processes without perturbing a single bit.
 
-    Both the local and the global phase execute on the active
-    :mod:`repro.nn.compile` backend.  Parity guarantee: every backend
-    evaluates the identical float64 op sequence in the identical order,
-    so the returned losses, gradient stacks, and adapted conversions
-    are bit-identical whether the program runs eagerly (``reference``)
-    or as a compiled replay (``fused``).
-
     Mutates nothing: phi, memories, and optimizer state are untouched
-    (apply the result with :func:`apply_meta_batch`).  The gradient
-    stacks may alias the backend's reusable plan workspace — copy them
-    (:func:`repro.nn.batching.copy_grad_stacks`) before running another
-    program, or ship them across a process boundary (pickling copies).
+    (apply the result with :func:`apply_meta_batch`).
     """
     batched = BatchedUISClassifier(models)
     if inputs.shifts is not None:
@@ -235,12 +225,11 @@ def compute_meta_batch(models, params, inputs):
     # capture them before the global backward overwrites the stacks.
     theta_grads = theta_r_grad_stack(batched)
 
-    # Global phase (Eq. 13): all K query losses in one forward/backward
-    # on the active repro.nn.compile backend.
+    # Global phase (Eq. 13): all K query losses in one forward/backward.
     qy_stack = np.asarray(inputs.qy)
     pos_weight = batched_pos_weight(qy_stack) \
         if params.balance_classes else None
-    task_losses = get_backend().loss_backward(
+    task_losses = stacked_loss_backward(
         batched, conversion, features, np.asarray(inputs.qx), qy_stack,
         pos_weight)
     stacks = grad_stacks(batched)
@@ -405,11 +394,11 @@ def run_pretrain_epoch_pooled(schedules, orders=None):
         ys = np.stack([pick[2] for pick in picks])
         pos_weight = batched_pos_weight(ys) \
             if params.balance_classes else None
-        # One stacked forward/backward on the active backend (it zeroes
-        # and repopulates the parameter gradients), then the persistent
-        # stacked Adam consumes them — bit-identical either way.
-        get_backend().loss_backward(batched, conversion, features, xs, ys,
-                                    pos_weight)
+        # One stacked forward/backward (it zeroes and repopulates the
+        # parameter gradients), then the persistent stacked Adam
+        # consumes them.
+        stacked_loss_backward(batched, conversion, features, xs, ys,
+                              pos_weight)
         optimizer.step()
 
     batched.unstack_into(models)

@@ -487,19 +487,17 @@ def run_offline_training(lte, subspaces, engine=None, progress=None,
 
 
 def _save_run(checkpoint, lte, subspaces, schedules, run):
-    from ..nn.compile import get_backend
     from ..persist.state import save_pretrain_run
 
     entries = [{"names": list(subspace.names),
                 "schedule": schedule.state_dict()}
                for subspace, schedule in zip(subspaces, schedules)]
-    # The engine, worker count and nn backend are recorded for
-    # provenance only: all engines and backends are bit-identical, so a
-    # run may resume under any of them, at any worker count.
+    # The engine and worker count are recorded for provenance only:
+    # all engines are bit-identical, so a run may resume under any of
+    # them, at any worker count.
     save_pretrain_run(checkpoint, lte, entries,
                       meta={"engine": run.engine,
-                            "workers": run.workers,
-                            "nn_backend": get_backend().name})
+                            "workers": run.workers})
 
 
 def _entry_done(entry):
@@ -511,8 +509,6 @@ def _load_saved_schedules(checkpoint, lte, subspaces):
     """Schedule states of an existing pretrain-run checkpoint, by
     subspace key; empty when no checkpoint was requested or none exists
     yet (a fresh run)."""
-    import os
-
     from ..persist.checkpoint import CheckpointError
     from ..persist.state import load_pretrain_run
 

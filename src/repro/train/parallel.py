@@ -7,10 +7,10 @@ encoded task sets copy-on-write, or their on-disk
 :class:`~repro.train.stream.EncodedTaskSet` views), partitions each
 fused meta-batch / pretrain fusion group into contiguous spans in a
 fixed deterministic order, runs the pure compute of each span on a
-worker under the active :mod:`repro.nn.compile` backend, and performs
-every state update on the master.  The pipe-RPC mechanics (pipelined
-fan-out, prompt typed crash detection, worker-side exception rebuild)
-are shared with :mod:`repro.shard` via :mod:`repro.shard.rpc`.
+worker, and performs every state update on the master.  The pipe-RPC
+mechanics (pipelined fan-out, prompt typed crash detection, worker-side
+exception rebuild) are shared with :mod:`repro.shard` via
+:mod:`repro.shard.rpc`.
 
 Determinism contract — phi, memories, pretrain-Adam moments and loss
 histories are **bit-identical to the single-process fused engine at any
@@ -56,7 +56,6 @@ import time
 
 import numpy as np
 
-from ..nn.batching import copy_grad_stacks
 from ..obs import MetricsRegistry, aggregate, default_registry, \
     merge_snapshots, reset_all_metrics
 from ..shard.rpc import PipeRpc, RpcLink, serve_rpc
@@ -138,11 +137,8 @@ def _worker_main(conn, schedules, worker_index):
                                         slots[0].trainer.params, inputs)
             t_compute.observe(time.perf_counter() - t0)
             n_batches.inc()
-            # grad stacks may alias the compiled plan's workspace;
-            # detach before they cross the pipe.
             return (result.losses, np.asarray(result.theta_grads),
-                    copy_grad_stacks(result.grad_stacks),
-                    result.conversion_data)
+                    result.grad_stacks, result.conversion_data)
         if method == "pretrain_epoch":
             if debug["delay_seconds"]:
                 time.sleep(debug["delay_seconds"])

@@ -41,6 +41,50 @@ class TestDegenerateLabels:
         assert set(np.unique(preds)) <= {0, 1}
 
 
+class TestHostileLabels:
+    """Anything but 0/1 used to be coerced by ``astype(int64)``: NaN
+    became -2**63, 0.7 became 0, and 2 / -1 were trained on as BCE
+    targets."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2, -1, 0.7])
+    def test_initial_labels_rejected_before_any_state_change(self, car_lte,
+                                                             bad):
+        subspace = list(car_lte.states)[0]
+        session = car_lte.start_session(variant="meta",
+                                        subspaces=[subspace])
+        labels = np.zeros(len(session.initial_tuples()[subspace]))
+        labels[0], labels[3] = 1, bad
+        with pytest.raises(ValueError, match="position 3"):
+            session.submit_labels(subspace, labels)
+        subsession = session._subsessions[subspace]
+        assert subsession.labels is None and subsession.adapted is None
+        labels[3] = 0
+        session.submit_labels(subspace, labels)    # still usable
+
+    def test_extra_round_rejects_bad_labels_and_non_finite_tuples(
+            self, car_lte):
+        subspace = list(car_lte.states)[0]
+        state = car_lte.states[subspace]
+        session = car_lte.start_session(variant="meta",
+                                        subspaces=[subspace])
+        labels = np.zeros(len(session.initial_tuples()[subspace]), int)
+        labels[0] = 1
+        session.submit_labels(subspace, labels)
+        subsession = session._subsessions[subspace]
+        version = subsession.model_version
+        extra = state.to_raw(state.data[5:8])
+        with pytest.raises(ValueError, match="position 1"):
+            session.add_labels(subspace, extra, [1, np.nan, 0])
+        poisoned = extra.copy()
+        poisoned[2, 0] = np.nan
+        with pytest.raises(ValueError, match="tuple 2 .* column 0"):
+            session.add_labels(subspace, poisoned, [1, 0, 0])
+        assert subsession.extra_x is None
+        assert subsession.model_version == version
+        session.add_labels(subspace, extra, [1, 0, 0])
+        assert len(subsession.extra_y) == 3
+
+
 class TestOneDimensionalSubspace:
     def test_decomposition_includes_1d(self, car_lte):
         dims = sorted(s.dim for s in car_lte.states)

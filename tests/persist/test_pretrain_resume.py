@@ -8,6 +8,8 @@ finish the run and converge to the *identical* phi — bit for bit — and
 hence to bit-identical online sessions for every variant.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,28 @@ def test_finished_checkpoint_resumes_instantly(tmp_path, persist_table,
     assert_identical_trainers(uninterrupted, again)
 
 
+def test_checkpoint_naming_an_nn_backend_still_resumes(tmp_path,
+                                                      persist_table,
+                                                      persist_subspaces,
+                                                      uninterrupted):
+    """Runs checkpointed while a second nn executor existed recorded
+    ``nn_backend`` in the manifest meta; the key was provenance only and
+    such a checkpoint resumes to the identical phi."""
+    checkpoint = tmp_path / "pretrain"
+    _fit_killed_after(persist_table, persist_subspaces, checkpoint, 1)
+    manifest_path = checkpoint / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["meta"]["nn_backend"] = "fused"
+    manifest_path.write_text(json.dumps(manifest))
+    assert inspect_checkpoint(str(checkpoint))["meta"]["nn_backend"] \
+        == "fused"
+
+    resumed = LTE(resume_config())
+    resumed.fit_offline(persist_table, subspaces=persist_subspaces,
+                        checkpoint=str(checkpoint))
+    assert_identical_trainers(uninterrupted, resumed)
+
+
 def test_resume_rejects_changed_epoch_plan(tmp_path, persist_table,
                                            persist_subspaces):
     checkpoint = tmp_path / "pretrain"
@@ -234,4 +258,3 @@ def test_checkpoint_meta_records_engine_provenance(tmp_path, persist_table,
     meta = inspect_checkpoint(str(checkpoint))["meta"]
     assert meta["engine"] == "parallel"
     assert meta["workers"] == 2
-    assert meta["nn_backend"]

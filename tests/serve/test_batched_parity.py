@@ -8,11 +8,16 @@ same F1 — for every variant.  These tests pin that contract with a fixed
 seed.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import VARIANTS
+from repro.core.meta_learner import UISClassifier
 from repro.explore import run_concurrent_explorations, run_lte_exploration
+from repro.nn import (BatchedUISClassifier, fused_local_adapt, grad_stacks,
+                      stacked_predict)
 from repro.serve import SessionManager
 
 pytestmark = pytest.mark.smoke
@@ -122,3 +127,45 @@ def test_iterative_readaptation_parity(serve_lte, serve_subspaces,
     points = state.to_raw(state.data[:150])
     assert np.array_equal(manager.predict_subspace(sid, subspace, points),
                           session.predict_subspace(subspace, points))
+
+
+def test_concurrent_same_bucket_adapts_stay_bit_exact():
+    """Threads adapting the same shape bucket at once through
+    ``fused_local_adapt`` share no optimizer state: each result equals
+    its serial run bit for bit."""
+    def adapt(seed, k=4, n=6, ku=6, width=5):
+        rng = np.random.default_rng(seed)
+        models = [UISClassifier(ku=ku, input_width=width, embed_size=4,
+                                hidden_size=3, use_conversion=False,
+                                seed=seed * 97 + i) for i in range(k)]
+        features = rng.normal(size=(k, ku))
+        xs = rng.normal(size=(k, n, width))
+        ys = (rng.random(size=(k, n)) < 0.4).astype(np.float64)
+        ys[:, 0], ys[:, 1] = 1.0, 0.0   # both classes in every task
+        batched, _ = fused_local_adapt(models, features, xs, ys, steps=3,
+                                       lr=0.05)
+        return batched, features, xs
+
+    seeds = list(range(6))
+    serial = {seed: adapt(seed) for seed in seeds}
+    concurrent, barrier = {}, threading.Barrier(len(seeds))
+
+    def worker(seed):
+        barrier.wait()
+        concurrent[seed] = adapt(seed)
+
+    threads = [threading.Thread(target=worker, args=(seed,))
+               for seed in seeds]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(concurrent) == seeds
+    for seed in seeds:
+        (want, features, xs), (got, _, _) = serial[seed], concurrent[seed]
+        for view in (BatchedUISClassifier.state_dict, grad_stacks):
+            assert view(want).keys() == view(got).keys()
+            for name, array in view(want).items():
+                assert np.array_equal(array, view(got)[name]), name
+        assert np.array_equal(stacked_predict(want, features, xs),
+                              stacked_predict(got, features, xs))

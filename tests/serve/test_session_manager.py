@@ -50,6 +50,38 @@ class TestQueueing:
             manager.submit_labels(sid, serve_subspaces[0], np.ones(3))
         assert manager.pending(sid) == []
 
+    def test_hostile_labels_raise_at_enqueue(self, manager, serve_lte,
+                                             serve_subspaces, make_oracle):
+        """NaN / out-of-range labels and non-finite tuples raise from
+        submit_labels / add_labels themselves: nothing is queued and
+        another session's pending work is untouched."""
+        oracle = make_oracle(9)
+        subspace = serve_subspaces[0]
+        state = serve_lte.states[subspace]
+        other = manager.open_session(subspaces=[subspace])
+        tuples = manager.initial_tuples(other)[subspace]
+        good = oracle.label_subspace(subspace, tuples)
+        manager.submit_labels(other, subspace, good)
+
+        sid = manager.open_session(subspaces=[subspace])
+        for bad in (np.nan, 2, -1, 0.7):
+            labels = np.asarray(good, dtype=np.float64)
+            labels[2] = bad
+            with pytest.raises(ValueError, match="position 2"):
+                manager.submit_labels(sid, subspace, labels)
+        assert manager.pending() == [(other, subspace)]
+
+        manager.submit_labels(sid, subspace, good)
+        assert manager.flush() == 2
+        extra = state.to_raw(state.data[5:7])
+        with pytest.raises(ValueError, match="position 0"):
+            manager.add_labels(sid, subspace, extra, [np.nan, 1])
+        with pytest.raises(ValueError, match="non-finite"):
+            manager.add_labels(sid, subspace, extra * np.inf, [0, 1])
+        assert manager.pending() == []
+        manager.add_labels(sid, subspace, extra, [0, 1])
+        assert manager.flush() == 1
+
     def test_add_labels_requires_initial(self, manager, serve_subspaces):
         sid = manager.open_session(subspaces=[serve_subspaces[0]])
         with pytest.raises(RuntimeError):

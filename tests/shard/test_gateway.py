@@ -98,6 +98,29 @@ class TestGatewayProtocol:
             retrieved = gateway.retrieve(sid, rows=eval_rows)
             assert len(retrieved) == int(predictions.sum())
 
+    def test_hostile_labels_rejected_by_the_worker(self, shard_lte,
+                                                   shard_subspaces,
+                                                   make_oracle, eval_rows):
+        """A NaN / out-of-range label reaches the caller as the worker's
+        ValueError; nothing is queued and the session stays usable."""
+        oracle = make_oracle(17)
+        subspace = shard_subspaces[0]
+        with ShardGateway(shard_lte, n_workers=1) as gateway:
+            sid = gateway.open_session(subspaces=[subspace], seed=2)
+            tuples = gateway.initial_tuples(sid)[subspace]
+            good = oracle.label_subspace(subspace, tuples)
+            for bad in (np.nan, 2):
+                labels = np.asarray(good, dtype=np.float64)
+                labels[1] = bad
+                with pytest.raises(ValueError, match="position 1"):
+                    gateway.submit_labels(sid, subspace, labels)
+            assert gateway.poll(sid)["pending"] == []
+            gateway.submit_labels(sid, subspace, good)
+            gateway.flush_all()
+            result = gateway.poll(sid)
+            assert result["errors"] == [] and len(result["ready"]) == 1
+            assert gateway.predict(sid, eval_rows).shape == (len(eval_rows),)
+
     def test_errors_attributed_across_sessions(self, shard_lte,
                                                shard_subspaces,
                                                make_oracle):

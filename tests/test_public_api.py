@@ -25,6 +25,15 @@ def test_top_level_exports():
     assert isinstance(repro.__version__, str)
 
 
+def test_nn_has_one_executor():
+    """No backend switch is exported; the one name the end-to-end
+    benchmark imports for its environment record still resolves."""
+    from repro import nn
+    from repro.nn.compile import get_backend
+    assert get_backend().name == "reference"
+    assert not [name for name in nn.__all__ if "backend" in name]
+
+
 def test_persist_exports():
     """The checkpoint subsystem's full public surface is importable."""
     from repro import persist

@@ -47,7 +47,9 @@ def assert_trainers_identical(a, b):
 # Fuzz axes: (use_memories, local_optimizer, balance, batch_size,
 #             n_tasks, pretrain_epochs, epochs) — n_tasks=7/batch=3 and
 # n_tasks=5/batch=4 exercise uneven final batches, batch_size=1 the
-# single-task fused path, n_tasks=1 the lone-batch path.
+# single-task fused path, n_tasks=1 the lone-batch path.  Together the
+# cases cover every {adam, sgd} x {balanced, not} x {conversion
+# (memories), none} cell of the stacked adapt / loss-backward programs.
 FUZZ_CASES = [
     (True, "adam", True, 4, 12, 1, 2),
     (True, "adam", True, 3, 7, 0, 2),
@@ -58,6 +60,8 @@ FUZZ_CASES = [
     (True, "adam", False, 1, 4, 0, 1),
     (True, "adam", True, 10, 6, 1, 1),
     (False, "adam", True, 2, 1, 1, 2),
+    (False, "adam", False, 3, 5, 1, 1),
+    (False, "sgd", False, 4, 6, 1, 1),
 ]
 
 
