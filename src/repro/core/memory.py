@@ -114,7 +114,7 @@ class MetaMemories:
     theta_r_size:
         Flattened size of the UIS embedding block parameters.
     embed_size:
-        Ne; the conversion matrices are (Ne x 2Ne).
+        Ne; the conversion matrices are (Ne x 3Ne).
     """
 
     def __init__(self, m, ku, theta_r_size, embed_size, seed=None):

@@ -46,10 +46,10 @@ class UISClassifier(nn.Module):
     hidden_size:
         Hidden width of the classification block.
     use_conversion:
-        When True the classifier expects a task-wise (Ne x 2Ne) conversion
+        When True the classifier expects a task-wise (Ne x 3Ne) conversion
         matrix at forward time (the memory-augmented variants Meta/Meta*);
-        when False (Basic) the classification block consumes the raw 2Ne
-        concatenation.
+        when False (Basic) the classification block consumes the raw 3Ne
+        concatenation ``[emb_R, emb_tau, emb_R * emb_tau]``.
     """
 
     def __init__(self, ku, input_width, embed_size=100, hidden_size=64,
@@ -80,9 +80,13 @@ class UISClassifier(nn.Module):
         return cls(seed=seed, **config)
 
     def clone(self, seed=None):
-        """Architecture copy with deep-copied parameters."""
-        twin = UISClassifier.from_config(self.config, seed=seed)
-        twin.load_state_dict(self.state_dict())
+        """Architecture copy with deep-copied parameters.
+
+        ``seed`` is unused: every parameter of the twin is a copy, so no
+        initialization is drawn (this runs per task on the serving path).
+        """
+        twin = super().clone()
+        twin.config = dict(self.config)
         return twin
 
     # ------------------------------------------------------------------
@@ -110,7 +114,7 @@ class UISClassifier(nn.Module):
         tuple_vectors:
             (n x input_width) preprocessed tuple representations.
         conversion:
-            Optional (embed_size x 2*embed_size) task-wise conversion
+            Optional (embed_size x 3*embed_size) task-wise conversion
             matrix ``M_cp`` (required iff ``use_conversion``).
 
         Returns
@@ -137,7 +141,7 @@ class UISClassifier(nn.Module):
                                  axis=1)                      # (n, 3Ne)
         if conversion is not None:
             conversion = Tensor._wrap(conversion)
-            combined = combined @ conversion.T                # (n, Ne)
+            combined = combined.matmul_transposed(conversion)  # (n, Ne)
         logits = self.clf_block(combined)                     # (n, 1)
         return logits.reshape(-1)
 

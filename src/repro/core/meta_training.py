@@ -127,7 +127,7 @@ class AdaptedClassifier:
         model = UISClassifier.from_config(state["config"])
         model.load_state_dict(state["model"])
         conversion = None if state["conversion"] is None \
-            else Parameter(state["conversion"])
+            else Parameter(np.array(state["conversion"], dtype=np.float64))
         return cls(model, state["feature_vector"], conversion)
 
 

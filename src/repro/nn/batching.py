@@ -113,7 +113,7 @@ class BatchedUISClassifier(Module):
                                  axis=-1)                        # (K, n, 3Ne)
         if conversion is not None:
             conversion = Tensor._wrap(conversion)
-            combined = combined @ conversion.swapaxes(-1, -2)    # (K, n, Ne)
+            combined = combined.matmul_transposed(conversion)     # (K, n, Ne)
         logits = self.clf_block(combined)                        # (K, n, 1)
         return logits.reshape(self.k, n)
 
@@ -184,7 +184,7 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     conversions:
         Optional per-task (Ne, 3Ne) matrices (see
         :func:`stack_conversions`), or an already stacked (K, Ne, 3Ne)
-        array.
+        array; either way the trained stack is a copy.
     batched:
         Optional pre-built :class:`BatchedUISClassifier` whose stacks
         already hold the task-wise initializations (``models`` is then
@@ -202,7 +202,9 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     if batched is None:
         batched = BatchedUISClassifier(models)
     if isinstance(conversions, np.ndarray):
-        conversion = Parameter(conversions)
+        # The optimizer updates parameters in place: never train the
+        # caller's buffer.
+        conversion = Parameter(conversions.copy())
     else:
         conversion = stack_conversions(conversions)
 

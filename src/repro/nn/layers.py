@@ -71,6 +71,25 @@ class Module:
         for name, array in state.items():
             params[name].copy_(array)
 
+    def clone(self):
+        """Structural twin: the same module tree and plain attributes,
+        parameter values deep-copied, gradients dropped.
+
+        Unlike constructing the module anew and loading the state dict,
+        this draws no random initialization only to overwrite it.  Plain
+        attributes are shared by reference; a subclass that keeps a
+        mutable one copies it in its own ``clone``.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin._parameters = OrderedDict()
+        twin._modules = OrderedDict()
+        for name, param in self._parameters.items():
+            setattr(twin, name, Parameter(param.data.copy()))
+        for name, module in self._modules.items():
+            setattr(twin, name, module.clone())
+        return twin
+
     # -- flat parameter vector (used by the UIS-feature memory M_R) -------
     def flat_parameters(self):
         """All parameters concatenated into one 1-D numpy vector."""

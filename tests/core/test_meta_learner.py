@@ -84,6 +84,43 @@ class TestCloneAndThetaR:
         twin.uis_block.m0.weight.data[:] = 0.0
         assert not np.allclose(model.uis_block.m0.weight.data, 0.0)
 
+    @pytest.mark.parametrize("use_conversion", [False, True])
+    def test_clone_equals_rebuild_and_load_bit_for_bit(self, use_conversion):
+        """``clone`` draws no initialization, yet its twin is the one the
+        old rebuild-then-``load_state_dict`` produced: same tree, same
+        bits, nothing shared, and no gradients carried over."""
+        model = make_model(use_conversion=use_conversion)
+        conversion = np.ones((8, 24)) / 24 if use_conversion else None
+        v_r, x = inputs()
+        model.forward(v_r, x, conversion=conversion).sum().backward()
+        rebuilt = UISClassifier.from_config(model.config, seed=3)
+        rebuilt.load_state_dict(model.state_dict())
+
+        twin = model.clone(seed=3)
+        assert type(twin) is UISClassifier
+        assert twin.config == model.config and twin.config is not model.config
+        assert [n for n, _ in twin.named_parameters()] \
+            == [n for n, _ in rebuilt.named_parameters()]
+        for (_, ours), (_, theirs), (_, source) in zip(
+                twin.named_parameters(), rebuilt.named_parameters(),
+                model.named_parameters()):
+            assert np.array_equal(ours.data, theirs.data)
+            assert ours.data.flags["C_CONTIGUOUS"] and ours.grad is None
+            assert not np.shares_memory(ours.data, source.data)
+        assert np.array_equal(
+            twin.forward(v_r, x, conversion=conversion).data,
+            rebuilt.forward(v_r, x, conversion=conversion).data)
+        assert np.array_equal(twin.get_theta_r_flat(),
+                              rebuilt.get_theta_r_flat())
+
+    def test_clone_draws_no_random_numbers(self, monkeypatch):
+        model = make_model()
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("clone must not initialize")
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert model.clone(seed=5).theta_r_size == model.theta_r_size
+
     def test_theta_r_flat_round_trip(self):
         model = make_model()
         flat = model.get_theta_r_flat()
