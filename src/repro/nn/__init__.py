@@ -6,6 +6,7 @@ learning framework dependency.  See DESIGN.md section 2.
 """
 
 from . import functional, init
+from .alloc import retain_freed_memory
 from .batching import (BatchedUISClassifier, fused_local_adapt, grad_stacks,
                        load_flat_stack, stack_conversions, stacked_predict,
                        theta_r_grad_stack)
@@ -23,3 +24,5 @@ __all__ = [
     "Optimizer", "SGD", "Adam",
     "functional", "init",
 ]
+
+retain_freed_memory()

@@ -33,6 +33,10 @@ whoever hands an array to :class:`~repro.nn.tensor.Parameter` and wants
 to keep it copies it first.  A non-contiguous or read-only
 ``param.data`` (a ``swapaxes`` view, a stride-0 broadcast) is replaced
 by a contiguous copy on its first step, once.  Gradients are only read.
+
+A step allocates nothing.  The temporaries of the old one happened to
+keep glibc from trimming the heap between training steps;
+:mod:`repro.nn.alloc` now says so to the allocator outright.
 """
 
 from __future__ import annotations
