@@ -37,6 +37,7 @@ from ..ml.scaler import MinMaxScaler
 from ..nn import Adam
 from ..nn.functional import (balanced_pos_weight,
                              binary_cross_entropy_with_logits)
+from ..obs import default_registry
 from .meta_learner import UISClassifier
 from .meta_task import MetaTaskGenerator, uis_feature_vector
 from .meta_training import AdaptedClassifier, MetaHyperParams, MetaTrainer
@@ -242,28 +243,24 @@ class LTE:
 
     def _prepare_subspace(self, table, subspace, index=0):
         cfg = self.config
+        start = time.perf_counter()
         if hasattr(table, "iter_chunks"):
             # Chunk-store table: the scaler comes straight off the zone
             # maps (exact global bounds, no data pass) and the subspace
             # working set is a bounded stratified chunk sample instead
             # of the full normalized projection — offline memory scales
             # with store_sample_rows, never with the table.
-            nan_cols = table.column_has_nan(subspace.columns)
-            if nan_cols.any():
-                raise ValueError(
-                    "cannot fit subspace {}: attribute(s) {} contain NaN "
-                    "values (zone maps flag them); impute or drop them "
-                    "before fit_offline".format(
-                        tuple(subspace.names),
-                        [n for n, bad in zip(subspace.names, nan_cols)
-                         if bad]))
             lo, hi = table.column_bounds(subspace.columns)
+            self._reject_non_finite(
+                subspace, table.column_has_nan(subspace.columns)
+                | ~np.isfinite(lo) | ~np.isfinite(hi))
             scaler = MinMaxScaler.from_bounds(lo, hi)
             raw = stratified_chunk_sample(
                 table, cfg.store_sample_rows, columns=subspace.columns,
                 seed=cfg.seed + index)
         else:
             raw = subspace.project(table.data)
+            self._reject_non_finite(subspace, ~np.isfinite(raw).all(axis=0))
             scaler = MinMaxScaler().fit(raw)
         data = scaler.transform(raw)
         attributes = [table.attribute(name) for name in subspace.names]
@@ -282,7 +279,22 @@ class LTE:
                               None)
         state.quantization_baseline = self._quantization_error(
             state, data, seed=cfg.seed)
+        default_registry().histogram("core.offline.prepare.seconds") \
+            .observe(time.perf_counter() - start)
         return state
+
+    @staticmethod
+    def _reject_non_finite(subspace, bad_columns):
+        """Fail before any scaler, encoder or clustering fit sees NaN or
+        inf (the store flags them off its zone maps, no data pass)."""
+        if bad_columns.any():
+            raise ValueError(
+                "cannot fit subspace {}: attribute(s) {} contain non-finite "
+                "values (NaN or inf); impute or drop them before "
+                "fit_offline".format(
+                    tuple(subspace.names),
+                    [n for n, bad in zip(subspace.names, bad_columns)
+                     if bad]))
 
     @staticmethod
     def _quantization_error(state, scaled_points, sample=500, seed=0):

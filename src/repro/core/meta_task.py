@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data.sampling import random_sample, ratio_sample
-from ..ml.kmeans import KMeans, pairwise_distances
+from ..ml.kmeans import DistanceRows, KMeans, pairwise_distances
 from .uis import UISGenerator, UISMode
 
 __all__ = ["ClusterSummary", "MetaTask", "MetaTaskGenerator",
@@ -67,9 +67,11 @@ def build_cluster_summary(data, ku, ks, kq, sample_ratio=0.01, seed=None):
                           min_rows=max(10 * max(ku, ks, kq), 100)) \
         if len(data) > 100 else data
     base = seed if seed is not None else 0
-    centers_u = KMeans(min(ku, len(sample)), seed=base).fit(sample).centers_
-    centers_s = KMeans(min(ks, len(sample)), seed=base + 1).fit(sample).centers_
-    centers_q = KMeans(min(kq, len(sample)), seed=base + 2).fit(sample).centers_
+    # One sample, three rounds: its norms and doubled rows are built once.
+    rows = DistanceRows(sample)
+    centers_u = KMeans(min(ku, len(sample)), seed=base).fit(rows).centers_
+    centers_s = KMeans(min(ks, len(sample)), seed=base + 1).fit(rows).centers_
+    centers_q = KMeans(min(kq, len(sample)), seed=base + 2).fit(rows).centers_
     return ClusterSummary(
         centers_u=centers_u,
         centers_s=centers_s,

@@ -7,13 +7,13 @@ components the LTE framework and its baselines depend on (DESIGN.md §3).
 from .decision_tree import DecisionTree, TreeNode
 from .gmm import GaussianMixture1D
 from .jenks import JenksBreaks, jenks_breaks
-from .kmeans import KMeans, pairwise_distances
+from .kmeans import DistanceRows, KMeans, pairwise_distances
 from .scaler import MinMaxScaler, normalize_within
 from .svm import SVC, linear_kernel, rbf_kernel
 
 __all__ = [
     "DecisionTree", "TreeNode",
-    "KMeans", "pairwise_distances",
+    "KMeans", "DistanceRows", "pairwise_distances",
     "GaussianMixture1D",
     "JenksBreaks", "jenks_breaks",
     "SVC", "rbf_kernel", "linear_kernel",

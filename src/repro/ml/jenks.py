@@ -42,31 +42,26 @@ def jenks_breaks(values, n_classes):
     # Prefix sums for O(1) within-class sum of squared deviations.
     prefix = np.concatenate([[0.0], np.cumsum(data)])
     prefix_sq = np.concatenate([[0.0], np.cumsum(data ** 2)])
+    # counts_down[n - j:] is the size j - i of data[i:j] for i = 0 .. j-1.
+    counts_down = np.arange(n, 0, -1)
 
-    def ssd(i, j):
-        """Sum of squared deviations of data[i:j] (j exclusive)."""
-        count = j - i
-        total = prefix[j] - prefix[i]
-        total_sq = prefix_sq[j] - prefix_sq[i]
-        return total_sq - total * total / count
-
-    # cost[c][j]: minimal SSD partitioning data[:j] into c classes.
-    inf = np.inf
-    cost = np.full((n_classes + 1, n + 1), inf)
+    # cost[c][j]: minimal SSD partitioning data[:j] into c classes, over the
+    # split i of the last class data[i:j]: cost[c-1][i] + ssd(i, j).  The
+    # ssd vector over i is shared by every c, an unreachable cost[c-1][i]
+    # (i < c-1) is inf and never the minimum, and argmin keeps the first
+    # (lowest i) of equal candidates — so one (n_classes, j) argmin per j
+    # fills column j of every row, c > j included (all-inf: cost stays
+    # inf, split stays 0).
+    cost = np.full((n_classes + 1, n + 1), np.inf)
     split = np.zeros((n_classes + 1, n + 1), dtype=np.int64)
     cost[0][0] = 0.0
-    for c in range(1, n_classes + 1):
-        for j in range(c, n + 1):
-            best, best_i = inf, c - 1
-            for i in range(c - 1, j):
-                prev = cost[c - 1][i]
-                if prev == inf:
-                    continue
-                candidate = prev + ssd(i, j)
-                if candidate < best:
-                    best, best_i = candidate, i
-            cost[c][j] = best
-            split[c][j] = best_i
+    for j in range(1, n + 1):
+        total = prefix[j] - prefix[:j]
+        total_sq = prefix_sq[j] - prefix_sq[:j]
+        ssd = total_sq - total * total / counts_down[n - j:]
+        candidates = cost[:n_classes, :j] + ssd
+        cost[1:, j] = candidates.min(axis=1)
+        split[1:, j] = candidates.argmin(axis=1)
 
     # Backtrack boundaries.
     bounds = np.empty(n_classes + 1)

@@ -52,6 +52,8 @@ name                                             kind        unit
 ``store.freshness.drift_score``                  histogram   score
 ``geometry.pack_cache.hits``                     counter     lookups
 ``geometry.pack_cache.misses``                   counter     lookups
+``core.offline.prepare.seconds``                 histogram   seconds
+``ml.kmeans.iterations``                         counter     iterations
 ``train.offline.pretrain_epoch.seconds``         histogram   seconds
 ``train.offline.meta_epoch.seconds``             histogram   seconds
 ``train.offline.epochs.pretrain``                counter     epochs
@@ -88,8 +90,9 @@ each own a private :class:`MetricsRegistry`; the old dict methods are
 compatibility shims reading those registries.  Registries auto-enlist
 in a process-wide weak set, so :func:`aggregate` merges every live
 registry — plus the :func:`default_registry` used by module-level sites
-(store scans, appends, training epochs) — into one process snapshot.
-That snapshot is what a shard worker ships to the gateway.
+(store scans, appends, offline preparation, training epochs) — into
+one process snapshot.  That snapshot is what a shard worker ships to
+the gateway.
 """
 
 from __future__ import annotations

@@ -6,11 +6,19 @@ meta-training) are built once per pytest run.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.meta_task import MetaTaskGenerator
 from repro.core.preprocessing import TabularPreprocessor
 from repro.core.uis import UISMode
 from repro.data import make_car, make_sdss
+
+
+# ``--hypothesis-profile=x10``: ten times the examples, for the tests that
+# leave the count to the profile (CI's train lane runs the oracle-parity
+# module under it).
+settings.register_profile(
+    "x10", max_examples=10 * settings.default.max_examples)
 
 
 @pytest.fixture(scope="session")

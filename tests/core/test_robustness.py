@@ -152,3 +152,44 @@ class TestNonFiniteInputs:
         # binary (NaN comparisons are False throughout the pipeline).
         preds = session.predict_subspace(subspace, bad)
         assert set(np.unique(preds)) <= {0, 1}
+
+    @pytest.mark.parametrize("backend", ["memory", "store"])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_table_fails_naming_the_attribute(self, poison,
+                                                         backend,
+                                                         monkeypatch):
+        """An in-memory table with a NaN/inf cell used to run the scaler,
+        GMM and Jenks fits on it and was stopped only inside k-means++,
+        by ``rng.choice`` refusing NaN probabilities.  It now fails like
+        a store does (off its zone maps): before any fit, naming the
+        attribute."""
+        from repro.core.preprocessing import TabularPreprocessor
+        from repro.ml.scaler import MinMaxScaler
+        from repro.store import ChunkStore
+        table = make_car(n_rows=600, seed=3)
+        subspaces = LTE(tiny_config()).fit_offline(table, train=False).states
+        victim = list(subspaces)[1]
+        table.data[17, victim.columns[1]] = poison
+        if backend == "store":
+            table = ChunkStore.from_table(table, chunk_rows=128)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted on non-finite data")
+        monkeypatch.setattr(MinMaxScaler, "fit", no_fit)
+        monkeypatch.setattr(MinMaxScaler, "from_bounds", no_fit)
+        monkeypatch.setattr(TabularPreprocessor, "fit", no_fit)
+        with pytest.raises(ValueError, match=victim.names[1]) as excinfo:
+            LTE(tiny_config()).fit_offline(table, subspaces=[victim],
+                                           train=False)
+        assert victim.names[0] not in str(excinfo.value).split("attribute")[1]
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_refresh_on_non_finite_table_keeps_the_old_state(self, poison):
+        table = make_car(n_rows=600, seed=3)
+        lte = LTE(tiny_config()).fit_offline(table, train=False)
+        victim = list(lte.states)[2]          # the 1-D trailing subspace
+        before = lte.states[victim]
+        table.data[5, victim.columns[0]] = poison
+        with pytest.raises(ValueError, match="non-finite"):
+            lte.refresh_subspace(table, victim, train=False)
+        assert lte.states[victim] is before

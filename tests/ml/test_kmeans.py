@@ -90,11 +90,25 @@ class TestKMeans:
         with pytest.raises(RuntimeError):
             KMeans(2).predict(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_non_finite_data_rejected_before_seeding(self, poison, k):
+        """NaN used to be stopped only by ``rng.choice`` validating its
+        probabilities (so not at k == 1, and never by design)."""
+        data = three_blobs(seed=8)
+        data[4, 1] = poison
+        model = KMeans(k, seed=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="non-finite"):
+            model.fit(data)
+        assert model.centers_ is None
+        untouched = np.random.default_rng(0).bit_generator.state
+        assert model.seed.bit_generator.state == untouched
+
     def test_deterministic_given_seed(self):
         data = three_blobs(seed=7)
         a = KMeans(3, seed=9).fit(data).centers_
         b = KMeans(3, seed=9).fit(data).centers_
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=20, deadline=None)

@@ -171,3 +171,40 @@ class TestNoInterference:
             assert stats["sessions"] == len(sids)
             assert stats["queued"] == 0
             assert stats["adapt_batches"] == 0   # null counter
+
+
+class TestOfflinePreparationMetrics:
+    """Preparation — most of a warm start, a refresh and a set-up fit —
+    is visible from inside the program, not only to a ``progress=``
+    callback."""
+
+    NAMES = ("core.offline.prepare.seconds", "ml.kmeans.iterations")
+
+    @staticmethod
+    def _prepare():
+        from repro.core import LTE, LTEConfig
+        from repro.data import make_car
+        lte = LTE(LTEConfig(budget=20, ku=25, kq=30, n_tasks=6))
+        return lte.fit_offline(make_car(n_rows=800, seed=2), train=False)
+
+    def test_emitted_during_fit_offline(self):
+        lte = self._prepare()
+        snap = obs.default_registry().snapshot()
+        prepare = snap["core.offline.prepare.seconds"]
+        assert prepare["kind"] == "histogram"
+        assert prepare["count"] == len(lte.states)     # one a subspace
+        assert 0 < prepare["sum"] <= lte.offline_seconds_
+        # Three clustering rounds a subspace, at least one iteration each.
+        assert snap["ml.kmeans.iterations"]["kind"] == "counter"
+        assert snap["ml.kmeans.iterations"]["value"] >= 3 * len(lte.states)
+
+    def test_absent_with_obs_off(self):
+        with obs.enabled_scope(False):
+            self._prepare()
+            assert obs.default_registry().snapshot() == {}
+        assert not set(self.NAMES) & set(obs.default_registry().names())
+
+    def test_listed_in_the_catalogue(self):
+        from repro.obs import registry
+        for name in self.NAMES:
+            assert "``{}``".format(name) in registry.__doc__
