@@ -824,12 +824,12 @@ class _SubspaceSession:
                                .format(self.state.subspace))
         raw_points = np.atleast_2d(np.asarray(raw_points, dtype=np.float64))
         scaled = self.state.to_scaled(raw_points)
-        predictions = self.adapted.predict(
-            self.state.encode_scaled(scaled))
-        if self.optimizer is not None:
-            # The optimizer's hull geometry lives in normalized space.
-            predictions = self.optimizer.refine(scaled, predictions)
-        return predictions
+        # Geometry first (the hulls live in normalized space); the
+        # classifier scores only the rows they leave open.
+        decision = (None, None) if self.optimizer is None \
+            else self.optimizer.decide(scaled)
+        return self.adapted.predict_open(self.state.encode_scaled(scaled),
+                                         decision)
 
 
 class ExplorationSession:
@@ -956,10 +956,10 @@ class ExplorationSession:
         """Three-set-style resolved fraction for one subspace.
 
         A sampled point is *resolved* when the geometric side-structures
-        and the classifier agree on it: inside the conservative
-        inner-subregion (certainly interesting), outside the generous
-        outer-subregion (certainly not), or classified consistently with
-        the region it falls in.  The unresolved remainder approximates the
+        settle it — inside the conservative inner-subregion (certainly
+        interesting) or outside the generous outer-subregion (certainly
+        not) — or, in the band between them, when the classifier is
+        confident about it.  The unresolved remainder approximates the
         region boundary still in question; exploration can stop when the
         estimate is high enough.  Requires the ``meta_star`` variant
         (the only one that builds the subregions).
@@ -979,15 +979,11 @@ class ExplorationSession:
         outer = optimizer.outer_region.contains(scaled) \
             if optimizer.outer_region is not None \
             else np.ones(len(scaled), dtype=bool)
-        preds = subsession.adapted.predict(state.encode_scaled(scaled))
-        resolved = inner | ~outer \
-            | ((preds == 1) & inner) | ((preds == 0) & ~outer)
         # Points in the middle band whose classification is confident
         # (probability far from 0.5) also count as resolved.
         proba = subsession.adapted.predict_proba(state.encode_scaled(scaled))
         confident = np.abs(proba - 0.5) > 0.4
-        resolved |= confident
-        return float(np.mean(resolved))
+        return float(np.mean(inner | ~outer | confident))
 
     # ------------------------------------------------------------------
     # Final retrieval (paper Section III-B: "an IDE system returns a

@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..nn.tensor import Parameter, Tensor
+from ..nn.batching import inference_logits
+from ..nn.tensor import Tensor, stable_sigmoid
 
 __all__ = ["UISClassifier"]
 
@@ -147,11 +148,10 @@ class UISClassifier(nn.Module):
 
     # ------------------------------------------------------------------
     def predict_proba(self, feature_vector, tuple_vectors, conversion=None):
-        """Interest probabilities in [0, 1] (no graph construction)."""
-        with nn.no_grad():
-            logits = self.forward(feature_vector, tuple_vectors,
-                                  conversion=conversion)
-        return logits.sigmoid().numpy()
+        """Interest probabilities in [0, 1], through the Tensor-free
+        inference kernel (:func:`repro.nn.batching.inference_logits`)."""
+        return stable_sigmoid(inference_logits(
+            self, feature_vector, tuple_vectors, conversion=conversion))
 
     def predict(self, feature_vector, tuple_vectors, conversion=None,
                 threshold=0.5):

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..nn import Adam, SGD, no_grad
+from ..nn import Adam, SGD
 from ..nn.functional import (balanced_pos_weight,
                              binary_cross_entropy_with_logits)
 from ..nn.tensor import Parameter
@@ -109,6 +109,20 @@ class AdaptedClassifier:
 
     def predict(self, tuple_vectors, threshold=0.5):
         return (self.predict_proba(tuple_vectors) >= threshold).astype(np.int64)
+
+    def predict_open(self, tuple_vectors, decision):
+        """Finish a geometry-first (Meta*) answer: gather the rows the
+        few-shot hulls left open, score them in one kernel call, scatter
+        them into ``answers``.  ``decision`` is an ``(answers,
+        open_rows)`` pair of :meth:`~repro.core.optimizer.
+        FewShotOptimizer.decide_batch`; ``open_rows`` None (no subregion)
+        is plain :meth:`predict`, an empty band calls nothing."""
+        answers, open_rows = decision
+        if open_rows is None:
+            return self.predict(tuple_vectors)
+        if open_rows.size:
+            answers[open_rows] = self.predict(tuple_vectors[open_rows])
+        return answers
 
     # ------------------------------------------------------------------
     def state_dict(self):
@@ -466,7 +480,6 @@ class MetaTrainer:
             adapted, _ = self.adapt(task.feature_vector,
                                     encode(task.support_x), task.support_y,
                                     local_steps=local_steps)
-            with no_grad():
-                pred = adapted.predict(encode(task.query_x))
+            pred = adapted.predict(encode(task.query_x))
             scores.append(float(np.mean(pred == task.query_y)))
         return float(np.mean(scores)) if scores else 0.0

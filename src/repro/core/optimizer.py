@@ -14,6 +14,17 @@ labelled cluster centers:
 
 The optimizer layers strictly on top of a meta-learner's prediction
 (Meta* = Meta + optimizer) and cannot be used alone.
+
+**Decision order.**  The paper applies the two fixes *after* the
+classifier: demote positives outside the outer subregion, then promote
+negatives inside the inner one.  Per row that composition is ``1 if inner
+else (0 if not outer else classifier)`` — the promotion runs last, so
+``inner`` wins — and the classifier's output survives only on the *open
+band* between the two.  So :meth:`FewShotOptimizer.decide_batch` runs
+first and callers score just the rows it leaves open
+(:meth:`~repro.core.meta_training.AdaptedClassifier.predict_open`);
+``refine`` / ``refine_batch`` keep the classifier-first signature as
+wrappers over the same decision, equal for any 0/1 input.
 """
 
 from __future__ import annotations
@@ -119,6 +130,13 @@ class HullRegistry:
                 points = entry["points"] if isinstance(entry, dict) else entry
                 hulls.append(Hull(np.asarray(points, dtype=np.float64)))
         return cls(hulls)
+
+
+def _settles(optimizer):
+    """Whether the optimizer has a subregion at all (none exists without
+    a positive anchor: the classifier then answers every row)."""
+    return optimizer is not None and (optimizer.outer_region is not None
+                                      or optimizer.inner_region is not None)
 
 
 class FewShotOptimizer:
@@ -305,73 +323,96 @@ class FewShotOptimizer:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def refine_batch(optimizers, points, predictions_list, pack_cache=None):
-        """Refine many sessions' predictions over one shared point set.
+    def decide_batch(optimizers, points, pack_cache=None):
+        """What the hulls settle, for many sessions over one point set —
+        the one place the hull decision is computed.
 
         All (points x hulls x sessions) membership tests run as **one**
-        packed-engine call: hulls are deduplicated by identity across
-        every optimizer's outer and inner regions (optimizers built via
-        :meth:`fit_batch` share hull objects), stacked into a single
-        halfspace system, and evaluated in one matmul
-        (:func:`~repro.geometry.engine.union_masks`).  Entries whose
-        optimizer is None pass through unchanged.  Result i equals
-        ``optimizers[i].refine(points, predictions_list[i])``.
+        packed-engine call (:func:`~repro.geometry.engine.union_masks`):
+        hulls are deduplicated by identity across every optimizer's
+        outer and inner regions (optimizers built via :meth:`fit_batch`
+        share hull objects) and evaluated in one matmul.  ``pack_cache``
+        (a :class:`~repro.geometry.engine.HullPackCache`) reuses the
+        compiled pack across calls; the serving layer passes its own.
 
-        Parameters
-        ----------
-        pack_cache:
-            Optional :class:`~repro.geometry.engine.HullPackCache`; the
-            compiled pack for this hull set is then reused across calls
-            (the serving layer passes its own, so re-adapted model
-            versions never recompile their geometry).
+        Returns one ``(answers, open_rows)`` pair per optimizer:
+        ``answers`` is a fresh ``(n,)`` int64 vector, 1 inside the inner
+        subregion and 0 elsewhere; ``open_rows`` indexes the rows (inside
+        the outer subregion, outside the inner) whose answer is the
+        classifier's and still has to be written.  An entry that is None
+        or has neither region yields ``(None, None)`` — every row is
+        open — and with no region anywhere the engine is not called.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        active = [o for o in optimizers
-                  if o is not None and (o.outer_region is not None
-                                        or o.inner_region is not None)]
-        hull_lists = []
-        for optimizer in active:
-            for region in (optimizer.outer_region, optimizer.inner_region):
-                hull_lists.append([] if region is None else region.hulls)
-        masks = iter(union_masks(hull_lists, points, pack_cache=pack_cache))
-
-        results = []
-        for optimizer, predictions in zip(optimizers, predictions_list):
-            predictions = np.asarray(predictions).astype(np.int64).copy()
-            if optimizer is None or (optimizer.outer_region is None
-                                     and optimizer.inner_region is None):
-                results.append(predictions)
+        hull_lists = [[] if region is None else region.hulls
+                      for optimizer in optimizers if _settles(optimizer)
+                      for region in (optimizer.outer_region,
+                                     optimizer.inner_region)]
+        masks = iter(union_masks(hull_lists, points, pack_cache=pack_cache)
+                     if hull_lists else ())
+        decisions = []
+        for optimizer in optimizers:
+            if not _settles(optimizer):
+                decisions.append((None, None))
                 continue
-            if len(points) != len(predictions):
-                raise ValueError("points/predictions length mismatch")
+            # A missing region's mask is all False: nothing is promoted
+            # without an inner region, nothing demoted without an outer.
             outer_mask, inner_mask = next(masks), next(masks)
+            open_mask = ~inner_mask
             if optimizer.outer_region is not None:
-                # FP fix: a positive prediction outside the
-                # outer-subregion is beyond any plausible extension of
-                # the labelled interest.
-                predictions[~outer_mask & (predictions == 1)] = 0
-            if optimizer.inner_region is not None:
-                # FN fix: points within the conservative inner-subregion
-                # are inside the real UIS.
-                predictions[inner_mask & (predictions == 0)] = 1
-            results.append(predictions)
-        return results
+                open_mask &= outer_mask
+            decisions.append((inner_mask.astype(np.int64),
+                              np.flatnonzero(open_mask)))
+        return decisions
+
+    def decide(self, points):
+        """:meth:`decide_batch` for this optimizer alone, on its own
+        compiled-pack cache."""
+        if self._pack_cache is None:
+            # Sized for the one hull set this optimizer's regions form.
+            from ..geometry.engine import HullPackCache
+            self._pack_cache = HullPackCache(capacity=2)
+        return self.decide_batch([self], points,
+                                 pack_cache=self._pack_cache)[0]
+
+    @staticmethod
+    def _overlay(decision, predictions):
+        """The refined answer: the classifier's on the open rows, the
+        hulls' everywhere else."""
+        answers, open_rows = decision
+        predictions = np.asarray(predictions).astype(np.int64)
+        if open_rows is None:
+            return predictions.copy()
+        if len(answers) != len(predictions):
+            raise ValueError("points/predictions length mismatch")
+        answers[open_rows] = predictions[open_rows]
+        return answers
+
+    @staticmethod
+    def refine_batch(optimizers, points, predictions_list, pack_cache=None):
+        """Refine many sessions' full-row predictions over one point set.
+
+        The classifier-first spelling of :meth:`decide_batch`, for
+        callers that already hold a prediction for every row: result i
+        keeps ``predictions_list[i]`` on the rows optimizer i leaves
+        open and takes the hulls' answer elsewhere; entries whose
+        optimizer is None pass through unchanged.  Result i equals
+        ``optimizers[i].refine(points, predictions_list[i])``.
+        """
+        decisions = FewShotOptimizer.decide_batch(optimizers, points,
+                                                  pack_cache=pack_cache)
+        return [FewShotOptimizer._overlay(decision, predictions)
+                for decision, predictions in zip(decisions,
+                                                 predictions_list)]
 
     def refine(self, points, predictions):
         """Apply the FP then FN corrections to raw 0/1 predictions.
 
         ``points`` are raw subspace tuples (n x d); ``predictions`` the
-        classifier's 0/1 output for them.  Outer and inner regions are
-        tested in one packed-engine call (the single-session case of
-        :meth:`refine_batch`), so the sequential path and the batched
-        serving path execute the identical kernel.
+        classifier's 0/1 output for them.  The single-session case of
+        :meth:`refine_batch`, on this optimizer's own pack cache.
         """
         if len(np.atleast_2d(np.asarray(points))) != \
                 len(np.asarray(predictions).ravel()):
             raise ValueError("points/predictions length mismatch")
-        if self._pack_cache is None:
-            # Sized for the one hull set this optimizer's regions form.
-            from ..geometry.engine import HullPackCache
-            self._pack_cache = HullPackCache(capacity=2)
-        return self.refine_batch([self], points, [predictions],
-                                 pack_cache=self._pack_cache)[0]
+        return self._overlay(self.decide(points), predictions)

@@ -19,7 +19,12 @@ program.  This module is the shared substrate both layers build on:
 * :func:`stacked_loss_backward` — one forward + backward of the summed
   per-task BCE loss (the meta-training global phase and the pooled
   pretraining step);
-* :func:`stacked_predict` — fused no-grad 0/1 predictions.
+* :func:`stacked_predict` — fused 0/1 predictions of the stacks just
+  trained (the training engine's query accuracy only);
+* :func:`inference_logits` — the no-grad forward of ONE classifier as
+  plain ``np.matmul`` products, no :class:`Tensor` nodes.  Every
+  prediction outside training goes through it: serving scores each
+  session over the rows *its* hulls left open, so nothing is stacked.
 
 Because the stacked computation is block-diagonal across tasks, every
 task receives exactly the gradients and optimizer updates the sequential
@@ -38,13 +43,14 @@ import numpy as np
 
 from .functional import (batched_binary_cross_entropy_with_logits,
                          batched_pos_weight)
-from .layers import Module, batch_modules, unstack_modules
+from .layers import (Linear, Module, ReLU, Sequential, batch_modules,
+                     unstack_modules)
 from .optim import SGD, Adam
 from .tensor import Parameter, Tensor, no_grad
 
 __all__ = ["BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
            "load_flat_stack", "theta_r_grad_stack", "grad_stacks",
-           "stacked_loss_backward", "stacked_predict"]
+           "stacked_loss_backward", "stacked_predict", "inference_logits"]
 
 
 class BatchedUISClassifier(Module):
@@ -53,7 +59,9 @@ class BatchedUISClassifier(Module):
     Mirrors ``UISClassifier.forward`` over a leading batch axis:
     features (K, ku) and tuples (K, n, width) map to logits (K, n).
     Built from per-task model instances (whose parameters seed the
-    stacks) and unstacked back into them after training.
+    stacks) and unstacked back into them after training.  It exists to
+    *train* K tasks as one autograd program; nothing is stacked to
+    predict (:func:`inference_logits`).
     """
 
     def __init__(self, models):
@@ -275,10 +283,76 @@ def stacked_loss_backward(batched, conversion, features, xs, ys, pos_weight):
 
 
 def stacked_predict(batched, features, xs, conversion=None, threshold=0.5):
-    """Fused no-grad 0/1 predictions, shape (K, n)."""
+    """Fused no-grad 0/1 predictions of trained stacks, shape (K, n)."""
     if isinstance(conversion, Parameter):
         conversion = conversion.data
     with no_grad():
         logits = batched.forward(features, xs, conversion=conversion)
     proba = logits.sigmoid().numpy()
     return (proba >= threshold).astype(np.int64)
+
+
+def _leaf_layers(module):
+    """The non-container layers of a module tree, in application order."""
+    if isinstance(module, Sequential):
+        for child in module:
+            yield from _leaf_layers(child)
+    else:
+        yield module
+
+
+def _infer_block(block, x):
+    """``block(x)`` on raw arrays, for a ``Sequential`` tree of ``Linear``
+    / ``ReLU`` layers of any depth.  Each step is the array operation the
+    layer's ``forward`` performs, in place on the running activation (the
+    input is never written); the rectifier is ``x * (x > 0)``, not
+    ``maximum``, which keeps the ``-0.0`` and NaN the autograd op yields.
+    """
+    owned = False
+    for layer in _leaf_layers(block):
+        if isinstance(layer, Linear):
+            x = np.matmul(x, layer.weight.data)
+            if layer.bias is not None:
+                np.add(x, layer.bias.data, out=x)
+        elif isinstance(layer, ReLU):
+            x = np.multiply(x, x > 0, out=x if owned else None)
+        else:
+            raise TypeError("cannot infer through module of type {}".format(
+                type(layer)))
+        owned = True
+    return x
+
+
+def inference_logits(model, feature_vector, tuple_vectors, conversion=None):
+    """No-grad logits of one UIS classifier over a row set, shape (n,).
+
+    The products of ``UISClassifier.forward`` in the same order (hence
+    the same bits for the same rows in one call), with ``[emb_R,
+    emb_tau, emb_R * emb_tau]`` written straight into one ``(n, 3Ne)``
+    scratch: no ``Tensor`` node, no concatenation, no parameter stack.
+    A logit may differ in the last place between calls of different row
+    counts (BLAS picks its kernel by shape), so callers compare
+    *answers* across row sets, not logits.  ``model`` is anything with
+    the ``uis_block`` / ``tuple_block`` / ``clf_block`` / ``ku`` /
+    ``embed_size`` / ``use_conversion`` surface; the arguments are
+    those of ``forward``.
+    """
+    if model.use_conversion and conversion is None:
+        raise ValueError("use_conversion=True requires a conversion matrix")
+    if not model.use_conversion and conversion is not None:
+        raise ValueError("conversion given but use_conversion=False")
+    x = np.asarray(tuple_vectors, dtype=np.float64)
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
+    v_r = np.asarray(feature_vector, dtype=np.float64).reshape(1, model.ku)
+    ne = model.embed_size
+    emb_r = _infer_block(model.uis_block, v_r)               # (1, Ne)
+    emb_x = _infer_block(model.tuple_block, x)               # (n, Ne)
+    combined = np.empty((len(x), 3 * ne))
+    combined[:, :ne] = emb_r
+    combined[:, ne:2 * ne] = emb_x
+    np.multiply(emb_r, emb_x, out=combined[:, 2 * ne:])
+    if conversion is not None:
+        combined = combined @ np.swapaxes(
+            np.asarray(conversion, dtype=np.float64), -1, -2)
+    return _infer_block(model.clf_block, combined).reshape(-1)

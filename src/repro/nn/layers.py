@@ -215,7 +215,7 @@ class BatchedLinear(Module):
 
         Built directly from the source parameters (no throwaway random
         initialization) — this runs on the serving hot path for every
-        adaptation bucket and batched prediction.
+        adaptation bucket.
         """
         first = linears[0]
         for lin in linears:

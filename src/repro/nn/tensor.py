@@ -17,7 +17,8 @@ import contextlib
 
 import numpy as np
 
-__all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled",
+           "stable_sigmoid"]
 
 _GRAD_ENABLED = [True]
 
@@ -50,6 +51,18 @@ def _unbroadcast(grad, shape):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def stable_sigmoid(data):
+    """Logistic function of a raw array (exp of non-positive values
+    only): the one formula behind :meth:`Tensor.sigmoid` and the
+    Tensor-free inference path, so both give the same bits."""
+    out = np.empty_like(data)
+    pos = data >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-data[pos]))
+    exp_x = np.exp(data[~pos])
+    out[~pos] = exp_x / (1.0 + exp_x)
+    return out
 
 
 def _as_array(value):
@@ -263,11 +276,7 @@ class Tensor:
         return self._from_op(self.data * mask, (self,), backward)
 
     def sigmoid(self):
-        out_data = np.empty_like(self.data)
-        pos = self.data >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-self.data[pos]))
-        exp_x = np.exp(self.data[~pos])
-        out_data[~pos] = exp_x / (1.0 + exp_x)
+        out_data = stable_sigmoid(self.data)
 
         def backward(grad):
             return (grad * out_data * (1.0 - out_data),)

@@ -28,6 +28,8 @@ name                                             kind        unit
 ``serve.manager.predict.forward.seconds``        histogram   seconds
 ``serve.manager.predict.refine.seconds``         histogram   seconds
 ``serve.manager.predict.seconds``                histogram   seconds
+``serve.manager.predict.rows.settled``           counter     row·sessions
+``serve.manager.predict.rows.scored``            counter     row·sessions
 ``serve.manager.store_scan.chunk_evals``         counter     chunks
 ``serve.manager.store_scan.watermark_skipped``   counter     chunks
 ``serve.manager.store_scan.pruned_skipped``      counter     chunks

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.batching import (BatchedUISClassifier, fused_local_adapt,
-                           stacked_predict)
+from ..nn.batching import BatchedUISClassifier, fused_local_adapt
 from ..nn.tensor import Parameter
 from ..core.framework import run_adapt_request
 from ..core.meta_learner import UISClassifier
@@ -97,39 +96,14 @@ def _adapt_bucket(requests):
     return results
 
 
-def predict_adapted_batch(adapted_classifiers, tuple_vectors, threshold=0.5):
-    """Batched 0/1 predictions of K adapted classifiers on shared rows.
-
-    Serving sessions repeatedly score the *same* rows (a shared
-    evaluation sample, the full table) under *different* per-session
-    models; stacking the models turns K small forwards into one.  The
-    input batch is broadcast (stride-0) across the task axis, so no row
-    data is copied.  Slice k equals ``adapted_classifiers[k].predict``.
-
-    Parameters
-    ----------
-    adapted_classifiers:
-        K :class:`~repro.core.meta_training.AdaptedClassifier` with
-        structurally identical models.
-    tuple_vectors:
-        (n, input_width) preprocessed rows, shared by every task.
-
-    Returns
-    -------
-    (K, n) int array of 0/1 predictions.
-    """
-    models = [a.model for a in adapted_classifiers]
-    batched = BatchedUISClassifier(models)
-    features = np.stack([a.feature_vector for a in adapted_classifiers])
-    conversion = None
-    if batched.use_conversion:
-        conversion = np.stack([a.conversion.data
-                               for a in adapted_classifiers])
+def predict_adapted_batch(adapted_classifiers, tuple_vectors):
+    """0/1 predictions of K adapted classifiers on shared rows, (K, n):
+    one call of the Tensor-free kernel per classifier, nothing stacked.
+    (The manager scores each session over the rows *its* hulls left
+    open instead: ``AdaptedClassifier.predict_open``.)"""
     tuple_vectors = np.asarray(tuple_vectors, dtype=np.float64)
-    xs = np.broadcast_to(tuple_vectors,
-                         (batched.k,) + tuple_vectors.shape)
-    return stacked_predict(batched, features, xs, conversion=conversion,
-                           threshold=threshold)
+    return np.stack([adapted.predict(tuple_vectors)
+                     for adapted in adapted_classifiers])
 
 
 def run_adapt_requests(requests):

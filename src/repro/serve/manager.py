@@ -31,7 +31,7 @@ from ..core.memory import LRUStore
 from ..core.optimizer import FewShotOptimizer, HullRegistry
 from ..geometry.engine import HullPackCache
 from ..obs import MetricsRegistry, span
-from .batched import predict_adapted_batch, run_adapt_requests
+from .batched import run_adapt_requests
 from .cache import PredictionCache, rows_digest
 
 __all__ = ["SessionManager"]
@@ -142,6 +142,10 @@ class SessionManager:
         self._t_refine = \
             metrics.histogram("serve.manager.predict.refine.seconds")
         self._t_predict = metrics.histogram("serve.manager.predict.seconds")
+        self._rows_settled = \
+            metrics.counter("serve.manager.predict.rows.settled")
+        self._rows_scored = \
+            metrics.counter("serve.manager.predict.rows.scored")
 
     @property
     def adapt_batches(self):
@@ -455,10 +459,11 @@ class SessionManager:
         """Predict one subspace's points for many sessions at once.
 
         ``per_session`` maps session_id -> _SubspaceSession.  Cache hits
-        are served directly; misses are scored in one stacked forward
-        pass (falling back to the per-session path for singletons or
-        structurally different models) and then geometrically refined
-        per session.  Returns {session_id: (n,) 0/1 predictions}.
+        are served directly; for the misses the few-shot hulls decide
+        first (one engine call for the group) and each session's
+        classifier then scores only the rows its hulls left open —
+        every row for a session without an optimizer.  Returns
+        {session_id: (n,) 0/1 predictions}.
 
         Sessions are first sub-grouped by their state's artifact
         generation: after a subspace refresh (drift handling replaces
@@ -480,47 +485,44 @@ class SessionManager:
             state = next(iter(generation.values())).state
             _, scaled, encoded = self._subspace_artifacts(
                 subspace, state, points, digest=digest)
-            misses = {}
+            misses = []
             for session_id, subsession in generation.items():
                 key = self.cache.key(session_id, subspace,
                                      subsession.model_version, digest)
                 cached = self.cache.get(key)
                 if cached is None:
-                    group = misses.setdefault(
-                        tuple(sorted(
-                            subsession.adapted.model.config.items())),
-                        [])
-                    group.append((session_id, subsession, key))
+                    misses.append((session_id, subsession, key))
                 else:
                     out[session_id] = cached
-            for group in misses.values():
-                t0 = time.perf_counter() if self._obs_on else None
-                if len(group) == 1:
-                    session_id, subsession, key = group[0]
-                    stacked = subsession.adapted.predict(encoded)[None, :]
-                else:
-                    stacked = predict_adapted_batch(
-                        [subsession.adapted for _, subsession, _ in group],
-                        encoded)
-                if t0 is not None:
-                    t1 = time.perf_counter()
-                    self._t_forward.observe(t1 - t0)
-                else:
-                    t1 = None
-                # Geometric refinement runs all (points x hulls x
-                # sessions) tests as one packed-engine call; the
-                # manager-level pack cache persists the compiled
-                # halfspace stack across model versions and repeated
-                # predict calls.
-                refined = FewShotOptimizer.refine_batch(
-                    [subsession.optimizer for _, subsession, _ in group],
-                    scaled, stacked, pack_cache=self._region_packs)
-                if t1 is not None:
-                    self._t_refine.observe(time.perf_counter() - t1)
-                for (session_id, subsession, key), predictions in zip(
-                        group, refined):
-                    self.cache.put(key, predictions)
-                    out[session_id] = predictions
+            if not misses:
+                continue
+            # Geometry first: all (points x hulls x sessions) tests run
+            # as one packed-engine call (the manager-level pack cache
+            # keeps the compiled halfspace stack across model versions
+            # and repeated predict calls).
+            t0 = time.perf_counter() if self._obs_on else None
+            decisions = FewShotOptimizer.decide_batch(
+                [subsession.optimizer for _, subsession, _ in misses],
+                scaled, pack_cache=self._region_packs)
+            if t0 is not None:
+                t1 = time.perf_counter()
+                self._t_refine.observe(t1 - t0)
+            # The classifier answers what is left, one kernel call per
+            # session over its own open rows.
+            scored = 0
+            for (session_id, subsession, key), decision in zip(
+                    misses, decisions):
+                open_rows = decision[1]
+                scored += len(encoded) if open_rows is None \
+                    else open_rows.size
+                predictions = subsession.adapted.predict_open(encoded,
+                                                              decision)
+                self.cache.put(key, predictions)
+                out[session_id] = predictions
+            if t0 is not None:
+                self._t_forward.observe(time.perf_counter() - t1)
+            self._rows_scored.inc(scored)
+            self._rows_settled.inc(len(misses) * len(encoded) - scored)
         if t_group is not None:
             self._t_predict.observe(time.perf_counter() - t_group)
         return out
@@ -543,8 +545,9 @@ class SessionManager:
         """0/1 UIR membership of ``rows`` for many sessions at once.
 
         The fused counterpart of calling :meth:`predict` per session:
-        rows are projected and encoded once per subspace, and all
-        sessions' classifiers score them in stacked forward passes.
+        rows are projected and encoded once per subspace, all sessions'
+        few-shot hulls are tested in one engine call, and each session's
+        classifier scores the rows its hulls left open.
         Returns ``{session_id: (n,) predictions}``.  ``rows`` may be a
         :class:`~repro.store.ChunkStore` (chunk-wise, zone-map-pruned,
         per-chunk-cached evaluation via :meth:`predict_many_store`).
@@ -588,8 +591,10 @@ class SessionManager:
           by the store's precomputed chunk digests, so a repeated scan
           over an unchanged model serves every chunk from cache without
           re-reading, re-encoding or re-hashing its bytes;
-        * shared work — all sessions surviving a chunk score it in the
-          same stacked forward passes as :meth:`predict_many`;
+        * shared work — all sessions surviving a chunk share its encode
+          pass and one hull-membership call, exactly as in
+          :meth:`predict_many`; each session's classifier then scores
+          only the rows of the chunk its hulls left open;
         * **freshness watermarks** — each session remembers the
           ``store_version`` it last answered at (per store ``uid``)
           together with that answer; over an appended store, only chunks

@@ -15,8 +15,8 @@ from repro.data import make_car, make_sdss
 
 
 # ``--hypothesis-profile=x10``: ten times the examples, for the tests that
-# leave the count to the profile (CI's train lane runs the oracle-parity
-# module under it).
+# leave the count to the profile (CI's train and serving lanes run their
+# oracle-parity modules under it).
 settings.register_profile(
     "x10", max_examples=10 * settings.default.max_examples)
 

@@ -7,7 +7,8 @@ import pytest
 from repro.core import LTE, LTEConfig
 from repro.core.meta_training import MetaHyperParams
 from repro.core.uis import UISMode
-from repro.data import Table, make_sdss
+from repro.data import Table, make_car, make_sdss
+from repro.data.sampling import random_indices
 from repro.explore import ConjunctiveOracle
 
 
@@ -45,6 +46,84 @@ class TestConvergence:
         session = labelled_session(lte, subspace, oracle, variant="meta")
         with pytest.raises(RuntimeError):
             session.convergence_estimate(subspace)
+
+
+def old_convergence_estimate(session, subspace, sample_rows=500, seed=0):
+    """``convergence_estimate`` as it was: the sample encoded and scored
+    twice, and two terms (``preds``) that ``inner | ~outer`` already
+    contains."""
+    subsession = session._subsessions[subspace]
+    state = subsession.state
+    scaled = state.data[random_indices(len(state.data), sample_rows,
+                                       seed=seed)]
+    optimizer = subsession.optimizer
+    inner = optimizer.inner_region.contains(scaled) \
+        if optimizer.inner_region is not None \
+        else np.zeros(len(scaled), dtype=bool)
+    outer = optimizer.outer_region.contains(scaled) \
+        if optimizer.outer_region is not None \
+        else np.ones(len(scaled), dtype=bool)
+    preds = subsession.adapted.predict(state.encode_scaled(scaled))
+    resolved = inner | ~outer \
+        | ((preds == 1) & inner) | ((preds == 0) & ~outer)
+    proba = subsession.adapted.predict_proba(state.encode_scaled(scaled))
+    confident = np.abs(proba - 0.5) > 0.4
+    resolved |= confident
+    return float(np.mean(resolved))
+
+
+class TestConvergenceScoresItsSampleOnce:
+    """Regression: the estimate encoded and scored its sample twice for
+    a term that could not change the result."""
+
+    @pytest.fixture(scope="class")
+    def car_system(self):
+        from repro.bench import subspace_region
+        lte = LTE(LTEConfig(budget=20, ku=25, kq=30, n_tasks=6,
+                            meta=MetaHyperParams(epochs=1, local_steps=2,
+                                                 pretrain_epochs=1),
+                            basic_steps=10, online_steps=3))
+        lte.fit_offline(make_car(n_rows=2000, seed=41))
+        subspaces = list(lte.states)
+        assert subspaces[-1].dim == 1      # car's odd attribute count
+        oracle = ConjunctiveOracle({
+            s: subspace_region(lte.states[s], UISMode(1, 10), seed=4 + i)
+            for i, s in enumerate(subspaces)})
+        return lte, subspaces, oracle
+
+    def check(self, session, subspace, monkeypatch):
+        want = {(rows, seed): old_convergence_estimate(
+            session, subspace, sample_rows=rows, seed=seed)
+            for rows in (50, 500) for seed in (0, 3)}
+        subsession = session._subsessions[subspace]
+        state, calls = subsession.state, []
+        encode = state.encode_scaled
+        monkeypatch.setattr(
+            state, "encode_scaled",
+            lambda scaled: calls.append(len(scaled)) or encode(scaled))
+        monkeypatch.setattr(
+            subsession.adapted, "predict",
+            lambda *args, **kwargs: pytest.fail("scored a second time"))
+        for (rows, seed), expected in want.items():
+            del calls[:]
+            assert session.convergence_estimate(
+                subspace, sample_rows=rows, seed=seed) == expected
+            assert calls == [min(rows, len(state.data))]
+        assert 0.0 < min(want.values()) and max(want.values()) <= 1.0
+
+    def test_sdss(self, system, monkeypatch):
+        lte, _, subspace, oracle = system
+        self.check(labelled_session(lte, subspace, oracle), subspace,
+                   monkeypatch)
+
+    def test_car(self, car_system, monkeypatch):
+        lte, subspaces, oracle = car_system
+        session = lte.start_session(variant="meta_star", subspaces=subspaces)
+        for subspace, tuples in session.initial_tuples().items():
+            session.submit_labels(subspace,
+                                  oracle.label_subspace(subspace, tuples))
+        for subspace in subspaces:
+            self.check(session, subspace, monkeypatch)
 
 
 class TestRetrieve:

@@ -155,6 +155,9 @@ def test_property_refine_batch_parity(seed):
 
         refine = FewShotOptimizer.refine
         refine_batch = staticmethod(FewShotOptimizer.refine_batch)
+        decide = FewShotOptimizer.decide
+        decide_batch = staticmethod(FewShotOptimizer.decide_batch)
+        _overlay = staticmethod(FewShotOptimizer._overlay)
 
         def __init__(self, outer, inner):
             self.outer_region = outer

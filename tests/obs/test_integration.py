@@ -51,6 +51,37 @@ class TestServingWaveMetrics:
             manager.adapt_batches
         assert snap["serve.manager.encode_cache.misses"]["value"] >= 1
 
+    def test_settled_and_scored_rows_account_for_every_row_session(
+            self, obs_lte, obs_subspaces, make_oracle, eval_rows):
+        """How much the few-shot hulls settled is a counter: every
+        row·session of a prediction miss is answered either by the hulls
+        (``rows.settled``) or by the classifier (``rows.scored``)."""
+        from repro.obs import registry
+        settled = "serve.manager.predict.rows.settled"
+        scored = "serve.manager.predict.rows.scored"
+        assert settled in registry.__doc__ and scored in registry.__doc__
+
+        manager = SessionManager(obs_lte)
+        sids, _ = _serve_wave(manager, make_oracle(31), obs_subspaces,
+                              eval_rows)
+        metrics = manager.metrics
+        row_sessions = len(sids) * len(obs_subspaces) * len(eval_rows)
+        assert metrics.value(settled) + metrics.value(scored) == row_sessions
+        assert metrics.value(settled) > 0 and metrics.value(scored) > 0
+
+        # A cached repeat answers nothing anew ...
+        manager.predict_many(sids, eval_rows)
+        assert metrics.value(settled) + metrics.value(scored) == row_sessions
+        # ... and a session without an optimizer is all classifier.
+        before = metrics.value(settled)
+        basic = manager.open_session(variant="basic",
+                                     subspaces=obs_subspaces, seed=9)
+        _feed(manager, make_oracle(31), basic)
+        manager.predict(basic, eval_rows)
+        assert metrics.value(settled) == before
+        assert metrics.value(scored) + before == \
+            row_sessions + len(obs_subspaces) * len(eval_rows)
+
     def test_stats_shims_read_the_registry(self, obs_lte, obs_subspaces,
                                            make_oracle, eval_rows):
         manager = SessionManager(obs_lte)
