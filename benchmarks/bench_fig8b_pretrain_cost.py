@@ -4,17 +4,12 @@ Paper shape: both meta-task generation time and meta-training time grow
 linearly with |TM|, and the cost is essentially independent of the dataset
 size (CAR is half of SDSS but trains only ~12% faster).
 
-On top of the paper's figure, this bench reports the meta-training time
-under *both* executors of :mod:`repro.train` — the sequential reference
-(``TrainSeq``) and the fused batched engine (``Train``, the default) —
-at every |TM|; the two produce bit-identical trainers, so the gap is
-pure Python/autograd overhead amortized across the stacked tasks.  The
-adapted-evaluation pass (``Eval`` vs ``EvalSeq``) rides the same engine.
+On top of the paper's figure, this bench reports the adapted-evaluation
+pass (``Eval``), which rides the same stacked executors as training.
 """
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.bench import build_lte, print_series
@@ -36,58 +31,38 @@ def _stage_times(lte, n_tasks):
     tasks = state.task_generator.generate(n_tasks)
     generate_s = time.perf_counter() - start
 
-    trained = {}
-    times = {}
-    for engine in ("batched", "sequential"):
-        trainer = _trainer(state)
-        start = time.perf_counter()
-        trainer.train(tasks, state.encode_scaled, engine=engine)
-        times[engine] = time.perf_counter() - start
-        trained[engine] = trainer
-    assert np.array_equal(trained["batched"].model.flat_parameters(),
-                          trained["sequential"].model.flat_parameters())
+    trainer = _trainer(state)
+    start = time.perf_counter()
+    trainer.train(tasks, state.encode_scaled)
+    train_s = time.perf_counter() - start
 
-    trainer = trained["batched"]
     eval_tasks = tasks[:min(len(tasks), 20)]
     start = time.perf_counter()
-    acc_batched = trainer.evaluate(eval_tasks, state.encode_scaled)
-    eval_batched_s = time.perf_counter() - start
-    start = time.perf_counter()
-    acc_sequential = trainer.evaluate(eval_tasks, state.encode_scaled,
-                                      engine="sequential")
-    eval_sequential_s = time.perf_counter() - start
-    assert acc_batched == acc_sequential
-    return (generate_s, times["batched"], times["sequential"],
-            eval_batched_s, eval_sequential_s)
+    trainer.evaluate(eval_tasks, state.encode_scaled)
+    eval_s = time.perf_counter() - start
+    return generate_s, train_s, eval_s
 
 
 @pytest.mark.benchmark(group="fig8b")
 def test_fig8b_pretraining_cost(benchmark, scale, report):
     def run():
         series = {"Generate(CAR)": [], "Train(CAR)": [],
-                  "TrainSeq(CAR)": [],
                   "Generate(SDSS)": [], "Train(SDSS)": [],
-                  "TrainSeq(SDSS)": [],
-                  "Eval(SDSS)": [], "EvalSeq(SDSS)": []}
+                  "Eval(SDSS)": []}
         for dataset in ("car", "sdss"):
             lte = build_lte(dataset, budget=30, scale=scale, train=False)
             for n_tasks in TASK_COUNTS:
-                gen_s, train_s, train_seq_s, eval_s, eval_seq_s = \
-                    _stage_times(lte, n_tasks)
+                gen_s, train_s, eval_s = _stage_times(lte, n_tasks)
                 name = dataset.upper()
                 series["Generate({})".format(name)].append(gen_s)
                 series["Train({})".format(name)].append(train_s)
-                series["TrainSeq({})".format(name)].append(train_seq_s)
                 if dataset == "sdss":
                     series["Eval(SDSS)"].append(eval_s)
-                    series["EvalSeq(SDSS)"].append(eval_seq_s)
         return series
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)
     with report():
-        print_series("Figure 8(b): pre-training cost vs |TM| (seconds; "
-                     "Train = fused engine, TrainSeq = sequential "
-                     "reference)",
+        print_series("Figure 8(b): pre-training cost vs |TM| (seconds)",
                      "|TM|", list(TASK_COUNTS), series)
 
     # Roughly linear growth: 8x tasks costs less than ~24x time (very loose
@@ -98,8 +73,3 @@ def test_fig8b_pretraining_cost(benchmark, scale, report):
     # Cost is driven by |TM|, not dataset size: SDSS (2x rows) within 3x of
     # CAR's training time at the largest task count.
     assert series["Train(SDSS)"][-1] < 3.0 * series["Train(CAR)"][-1] + 1.0
-    # The fused engine never loses to the sequential reference at the
-    # largest |TM| (they are bit-identical, so faster == strictly better).
-    for name in ("CAR", "SDSS"):
-        assert series["Train({})".format(name)][-1] <= \
-            series["TrainSeq({})".format(name)][-1] * 1.1

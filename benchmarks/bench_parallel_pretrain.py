@@ -1,13 +1,13 @@
 """Data-parallel pretraining scaling: fit_offline wall-clock vs workers.
 
-``engine="parallel"`` fans each fused meta-batch / pretrain fusion
+``fit_offline(workers=N)`` fans each fused meta-batch / pretrain fusion
 group of the offline phase (Algorithm 2) out across N forked worker
 processes; reduction, memory-EMA updates and RNG draws stay on the
-master, so the result is bit-identical to the single-process fused
-engine at every worker count.  This bench runs the *same*
-``fit_offline`` once under the batched engine (the single-process
-reference) and once per worker count under the parallel engine over a
-multi-subspace system at >= 48 meta-tasks x 4 subspaces, and reports
+master, so the result is bit-identical to the in-process run at every
+worker count.  This bench runs the *same* ``fit_offline`` once in
+process (the reference, "batched" below) and once per worker count
+over a multi-subspace system at >= 48 meta-tasks x 4 subspaces, and
+reports
 
 * **fit seconds / speedup vs batched** per worker count, and
 * **encode+train peak memory** of the store-streamed task-set path
@@ -15,8 +15,7 @@ multi-subspace system at >= 48 meta-tasks x 4 subspaces, and reports
 
 Scaling expectation: the span compute dominates and runs concurrently,
 so on hardware with >= 4 cores the 4-worker fit must beat the
-single-process fused engine by ``REPRO_TRAIN_MIN_SPEEDUP`` (default
-2x).  On runners with fewer cores than workers that parallelism
+in-process fit by ``REPRO_TRAIN_MIN_SPEEDUP`` (default 2x).  On runners with fewer cores than workers that parallelism
 physically cannot appear; the default bar then drops to a
 *fork-and-pipe tax* check (>= 0.5x: shipping spans across processes
 must not collapse throughput).  ``BENCH_parallel_pretrain.json``
@@ -61,9 +60,9 @@ BASELINE = os.environ.get("REPRO_TRAIN_PARALLEL_BASELINE")
 
 
 def pretrain_config():
-    """Serving-sized system with a meaningful offline plan (mirrors
-    bench_pretrain_throughput): 1 joint pretraining epoch + 3 meta
-    epochs of 10 local steps over 48 tasks x 4 subspaces."""
+    """Serving-sized system with a meaningful offline plan: 1 joint
+    pretraining epoch + 3 meta epochs of 10 local steps over 48 tasks x
+    4 subspaces."""
     return LTEConfig(budget=30, ku=32, kq=40, n_tasks=N_TASKS,
                      embed_size=16, hidden_size=16, n_components=4,
                      meta=MetaHyperParams(epochs=3, local_steps=10,
@@ -98,12 +97,11 @@ def test_parallel_pretrain_scaling(benchmark, scale, report, tmp_path):
     table = make_sdss(n_rows=n_rows, seed=7)
 
     def run():
-        batched, batched_s = _fit(table, engine="batched")
+        batched, batched_s = _fit(table)
         n_subspaces = len(batched.states)
         series = {"parallel_s": [], "speedup": []}
         for workers in WORKER_COUNTS:
-            parallel, seconds = _fit(table, engine="parallel",
-                                     workers=workers)
+            parallel, seconds = _fit(table, workers=workers)
             # Speedup is only meaningful if nothing changed — the
             # determinism contract is part of the acceptance.
             _assert_identical(batched, parallel,
@@ -113,12 +111,11 @@ def test_parallel_pretrain_scaling(benchmark, scale, report, tmp_path):
 
         # Store-streamed task sets: same phi, chunk-bounded memory.
         tracemalloc.start()
-        materialized, _ = _fit(table, engine="batched")
+        materialized, _ = _fit(table)
         _, peak_mat = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         tracemalloc.start()
-        streamed, _ = _fit(table, engine="parallel",
-                           workers=min(2, max(WORKER_COUNTS)),
+        streamed, _ = _fit(table, workers=min(2, max(WORKER_COUNTS)),
                            stream=str(tmp_path / "stream"))
         _, peak_stream = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -156,5 +153,5 @@ def test_parallel_pretrain_scaling(benchmark, scale, report, tmp_path):
     # floor otherwise — see module doc; CI relaxes via
     # REPRO_TRAIN_MIN_SPEEDUP).
     assert speedup >= MIN_SPEEDUP, \
-        "parallel fit_offline at {} workers was only {:.2f}x the batched " \
-        "engine (min {})".format(WORKER_COUNTS[-1], speedup, MIN_SPEEDUP)
+        "fit_offline at {} workers was only {:.2f}x the in-process fit " \
+        "(min {})".format(WORKER_COUNTS[-1], speedup, MIN_SPEEDUP)

@@ -3,27 +3,22 @@
 The offline phase (Algorithm 2) is LTE's expensive part.  This example
 runs the same ``fit_offline`` three ways —
 
-* single-process fused (``engine="batched"``, the default),
-* data-parallel over 2 forked workers (``engine="parallel"``), and
+* in this process (the default),
+* data-parallel over 2 forked workers (``workers=2``), and
 * data-parallel again, streaming the encoded meta-tasks through an
   on-disk chunk store (``stream=...``) so peak memory stays bounded by
   the chunk size instead of the task count —
 
 and verifies the determinism contract the engine guarantees: every phi,
 loss history and memory bank is **bit-identical** across all three.  It
-then kills a checkpointed parallel run mid-training and resumes it
-single-process, showing that epoch-granular ``pretrain-run``
-checkpoints interchange freely between engines and worker counts
-(they are written only at epoch reduction barriers).
-
-Setting ``REPRO_TRAIN_WORKERS=N`` in the environment does the same
-without code changes: it supplies the pool size and switches an
-unspecified ``engine`` to ``"parallel"``.
+then kills a checkpointed 2-worker run mid-training and resumes it in
+process, showing that epoch-granular ``pretrain-run`` checkpoints
+interchange freely between worker counts (they are written only at
+epoch reduction barriers).
 
 Run:  python examples/parallel_pretraining.py
 """
 
-import os
 import shutil
 import tempfile
 import time
@@ -67,25 +62,24 @@ def main():
         table.n_rows, config().n_tasks))
 
     print("\n1. The same offline run, three ways:")
-    batched, t_batched = fit(table, engine="batched")
-    print("  batched (1 process)          -> {:.2f}s".format(t_batched))
-    parallel, t_parallel = fit(table, engine="parallel", workers=2)
-    print("  parallel (2 workers)         -> {:.2f}s".format(t_parallel))
-    assert_same_phi(batched, parallel, "parallel vs batched")
+    batched, t_batched = fit(table)
+    print("  in process                   -> {:.2f}s".format(t_batched))
+    parallel, t_parallel = fit(table, workers=2)
+    print("  workers=2                    -> {:.2f}s".format(t_parallel))
+    assert_same_phi(batched, parallel, "2 workers vs in process")
 
     stream_dir = tempfile.mkdtemp(prefix="repro-example-stream-")
     try:
-        streamed, t_streamed = fit(table, engine="parallel", workers=2,
-                                   stream=stream_dir)
-        print("  parallel + streamed tasks    -> {:.2f}s "
+        streamed, t_streamed = fit(table, workers=2, stream=stream_dir)
+        print("  workers=2 + streamed tasks   -> {:.2f}s "
               "(encoded tasks spilled under {})".format(
                   t_streamed, stream_dir))
-        assert_same_phi(batched, streamed, "streamed vs batched")
+        assert_same_phi(batched, streamed, "streamed vs in process")
     finally:
         shutil.rmtree(stream_dir, ignore_errors=True)
 
     print("\n2. Kill a checkpointed 2-worker run mid-training, resume "
-          "single-process:")
+          "in process:")
     checkpoint = tempfile.mkdtemp(prefix="repro-example-ckpt-")
     try:
         class Killed(Exception):
@@ -98,7 +92,7 @@ def main():
 
         interrupted = LTE(config())
         try:
-            interrupted.fit_offline(table, engine="parallel", workers=2,
+            interrupted.fit_offline(table, workers=2,
                                     checkpoint=checkpoint,
                                     progress=kill_after_first_meta_epoch)
         except Killed:
@@ -106,19 +100,10 @@ def main():
                   "written at the epoch barrier")
 
         resumed = LTE(config())
-        resumed.fit_offline(table, checkpoint=checkpoint)   # batched
+        resumed.fit_offline(table, checkpoint=checkpoint)
         assert_same_phi(batched, resumed, "resumed vs uninterrupted")
     finally:
         shutil.rmtree(checkpoint, ignore_errors=True)
-
-    print("\n3. Or just set the environment switch:")
-    os.environ["REPRO_TRAIN_WORKERS"] = "2"
-    try:
-        env_run, t_env = fit(table)
-        print("  REPRO_TRAIN_WORKERS=2        -> {:.2f}s".format(t_env))
-        assert_same_phi(batched, env_run, "env switch vs batched")
-    finally:
-        del os.environ["REPRO_TRAIN_WORKERS"]
 
     print("\nEvery path converged to the same weights, bit for bit.")
 

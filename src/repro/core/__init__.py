@@ -8,7 +8,7 @@ optimizer (Section VII), and the public offline/online framework
 
 from .framework import (LTE, AdaptRequest, ExplorationSession, LTEConfig,
                         SubspaceState, VARIANTS, build_adapt_request,
-                        build_readapt_request, run_adapt_request)
+                        build_readapt_request, run_adapt_requests)
 from .memory import LRUStore, MetaMemories, softmax_cosine_attention
 from .meta_learner import UISClassifier
 from .meta_task import (ClusterSummary, MetaTask, MetaTaskGenerator,
@@ -23,7 +23,7 @@ from .uis import PAPER_MODES, UISGenerator, UISMode
 __all__ = [
     "LTE", "LTEConfig", "ExplorationSession", "SubspaceState", "VARIANTS",
     "AdaptRequest", "build_adapt_request", "build_readapt_request",
-    "run_adapt_request",
+    "run_adapt_requests",
     "UISClassifier", "MetaMemories", "LRUStore", "softmax_cosine_attention",
     "MetaTask", "MetaTaskGenerator", "ClusterSummary",
     "build_cluster_summary", "uis_feature_vector", "expand_bits",

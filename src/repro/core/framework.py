@@ -34,9 +34,8 @@ from ..data.sampling import (random_indices, random_sample,
                              stratified_chunk_sample)
 from ..data.subspaces import Subspace, random_decomposition
 from ..ml.scaler import MinMaxScaler
-from ..nn import Adam
-from ..nn.functional import (balanced_pos_weight,
-                             binary_cross_entropy_with_logits)
+from ..nn.batching import fused_local_adapt
+from ..nn.tensor import Parameter
 from ..obs import default_registry
 from .meta_learner import UISClassifier
 from .meta_task import MetaTaskGenerator, uis_feature_vector
@@ -47,7 +46,7 @@ from .uis import UISMode
 
 __all__ = ["LTEConfig", "LTE", "ExplorationSession", "SubspaceState",
            "AdaptRequest", "build_adapt_request", "build_readapt_request",
-           "run_adapt_request", "VARIANTS"]
+           "run_adapt_requests", "VARIANTS"]
 
 VARIANTS = ("basic", "meta", "meta_star")
 
@@ -169,8 +168,7 @@ class LTE:
     # Offline phase
     # ------------------------------------------------------------------
     def fit_offline(self, table, subspaces=None, train=True, progress=None,
-                    engine=None, checkpoint=None, workers=None,
-                    stream=None):
+                    checkpoint=None, workers=None, stream=None):
         """Run the full offline phase on an exploratory table.
 
         Parameters
@@ -190,15 +188,6 @@ class LTE:
             pretraining epochs, ``("epoch", epoch_index,
             mean_query_loss)`` after each of its meta-training epochs,
             and ``"trained"`` once its meta-learner is done.
-        engine:
-            ``"batched"`` (default) meta-trains all subspaces pooled —
-            epochs interleaved round-robin, shape-compatible meta-tasks
-            from *all* subspaces fused into shared stacked programs
-            (:mod:`repro.train`); ``"sequential"`` runs the
-            task-at-a-time reference executor; ``"parallel"`` fans the
-            fused compute out across ``workers`` forked processes
-            (:mod:`repro.train.parallel`).  All produce bit-identical
-            trainers.
         checkpoint:
             Optional directory for epoch-granular resumable pretraining
             checkpoints: the run saves trainer weights, memories, RNG
@@ -206,13 +195,17 @@ class LTE:
             a later ``fit_offline`` call pointed at the same directory
             (same table, config and decomposition) resumes from the last
             completed epoch — converging to the identical phi bit for
-            bit.  Checkpoints resume interchangeably across engines and
-            worker counts.
+            bit.  Checkpoints resume interchangeably across worker
+            counts.
         workers:
-            Worker-process count for ``engine="parallel"`` (default:
-            ``REPRO_TRAIN_WORKERS``, else the core count).  Setting the
-            environment variable alone also selects the parallel engine
-            when ``engine`` is unspecified.
+            All subspaces meta-train pooled — epochs interleaved
+            round-robin, shape-compatible meta-tasks from *all*
+            subspaces fused into shared stacked programs
+            (:mod:`repro.train`).  ``None`` / ``0`` runs those programs
+            in this process, N >= 1 fans them out across N forked
+            workers (:mod:`repro.train.parallel`); the trainers are
+            bit-identical at any count.  Anything else is a
+            ``ValueError``, raised before a subspace is prepared.
         stream:
             ``True`` (or a directory path) spills each subspace's
             encoded meta-task set into an on-disk chunk store and
@@ -220,7 +213,10 @@ class LTE:
             chunk size instead of the task count — bit-identical to the
             in-memory path (:mod:`repro.train.stream`).
         """
+        from ..train.offline import check_workers, run_offline_training
+
         cfg = self.config
+        workers = check_workers(workers)
         self.table = table
         if subspaces is None:
             subspaces = random_decomposition(table, dim=cfg.subspace_dim,
@@ -234,10 +230,9 @@ class LTE:
             if progress is not None:
                 progress(subspace, "prepared")
         if train:
-            from ..train.offline import run_offline_training
-            run_offline_training(self, subspaces, engine=engine,
-                                 progress=progress, checkpoint=checkpoint,
-                                 workers=workers, stream=stream)
+            run_offline_training(self, subspaces, progress=progress,
+                                 checkpoint=checkpoint, workers=workers,
+                                 stream=stream)
         self.offline_seconds_ = time.perf_counter() - start
         return self
 
@@ -415,15 +410,13 @@ class LTE:
             embed_size=cfg.embed_size, hidden_size=cfg.hidden_size,
             params=cfg.meta, use_memories=cfg.use_memories, seed=cfg.seed)
 
-    def train_subspace(self, subspace, n_tasks=None, epochs=None,
-                       engine=None):
+    def train_subspace(self, subspace, n_tasks=None, epochs=None):
         """Generate meta-tasks and meta-train the subspace's learner."""
         cfg = self.config
         state = self.states[subspace]
         tasks = state.task_generator.generate(n_tasks or cfg.n_tasks)
         trainer = self.build_trainer(state)
-        trainer.train(tasks, state.encode_scaled, epochs=epochs,
-                      engine=engine)
+        trainer.train(tasks, state.encode_scaled, epochs=epochs)
         state.trainer = trainer
         return trainer
 
@@ -462,10 +455,10 @@ class LTE:
 
 # ----------------------------------------------------------------------
 # Adaptation as data: the online few-shot fine-tuning of one (session,
-# subspace) pair reduced to a pure value object plus pure executors.  The
-# sequential session path and the batched serving path
-# (:mod:`repro.serve`) both consume these, which is what makes them
-# bit-compatible.
+# subspace) pair reduced to a pure value object plus ONE pure executor,
+# :func:`run_adapt_requests`.  A lone session hands it a list of one,
+# the serving layer (:mod:`repro.serve`) a whole wave: the same stacked
+# program at K = 1 or K = many, which is what makes them bit-compatible.
 # ----------------------------------------------------------------------
 @dataclass
 class AdaptRequest:
@@ -473,8 +466,8 @@ class AdaptRequest:
 
     Produced by :func:`build_adapt_request` (initial labels) or
     :func:`build_readapt_request` (iterative-exploration rounds) and
-    executed either sequentially by :func:`run_adapt_request` or fused
-    with other requests by :func:`repro.serve.run_adapt_requests`.
+    executed, alone or fused with other requests, by
+    :func:`run_adapt_requests`.
     """
 
     state: SubspaceState
@@ -562,48 +555,90 @@ def build_readapt_request(state, variant, config, feature, encoded, labels):
         targets=labels, center_bits=None)
 
 
-def _train_basic_classifier(request):
-    """Train the Basic (non-meta) classifier for one request."""
-    cfg = request.config
-    state = request.state
-    model = UISClassifier(
-        ku=state.summary.ku, input_width=state.preprocessor.width,
-        embed_size=cfg.embed_size, hidden_size=cfg.hidden_size,
-        use_conversion=False, seed=cfg.seed)
-    optimizer = Adam(model.parameters(), lr=cfg.basic_lr)
-    targets = request.targets
-    pos_weight = balanced_pos_weight(targets) \
-        if cfg.meta.balance_classes else None
-    for _ in range(cfg.basic_steps):
-        optimizer.zero_grad()
-        logits = model.forward(request.feature, request.encoded)
-        loss = binary_cross_entropy_with_logits(logits, targets,
-                                                pos_weight=pos_weight)
-        loss.backward()
-        optimizer.step()
-    return AdaptedClassifier(model, request.feature)
+def _prepare_local_models(requests):
+    """Per-task initial models + conversion matrices for one bucket.
 
-
-def run_adapt_request(request):
-    """Execute one request sequentially.
-
-    Returns ``(AdaptedClassifier, FewShotOptimizer | None)`` — the
-    few-shot optimizer only for initial ``meta_star`` requests.
+    The task-wise initialization: Basic builds a fresh
+    seed-``config.seed`` classifier; Meta/Meta* clone the subspace's
+    meta-learned phi and apply the memory retrievals (attention ->
+    theta_R shift, conversion matrix).
     """
-    cfg = request.config
-    state = request.state
-    if request.variant == "basic":
-        adapted = _train_basic_classifier(request)
-    else:
-        adapted, _ = state.trainer.adapt(
-            request.feature, request.encoded, request.targets,
-            local_steps=cfg.online_steps, local_lr=cfg.online_lr)
-    optimizer = None
-    if request.builds_optimizer:
-        optimizer = FewShotOptimizer(
-            state.summary, n_sup_ratio=cfg.n_sup_ratio,
-            n_sub_ratio=cfg.n_sub_ratio).fit(request.center_bits)
-    return adapted, optimizer
+    models, conversions = [], []
+    for request in requests:
+        cfg = request.config
+        state = request.state
+        if request.variant == "basic":
+            model = UISClassifier(
+                ku=state.summary.ku, input_width=state.preprocessor.width,
+                embed_size=cfg.embed_size, hidden_size=cfg.hidden_size,
+                use_conversion=False, seed=cfg.seed)
+            conversion = None
+        else:
+            model, conversion, _ = state.trainer.task_retrieval(
+                request.feature)
+        models.append(model)
+        conversions.append(conversion)
+    return models, conversions
+
+
+def _adapt_bucket(requests):
+    """Fused adaptation of shape-compatible requests (one per task)."""
+    first = requests[0]
+    models, conversions = _prepare_local_models(requests)
+
+    features = np.stack([r.feature for r in requests])        # (K, ku)
+    xs = np.stack([r.encoded for r in requests])              # (K, n, w)
+    ys = np.stack([r.targets for r in requests])              # (K, n)
+
+    # The Basic variant runs exactly ``basic_steps`` iterations, while
+    # the local phase of Meta/Meta* (``MetaTrainer.adapt``) floors its
+    # steps at 1.
+    steps = first.steps if first.variant == "basic" else max(1, first.steps)
+    batched, conversion, _ = fused_local_adapt(
+        models, features, xs, ys, conversions=conversions, steps=steps,
+        lr=first.lr, optimizer_kind=first.optimizer_kind,
+        balance_classes=first.balance_classes)
+
+    batched.unstack_into(models)
+    results = []
+    for i, request in enumerate(requests):
+        conv = Parameter(conversion.data[i].copy()) \
+            if conversion is not None else None
+        results.append(AdaptedClassifier(models[i], request.feature, conv))
+    return results
+
+
+def run_adapt_requests(requests):
+    """Execute adaptation requests; the one ``AdaptRequest`` executor.
+
+    Requests are grouped into shape-compatible buckets (same variant,
+    label count, representation width, hyper-parameters — sessions and
+    subspaces may differ freely inside a bucket) and each bucket trains
+    as one fused autograd graph, a bucket of one as a stack of one.
+    Few-shot optimizers for initial ``meta_star`` requests are then
+    batch-built with shared proximity sorts.
+
+    Returns ``[(AdaptedClassifier, FewShotOptimizer | None), ...]`` in
+    input order.  Buckets share nothing, so every request's result is
+    bit-identical whatever else is in the list.
+    """
+    requests = list(requests)
+    adapted = [None] * len(requests)
+    buckets = {}
+    for i, request in enumerate(requests):
+        buckets.setdefault(request.shape_key(), []).append(i)
+    for indices in buckets.values():
+        for i, result in zip(indices,
+                             _adapt_bucket([requests[i] for i in indices])):
+            adapted[i] = result
+
+    pending = [i for i, request in enumerate(requests)
+               if request.builds_optimizer]
+    optimizers = dict(zip(pending, FewShotOptimizer.fit_batch(
+        [(requests[i].state.summary, requests[i].center_bits,
+          requests[i].config.n_sup_ratio, requests[i].config.n_sub_ratio)
+         for i in pending])))
+    return [(result, optimizers.get(i)) for i, result in enumerate(adapted)]
 
 
 def _binary_labels(labels):
@@ -680,7 +715,7 @@ class _SubspaceSession:
     def submit_labels(self, labels):
         request = self.build_initial_request(labels)
         start = time.perf_counter()
-        adapted, optimizer = run_adapt_request(request)
+        (adapted, optimizer), = run_adapt_requests([request])
         self.install_adaptation(request, adapted, optimizer,
                                 time.perf_counter() - start)
 
@@ -689,7 +724,7 @@ class _SubspaceSession:
 
         The batched serving layer runs many requests fused and installs
         each result here, so the session afterwards is indistinguishable
-        from one adapted sequentially.
+        from one adapted on its own.
         """
         self.labels = request.targets.astype(np.int64)
         self.adapted = adapted
@@ -744,7 +779,7 @@ class _SubspaceSession:
 
     def add_labels(self, tuples, labels):
         request, extras = self.build_readapt_request_for(tuples, labels)
-        adapted, _ = run_adapt_request(request)
+        (adapted, _), = run_adapt_requests([request])
         self.install_readaptation(adapted, extras)
 
     # ------------------------------------------------------------------

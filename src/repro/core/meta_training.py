@@ -18,21 +18,21 @@ The same local phase doubles as the *online adaptation* (the underlined
 steps of Algorithm 2): :meth:`MetaTrainer.adapt` is called with real user
 labels instead of a simulated support set.
 
-**Batched execution.**  Meta-tasks inside one Eq. 13 batch are mutually
+**Stacked execution.**  Meta-tasks inside one Eq. 13 batch are mutually
 independent, so :meth:`MetaTrainer.train` runs the whole batch's local
 phase as ONE stacked autograd program over ``(K, ...)`` parameter stacks
 and computes all K query losses in one fused forward/backward
 (:mod:`repro.train.engine`, built on :mod:`repro.nn.batching` — the same
-substrate the online serving path uses).  **Eq. 13 semantics are
-unchanged**: the fused global phase accumulates exactly the per-task
-query gradients the sequential executor accumulates, in the same task
-order, and applies the same averaged step to phi.  The memory EMA
-updates (Eqs. 14-16) are applied *after* the batch's global phase, in
-the original task order — i.e. every retrieval inside a batch reads the
-memories as they stood at the start of that batch.  The sequential
-executor (``engine="sequential"``) implements the identical batch
-semantics one task at a time, and the two engines are bit-identical
-(property-fuzzed in ``tests/train``).
+substrate the online serving path uses); :meth:`MetaTrainer.adapt` is
+that program at K = 1.  **Eq. 13 semantics are unchanged**: the fused
+global phase accumulates the per-task query gradients in task order and
+applies one averaged step to phi.  The memory EMA updates (Eqs. 14-16)
+are applied *after* the batch's global phase, in the original task
+order — i.e. every retrieval inside a batch reads the memories as they
+stood at the start of that batch.  The task-at-a-time spelling of the
+same semantics is the test oracle
+(``tests/train/_sequential_oracle.py``); the stacked executors match it
+bit for bit (property-fuzzed in ``tests/train``).
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..nn import Adam, SGD
-from ..nn.functional import (balanced_pos_weight,
-                             binary_cross_entropy_with_logits)
+from ..nn.batching import fused_local_adapt, theta_r_grad_stack
 from ..nn.tensor import Parameter
 from .memory import MetaMemories
 from .meta_learner import UISClassifier
@@ -184,9 +182,9 @@ class MetaTrainer:
         Returns ``(local_model, conversion_matrix | None,
         attention | None)``: a clone of phi with the memory-retrieved
         theta_R shift applied and the retrieved conversion matrix, read
-        from the *current* memory state.  Shared verbatim by the
-        sequential :meth:`adapt` and the fused batched engine so both
-        start every task from identical bits.
+        from the *current* memory state — the one spelling of the
+        task-wise initialization that :meth:`adapt`, the online requests
+        and batched evaluation share.
         """
         feature_vector = np.asarray(feature_vector, dtype=np.float64)
         local = self.model.clone(seed=self.seed)
@@ -227,47 +225,28 @@ class MetaTrainer:
         support_y = np.asarray(support_y, dtype=np.float64).ravel()
 
         local, conversion, attention = self.task_retrieval(feature_vector)
+        # The local phase is the stacked program at K = 1.
+        batched, conversion, task_losses = fused_local_adapt(
+            [local], feature_vector[None], support_x[None], support_y[None],
+            conversions=[conversion], steps=max(1, steps), lr=lr,
+            optimizer_kind=params.local_optimizer,
+            balance_classes=params.balance_classes)
+        batched.unstack_into([local])
         if conversion is not None:
-            conversion = Parameter(conversion)
-
-        trainable = list(local.parameters())
-        if conversion is not None:
-            trainable.append(conversion)
-        if params.local_optimizer == "adam":
-            optimizer = Adam(trainable, lr=lr)
-        else:
-            optimizer = SGD(trainable, lr=lr)
-
-        theta_r_params = list(local.uis_block.parameters())
-        last_theta_r_grad = np.zeros(local.theta_r_size)
-        loss_value = float("nan")
-        pos_weight = balanced_pos_weight(support_y) \
-            if params.balance_classes else None
-        for _ in range(max(1, steps)):
-            optimizer.zero_grad()
-            logits = local.forward(feature_vector, support_x,
-                                   conversion=conversion)
-            loss = binary_cross_entropy_with_logits(logits, support_y,
-                                                    pos_weight=pos_weight)
-            loss.backward()
-            last_theta_r_grad = np.concatenate(
-                [np.zeros(p.size) if p.grad is None else p.grad.ravel()
-                 for p in theta_r_params])
-            optimizer.step()
-            loss_value = loss.item()
+            conversion = Parameter(conversion.data[0])
 
         adapted = AdaptedClassifier(local, feature_vector, conversion)
         info = {
             "attention": attention,
-            "theta_r_grad": last_theta_r_grad,
-            "support_loss": loss_value,
+            "theta_r_grad": theta_r_grad_stack(batched)[0],
+            "support_loss": float(task_losses[0]),
         }
         return adapted, info
 
     # ------------------------------------------------------------------
     # Offline meta-training
     # ------------------------------------------------------------------
-    def train(self, tasks, encode, epochs=None, progress=None, engine=None):
+    def train(self, tasks, encode, epochs=None, progress=None):
         """Run Algorithm 2 over a meta-task set.
 
         Parameters
@@ -281,13 +260,6 @@ class MetaTrainer:
             Override for ``params.epochs``.
         progress:
             Optional callback ``(epoch, mean_query_loss)``.
-        engine:
-            ``"batched"`` (default) fuses every meta-batch's local and
-            global phase into one stacked autograd program;
-            ``"sequential"`` is the task-at-a-time reference executor;
-            ``"parallel"`` fans the fused compute out across worker
-            processes (:mod:`repro.train.parallel`).  All three are
-            bit-identical (see the module docstring).
         """
         from ..train.engine import encode_task_sets
         from ..train.offline import OfflineRun, TrainerSchedule
@@ -300,11 +272,7 @@ class MetaTrainer:
             if kind == "meta" and progress is not None:
                 progress(epoch, mean_loss)
 
-        run = OfflineRun([schedule], engine=engine, on_epoch=on_epoch)
-        try:
-            run.run()
-        finally:
-            run.close()
+        OfflineRun([schedule], on_epoch=on_epoch).run()
         return self
 
     def pretrain_conversion(self):
@@ -319,87 +287,6 @@ class MetaTrainer:
             return None
         ne = self.model.embed_size
         return np.hstack([np.eye(ne)] * 3) / 3.0
-
-    def pretrain_step(self, optimizer, conversion, feature_vector, x, y):
-        """One task of joint multi-task pretraining: a single Adam step
-        of the *unadapted* meta-learner's loss on the task's labelled
-        tuples (support + query pooled).
-
-        Joint pretraining minimizes the query loss of phi itself across
-        all meta-tasks before the MAML loop; at the reproduction's task
-        counts this supplies the bulk of the zero-shot quality that the
-        paper obtains from |TM|=5000 tasks of pure meta-gradients (set
-        ``pretrain_epochs=0`` for the literal Algorithm 2).  Unlike the
-        meta-batches, consecutive steps share phi, so the *task* loop is
-        inherently sequential — the pooled offline engine instead fuses
-        this step across meta-subspaces (:mod:`repro.train.engine`).
-        """
-        pos_weight = balanced_pos_weight(y) \
-            if self.params.balance_classes else None
-        optimizer.zero_grad()
-        logits = self.model.forward(feature_vector, x, conversion=conversion)
-        loss = binary_cross_entropy_with_logits(
-            logits, y, pos_weight=pos_weight)
-        loss.backward()
-        optimizer.step()
-
-    def train_batch_sequential(self, encoded, batch):
-        """One Eq. 12/13 meta-batch on the sequential reference executor.
-
-        Adapts every task of the batch from the batch-start memory
-        state, backpropagates each query loss, applies the deferred
-        memory EMA updates (Eqs. 14-16) in task order and takes the one
-        aggregated Eq. 13 step on phi.  Returns the per-task query
-        losses in task order.
-        """
-        params = self.params
-        phi_params = dict(self.model.named_parameters())
-        accum = {name: np.zeros_like(p.data)
-                 for name, p in phi_params.items()}
-        memory_updates = []
-        losses = []
-        for task_idx in batch:
-            v_r, sx, sy, qx, qy = encoded[task_idx]
-            adapted, info = self.adapt(v_r, sx, sy)
-            local = adapted.model
-            # Global phase: query loss through adapted parameters
-            # (first-order meta-gradient).
-            local.zero_grad()
-            if adapted.conversion is not None:
-                adapted.conversion.zero_grad()
-            logits = local.forward(v_r, qx, conversion=adapted.conversion)
-            query_pos_weight = balanced_pos_weight(qy) \
-                if params.balance_classes else None
-            query_loss = binary_cross_entropy_with_logits(
-                logits, qy, pos_weight=query_pos_weight)
-            query_loss.backward()
-            losses.append(query_loss.item())
-            for name, local_param in local.named_parameters():
-                if local_param.grad is not None:
-                    accum[name] += local_param.grad
-            if self.use_memories:
-                memory_updates.append((v_r, info, adapted))
-        for v_r, info, adapted in memory_updates:
-            self._update_memories(v_r, info, adapted)
-        # Eq. 13: one aggregated step on phi.  The accumulated gradient
-        # is averaged over the batch so the step size is invariant to
-        # batch_size.
-        scale = params.lam / max(1, len(batch))
-        for name, phi in phi_params.items():
-            phi.data = phi.data - scale * accum[name]
-        return losses
-
-    def _update_memories(self, feature_vector, info, adapted):
-        params = self.params
-        attention = info["attention"]
-        self.memories.update_feature_patterns(attention, feature_vector,
-                                              params.eta)
-        self.memories.update_parameter_memory(attention,
-                                              info["theta_r_grad"],
-                                              params.beta)
-        self.memories.update_conversion_memory(attention,
-                                               adapted.conversion.data,
-                                               params.gamma)
 
     # ------------------------------------------------------------------
     # Checkpointing (the "meta-learner artifact": phi + the memories)
@@ -462,24 +349,9 @@ class MetaTrainer:
         return cls.from_state_dict(state)
 
     # ------------------------------------------------------------------
-    def evaluate(self, tasks, encode, local_steps=None, engine=None):
-        """Mean query-set accuracy after adaptation (diagnostic).
-
-        ``engine="batched"`` (default) adapts and scores every task in
-        one stacked program per shape bucket; ``"sequential"`` re-runs
-        :meth:`adapt` per task.  Both produce identical predictions.
-        """
-        from ..train.offline import check_engine
-
-        if check_engine(engine) == "batched":
-            from ..train.engine import evaluate_batched
-            return evaluate_batched(self, tasks, encode,
-                                    local_steps=local_steps)
-        scores = []
-        for task in tasks:
-            adapted, _ = self.adapt(task.feature_vector,
-                                    encode(task.support_x), task.support_y,
-                                    local_steps=local_steps)
-            pred = adapted.predict(encode(task.query_x))
-            scores.append(float(np.mean(pred == task.query_y)))
-        return float(np.mean(scores)) if scores else 0.0
+    def evaluate(self, tasks, encode, local_steps=None):
+        """Mean query-set accuracy after adaptation (diagnostic): every
+        task adapted and scored in one stacked program per shape bucket
+        (:func:`repro.train.engine.evaluate_batched`)."""
+        from ..train.engine import evaluate_batched
+        return evaluate_batched(self, tasks, encode, local_steps=local_steps)

@@ -2,10 +2,12 @@
 
 One few-shot UIS-classifier task is far too small to saturate anything —
 its cost is Python/autograd overhead.  Both the *online* serving hot path
-(:mod:`repro.serve.batched`) and the *offline* meta-training engine
-(:mod:`repro.train.engine`) therefore stack K structurally identical
-tasks into fused ``(K, ...)`` tensors and train them as ONE autograd
-program.  This module is the shared substrate both layers build on:
+(:func:`repro.core.framework.run_adapt_requests`) and the *offline*
+meta-training engine (:mod:`repro.train.engine`) therefore stack K
+structurally identical tasks into fused ``(K, ...)`` tensors and train
+them as ONE autograd program — K = 1 included: a lone task is a stack
+of one, not a second code path.  This module is the shared substrate
+both layers build on:
 
 * :class:`BatchedUISClassifier` — K per-task classifier copies fused
   into stacked :class:`~repro.nn.BatchedLinear` blocks, mirroring
@@ -27,9 +29,10 @@ program.  This module is the shared substrate both layers build on:
   session over the rows *its* hulls left open, so nothing is stacked.
 
 Because the stacked computation is block-diagonal across tasks, every
-task receives exactly the gradients and optimizer updates the sequential
-path would give it — bit for bit.  The parity suites in ``tests/serve``
-and ``tests/train`` verify this end to end.
+task receives exactly the gradients and optimizer updates an eager
+one-task loop would give it — bit for bit, at any K.  The parity suites
+in ``tests/serve`` and ``tests/train`` verify this end to end against
+the eager loops they keep as oracles.
 
 The module is deliberately duck-typed: it touches only the
 ``uis_block`` / ``tuple_block`` / ``clf_block`` / ``config`` surface of
@@ -201,9 +204,11 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
 
     Returns
     -------
-    ``(batched, conversion)`` — the trained
-    :class:`BatchedUISClassifier` and the stacked conversion
-    :class:`Parameter` (or ``None``).  The gradients of the *last* step
+    ``(batched, conversion, task_losses)`` — the trained
+    :class:`BatchedUISClassifier`, the stacked conversion
+    :class:`Parameter` (or ``None``) and the (K,) per-task loss vector
+    of the *last* step (``None`` when ``steps`` is 0), as
+    :func:`stacked_loss_backward` returned it.  That step's gradients
     are left on the parameters so callers can slice them
     (:func:`theta_r_grad_stack`) before reusing the stacks.
     """
@@ -225,24 +230,20 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     if conversion is not None:
         trainable.append(conversion)
     optimizer = (Adam if optimizer_kind == "adam" else SGD)(trainable, lr=lr)
+    task_losses = None
     for _ in range(steps):
-        optimizer.zero_grad()
-        logits = batched.forward(features, xs, conversion=conversion)
-        # Sum of per-task mean losses: block-diagonal, so each task's
-        # parameters see exactly their own sequential gradient.
-        loss = batched_binary_cross_entropy_with_logits(
-            logits, ys, pos_weight=pos_weight).sum()
-        loss.backward()
+        task_losses = stacked_loss_backward(batched, conversion, features,
+                                            xs, ys, pos_weight)
         optimizer.step()
-    return batched, conversion
+    return batched, conversion, task_losses
 
 
 def theta_r_grad_stack(batched):
     """Per-task flattened UIS-block gradients, shape (K, theta_r_size).
 
-    Slice k matches the ``theta_r_grad`` the sequential
-    ``MetaTrainer.adapt`` reports for task k: each parameter's gradient
-    raveled in declaration order, missing gradients as zeros.
+    Slice k is task k's ``theta_r_grad`` (``MetaTrainer.adapt`` reports
+    slice 0 of a stack of one): each parameter's gradient raveled in
+    declaration order, missing gradients as zeros.
     """
     k = batched.k
     parts = []
@@ -259,8 +260,8 @@ def grad_stacks(batched):
 
     The dotted names equal those of the per-task model
     (``uis_block.m0.weight`` ...), so slice k reshaped to the per-task
-    parameter shape is exactly the gradient the sequential global phase
-    would accumulate for task k.
+    parameter shape is exactly the gradient a one-task global phase
+    accumulates for task k.
     """
     return {name: param.grad for name, param in batched.named_parameters()}
 
@@ -268,9 +269,11 @@ def grad_stacks(batched):
 def stacked_loss_backward(batched, conversion, features, xs, ys, pos_weight):
     """One forward + backward of the summed per-task BCE loss.
 
-    Zeroes the gradients of ``batched`` (and of ``conversion`` when it
-    is a :class:`Parameter`; a plain array is a constant input), leaves
-    the new gradients on them and returns the (K,) per-task loss vector.
+    The sum of per-task mean losses is block-diagonal, so each task's
+    parameters see exactly their own one-task gradient.  Zeroes the
+    gradients of ``batched`` (and of ``conversion`` when it is a
+    :class:`Parameter`; a plain array is a constant input), leaves the
+    new gradients on them and returns the (K,) per-task loss vector.
     """
     batched.zero_grad()
     if isinstance(conversion, Parameter):

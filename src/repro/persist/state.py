@@ -262,11 +262,11 @@ def save_pretrain_run(path, lte, entries, meta=None):
     epoch cursors are mirrored into the manifest ``meta`` (under
     ``"epoch_cursor"``) so ``python -m repro.persist inspect`` shows
     resume progress without decoding the arrays.  The driver's ``meta``
-    additionally records the writing run's ``engine`` / ``workers`` —
-    provenance only: checkpoints are written at epoch reduction
-    barriers, where every engine (any worker count) holds identical
-    master state, so a run resumes interchangeably under any of them
-    (``tests/persist`` pins this).
+    additionally records the writing run's ``workers`` — provenance
+    only, never read: checkpoints are written at epoch reduction
+    barriers, where a run at any worker count holds identical master
+    state, so it resumes interchangeably at any other (``tests/persist``
+    pins this).
     Returns the manifest.
     """
     meta = dict(meta or {})

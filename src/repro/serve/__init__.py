@@ -6,9 +6,13 @@ This package serves that loop for *many users at once* over one shared
 :class:`~repro.core.framework.LTE`: label submissions from all sessions
 queue up, one fused tensor program adapts every pending (session,
 subspace) task in stacked batches, and predictions are memoized in a
-versioned cache.  Batched sessions are bit-compatible with sequentially
-driven ones — the parity suite in ``tests/serve`` holds for all three
-variants (``basic``, ``meta``, ``meta_star``).
+versioned cache.  The adaptation hot path is
+:func:`~repro.core.framework.run_adapt_requests` (re-exported here with
+:class:`~repro.nn.BatchedUISClassifier`), the one executor a lone
+:class:`~repro.core.framework.ExplorationSession` also runs — as a
+stack of one — so batched sessions are bit-compatible with sessions
+driven on their own; the parity suite in ``tests/serve`` holds for all
+three variants (``basic``, ``meta``, ``meta_star``).
 
 Quickstart (mirrors ``examples/concurrent_sessions.py``)::
 
@@ -34,11 +38,6 @@ Modules
 ``manager``
     :class:`SessionManager` — session lifecycle, the submit/poll/flush
     queue, and cached prediction.
-``batched``
-    :func:`run_adapt_requests` — the vectorized adaptation hot path,
-    built on the task-stacking substrate in :mod:`repro.nn.batching`
-    (shared with the offline meta-training engine :mod:`repro.train`);
-    re-exports :class:`~repro.nn.BatchedUISClassifier`.
 ``cache``
     :class:`PredictionCache` — (session, subspace, model-version)-keyed
     LRU memoization of prediction vectors (frozen copies: a cached
@@ -50,7 +49,8 @@ the prediction cache, and :mod:`repro.persist` writes them to disk — a
 restored manager serves bit-identically (``tests/persist``).
 """
 
-from .batched import BatchedUISClassifier, run_adapt_requests
+from ..core.framework import run_adapt_requests
+from ..nn.batching import BatchedUISClassifier
 from .cache import PredictionCache, rows_digest
 from .manager import SessionManager
 

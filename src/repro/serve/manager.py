@@ -9,13 +9,13 @@ online loop into three independently scheduled stages:
 2. **adapt** — ``flush`` (called explicitly or implicitly by ``poll`` /
    ``predict``) drains the queue, buckets the pending adaptations across
    *all* sessions by shape, and trains each bucket as one fused tensor
-   program (:func:`~repro.serve.batched.run_adapt_requests`);
+   program (:func:`~repro.core.framework.run_adapt_requests`);
 3. **predict** — per-subspace prediction vectors are memoized in a
    versioned :class:`~repro.serve.cache.PredictionCache`, so repeated
    retrievals over unchanged models are dictionary lookups.
 
 Sessions adapted through the manager are bit-compatible with sessions
-driven sequentially (see ``tests/serve/test_batched_parity.py``).
+driven on their own (see ``tests/serve/test_batched_parity.py``).
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from collections import deque
 
 import numpy as np
 
-from ..core.framework import ExplorationSession, LTE
+from ..core.framework import ExplorationSession, LTE, run_adapt_requests
 from ..core.memory import LRUStore
 from ..core.optimizer import FewShotOptimizer, HullRegistry
 from ..geometry.engine import HullPackCache
 from ..obs import MetricsRegistry, span
-from .batched import run_adapt_requests
 from .cache import PredictionCache, rows_digest
 
 __all__ = ["SessionManager"]

@@ -1,4 +1,4 @@
-"""repro.train — the batched offline meta-training engine.
+"""repro.train — the stacked offline meta-training engine.
 
 The paper's offline phase (Algorithm 2) is the expensive part of LTE —
 Fig. 8b measures exactly that — yet every meta-task is tiny and
@@ -7,19 +7,20 @@ trainers.  This package runs the offline phase the way
 :mod:`repro.serve` already runs the online one: as fused stacked
 autograd programs over the shared substrate in :mod:`repro.nn.batching`.
 
-* :mod:`engine <repro.train.engine>` — fused executors: one whole
-  meta-batch (local steps + global query backward) as one ``(K, ...)``
-  program, joint pretraining fused across subspaces, batched
-  evaluation.  Bit-identical to the sequential reference executors
-  (property-fuzzed in ``tests/train``), and factored into retrieval /
-  partition-invariant compute / ordered reduction phases the parallel
-  engine fans out.
+* :mod:`engine <repro.train.engine>` — the executors, one per job:
+  one whole meta-batch (local steps + global query backward) as one
+  ``(K, ...)`` program, joint pretraining fused across subspaces,
+  batched evaluation — each run at K = 1 when there is one task or one
+  subspace.  Bit-identical to the task-at-a-time loops kept as the
+  oracle ``tests/train/_sequential_oracle.py`` (property-fuzzed in
+  ``tests/train``), and factored into retrieval / partition-invariant
+  compute / ordered reduction phases the worker pool fans out.
 * :mod:`offline <repro.train.offline>` — the pooled scheduler:
   :class:`TrainerSchedule` / :class:`OfflineRun` interleave epochs
   round-robin across all meta-subspaces (shape-bucketed fusion) and
   checkpoint cursor + RNG + weights + optimizer moments after every
   epoch, so a killed pretraining run resumes to the identical phi.
-* :mod:`parallel <repro.train.parallel>` — the data-parallel tier:
+* :mod:`parallel <repro.train.parallel>` — what ``workers=N`` selects:
   :class:`ParallelTrainEngine` forks N workers over the shared
   :mod:`repro.shard.rpc` machinery and splits each fused batch into
   deterministic task spans; reduction, memory-EMA updates and RNG
@@ -31,32 +32,27 @@ autograd programs over the shared substrate in :mod:`repro.nn.batching`.
   bounding peak training memory by the chunk size instead of the task
   count (bit-identical to the materialized path).
 
-``MetaTrainer.train`` / ``LTE.fit_offline`` ride this package by
-default (``engine="batched"``); pass ``engine="sequential"`` for the
-reference executor or ``engine="parallel", workers=N`` (or set
-``REPRO_TRAIN_WORKERS``) for multi-process pretraining.
+``MetaTrainer.train`` / ``LTE.fit_offline`` ride this package;
+``fit_offline(workers=N)`` fans the same programs out across N forked
+processes.
 """
 
 from .engine import (MetaBatchSlot, apply_meta_batch,
                      build_meta_batch_inputs, compute_meta_batch,
                      concat_meta_batch_results, encode_task_sets,
                      evaluate_batched, run_meta_batch_fused,
-                     run_pretrain_epoch_pooled,
-                     run_pretrain_epoch_sequential)
-from .offline import (DEFAULT_ENGINE, ENGINES, OfflineRun, TrainerSchedule,
-                      run_offline_training)
+                     run_pretrain_epoch_pooled)
+from .offline import OfflineRun, TrainerSchedule, run_offline_training
 from .parallel import (ParallelTrainEngine, TrainParallelError,
-                       TrainWorkerCrashed, resolve_workers)
+                       TrainWorkerCrashed)
 from .stream import EncodedTaskSet
 
 __all__ = [
-    "DEFAULT_ENGINE", "ENGINES",
     "TrainerSchedule", "OfflineRun", "run_offline_training",
     "MetaBatchSlot", "run_meta_batch_fused", "encode_task_sets",
     "build_meta_batch_inputs", "compute_meta_batch",
     "concat_meta_batch_results", "apply_meta_batch",
-    "run_pretrain_epoch_sequential", "run_pretrain_epoch_pooled",
-    "evaluate_batched",
+    "run_pretrain_epoch_pooled", "evaluate_batched",
     "ParallelTrainEngine", "TrainParallelError", "TrainWorkerCrashed",
-    "resolve_workers", "EncodedTaskSet",
+    "EncodedTaskSet",
 ]

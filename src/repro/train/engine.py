@@ -17,12 +17,13 @@ runs:
   independent slices.
 
 Everything rides :mod:`repro.nn.batching` (the substrate shared with the
-online serving path) and is **bit-identical** to the sequential
-reference executors in
-:meth:`~repro.core.meta_training.MetaTrainer.train_batch_sequential` /
-:meth:`~repro.core.meta_training.MetaTrainer.pretrain_step`: the stacked
-computation is block-diagonal, so every task sees exactly its sequential
-gradients and optimizer updates.  ``tests/train`` property-fuzzes this.
+online serving path).  These are the only executors: a batch of one task
+or a fusion group of one subspace is the same program at K = 1.  The
+stacked computation is block-diagonal, so every task sees exactly the
+gradients and optimizer updates of a task-at-a-time loop — the loop
+itself lives on as the oracle ``tests/train/_sequential_oracle.py``,
+against which ``tests/train`` property-fuzzes these executors bit for
+bit.
 """
 
 from __future__ import annotations
@@ -42,15 +43,15 @@ __all__ = ["encode_task_sets", "MetaBatchSlot", "MetaBatchInputs",
            "MetaBatchResult", "build_meta_batch_inputs",
            "slice_meta_batch_inputs", "compute_meta_batch",
            "concat_meta_batch_results", "apply_meta_batch",
-           "run_meta_batch_fused", "run_pretrain_epoch_sequential",
-           "run_pretrain_epoch_pooled", "evaluate_batched"]
+           "run_meta_batch_fused", "run_pretrain_epoch_pooled",
+           "evaluate_batched"]
 
 
 def encode_task_sets(tasks, encode, rows_per_block=8192, spill=None):
     """Pre-encode meta-task support/query sets, block-wise.
 
     Returns ``[(feature_vector, enc_support_x, support_y, enc_query_x,
-    query_y), ...]`` — the working representation both engines train on.
+    query_y), ...]`` — the working representation training runs on.
     Tuples from consecutive tasks are concatenated into blocks of up to
     ``rows_per_block`` rows so the preprocessor transforms run over a
     few large matrices instead of 2x|TM| tiny ones; the store-backed
@@ -116,11 +117,14 @@ def _encode_block(block, encode):
 #: the task indices (in order) it contributes this round.
 MetaBatchSlot = namedtuple("MetaBatchSlot", ["trainer", "encoded", "indices"])
 
-#: The stacked per-task arrays of one fused meta-batch, K tasks deep.
-#: ``shifts`` is the ``(K, theta_r_size)`` memory-retrieved theta_R
-#: start stack (or None without memories); ``conversions`` /
-#: ``attentions`` are per-task lists (``attentions`` entries are None
-#: when the retrieval was computed elsewhere — the parallel worker path).
+#: The per-task arrays of one fused meta-batch, K tasks deep.
+#: ``features`` is the ``(K, ku)`` stack and ``shifts`` the
+#: ``(K, theta_r_size)`` memory-retrieved theta_R start stack (or None
+#: without memories); ``sx`` / ``sy`` / ``qx`` / ``qy`` /
+#: ``conversions`` / ``attentions`` are per-task lists (the sets are
+#: stacked per same-shape run by :func:`compute_meta_batch`;
+#: ``attentions`` entries are None when the retrieval was computed
+#: elsewhere — the parallel worker path).
 MetaBatchInputs = namedtuple("MetaBatchInputs", [
     "features", "sx", "sy", "qx", "qy",
     "shifts", "conversions", "attentions"])
@@ -183,8 +187,8 @@ def build_meta_batch_inputs(slots, retrieval=None):
     else:
         shift_stack = np.stack(shifts) if shifts else None
     return models, MetaBatchInputs(
-        np.stack(v_rs), np.stack(sxs), np.stack(sys_), np.stack(qxs),
-        np.stack(qys), shift_stack, conversions, attentions)
+        np.stack(v_rs), sxs, sys_, qxs, qys, shift_stack, conversions,
+        attentions)
 
 
 def slice_meta_batch_inputs(inputs, start, stop):
@@ -206,17 +210,33 @@ def compute_meta_batch(models, params, inputs):
     task span of one: the stacked program is block-diagonal, so every
     task's losses and gradients are bit-identical at any stack size —
     which is what lets the data-parallel engine split a batch across
-    worker processes without perturbing a single bit.
+    worker processes without perturbing a single bit.  The same
+    property carries a batch whose tasks differ in support/query size
+    (hand-built task lists only; ``MetaTaskGenerator`` emits uniform
+    sets): each consecutive run of same-shape tasks is one stacked
+    program, stitched back in task order.
 
     Mutates nothing: phi, memories, and optimizer state are untouched
     (apply the result with :func:`apply_meta_batch`).
     """
+    shapes = [(sx.shape, qx.shape) for sx, qx in zip(inputs.sx, inputs.qx)]
+    cuts = [0] + [j for j in range(1, len(shapes))
+                  if shapes[j] != shapes[j - 1]] + [len(shapes)]
+    return concat_meta_batch_results([
+        _compute_same_shape_run(
+            models[start:stop], params,
+            slice_meta_batch_inputs(inputs, start, stop))
+        for start, stop in zip(cuts, cuts[1:])])
+
+
+def _compute_same_shape_run(models, params, inputs):
+    """:func:`compute_meta_batch` for tasks of one support/query shape."""
     batched = BatchedUISClassifier(models)
     if inputs.shifts is not None:
         load_flat_stack(batched.uis_block, np.asarray(inputs.shifts))
     features = np.asarray(inputs.features)
-    batched, conversion = fused_local_adapt(
-        models, features, np.asarray(inputs.sx), np.asarray(inputs.sy),
+    batched, conversion, _ = fused_local_adapt(
+        models, features, np.stack(inputs.sx), np.stack(inputs.sy),
         conversions=list(inputs.conversions), batched=batched,
         steps=max(1, params.local_steps), lr=params.rho,
         optimizer_kind=params.local_optimizer,
@@ -226,11 +246,11 @@ def compute_meta_batch(models, params, inputs):
     theta_grads = theta_r_grad_stack(batched)
 
     # Global phase (Eq. 13): all K query losses in one forward/backward.
-    qy_stack = np.asarray(inputs.qy)
+    qy_stack = np.stack(inputs.qy)
     pos_weight = batched_pos_weight(qy_stack) \
         if params.balance_classes else None
     task_losses = stacked_loss_backward(
-        batched, conversion, features, np.asarray(inputs.qx), qy_stack,
+        batched, conversion, features, np.stack(inputs.qx), qy_stack,
         pos_weight)
     stacks = grad_stacks(batched)
     loss_values = [float(value) for value in np.asarray(task_losses)]
@@ -265,15 +285,14 @@ def concat_meta_batch_results(parts):
 def apply_meta_batch(slots, inputs, result):
     """The ordered reduction tail of one fused meta-batch.
 
-    Semantics per slot are exactly the back half of
-    :meth:`MetaTrainer.train_batch_sequential`: per-trainer gradient
-    accumulation as a **fixed left-fold in task order** (float addition
-    is non-associative — a pairwise tree would diverge from the
-    sequential reference in the last bits), deferred memory EMA updates
-    (Eqs. 14-16) in task order, then one Eq. 13 step on each trainer's
-    phi.  Because :func:`compute_meta_batch` is partition-invariant and
-    this fold is fixed, the data-parallel engine applies the identical
-    update no matter how many workers computed the spans.
+    Per slot: per-trainer gradient accumulation as a **fixed left-fold
+    in task order** (float addition is non-associative — a pairwise
+    tree would diverge from the task-at-a-time oracle in the last
+    bits), deferred memory EMA updates (Eqs. 14-16) in task order, then
+    one Eq. 13 step on each trainer's phi.  Because
+    :func:`compute_meta_batch` is partition-invariant and this fold is
+    fixed, the data-parallel engine applies the identical update no
+    matter how many workers computed the spans.
 
     Returns the per-slot lists of query losses, in slot order.
     """
@@ -317,17 +336,16 @@ def run_meta_batch_fused(slots):
     """Execute one pooled Eq. 12/13 meta-batch as a fused program.
 
     ``slots`` carries one entry per participating trainer; every task
-    across all slots must be shape-compatible (same model configuration,
-    support/query sizes, local hyper-parameters — the pooled scheduler
-    groups accordingly).  Semantics per slot are exactly
-    :meth:`MetaTrainer.train_batch_sequential`: task-wise retrieval from
-    the batch-start memories, ``local_steps`` of fused adaptation, one
-    fused query backward, per-trainer gradient accumulation in task
-    order, deferred memory EMA updates in task order, one Eq. 13 step on
-    each trainer's phi.  The three phases are
-    :func:`build_meta_batch_inputs` -> :func:`compute_meta_batch` ->
-    :func:`apply_meta_batch`; the data-parallel engine runs the same
-    phases with the middle one fanned out across worker processes.
+    across all slots must share the model configuration and local
+    hyper-parameters (the pooled scheduler groups accordingly).  Per
+    slot: task-wise retrieval from the batch-start memories,
+    ``local_steps`` of fused adaptation, one fused query backward,
+    per-trainer gradient accumulation in task order, deferred memory EMA
+    updates in task order, one Eq. 13 step on each trainer's phi.  The
+    three phases are :func:`build_meta_batch_inputs` ->
+    :func:`compute_meta_batch` -> :func:`apply_meta_batch`; the
+    data-parallel engine runs the same phases with the middle one fanned
+    out across worker processes.
 
     Returns the per-slot lists of query losses, in slot order.
     """
@@ -339,28 +357,6 @@ def run_meta_batch_fused(slots):
 # ----------------------------------------------------------------------
 # Joint pretraining epochs (phi-level, Adam state carried via schedules)
 # ----------------------------------------------------------------------
-def run_pretrain_epoch_sequential(schedule, order=None):
-    """One joint-pretraining epoch of a single trainer, task at a time.
-
-    ``order`` (optional) supplies the epoch's task permutation instead
-    of drawing it from the schedule's RNG — the data-parallel master
-    draws every order from its authoritative RNG streams and ships them,
-    so worker-side RNG state never exists, let alone drifts.
-    """
-    trainer = schedule.trainer
-    optimizer = Adam(trainer.model.parameters(),
-                     lr=trainer.params.pretrain_lr)
-    if schedule.pretrain_opt_state is not None:
-        optimizer.load_state_dict(schedule.pretrain_opt_state)
-    conversion = trainer.pretrain_conversion()
-    if order is None:
-        order = schedule.next_pretrain_order()
-    for idx in order:
-        v_r, x, y = schedule.pretrain_sets[idx]
-        trainer.pretrain_step(optimizer, conversion, v_r, x, y)
-    schedule.pretrain_opt_state = optimizer.state_dict()
-
-
 def run_pretrain_epoch_pooled(schedules, orders=None):
     """One joint-pretraining epoch of S trainers, fused across them.
 
@@ -368,11 +364,13 @@ def run_pretrain_epoch_pooled(schedules, orders=None):
     phi), but the S per-subspace models are independent: step t trains
     every trainer's t-th task (per its own shuffle) in one stacked
     forward/backward and one stacked Adam step.  Slice s is bit-identical
-    to :func:`run_pretrain_epoch_sequential` on trainer s — at ANY
-    subset of trainers, which is why the data-parallel engine can pool
-    each worker's span of a fusion group independently.  ``orders``
-    (optional) supplies the per-schedule task permutations externally
-    (see :func:`run_pretrain_epoch_sequential`).
+    to a task-at-a-time epoch of trainer s alone — at ANY subset of
+    trainers, S = 1 included, which is why the data-parallel engine can
+    pool each worker's span of a fusion group independently.  ``orders``
+    (optional) supplies the per-schedule task permutations instead of
+    drawing them from the schedules' RNGs: the data-parallel master
+    draws every order from its authoritative RNG streams and ships them,
+    so worker-side RNG state never exists, let alone drifts.
     """
     trainers = [schedule.trainer for schedule in schedules]
     models = [trainer.model for trainer in trainers]
@@ -444,10 +442,9 @@ def _store_stacked_adam(optimizer, schedules, models):
 # Batched evaluation
 # ----------------------------------------------------------------------
 def evaluate_batched(trainer, tasks, encode, local_steps=None):
-    """Fused :meth:`MetaTrainer.evaluate`: adapt + score per shape bucket.
-
-    Bit-identical predictions to the sequential per-task loop; tasks of
-    odd shapes simply land in their own (possibly singleton) bucket.
+    """The body of :meth:`MetaTrainer.evaluate`: adapt + score per shape
+    bucket; tasks of odd shapes simply land in their own (possibly
+    singleton) bucket.
     """
     encoded = encode_task_sets(tasks, encode)
     if not encoded:
@@ -468,7 +465,7 @@ def evaluate_batched(trainer, tasks, encode, local_steps=None):
         sx = np.stack([encoded[i][1] for i in indices])
         sy = np.stack([np.asarray(encoded[i][2], dtype=np.float64).ravel()
                        for i in indices])
-        batched, conversion = fused_local_adapt(
+        batched, conversion, _ = fused_local_adapt(
             models, features, sx, sy, conversions=conversions,
             steps=max(1, steps), lr=params.rho,
             optimizer_kind=params.local_optimizer,

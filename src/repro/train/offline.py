@@ -33,26 +33,22 @@ import numpy as np
 
 from ..obs import default_registry
 from .engine import (MetaBatchSlot, run_meta_batch_fused,
-                     run_pretrain_epoch_pooled,
-                     run_pretrain_epoch_sequential, encode_task_sets)
+                     run_pretrain_epoch_pooled, encode_task_sets)
 
-__all__ = ["DEFAULT_ENGINE", "ENGINES", "check_engine", "TrainerSchedule",
-           "OfflineRun", "run_offline_training"]
-
-#: The fused stacked executor is the default everywhere; the sequential
-#: reference executor remains available for parity checks and debugging,
-#: and ``"parallel"`` fans the fused compute out across worker processes
-#: (:mod:`repro.train.parallel`).  All three are bit-identical.
-DEFAULT_ENGINE = "batched"
-ENGINES = ("batched", "sequential", "parallel")
+__all__ = ["check_workers", "TrainerSchedule", "OfflineRun",
+           "run_offline_training"]
 
 
-def check_engine(engine):
-    engine = DEFAULT_ENGINE if engine is None else engine
-    if engine not in ENGINES:
-        raise ValueError("unknown engine {!r}; options: {}".format(
-            engine, ENGINES))
-    return engine
+def check_workers(workers):
+    """The worker-process count a ``workers=`` argument asks for:
+    ``None`` / ``0`` is 0 (train in this process), an integer N >= 1 is
+    N forked workers; anything else is a ``ValueError``."""
+    if workers is None:
+        return 0
+    if not isinstance(workers, (int, np.integer)) or workers < 0:
+        raise ValueError("workers must be None or a non-negative integer, "
+                         "got {!r}".format(workers))
+    return int(workers)
 
 
 class TrainerSchedule:
@@ -232,44 +228,39 @@ class OfflineRun:
     schedules:
         :class:`TrainerSchedule` instances (typically one per
         meta-subspace; a single one reproduces ``MetaTrainer.train``).
-    engine:
-        ``"batched"`` (default), ``"sequential"``, or ``"parallel"``
-        (multi-process, see :mod:`repro.train.parallel`); all
-        bit-identical.
     on_epoch:
         Optional callback ``(schedule, kind, epoch_index, mean_loss)``
         fired after each completed epoch — ``kind`` is ``"pretrain"``
         (``mean_loss`` is None) or ``"meta"`` (mean query loss).
     workers:
-        Worker-process count for the ``"parallel"`` engine (defaults to
-        ``REPRO_TRAIN_WORKERS``, else the core count); ignored by the
-        in-process engines.  The engine instance is created lazily on
-        the first epoch and owned by this run — :meth:`close` it (or
-        use :func:`run_offline_training`, which does).
+        ``None`` / ``0`` runs every stacked program in this process;
+        N >= 1 fans each one out across N forked workers
+        (:mod:`repro.train.parallel` — same bits at any count).  The
+        pool is created lazily on the first epoch and owned by this
+        run — :meth:`close` it (or use :func:`run_offline_training`,
+        which does).
     """
 
-    def __init__(self, schedules, engine=None, on_epoch=None,
-                 workers=None):
+    def __init__(self, schedules, on_epoch=None, workers=None):
         self.schedules = list(schedules)
-        self.engine = check_engine(engine)
         self.on_epoch = on_epoch
-        self.workers = workers
+        self.workers = check_workers(workers)
         self._parallel = None
 
     @property
     def parallel(self):
-        """The lazily created :class:`ParallelTrainEngine`, or None for
-        the in-process engines."""
-        if self.engine == "parallel" and self._parallel is None:
+        """The lazily created :class:`ParallelTrainEngine`, or None
+        when the run trains in process."""
+        if self.workers and self._parallel is None:
             from .parallel import ParallelTrainEngine
             self._parallel = ParallelTrainEngine(self.schedules,
-                                                 workers=self.workers)
+                                                 self.workers)
         return self._parallel
 
     def close(self):
-        """Release the worker pool (idempotent; no-op for in-process
-        engines).  Schedules and trainers stay valid — all state lives
-        on the master."""
+        """Release the worker pool (idempotent; no-op in process).
+        Schedules and trainers stay valid — all state lives on the
+        master."""
         if self._parallel is not None:
             self._parallel.close()
             self._parallel = None
@@ -291,18 +282,16 @@ class OfflineRun:
         timing only, never on the training numerics.
         """
         metrics = default_registry()
+        parallel = self.parallel
         pretraining = [s for s in self.schedules if s.phase == "pretrain"]
         meta = [s for s in self.schedules if s.phase == "meta"]
         for group in _grouped(pretraining,
                               TrainerSchedule.pretrain_group_key):
             t0 = time.perf_counter()
-            if self.engine == "parallel":
-                self.parallel.pretrain_epoch(group)
-            elif self.engine == "batched" and len(group) > 1:
-                run_pretrain_epoch_pooled(group)
+            if parallel is not None:
+                parallel.pretrain_epoch(group)
             else:
-                for schedule in group:
-                    run_pretrain_epoch_sequential(schedule)
+                run_pretrain_epoch_pooled(group)
             metrics.histogram("train.offline.pretrain_epoch.seconds") \
                 .observe(time.perf_counter() - t0)
             metrics.counter("train.offline.epochs.pretrain").inc()
@@ -312,10 +301,7 @@ class OfflineRun:
                            schedule.pretrain_done - 1, None)
         for group in _grouped(meta, TrainerSchedule.meta_group_key):
             t0 = time.perf_counter()
-            losses = _run_meta_epoch(
-                group, self.engine,
-                parallel=self.parallel if self.engine == "parallel"
-                else None)
+            losses = _run_meta_epoch(group, parallel)
             metrics.histogram("train.offline.meta_epoch.seconds") \
                 .observe(time.perf_counter() - t0)
             metrics.counter("train.offline.epochs.meta").inc()
@@ -338,22 +324,16 @@ def _grouped(schedules, key_method):
     return list(groups.values())
 
 
-def _run_meta_epoch(schedules, engine, parallel=None):
+def _run_meta_epoch(schedules, parallel):
     """One meta epoch for a fusion group, batches interleaved round-robin.
 
     Returns per-schedule lists of query losses in task order — exactly
-    the list the sequential per-trainer epoch would produce, because the
-    round-robin only reorders work *across* independent trainers.  With
-    ``parallel`` (a :class:`~repro.train.parallel.ParallelTrainEngine`)
-    each fusable batch's compute fans out across worker processes;
-    non-fusable or singleton batches run on the master, as ever.
+    the list a per-trainer epoch would produce, because the round-robin
+    only reorders work *across* independent trainers.  With ``parallel``
+    (a :class:`~repro.train.parallel.ParallelTrainEngine`) each batch's
+    compute fans out across worker processes.
     """
     batch_size = max(1, int(schedules[0].trainer.params.batch_size))
-    # Task sets of non-uniform support/query shapes cannot np.stack into
-    # one program (their group key is already solo); run them on the
-    # sequential executor — identical semantics, task at a time.
-    fusable = all(schedule._shape_signature() is not None
-                  for schedule in schedules)
     orders = [schedule.next_meta_order() for schedule in schedules]
     losses = [[] for _ in schedules]
     n_batches = max((len(order) + batch_size - 1) // batch_size
@@ -368,17 +348,11 @@ def _run_meta_epoch(schedules, engine, parallel=None):
                 owners.append(s)
         if not slots:
             continue
-        total = sum(len(slot.indices) for slot in slots)
-        if parallel is not None and fusable and total > 1:
+        if parallel is not None:
             slot_losses = parallel.meta_batch(
                 slots, [schedules[s] for s in owners])
-        elif engine == "batched" and fusable and total > 1:
-            slot_losses = run_meta_batch_fused(slots)
         else:
-            slot_losses = [
-                slot.trainer.train_batch_sequential(slot.encoded,
-                                                    slot.indices)
-                for slot in slots]
+            slot_losses = run_meta_batch_fused(slots)
         for s, batch_losses in zip(owners, slot_losses):
             losses[s].extend(batch_losses)
     return losses
@@ -387,8 +361,8 @@ def _run_meta_epoch(schedules, engine, parallel=None):
 # ----------------------------------------------------------------------
 # The LTE offline phase: pooled training over every prepared subspace
 # ----------------------------------------------------------------------
-def run_offline_training(lte, subspaces, engine=None, progress=None,
-                         checkpoint=None, workers=None, stream=None):
+def run_offline_training(lte, subspaces, progress=None, checkpoint=None,
+                         workers=None, stream=None):
     """Meta-train every prepared subspace of ``lte``, pooled and resumable.
 
     Builds one :class:`TrainerSchedule` per subspace (regenerating the
@@ -401,13 +375,11 @@ def run_offline_training(lte, subspaces, engine=None, progress=None,
     epoch_index, mean_query_loss))`` after every meta epoch and
     ``(subspace, "trained")`` per subspace once training completes.
     Event order is deterministic — epoch by epoch, subspaces in run
-    order — under every engine, including ``"parallel"`` (the master
-    emits after its ordered reduction, so worker reply timing cannot
-    reorder events).
+    order — at any worker count (the master emits after its ordered
+    reduction, so worker reply timing cannot reorder events).
 
-    ``workers`` selects the pool size of the ``"parallel"`` engine.
-    Setting ``REPRO_TRAIN_WORKERS`` supplies a default pool size *and*
-    switches an unspecified ``engine`` to ``"parallel"``.
+    ``workers`` is :class:`OfflineRun`'s: ``None`` / ``0`` trains in
+    this process, N >= 1 across N forked workers.
 
     ``stream`` bounds encode/training memory: ``True`` spills every
     subspace's encoded task set into a private on-disk
@@ -417,9 +389,6 @@ def run_offline_training(lte, subspaces, engine=None, progress=None,
     bit-identical to the materialized path.
     """
     cfg = lte.config
-    if workers is None and engine is None \
-            and os.environ.get("REPRO_TRAIN_WORKERS"):
-        engine = "parallel"
     subspaces = list(subspaces)
     saved = _load_saved_schedules(checkpoint, lte, subspaces)
     spill_root, owns_spill = None, False
@@ -462,15 +431,14 @@ def run_offline_training(lte, subspaces, engine=None, progress=None,
             else:
                 progress(by_schedule[schedule], ("pretrain", epoch))
 
-        run = OfflineRun(schedules, engine=engine, on_epoch=on_epoch,
-                         workers=workers)
+        run = OfflineRun(schedules, on_epoch=on_epoch, workers=workers)
         try:
             while not run.done:
                 run.step_epoch()
                 # Checkpoint strictly after the epoch's reduction
-                # barrier: every engine (any worker count) passes
-                # through identical master state here, so the file
-                # resumes interchangeably across engines.
+                # barrier: a run at any worker count passes through
+                # identical master state here, so the file resumes
+                # interchangeably across worker counts.
                 if checkpoint is not None:
                     _save_run(checkpoint, lte, subspaces, schedules, run)
         finally:
@@ -492,12 +460,10 @@ def _save_run(checkpoint, lte, subspaces, schedules, run):
     entries = [{"names": list(subspace.names),
                 "schedule": schedule.state_dict()}
                for subspace, schedule in zip(subspaces, schedules)]
-    # The engine and worker count are recorded for provenance only:
-    # all engines are bit-identical, so a run may resume under any of
-    # them, at any worker count.
+    # The worker count is recorded for provenance only: the bits do not
+    # depend on it, so a run may resume at any other.
     save_pretrain_run(checkpoint, lte, entries,
-                      meta={"engine": run.engine,
-                            "workers": run.workers})
+                      meta={"workers": run.workers})
 
 
 def _entry_done(entry):

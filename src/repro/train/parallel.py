@@ -1,7 +1,8 @@
 """Data-parallel offline meta-training: N workers, one deterministic phi.
 
-:class:`ParallelTrainEngine` is the multi-process scaling tier over the
-fused offline engine (:mod:`repro.train.engine`): it forks N worker
+:class:`ParallelTrainEngine` is what ``workers=N`` selects: the
+multi-process tier over the stacked offline executors
+(:mod:`repro.train.engine`).  It forks N worker
 processes (``fork`` start method — every worker inherits the schedules'
 encoded task sets copy-on-write, or their on-disk
 :class:`~repro.train.stream.EncodedTaskSet` views), partitions each
@@ -13,8 +14,8 @@ exception rebuild) are shared with :mod:`repro.shard` via
 :mod:`repro.shard.rpc`.
 
 Determinism contract — phi, memories, pretrain-Adam moments and loss
-histories are **bit-identical to the single-process fused engine at any
-worker count** (1, 2, 4, ... all equal; ``tests/train`` fuzzes this).
+histories are **bit-identical to the in-process run at any worker
+count** (0, 1, 2, 4, ... all equal; ``tests/train`` fuzzes this).
 The contract rests on four invariants:
 
 1. **Partition-invariant compute.**  The stacked meta-batch program is
@@ -22,11 +23,11 @@ The contract rests on four invariants:
    theta_R gradients and adapted conversion are bit-identical at any
    stack size (:func:`~repro.train.engine.compute_meta_batch`); a span
    of the batch computes exactly the whole batch's slice.  Likewise a
-   pooled pretrain epoch over any subset of a fusion group equals the
-   per-trainer sequential epochs.
+   pooled pretrain epoch over any subset of a fusion group — one
+   schedule included — equals the epoch of the whole group.
 2. **Master-ordered reduction.**  Workers ship per-task results; the
-   master stitches spans back in task order and reduces with the exact
-   fixed left-fold of the sequential reference
+   master stitches spans back in task order and reduces with the one
+   fixed left-fold
    (:func:`~repro.train.engine.apply_meta_batch`) — float addition is
    non-associative, so the fold order, not just the operand set, is
    part of the contract.  Memory-EMA updates (Eqs. 14-16) stay deferred
@@ -41,7 +42,7 @@ The contract rests on four invariants:
    written by the driver only after :meth:`OfflineRun.step_epoch`
    returns — i.e. after every span has reduced — so a checkpoint never
    captures a half-reduced epoch and resumes interchangeably with
-   single-process runs at any worker count.
+   in-process runs and at any worker count.
 
 Worker failures raise a prompt, typed :class:`TrainWorkerCrashed`
 (never a hang, never a silently wrong phi): the caller resumes from the
@@ -62,11 +63,10 @@ from ..shard.rpc import PipeRpc, RpcLink, serve_rpc
 from .engine import (MetaBatchResult, MetaBatchSlot, apply_meta_batch,
                      build_meta_batch_inputs, compute_meta_batch,
                      concat_meta_batch_results,
-                     run_pretrain_epoch_pooled,
-                     run_pretrain_epoch_sequential)
+                     run_pretrain_epoch_pooled)
 
 __all__ = ["TrainParallelError", "TrainWorkerCrashed",
-           "ParallelTrainEngine", "resolve_workers"]
+           "ParallelTrainEngine"]
 
 
 class TrainParallelError(RuntimeError):
@@ -77,18 +77,6 @@ class TrainWorkerCrashed(TrainParallelError):
     """A training worker process died; resume from the last epoch
     checkpoint (state updates are master-only and barrier-aligned, so
     no partial epoch can have leaked into a checkpoint)."""
-
-
-def resolve_workers(workers=None):
-    """The effective worker count: explicit arg, else
-    ``REPRO_TRAIN_WORKERS``, else the machine's core count."""
-    if workers is None:
-        env = os.environ.get("REPRO_TRAIN_WORKERS")
-        workers = int(env) if env else (os.cpu_count() or 1)
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
 
 
 def _worker_main(conn, schedules, worker_index):
@@ -150,13 +138,9 @@ def _worker_main(conn, schedules, worker_index):
                     np.asarray(flat))
                 schedule.pretrain_opt_state = opt_state
                 span.append((schedule, np.asarray(order)))
-            if len(span) > 1:
-                run_pretrain_epoch_pooled(
-                    [schedule for schedule, _ in span],
-                    orders=[order for _, order in span])
-            else:
-                run_pretrain_epoch_sequential(span[0][0],
-                                              order=span[0][1])
+            run_pretrain_epoch_pooled(
+                [schedule for schedule, _ in span],
+                orders=[order for _, order in span])
             t_compute.observe(time.perf_counter() - t0)
             n_batches.inc()
             return [(schedule.trainer.model.flat_parameters(),
@@ -188,18 +172,20 @@ class ParallelTrainEngine:
         current process and inherit the encoded task sets; create the
         engine after the schedules are built.
     workers:
-        Pool size (defaults to :func:`resolve_workers`).
+        Pool size, an integer >= 1.
     rpc_timeout:
         Seconds to wait for a single span reply before raising
         :class:`TrainParallelError` (a *dead* worker is detected
         promptly regardless); ``None`` disables the timeout.
     """
 
-    def __init__(self, schedules, workers=None, rpc_timeout=600.0):
+    def __init__(self, schedules, workers, rpc_timeout=600.0):
         self.schedules = list(schedules)
         self._sid = {id(schedule): index
                      for index, schedule in enumerate(self.schedules)}
-        self.n_workers = resolve_workers(workers)
+        self.n_workers = int(workers)
+        if self.n_workers < 1:
+            raise ValueError("workers must be >= 1")
         # Master-side telemetry (train.parallel.* / train.reduce.* /
         # train.worker.busy — see repro.obs.registry); worker-side
         # registries are fetched and merged by :meth:`metrics`.

@@ -25,7 +25,7 @@ optimizer moments bit-identical to training over the materialized list
 
 Task sets of non-uniform support/query shapes cannot be packed into
 fixed-width rows; :func:`spill_encoded_tasks` falls back to the
-materialized list for them (such sets already train solo/sequentially).
+materialized list for them (such sets train as same-shape runs).
 """
 
 from __future__ import annotations

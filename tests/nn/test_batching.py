@@ -35,7 +35,7 @@ def test_adapt_trains_neither_the_callers_conversions_nor_its_models(
     kept_conversions = conversions.copy()
     kept_models = [model.state_dict() for model in models]
 
-    batched, conversion = fused_local_adapt(
+    batched, conversion, _ = fused_local_adapt(
         models, features, xs, ys, conversions=conversions, steps=3,
         lr=0.05, optimizer_kind=optimizer_kind)
 
@@ -52,10 +52,10 @@ def test_adapt_trains_neither_the_callers_conversions_nor_its_models(
 
 def test_stacked_and_listed_conversions_adapt_to_the_same_bits():
     models, features, xs, ys, conversions = task_batch(1)
-    _, stacked = fused_local_adapt(models, features, xs, ys, steps=3,
-                                   conversions=conversions)
-    _, listed = fused_local_adapt(models, features, xs, ys, steps=3,
-                                  conversions=list(conversions))
+    _, stacked, _ = fused_local_adapt(models, features, xs, ys, steps=3,
+                                      conversions=conversions)
+    _, listed, _ = fused_local_adapt(models, features, xs, ys, steps=3,
+                                     conversions=list(conversions))
     assert np.array_equal(stacked.data, listed.data)
 
 
@@ -66,9 +66,9 @@ def test_prebuilt_stack_is_trained_in_place_and_its_sources_are_not():
     models, features, xs, ys, conversions = task_batch(2)
     kept_models = [model.state_dict() for model in models]
     prebuilt = BatchedUISClassifier(models)
-    batched, _ = fused_local_adapt(None, features, xs, ys, steps=2,
-                                   conversions=list(conversions),
-                                   batched=prebuilt)
+    batched, _, _ = fused_local_adapt(None, features, xs, ys, steps=2,
+                                      conversions=list(conversions),
+                                      batched=prebuilt)
     assert batched is prebuilt
     for model, kept in zip(models, kept_models):
         for name, array in model.state_dict().items():

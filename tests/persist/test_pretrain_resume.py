@@ -148,16 +148,19 @@ def test_checkpoint_naming_an_nn_backend_still_resumes(tmp_path,
                                                       persist_subspaces,
                                                       uninterrupted):
     """Runs checkpointed while a second nn executor existed recorded
-    ``nn_backend`` in the manifest meta; the key was provenance only and
-    such a checkpoint resumes to the identical phi."""
+    ``nn_backend`` in the manifest meta, and runs checkpointed while
+    ``engine=`` chose between training executors recorded ``engine``;
+    both keys were provenance only, are never read, and such a
+    checkpoint resumes to the identical phi."""
     checkpoint = tmp_path / "pretrain"
     _fit_killed_after(persist_table, persist_subspaces, checkpoint, 1)
     manifest_path = checkpoint / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["meta"]["nn_backend"] = "fused"
+    manifest["meta"]["engine"] = "sequential"
     manifest_path.write_text(json.dumps(manifest))
-    assert inspect_checkpoint(str(checkpoint))["meta"]["nn_backend"] \
-        == "fused"
+    meta = inspect_checkpoint(str(checkpoint))["meta"]
+    assert (meta["nn_backend"], meta["engine"]) == ("fused", "sequential")
 
     resumed = LTE(resume_config())
     resumed.fit_offline(persist_table, subspaces=persist_subspaces,
@@ -188,12 +191,12 @@ def test_resume_rejects_foreign_system(tmp_path, persist_table,
 
 
 # ----------------------------------------------------------------------
-# Cross-engine resume interchange (parallel <-> single-process)
+# Resume interchange across worker counts (pool <-> in process)
 # ----------------------------------------------------------------------
 # Checkpoints are written only after each epoch's reduction barrier, at
-# which point every engine (any worker count) has passed through
-# identical master state — so a run killed under one engine must resume
-# to the identical phi under any other.
+# which point a run at any worker count has passed through identical
+# master state — so a run killed at one count must resume to the
+# identical phi at any other.
 
 @pytest.mark.train_parallel
 @pytest.mark.parametrize("kill_phase,kill_epoch",
@@ -204,8 +207,7 @@ def test_parallel_kill_resumes_under_batched(tmp_path, persist_table,
                                              kill_epoch):
     checkpoint = tmp_path / "pretrain"
     _fit_killed_after(persist_table, persist_subspaces, checkpoint,
-                      kill_epoch, kill_phase=kill_phase,
-                      engine="parallel", workers=2)
+                      kill_epoch, kill_phase=kill_phase, workers=2)
     summary = inspect_checkpoint(str(checkpoint))
     assert summary["kind"] == "pretrain-run"
     assert summary["digest_ok"]
@@ -224,8 +226,7 @@ def test_batched_kill_resumes_under_parallel(tmp_path, persist_table,
     _fit_killed_after(persist_table, persist_subspaces, checkpoint, 0)
     resumed = LTE(resume_config())
     resumed.fit_offline(persist_table, subspaces=persist_subspaces,
-                        checkpoint=str(checkpoint), engine="parallel",
-                        workers=workers)
+                        checkpoint=str(checkpoint), workers=workers)
     assert_identical_trainers(uninterrupted, resumed)
 
 
@@ -239,11 +240,10 @@ def test_mid_reduction_kill_resumes_identically(tmp_path, persist_table,
     a different worker count."""
     checkpoint = tmp_path / "pretrain"
     _fit_killed_after(persist_table, persist_subspaces, checkpoint, 1,
-                      kill_count=1, engine="parallel", workers=2)
+                      kill_count=1, workers=2)
     resumed = LTE(resume_config())
     resumed.fit_offline(persist_table, subspaces=persist_subspaces,
-                        checkpoint=str(checkpoint), engine="parallel",
-                        workers=3)
+                        checkpoint=str(checkpoint), workers=3)
     assert_identical_trainers(uninterrupted, resumed)
 
 
@@ -253,8 +253,7 @@ def test_checkpoint_meta_records_engine_provenance(tmp_path, persist_table,
     checkpoint = tmp_path / "pretrain"
     lte = LTE(resume_config())
     lte.fit_offline(persist_table, subspaces=persist_subspaces,
-                    checkpoint=str(checkpoint), engine="parallel",
-                    workers=2)
+                    checkpoint=str(checkpoint), workers=2)
     meta = inspect_checkpoint(str(checkpoint))["meta"]
-    assert meta["engine"] == "parallel"
+    assert "engine" not in meta
     assert meta["workers"] == 2

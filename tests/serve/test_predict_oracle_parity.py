@@ -25,7 +25,6 @@ import _predict_oracle as oracle
 from repro.data.schema import Table
 from repro.nn.batching import inference_logits
 from repro.serve import SessionManager
-from repro.serve.batched import predict_adapted_batch
 from repro.shard import ShardGateway
 
 #: (variant, label-oracle seed, subspaces explored).  A ``None`` seed labels
@@ -189,24 +188,6 @@ def test_kernel_logits_equal_tensor_forward_bits(fleet):
                                   oracle.predict_proba(adapted, encoded))
             assert np.array_equal(adapted.predict(encoded),
                                   oracle.predict(adapted, encoded))
-
-
-def test_predict_adapted_batch_rows_are_per_classifier_predictions(fleet):
-    """Mixed configurations in one call: nothing is stacked any more."""
-    by_state = {}
-    for subsession in subsessions_of(fleet):
-        by_state.setdefault(id(subsession.state), []).append(subsession)
-    for group in by_state.values():
-        state = group[0].state
-        encoded = state.encode(fleet["lte"].table.data[:300][:, list(
-            state.subspace.columns)])
-        assert len({tuple(sorted(ss.adapted.model.config.items()))
-                    for ss in group}) > 1
-        got = predict_adapted_batch([ss.adapted for ss in group], encoded)
-        assert got.shape == (len(group), 300) and got.dtype == np.int64
-        for row, subsession in zip(got, group):
-            assert np.array_equal(row,
-                                  oracle.predict(subsession.adapted, encoded))
 
 
 def test_smallest_logit_leaves_a_margin(fleet, record_property):

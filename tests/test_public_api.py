@@ -34,6 +34,39 @@ def test_nn_has_one_executor():
     assert not [name for name in nn.__all__ if "backend" in name]
 
 
+def test_one_executor_per_job():
+    """No option chooses between executors, and none is left to choose:
+    outside the optimizers themselves ``optimizer.step()`` is written at
+    exactly two sites in ``src/`` — the stacked local phase and the
+    stacked pretrain epoch, each run at K = 1 for one task.  (The eager
+    loops are test oracles: ``tests/train/_sequential_oracle.py``,
+    ``tests/serve/_adapt_oracle.py``.)"""
+    import inspect
+    import pathlib
+
+    import repro
+    from repro.core import LTE, MetaTrainer
+    from repro.nn import batching
+    from repro.train import OfflineRun, engine, run_offline_training
+
+    for function in (LTE.fit_offline, LTE.train_subspace, MetaTrainer.train,
+                     MetaTrainer.evaluate, OfflineRun.__init__,
+                     run_offline_training):
+        assert "engine" not in inspect.signature(function).parameters, \
+            function.__qualname__
+
+    root = pathlib.Path(repro.__file__).parent
+    sites = {path.relative_to(root).as_posix():
+             path.read_text().count("optimizer.step()")
+             for path in root.rglob("*.py") if path.name != "optim.py"}
+    assert {name: count for name, count in sites.items() if count} == \
+        {"nn/batching.py": 1, "train/engine.py": 1}
+    assert "optimizer.step()" in inspect.getsource(
+        batching.fused_local_adapt)
+    assert "optimizer.step()" in inspect.getsource(
+        engine.run_pretrain_epoch_pooled)
+
+
 def test_persist_exports():
     """The checkpoint subsystem's full public surface is importable."""
     from repro import persist

@@ -1,12 +1,13 @@
-"""Batched-vs-sequential parity of the offline meta-training engine.
+"""Stacked-vs-oracle parity of the offline meta-training engine.
 
-The fused executors in ``repro.train.engine`` must be **bit-identical**
-to the sequential reference (``MetaTrainer.train_batch_sequential`` /
-per-task ``adapt``): same phi, same memories, same per-epoch history,
-same evaluation scores.  Fuzzed over the axes that change the stacked
-program's shape and math: memories on/off, Adam vs SGD local steps,
-class balancing, uneven final batches, single-task batches, pretraining
-on/off.
+The stacked executors in ``repro.train.engine`` are the only ones in
+``src/``; they must be **bit-identical** to the task-at-a-time loops
+they replaced, kept verbatim in ``_sequential_oracle.py``: same phi,
+same memories, same per-epoch history, same evaluation scores — at
+K = 1 (a batch, a fusion group, an adapt of one) as well as K > 1.
+Fuzzed over the axes that change the stacked program's shape and math:
+memories on/off, Adam vs SGD local steps, class balancing, uneven final
+batches, single-task batches, pretraining on/off.
 """
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _sequential_oracle as oracle
 from repro.core.meta_training import MetaHyperParams, MetaTrainer
-from repro.train import (OfflineRun, TrainerSchedule, encode_task_sets,
-                         run_pretrain_epoch_pooled,
-                         run_pretrain_epoch_sequential)
+from repro.train import (MetaBatchSlot, OfflineRun, TrainerSchedule,
+                         encode_task_sets, run_meta_batch_fused,
+                         run_pretrain_epoch_pooled)
 
 pytestmark = pytest.mark.train
 
@@ -44,10 +46,18 @@ def assert_trainers_identical(a, b):
             assert np.array_equal(sa[key], sb[key]), key
 
 
+def train_both(tasks, preprocessor, make_trainer):
+    """(oracle-trained, ``MetaTrainer.train``-trained) twins."""
+    reference = oracle.train_sequential(make_trainer(), tasks,
+                                        preprocessor.transform)
+    return reference, make_trainer().train(tasks, preprocessor.transform)
+
+
 # Fuzz axes: (use_memories, local_optimizer, balance, batch_size,
 #             n_tasks, pretrain_epochs, epochs) — n_tasks=7/batch=3 and
-# n_tasks=5/batch=4 exercise uneven final batches, batch_size=1 the
-# single-task fused path, n_tasks=1 the lone-batch path.  Together the
+# n_tasks=5/batch=4 end on a tail batch of ONE task, batch_size=1 makes
+# every batch a stack of one, n_tasks=1 is the lone-batch run — all of
+# them the stacked program at K = 1.  Together the
 # cases cover every {adam, sgd} x {balanced, not} x {conversion
 # (memories), none} cell of the stacked adapt / loss-backward programs.
 FUZZ_CASES = [
@@ -71,16 +81,12 @@ FUZZ_CASES = [
 def test_train_parity_fuzz(task_generator, preprocessor, meta_tasks,
                            use_memories, optimizer, balance, batch_size,
                            n_tasks, pretrain, epochs):
-    tasks = meta_tasks[:n_tasks]
-    results = []
-    for engine in ("sequential", "batched"):
-        trainer = build_trainer(
+    assert_trainers_identical(*train_both(
+        meta_tasks[:n_tasks], preprocessor, lambda: build_trainer(
             task_generator, preprocessor, use_memories=use_memories,
             local_optimizer=optimizer, balance_classes=balance,
-            batch_size=batch_size, pretrain_epochs=pretrain, epochs=epochs)
-        trainer.train(tasks, preprocessor.transform, engine=engine)
-        results.append(trainer)
-    assert_trainers_identical(*results)
+            batch_size=batch_size, pretrain_epochs=pretrain,
+            epochs=epochs)))
 
 
 @settings(max_examples=10, deadline=None)
@@ -94,25 +100,12 @@ def test_train_parity_fuzz(task_generator, preprocessor, meta_tasks,
 def test_train_parity_property(task_generator, preprocessor, meta_tasks,
                                seed, n_tasks, batch_size, optimizer,
                                use_memories, balance, pretrain):
-    tasks = meta_tasks[:n_tasks]
-    results = []
-    for engine in ("sequential", "batched"):
-        trainer = build_trainer(
+    assert_trainers_identical(*train_both(
+        meta_tasks[:n_tasks], preprocessor, lambda: build_trainer(
             task_generator, preprocessor, use_memories=use_memories,
             seed=seed, local_optimizer=optimizer, balance_classes=balance,
             batch_size=batch_size, pretrain_epochs=pretrain, epochs=1,
-            local_steps=2)
-        trainer.train(tasks, preprocessor.transform, engine=engine)
-        results.append(trainer)
-    assert_trainers_identical(*results)
-
-
-def test_train_rejects_unknown_engine(task_generator, preprocessor,
-                                      meta_tasks):
-    trainer = build_trainer(task_generator, preprocessor)
-    with pytest.raises(ValueError):
-        trainer.train(meta_tasks[:2], preprocessor.transform,
-                      engine="turbo")
+            local_steps=2)))
 
 
 @pytest.mark.parametrize("use_memories", [True, False])
@@ -122,9 +115,9 @@ def test_evaluate_parity(task_generator, preprocessor, meta_tasks,
     trainer = build_trainer(task_generator, preprocessor,
                             use_memories=use_memories)
     trainer.train(meta_tasks[:6], preprocessor.transform)
-    sequential = trainer.evaluate(meta_tasks[6:], preprocessor.transform,
-                                  local_steps=local_steps,
-                                  engine="sequential")
+    sequential = oracle.evaluate(trainer, meta_tasks[6:],
+                                 preprocessor.transform,
+                                 local_steps=local_steps)
     batched = trainer.evaluate(meta_tasks[6:], preprocessor.transform,
                                local_steps=local_steps)
     assert sequential == batched
@@ -144,6 +137,17 @@ def _encoded(meta_tasks, preprocessor, n):
     return encode_task_sets(meta_tasks[:n], preprocessor.transform)
 
 
+def assert_pretrain_state_identical(a, b):
+    """phi and the carried pretrain-Adam state of two schedules."""
+    assert np.array_equal(a.trainer.model.flat_parameters(),
+                          b.trainer.model.flat_parameters())
+    assert a.pretrain_opt_state["step"] == b.pretrain_opt_state["step"]
+    for key in ("m", "v"):
+        for x, y in zip(a.pretrain_opt_state[key],
+                        b.pretrain_opt_state[key]):
+            assert np.array_equal(x, y)
+
+
 class TestPooledAcrossTrainers:
     """Fusing several trainers into shared programs must keep every
     trainer bit-identical to training it alone."""
@@ -154,13 +158,11 @@ class TestPooledAcrossTrainers:
         solo = []
         for seed in (0, 1, 2):
             trainer = build_trainer(task_generator, preprocessor, seed=seed)
-            OfflineRun([TrainerSchedule(trainer, encoded)],
-                       engine="batched").run()
+            OfflineRun([TrainerSchedule(trainer, encoded)]).run()
             solo.append(trainer)
         pooled = [build_trainer(task_generator, preprocessor, seed=seed)
                   for seed in (0, 1, 2)]
-        OfflineRun([TrainerSchedule(t, encoded) for t in pooled],
-                   engine="batched").run()
+        OfflineRun([TrainerSchedule(t, encoded) for t in pooled]).run()
         for a, b in zip(solo, pooled):
             assert_trainers_identical(a, b)
 
@@ -178,16 +180,24 @@ class TestPooledAcrossTrainers:
         for _ in range(2):
             run_pretrain_epoch_pooled(pooled)
             for schedule in solo:
-                run_pretrain_epoch_sequential(schedule)
+                oracle.run_pretrain_epoch_sequential(schedule)
         for a, b in zip(pooled, solo):
-            assert np.array_equal(a.trainer.model.flat_parameters(),
-                                  b.trainer.model.flat_parameters())
-            assert a.pretrain_opt_state["step"] == \
-                b.pretrain_opt_state["step"]
-            for key in ("m", "v"):
-                for x, y in zip(a.pretrain_opt_state[key],
-                                b.pretrain_opt_state[key]):
-                    assert np.array_equal(x, y)
+            assert_pretrain_state_identical(a, b)
+
+    @pytest.mark.parametrize("use_memories", [True, False])
+    def test_fusion_group_of_one_matches_sequential(
+            self, task_generator, preprocessor, meta_tasks, use_memories):
+        """S = 1 is the pooled epoch too: two epochs of one schedule
+        (Adam moments carried across the boundary) vs the oracle's."""
+        encoded = _encoded(meta_tasks, preprocessor, 8)
+        pooled, solo = (TrainerSchedule(
+            build_trainer(task_generator, preprocessor, seed=5,
+                          use_memories=use_memories), encoded)
+            for _ in range(2))
+        for _ in range(2):
+            run_pretrain_epoch_pooled([pooled])
+            oracle.run_pretrain_epoch_sequential(solo)
+        assert_pretrain_state_identical(pooled, solo)
 
     def test_mixed_shapes_group_separately(self, task_generator,
                                            preprocessor, meta_tasks):
@@ -206,35 +216,99 @@ class TestPooledAcrossTrainers:
             assert_trainers_identical(a, b)
 
 
+def _ragged(meta_tasks, n):
+    """``n`` tasks of three support sizes (hand-built: the generator
+    only emits uniform sets)."""
+    from dataclasses import replace
+
+    return [replace(task,
+                    support_x=task.support_x[:len(task.support_x) - (i % 3)],
+                    support_y=task.support_y[:len(task.support_y) - (i % 3)])
+            for i, task in enumerate(meta_tasks[:n])]
+
+
 def test_mixed_shape_task_sets_train_and_match(task_generator, preprocessor,
                                                meta_tasks):
     """Task sets with non-uniform support/query sizes cannot stack into
-    one fused program; the default engine must fall back to the
-    sequential executor for them — same semantics, no crash."""
-    from dataclasses import replace
-
-    tasks = [replace(task,
-                     support_x=task.support_x[:len(task.support_x) - (i % 3)],
-                     support_y=task.support_y[:len(task.support_y) - (i % 3)])
-             for i, task in enumerate(meta_tasks[:6])]
-    results = []
-    for engine in ("sequential", "batched"):
-        trainer = build_trainer(task_generator, preprocessor)
-        trainer.train(tasks, preprocessor.transform, engine=engine)
-        results.append(trainer)
+    one fused program; a batch of them runs as consecutive same-shape
+    spans — same semantics, no crash."""
+    tasks = _ragged(meta_tasks, 6)
+    results = train_both(tasks, preprocessor,
+                         lambda: build_trainer(task_generator, preprocessor))
     assert_trainers_identical(*results)
     # evaluate buckets odd shapes on its own and stays bit-equal too
-    assert results[0].evaluate(tasks, preprocessor.transform) == \
-        results[1].evaluate(tasks, preprocessor.transform,
-                            engine="sequential")
+    assert results[1].evaluate(tasks, preprocessor.transform) == \
+        oracle.evaluate(results[0], tasks, preprocessor.transform)
 
 
-def test_evaluate_rejects_unknown_engine(task_generator, preprocessor,
-                                         meta_tasks):
-    trainer = build_trainer(task_generator, preprocessor)
-    with pytest.raises(ValueError):
-        trainer.evaluate(meta_tasks[:2], preprocessor.transform,
-                         engine="batchd")
+def _one_batch_both(task_generator, preprocessor, encoded, batch, **kwargs):
+    """One meta-batch on the oracle and on the stacked executor, from
+    identical fresh trainers: ((trainer, losses), (trainer, losses))."""
+    reference = build_trainer(task_generator, preprocessor, **kwargs)
+    candidate = build_trainer(task_generator, preprocessor, **kwargs)
+    want = oracle.train_batch_sequential(reference, encoded, batch)
+    got, = run_meta_batch_fused([MetaBatchSlot(candidate, encoded, batch)])
+    return (reference, want), (candidate, got)
+
+
+@pytest.mark.parametrize("use_memories", [True, False])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_meta_batch_of_one_matches_sequential(task_generator, preprocessor,
+                                              meta_tasks, optimizer,
+                                              use_memories):
+    """A tail batch of one task is the stacked program at K = 1."""
+    encoded = _encoded(meta_tasks, preprocessor, 4)
+    (reference, want), (candidate, got) = _one_batch_both(
+        task_generator, preprocessor, encoded, [3],
+        use_memories=use_memories, local_optimizer=optimizer)
+    assert got == want
+    assert_trainers_identical(reference, candidate)
+
+
+def test_mixed_shape_batch_runs_as_same_shape_spans(task_generator,
+                                                    preprocessor, meta_tasks):
+    """Seven tasks of three support sizes in ONE batch: the spans read
+    the batch-start memories, their results are stitched in task order
+    and applied once — phi, memories and losses equal the oracle's."""
+    encoded = encode_task_sets(_ragged(meta_tasks, 7),
+                               preprocessor.transform)
+    assert len({sx.shape for _, sx, _, _, _ in encoded}) == 3
+    (reference, want), (candidate, got) = _one_batch_both(
+        task_generator, preprocessor, encoded, [5, 0, 3, 6, 1, 4, 2])
+    assert got == want
+    assert_trainers_identical(reference, candidate)
+
+
+@pytest.mark.parametrize("local_steps", [1, 10])
+@pytest.mark.parametrize("use_memories", [True, False])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_adapt_matches_sequential(task_generator, preprocessor, meta_tasks,
+                                  optimizer, use_memories, local_steps):
+    """``MetaTrainer.adapt`` — a stack of one — returns the eager
+    loop's bits: weights, M_cp, attention, theta_R gradient, loss."""
+    trainer = build_trainer(task_generator, preprocessor,
+                            use_memories=use_memories,
+                            local_optimizer=optimizer)
+    trainer.train(meta_tasks[:4], preprocessor.transform)
+    task = meta_tasks[5]
+    args = (task.feature_vector, preprocessor.transform(task.support_x),
+            task.support_y)
+    want, want_info = oracle.adapt(trainer, *args, local_steps=local_steps,
+                                   local_lr=0.03)
+    got, got_info = trainer.adapt(*args, local_steps=local_steps,
+                                  local_lr=0.03)
+    assert np.array_equal(got.model.flat_parameters(),
+                          want.model.flat_parameters())
+    assert np.array_equal(got.feature_vector, want.feature_vector)
+    assert got_info["support_loss"] == want_info["support_loss"]
+    assert np.array_equal(got_info["theta_r_grad"],
+                          want_info["theta_r_grad"])
+    if use_memories:
+        assert np.array_equal(got.conversion.data, want.conversion.data)
+        assert np.array_equal(got_info["attention"], want_info["attention"])
+    else:
+        assert got.conversion is None and want.conversion is None
+        assert got_info["attention"] is None
 
 
 def test_fit_offline_accepts_subspace_iterator():

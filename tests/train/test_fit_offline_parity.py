@@ -1,14 +1,16 @@
 """End-to-end parity of the pooled batched offline phase.
 
-``LTE.fit_offline(engine="batched")`` interleaves and fuses the
-meta-training of all subspaces; it must produce bit-identical trainers —
-and therefore bit-identical online sessions and F1 scores — to the
-sequential reference engine, for every variant.
+``LTE.fit_offline`` interleaves and fuses the meta-training of all
+subspaces; it must produce bit-identical trainers — and therefore
+bit-identical online sessions and F1 scores — to training every
+subspace task at a time (``_sequential_oracle.fit_offline_sequential``),
+for every variant.
 """
 
 import numpy as np
 import pytest
 
+from _sequential_oracle import fit_offline_sequential
 from repro.core import LTE, LTEConfig
 from repro.core.meta_training import MetaHyperParams
 from repro.core.uis import UISMode
@@ -27,8 +29,8 @@ def small_config():
 @pytest.fixture(scope="module")
 def offline_pair():
     table = make_car(n_rows=1500, seed=41)
-    sequential = LTE(small_config()).fit_offline(table, engine="sequential")
-    batched = LTE(small_config()).fit_offline(table, engine="batched")
+    sequential = fit_offline_sequential(LTE(small_config()), table)
+    batched = LTE(small_config()).fit_offline(table)
     return table, sequential, batched
 
 

@@ -1,17 +1,17 @@
-"""Parallel-vs-fused bit-identity of the data-parallel training engine.
+"""Pool-vs-in-process bit-identity of the data-parallel training tier.
 
-``ParallelTrainEngine`` partitions fused meta-batches and pretrain
-fusion groups across forked worker processes; its determinism contract
-(see the :mod:`repro.train.parallel` docstring) says phi, memories,
-pretrain-Adam moments and loss histories are **bit-identical to the
-single-process fused engine at any worker count** — and therefore so is
-every downstream online session.  These tests pin that contract at
-workers=1/2/4, fuzz it over the axes that change the stacked program,
-prove progress-event order is master-side deterministic under shuffled
-worker reply timing, and exercise the typed crash and telemetry paths.
+``workers=N`` makes ``ParallelTrainEngine`` partition fused meta-batches
+and pretrain fusion groups across N forked worker processes; its
+determinism contract (see the :mod:`repro.train.parallel` docstring)
+says phi, memories, pretrain-Adam moments and loss histories are
+**bit-identical to the in-process run at any worker count** — and
+therefore so is every downstream online session.  These tests pin that
+contract at workers=1/2/4, fuzz it over the axes that change the stacked
+program, prove progress-event order is master-side deterministic under
+shuffled worker reply timing, and exercise the typed crash and telemetry
+paths.
 """
 
-import os
 import tracemalloc
 
 import numpy as np
@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 from repro.core import LTE, LTEConfig
 from repro.core.meta_training import MetaHyperParams, MetaTrainer
 from repro.train import (OfflineRun, ParallelTrainEngine, TrainerSchedule,
-                         TrainWorkerCrashed, encode_task_sets,
-                         resolve_workers)
+                         TrainWorkerCrashed, encode_task_sets)
 
 pytestmark = [pytest.mark.train, pytest.mark.train_parallel]
 
@@ -58,9 +57,8 @@ def assert_trainers_identical(a, b):
 
 
 def train_parallel(trainer, encoded, workers):
-    """One full offline run of ``trainer`` under the parallel engine."""
-    run = OfflineRun([TrainerSchedule(trainer, encoded)],
-                     engine="parallel", workers=workers)
+    """One full offline run of ``trainer`` over a worker pool."""
+    run = OfflineRun([TrainerSchedule(trainer, encoded)], workers=workers)
     try:
         run.run()
     finally:
@@ -74,17 +72,15 @@ def train_parallel(trainer, encoded, workers):
 @pytest.fixture(scope="module")
 def parallel_pair(car_small):
     table = car_small
-    batched = LTE(small_config()).fit_offline(table, engine="batched")
-    parallel = LTE(small_config()).fit_offline(table, engine="parallel",
-                                               workers=2)
+    batched = LTE(small_config()).fit_offline(table)
+    parallel = LTE(small_config()).fit_offline(table, workers=2)
     return table, batched, parallel
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_fit_offline_bit_identical_any_worker_count(parallel_pair, workers):
     table, batched, _ = parallel_pair
-    parallel = LTE(small_config()).fit_offline(table, engine="parallel",
-                                               workers=workers)
+    parallel = LTE(small_config()).fit_offline(table, workers=workers)
     for subspace in batched.states:
         a = batched.states[subspace].trainer
         b = parallel.states[subspace].trainer
@@ -141,7 +137,7 @@ def test_parallel_parity_property(task_generator, preprocessor, meta_tasks,
                   batch_size=batch_size, pretrain_epochs=pretrain,
                   epochs=1, local_steps=2)
     reference = build_trainer(task_generator, preprocessor, **kwargs)
-    reference.train(tasks, preprocessor.transform, engine="batched")
+    reference.train(tasks, preprocessor.transform)
     candidate = build_trainer(task_generator, preprocessor, **kwargs)
     train_parallel(candidate,
                    encode_task_sets(tasks, preprocessor.transform),
@@ -169,7 +165,7 @@ def test_progress_events_deterministic_under_reply_shuffle(
                 encode_task_sets(meta_tasks[:6], preprocessor.transform))
             for seed in (0, 1)]
         run = OfflineRun(
-            schedules, engine="parallel", workers=2,
+            schedules, workers=2,
             on_epoch=lambda s, kind, e, loss:
                 events.append((schedules.index(s), kind, e, loss)))
         try:
@@ -198,7 +194,7 @@ def test_worker_crash_raises_typed_error(task_generator, preprocessor,
     schedule = TrainerSchedule(trainer, encoded)
     with ParallelTrainEngine([schedule], workers=2) as engine:
         engine.debug(crash_on_compute=True)
-        run = OfflineRun([schedule], engine="parallel")
+        run = OfflineRun([schedule], workers=2)
         run._parallel = engine
         with pytest.raises(TrainWorkerCrashed):
             run.step_epoch()
@@ -218,14 +214,14 @@ def test_crashed_engine_state_resumes_cleanly(task_generator, preprocessor,
     single-process result."""
     tasks = meta_tasks[:6]
     reference = build_trainer(task_generator, preprocessor)
-    reference.train(tasks, preprocessor.transform, engine="batched")
+    reference.train(tasks, preprocessor.transform)
 
     trainer = build_trainer(task_generator, preprocessor)
     encoded = encode_task_sets(tasks, preprocessor.transform)
     schedule = TrainerSchedule(trainer, encoded)
     with ParallelTrainEngine([schedule], workers=2) as engine:
         engine.debug(crash_on_compute=True)
-        run = OfflineRun([schedule], engine="parallel")
+        run = OfflineRun([schedule], workers=2)
         run._parallel = engine
         with pytest.raises(TrainWorkerCrashed):
             while not run.done:
@@ -247,7 +243,7 @@ def test_metrics_merge_across_workers(task_generator, preprocessor,
     trainer = build_trainer(task_generator, preprocessor, epochs=1)
     encoded = encode_task_sets(meta_tasks[:8], preprocessor.transform)
     schedule = TrainerSchedule(trainer, encoded)
-    run = OfflineRun([schedule], engine="parallel", workers=2)
+    run = OfflineRun([schedule], workers=2)
     try:
         run.run()
         report = run.parallel.metrics()
@@ -302,16 +298,14 @@ def test_streamed_training_parity(task_generator, preprocessor, meta_tasks,
                                   tmp_path):
     tasks = meta_tasks[:6]
     reference = build_trainer(task_generator, preprocessor)
-    reference.train(tasks, preprocessor.transform, engine="batched")
+    reference.train(tasks, preprocessor.transform)
     for workers in (None, 2):   # None = in-process batched over the store
         trainer = build_trainer(task_generator, preprocessor)
         encoded = encode_task_sets(
             tasks, preprocessor.transform,
             spill=str(tmp_path / "spill-{}".format(workers)))
         if workers is None:
-            run = OfflineRun([TrainerSchedule(trainer, encoded)],
-                             engine="batched")
-            run.run()
+            OfflineRun([TrainerSchedule(trainer, encoded)]).run()
         else:
             train_parallel(trainer, encoded, workers)
         assert_trainers_identical(reference, trainer)
@@ -374,24 +368,67 @@ def test_spill_falls_back_for_nonuniform_shapes(tmp_path):
 # ----------------------------------------------------------------------
 # Worker-count resolution / configuration plumbing
 # ----------------------------------------------------------------------
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("REPRO_TRAIN_WORKERS", raising=False)
-    assert resolve_workers(3) == 3
-    assert resolve_workers() == (os.cpu_count() or 1)
-    monkeypatch.setenv("REPRO_TRAIN_WORKERS", "5")
-    assert resolve_workers() == 5
-    assert resolve_workers(2) == 2
+def test_resolve_workers(task_generator, preprocessor, meta_tasks):
+    """``workers`` is the one selector: None / 0 train in process, N >= 1
+    is a pool of N, anything else fails typed."""
+    schedule = TrainerSchedule(
+        build_trainer(task_generator, preprocessor),
+        encode_task_sets(meta_tasks[:2], preprocessor.transform))
+    for in_process in (None, 0):
+        run = OfflineRun([schedule], workers=in_process)
+        assert run.workers == 0 and run.parallel is None
+    assert OfflineRun([schedule], workers=3).workers == 3
+    assert OfflineRun([schedule], workers=np.int64(2)).workers == 2
+    for bad in (-1, 1.5, "2"):
+        with pytest.raises(ValueError):
+            OfflineRun([schedule], workers=bad)
     with pytest.raises(ValueError):
-        resolve_workers(0)
+        ParallelTrainEngine([schedule], workers=0)
 
 
-def test_env_var_switches_engine_and_matches(car_small, monkeypatch):
-    batched = LTE(small_config()).fit_offline(car_small, engine="batched")
-    monkeypatch.setenv("REPRO_TRAIN_WORKERS", "2")
-    switched = LTE(small_config()).fit_offline(car_small)
+def test_fit_offline_workers_alone_runs_a_pool(car_small, parallel_pair,
+                                               monkeypatch):
+    """``fit_offline(table, workers=2)`` — no other switch — trains over
+    a live two-worker pool and lands on the in-process bits.  (It used
+    to be ignored without ``engine="parallel"``: no pool, no error.)"""
+    from repro.train import parallel as parallel_module
+
+    built = []
+
+    class Recording(ParallelTrainEngine):
+        def __init__(self, schedules, workers, **kwargs):
+            super().__init__(schedules, workers, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(parallel_module, "ParallelTrainEngine", Recording)
+    alive = []
+
+    def progress(subspace, stage):
+        if isinstance(stage, tuple):   # an epoch just reduced: pool is up
+            alive.append([link.process.is_alive()
+                          for engine in built for link in engine._workers])
+
+    _, batched, _ = parallel_pair
+    pooled = LTE(small_config()).fit_offline(car_small, workers=2,
+                                             progress=progress)
+    assert len(built) == 1 and built[0].n_workers == 2
+    assert alive and all(snapshot == [True, True] for snapshot in alive)
+    assert built[0]._closed   # ... and is gone when fit_offline returns
     for subspace in batched.states:
         assert_trainers_identical(batched.states[subspace].trainer,
-                                  switched.states[subspace].trainer)
+                                  pooled.states[subspace].trainer)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "2"])
+def test_fit_offline_rejects_bad_workers_before_preparing(car_small, bad,
+                                                          monkeypatch):
+    lte = LTE(small_config())
+    monkeypatch.setattr(
+        lte, "_prepare_subspace",
+        lambda *args, **kwargs: pytest.fail("a subspace was prepared"))
+    with pytest.raises(ValueError, match="workers"):
+        lte.fit_offline(car_small, workers=bad)
+    assert not lte.states
 
 
 def test_engine_rejects_use_after_close(task_generator, preprocessor,
