@@ -452,6 +452,20 @@ class LTE:
                                   seed=self.config.seed if seed is None
                                   else seed)
 
+    def validate_rows(self, rows):
+        """Full-space rows to predict as a float64 (n, d) array (one 1-D
+        row is a batch of one); a ``ValueError`` unless d is the fitted
+        table's attribute count.  Subspaces select columns by position:
+        a wider array (say, a leading id column) would silently shift
+        every attribute, a narrower one fail deep inside as an
+        ``IndexError``."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        width = self.table.n_attributes
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError("rows have {} columns, the fitted table has {}"
+                             .format(rows.shape[-1], width))
+        return rows
+
 
 # ----------------------------------------------------------------------
 # Adaptation as data: the online few-shot fine-tuning of one (session,
@@ -1066,7 +1080,7 @@ class ExplorationSession:
         if hasattr(rows, "iter_chunks"):
             return self.predict_store(rows)
         self._require_predictable()
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        rows = self.lte.validate_rows(rows)
         result = np.ones(len(rows), dtype=np.int64)
         for subspace, subsession in self._subsessions.items():
             projected = subspace.project(rows)

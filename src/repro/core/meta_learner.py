@@ -20,6 +20,16 @@ the explicit product term lets a few meta-gradient steps discover that
 alignment, which pure concatenation only reaches after far longer
 training.  This is a documented deviation from the paper's Eq. 5/9 (see
 DESIGN.md section 6) and changes no other interface.
+
+What is computed: with a conversion matrix the 3Ne-wide row is never
+built.  ``emb_R`` is one row per task, so ``M_cp = [M1 | M2 | M3]`` is
+applied by blocks — ``emb_tau @ (M2 + M3 * emb_R)^T + emb_R @ M1^T``,
+one differentiable op (:func:`repro.nn.functional.convert_embeddings`)
+shared with the stacked classifier and the inference kernel: a third of
+the largest product, the same sums in another association.  Only
+``use_conversion=False`` (Basic, and Meta without memories), whose 3Ne
+input *is* the first ``Linear`` of the classification block, still
+tiles, multiplies and concatenates.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import numpy as np
 
 from .. import nn
 from ..nn.batching import inference_logits
+from ..nn.functional import convert_embeddings
 from ..nn.tensor import Tensor, stable_sigmoid
 
 __all__ = ["UISClassifier"]
@@ -130,19 +141,17 @@ class UISClassifier(nn.Module):
         x = Tensor._wrap(tuple_vectors)
         if x.ndim == 1:
             x = x.reshape(1, -1)
-        n = x.shape[0]
 
         emb_r = self.uis_block(v_r.reshape(1, self.ku))      # (1, Ne)
         emb_x = self.tuple_block(x)                          # (n, Ne)
-        # Differentiable broadcast of emb_R to every row.
-        tiler = Tensor(np.ones((n, 1)))
-        emb_r_rows = tiler @ emb_r                            # (n, Ne)
-        interaction = emb_r_rows * emb_x                      # (n, Ne)
-        combined = Tensor.concat([emb_r_rows, emb_x, interaction],
-                                 axis=1)                      # (n, 3Ne)
         if conversion is not None:
-            conversion = Tensor._wrap(conversion)
-            combined = combined.matmul_transposed(conversion)  # (n, Ne)
+            combined = convert_embeddings(emb_r, emb_x, conversion)  # (n, Ne)
+        else:
+            # Differentiable broadcast of emb_R to every row.
+            tiler = Tensor(np.ones((len(x), 1)))
+            emb_r_rows = tiler @ emb_r                        # (n, Ne)
+            combined = Tensor.concat([emb_r_rows, emb_x, emb_r_rows * emb_x],
+                                     axis=1)                  # (n, 3Ne)
         logits = self.clf_block(combined)                     # (n, 1)
         return logits.reshape(-1)
 

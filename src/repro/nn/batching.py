@@ -11,7 +11,10 @@ both layers build on:
 
 * :class:`BatchedUISClassifier` — K per-task classifier copies fused
   into stacked :class:`~repro.nn.BatchedLinear` blocks, mirroring
-  ``UISClassifier.forward`` over a leading batch axis;
+  ``UISClassifier.forward`` over a leading batch axis (the conversion
+  matrices applied by blocks through the same
+  :func:`~repro.nn.functional.convert_embeddings`: no (K, n, 3Ne)
+  combined row exists, in the forward or the backward);
 * :func:`fused_local_adapt` — the fused few-shot optimization loop
   (per-task-reduced BCE + pos-weight, one Adam/SGD over the stacks);
 * :func:`theta_r_grad_stack` / :func:`grad_stacks` — per-task gradient
@@ -24,9 +27,11 @@ both layers build on:
 * :func:`stacked_predict` — fused 0/1 predictions of the stacks just
   trained (the training engine's query accuracy only);
 * :func:`inference_logits` — the no-grad forward of ONE classifier as
-  plain ``np.matmul`` products, no :class:`Tensor` nodes.  Every
-  prediction outside training goes through it: serving scores each
-  session over the rows *its* hulls left open, so nothing is stacked.
+  plain ``np.matmul`` products, no :class:`Tensor` nodes, the conversion
+  through :func:`~repro.nn.functional.conversion_forward` — the array
+  kernel under ``convert_embeddings``.  Every prediction outside
+  training goes through it: serving scores each session over the rows
+  *its* hulls left open, so nothing is stacked.
 
 Because the stacked computation is block-diagonal across tasks, every
 task receives exactly the gradients and optimizer updates an eager
@@ -45,7 +50,8 @@ from __future__ import annotations
 import numpy as np
 
 from .functional import (batched_binary_cross_entropy_with_logits,
-                         batched_pos_weight)
+                         batched_pos_weight, conversion_forward,
+                         convert_embeddings)
 from .layers import (Linear, Module, ReLU, Sequential, batch_modules,
                      unstack_modules)
 from .optim import SGD, Adam
@@ -114,17 +120,17 @@ class BatchedUISClassifier(Module):
 
         emb_r = self.uis_block(v_r.reshape(self.k, 1, self.ku))  # (K, 1, Ne)
         emb_x = self.tuple_block(x)                              # (K, n, Ne)
-        # Differentiable broadcast of each task's emb_R to its n rows —
-        # same tiler trick as the sequential forward, batched by numpy's
-        # matmul broadcasting: (n, 1) @ (K, 1, Ne) -> (K, n, Ne).
-        tiler = Tensor(np.ones((n, 1)))
-        emb_r_rows = tiler @ emb_r
-        interaction = emb_r_rows * emb_x
-        combined = Tensor.concat([emb_r_rows, emb_x, interaction],
-                                 axis=-1)                        # (K, n, 3Ne)
         if conversion is not None:
-            conversion = Tensor._wrap(conversion)
-            combined = combined.matmul_transposed(conversion)     # (K, n, Ne)
+            combined = convert_embeddings(emb_r, emb_x,
+                                          conversion)            # (K, n, Ne)
+        else:
+            # Differentiable broadcast of each task's emb_R to its n rows
+            # — same tiler trick as the per-task forward, batched by
+            # numpy's matmul broadcasting: (n, 1) @ (K, 1, Ne).
+            tiler = Tensor(np.ones((n, 1)))
+            emb_r_rows = tiler @ emb_r                           # (K, n, Ne)
+            combined = Tensor.concat([emb_r_rows, emb_x, emb_r_rows * emb_x],
+                                     axis=-1)                    # (K, n, 3Ne)
         logits = self.clf_block(combined)                        # (K, n, 1)
         return logits.reshape(self.k, n)
 
@@ -330,9 +336,14 @@ def inference_logits(model, feature_vector, tuple_vectors, conversion=None):
     """No-grad logits of one UIS classifier over a row set, shape (n,).
 
     The products of ``UISClassifier.forward`` in the same order (hence
-    the same bits for the same rows in one call), with ``[emb_R,
-    emb_tau, emb_R * emb_tau]`` written straight into one ``(n, 3Ne)``
-    scratch: no ``Tensor`` node, no concatenation, no parameter stack.
+    the same bits for the same rows in one call): the two embedding
+    blocks, then — with a conversion matrix —
+    :func:`~repro.nn.functional.conversion_forward`, the very function
+    under the autograd op (``emb_tau @ (M2 + M3 * emb_R)^T + emb_R @
+    M1^T``; no 3Ne-wide row), then the classification block.  Without
+    one, ``[emb_R, emb_tau, emb_R * emb_tau]`` is written straight into
+    one ``(n, 3Ne)`` array, the block's input.  No ``Tensor`` node, no
+    concatenation, no parameter stack.
     A logit may differ in the last place between calls of different row
     counts (BLAS picks its kernel by shape), so callers compare
     *answers* across row sets, not logits.  ``model`` is anything with
@@ -348,14 +359,15 @@ def inference_logits(model, feature_vector, tuple_vectors, conversion=None):
     if x.ndim == 1:
         x = x.reshape(1, -1)
     v_r = np.asarray(feature_vector, dtype=np.float64).reshape(1, model.ku)
-    ne = model.embed_size
     emb_r = _infer_block(model.uis_block, v_r)               # (1, Ne)
     emb_x = _infer_block(model.tuple_block, x)               # (n, Ne)
-    combined = np.empty((len(x), 3 * ne))
-    combined[:, :ne] = emb_r
-    combined[:, ne:2 * ne] = emb_x
-    np.multiply(emb_r, emb_x, out=combined[:, 2 * ne:])
     if conversion is not None:
-        combined = combined @ np.swapaxes(
-            np.asarray(conversion, dtype=np.float64), -1, -2)
+        combined, _ = conversion_forward(
+            emb_r, emb_x, np.asarray(conversion, dtype=np.float64))
+    else:
+        ne = model.embed_size
+        combined = np.empty((len(x), 3 * ne))
+        combined[:, :ne] = emb_r
+        combined[:, ne:2 * ne] = emb_x
+        np.multiply(emb_r, emb_x, out=combined[:, 2 * ne:])
     return _infer_block(model.clf_block, combined).reshape(-1)

@@ -2,8 +2,9 @@
 
 These operate on :class:`repro.nn.tensor.Tensor` values and are composed by
 the LTE meta-learner (Section VI of the paper): binary cross-entropy for the
-classification loss (Eq. 12/13) and cosine similarity + softmax for the
-memory attention (Eq. 7).
+classification loss (Eq. 12/13), cosine similarity + softmax for the
+memory attention (Eq. 7) and the embedding conversion of Eq. 9
+(:func:`convert_embeddings`, applied by blocks).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ __all__ = [
     "sigmoid", "relu", "softmax", "log_softmax",
     "binary_cross_entropy_with_logits", "balanced_pos_weight", "mse_loss",
     "batched_binary_cross_entropy_with_logits", "batched_pos_weight",
-    "cosine_similarity",
+    "cosine_similarity", "conversion_forward", "convert_embeddings",
 ]
 
 _EPS = 1e-12
@@ -189,3 +190,89 @@ def cosine_similarity(vector, matrix):
     v_norm = ((vector * vector).sum() + _EPS).sqrt()
     m_norm = ((matrix * matrix).sum(axis=1) + _EPS).sqrt()
     return dot / (v_norm * m_norm)
+
+
+def _conversion_blocks(conversion):
+    """``M_cp = [M1 | M2 | M3]`` as three (..., Ne, Ne) views, no copy."""
+    ne = conversion.shape[-2]
+    if conversion.shape[-1] != 3 * ne:
+        raise ValueError("conversion matrix must be (..., Ne, 3Ne), got {}"
+                         .format(conversion.shape))
+    return (conversion[..., :ne], conversion[..., ne:2 * ne],
+            conversion[..., 2 * ne:])
+
+
+def conversion_forward(emb_r, emb_tau, conversion):
+    """``[emb_R, emb_tau, emb_R * emb_tau] @ M_cp^T`` on raw arrays, by
+    blocks; returns ``(z, W)``.
+
+    ``emb_r`` is ONE row per task, (..., 1, Ne), so two of the three
+    blocks of ``M_cp = [M1 | M2 | M3]`` multiply a per-task constant:
+    with ``W = M2 + M3 * emb_R`` (row ``emb_R`` scaling the columns of
+    ``M3``) the product is ``emb_tau @ W^T + emb_R @ M1^T`` — one
+    (n, Ne) x (Ne, Ne) product a task where the combined row needs
+    (n, 3Ne) x (3Ne, Ne), and that row is never built.  Rank-agnostic
+    over leading task axes: (..., n, Ne) rows and a (..., Ne, 3Ne)
+    matrix give (..., n, Ne), slice k the bits of the per-task call.
+    This is the only place in ``src/`` that spells the formula: the
+    autograd op below, hence both classifiers' ``forward``, and
+    :func:`repro.nn.batching.inference_logits` call it, which is what
+    keeps stacked == per-task and inference == forward bit for bit.
+    """
+    m1, m2, m3 = _conversion_blocks(conversion)
+    w = m3 * emb_r
+    w += m2
+    z = emb_tau @ np.swapaxes(w, -1, -2)
+    z += emb_r @ np.swapaxes(m1, -1, -2)
+    return z, w
+
+
+def convert_embeddings(emb_r, emb_tau, conversion):
+    """Differentiable :func:`conversion_forward` (Eq. 9 plus the
+    interaction term): (..., 1, Ne), (..., n, Ne), (..., Ne, 3Ne) ->
+    (..., n, Ne), the operands' leading axes equal.
+
+    Backward, with ``G`` the incoming gradient, ``dc = G.sum(rows)`` and
+    ``dW = G^T @ emb_tau``: ``d emb_tau = G @ W``, ``d emb_R = dc @ M1 +
+    (dW * M3).sum(rows)`` and ``dM = [dc^T emb_R | dW | dW * emb_R]``,
+    written by slices into one C-contiguous array so the optimizer's
+    flat blocks view it without a copy (the conversion matrix is half of
+    all trained elements).  A side that takes no gradient is skipped —
+    joint pretraining's conversion is a constant.
+    """
+    emb_r, emb_tau = Tensor._wrap(emb_r), Tensor._wrap(emb_tau)
+    conversion = Tensor._wrap(conversion)
+    lead = emb_tau.shape[:-2]
+    if emb_r.shape[:-2] != lead or conversion.shape[:-2] != lead \
+            or emb_r.shape[-2] != 1:
+        raise ValueError(
+            "convert_embeddings needs (..., 1, Ne), (..., n, Ne) and "
+            "(..., Ne, 3Ne) over the same leading axes, got {}, {}, {}"
+            .format(emb_r.shape, emb_tau.shape, conversion.shape))
+    z, w = conversion_forward(emb_r.data, emb_tau.data, conversion.data)
+
+    def backward(grad):
+        need_r, need_x, need_m = (t.requires_grad or t._backward is not None
+                                  for t in (emb_r, emb_tau, conversion))
+        grad_r = grad_m = None
+        if need_r or need_m:
+            r = emb_r.data
+            col = grad.sum(axis=-2, keepdims=True)             # dc
+            grad_t = np.swapaxes(grad, -1, -2)
+            if need_m:
+                grad_m = np.empty(conversion.shape)
+                g1, d_w, g3 = _conversion_blocks(grad_m)
+                np.multiply(np.swapaxes(col, -1, -2), r, out=g1)
+                np.matmul(grad_t, emb_tau.data, out=d_w)
+                np.multiply(d_w, r, out=g3)
+            else:
+                d_w = grad_t @ emb_tau.data
+            if need_r:
+                m1, _, m3 = _conversion_blocks(conversion.data)
+                # (dW * M3).sum(rows) without the (..., Ne, Ne) product:
+                # the same row-by-row accumulation, hence the same bits.
+                grad_r = np.einsum("...ij,...ij->...j", d_w, m3)[..., None, :]
+                grad_r += col @ m1
+        return (grad_r, grad @ w if need_x else None, grad_m)
+
+    return Tensor._from_op(z, (emb_r, emb_tau, conversion), backward)

@@ -238,32 +238,6 @@ class Tensor:
 
         return self._from_op(self.data @ other.data, (self, other), backward)
 
-    def matmul_transposed(self, other):
-        """``self @ other.swapaxes(-1, -2)`` for operands of 2+ axes.
-
-        Same forward bits as the spelled-out product, but ``other``
-        receives its gradient as ``grad^T @ self`` — a fresh contiguous
-        array in ``other``'s own layout, not a transposed view of
-        ``self^T @ grad``.  The conversion matrix, half of all trained
-        elements, enters the classifier this way, and the optimizer's
-        flat blocks would otherwise copy that view on every step.
-        """
-        other = self._wrap(other)
-        if self.ndim < 2 or other.ndim < 2:
-            raise ValueError("matmul_transposed needs operands of 2+ axes")
-
-        def backward(grad):
-            a, b = self.data, other.data
-            need_a = self.requires_grad or self._backward is not None
-            need_b = other.requires_grad or other._backward is not None
-            ga = _unbroadcast(grad @ b, a.shape) if need_a else None
-            gb = _unbroadcast(np.swapaxes(grad, -1, -2) @ a, b.shape) \
-                if need_b else None
-            return (ga, gb)
-
-        return self._from_op(self.data @ np.swapaxes(other.data, -1, -2),
-                             (self, other), backward)
-
     # ------------------------------------------------------------------
     # Elementwise non-linearities
     # ------------------------------------------------------------------

@@ -553,9 +553,9 @@ class SessionManager:
         """
         if hasattr(rows, "iter_chunks"):
             return self.predict_many_store(session_ids, rows)
+        rows = self.lte.validate_rows(rows)
         with self._lock, span("serve.manager.predict_many"):
             self.flush(raise_errors=False)
-            rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
             sessions = {sid: self.session(sid) for sid in session_ids}
             results = {sid: np.ones(len(rows), dtype=np.int64)
                        for sid in sessions}

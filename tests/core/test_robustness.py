@@ -85,6 +85,36 @@ class TestHostileLabels:
         assert len(subsession.extra_y) == 3
 
 
+class TestHostileRows:
+    """A ``(n, d+1)`` array used to be predicted on silently (subspaces
+    select columns by position, so a leading id column shifted every
+    attribute) and a too-narrow one answered with numpy's bare
+    ``IndexError``."""
+
+    def test_rows_of_the_wrong_width_fail_typed(self, car_lte):
+        subspace = list(car_lte.states)[-1]
+        session = car_lte.start_session(variant="meta_star",
+                                        subspaces=[subspace])
+        tuples = session.initial_tuples()[subspace]
+        session.submit_labels(
+            subspace, (tuples[:, 0] > np.median(tuples[:, 0])).astype(int))
+        rows = car_lte.table.data[:20]
+        with_id = np.column_stack([np.arange(20.0), rows])
+        with pytest.raises(ValueError, match="rows have 6 columns, the "
+                                             "fitted table has 5"):
+            session.predict(with_id)
+        with pytest.raises(ValueError, match="rows have 4 columns"):
+            session.predict(rows[:, :4])
+        with pytest.raises(ValueError, match="rows have 6 columns"):
+            session.retrieve(with_id)
+        with pytest.raises(ValueError, match="the fitted table has 5"):
+            session.predict(np.stack([rows, rows]))
+        assert session.predict(rows[0]).shape == (1,)     # one 1-D row
+        assert session.predict(rows[:0]).shape == (0,)
+        assert np.array_equal(session.predict(rows)[:1],
+                              session.predict(rows[0]))
+
+
 class TestOneDimensionalSubspace:
     def test_decomposition_includes_1d(self, car_lte):
         dims = sorted(s.dim for s in car_lte.states)

@@ -235,45 +235,6 @@ def test_swapaxes_grad():
     check(lambda t: t.swapaxes(0, 2) * weights, RNG.normal(size=(2, 3, 4)))
 
 
-@pytest.mark.parametrize("a_shape, b_shape", [
-    ((4, 6), (3, 6)),            # the sequential forward: (n, 3Ne) x (Ne, 3Ne)
-    ((2, 4, 6), (2, 3, 6)),      # the stacked forward
-    ((2, 4, 6), (3, 6)),         # one matrix shared by the stack
-])
-def test_matmul_transposed_equals_spelled_out_product(a_shape, b_shape):
-    """Same forward and input-gradient bits as ``a @ b.swapaxes(-1, -2)``;
-    the weight gradient has the same values, in ``b``'s own contiguous
-    layout instead of a transposed view."""
-    a_data, b_data = RNG.normal(size=a_shape), RNG.normal(size=b_shape)
-    weights = RNG.normal(size=a_shape[:-1] + b_shape[-2:-1])
-    grads = []
-    for product in (lambda a, b: a.matmul_transposed(b),
-                    lambda a, b: a @ b.swapaxes(-1, -2)):
-        a = Tensor(a_data.copy(), requires_grad=True)
-        b = Tensor(b_data.copy(), requires_grad=True)
-        out = product(a, b)
-        (out * weights).sum().backward()
-        grads.append((out.data, a.grad, b.grad))
-    (out_t, ga_t, gb_t), (out_s, ga_s, gb_s) = grads
-    assert np.array_equal(out_t, out_s)
-    assert np.array_equal(ga_t, ga_s)
-    assert np.allclose(gb_t, gb_s, rtol=1e-13, atol=0)
-    assert gb_t.shape == b_shape and gb_t.flags["C_CONTIGUOUS"]
-    numeric = numeric_grad(
-        lambda v: (Tensor(a_data).matmul_transposed(Tensor(v))
-                   * weights).sum().item(), b_data)
-    assert np.allclose(gb_t, numeric, atol=ATOL)
-
-
-def test_matmul_transposed_skips_constant_side_and_rejects_vectors():
-    a = Tensor(RNG.normal(size=(2, 4, 6)), requires_grad=True)
-    constant = RNG.normal(size=(2, 3, 6))       # pretraining's fixed M_cp
-    a.matmul_transposed(constant).sum().backward()
-    assert a.grad.shape == (2, 4, 6)
-    with pytest.raises(ValueError):
-        a.matmul_transposed(np.ones(6))
-
-
 def test_batched_linear_matches_stacked_linears():
     from repro.nn import BatchedLinear, Linear
 

@@ -82,6 +82,32 @@ class TestQueueing:
         manager.add_labels(sid, subspace, extra, [0, 1])
         assert manager.flush() == 1
 
+    def test_rows_of_the_wrong_width_raise_before_any_flush(
+            self, manager, serve_lte, serve_subspaces, make_oracle):
+        """A leading id column (d+1) used to shift every attribute
+        silently, a missing column to end in an ``IndexError``; both
+        raise from predict / predict_many themselves, with the queue
+        still unflushed."""
+        subspace = serve_subspaces[0]
+        sid = manager.open_session(subspaces=[subspace])
+        tuples = manager.initial_tuples(sid)[subspace]
+        manager.submit_labels(sid, subspace,
+                              make_oracle(9).label_subspace(subspace, tuples))
+        rows = serve_lte.table.data[:12]
+        d = rows.shape[1]
+        with_id = np.column_stack([np.arange(12.0), rows])
+        message = "rows have {} columns, the fitted table has {}"
+        with pytest.raises(ValueError, match=message.format(d + 1, d)):
+            manager.predict_many([sid], with_id)
+        with pytest.raises(ValueError, match=message.format(d + 1, d)):
+            manager.predict(sid, with_id)
+        with pytest.raises(ValueError, match=message.format(d - 1, d)):
+            manager.predict(sid, rows[:, 1:])
+        assert manager.pending() == [(sid, subspace)]
+        assert manager.predict(sid, rows[0]).shape == (1,)    # one 1-D row
+        assert manager.predict(sid, rows[:0]).shape == (0,)
+        assert manager.pending() == []
+
     def test_add_labels_requires_initial(self, manager, serve_subspaces):
         sid = manager.open_session(subspaces=[serve_subspaces[0]])
         with pytest.raises(RuntimeError):

@@ -121,6 +121,31 @@ class TestGatewayProtocol:
             assert result["errors"] == [] and len(result["ready"]) == 1
             assert gateway.predict(sid, eval_rows).shape == (len(eval_rows),)
 
+    def test_rows_of_the_wrong_width_rejected_by_the_worker(
+            self, shard_lte, shard_subspaces, make_oracle, eval_rows):
+        """An id column too many (or an attribute too few) reaches the
+        caller as the worker's ValueError, not as shifted answers or an
+        IndexError; the sessions stay usable."""
+        oracle = make_oracle(18)
+        d = eval_rows.shape[1]
+        with_id = np.column_stack([np.arange(float(len(eval_rows))),
+                                   eval_rows])
+        message = "rows have {} columns, the fitted table has {}"
+        with ShardGateway(shard_lte, n_workers=2) as gateway:
+            sids = [gateway.open_session(subspaces=shard_subspaces,
+                                         seed=seed) for seed in (3, 4)]
+            for sid in sids:
+                feed_session(gateway, oracle, sid)
+            gateway.flush_all()
+            with pytest.raises(ValueError, match=message.format(d + 1, d)):
+                gateway.predict_many(sids, with_id)
+            with pytest.raises(ValueError, match=message.format(d - 1, d)):
+                gateway.predict(sids[0], eval_rows[:, :-1])
+            answers = gateway.predict_many(sids, eval_rows)
+            assert all(answers[sid].shape == (len(eval_rows),)
+                       for sid in sids)
+            assert gateway.predict(sids[0], eval_rows[:0]).shape == (0,)
+
     def test_errors_attributed_across_sessions(self, shard_lte,
                                                shard_subspaces,
                                                make_oracle):
