@@ -41,7 +41,6 @@ import pytest
 from repro.bench import print_series
 from repro.bench.workloads import convex_oracles
 from repro.core import LTE, LTEConfig
-from repro.core.memory import LRUStore
 from repro.core.meta_training import MetaHyperParams
 from repro.data import build_dataset_store, make_car
 from repro.serve import SessionManager
@@ -74,10 +73,9 @@ def build_system(n_rows, directory):
 
 
 def cold_caches(manager):
-    """Drop the digest-keyed prediction/encode caches (restored-manager
+    """Drop the digest-keyed prediction cache (restored-manager
     conditions), leaving the sessions' adapted models untouched."""
     manager.cache = PredictionCache(manager.cache.capacity)
-    manager._encoded_rows = LRUStore(32)
 
 
 def _best_of(fn, repeats=2):

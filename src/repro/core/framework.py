@@ -24,7 +24,6 @@ Three variants mirror the paper's competitors:
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -33,6 +32,7 @@ import numpy as np
 from ..data.sampling import (random_indices, random_sample,
                              stratified_chunk_sample)
 from ..data.subspaces import Subspace, random_decomposition
+from ..geometry.engine import HullPackCache
 from ..ml.scaler import MinMaxScaler
 from ..nn.batching import fused_local_adapt
 from ..nn.tensor import Parameter
@@ -46,7 +46,7 @@ from .uis import UISMode
 
 __all__ = ["LTEConfig", "LTE", "ExplorationSession", "SubspaceState",
            "AdaptRequest", "build_adapt_request", "build_readapt_request",
-           "run_adapt_requests", "VARIANTS"]
+           "run_adapt_requests", "predict_conjunctions", "VARIANTS"]
 
 VARIANTS = ("basic", "meta", "meta_star")
 
@@ -102,10 +102,6 @@ class LTEConfig:
         return ks
 
 
-#: Process-global allocator for :attr:`SubspaceState.artifact_token`.
-_ARTIFACT_TOKENS = itertools.count()
-
-
 class SubspaceState:
     """Offline artifacts of one meta-subspace.
 
@@ -114,12 +110,12 @@ class SubspaceState:
     and every geometric structure live in that normalized space.  Raw
     coordinates appear only at the public API boundary.
 
-    ``artifact_token`` identifies the *current* model/scaler generation of
-    this state within the process: caches of anything derived from the
-    scaler, preprocessor or meta-learner (e.g. the serving layer's encode
-    cache) must key by it.  Installing a new meta-learner or refreshed
-    scalers calls :meth:`bump_artifacts`, so stale derived artifacts
-    simply stop being reachable.
+    A state's scaler and preprocessor are never mutated once built
+    (:meth:`LTE.refresh_subspace` *replaces* the state; a checkpoint
+    load swaps only ``trainer``, which no encode reads), so the state
+    *object* is the generation: sessions that adapted under the same
+    object share its scaled and encoded rows
+    (:func:`predict_conjunctions` groups by it).
     """
 
     def __init__(self, subspace, data, scaler, preprocessor, task_generator,
@@ -130,11 +126,6 @@ class SubspaceState:
         self.preprocessor = preprocessor
         self.task_generator = task_generator   # holds the ClusterSummary
         self.trainer = trainer                 # None until meta-trained
-        self.artifact_token = next(_ARTIFACT_TOKENS)
-
-    def bump_artifacts(self):
-        """Mark the model/scaler artifacts as changed (new generation)."""
-        self.artifact_token = next(_ARTIFACT_TOKENS)
 
     @property
     def summary(self):
@@ -655,6 +646,109 @@ def run_adapt_requests(requests):
     return [(result, optimizers.get(i)) for i, result in enumerate(adapted)]
 
 
+# ----------------------------------------------------------------------
+# Prediction has the same shape: ONE routine answers a block of rows, a
+# lone session hands it a dict of one, the serving layer a whole wave.
+# ----------------------------------------------------------------------
+def predict_conjunctions(conjunctions, project, n_rows, pack_cache):
+    """0/1 answers of one block of ``n_rows`` rows for N conjunctions —
+    the one place hulls, encoder and classifiers meet.
+
+    ``conjunctions`` maps an id to ``{subspace: _SubspaceSession}`` (all
+    adapted); ``project(subspace)`` returns the block's ``(n_rows, d)``
+    raw points in that subspace; ``pack_cache`` is the caller's
+    :class:`~repro.geometry.engine.HullPackCache`.  Sessions are grouped
+    per (subspace, state *object*) — a refreshed subspace is a new
+    object, so each generation scales and encodes with its own
+    artifacts — and the block is answered in two passes:
+
+    **(A) Geometry, every subspace.**  Per group, ``to_scaled`` once and
+    one :meth:`FewShotOptimizer.decide_batch` call over all rows; each
+    session's boolean ``alive`` is AND-ed with ``inner | open`` of every
+    one of its subspaces, so a row outside one subspace's outer hulls is
+    dead before any classifier runs.
+
+    **(B) Classifiers, what is left.**  Per group again, a session's
+    rows to score are the open rows still alive (every alive row for a
+    session without subregions); the preprocessor encodes the *union*
+    of those rows over the group's sessions once — nothing when it is
+    empty — each session's classifier scores its own rows out of that
+    compact array, and rows answered 0 leave ``alive`` before the next
+    subspace's classifiers run.
+
+    Row by row that is ``AND_j (inner_j or (open_j and clf_j))``, the
+    answer of "score every row in every subspace, then refine, then
+    AND" (``tests/serve/_predict_oracle.py``): a row dead in one
+    subspace is 0 whatever the others say.  The contract is on the 0/1
+    answers, not on logits — a kernel call over gathered rows may differ
+    from a full one in the last place.
+
+    Returns ``(answers, tally)``: ``{id: fresh (n_rows,) int64}`` and a
+    dict of row·subspace counts — ``settled`` (answered by the
+    subspace's own hulls), ``scored`` (by its classifier), ``skipped``
+    (open there, but the conjunction was already 0) — with the
+    ``encode_s`` / ``geometry_s`` / ``forward_s`` seconds spent.
+    """
+    clock = time.perf_counter
+    tally = {"settled": 0, "scored": 0, "skipped": 0,
+             "encode_s": 0.0, "geometry_s": 0.0, "forward_s": 0.0}
+    alive = {key: np.ones(n_rows, dtype=bool) for key in conjunctions}
+    groups = {}
+    for key, subsessions in conjunctions.items():
+        for subspace, subsession in subsessions.items():
+            groups.setdefault((subspace, id(subsession.state)), []) \
+                .append((key, subsession))
+
+    staged = []
+    for (subspace, _), members in groups.items():
+        state = members[0][1].state
+        start = clock()
+        scaled = state.to_scaled(project(subspace))
+        scaled_at = clock()
+        decisions = FewShotOptimizer.decide_batch(
+            [subsession.optimizer for _, subsession in members], scaled,
+            pack_cache=pack_cache)
+        opens = []
+        for (key, _), (inner, open_rows) in zip(members, decisions):
+            if open_rows is None:       # no subregion: every row is open
+                open_rows = np.arange(n_rows)
+            else:
+                survives = inner.astype(bool)
+                survives[open_rows] = True
+                alive[key] &= survives
+                tally["settled"] += n_rows - open_rows.size
+            opens.append(open_rows)
+        tally["encode_s"] += scaled_at - start
+        tally["geometry_s"] += clock() - scaled_at
+        staged.append((state, scaled, members, opens))
+
+    for state, scaled, members, opens in staged:
+        start = clock()
+        wanted, union = [], np.zeros(n_rows, dtype=bool)
+        for (key, _), open_rows in zip(members, opens):
+            rows = open_rows[alive[key][open_rows]]
+            tally["skipped"] += open_rows.size - rows.size
+            tally["scored"] += rows.size
+            union[rows] = True
+            wanted.append(rows)
+        need = np.flatnonzero(union)
+        if not need.size:
+            continue
+        encoded = state.encode_scaled(
+            scaled if need.size == n_rows else scaled[need])
+        position = np.cumsum(union) - 1     # block row -> row of encoded
+        encoded_at = clock()
+        for (key, subsession), rows in zip(members, wanted):
+            if rows.size:
+                answers = subsession.adapted.predict(
+                    encoded if rows.size == need.size
+                    else encoded[position[rows]])
+                alive[key][rows[answers == 0]] = False
+        tally["encode_s"] += encoded_at - start
+        tally["forward_s"] += clock() - encoded_at
+    return {key: live.astype(np.int64) for key, live in alive.items()}, tally
+
+
 def _binary_labels(labels):
     """Labels as a flat int64 0/1 vector; a ``ValueError`` names the
     first entry that is anything else (NaN, 2, -1, 0.7, ...) rather than
@@ -857,28 +951,18 @@ class _SubspaceSession:
                 state["optimizer"], subspace_state.summary, hulls=hulls)
         return session
 
+    def require_adapted(self):
+        """Nothing can be predicted before the first labels arrive."""
+        if self.adapted is None:
+            raise RuntimeError("labels not yet submitted for subspace {}"
+                               .format(self.state.subspace))
+
     def most_uncertain(self, candidates, k=1):
         """Indices of the k candidates nearest the decision boundary."""
-        if self.adapted is None:
-            raise RuntimeError("labels not yet submitted for subspace {}"
-                               .format(self.state.subspace))
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+        self.require_adapted()
+        candidates = self.state.subspace.validate_points(candidates)
         proba = self.adapted.predict_proba(self.state.encode(candidates))
         return np.argsort(np.abs(proba - 0.5))[:k]
-
-    # ------------------------------------------------------------------
-    def predict(self, raw_points):
-        if self.adapted is None:
-            raise RuntimeError("labels not yet submitted for subspace {}"
-                               .format(self.state.subspace))
-        raw_points = np.atleast_2d(np.asarray(raw_points, dtype=np.float64))
-        scaled = self.state.to_scaled(raw_points)
-        # Geometry first (the hulls live in normalized space); the
-        # classifier scores only the rows they leave open.
-        decision = (None, None) if self.optimizer is None \
-            else self.optimizer.decide(scaled)
-        return self.adapted.predict_open(self.state.encode_scaled(scaled),
-                                         decision)
 
 
 class ExplorationSession:
@@ -893,6 +977,7 @@ class ExplorationSession:
         # predict_store only scans chunks newer than the watermark.
         self._store_marks = {}
         self.last_store_scan = None
+        self._region_packs = None    # compiled hulls, see _answer
         for i, subspace in enumerate(subspaces):
             self._subsessions[subspace] = _SubspaceSession(
                 lte.states[subspace], variant, lte.config, seed=seed + i)
@@ -944,6 +1029,7 @@ class ExplorationSession:
         session._subsessions = {}
         session._store_marks = {}
         session.last_store_scan = None
+        session._region_packs = None
         for names, sub_state in zip(state["subspaces"], state["sessions"]):
             key = tuple(sorted(names))
             if key not in by_key:
@@ -1066,9 +1152,27 @@ class ExplorationSession:
         return result
 
     # ------------------------------------------------------------------
+    def _answer(self, subsessions, project, n_rows):
+        """This session's answer for one block of rows: a conjunction of
+        one id through :func:`predict_conjunctions`, on a pack cache of
+        the session's own (one compiled pack per subspace, made on the
+        first lone prediction — a managed session never needs it), so a
+        store scan compiles its hulls once, not once per chunk."""
+        if self._region_packs is None:
+            self._region_packs = HullPackCache(
+                capacity=len(self._subsessions))
+        answers, _ = predict_conjunctions({None: subsessions}, project,
+                                          n_rows, self._region_packs)
+        return answers[None]
+
     def predict_subspace(self, subspace, raw_points):
-        """0/1 UIS membership for points given in subspace coordinates."""
-        return self._subsessions[subspace].predict(raw_points)
+        """0/1 UIS membership for points given in subspace coordinates
+        (a conjunction of one)."""
+        subsession = self._subsessions[subspace]
+        subsession.require_adapted()
+        points = subspace.validate_points(raw_points)
+        return self._answer({subspace: subsession}, lambda _: points,
+                            len(points))
 
     def predict(self, rows):
         """0/1 UIR membership for full-space rows (conjunctive combination).
@@ -1081,19 +1185,20 @@ class ExplorationSession:
             return self.predict_store(rows)
         self._require_predictable()
         rows = self.lte.validate_rows(rows)
-        result = np.ones(len(rows), dtype=np.int64)
-        for subspace, subsession in self._subsessions.items():
-            projected = subspace.project(rows)
-            result &= subsession.predict(projected)
-        return result
+        return self._answer(self._subsessions,
+                            lambda subspace: subspace.project(rows),
+                            len(rows))
 
     def _require_predictable(self):
         """The conjunction over subspaces is only meaningful when there is
-        at least one: with none, every row would come back positive."""
+        at least one — with none, every row would come back positive —
+        and when each has its labels."""
         if not self._subsessions:
             raise RuntimeError(
                 "session has no subspaces; predictions over an empty "
                 "conjunction would mark every row interesting")
+        for subsession in self._subsessions.values():
+            subsession.require_adapted()
 
     def predict_store(self, store):
         """0/1 UIR membership over a chunk store, zone-map pruned.
@@ -1107,6 +1212,9 @@ class ExplorationSession:
         ``predict(store.data)`` while reading only the chunks a user's
         interest region can overlap.  Basic/Meta sessions (no geometric
         refinement) evaluate every chunk, still at chunk-bounded memory.
+        A chunk that is read is one block through
+        :func:`predict_conjunctions`, the call the serving layer makes
+        for all its sessions at once.
 
         Serving is additionally **watermarked**: the session remembers
         the ``store_version`` it last answered at (per store ``uid``)
@@ -1121,11 +1229,6 @@ class ExplorationSession:
         from ..store.scan import session_chunk_keep
 
         self._require_predictable()
-        for subsession in self._subsessions.values():
-            if subsession.adapted is None:
-                raise RuntimeError(
-                    "labels not yet submitted for subspace {}".format(
-                        subsession.state.subspace))
         uid = getattr(store, "uid", None)
         models = tuple(ss.model_version
                        for ss in self._subsessions.values())
@@ -1156,13 +1259,10 @@ class ExplorationSession:
             if ci < start_chunk:
                 continue
             block = store.chunk(ci)
-            out = np.ones(len(block), dtype=np.int64)
-            for subspace, subsession in self._subsessions.items():
-                if not out.any():
-                    break
-                out &= subsession.predict(block[:, list(subspace.columns)])
             start = int(store.offsets[ci])
-            result[start:start + len(block)] = out
+            result[start:start + len(block)] = self._answer(
+                self._subsessions,
+                lambda subspace: subspace.project(block), len(block))
             scanned += 1
         self.last_store_scan = {
             "chunks": int(store.n_chunks),

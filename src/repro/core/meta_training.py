@@ -108,20 +108,6 @@ class AdaptedClassifier:
     def predict(self, tuple_vectors, threshold=0.5):
         return (self.predict_proba(tuple_vectors) >= threshold).astype(np.int64)
 
-    def predict_open(self, tuple_vectors, decision):
-        """Finish a geometry-first (Meta*) answer: gather the rows the
-        few-shot hulls left open, score them in one kernel call, scatter
-        them into ``answers``.  ``decision`` is an ``(answers,
-        open_rows)`` pair of :meth:`~repro.core.optimizer.
-        FewShotOptimizer.decide_batch`; ``open_rows`` None (no subregion)
-        is plain :meth:`predict`, an empty band calls nothing."""
-        answers, open_rows = decision
-        if open_rows is None:
-            return self.predict(tuple_vectors)
-        if open_rows.size:
-            answers[open_rows] = self.predict(tuple_vectors[open_rows])
-        return answers
-
     # ------------------------------------------------------------------
     def state_dict(self):
         """Checkpointable state: model config + weights, v_R, M_cp."""

@@ -21,8 +21,12 @@ negatives inside the inner one.  Per row that composition is ``1 if inner
 else (0 if not outer else classifier)`` — the promotion runs last, so
 ``inner`` wins — and the classifier's output survives only on the *open
 band* between the two.  So :meth:`FewShotOptimizer.decide_batch` runs
-first and callers score just the rows it leaves open
-(:meth:`~repro.core.meta_training.AdaptedClassifier.predict_open`);
+first, for *every* subspace of a session before any classifier: a
+user-interest region is the conjunction of its subspaces' UISs, so a
+row one subspace's hulls answer 0 is 0 whatever the others say, and
+:func:`~repro.core.framework.predict_conjunctions` — the one caller on
+the serving path — encodes and scores only the rows that are open in
+their own subspace *and* still alive in all the others.
 ``refine`` / ``refine_batch`` keep the classifier-first signature as
 wrappers over the same decision, equal for any 0/1 input.
 """

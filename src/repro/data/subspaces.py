@@ -38,6 +38,19 @@ class Subspace:
         """Project (n x full_dim) rows onto this subspace's columns."""
         return np.asarray(data)[:, list(self.columns)]
 
+    def validate_points(self, points):
+        """Points given in this subspace's coordinates as a float64
+        (n, dim) array (one 1-D point is a batch of one); a
+        ``ValueError`` on any other width.  Scalers broadcast: a
+        one-column array against a 2-D subspace used to come back as
+        two equal columns and an answer."""
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError("points have {} columns, subspace ({}) has {}"
+                             .format(points.shape[-1],
+                                     ", ".join(self.names), self.dim))
+        return points
+
     def __repr__(self):
         return "Subspace({})".format(",".join(self.names))
 

@@ -22,14 +22,13 @@ name                                             kind        unit
 ``serve.manager.adapt.install.seconds``          histogram   seconds
 ``serve.manager.flush.seconds``                  histogram   seconds
 ``serve.manager.errors.recorded``                counter     errors
-``serve.manager.encode_cache.hits``              counter     lookups
-``serve.manager.encode_cache.misses``            counter     lookups
 ``serve.manager.predict.encode.seconds``         histogram   seconds
 ``serve.manager.predict.forward.seconds``        histogram   seconds
 ``serve.manager.predict.refine.seconds``         histogram   seconds
 ``serve.manager.predict.seconds``                histogram   seconds
 ``serve.manager.predict.rows.settled``           counter     row·sessions
 ``serve.manager.predict.rows.scored``            counter     row·sessions
+``serve.manager.predict.rows.skipped``           counter     row·sessions
 ``serve.manager.store_scan.chunk_evals``         counter     chunks
 ``serve.manager.store_scan.watermark_skipped``   counter     chunks
 ``serve.manager.store_scan.pruned_skipped``      counter     chunks

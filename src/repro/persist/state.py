@@ -231,7 +231,6 @@ def load_pretrained(path, lte):
         lte_state = lte.states[subspace]
         if entry["trainer"] is None:
             lte_state.trainer = None
-            lte_state.bump_artifacts()
             continue
         trainer = MetaTrainer.from_state_dict(entry["trainer"])
         width = lte_state.preprocessor.width
@@ -242,11 +241,11 @@ def load_pretrained(path, lte):
                 "{}; the checkpoint was trained over different offline "
                 "artifacts".format(tuple(subspace.names),
                                    trainer.model.input_width, width))
+        # Only the trainer is swapped: the scaler and preprocessor stay
+        # the prepared ones, so live sessions (each holding its own
+        # adapted copy of the old weights) keep their answers bit for
+        # bit and sessions opened from now on adapt from the new phi.
         lte_state.trainer = trainer
-        # The subspace's model generation changed: bump its artifact
-        # token so version-keyed caches (e.g. the serving layer's encode
-        # cache) stop serving state derived under the old weights.
-        lte_state.bump_artifacts()
     return info
 
 

@@ -5,8 +5,10 @@ per subspace and the pretrained meta-learner adapts in sub-second time.
 This package serves that loop for *many users at once* over one shared
 :class:`~repro.core.framework.LTE`: label submissions from all sessions
 queue up, one fused tensor program adapts every pending (session,
-subspace) task in stacked batches, and predictions are memoized in a
-versioned cache.  The adaptation hot path is
+subspace) task in stacked batches, and predictions — each session's
+conjunction over its subspaces, rows encoded only where a classifier
+will read them — are memoized in a versioned cache.  The adaptation
+hot path is
 :func:`~repro.core.framework.run_adapt_requests` (re-exported here with
 :class:`~repro.nn.BatchedUISClassifier`), the one executor a lone
 :class:`~repro.core.framework.ExplorationSession` also runs — as a
@@ -39,9 +41,10 @@ Modules
     :class:`SessionManager` — session lifecycle, the submit/poll/flush
     queue, and cached prediction.
 ``cache``
-    :class:`PredictionCache` — (session, subspace, model-version)-keyed
-    LRU memoization of prediction vectors (frozen copies: a cached
-    prediction can never be poisoned through a returned reference).
+    :class:`PredictionCache` — (session, model versions, rows
+    digest)-keyed LRU memoization of a session's answers (frozen copies:
+    a cached prediction can never be poisoned through a returned
+    reference).
 
 The engine survives restarts: :meth:`SessionManager.snapshot` /
 :meth:`SessionManager.restore` capture sessions, the pending queue and

@@ -1,11 +1,16 @@
 """Versioned prediction cache for the serving layer.
 
 Sessions repeatedly predict over the same rows (full-table retrievals,
-fixed evaluation samples, dashboard refreshes).  Predictions only change
-when a session's model for a subspace changes, so the cache key is
-``(session, subspace, model-version, rows-digest)``: a new label
-submission bumps the model version and every stale entry simply stops
-being reachable, then ages out of the underlying
+fixed evaluation samples, dashboard refreshes).  The cache holds what
+callers ask for — a session's *conjunction* over the subspaces it
+answers with, one entry per (session, rows) — because what a
+classifier scores in one subspace depends on the session's other
+subspaces (:func:`~repro.core.framework.predict_conjunctions`), so no
+per-subspace vector exists to memoize.  An answer only changes when one
+of those subspaces' models does, so the key is ``(session, ((subspace
+names, model-version), ...), rows-digest)``: a new label submission on
+any subspace bumps its version and every stale entry simply stops being
+reachable, then ages out of the underlying
 :class:`~repro.core.memory.LRUStore`.
 """
 
@@ -30,7 +35,7 @@ def rows_digest(rows):
 
 
 class PredictionCache:
-    """LRU cache of per-subspace prediction vectors, versioned per model.
+    """LRU cache of per-session conjunction answers, versioned per model.
 
     Value semantics: :meth:`put` stores a private *read-only* copy of the
     array and :meth:`get` returns that frozen copy directly.  Callers may
@@ -72,13 +77,17 @@ class PredictionCache:
         self._misses.set(value)
 
     @staticmethod
-    def key(session_id, subspace, model_version, digest):
+    def key(session_id, models, digest):
         """Cache key from a precomputed :func:`rows_digest`.
 
-        Takes the digest rather than the rows so callers scoring the
-        same rows for many sessions hash them once, not per session.
+        ``models`` iterates the ``(subspace, model_version)`` pairs the
+        answer is a conjunction of.  Takes the digest rather than the
+        rows so callers scoring the same rows for many sessions hash
+        them once, not per session.
         """
-        return (session_id, tuple(subspace.names), int(model_version),
+        return (session_id,
+                tuple((tuple(subspace.names), int(version))
+                      for subspace, version in models),
                 digest)
 
     def get(self, key):
@@ -125,19 +134,31 @@ class PredictionCache:
             "hits": int(self.hits),
             "misses": int(self.misses),
             "entries": [
-                {"session": key[0], "subspace": list(key[1]),
-                 "version": int(key[2]), "digest": key[3],
-                 "value": np.asarray(value).copy()}
-                for key, value in self._store.items()
+                {"session": session_id,
+                 "models": [{"subspace": list(names), "version": version}
+                            for names, version in models],
+                 "digest": digest, "value": np.asarray(value).copy()}
+                for (session_id, models, digest), value
+                in self._store.items()
             ],
         }
 
     def load_state_dict(self, state):
-        """Restore :meth:`state_dict` output into this cache in place."""
+        """Restore :meth:`state_dict` output into this cache in place.
+
+        Entries without ``"models"`` were written when the cache held
+        one vector per (session, subspace); nothing asks for those any
+        more, so they are skipped and such a checkpoint starts cold
+        (its counters still restore).
+        """
         self._store = LRUStore(int(state["capacity"]))
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])
         for entry in state["entries"]:
-            key = (entry["session"], tuple(entry["subspace"]),
-                   int(entry["version"]), entry["digest"])
-            self.put(key, entry["value"])
+            if "models" not in entry:
+                continue
+            models = tuple((tuple(m["subspace"]), int(m["version"]))
+                           for m in entry["models"])
+            self.put((entry["session"], models, entry["digest"]),
+                     entry["value"])
+        self._entries.set(len(self._store))

@@ -10,9 +10,12 @@ online loop into three independently scheduled stages:
    ``predict``) drains the queue, buckets the pending adaptations across
    *all* sessions by shape, and trains each bucket as one fused tensor
    program (:func:`~repro.core.framework.run_adapt_requests`);
-3. **predict** — per-subspace prediction vectors are memoized in a
-   versioned :class:`~repro.serve.cache.PredictionCache`, so repeated
-   retrievals over unchanged models are dictionary lookups.
+3. **predict** — a block of rows is answered for all its sessions by
+   :func:`~repro.core.framework.predict_conjunctions` (every
+   subspace's hulls decide first, then the classifiers encode and score
+   only the rows still open *and* alive), and each session's answer is
+   memoized in a versioned :class:`~repro.serve.cache.PredictionCache`,
+   so repeated retrievals over unchanged models are dictionary lookups.
 
 Sessions adapted through the manager are bit-compatible with sessions
 driven on their own (see ``tests/serve/test_batched_parity.py``).
@@ -26,9 +29,9 @@ from collections import deque
 
 import numpy as np
 
-from ..core.framework import ExplorationSession, LTE, run_adapt_requests
-from ..core.memory import LRUStore
-from ..core.optimizer import FewShotOptimizer, HullRegistry
+from ..core.framework import (ExplorationSession, LTE, predict_conjunctions,
+                              run_adapt_requests)
+from ..core.optimizer import HullRegistry
 from ..geometry.engine import HullPackCache
 from ..obs import MetricsRegistry, span
 from .cache import PredictionCache, rows_digest
@@ -84,10 +87,6 @@ class SessionManager:
         # See repro.obs.registry for the metric name catalogue.
         self.metrics = MetricsRegistry()
         self.cache = PredictionCache(cache_entries, metrics=self.metrics)
-        # Preprocessed representations of prediction inputs are
-        # session-independent — every session scoring the same rows in a
-        # subspace shares one encode pass.
-        self._encoded_rows = LRUStore(32)
         # Compiled halfspace packs for few-shot refinement, keyed by the
         # identity tuple of each refine group's deduped hull set.
         # Re-adaptation bumps model versions but never touches hull
@@ -122,9 +121,6 @@ class SessionManager:
         self._obs_on = metrics.enabled
         self._adapt_batches = metrics.counter("serve.manager.adapt.batches")
         self._adapted_total = metrics.counter("serve.manager.adapt.total")
-        self._encode_hits = metrics.counter("serve.manager.encode_cache.hits")
-        self._encode_misses = \
-            metrics.counter("serve.manager.encode_cache.misses")
         self._sessions_live = metrics.gauge("serve.manager.sessions.live")
         self._queue_depth = metrics.gauge("serve.manager.queue.depth")
         self._queue_wait = \
@@ -145,6 +141,8 @@ class SessionManager:
             metrics.counter("serve.manager.predict.rows.settled")
         self._rows_scored = \
             metrics.counter("serve.manager.predict.rows.scored")
+        self._rows_skipped = \
+            metrics.counter("serve.manager.predict.rows.skipped")
 
     @property
     def adapt_batches(self):
@@ -424,129 +422,84 @@ class SessionManager:
     # ------------------------------------------------------------------
     # Stage 3: cached, batched prediction
     # ------------------------------------------------------------------
-    def _subspace_artifacts(self, subspace, state, points, digest=None):
-        """(digest, scaled, encoded) for subspace points, encode-cached.
+    def _conjunctions(self, session_ids):
+        """``{session_id: {subspace: _SubspaceSession}}`` of sessions
+        that can answer: at least one subspace, every one adapted."""
+        conjunctions = {}
+        for session_id in session_ids:
+            session = self.session(session_id)
+            self._require_subspaces(session_id, session)
+            for subsession in session._subsessions.values():
+                subsession.require_adapted()
+            conjunctions[session_id] = session._subsessions
+        return conjunctions
 
-        ``digest`` short-circuits the content hash when the caller
-        already has a stable identity for the points (the store path
-        passes the chunk digest, so repeated scans never re-hash bytes).
+    def _answer_block(self, conjunctions, project, n_rows, digest):
+        """Answers of one block of rows, ``{id: (n_rows,) 0/1}``: one
+        cache lookup per session, the misses through ONE
+        :func:`~repro.core.framework.predict_conjunctions` call.
 
-        The cache key includes the state's ``artifact_token`` — the
-        model/scaler generation — so a hot-swapped meta-learner or
-        refreshed scaler (e.g. a :mod:`repro.shard` version broadcast
-        installing a re-pretrained phi via
-        :func:`repro.persist.load_pretrained`) can never serve encodes
-        computed under the previous generation's artifacts.
+        ``digest`` identifies the block's rows (the store path passes
+        the chunk digest, so repeated scans never hash bytes).  Every
+        answer is the caller's to keep: a hit is a copy of the cache's
+        frozen array.
         """
-        if digest is None:
-            digest = rows_digest(points)
-        key = (tuple(subspace.names), state.artifact_token, digest)
-        artifacts = self._encoded_rows.get(key)
-        if artifacts is None:
-            self._encode_misses.inc()
-            t0 = time.perf_counter() if self._obs_on else None
-            scaled = state.to_scaled(points)
-            artifacts = (scaled, state.encode_scaled(scaled))
-            if t0 is not None:
-                self._t_encode.observe(time.perf_counter() - t0)
-            self._encoded_rows.put(key, artifacts)
-        else:
-            self._encode_hits.inc()
-        return (digest,) + artifacts
-
-    def _predict_group(self, subspace, points, per_session, digest=None):
-        """Predict one subspace's points for many sessions at once.
-
-        ``per_session`` maps session_id -> _SubspaceSession.  Cache hits
-        are served directly; for the misses the few-shot hulls decide
-        first (one engine call for the group) and each session's
-        classifier then scores only the rows its hulls left open —
-        every row for a session without an optimizer.  Returns
-        {session_id: (n,) 0/1 predictions}.
-
-        Sessions are first sub-grouped by their state's artifact
-        generation: after a subspace refresh (drift handling replaces
-        the :class:`~repro.core.framework.SubspaceState`), sessions
-        opened before it keep serving the scaler/encoder they adapted
-        under while newer sessions use the fresh one — scoring both
-        through a single generation's encode pass would silently feed
-        half of them the wrong coordinates.
-        """
-        if digest is None:
-            digest = rows_digest(points)
-        t_group = time.perf_counter() if self._obs_on else None
-        by_generation = {}
-        for session_id, subsession in per_session.items():
-            token = subsession.state.artifact_token
-            by_generation.setdefault(token, {})[session_id] = subsession
-        out = {}
-        for generation in by_generation.values():
-            state = next(iter(generation.values())).state
-            _, scaled, encoded = self._subspace_artifacts(
-                subspace, state, points, digest=digest)
-            misses = []
-            for session_id, subsession in generation.items():
-                key = self.cache.key(session_id, subspace,
-                                     subsession.model_version, digest)
-                cached = self.cache.get(key)
-                if cached is None:
-                    misses.append((session_id, subsession, key))
-                else:
-                    out[session_id] = cached
-            if not misses:
-                continue
-            # Geometry first: all (points x hulls x sessions) tests run
-            # as one packed-engine call (the manager-level pack cache
-            # keeps the compiled halfspace stack across model versions
-            # and repeated predict calls).
-            t0 = time.perf_counter() if self._obs_on else None
-            decisions = FewShotOptimizer.decide_batch(
-                [subsession.optimizer for _, subsession, _ in misses],
-                scaled, pack_cache=self._region_packs)
-            if t0 is not None:
-                t1 = time.perf_counter()
-                self._t_refine.observe(t1 - t0)
-            # The classifier answers what is left, one kernel call per
-            # session over its own open rows.
-            scored = 0
-            for (session_id, subsession, key), decision in zip(
-                    misses, decisions):
-                open_rows = decision[1]
-                scored += len(encoded) if open_rows is None \
-                    else open_rows.size
-                predictions = subsession.adapted.predict_open(encoded,
-                                                              decision)
-                self.cache.put(key, predictions)
-                out[session_id] = predictions
-            if t0 is not None:
-                self._t_forward.observe(time.perf_counter() - t1)
-            self._rows_scored.inc(scored)
-            self._rows_settled.inc(len(misses) * len(encoded) - scored)
-        if t_group is not None:
-            self._t_predict.observe(time.perf_counter() - t_group)
+        t0 = time.perf_counter() if self._obs_on else None
+        out, misses = {}, {}
+        for session_id, subsessions in conjunctions.items():
+            key = self.cache.key(
+                session_id, ((subspace, subsession.model_version) for
+                             subspace, subsession in subsessions.items()),
+                digest)
+            cached = self.cache.get(key)
+            if cached is None:
+                misses[session_id] = key
+            else:
+                out[session_id] = cached.copy()
+        if misses:
+            # The manager-level pack cache keeps the compiled halfspace
+            # stacks across model versions and repeated calls.
+            answers, tally = predict_conjunctions(
+                {session_id: conjunctions[session_id]
+                 for session_id in misses},
+                project, n_rows, self._region_packs)
+            for session_id, key in misses.items():
+                self.cache.put(key, answers[session_id])
+            out.update(answers)
+            self._t_encode.observe(tally["encode_s"])
+            self._t_refine.observe(tally["geometry_s"])
+            self._t_forward.observe(tally["forward_s"])
+            self._rows_settled.inc(tally["settled"])
+            self._rows_scored.inc(tally["scored"])
+            self._rows_skipped.inc(tally["skipped"])
+        if t0 is not None:
+            self._t_predict.observe(time.perf_counter() - t0)
         return out
 
     def predict_subspace(self, session_id, subspace, points):
-        """Cached 0/1 UIS membership for subspace-coordinate points."""
+        """Cached 0/1 UIS membership for subspace-coordinate points (a
+        conjunction of one)."""
+        points = subspace.validate_points(points)
         with self._lock:
             self.flush(raise_errors=False)
-            session = self.session(session_id)
-            points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-            subsession = session._subsessions[subspace]
-            if subsession.adapted is None:
-                raise RuntimeError("labels not yet submitted for subspace {}"
-                                   .format(subspace))
-            group = self._predict_group(subspace, points,
-                                        {session_id: subsession})
-            return group[session_id].copy()
+            subsession = self.session(session_id)._subsessions[subspace]
+            subsession.require_adapted()
+            return self._answer_block(
+                {session_id: {subspace: subsession}}, lambda _: points,
+                len(points), rows_digest(points))[session_id]
 
     def predict_many(self, session_ids, rows):
         """0/1 UIR membership of ``rows`` for many sessions at once.
 
-        The fused counterpart of calling :meth:`predict` per session:
-        rows are projected and encoded once per subspace, all sessions'
-        few-shot hulls are tested in one engine call, and each session's
-        classifier scores the rows its hulls left open.
+        The fused counterpart of calling :meth:`predict` per session,
+        one :func:`~repro.core.framework.predict_conjunctions` call for
+        every session the cache cannot answer: rows are projected and
+        scaled once per subspace, all sessions' few-shot hulls are
+        tested in one engine call per subspace, and only then are the
+        rows some classifier will read encoded — once for all the
+        sessions that read them — and scored, each session's classifier
+        seeing the rows its hulls left open that no other subspace of
+        the session has already answered 0.
         Returns ``{session_id: (n,) predictions}``.  ``rows`` may be a
         :class:`~repro.store.ChunkStore` (chunk-wise, zone-map-pruned,
         per-chunk-cached evaluation via :meth:`predict_many_store`).
@@ -556,24 +509,10 @@ class SessionManager:
         rows = self.lte.validate_rows(rows)
         with self._lock, span("serve.manager.predict_many"):
             self.flush(raise_errors=False)
-            sessions = {sid: self.session(sid) for sid in session_ids}
-            results = {sid: np.ones(len(rows), dtype=np.int64)
-                       for sid in sessions}
-            groups = {}
-            for sid, session in sessions.items():
-                self._require_subspaces(sid, session)
-                for subspace, subsession in session._subsessions.items():
-                    if subsession.adapted is None:
-                        raise RuntimeError(
-                            "labels not yet submitted for subspace {}"
-                            .format(subspace))
-                    groups.setdefault(subspace, {})[sid] = subsession
-            for subspace, per_session in groups.items():
-                projected = subspace.project(rows)
-                for sid, predictions in self._predict_group(
-                        subspace, projected, per_session).items():
-                    results[sid] &= predictions
-            return results
+            return self._answer_block(
+                self._conjunctions(session_ids),
+                lambda subspace: subspace.project(rows), len(rows),
+                rows_digest(rows))
 
     def predict_many_store(self, session_ids, store):
         """0/1 UIR membership over a chunk store for many sessions.
@@ -588,12 +527,14 @@ class SessionManager:
           so skipped chunks are all-zero bit-identically;
         * **per-chunk result caching** — the prediction cache is keyed
           by the store's precomputed chunk digests, so a repeated scan
-          over an unchanged model serves every chunk from cache without
-          re-reading, re-encoding or re-hashing its bytes;
-        * shared work — all sessions surviving a chunk share its encode
-          pass and one hull-membership call, exactly as in
-          :meth:`predict_many`; each session's classifier then scores
-          only the rows of the chunk its hulls left open;
+          over an unchanged model serves every session·chunk from cache
+          without re-reading, re-encoding or re-hashing its bytes;
+        * shared work — all sessions surviving a chunk go through one
+          :func:`~repro.core.framework.predict_conjunctions` call,
+          exactly as in :meth:`predict_many`: one hull-membership call a
+          subspace, one encode of the rows some classifier still has to
+          read (never the whole chunk for its own sake), and each
+          session's classifier scoring only its open, still-alive rows;
         * **freshness watermarks** — each session remembers the
           ``store_version`` it last answered at (per store ``uid``)
           together with that answer; over an appended store, only chunks
@@ -611,25 +552,16 @@ class SessionManager:
 
         with self._lock, span("serve.manager.store_scan") as scan_span:
             self.flush(raise_errors=False)
-            sessions = {sid: self.session(sid) for sid in session_ids}
-            groups = {}
-            for sid, session in sessions.items():
-                self._require_subspaces(sid, session)
-                for subspace, subsession in session._subsessions.items():
-                    if subsession.adapted is None:
-                        raise RuntimeError(
-                            "labels not yet submitted for subspace {}"
-                            .format(subspace))
-                    groups.setdefault(subspace, {})[sid] = subsession
+            sessions = self._conjunctions(session_ids)
             uid = getattr(store, "uid", None)
             n_chunks = store.n_chunks
             results = {sid: np.zeros(store.n_rows, dtype=np.int64)
                        for sid in sessions}
             model_versions, start_chunk = {}, {}
             served_from_mark = 0
-            for sid, session in sessions.items():
+            for sid, subsessions in sessions.items():
                 models = tuple(ss.model_version
-                               for ss in session._subsessions.values())
+                               for ss in subsessions.values())
                 model_versions[sid] = models
                 mark = self._store_marks.get((sid, uid)) \
                     if uid is not None else None
@@ -652,31 +584,22 @@ class SessionManager:
                 else:
                     start_chunk[sid] = 0
             session_keep = {
-                sid: session_chunk_keep(store, session._subsessions)
-                for sid, session in sessions.items()}
+                sid: session_chunk_keep(store, subsessions)
+                for sid, subsessions in sessions.items()}
             evals = {sid: 0 for sid in sessions}
             for ci in range(n_chunks):
-                live = [sid for sid in sessions
-                        if ci >= start_chunk[sid] and session_keep[sid][ci]]
+                live = {sid: subsessions
+                        for sid, subsessions in sessions.items()
+                        if ci >= start_chunk[sid] and session_keep[sid][ci]}
                 if not live:
                     continue
                 block = store.chunk(ci)
                 start = int(store.offsets[ci])
-                digest = store.chunk_digest(ci)
-                out = {sid: np.ones(len(block), dtype=np.int64)
-                       for sid in live}
-                for subspace, per_session in groups.items():
-                    active = {sid: ss for sid, ss in per_session.items()
-                              if sid in out}
-                    if not active:
-                        continue
-                    projected = np.ascontiguousarray(
-                        block[:, list(subspace.columns)])
-                    for sid, predictions in self._predict_group(
-                            subspace, projected, active,
-                            digest=digest).items():
-                        out[sid] &= predictions
-                for sid, predictions in out.items():
+                answers = self._answer_block(
+                    live, lambda subspace: np.ascontiguousarray(
+                        block[:, list(subspace.columns)]),
+                    len(block), store.chunk_digest(ci))
+                for sid, predictions in answers.items():
                     results[sid][start:start + len(block)] = predictions
                     evals[sid] += 1
             self.last_store_scan = {

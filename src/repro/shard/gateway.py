@@ -30,9 +30,9 @@ Scaling properties:
   owning session's ``poll``.
 * **model-version broadcast** — :meth:`publish_model` rolls a
   re-pretrained phi (or refreshed scalers) out worker by worker: each
-  worker drains its queue under the old model, installs the new
-  checkpoint, and bumps its artifact tokens (invalidating encode
-  caches); no session is dropped and the gateway verifies every
+  worker drains its queue under the old model and installs the new
+  checkpoint (live sessions keep the state objects and adapted models
+  they have); no session is dropped and the gateway verifies every
   replica reports the same :func:`~repro.persist.model_fingerprint`.
 """
 
@@ -394,7 +394,9 @@ class ShardGateway:
                            "rows": rows})
 
     def predict_subspace(self, session_id, subspace, points):
-        """Cached 0/1 UIS membership for subspace-coordinate points."""
+        """Cached 0/1 UIS membership for subspace-coordinate points
+        (their width is checked here, before any RPC)."""
+        points = subspace.validate_points(points)
         worker = self._worker_of(session_id)
         return self._call(worker, "predict_subspace",
                           {"session_id":
@@ -451,10 +453,10 @@ class ShardGateway:
         the re-pretrained weights (saved under the gateway's checkpoint
         root first) or a path to an existing ``lte-pretrained``
         checkpoint.  Each worker drains its pending queue under the old
-        model, installs the new weights, and bumps its artifact tokens —
-        live sessions and their adapted models are untouched, so no
-        session is dropped.  The gateway verifies every worker reports
-        the new :func:`~repro.persist.model_fingerprint` and returns it.
+        model and installs the new weights — live sessions and their
+        adapted models are untouched, so no session is dropped.  The
+        gateway verifies every worker reports the new
+        :func:`~repro.persist.model_fingerprint` and returns it.
 
         ``refresh`` (optional) is a list of subspace-name lists whose
         offline artifacts were rebuilt over fresh data: each worker

@@ -21,8 +21,12 @@ state until that session polls.
 Model-version broadcast: ``model_update`` first drains the pending
 queue (label batches submitted under the old model adapt under it —
 nothing is dropped), then installs the new pretrained weights via
-:func:`repro.persist.load_pretrained`, which bumps every subspace's
-artifact token so the encode cache can never serve stale encodes.
+:func:`repro.persist.load_pretrained`.  That swaps each subspace's
+trainer and nothing else: live sessions hold their own adapted copies
+and keep their answers bit for bit, sessions opened afterwards adapt
+from the new phi.  A refreshed subspace is a new state object, and
+predictions group sessions by the state object they adapted under, so
+no session is scaled or encoded with another generation's artifacts.
 """
 
 from __future__ import annotations

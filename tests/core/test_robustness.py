@@ -114,6 +114,40 @@ class TestHostileRows:
         assert np.array_equal(session.predict(rows)[:1],
                               session.predict(rows[0]))
 
+    def test_subspace_points_of_the_wrong_width_fail_typed(self, car_lte):
+        """``MinMaxScaler.transform`` broadcasts: a ``(n, 1)`` array
+        against a 2-D subspace used to become two equal columns and an
+        *answer*; a ``(n, 3)`` one ended in numpy's bare "operands could
+        not be broadcast"."""
+        subspace = next(s for s in car_lte.states if s.dim == 2)
+        session = car_lte.start_session(variant="meta_star",
+                                        subspaces=[subspace])
+        tuples = session.initial_tuples()[subspace]
+        session.submit_labels(
+            subspace, (tuples[:, 0] > np.median(tuples[:, 0])).astype(int))
+        points = subspace.project(car_lte.table.data[:50])
+        names = ", ".join(subspace.names)
+        narrow = r"points have 1 columns, subspace \({}\) has 2".format(names)
+        wide = r"points have 3 columns, subspace \({}\) has 2".format(names)
+        with pytest.raises(ValueError, match=narrow):
+            session.predict_subspace(subspace, points[:, :1])
+        with pytest.raises(ValueError, match=wide):
+            session.predict_subspace(subspace,
+                                     np.column_stack([points, points[:, 0]]))
+        with pytest.raises(ValueError, match=narrow):
+            session.most_uncertain(subspace, points[:, :1], k=3)
+        with pytest.raises(ValueError, match=wide):
+            session.most_uncertain(subspace, np.ones((4, 3)))
+        with pytest.raises(ValueError, match="subspace .* has 2"):
+            session.predict_subspace(subspace, np.stack([points, points]))
+        answers = session.predict_subspace(subspace, points)
+        assert answers.shape == (50,)
+        # One 1-D point of the right length is a batch of one.
+        assert np.array_equal(session.predict_subspace(subspace, points[0]),
+                              answers[:1])
+        assert session.predict_subspace(subspace, points[:0]).shape == (0,)
+        assert len(session.most_uncertain(subspace, points, k=3)) == 3
+
 
 class TestOneDimensionalSubspace:
     def test_decomposition_includes_1d(self, car_lte):

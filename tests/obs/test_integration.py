@@ -49,38 +49,48 @@ class TestServingWaveMetrics:
             assert snap[name]["count"] >= 1, name
         assert snap["serve.manager.adapt.batches"]["value"] == \
             manager.adapt_batches
-        assert snap["serve.manager.encode_cache.misses"]["value"] >= 1
 
     def test_settled_and_scored_rows_account_for_every_row_session(
             self, obs_lte, obs_subspaces, make_oracle, eval_rows):
-        """How much the few-shot hulls settled is a counter: every
-        row·session of a prediction miss is answered either by the hulls
-        (``rows.settled``) or by the classifier (``rows.scored``)."""
+        """Where a row·session·subspace goes is three counters: answered
+        by the subspace's own hulls (``rows.settled``), by its
+        classifier (``rows.scored``), or open there but never scored
+        because the session's conjunction was already 0
+        (``rows.skipped``)."""
         from repro.obs import registry
-        settled = "serve.manager.predict.rows.settled"
-        scored = "serve.manager.predict.rows.scored"
-        assert settled in registry.__doc__ and scored in registry.__doc__
+        names = ["serve.manager.predict.rows." + kind
+                 for kind in ("settled", "scored", "skipped")]
+        assert all(name in registry.__doc__ for name in names)
+        assert len(obs_subspaces) >= 2
 
         manager = SessionManager(obs_lte)
         sids, _ = _serve_wave(manager, make_oracle(31), obs_subspaces,
                               eval_rows)
         metrics = manager.metrics
+
+        def counts():
+            return [metrics.value(name) for name in names]
+
         row_sessions = len(sids) * len(obs_subspaces) * len(eval_rows)
-        assert metrics.value(settled) + metrics.value(scored) == row_sessions
-        assert metrics.value(settled) > 0 and metrics.value(scored) > 0
+        assert sum(counts()) == row_sessions
+        # A two-subspace Meta* wave: each class has members.
+        assert all(count > 0 for count in counts())
 
         # A cached repeat answers nothing anew ...
+        before = counts()
         manager.predict_many(sids, eval_rows)
-        assert metrics.value(settled) + metrics.value(scored) == row_sessions
-        # ... and a session without an optimizer is all classifier.
-        before = metrics.value(settled)
+        assert counts() == before
+        # ... and a session without an optimizer settles nothing: every
+        # row is open in every subspace, scored or skipped.
         basic = manager.open_session(variant="basic",
                                      subspaces=obs_subspaces, seed=9)
         _feed(manager, make_oracle(31), basic)
         manager.predict(basic, eval_rows)
-        assert metrics.value(settled) == before
-        assert metrics.value(scored) + before == \
-            row_sessions + len(obs_subspaces) * len(eval_rows)
+        settled, scored, skipped = counts()
+        assert settled == before[0]
+        assert scored + skipped == before[1] + before[2] + \
+            len(obs_subspaces) * len(eval_rows)
+        assert scored >= before[1] + len(eval_rows)
 
     def test_stats_shims_read_the_registry(self, obs_lte, obs_subspaces,
                                            make_oracle, eval_rows):
@@ -107,8 +117,8 @@ class TestServingWaveMetrics:
         hits_before = manager.metrics.value("serve.cache.prediction.hits")
         again = manager.predict_many(sids, eval_rows)
         hits_after = manager.metrics.value("serve.cache.prediction.hits")
-        # One cached entry per (session, subspace) pair.
-        assert hits_after == hits_before + len(sids) * len(obs_subspaces)
+        # One cached entry per session: its conjunction over the rows.
+        assert hits_after == hits_before + len(sids)
         for sid in sids:
             assert np.array_equal(first[sid], again[sid])
 

@@ -69,13 +69,14 @@ class TestPredictionCacheFreezing:
 
     def test_state_dict_is_deep(self):
         cache = PredictionCache(4)
-        cache.put((0, ("a",), 1, "d"), np.array([1, 0]))
+        key = (0, ((("a", "b"), 1), (("c",), 2)), "d")
+        cache.put(key, np.array([1, 0]))
         state = cache.state_dict()
         state["entries"][0]["value"][:] = 9     # mutate the snapshot
-        assert np.array_equal(cache.get((0, ("a",), 1, "d")), [1, 0])
+        assert np.array_equal(cache.get(key), [1, 0])
         restored = PredictionCache(4)
         restored.load_state_dict(cache.state_dict())
-        assert np.array_equal(restored.get((0, ("a",), 1, "d")), [1, 0])
+        assert np.array_equal(restored.get(key), [1, 0])
 
 
 @pytest.fixture()

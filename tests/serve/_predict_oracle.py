@@ -149,14 +149,17 @@ def predict_group(subsessions, raw_points):
 def predict_many(sessions, rows):
     """``SessionManager.predict_many`` as it was, minus its caches:
     ``sessions`` is a list of ``ExplorationSession``; returns their
-    conjunctive answers in input order."""
+    conjunctive answers in input order.  A subspace's sessions are
+    sub-grouped by the state they adapted under, as the old code did by
+    artifact generation (here: the state object)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     results = [np.ones(len(rows), dtype=np.int64) for _ in sessions]
     groups = {}
     for index, session in enumerate(sessions):
         for subspace, subsession in session._subsessions.items():
-            groups.setdefault(subspace, []).append((index, subsession))
-    for subspace, members in groups.items():
+            groups.setdefault((subspace, id(subsession.state)), []) \
+                .append((index, subsession))
+    for (subspace, _), members in groups.items():
         answers = predict_group([subsession for _, subsession in members],
                                 subspace.project(rows))
         for (index, _), predictions in zip(members, answers):

@@ -15,12 +15,14 @@ from repro.core import ExplorationSession
 from repro.core import meta_learner
 from repro.core import optimizer as optimizer_module
 from repro.core.optimizer import FewShotOptimizer
+from repro.core.preprocessing import TabularPreprocessor
 from repro.data.schema import Table
 from repro.serve import SessionManager
 from repro.shard import ShardGateway
 
 SETTLED = "serve.manager.predict.rows.settled"
 SCORED = "serve.manager.predict.rows.scored"
+SKIPPED = "serve.manager.predict.rows.skipped"
 
 
 def feed(front, oracle_, sid, labels=None):
@@ -61,9 +63,11 @@ class TestEmptyOpenBand:
         want = oracle.predict_session(manager.session(sid), rows)
         assert not want.any()
         forbid(monkeypatch, meta_learner, "inference_logits")
+        forbid(monkeypatch, TabularPreprocessor, "transform")
         assert np.array_equal(manager.predict(sid, rows), want)
         assert is_answer(manager.session(sid).predict(rows), 200)
         assert manager.metrics.value(SCORED) == 0
+        assert manager.metrics.value(SKIPPED) == 0
         assert manager.metrics.value(SETTLED) == 200 * len(subspaces)
 
     def test_rows_inside_an_inner_hull_call_no_kernel(self, served,
@@ -75,6 +79,7 @@ class TestEmptyOpenBand:
         points = subsession.state.to_raw(np.vstack(
             [hull.points.mean(axis=0) for hull in inner.hulls]))
         forbid(monkeypatch, meta_learner, "inference_logits")
+        forbid(monkeypatch, TabularPreprocessor, "transform")
         got = manager.predict_subspace(sid, subspace, points)
         assert is_answer(got, len(points)) and got.all()
         assert np.array_equal(
@@ -97,9 +102,18 @@ class TestNoPositiveAnchor:
         forbid(monkeypatch, optimizer_module, "union_masks")
         assert np.array_equal(manager.predict(sid, eval_rows), want)
         assert np.array_equal(session.predict(eval_rows), want)
+        # No hull settles anything; a row the first subspace's
+        # classifier answers 0 is skipped, not scored, in the second.
         assert manager.metrics.value(SETTLED) == 0
-        assert manager.metrics.value(SCORED) == \
+        assert manager.metrics.value(SCORED) + \
+            manager.metrics.value(SKIPPED) == \
             len(eval_rows) * len(serve_subspaces)
+        dead, skipped = np.zeros(len(eval_rows), dtype=bool), 0
+        for subspace, subsession in session._subsessions.items():
+            skipped += int(dead.sum())
+            dead |= oracle.predict_subspace(
+                subsession, subspace.project(eval_rows)) == 0
+        assert manager.metrics.value(SKIPPED) == skipped
 
 
 def test_every_variant_in_one_predict_many_group(serve_lte, serve_subspaces,
@@ -122,8 +136,11 @@ def test_every_variant_in_one_predict_many_group(serve_lte, serve_subspaces,
         assert np.array_equal(got[sid], expected)
     settled = manager.metrics.value(SETTLED)
     assert 0 < settled <= 2 * len(serve_subspaces) * len(eval_rows)
-    assert settled + manager.metrics.value(SCORED) == \
+    assert settled + manager.metrics.value(SCORED) + \
+        manager.metrics.value(SKIPPED) == \
         len(sids) * len(serve_subspaces) * len(eval_rows)
+    assert manager.metrics.value(SCORED) > 0
+    assert manager.metrics.value(SKIPPED) > 0
 
 
 @pytest.mark.parametrize("missing", ["inner", "outer"])

@@ -29,18 +29,28 @@ from repro.shard import ShardGateway
 
 #: (variant, label-oracle seed, subspaces explored).  A ``None`` seed labels
 #: every tuple 0, so the session has no positive anchor and its optimizer
-#: no subregion.  Most sessions explore ONE subspace, so their answer is
-#: that subspace's and a wrong bit cannot hide behind the conjunction.
+#: no subregion; a tuple of seeds is one per explored subspace (no anchor
+#: in one subspace only).  Many sessions explore ONE subspace, so their
+#: answer is that subspace's and a wrong bit cannot hide behind the
+#: conjunction; every variant is also there as a 2- and a 3-subspace
+#: session, where what one subspace scores depends on the others.
 FLEET = [("meta_star", 3, (0, 1, 2)), ("meta_star", 4, (0,)),
          ("meta", 5, (0,)), ("basic", 6, (0,)), ("meta_star", 7, (1,)),
          ("meta_star", None, (1,)), ("basic", 8, (1,)),
          ("meta_star", 9, (2,)), ("meta", 10, (2,)),
          ("meta_star", 11, (2,)), ("meta_star", 12, (0, 1)),
          ("basic", 13, (1, 2)), ("meta_star", 14, (0,)),
-         ("meta_star", 15, (1,)), ("meta_star", None, (2,))]
+         ("meta_star", 15, (1,)), ("meta_star", None, (2,)),
+         ("meta", 16, (0, 1)), ("meta", 17, (2, 1, 0)),
+         ("basic", 18, (0, 1, 2)), ("meta_star", 19, (2, 0)),
+         ("meta_star", (20, None), (0, 1)),
+         ("meta_star", (None, 21, 22), (0, 1, 2))]
 
 
-def labels_for(make_oracle, lte, seed, subspace, tuples):
+def labels_for(make_oracle, lte, seed, subspace, tuples, position=0):
+    """0/1 labels of a session's ``position``-th explored subspace."""
+    if isinstance(seed, tuple):
+        seed = seed[position]
     if seed is None:
         return np.zeros(len(tuples), dtype=np.int64)
     return make_oracle(seed, subspaces=list(lte.states)) \
@@ -49,7 +59,7 @@ def labels_for(make_oracle, lte, seed, subspace, tuples):
 
 @pytest.fixture(scope="module")
 def fleet(serve_lte, make_oracle):
-    """The same fifteen sessions — all three variants, all three subspaces
+    """The same twenty-one sessions — all three variants, all three subspaces
     (car's odd attribute count makes the last one 1-D) — driven three
     ways: sequential ``ExplorationSession``s, one ``SessionManager`` and
     a 2-worker ``ShardGateway``."""
@@ -60,16 +70,19 @@ def fleet(serve_lte, make_oracle):
         subspaces = [list(serve_lte.states)[i] for i in explored]
         session = serve_lte.start_session(variant=variant,
                                           subspaces=subspaces, seed=index)
-        for subspace, tuples in session.initial_tuples().items():
+        for position, (subspace, tuples) in enumerate(
+                session.initial_tuples().items()):
             session.submit_labels(subspace, labels_for(
-                make_oracle, serve_lte, seed, subspace, tuples))
+                make_oracle, serve_lte, seed, subspace, tuples, position))
         sessions.append(session)
         for front, ids in ((manager, manager_ids), (gateway, gateway_ids)):
             sid = front.open_session(variant=variant, subspaces=subspaces,
                                      seed=index)
-            for subspace, tuples in front.initial_tuples(sid).items():
+            for position, (subspace, tuples) in enumerate(
+                    front.initial_tuples(sid).items()):
                 front.submit_labels(sid, subspace, labels_for(
-                    make_oracle, serve_lte, seed, subspace, tuples))
+                    make_oracle, serve_lte, seed, subspace, tuples,
+                    position))
             ids.append(sid)
     manager.flush()
     gateway.flush_all()

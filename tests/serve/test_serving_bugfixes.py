@@ -1,10 +1,13 @@
 """Regression tests for the serving-layer bugfix trio.
 
-1. The encode cache (``SessionManager._encoded_rows``) was keyed by
-   ``(subspace, rows-digest)`` alone, so hot-swapping the meta-learner
-   (a :mod:`repro.shard` model broadcast installing a re-pretrained phi
-   via :func:`repro.persist.load_pretrained`) served encodes computed
-   under the *old* phi.  The key now carries the state's artifact token.
+1. An encode cache keyed by ``(subspace, rows-digest)`` alone served
+   encodes computed under the *old* artifacts after a hot swap (a
+   :mod:`repro.shard` model broadcast installing a re-pretrained phi via
+   :func:`repro.persist.load_pretrained`, a drift refresh).  The cache
+   and the generation token that versioned it are gone — sessions are
+   grouped by the state object they adapted under — and what stays
+   tested is the behaviour: live sessions keep their answers bit for
+   bit across both swaps, new sessions answer from the new artifacts.
 2. ``poll(session_id, advance=True)`` ran a global ``flush()`` that
    re-raised the first error, so one session's bad label batch raised
    into unrelated sessions' polls.  Errors are now attributed to the
@@ -51,54 +54,84 @@ def _perturb_phi(lte, scale=1.5, shift=0.1):
     return swapped
 
 
-class TestEncodeCacheVersioning:
-    def test_phi_swap_invalidates_encode_cache(self, serve_lte,
-                                               serve_subspaces, tmp_path):
-        """Swapping phi through the real broadcast path
-        (save_pretrained -> load_pretrained) must yield fresh encodes —
-        the stale-cache bug returned the old phi's encodes verbatim."""
+class TestArtifactGenerations:
+    def test_live_sessions_keep_answers_new_ones_use_new_artifacts(
+            self, serve_lte, serve_subspaces, make_oracle, eval_rows,
+            tmp_path):
+        """Swap phi through the real broadcast path (save_pretrained ->
+        load_pretrained), then refresh one subspace over drifted data:
+        three sessions, one per generation, answered by ONE predict_many
+        call over a cold cache."""
+        from repro.data.schema import Table
         from repro.persist import load_pretrained, save_pretrained
 
         lte = copy.deepcopy(serve_lte)
         manager = SessionManager(lte)
-        subspace = serve_subspaces[0]
-        state = lte.states[subspace]
-        points = state.to_raw(state.data[:16])
+        truth = make_oracle(71)
 
-        first = manager._subspace_artifacts(subspace, state, points)
-        again = manager._subspace_artifacts(subspace, state, points)
-        assert again[2] is first[2]     # warm cache serves the same encode
+        def drive(front, seed=3):
+            """The same user each time: same draw, same labels."""
+            if isinstance(front, SessionManager):
+                sid = front.open_session(variant="meta_star",
+                                         subspaces=serve_subspaces,
+                                         seed=seed)
+                for subspace, tuples in front.initial_tuples(sid).items():
+                    front.submit_labels(
+                        sid, subspace, truth.label_subspace(subspace, tuples))
+                front.flush()
+                return sid
+            session = front.start_session(variant="meta_star",
+                                          subspaces=serve_subspaces,
+                                          seed=seed)
+            for subspace, tuples in session.initial_tuples().items():
+                session.submit_labels(
+                    subspace, truth.label_subspace(subspace, tuples))
+            return session
 
-        save_pretrained(tmp_path / "phi-v2", _perturb_phi(serve_lte))
+        first = drive(manager)
+        answers = {first: manager.predict(first, eval_rows)}
+
+        # Generation 2: a re-pretrained phi.  Only the trainer is
+        # swapped, the state objects (scaler, encoder) stay.
+        states = dict(lte.states)
+        swapped = _perturb_phi(serve_lte)
+        save_pretrained(tmp_path / "phi-v2", swapped)
         load_pretrained(tmp_path / "phi-v2", lte)
+        assert all(lte.states[s] is state for s, state in states.items())
+        second = drive(manager)
+        answers[second] = manager.predict(second, eval_rows)
+        assert np.array_equal(answers[second],
+                              drive(swapped).predict(eval_rows))
 
-        # The reload is a new artifact generation: encodes are
-        # recomputed, not served from the stale cache entry.
-        swapped = manager._subspace_artifacts(subspace, state, points)
-        assert swapped[2] is not first[2]
+        # Generation 3: one subspace refreshed over drifted data — its
+        # state object is replaced, its scaler spans a wider range.
+        target = serve_subspaces[0]
+        drifted = lte.table.data.copy()
+        drifted[:, list(target.columns)] *= 1.5
+        lte.refresh_subspace(Table("CAR", lte.table.attributes, drifted),
+                             target, train=True)
+        assert lte.states[target] is not states[target]
+        assert not np.array_equal(lte.states[target].scaler.max_,
+                                  states[target].scaler.max_)
+        third = drive(manager)
+        twin = drive(lte)
+        assert manager.session(third)._subsessions[target].state \
+            is lte.states[target]
+        assert manager.session(first)._subsessions[target].state \
+            is states[target]
 
-        # And the fresh computation really reads the *current*
-        # artifacts: refresh the scaler in place (widening its span
-        # changes every scaled coordinate) and the next generation's
-        # encodes change value — the old cache entry would have been
-        # numerically wrong.
-        state.scaler.max_ = state.scaler.max_ + 1.0
-        state.bump_artifacts()
-        refreshed = manager._subspace_artifacts(subspace, state, points)
-        assert refreshed[1] is not swapped[1]
-        assert not np.allclose(refreshed[1], swapped[1])
-
-    def test_load_pretrained_bumps_artifact_tokens(self, serve_lte,
-                                                   tmp_path):
-        """Even a bit-identical reload is a new artifact generation."""
-        from repro.persist import load_pretrained, save_pretrained
-
-        lte = copy.deepcopy(serve_lte)
-        save_pretrained(tmp_path / "phi", lte)
-        before = {s: st.artifact_token for s, st in lte.states.items()}
-        load_pretrained(tmp_path / "phi", lte)
-        after = {s: st.artifact_token for s, st in lte.states.items()}
-        assert all(after[s] != before[s] for s in before)
+        for sid in answers:
+            manager.cache.invalidate_session(sid)
+        served = manager.predict_many([first, second, third], eval_rows)
+        for sid, before in answers.items():
+            assert np.array_equal(served[sid], before)
+        assert np.array_equal(served[third], twin.predict(eval_rows))
+        # The three generations really differ.
+        assert not np.array_equal(
+            manager.session(first)._subsessions[target].adapted
+            .model.get_theta_r_flat(),
+            manager.session(second)._subsessions[target].adapted
+            .model.get_theta_r_flat())
 
 
 class TestPerSessionErrorAttribution:

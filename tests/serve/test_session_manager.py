@@ -108,6 +108,33 @@ class TestQueueing:
         assert manager.predict(sid, rows[:0]).shape == (0,)
         assert manager.pending() == []
 
+    def test_subspace_points_of_the_wrong_width_raise_before_any_flush(
+            self, manager, serve_lte, serve_subspaces, make_oracle):
+        """A ``(n, 1)`` array for a 2-D subspace used to be broadcast by
+        the scaler into two equal columns and answered."""
+        subspace = serve_subspaces[0]
+        assert subspace.dim == 2
+        sid = manager.open_session(subspaces=[subspace])
+        tuples = manager.initial_tuples(sid)[subspace]
+        manager.submit_labels(sid, subspace,
+                              make_oracle(9).label_subspace(subspace, tuples))
+        points = subspace.project(serve_lte.table.data[:50])
+        message = r"points have {} columns, subspace \(" + \
+            ", ".join(subspace.names) + r"\) has 2"
+        with pytest.raises(ValueError, match=message.format(1)):
+            manager.predict_subspace(sid, subspace, points[:, :1])
+        with pytest.raises(ValueError, match=message.format(3)):
+            manager.predict_subspace(
+                sid, subspace, np.column_stack([points, points[:, 0]]))
+        assert manager.pending() == [(sid, subspace)]
+        answers = manager.predict_subspace(sid, subspace, points)
+        assert answers.shape == (50,)
+        assert manager.pending() == []
+        assert np.array_equal(
+            manager.predict_subspace(sid, subspace, points[0]), answers[:1])
+        assert manager.predict_subspace(sid, subspace,
+                                        points[:0]).shape == (0,)
+
     def test_add_labels_requires_initial(self, manager, serve_subspaces):
         sid = manager.open_session(subspaces=[serve_subspaces[0]])
         with pytest.raises(RuntimeError):
@@ -310,11 +337,13 @@ class TestPredictionCache:
             manager.submit_labels(sid, subspace,
                                   oracle.label_subspace(subspace, tuples))
         first = manager.predict(sid, eval_rows)
-        misses = manager.cache.misses
+        misses, hits = manager.cache.misses, manager.cache.hits
         second = manager.predict(sid, eval_rows)
         assert np.array_equal(first, second)
         assert manager.cache.misses == misses          # no new misses
-        assert manager.cache.hits >= len(serve_subspaces)
+        # One entry per (session, rows): the conjunction, not a vector
+        # per subspace.
+        assert manager.cache.hits == hits + 1
 
     def test_cache_invalidates_on_new_labels(self, manager, serve_lte,
                                              serve_subspaces, make_oracle,
@@ -409,7 +438,7 @@ class TestStats:
         assert stats["queued"] == 0
         assert stats["adapt_batches"] == 1
         assert stats["adapted_total"] == len(serve_subspaces)
-        assert stats["cache"]["entries"] == len(serve_subspaces)
+        assert stats["cache"]["entries"] == 1      # per session, not subspace
 
     def test_region_packs_reused_across_model_versions(
             self, manager, serve_subspaces, make_oracle, eval_rows):

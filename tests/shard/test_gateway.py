@@ -146,6 +146,40 @@ class TestGatewayProtocol:
                        for sid in sids)
             assert gateway.predict(sids[0], eval_rows[:0]).shape == (0,)
 
+    def test_subspace_points_of_the_wrong_width_rejected_before_any_rpc(
+            self, shard_lte, shard_subspaces, make_oracle, eval_rows):
+        """The gateway knows the subspace's width: a mis-shaped array
+        costs no round trip (and is no longer broadcast into an
+        answer by the worker's scaler)."""
+        oracle = make_oracle(19)
+        subspace = shard_subspaces[0]
+        assert subspace.dim == 2
+        points = subspace.project(eval_rows)
+        message = r"points have {} columns, subspace \(" + \
+            ", ".join(subspace.names) + r"\) has 2"
+        with ShardGateway(shard_lte, n_workers=2) as gateway:
+            sid = gateway.open_session(subspaces=shard_subspaces, seed=5)
+            feed_session(gateway, oracle, sid)
+            gateway.flush_all()
+            def calls():
+                return gateway.gateway_metrics.value(
+                    "shard.gateway.rpc.calls")
+
+            before = calls()
+            with pytest.raises(ValueError, match=message.format(1)):
+                gateway.predict_subspace(sid, subspace, points[:, :1])
+            with pytest.raises(ValueError, match=message.format(3)):
+                gateway.predict_subspace(
+                    sid, subspace, np.column_stack([points, points[:, 0]]))
+            assert calls() == before
+            answers = gateway.predict_subspace(sid, subspace, points)
+            assert answers.shape == (len(points),)
+            assert np.array_equal(
+                gateway.predict_subspace(sid, subspace, points[0]),
+                answers[:1])
+            assert gateway.predict_subspace(sid, subspace,
+                                            points[:0]).shape == (0,)
+
     def test_errors_attributed_across_sessions(self, shard_lte,
                                                shard_subspaces,
                                                make_oracle):
