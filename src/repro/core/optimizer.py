@@ -26,9 +26,13 @@ user-interest region is the conjunction of its subspaces' UISs, so a
 row one subspace's hulls answer 0 is 0 whatever the others say, and
 :func:`~repro.core.framework.predict_conjunctions` — the one caller on
 the serving path — encodes and scores only the rows that are open in
-their own subspace *and* still alive in all the others.
-``refine`` / ``refine_batch`` keep the classifier-first signature as
-wrappers over the same decision, equal for any 0/1 input.
+their own subspace *and* still alive in all the others.  The two
+unions of every session are one query
+(:meth:`~repro.geometry.engine.PackedHulls.unions`, through
+:func:`~repro.geometry.engine.union_masks`): a pack that scans keep
+asking answers most rows from its raster and the rest from the exact
+facets.  The classifier-first spelling (``refine`` / ``refine_batch``)
+is a test oracle now (``tests/serve/_refine_oracle.py``).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class HullRegistry:
     """Identity-dedup table of :class:`Hull` objects for checkpointing.
 
     Optimizers built through :meth:`FewShotOptimizer.fit_batch` *share*
-    hull objects, and :meth:`FewShotOptimizer.refine_batch` deduplicates
+    hull objects, and :meth:`FewShotOptimizer.decide_batch` deduplicates
     membership tests by hull identity.  Serializing each optimizer on its
     own would lose that sharing (and re-inflate both disk size and the
     restored serving cost), so checkpoints route every hull through one
@@ -167,7 +171,6 @@ class FewShotOptimizer:
         self.n_sub = max(2, int(round(n_sub_ratio * summary.ku)))
         self.outer_region = None
         self.inner_region = None
-        self._pack_cache = None   # compiled-geometry reuse for refine()
 
     # ------------------------------------------------------------------
     def _expanded_region(self, positive_center_indices, n_neighbours,
@@ -219,7 +222,6 @@ class FewShotOptimizer:
             anchors, self.n_sup, proximity_order, hull_cache)
         self.inner_region = self._expanded_region(
             anchors, self.n_sub, proximity_order, hull_cache)
-        self._pack_cache = None   # regions changed; drop compiled packs
         return self
 
     @classmethod
@@ -314,7 +316,6 @@ class FewShotOptimizer:
         optimizer.summary = summary
         optimizer.n_sup = int(state["n_sup"])
         optimizer.n_sub = int(state["n_sub"])
-        optimizer._pack_cache = None
 
         def rebuild(indices):
             if indices is None:
@@ -335,9 +336,11 @@ class FewShotOptimizer:
         packed-engine call (:func:`~repro.geometry.engine.union_masks`):
         hulls are deduplicated by identity across every optimizer's
         outer and inner regions (optimizers built via :meth:`fit_batch`
-        share hull objects) and evaluated in one matmul.  ``pack_cache``
-        (a :class:`~repro.geometry.engine.HullPackCache`) reuses the
-        compiled pack across calls; the serving layer passes its own.
+        share hull objects) and their pack answers every union in one
+        :meth:`~repro.geometry.engine.PackedHulls.unions` query.
+        ``pack_cache`` (a :class:`~repro.geometry.engine.HullPackCache`)
+        reuses the compiled pack — and the raster a scanned pack holds —
+        across calls; the serving layer passes its own.
 
         Returns one ``(answers, open_rows)`` pair per optimizer:
         ``answers`` is a fresh ``(n,)`` int64 vector, 1 inside the inner
@@ -368,55 +371,3 @@ class FewShotOptimizer:
             decisions.append((inner_mask.astype(np.int64),
                               np.flatnonzero(open_mask)))
         return decisions
-
-    def decide(self, points):
-        """:meth:`decide_batch` for this optimizer alone, on its own
-        compiled-pack cache."""
-        if self._pack_cache is None:
-            # Sized for the one hull set this optimizer's regions form.
-            from ..geometry.engine import HullPackCache
-            self._pack_cache = HullPackCache(capacity=2)
-        return self.decide_batch([self], points,
-                                 pack_cache=self._pack_cache)[0]
-
-    @staticmethod
-    def _overlay(decision, predictions):
-        """The refined answer: the classifier's on the open rows, the
-        hulls' everywhere else."""
-        answers, open_rows = decision
-        predictions = np.asarray(predictions).astype(np.int64)
-        if open_rows is None:
-            return predictions.copy()
-        if len(answers) != len(predictions):
-            raise ValueError("points/predictions length mismatch")
-        answers[open_rows] = predictions[open_rows]
-        return answers
-
-    @staticmethod
-    def refine_batch(optimizers, points, predictions_list, pack_cache=None):
-        """Refine many sessions' full-row predictions over one point set.
-
-        The classifier-first spelling of :meth:`decide_batch`, for
-        callers that already hold a prediction for every row: result i
-        keeps ``predictions_list[i]`` on the rows optimizer i leaves
-        open and takes the hulls' answer elsewhere; entries whose
-        optimizer is None pass through unchanged.  Result i equals
-        ``optimizers[i].refine(points, predictions_list[i])``.
-        """
-        decisions = FewShotOptimizer.decide_batch(optimizers, points,
-                                                  pack_cache=pack_cache)
-        return [FewShotOptimizer._overlay(decision, predictions)
-                for decision, predictions in zip(decisions,
-                                                 predictions_list)]
-
-    def refine(self, points, predictions):
-        """Apply the FP then FN corrections to raw 0/1 predictions.
-
-        ``points`` are raw subspace tuples (n x d); ``predictions`` the
-        classifier's 0/1 output for them.  The single-session case of
-        :meth:`refine_batch`, on this optimizer's own pack cache.
-        """
-        if len(np.atleast_2d(np.asarray(points))) != \
-                len(np.asarray(predictions).ravel()):
-            raise ValueError("points/predictions length mismatch")
-        return self._overlay(self.decide(points), predictions)

@@ -14,28 +14,39 @@ against numerical differentiation in ``tests/nn/test_gradcheck.py``.
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
 __all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled",
            "stable_sigmoid"]
 
-_GRAD_ENABLED = [True]
+
+class _GradMode(threading.local):
+    """How many ``no_grad()`` blocks the *current thread* is inside: a
+    thread evaluating under ``no_grad()`` must not switch graph
+    recording off for a thread training beside it."""
+
+    depth = 0
+
+
+_GRAD_MODE = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling graph construction (inference mode)."""
-    _GRAD_ENABLED.append(False)
+    """Context manager disabling graph construction (inference mode) in
+    the calling thread."""
+    _GRAD_MODE.depth += 1
     try:
         yield
     finally:
-        _GRAD_ENABLED.pop()
+        _GRAD_MODE.depth -= 1
 
 
 def is_grad_enabled():
     """Return True when operations should record the autograd graph."""
-    return _GRAD_ENABLED[-1]
+    return _GRAD_MODE.depth == 0
 
 
 def _unbroadcast(grad, shape):

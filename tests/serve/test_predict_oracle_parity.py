@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _predict_oracle as oracle
+import _refine_oracle as refine_oracle
 from repro.data.schema import Table
 from repro.nn.batching import inference_logits
 from repro.serve import SessionManager
@@ -218,7 +219,7 @@ def test_smallest_logit_leaves_a_margin(fleet, record_property):
             encoded = state.encode_scaled(scaled)
             full = oracle.tensor_logits(subsession.adapted, encoded)
             open_rows = None if subsession.optimizer is None \
-                else subsession.optimizer.decide(scaled)[1]
+                else refine_oracle.decide(subsession.optimizer, scaled)[1]
             if open_rows is None:
                 open_rows = np.arange(len(rows))
             if not open_rows.size:
