@@ -46,7 +46,8 @@ from .uis import UISMode
 
 __all__ = ["LTEConfig", "LTE", "ExplorationSession", "SubspaceState",
            "AdaptRequest", "build_adapt_request", "build_readapt_request",
-           "run_adapt_requests", "predict_conjunctions", "VARIANTS"]
+           "run_adapt_requests", "predict_conjunctions",
+           "scan_conjunctions", "VARIANTS"]
 
 VARIANTS = ("basic", "meta", "meta_star")
 
@@ -666,7 +667,11 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache):
     one :meth:`FewShotOptimizer.decide_batch` call over all rows; each
     session's boolean ``alive`` is AND-ed with ``inner | open`` of every
     one of its subspaces, so a row outside one subspace's outer hulls is
-    dead before any classifier runs.
+    dead before any classifier runs.  So is a row with a NaN or an
+    infinite coordinate in any of the session's subspaces: it is in no
+    region whatever the variant (stores legitimately hold such rows, and
+    the scaler's clip would hand the encoder of a session without hulls
+    a finite feature for ``inf``).
 
     **(B) Classifiers, what is left.**  Per group again, a session's
     rows to score are the open rows still alive (every alive row for a
@@ -703,11 +708,16 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache):
     for (subspace, _), members in groups.items():
         state = members[0][1].state
         start = clock()
-        scaled = state.to_scaled(project(subspace))
+        points = project(subspace)
+        finite = np.isfinite(points).all(axis=1)
+        scaled = state.to_scaled(points)
         scaled_at = clock()
         decisions = FewShotOptimizer.decide_batch(
             [subsession.optimizer for _, subsession in members], scaled,
             pack_cache=pack_cache)
+        if not finite.all():
+            for key, _ in members:
+                alive[key] &= finite
         opens = []
         for (key, _), (inner, open_rows) in zip(members, decisions):
             if open_rows is None:       # no subregion: every row is open
@@ -747,6 +757,147 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache):
         tally["encode_s"] += encoded_at - start
         tally["forward_s"] += clock() - encoded_at
     return {key: live.astype(np.int64) for key, live in alive.items()}, tally
+
+
+#: Most rows of one :func:`predict_conjunctions` call of a store scan (a
+#: larger chunk is still one call).  Swept on the benchmark's stores
+#: (README, "Scan in blocks"): below it a classifier sees too few open
+#: rows a call, above it a cold scan of a small store is one block and
+#: leaves the hull packs' rasters unbuilt.  No answer depends on it.
+_SCAN_BLOCK_ROWS = 8192
+
+
+def scan_conjunctions(conjunctions, store, marks, pack_cache, cache=None):
+    """0/1 answers of every row of a chunk store for N conjunctions —
+    the one store scan; a lone session hands it a dict of one, the
+    serving layer all the sessions of a call.
+
+    ``conjunctions`` and ``pack_cache`` are :func:`predict_conjunctions`'
+    own.  What a conjunction still **owes** is decided chunk by chunk:
+
+    * ``marks[id]`` is the watermark an earlier scan of this store
+      returned for it (absent or ``None``: none), trusted while the
+      model versions are the ones it was taken under and the store still
+      holds the chunk that closed its prefix.  At the same store version
+      it *is* the answer; over an appended store its closed prefix —
+      immutable chunks — is copied and the chunks after it are owed;
+    * less those the zone maps prune (no hull of some subspace reaches
+      them, every row is 0: :func:`~repro.store.scan.session_chunk_keep`);
+    * less those ``cache`` (a :class:`~repro.serve.cache.PredictionCache`)
+      holds under the chunk's digest; what is evaluated goes there too.
+
+    The owed chunks are evaluated by **runs**: consecutive owed chunks
+    (chunks nobody owes in between do not end a run) that the same
+    conjunctions owe, up to ``_SCAN_BLOCK_ROWS`` rows — a larger chunk
+    is a run of its own, never split.  A run is ONE
+    :func:`predict_conjunctions` call over its chunks' concatenated
+    subspace columns: the classifiers see blocks of up to 8 192 rows
+    however small the storage chunks, and resident memory is bounded by
+    ``max(chunk_rows, 8 192)`` rows.
+
+    Returns ``(results, new_marks, accounting)``: ``{id: (n_rows,)
+    int64}``; ``{id: watermark}`` at this store version, for the caller
+    to keep and hand back; and the call's counts — of ``sessions`` x
+    ``chunks`` = ``chunk_evals_possible`` chunk·sessions,
+    ``chunk_evals`` were answered now (by a run or by ``cache``),
+    ``watermark_skipped`` and ``pruned_skipped`` the rest (the three
+    also go to the process registry's ``store.scan.chunks.*``);
+    ``sessions_served_from_mark``; and ``blocks``, one
+    :func:`predict_conjunctions` tally per run plus its ``rows``.
+    """
+    from ..store.scan import session_chunk_keep
+
+    n_chunks, n_rows = store.n_chunks, store.n_rows
+    offsets, digests = store.offsets, store.zone_maps.digests
+    results, versions, first_owed = {}, {}, {}
+    served_from_mark = 0
+    for key, subsessions in conjunctions.items():
+        versions[key] = tuple(subsession.model_version
+                              for subsession in subsessions.values())
+        mark = marks.get(key)
+        valid = (
+            mark is not None and mark["models"] == versions[key]
+            and store.store_version >= mark["version"]
+            and n_chunks >= mark["closed"]
+            and (mark["closed"] == 0
+                 or digests[mark["closed"] - 1] == mark["tail_digest"]))
+        if valid and store.store_version == mark["version"] \
+                and n_rows == mark["n_rows"]:
+            results[key] = mark["result"].astype(np.int64)
+            first_owed[key] = n_chunks
+            served_from_mark += 1
+            continue
+        results[key] = np.zeros(n_rows, dtype=np.int64)
+        first_owed[key] = mark["closed"] if valid else 0
+        if valid:
+            results[key][:mark["closed_rows"]] = \
+                mark["result"][:mark["closed_rows"]]
+    keep = {key: session_chunk_keep(store, conjunctions[key])
+            for key, first in first_owed.items() if first < n_chunks}
+
+    def cache_key(key, ci):
+        return cache.key(key, zip(conjunctions[key], versions[key]),
+                         digests[ci])
+
+    evals, runs = 0, []             # runs: [chunk indices, ids, rows]
+    for ci in range(n_chunks):
+        owing = [key for key, chunk_keep in keep.items()
+                 if ci >= first_owed[key] and chunk_keep[ci]]
+        evals += len(owing)
+        if cache is not None:
+            hits = {key: cache.get(cache_key(key, ci)) for key in owing}
+            for key in owing:
+                if hits[key] is not None:
+                    results[key][offsets[ci]:offsets[ci + 1]] = hits[key]
+            owing = [key for key in owing if hits[key] is None]
+        if not owing:
+            continue
+        rows = int(offsets[ci + 1] - offsets[ci])
+        if runs and runs[-1][1] == owing \
+                and runs[-1][2] + rows <= _SCAN_BLOCK_ROWS:
+            runs[-1][0].append(ci)
+            runs[-1][2] += rows
+        else:
+            runs.append([[ci], owing, rows])
+
+    blocks = []
+    for run, keys, rows in runs:
+        chunks = [store.chunk(ci) for ci in run]
+        answers, tally = predict_conjunctions(
+            {key: conjunctions[key] for key in keys},
+            lambda subspace: np.concatenate(
+                [chunk[:, list(subspace.columns)] for chunk in chunks]),
+            rows, pack_cache)
+        blocks.append(dict(tally, rows=rows))
+        at = 0
+        for ci in run:
+            start, stop = int(offsets[ci]), int(offsets[ci + 1])
+            for key in keys:
+                piece = answers[key][at:at + stop - start]
+                results[key][start:stop] = piece
+                if cache is not None:
+                    cache.put(cache_key(key, ci), piece)
+            at += stop - start
+
+    closed = store.closed_chunks
+    stamp = {"version": int(store.store_version), "n_rows": int(n_rows),
+             "closed": int(closed), "closed_rows": int(offsets[closed]),
+             "tail_digest": digests[closed - 1] if closed else None}
+    new_marks = {key: dict(stamp, models=versions[key],
+                           result=result.astype(np.int8))
+                 for key, result in results.items()}
+    possible = len(conjunctions) * n_chunks
+    watermarked = sum(first_owed.values())
+    pruned = possible - watermarked - evals
+    counter = default_registry().counter
+    counter("store.scan.chunks.scanned").inc(evals)
+    counter("store.scan.chunks.watermark_skipped").inc(watermarked)
+    counter("store.scan.chunks.pruned").inc(pruned)
+    return results, new_marks, {
+        "sessions": len(conjunctions), "chunks": n_chunks,
+        "chunk_evals": evals, "chunk_evals_possible": possible,
+        "watermark_skipped": watermarked, "pruned_skipped": pruned,
+        "sessions_served_from_mark": served_from_mark, "blocks": blocks}
 
 
 def _binary_labels(labels):
@@ -977,7 +1128,7 @@ class ExplorationSession:
         # predict_store only scans chunks newer than the watermark.
         self._store_marks = {}
         self.last_store_scan = None
-        self._region_packs = None    # compiled hulls, see _answer
+        self._region_packs = None    # compiled hulls, see _pack_cache
         for i, subspace in enumerate(subspaces):
             self._subsessions[subspace] = _SubspaceSession(
                 lte.states[subspace], variant, lte.config, seed=seed + i)
@@ -1152,17 +1303,21 @@ class ExplorationSession:
         return result
 
     # ------------------------------------------------------------------
-    def _answer(self, subsessions, project, n_rows):
-        """This session's answer for one block of rows: a conjunction of
-        one id through :func:`predict_conjunctions`, on a pack cache of
-        the session's own (one compiled pack per subspace, made on the
-        first lone prediction — a managed session never needs it), so a
-        store scan compiles its hulls once, not once per chunk."""
+    def _pack_cache(self):
+        """A pack cache of the session's own: one compiled pack per
+        subspace, made on the first lone prediction (a managed session
+        never needs it) and kept, so a store scan compiles its hulls —
+        and builds their rasters — once."""
         if self._region_packs is None:
             self._region_packs = HullPackCache(
                 capacity=len(self._subsessions))
+        return self._region_packs
+
+    def _answer(self, subsessions, project, n_rows):
+        """This session's answer for one block of rows: a conjunction of
+        one id through :func:`predict_conjunctions`."""
         answers, _ = predict_conjunctions({None: subsessions}, project,
-                                          n_rows, self._region_packs)
+                                          n_rows, self._pack_cache())
         return answers[None]
 
     def predict_subspace(self, subspace, raw_points):
@@ -1201,85 +1356,27 @@ class ExplorationSession:
             subsession.require_adapted()
 
     def predict_store(self, store):
-        """0/1 UIR membership over a chunk store, zone-map pruned.
-
-        Chunks no subspace's few-shot refinement could mark positive
-        (outside both the outer and inner subregion bounding boxes, in
-        raw coordinates through the subspace scaler) are skipped without
-        touching their bytes: the Meta* refinement demotes every
-        positive prediction outside the outer subregion, so those rows
-        end up 0 either way — the result is **bit-identical** to
-        ``predict(store.data)`` while reading only the chunks a user's
-        interest region can overlap.  Basic/Meta sessions (no geometric
-        refinement) evaluate every chunk, still at chunk-bounded memory.
-        A chunk that is read is one block through
-        :func:`predict_conjunctions`, the call the serving layer makes
-        for all its sessions at once.
-
-        Serving is additionally **watermarked**: the session remembers
-        the ``store_version`` it last answered at (per store ``uid``)
-        together with that answer, and a later call over an appended
-        store re-evaluates only chunks at or past the previously closed
-        prefix — closed chunks are immutable, and the session's adapted
-        models are unchanged (checked via per-subspace model versions),
-        so the merged result is bit-identical to a full rescan.  Any
-        re-adaptation invalidates the watermark.  :attr:`last_store_scan`
+        """0/1 UIR membership over a chunk store — the answers of
+        ``predict(store.data)`` at bounded memory:
+        :func:`scan_conjunctions` over a dict of one, the call the
+        serving layer makes for all its sessions at once.  Chunks the
+        few-shot subregions cannot reach are pruned by zone map (Basic /
+        Meta sessions evaluate every chunk); the session's watermark
+        (per store ``uid``; any re-adaptation invalidates it) leaves
+        only the chunks past the previously closed prefix of an
+        appended store; what is owed is answered in blocks of at most
+        ``max(chunk_rows, 8 192)`` rows.  :attr:`last_store_scan`
         reports the accounting of the most recent call.
         """
-        from ..store.scan import session_chunk_keep
-
         self._require_predictable()
-        uid = getattr(store, "uid", None)
-        models = tuple(ss.model_version
-                       for ss in self._subsessions.values())
-        mark = self._store_marks.get(uid) if uid is not None else None
-        valid = (
-            mark is not None and mark["models"] == models
-            and store.store_version >= mark["version"]
-            and store.n_chunks >= mark["closed"]
-            and (mark["closed"] == 0
-                 or store.zone_maps.digests[mark["closed"] - 1]
-                 == mark["tail_digest"]))
-        if valid and store.store_version == mark["version"] \
-                and store.n_rows == mark["n_rows"]:
-            self.last_store_scan = {
-                "chunks": int(store.n_chunks),
-                "chunks_watermarked": int(store.n_chunks),
-                "chunks_scanned": 0, "chunks_pruned": 0,
-            }
-            return mark["result"].astype(np.int64)
-        start_chunk, prefix_rows = (mark["closed"], mark["closed_rows"]) \
-            if valid else (0, 0)
-        keep = session_chunk_keep(store, self._subsessions)
-        result = np.zeros(store.n_rows, dtype=np.int64)
-        if prefix_rows:
-            result[:prefix_rows] = mark["result"][:prefix_rows]
-        scanned = 0
-        for ci in np.flatnonzero(keep):
-            if ci < start_chunk:
-                continue
-            block = store.chunk(ci)
-            start = int(store.offsets[ci])
-            result[start:start + len(block)] = self._answer(
-                self._subsessions,
-                lambda subspace: subspace.project(block), len(block))
-            scanned += 1
+        results, marks, accounting = scan_conjunctions(
+            {None: self._subsessions}, store,
+            {None: self._store_marks.get(store.uid)}, self._pack_cache())
+        self._store_marks[store.uid] = marks[None]
         self.last_store_scan = {
-            "chunks": int(store.n_chunks),
-            "chunks_watermarked": int(start_chunk),
-            "chunks_scanned": scanned,
-            "chunks_pruned": int(store.n_chunks - start_chunk - scanned),
+            "chunks": accounting["chunks"],
+            "chunks_watermarked": accounting["watermark_skipped"],
+            "chunks_scanned": accounting["chunk_evals"],
+            "chunks_pruned": accounting["pruned_skipped"],
         }
-        if uid is not None:
-            closed = store.closed_chunks
-            self._store_marks[uid] = {
-                "version": int(store.store_version),
-                "n_rows": int(store.n_rows),
-                "closed": int(closed),
-                "closed_rows": int(store.offsets[closed]),
-                "tail_digest": store.zone_maps.digests[closed - 1]
-                if closed else None,
-                "models": models,
-                "result": result.astype(np.int8),
-            }
-        return result
+        return results[None]

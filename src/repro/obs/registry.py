@@ -32,6 +32,8 @@ name                                             kind        unit
 ``serve.manager.store_scan.chunk_evals``         counter     chunks
 ``serve.manager.store_scan.watermark_skipped``   counter     chunks
 ``serve.manager.store_scan.pruned_skipped``      counter     chunks
+``serve.manager.store_scan.blocks``              counter     blocks
+``serve.manager.store_scan.block_rows``          histogram   rows
 ``serve.cache.prediction.hits``                  counter     lookups
 ``serve.cache.prediction.misses``                counter     lookups
 ``serve.cache.prediction.entries``               gauge       entries

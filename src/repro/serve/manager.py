@@ -30,7 +30,7 @@ from collections import deque
 import numpy as np
 
 from ..core.framework import (ExplorationSession, LTE, predict_conjunctions,
-                              run_adapt_requests)
+                              run_adapt_requests, scan_conjunctions)
 from ..core.optimizer import HullRegistry
 from ..geometry.engine import HullPackCache
 from ..obs import MetricsRegistry, span
@@ -439,10 +439,8 @@ class SessionManager:
         cache lookup per session, the misses through ONE
         :func:`~repro.core.framework.predict_conjunctions` call.
 
-        ``digest`` identifies the block's rows (the store path passes
-        the chunk digest, so repeated scans never hash bytes).  Every
-        answer is the caller's to keep: a hit is a copy of the cache's
-        frozen array.
+        ``digest`` identifies the block's rows.  Every answer is the
+        caller's to keep: a hit is a copy of the cache's frozen array.
         """
         t0 = time.perf_counter() if self._obs_on else None
         out, misses = {}, {}
@@ -466,15 +464,20 @@ class SessionManager:
             for session_id, key in misses.items():
                 self.cache.put(key, answers[session_id])
             out.update(answers)
-            self._t_encode.observe(tally["encode_s"])
-            self._t_refine.observe(tally["geometry_s"])
-            self._t_forward.observe(tally["forward_s"])
-            self._rows_settled.inc(tally["settled"])
-            self._rows_scored.inc(tally["scored"])
-            self._rows_skipped.inc(tally["skipped"])
+            self._record_tally(tally)
         if t0 is not None:
             self._t_predict.observe(time.perf_counter() - t0)
         return out
+
+    def _record_tally(self, tally):
+        """One :func:`~repro.core.framework.predict_conjunctions` call's
+        seconds and row·subspace counts into the registry."""
+        self._t_encode.observe(tally["encode_s"])
+        self._t_refine.observe(tally["geometry_s"])
+        self._t_forward.observe(tally["forward_s"])
+        self._rows_settled.inc(tally["settled"])
+        self._rows_scored.inc(tally["scored"])
+        self._rows_skipped.inc(tally["skipped"])
 
     def predict_subspace(self, session_id, subspace, points):
         """Cached 0/1 UIS membership for subspace-coordinate points (a
@@ -515,132 +518,49 @@ class SessionManager:
                 rows_digest(rows))
 
     def predict_many_store(self, session_ids, store):
-        """0/1 UIR membership over a chunk store for many sessions.
+        """0/1 UIR membership over a chunk store for many sessions: ONE
+        :func:`~repro.core.framework.scan_conjunctions` call — the scan
+        a lone session's ``predict_store`` runs for itself — over the
+        sessions, their watermarks (per ``(session, store uid)``, kept
+        in snapshots) and this manager's pack and prediction caches.
+        It prunes chunks by zone map, skips what a watermark or the
+        per-chunk cache already answers and evaluates the rest in
+        blocks of at most ``max(chunk_rows, 8 192)`` rows — the bound
+        on resident memory, whatever the store's size.
 
-        The out-of-core counterpart of :meth:`predict_many`, evaluated
-        chunk-at-a-time so resident memory is bounded by the chunk size:
-
-        * **zone-map pruning** — chunks a session's few-shot subregions
-          cannot overlap (conservative raw-space bounding boxes through
-          the subspace scaler) are skipped for that session entirely;
-          the Meta* refinement would demote every positive there anyway,
-          so skipped chunks are all-zero bit-identically;
-        * **per-chunk result caching** — the prediction cache is keyed
-          by the store's precomputed chunk digests, so a repeated scan
-          over an unchanged model serves every session·chunk from cache
-          without re-reading, re-encoding or re-hashing its bytes;
-        * shared work — all sessions surviving a chunk go through one
-          :func:`~repro.core.framework.predict_conjunctions` call,
-          exactly as in :meth:`predict_many`: one hull-membership call a
-          subspace, one encode of the rows some classifier still has to
-          read (never the whole chunk for its own sake), and each
-          session's classifier scoring only its open, still-alive rows;
-        * **freshness watermarks** — each session remembers the
-          ``store_version`` it last answered at (per store ``uid``)
-          together with that answer; over an appended store, only chunks
-          at or past the previously closed prefix are re-evaluated and
-          merged with the remembered prefix, bit-identically to a full
-          rescan (closed chunks are immutable and the watermark is only
-          trusted while the session's model versions are unchanged).
-
-        Returns ``{session_id: (n_rows,) predictions}``.  The
-        accounting of the most recent call — chunks evaluated vs skipped
-        by watermark vs pruned by zone maps — lands in
-        :attr:`last_store_scan`.
+        Returns ``{session_id: (n_rows,) predictions}``.  The call's
+        accounting — chunk·sessions evaluated vs skipped by watermark
+        vs pruned by zone maps — lands in :attr:`last_store_scan` and,
+        with its blocks, under ``serve.manager.store_scan.*``.
         """
-        from ..store.scan import session_chunk_keep
-
         with self._lock, span("serve.manager.store_scan") as scan_span:
             self.flush(raise_errors=False)
+            t0 = time.perf_counter() if self._obs_on else None
             sessions = self._conjunctions(session_ids)
-            uid = getattr(store, "uid", None)
-            n_chunks = store.n_chunks
-            results = {sid: np.zeros(store.n_rows, dtype=np.int64)
-                       for sid in sessions}
-            model_versions, start_chunk = {}, {}
-            served_from_mark = 0
-            for sid, subsessions in sessions.items():
-                models = tuple(ss.model_version
-                               for ss in subsessions.values())
-                model_versions[sid] = models
-                mark = self._store_marks.get((sid, uid)) \
-                    if uid is not None else None
-                valid = (
-                    mark is not None and mark["models"] == models
-                    and store.store_version >= mark["version"]
-                    and n_chunks >= mark["closed"]
-                    and (mark["closed"] == 0
-                         or store.zone_maps.digests[mark["closed"] - 1]
-                         == mark["tail_digest"]))
-                if valid and store.store_version == mark["version"] \
-                        and store.n_rows == mark["n_rows"]:
-                    results[sid] = mark["result"].astype(np.int64)
-                    start_chunk[sid] = n_chunks
-                    served_from_mark += 1
-                elif valid:
-                    start_chunk[sid] = mark["closed"]
-                    results[sid][:mark["closed_rows"]] = \
-                        mark["result"][:mark["closed_rows"]]
-                else:
-                    start_chunk[sid] = 0
-            session_keep = {
-                sid: session_chunk_keep(store, subsessions)
-                for sid, subsessions in sessions.items()}
-            evals = {sid: 0 for sid in sessions}
-            for ci in range(n_chunks):
-                live = {sid: subsessions
-                        for sid, subsessions in sessions.items()
-                        if ci >= start_chunk[sid] and session_keep[sid][ci]}
-                if not live:
-                    continue
-                block = store.chunk(ci)
-                start = int(store.offsets[ci])
-                answers = self._answer_block(
-                    live, lambda subspace: np.ascontiguousarray(
-                        block[:, list(subspace.columns)]),
-                    len(block), store.chunk_digest(ci))
-                for sid, predictions in answers.items():
-                    results[sid][start:start + len(block)] = predictions
-                    evals[sid] += 1
-            self.last_store_scan = {
-                "sessions": len(sessions),
-                "chunks": int(n_chunks),
-                "chunk_evals": int(sum(evals.values())),
-                "chunk_evals_possible": int(len(sessions) * n_chunks),
-                "watermark_skipped": int(sum(start_chunk.values())),
-                "pruned_skipped": int(sum(
-                    n_chunks - start_chunk[sid] - evals[sid]
-                    for sid in sessions)),
-                "sessions_served_from_mark": int(served_from_mark),
-            }
-            scan = self.last_store_scan
-            scan_span.annotate(chunk_evals=scan["chunk_evals"],
-                               watermark_skipped=scan["watermark_skipped"],
-                               pruned_skipped=scan["pruned_skipped"])
+            results, marks, scan = scan_conjunctions(
+                sessions, store,
+                {sid: self._store_marks.get((sid, store.uid))
+                 for sid in sessions},
+                self._region_packs, cache=self.cache)
+            for sid, mark in marks.items():
+                self._store_marks[(sid, store.uid)] = mark
+            blocks = scan.pop("blocks")
+            self.last_store_scan = scan
+            counted = {name: scan[name] for name in (
+                "chunk_evals", "watermark_skipped", "pruned_skipped")}
+            scan_span.annotate(**counted)
+            for name, count in counted.items():
+                self.metrics.counter(
+                    "serve.manager.store_scan." + name).inc(count)
             self.metrics.counter(
-                "serve.manager.store_scan.chunk_evals") \
-                .inc(scan["chunk_evals"])
-            self.metrics.counter(
-                "serve.manager.store_scan.watermark_skipped") \
-                .inc(scan["watermark_skipped"])
-            self.metrics.counter(
-                "serve.manager.store_scan.pruned_skipped") \
-                .inc(scan["pruned_skipped"])
-            if uid is not None:
-                closed = store.closed_chunks
-                closed_rows = int(store.offsets[closed])
-                tail_digest = store.zone_maps.digests[closed - 1] \
-                    if closed else None
-                for sid in sessions:
-                    self._store_marks[(sid, uid)] = {
-                        "version": int(store.store_version),
-                        "n_rows": int(store.n_rows),
-                        "closed": int(closed),
-                        "closed_rows": closed_rows,
-                        "tail_digest": tail_digest,
-                        "models": model_versions[sid],
-                        "result": results[sid].astype(np.int8),
-                    }
+                "serve.manager.store_scan.blocks").inc(len(blocks))
+            block_rows = self.metrics.histogram(
+                "serve.manager.store_scan.block_rows")
+            for tally in blocks:
+                block_rows.observe(tally["rows"])
+                self._record_tally(tally)
+            if t0 is not None:
+                self._t_predict.observe(time.perf_counter() - t0)
             return results
 
     def predict_store(self, session_id, store):

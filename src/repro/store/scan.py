@@ -122,6 +122,41 @@ def _membership(region, rows):
     return np.asarray(region.predicate(rows)) == 1
 
 
+def _zone_map_keep(store, region, columns=None):
+    """The zone-map test itself: ``(keep, prunable)`` — a fresh boolean
+    ``(n_chunks,)`` mask, False where the chunk's zone map proves it
+    holds no member of ``region`` (given over the store's ``columns``,
+    default all in order), and whether the region offered any bounds to
+    prune by.  Counts nothing: a plan that is only *consulted*
+    (:func:`optimizer_chunk_keep`) is not a scan."""
+    base = tuple(range(store.n_attributes)) if columns is None \
+        else tuple(columns)
+    expected = getattr(region, "dim", None)
+    if expected is None and hasattr(region, "attribute_names"):
+        expected = len(region.attribute_names)
+    if expected is not None and expected != len(base):
+        raise ValueError(
+            "region over {} dims scanned against {} store columns"
+            .format(expected, len(base)))
+    zone = store.zone_maps
+    keep = np.ones(zone.n_chunks, dtype=bool)
+    groups = region_bounds(region)
+    if groups is not None:
+        for cols, lo, hi in groups:
+            sel = list(base) if cols is None else [base[c] for c in cols]
+            zmin = zone.mins[:, sel]
+            zmax = zone.maxs[:, sel]
+            # (chunks, parts, cols): a chunk can hold a member of a
+            # part only if every column range overlaps the part's
+            # box.  NaN zone entries (no finite value in the chunk's
+            # column) compare False on both sides — correctly pruned,
+            # since NaN coordinates fail every membership test.
+            overlap = ((zmin[:, None, :] <= hi[None, :, :])
+                       & (zmax[:, None, :] >= lo[None, :, :]))
+            keep &= overlap.all(axis=2).any(axis=1)
+    return keep, groups is not None
+
+
 class ChunkScan:
     """A planned, zone-map-pruned evaluation of one region over a store.
 
@@ -154,37 +189,10 @@ class ChunkScan:
         self.region = region
         self.columns = None if columns is None \
             else tuple(int(c) for c in columns)
-        base = self.columns if self.columns is not None \
-            else tuple(range(store.n_attributes))
-        expected = getattr(region, "dim", None)
-        if expected is None and hasattr(region, "attribute_names"):
-            expected = len(region.attribute_names)
-        if expected is not None and expected != len(base):
-            raise ValueError(
-                "region over {} dims scanned against {} store columns"
-                .format(expected, len(base)))
-        self._base = base
-        zone = store.zone_maps
-        keep = np.ones(zone.n_chunks, dtype=bool)
-        self.first_chunk = max(0, min(int(first_chunk), zone.n_chunks))
+        keep, self._prunable = _zone_map_keep(store, region, self.columns)
+        self.first_chunk = max(0, min(int(first_chunk), len(keep)))
         keep[:self.first_chunk] = False
-        groups = region_bounds(region)
-        if groups is not None:
-            for cols, lo, hi in groups:
-                sel = list(base) if cols is None \
-                    else [base[c] for c in cols]
-                zmin = zone.mins[:, sel]
-                zmax = zone.maxs[:, sel]
-                # (chunks, parts, cols): a chunk can hold a member of a
-                # part only if every column range overlaps the part's
-                # box.  NaN zone entries (no finite value in the chunk's
-                # column) compare False on both sides — correctly pruned,
-                # since NaN coordinates fail every membership test.
-                overlap = ((zmin[:, None, :] <= hi[None, :, :])
-                           & (zmax[:, None, :] >= lo[None, :, :]))
-                keep &= overlap.all(axis=2).any(axis=1)
         self._keep = keep
-        self._prunable = groups is not None
         # Cumulative pruning telemetry (process default registry, under
         # store.scan.*) — the per-plan breakdown stays in `stats`.
         metrics = default_registry()
@@ -256,9 +264,8 @@ def optimizer_chunk_keep(store, columns, scaler, optimizer):
                if r is not None]
     keep = np.zeros(store.zone_maps.n_chunks, dtype=bool)
     for region in regions:
-        scan = ChunkScan(store, ScaledRegion(region, scaler),
-                         columns=columns)
-        keep |= scan._keep
+        keep |= _zone_map_keep(store, ScaledRegion(region, scaler),
+                              columns)[0]
     return keep
 
 
@@ -271,8 +278,9 @@ def session_chunk_keep(store, subsessions):
     zeroes the whole conjunction, so the per-subspace keeps from
     :func:`optimizer_chunk_keep` are ANDed; subspaces with no pruning
     leverage contribute all-True.  This is the single soundness site
-    shared by ``ExplorationSession.predict_store`` and
-    ``SessionManager.predict_many_store``.
+    of the one store scan, ``core.framework.scan_conjunctions`` — which
+    also does the counting: what it evaluated, skipped by watermark and
+    pruned goes under ``store.scan.chunks.*`` per chunk·session.
     """
     keep = np.ones(store.zone_maps.n_chunks, dtype=bool)
     for subspace, subsession in subsessions.items():

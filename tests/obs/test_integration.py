@@ -17,12 +17,18 @@ def _feed(manager, oracle, session_id):
                               oracle.label_subspace(subspace, tuples))
 
 
-def _serve_wave(manager, oracle, obs_subspaces, eval_rows, n_sessions=3):
+def _open_fed(manager, oracle, obs_subspaces, n_sessions):
+    """``n_sessions`` Meta* sessions, labelled and adapted; their ids."""
     sids = [manager.open_session(subspaces=obs_subspaces, seed=i)
             for i in range(n_sessions)]
     for sid in sids:
         _feed(manager, oracle, sid)
     manager.flush()
+    return sids
+
+
+def _serve_wave(manager, oracle, obs_subspaces, eval_rows, n_sessions=3):
+    sids = _open_fed(manager, oracle, obs_subspaces, n_sessions)
     return sids, manager.predict_many(sids, eval_rows)
 
 
@@ -117,11 +123,7 @@ class TestServingWaveMetrics:
         monkeypatch.setattr(PackedHulls, "unions", counted)
 
         manager = SessionManager(obs_lte)
-        sids = [manager.open_session(subspaces=obs_subspaces, seed=i)
-                for i in range(2)]
-        for sid in sids:
-            _feed(manager, make_oracle(31), sid)
-        manager.flush()
+        sids = _open_fed(manager, make_oracle(31), obs_subspaces, 2)
         metrics = manager.metrics
         for seed in range(3):       # a wave's rounds of 100-row previews
             manager.predict_many(
@@ -129,10 +131,14 @@ class TestServingWaveMetrics:
         assert [metrics.value(name) for name in names] == [0, 0, 0]
         assert not asked["rastered"]
 
-        rows = np.tile(obs_lte.table.data, (5, 1))
+        # Three blocks of the scan: a pack rasters on the first call
+        # after it has been asked 4 096 rows.
+        rows = np.tile(obs_lte.table.data, (12, 1))
         store = Table("CAR", obs_lte.table.attributes, rows) \
             .to_store(chunk_rows=512)
         manager.predict_many_store(sids, store)
+        assert manager.metrics.value(
+            "serve.manager.store_scan.blocks") >= 3
         built, settled, exact = (metrics.value(name) for name in names)
         assert built == len(asked["packs"]) >= 1
         assert settled + exact == asked["rastered"] > 0
@@ -180,6 +186,95 @@ class TestServingWaveMetrics:
                      if e["name"] == "serve.manager.adapt")
         assert adapt["requests"] >= 1
         assert adapt["seconds"] > 0.0
+
+
+class TestStoreScanMetrics:
+    """A store scan is counted once, where it happened: per
+    chunk·session under ``store.scan.chunks.*`` in the process registry,
+    and — chunk·sessions and blocks — under
+    ``serve.manager.store_scan.*`` in the manager's."""
+
+    CHUNKS = ["store.scan.chunks." + kind
+              for kind in ("scanned", "pruned", "watermark_skipped")]
+
+    def test_chunk_counters_say_what_the_scan_did(
+            self, obs_lte, obs_subspaces, make_oracle):
+        """Consulting the zone maps is not a scan: an incremental scan
+        that evaluates 2 chunk·sessions of a 17-chunk store used to
+        report 8 plans and 136 chunks scanned, none skipped."""
+        from repro.data.schema import Table
+        process = obs.default_registry()
+
+        def counts():
+            return [process.value(name) for name in self.CHUNKS]
+
+        manager = SessionManager(obs_lte)
+        sids = _open_fed(manager, make_oracle(31), obs_subspaces, 2)
+        rows = obs_lte.table.data
+        store = Table("CAR", obs_lte.table.attributes, rows[:16 * 64]) \
+            .to_store(chunk_rows=64)
+        manager.predict_many_store(sids, store)
+        cold = counts()
+        scan = manager.last_store_scan
+        assert cold == [scan["chunk_evals"], scan["pruned_skipped"], 0]
+        assert sum(cold) == scan["chunk_evals_possible"] == 2 * 16
+
+        store.append_blocks([rows[16 * 64:17 * 64]])
+        manager.predict_many_store(sids, store)
+        assert [b - a for a, b in zip(cold, counts())] == [2, 0, 32]
+        assert manager.last_store_scan["chunk_evals_possible"] == 2 + 32
+        assert process.value("store.scan.plans") == 0
+
+        # A lone session's scan is the same scan, counted the same way.
+        before = counts()
+        session = manager.session(sids[0])
+        session.predict_store(store)
+        scan = session.last_store_scan
+        assert [b - a for a, b in zip(before, counts())] == \
+            [scan["chunks_scanned"], scan["chunks_pruned"],
+             scan["chunks_watermarked"]]
+        assert scan["chunks_scanned"] + scan["chunks_pruned"] == 17
+        # ... and a ChunkScan still is one plan.
+        store.scan(session._subsessions[obs_subspaces[0]]
+                   .optimizer.outer_region, columns=obs_subspaces[0].columns)
+        assert process.value("store.scan.plans") == 1
+
+    def test_blocks_are_counted_and_sized(self, obs_lte, obs_subspaces,
+                                          make_oracle):
+        from repro.data.schema import Table
+        from repro.obs import registry
+        from repro.store.scan import session_chunk_keep
+        blocks, block_rows = ("serve.manager.store_scan." + kind
+                              for kind in ("blocks", "block_rows"))
+        assert all("``{}``".format(name) in registry.__doc__
+                   for name in (blocks, block_rows))
+
+        manager = SessionManager(obs_lte)
+        sids = _open_fed(manager, make_oracle(31), obs_subspaces, 2)
+        rows = np.tile(obs_lte.table.data, (12, 1))
+        rows[5000:7000] *= 50.0         # chunks no hull reaches
+        store = Table("CAR", obs_lte.table.attributes, rows) \
+            .to_store(chunk_rows=512)
+        manager.predict_many_store(sids, store)
+        snap = manager.metrics.snapshot()
+        scan = manager.last_store_scan
+        assert scan["pruned_skipped"] > 0
+        assert 3 <= snap[blocks]["value"] <= scan["chunk_evals"]
+        assert snap[block_rows]["count"] == snap[blocks]["value"]
+        assert snap[block_rows]["max"] <= 8192
+        # Block rows sum to the rows evaluated: those of every chunk
+        # some session owed.
+        owed = np.any([session_chunk_keep(
+            store, manager.session(sid)._subsessions) for sid in sids],
+            axis=0)
+        assert snap[block_rows]["sum"] == store.zone_maps.counts[owed].sum()
+        assert snap[block_rows]["sum"] < len(rows)
+
+        # A repeat at the same version is served from marks: no block.
+        manager.predict_many_store(sids, store)
+        again = manager.metrics.snapshot()
+        assert again[blocks] == snap[blocks]
+        assert again[block_rows] == snap[block_rows]
 
 
 class TestSnapshotRestore:

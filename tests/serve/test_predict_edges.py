@@ -250,3 +250,80 @@ def test_one_dimensional_subspace_through_the_whole_serve_path(
                           want)
     restored = SessionManager.restore(serve_lte, manager.snapshot())
     assert np.array_equal(restored.predict(sid, rows[::-1]), want[::-1])
+
+
+def test_a_row_with_a_non_finite_coordinate_is_in_no_region(
+        serve_lte, serve_subspaces, make_oracle):
+    """NaN and ±inf are coordinates a store may hold; such a row is in
+    no region whatever the variant.  A session without hulls used to
+    send it to the encoder, whose scaler clips ±inf to a finite feature,
+    and *answer*.  Every front, rows and stores alike, answers 0 —
+    without a warning — and answers the finite rows (1e300 included) as
+    before."""
+    import warnings
+
+    variants = ["basic", "meta", "meta_star"]
+    truth = make_oracle(3)
+
+    def drive(front):
+        sids = [front.open_session(variant=variant,
+                                   subspaces=serve_subspaces, seed=i)
+                for i, variant in enumerate(variants)]
+        for sid in sids:
+            feed(front, truth, sid)
+        return sids
+
+    manager = SessionManager(serve_lte)
+    sids = drive(manager)
+    manager.flush()
+    sessions = [manager.session(sid) for sid in sids]
+    columns = sorted({c for s in serve_subspaces for c in s.columns})
+    width = serve_lte.table.n_attributes
+
+    # Rows every session answers 1, four copies each with one explored
+    # coordinate replaced; then a finite stretch with 1e300 outliers.
+    table = serve_lte.table.data
+    positive = table[np.flatnonzero(np.all(
+        [session.predict(table) == 1 for session in sessions], axis=0))]
+    assert len(positive) >= 5
+    rng = np.random.default_rng(0)
+    broken = np.repeat(positive, 4, axis=0)
+    broken[np.arange(len(broken)), rng.choice(columns, size=len(broken))] = \
+        np.tile([np.nan, np.inf, -np.inf, np.nan], len(positive))
+    finite = table[:300].copy()
+    finite[rng.integers(300, size=40), rng.choice(columns, size=40)] = 1e300
+    mixed = np.vstack([broken, finite])
+    rng.shuffle(mixed)
+    all_nan = np.full((130, width), np.nan)
+    bad = ~np.isfinite(mixed[:, columns]).all(axis=1)
+    assert bad.sum() == len(broken)
+    want = oracle.predict_many(sessions, mixed[~bad])
+    assert all(answers.any() for answers in want)   # finite rows: a test
+
+    def store_of(rows, chunk_rows):
+        return Table("CAR", serve_lte.table.attributes, rows) \
+            .to_store(chunk_rows=chunk_rows)
+
+    # A store whose middle chunk is all NaN; later grown by a block.
+    store = store_of(np.vstack([mixed[:260], all_nan]), 130)
+    cases = [(mixed, mixed), (all_nan, all_nan), (store, store.data),
+             (store, np.vstack([store.data, mixed[260:]])),
+             (store_of(mixed[:0], 64), mixed[:0])]
+    with ShardGateway(serve_lte, n_workers=2) as gateway, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        remote = drive(gateway)
+        gateway.flush_all()
+        for rows, block in cases:
+            if len(block) > len(rows):
+                store.append_blocks([mixed[260:]])
+            dead = ~np.isfinite(block[:, columns]).all(axis=1)
+            served = manager.predict_many(sids, rows)
+            sharded = gateway.predict_many(remote, rows)
+            for i, session in enumerate(sessions):
+                expected = oracle.predict_session(session, block[~dead])
+                for got in (session.predict(rows), served[sids[i]],
+                            sharded[remote[i]]):
+                    assert is_answer(got, len(block))
+                    assert not got[dead].any()
+                    assert np.array_equal(got[~dead], expected)
