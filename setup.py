@@ -1,2 +1,2 @@
 from setuptools import setup
-setup()
+setup(install_requires=["numpy", "scipy"])

@@ -33,6 +33,21 @@ unions of every session are one query
 asking answers most rows from its raster and the rest from the exact
 facets.  The classifier-first spelling (``refine`` / ``refine_batch``)
 is a test oracle now (``tests/serve/_refine_oracle.py``).
+
+**An anchor hull is a function of the summary.**  The hull around a
+positive C_s center covers that center and its ``n`` nearest C_u
+centers — nothing a session brings but *which* centers it labelled
+positive.  So :meth:`FewShotOptimizer.fit` reads the sorted P_s rows
+and the hull of each ``(anchor, n)`` from its
+:class:`~repro.core.meta_task.ClusterSummary`, building a hull only the
+first time any session of any flush anchors there: at most 2 ks hulls a
+summary, kept for as long as the summary lives (``refresh_subspace``
+builds a new one), filled through ``dict.setdefault`` so racing threads
+agree on one object.  Sessions therefore share hull *objects* across
+flushes, and everything that dedups by identity — ``union_masks``,
+:meth:`~FewShotOptimizer.decide_batch`, :class:`HullRegistry` — shares
+their packs and checkpoint entries too.  The build-per-call ``fit`` is
+the oracle of ``tests/core/_task_oracle.py``.
 """
 
 from __future__ import annotations
@@ -49,15 +64,15 @@ __all__ = ["FewShotOptimizer", "HullRegistry"]
 class HullRegistry:
     """Identity-dedup table of :class:`Hull` objects for checkpointing.
 
-    Optimizers built through :meth:`FewShotOptimizer.fit_batch` *share*
-    hull objects, and :meth:`FewShotOptimizer.decide_batch` deduplicates
-    membership tests by hull identity.  Serializing each optimizer on its
-    own would lose that sharing (and re-inflate both disk size and the
-    restored serving cost), so checkpoints route every hull through one
-    registry: each distinct hull is stored once and every region refers
-    to it by index.  :meth:`restore` rebuilds the shared objects, so a
-    restored :class:`~repro.serve.SessionManager` keeps the O(anchors)
-    dedup profile of the original.
+    Optimizers fitted over one cluster summary *share* hull objects
+    (its anchor-hull memo), and :meth:`FewShotOptimizer.decide_batch`
+    deduplicates membership tests by hull identity.  Serializing each
+    optimizer on its own would lose that sharing (and re-inflate both
+    disk size and the restored serving cost), so checkpoints route every
+    hull through one registry: each distinct hull is stored once and
+    every region refers to it by index.  :meth:`restore` rebuilds the
+    shared objects, so a restored :class:`~repro.serve.SessionManager`
+    keeps the O(anchors) dedup profile of the original.
 
     The checkpointed form includes each hull's **packed halfspace
     lowering** alongside its point set, so restores rebuild hulls via
@@ -117,26 +132,24 @@ class HullRegistry:
 
     @classmethod
     def restore(cls, entries):
-        """Rebuild the shared hull objects from :meth:`state` output.
-
-        New-format entries (dicts with the packed facet arrays) restore
-        without recompiling; legacy entries (bare point arrays from
-        pre-engine checkpoints) fall back to rebuilding the hull, which
-        is deterministic in the point set.
-        """
+        """Rebuild the shared hull objects from :meth:`state` output —
+        no SVD or Qhull run.  An entry without the packed facet arrays
+        (the bare point set of a pre-engine checkpoint) is refused."""
+        facets = ("A", "b", "tol_scale", "tol_fixed")
         hulls = []
-        for entry in entries:
-            if isinstance(entry, dict) and "A" in entry:
-                hulls.append(Hull.from_halfspaces(
-                    np.asarray(entry["points"], dtype=np.float64),
-                    HalfspaceSystem(
-                        np.asarray(entry["A"], dtype=np.float64),
-                        np.asarray(entry["b"], dtype=np.float64),
-                        np.asarray(entry["tol_scale"], dtype=np.float64),
-                        np.asarray(entry["tol_fixed"], dtype=np.float64))))
-            else:
-                points = entry["points"] if isinstance(entry, dict) else entry
-                hulls.append(Hull(np.asarray(points, dtype=np.float64)))
+        for i, entry in enumerate(entries):
+            missing = [key for key in facets
+                       if not isinstance(entry, dict) or key not in entry]
+            if missing:
+                raise ValueError(
+                    "hull entry {} holds no facet arrays {}: a points-only "
+                    "hull state is not rebuilt (that would re-run Qhull); "
+                    "save the checkpoint again from a live system"
+                    .format(i, ", ".join(missing)))
+            hulls.append(Hull.from_halfspaces(
+                np.asarray(entry["points"], dtype=np.float64),
+                HalfspaceSystem(*(np.asarray(entry[key], dtype=np.float64)
+                                  for key in facets))))
         return cls(hulls)
 
 
@@ -173,29 +186,25 @@ class FewShotOptimizer:
         self.inner_region = None
 
     # ------------------------------------------------------------------
-    def _expanded_region(self, positive_center_indices, n_neighbours,
-                         proximity_order=None, hull_cache=None):
-        """Union of hulls over each anchor's n nearest C_u centers."""
+    def _expanded_region(self, positive_center_indices, n_neighbours):
+        """Union of hulls over each anchor's n nearest C_u centers, each
+        read from — or built once into — the summary's memo."""
+        summary = self.summary
         hulls = []
         for s_idx in positive_center_indices:
             key = (int(s_idx), int(n_neighbours))
-            hull = hull_cache.get(key) if hull_cache is not None else None
+            hull = summary.anchor_hulls.get(key)
             if hull is None:
-                order = proximity_order[s_idx] \
-                    if proximity_order is not None \
-                    else np.argsort(self.summary.proximity_s[s_idx])
-                members = self.summary.centers_u[order[:n_neighbours]]
+                members = summary.centers_u[
+                    summary.neighbours_s[s_idx, :n_neighbours]]
                 # Include the anchor itself so the hull always covers it.
-                pts = np.vstack([self.summary.centers_s[s_idx][None, :],
+                pts = np.vstack([summary.centers_s[s_idx][None, :],
                                  members])
-                hull = Hull(pts)
-                if hull_cache is not None:
-                    hull_cache[key] = hull
+                hull = summary.anchor_hulls.setdefault(key, Hull(pts))
             hulls.append(hull)
         return UnionRegion(hulls) if hulls else None
 
-    def fit(self, support_labels_on_centers, proximity_order=None,
-            hull_cache=None):
+    def fit(self, support_labels_on_centers):
         """Build both subregions from the C_s center labels.
 
         Parameters
@@ -203,61 +212,31 @@ class FewShotOptimizer:
         support_labels_on_centers:
             0/1 labels of the ks initial centers (the user's labelling of
             the initial tuples, restricted to the C_s part).
-        proximity_order:
-            Optional precomputed ``argsort(proximity_s, axis=1)``; lets
-            batched fitting share one sort across every optimizer built on
-            the same cluster summary.
-        hull_cache:
-            Optional dict memoizing hulls by (anchor index, n_neighbours).
-            A hull depends only on the summary geometry — not on which
-            session labelled the anchor positive — so concurrent sessions
-            over one subspace share hulls instead of rebuilding them.
         """
         labels = np.asarray(support_labels_on_centers).ravel()
         if labels.size != self.summary.ks:
             raise ValueError("expected {} center labels, got {}".format(
                 self.summary.ks, labels.size))
         anchors = np.flatnonzero(labels == 1)
-        self.outer_region = self._expanded_region(
-            anchors, self.n_sup, proximity_order, hull_cache)
-        self.inner_region = self._expanded_region(
-            anchors, self.n_sub, proximity_order, hull_cache)
+        self.outer_region = self._expanded_region(anchors, self.n_sup)
+        self.inner_region = self._expanded_region(anchors, self.n_sub)
         return self
 
     @classmethod
     def fit_batch(cls, items):
-        """Build many optimizers, sharing geometry across one summary.
-
-        Amortizes the two batch-friendly invariants: the proximity sort
-        (one ``argsort`` per summary instead of one per anchor) and the
-        anchor hulls (each distinct (anchor, expansion) hull is built
-        once and shared by every session that labelled that center
-        positive — with K concurrent sessions per subspace this collapses
-        O(K * anchors) convex-hull constructions to O(anchors)).
+        """Build many optimizers, in input order.
 
         Parameters
         ----------
         items:
             Iterable of ``(summary, center_bits, n_sup_ratio, n_sub_ratio)``
             tuples — typically one per concurrent serving session.
-
-        Returns
-        -------
-        List of fitted :class:`FewShotOptimizer`, in input order.
+            Sessions over one summary share its sorted P_s rows and its
+            anchor hulls, whichever call fitted them.
         """
-        order_cache, hull_caches = {}, {}
-        fitted = []
-        for summary, center_bits, n_sup_ratio, n_sub_ratio in items:
-            order = order_cache.get(id(summary))
-            if order is None:
-                order = np.argsort(summary.proximity_s, axis=1)
-                order_cache[id(summary)] = order
-                hull_caches[id(summary)] = {}
-            fitted.append(cls(summary, n_sup_ratio=n_sup_ratio,
-                              n_sub_ratio=n_sub_ratio)
-                          .fit(center_bits, proximity_order=order,
-                               hull_cache=hull_caches[id(summary)]))
-        return fitted
+        return [cls(summary, n_sup_ratio=n_sup_ratio,
+                    n_sub_ratio=n_sub_ratio).fit(center_bits)
+                for summary, center_bits, n_sup_ratio, n_sub_ratio in items]
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -7,6 +7,17 @@ parts cover concave and disconnected regions, so meta-tasks (and the test
 workloads built from the same machinery) span arbitrary UIS shapes.
 Existing works' shapes are special cases — e.g. DSM's single connected
 convex region is ``alpha = 1``.
+
+**A hull is a function of the summary.**  With ``psi`` fixed, the hull
+around a seed center depends on nothing but ``(centers, proximity)``,
+so :class:`UISGenerator` sorts P_u once and keeps one
+:class:`~repro.geometry.convex_hull.Hull` per seed center it has drawn:
+however many regions a generator hands out, it runs Qhull at most ku
+times, and regions that drew the same seed share the hull *object*
+(hulls are immutable; the packed engine and ``HullRegistry`` dedup by
+identity).  The memo lives and dies with its generator.  The per-draw
+construction it replaced is the oracle of
+``tests/core/_task_oracle.py``.
 """
 
 from __future__ import annotations
@@ -75,19 +86,30 @@ class UISGenerator:
                 mode.psi, ku))
         self.mode = mode
         self.rng = np.random.default_rng(seed)
+        # psi nearest neighbours of every center (including itself), and
+        # the hull over them for each seed center drawn so far.
+        self._neighbours = np.argsort(self.proximity, axis=1)[:, :mode.psi]
+        self._hulls = {}
 
     # ------------------------------------------------------------------
-    def _draw_region(self):
-        """Draw one UIS region (advances the RNG; no membership test)."""
-        hulls = []
-        for _ in range(self.mode.alpha):
-            seed_idx = int(self.rng.integers(len(self.centers)))
-            # psi nearest neighbours of the seed center (including itself),
-            # via the precomputed proximity row.
-            order = np.argsort(self.proximity[seed_idx])
-            neighbour_idx = order[:self.mode.psi]
-            hulls.append(Hull(self.centers[neighbour_idx]))
-        return UnionRegion(hulls)
+    def _seed_hull(self, seed_idx):
+        """The hull around one seed center, built on its first draw
+        (``setdefault``: racing threads agree on one object)."""
+        hull = self._hulls.get(seed_idx)
+        if hull is None:
+            hull = self._hulls.setdefault(
+                seed_idx, Hull(self.centers[self._neighbours[seed_idx]]))
+        return hull
+
+    def draw_region(self):
+        """Draw one UIS region (advances the RNG; no membership test).
+
+        A seed drawn twice names the same hull twice — the union is the
+        same set either way.
+        """
+        return UnionRegion([
+            self._seed_hull(int(self.rng.integers(len(self.centers))))
+            for _ in range(self.mode.alpha)])
 
     def generate(self):
         """One simulated UIS: a :class:`UnionRegion` of alpha convex hulls.
@@ -96,7 +118,7 @@ class UISGenerator:
         boolean ku-vector of which C_u centers fall inside the region
         (used to seed UIS feature vectors without re-testing containment).
         """
-        region = self._draw_region()
+        region = self.draw_region()
         member_mask = region.contains(self.centers)
         return region, member_mask
 
@@ -105,10 +127,10 @@ class UISGenerator:
 
         Draws exactly the random stream :meth:`generate` would, then
         computes every region's center-membership mask with **one**
-        packed-engine call over all ``count * alpha`` hulls
+        packed-engine call over their distinct hulls
         (:func:`~repro.geometry.engine.union_masks`) instead of one
-        region at a time — the meta-task generation hot loop.
+        region at a time.
         """
-        regions = [self._draw_region() for _ in range(count)]
+        regions = [self.draw_region() for _ in range(count)]
         masks = union_masks([r.hulls for r in regions], self.centers)
         return list(zip(regions, masks))

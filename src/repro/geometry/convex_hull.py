@@ -41,13 +41,12 @@ from __future__ import annotations
 from collections import namedtuple
 
 import numpy as np
+# A hard dependency: without Qhull every full-dimensional hull would have
+# to be something else — a missing scipy fails here, at ``import repro``.
+from scipy.spatial import ConvexHull as _SciPyHull
+from scipy.spatial import QhullError
 
-try:
-    from scipy.spatial import ConvexHull as _SciPyHull
-    from scipy.spatial import QhullError
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _SciPyHull = None
-    QhullError = Exception
+from ..obs import default_registry
 
 __all__ = ["Hull", "HalfspaceSystem", "as_query_array",
            "convex_hull_vertices_2d"]
@@ -180,6 +179,7 @@ class Hull:
         scale = max(1.0, float(np.abs(s).max()) if s.size else 1.0)
         rank = int(np.sum(s > 1e-9 * scale))
         if rank >= self.dim and len(pts) > self.dim:
+            default_registry().counter("geometry.hull.builds").inc()
             try:
                 hull = _SciPyHull(pts)
                 self._equations = hull.equations

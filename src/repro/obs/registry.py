@@ -53,12 +53,14 @@ name                                             kind        unit
 ``store.ingest.commits``                         counter     commits
 ``store.freshness.observe.seconds``              histogram   seconds
 ``store.freshness.drift_score``                  histogram   score
+``geometry.hull.builds``                         counter     hulls
 ``geometry.pack_cache.hits``                     counter     lookups
 ``geometry.pack_cache.misses``                   counter     lookups
 ``geometry.raster.built``                        counter     rasters
 ``geometry.raster.rows.settled``                 counter     rows
 ``geometry.raster.rows.exact``                   counter     rows
 ``core.offline.prepare.seconds``                 histogram   seconds
+``core.offline.generate.seconds``                histogram   seconds
 ``ml.kmeans.iterations``                         counter     iterations
 ``train.offline.pretrain_epoch.seconds``         histogram   seconds
 ``train.offline.meta_epoch.seconds``             histogram   seconds

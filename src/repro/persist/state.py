@@ -25,11 +25,13 @@ kind                    contents
 The offline *derived* artifacts (scalers, preprocessors, cluster
 summaries) are deterministic functions of the table and the config seed,
 so ``lte-pretrained`` stores only the expensive learned state: restore by
-re-running ``fit_offline(..., train=False)`` (cheap: ~0.57 s for the
-default config over four 2-D subspaces on 2 cores, most of it the three
-k-means rounds a subspace) and then :func:`load_pretrained` (instant:
-~20 ms), as ``benchmarks/bench_serving_throughput.py`` does for its warm
-starts.
+re-running ``fit_offline(..., train=False)`` (cheap: ~0.36 s for the
+default config over the four 2-D subspaces of a 16 384-row SDSS table on
+2 cores — median of 7, re-measured at PR 24, where this host also reads
+0.36 s at the parent; most of it the three k-means rounds a subspace,
+and no hull is built before a session or a task asks for one) and then
+:func:`load_pretrained` (instant: ~20 ms), as
+``benchmarks/bench_serving_throughput.py`` does for its warm starts.
 """
 
 from __future__ import annotations

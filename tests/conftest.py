@@ -64,3 +64,26 @@ def meta_tasks(task_generator):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def hull_calls(monkeypatch):
+    """Counts of ``Hull.__init__`` and ``PackedHulls.membership`` calls
+    while the test runs (recursive sub-hull constructions of degenerate
+    sets included): ``{"hulls": n, "membership": n}``."""
+    from repro.geometry.convex_hull import Hull
+    from repro.geometry.engine import PackedHulls
+    counts = {"hulls": 0, "membership": 0}
+    build, membership = Hull.__init__, PackedHulls.membership
+
+    def counted_build(self, points):
+        counts["hulls"] += 1
+        build(self, points)
+
+    def counted_membership(self, points):
+        counts["membership"] += 1
+        return membership(self, points)
+
+    monkeypatch.setattr(Hull, "__init__", counted_build)
+    monkeypatch.setattr(PackedHulls, "membership", counted_membership)
+    return counts

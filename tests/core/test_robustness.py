@@ -41,6 +41,100 @@ class TestDegenerateLabels:
         assert set(np.unique(preds)) <= {0, 1}
 
 
+class _SessionFront:
+    """A lone ``ExplorationSession`` behind the manager's call shapes."""
+
+    def __init__(self, lte, variant):
+        self.session = lte.start_session(variant=variant, seed=3)
+
+    def initial_tuples(self):
+        return self.session.initial_tuples()
+
+    def submit_labels(self, subspace, labels):
+        self.session.submit_labels(subspace, labels)
+
+    def add_labels(self, subspace, tuples, labels):
+        self.session.add_labels(subspace, tuples, labels)
+
+    def answers(self, rows):
+        return self.session.predict(rows), []
+
+    def subsessions(self):
+        return self.session._subsessions
+
+
+class _ManagerFront(_SessionFront):
+    """The same calls through a ``SessionManager``'s queue and flush."""
+
+    def __init__(self, lte, variant):
+        from repro.serve import SessionManager
+        self.manager = SessionManager(lte)
+        self.sid = self.manager.open_session(variant=variant, seed=3)
+
+    def initial_tuples(self):
+        return self.manager.initial_tuples(self.sid)
+
+    def submit_labels(self, subspace, labels):
+        self.manager.submit_labels(self.sid, subspace, labels)
+
+    def add_labels(self, subspace, tuples, labels):
+        self.manager.add_labels(self.sid, subspace, tuples, labels)
+
+    def answers(self, rows):
+        errors = self.manager.poll(self.sid)["errors"]
+        return self.manager.predict_many([self.sid], rows)[self.sid], errors
+
+    def subsessions(self):
+        return self.manager.session(self.sid)._subsessions
+
+
+class TestDegenerateLabelSets:
+    """One-class and duplicate-point label sets, over the whole 2-D + 2-D
+    + 1-D conjunction: a balanced-class weight, a hull or a scaler that
+    divides by a class count, a spread or a rank of zero would surface as
+    a warning, a NaN logit or a recorded flush error — without scipy every
+    hull used to *silently* become its bounding box, which is the pattern
+    this pins against."""
+
+    @pytest.mark.parametrize("front", [_SessionFront, _ManagerFront])
+    @pytest.mark.parametrize("variant", ["basic", "meta", "meta_star"])
+    @pytest.mark.parametrize("kind", ["all_0", "all_1", "one_tuple_six_times"])
+    def test_answers_are_finite_bits_without_error_or_warning(
+            self, car_lte, kind, variant, front, hull_calls):
+        import warnings
+        rows = car_lte.table.data[:200]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            served = front(car_lte, variant)
+            for subspace, tuples in served.initial_tuples().items():
+                if kind == "one_tuple_six_times":
+                    labels = (tuples[:, 0] > np.median(tuples[:, 0]))
+                    extra, extra_labels = tuples[[4] * 6], [0, 1] * 3
+                else:
+                    fill = int(kind == "all_1")
+                    labels = np.full(len(tuples), fill)
+                    extra, extra_labels = tuples[:6], [fill] * 6
+                served.submit_labels(subspace, labels.astype(int))
+                served.add_labels(subspace, extra, extra_labels)
+            answers, errors = served.answers(rows)
+        assert errors == []
+        assert answers.shape == (200,) and answers.dtype == np.int64
+        assert set(np.unique(answers)) <= {0, 1}
+        for subsession in served.subsessions().values():
+            assert subsession.adapted is not None
+            assert len(subsession.extra_y) == 6
+        if kind == "all_0":
+            # No positive anchor: no subregion, hence not one hull —
+            # and every row of the conjunction is the classifiers'.
+            assert hull_calls["hulls"] == 0
+            assert all(ss.optimizer is None
+                       or (ss.optimizer.outer_region is None
+                           and ss.optimizer.inner_region is None)
+                       for ss in served.subsessions().values())
+        if kind == "all_1" and variant == "meta_star":
+            assert answers.any()     # inside every inner subregion
+
+
 class TestHostileLabels:
     """Anything but 0/1 used to be coerced by ``astype(int64)``: NaN
     became -2**63, 0.7 became 0, and 2 / -1 were trained on as BCE

@@ -139,3 +139,29 @@ def test_property_scipy_hull_matches_monotone_chain(seed):
     mask = hull.contains(queries)
     expected = np.array([inside_polygon(q) for q in queries])
     assert (mask == expected).all()
+
+
+def test_a_missing_scipy_fails_the_import_naming_it():
+    """``convex_hull`` used to survive the ``ImportError`` with
+    ``_SciPyHull = None; QhullError = Exception``: building a hull then
+    called ``None(pts)``, the ``TypeError`` *was* a ``QhullError``, the
+    ``QJ`` retry failed the same way, and every full-dimensional hull
+    silently became its bounding box (``Hull([[0, 0], [1, 0], [0, 1],
+    [.2, .2]])`` reported ``(0.9, 0.9)`` inside).  scipy is a hard
+    dependency: without it ``import repro`` fails, and says why."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "sys.modules['scipy.spatial'] = None; import repro")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith(("ImportError", "ModuleNotFoundError")), last
+    assert "scipy" in last
+    assert "convex_hull.py" in done.stderr

@@ -528,15 +528,26 @@ class TestPackedSerialization:
         for hull in restored.hulls:   # evaluation works, sans recompiles
             assert hull.contains(hull.points).all()
 
-    def test_legacy_points_only_state_restores(self):
-        """Pre-engine checkpoints (bare point arrays) still restore."""
-        rng = np.random.default_rng(8)
-        points = rng.normal(size=(6, 2))
-        restored = HullRegistry.restore([points, {"points": points}])
-        queries = rng.normal(size=(30, 2))
-        reference = Hull(points).contains(queries)
-        for hull in restored.hulls:
-            assert np.array_equal(hull.contains(queries), reference)
+    def test_points_only_state_is_refused(self, monkeypatch):
+        """Pre-engine checkpoints (bare point arrays) used to be rebuilt
+        through Qhull; they now fail naming the facet arrays they lack,
+        and no hull is constructed on the way."""
+        points = np.random.default_rng(8).normal(size=(6, 2))
+        full = HullRegistry([Hull(points)]).state()[0]
+        partial = {key: value for key, value in full.items()
+                   if key != "tol_fixed"}
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a refused restore built a hull")
+
+        monkeypatch.setattr(convex_hull_module, "_SciPyHull", boom)
+        monkeypatch.setattr(np.linalg, "svd", boom)
+        for entry in (points, {"points": points}):
+            with pytest.raises(ValueError, match="entry 1 .* A, b, "
+                                                 "tol_scale, tol_fixed:"):
+                HullRegistry.restore([full, entry])
+        with pytest.raises(ValueError, match="entry 0 .* tol_fixed:"):
+            HullRegistry.restore([partial])
 
 
 # ----------------------------------------------------------------------

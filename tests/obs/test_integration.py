@@ -390,3 +390,55 @@ class TestOfflinePreparationMetrics:
         from repro.obs import registry
         for name in self.NAMES:
             assert "``{}``".format(name) in registry.__doc__
+
+
+class TestHullBuildAndGenerationMetrics:
+    """Meta-task generation sits between ``core.offline.prepare`` and the
+    training epochs; it has a histogram of its own, and every Qhull run
+    — offline or in a flush — is counted where it happens."""
+
+    NAMES = ("core.offline.generate.seconds", "geometry.hull.builds")
+
+    def test_a_fit_generates_once_and_builds_each_seed_hull_once(self):
+        from repro.core import LTE, LTEConfig
+        from repro.core.meta_training import MetaHyperParams
+        from repro.data import make_car
+        cfg = LTEConfig(budget=20, ku=25, kq=30, n_tasks=40,
+                        meta=MetaHyperParams(epochs=1, local_steps=2,
+                                             batch_size=8,
+                                             pretrain_epochs=1))
+        lte = LTE(cfg).fit_offline(make_car(n_rows=800, seed=2))
+        snap = obs.default_registry().snapshot()
+        generate = snap["core.offline.generate.seconds"]
+        assert generate["kind"] == "histogram"
+        assert generate["count"] == len(lte.states)   # one a subspace
+        assert 0 < generate["sum"] <= lte.offline_seconds_
+        # 40 tasks x 4 parts draw 160 seeds a subspace out of 25: the
+        # per-draw construction ran Qhull 320 times over the two 2-D
+        # subspaces (the 1-D one builds intervals, no Qhull).
+        full_dim = sum(subspace.dim > 1 for subspace in lte.states)
+        builds = snap["geometry.hull.builds"]
+        assert builds["kind"] == "counter"
+        assert 0 < builds["value"] <= full_dim * min(
+            cfg.n_tasks * cfg.task_mode.alpha, cfg.ku)
+
+    def test_a_second_flush_over_the_same_anchors_builds_nothing(
+            self, obs_lte, obs_subspaces, make_oracle):
+        import copy
+        lte = copy.deepcopy(obs_lte)     # its own memos, emptied: the
+        for subspace in obs_subspaces:   # fixture has served other tests
+            lte.states[subspace].summary.anchor_hulls.clear()
+        builds = obs.default_registry().counter("geometry.hull.builds")
+        oracle = make_oracle(31)
+        first = SessionManager(lte)
+        _open_fed(first, oracle, obs_subspaces, n_sessions=3)
+        cold = builds.value
+        assert cold > 0
+        _open_fed(first, oracle, obs_subspaces, n_sessions=3)
+        _open_fed(SessionManager(lte), oracle, obs_subspaces, n_sessions=2)
+        assert builds.value == cold
+
+    def test_listed_in_the_catalogue(self):
+        from repro.obs import registry
+        for name in self.NAMES:
+            assert "``{}``".format(name) in registry.__doc__
