@@ -35,6 +35,7 @@ from ..data.subspaces import Subspace, random_decomposition
 from ..geometry.engine import HullPackCache
 from ..ml.scaler import MinMaxScaler
 from ..nn.batching import fused_local_adapt
+from ..nn.cores import run_stack, step_macs
 from ..nn.tensor import Parameter
 from ..obs import default_registry
 from .meta_learner import UISClassifier
@@ -588,30 +589,37 @@ def _prepare_local_models(requests):
 
 
 def _adapt_bucket(requests):
-    """Fused adaptation of shape-compatible requests (one per task)."""
+    """Fused adaptation of shape-compatible requests (one per task): one
+    stack, or two halves on two threads (:func:`repro.nn.cores.run_stack`)
+    once the stack is large enough to be worth it."""
     first = requests[0]
     models, conversions = _prepare_local_models(requests)
-
-    features = np.stack([r.feature for r in requests])        # (K, ku)
-    xs = np.stack([r.encoded for r in requests])              # (K, n, w)
-    ys = np.stack([r.targets for r in requests])              # (K, n)
-
     # The Basic variant runs exactly ``basic_steps`` iterations, while
     # the local phase of Meta/Meta* (``MetaTrainer.adapt``) floors its
     # steps at 1.
     steps = first.steps if first.variant == "basic" else max(1, first.steps)
-    batched, conversion, _ = fused_local_adapt(
-        models, features, xs, ys, conversions=conversions, steps=steps,
-        lr=first.lr, optimizer_kind=first.optimizer_kind,
-        balance_classes=first.balance_classes)
 
-    batched.unstack_into(models)
-    results = []
-    for i, request in enumerate(requests):
-        conv = Parameter(conversion.data[i].copy()) \
-            if conversion is not None else None
-        results.append(AdaptedClassifier(models[i], request.feature, conv))
-    return results
+    def train(tasks):
+        """Adapt ``models[tasks]`` in place; their conversion matrices."""
+        stack = [models[i] for i in tasks]
+        batched, conversion, _ = fused_local_adapt(
+            stack, np.stack([requests[i].feature for i in tasks]),
+            np.stack([requests[i].encoded for i in tasks]),
+            np.stack([requests[i].targets for i in tasks]),
+            conversions=[conversions[i] for i in tasks], steps=steps,
+            lr=first.lr, optimizer_kind=first.optimizer_kind,
+            balance_classes=first.balance_classes)
+        batched.unstack_into(stack)
+        return [None if conversion is None
+                else Parameter(conversion.data[j].copy())
+                for j in range(len(tasks))]
+
+    macs = step_macs(models[0].config, len(requests),
+                     first.encoded.shape[0])
+    adapted = [conv for part in run_stack(train, range(len(requests)), macs)
+               for conv in part]
+    return [AdaptedClassifier(model, request.feature, conv)
+            for model, request, conv in zip(models, requests, adapted)]
 
 
 def run_adapt_requests(requests):

@@ -62,6 +62,9 @@ name                                             kind        unit
 ``core.offline.prepare.seconds``                 histogram   seconds
 ``core.offline.generate.seconds``                histogram   seconds
 ``ml.kmeans.iterations``                         counter     iterations
+``nn.fan_out.split``                             counter     fan-outs
+``nn.fan_out.whole``                             counter     stacks
+``nn.fan_out.wait.seconds``                      histogram   seconds
 ``train.offline.pretrain_epoch.seconds``         histogram   seconds
 ``train.offline.meta_epoch.seconds``             histogram   seconds
 ``train.offline.epochs.pretrain``                counter     epochs

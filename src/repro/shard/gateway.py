@@ -159,7 +159,8 @@ class ShardGateway:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=worker_main,
-                args=(child_conn, lte, checkpoint_dir, index),
+                args=(child_conn, lte, checkpoint_dir, index,
+                      int(n_workers)),
                 daemon=True, name="repro-shard-worker-{}".format(index))
             process.start()
             child_conn.close()
@@ -630,16 +631,22 @@ class ShardGateway:
         """Shut the pool down gracefully (idempotent).
 
         With ``drain=True`` every worker finishes its queued
-        adaptations before exiting; workers that refuse to die are
-        terminated.  The gateway's private checkpoint root (when it
-        created one) is removed.
+        adaptations before exiting; with ``drain=False`` the queues are
+        dropped.  Workers that refuse to die are terminated, and the
+        gateway's private checkpoint root (when it created one) is
+        removed.  Then :class:`ShardError` names each worker whose
+        shutdown failed: it answered with an error (a systemic flush
+        failure while draining, say) or, asked to drain, died or hung
+        before answering.
         """
         if self._closed:
             return
         self._closed = True
+        failed = []
         for worker in self._workers:
             if not worker.alive:
                 continue
+            answer = None
             try:
                 request_id = worker.next_request
                 worker.next_request += 1
@@ -648,7 +655,10 @@ class ShardGateway:
                 deadline = time.monotonic() + 30.0
                 while time.monotonic() < deadline:
                     if worker.conn.poll(0.05):
-                        worker.conn.recv()
+                        reply_id, status, payload = worker.conn.recv()
+                        if reply_id < request_id:
+                            continue    # an abandoned pipelined reply
+                        answer = (status, payload)
                         break
                     if not worker.process.is_alive():
                         break
@@ -659,8 +669,16 @@ class ShardGateway:
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
             self._mark_dead(worker)
+            if answer is not None and answer[0] == "error":
+                failed.append("worker {} ({}: {})".format(worker.index,
+                                                          *answer[1]))
+            elif answer is None and drain:
+                failed.append("worker {} (no answer)".format(worker.index))
         if self._owns_root:
             shutil.rmtree(self._root, ignore_errors=True)
+        if failed:
+            raise ShardError("the gateway closed, but shutting down "
+                             "failed on " + "; ".join(failed))
 
     def _require_open(self):
         if self._closed:

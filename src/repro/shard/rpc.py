@@ -203,9 +203,9 @@ def serve_rpc(conn, handle, on_shutdown=None):
     ``handle(method, kwargs)`` serves every regular request; exceptions
     it raises are serialized back as typed error replies, never crashes.
     ``on_shutdown(kwargs)`` (optional) runs on the ``shutdown`` request
-    and its return value is the final reply payload; the loop then
-    exits.  Pipe EOF/closure means the master went away — the loop ends
-    quietly.
+    and its return value — or its exception, as a typed error reply —
+    is the final reply; the loop then exits.  Pipe EOF/closure means
+    the master went away — the loop ends quietly.
     """
     while True:
         try:
@@ -213,20 +213,18 @@ def serve_rpc(conn, handle, on_shutdown=None):
         except (EOFError, OSError):
             break   # master went away; nothing left to serve
         request_id, method, kwargs = message
-        if method == "shutdown":
-            result = None
-            if on_shutdown is not None:
-                try:
-                    result = on_shutdown(kwargs or {})
-                except Exception:
-                    result = None
-            conn.send((request_id, "ok", result))
-            break
         try:
-            result = handle(method, kwargs or {})
+            if method != "shutdown":
+                result = handle(method, kwargs or {})
+            elif on_shutdown is not None:
+                result = on_shutdown(kwargs or {})
+            else:
+                result = None
         except Exception as error:
             conn.send((request_id, "error",
                        (type(error).__name__, str(error))))
         else:
             conn.send((request_id, "ok", result))
+        if method == "shutdown":
+            break
     conn.close()

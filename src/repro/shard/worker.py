@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 
+from ..nn.cores import claim_share, compute_threads
 from ..obs import aggregate as _aggregate_metrics
 from ..obs import reset_all_metrics
 from ..persist import load_pretrained, model_fingerprint
@@ -42,7 +43,7 @@ from .rpc import serve_rpc
 __all__ = ["worker_main"]
 
 
-def worker_main(conn, lte, checkpoint_dir, worker_index):
+def worker_main(conn, lte, checkpoint_dir, worker_index, n_workers):
     """Run the worker RPC loop until ``shutdown`` or pipe EOF.
 
     Parameters
@@ -58,7 +59,11 @@ def worker_main(conn, lte, checkpoint_dir, worker_index):
         ``None`` to serve the inherited weights as-is.
     worker_index:
         This worker's index in the gateway's pool (for diagnostics).
+    n_workers:
+        The pool size: the worker computes on its share of the cores
+        (:func:`repro.nn.cores.claim_share`).
     """
+    claim_share(n_workers)
     # Forked registries carry the gateway process's counts; zero them so
     # this worker's ``metrics`` aggregate reports only its own activity.
     reset_all_metrics()
@@ -76,7 +81,8 @@ def worker_main(conn, lte, checkpoint_dir, worker_index):
     def handle(method, kwargs):
         if method == "ping":
             return {"worker": int(worker_index),
-                    "model": model_fingerprint(lte)}
+                    "model": model_fingerprint(lte),
+                    "threads": compute_threads()}
         if method == "open_session":
             return manager.open_session(**kwargs)
         if method == "close_session":
@@ -160,14 +166,23 @@ def worker_main(conn, lte, checkpoint_dir, worker_index):
                 session = manager.session(session_id)
                 for subsession in session._subsessions.values():
                     subsession.build_initial_request = boom
+            if kwargs.pop("fail_training", False):
+                # Every later flush fails as a whole (systemic), its
+                # queue kept for a retry that never comes.
+                def fail(wave, errors):
+                    raise RuntimeError("adaptation failed")
+                manager._run_wave = fail
             debug.update(kwargs)
             return True
         raise ValueError("unknown RPC method {!r}".format(method))
 
     def on_shutdown(kwargs):
-        # Graceful drain: every queued adaptation still completes
-        # (per-session errors stay attributed, never raised here).
-        manager.flush(raise_errors=False)
+        # ``drain`` (the default): every queued adaptation still
+        # completes — per-session errors stay attributed, a systemic
+        # failure raises and becomes the error reply.  Without it the
+        # queue is dropped.
+        if kwargs.get("drain", True):
+            manager.flush(raise_errors=False)
         return worker_stats()
 
     serve_rpc(conn, handle, on_shutdown=on_shutdown)

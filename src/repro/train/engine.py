@@ -36,6 +36,7 @@ from ..nn.batching import (BatchedUISClassifier, fused_local_adapt,
                            grad_stacks, load_flat_stack,
                            stacked_loss_backward, stacked_predict,
                            theta_r_grad_stack)
+from ..nn.cores import run_stack, step_macs
 from ..nn.functional import batched_pos_weight
 from ..nn.optim import Adam
 
@@ -43,8 +44,8 @@ __all__ = ["encode_task_sets", "MetaBatchSlot", "MetaBatchInputs",
            "MetaBatchResult", "build_meta_batch_inputs",
            "slice_meta_batch_inputs", "compute_meta_batch",
            "concat_meta_batch_results", "apply_meta_batch",
-           "run_meta_batch_fused", "run_pretrain_epoch_pooled",
-           "evaluate_batched"]
+           "run_meta_batch_fused", "run_pretrain_group",
+           "run_pretrain_epoch_pooled", "evaluate_batched"]
 
 
 def encode_task_sets(tasks, encode, rows_per_block=8192, spill=None):
@@ -214,19 +215,27 @@ def compute_meta_batch(models, params, inputs):
     property carries a batch whose tasks differ in support/query size
     (hand-built task lists only; ``MetaTaskGenerator`` emits uniform
     sets): each consecutive run of same-shape tasks is one stacked
-    program, stitched back in task order.
+    program — or two halves on two threads
+    (:func:`repro.nn.cores.run_stack`) — stitched back in task order.
 
     Mutates nothing: phi, memories, and optimizer state are untouched
     (apply the result with :func:`apply_meta_batch`).
     """
+    def compute(tasks):
+        start, stop = tasks[0], tasks[-1] + 1
+        return _compute_same_shape_run(
+            models[start:stop], params,
+            slice_meta_batch_inputs(inputs, start, stop))
+
     shapes = [(sx.shape, qx.shape) for sx, qx in zip(inputs.sx, inputs.qx)]
     cuts = [0] + [j for j in range(1, len(shapes))
                   if shapes[j] != shapes[j - 1]] + [len(shapes)]
-    return concat_meta_batch_results([
-        _compute_same_shape_run(
-            models[start:stop], params,
-            slice_meta_batch_inputs(inputs, start, stop))
-        for start, stop in zip(cuts, cuts[1:])])
+    parts = []
+    for start, stop in zip(cuts, cuts[1:]):
+        macs = step_macs(models[start].config, stop - start,
+                         len(inputs.sx[start]))
+        parts.extend(run_stack(compute, range(start, stop), macs))
+    return concat_meta_batch_results(parts)
 
 
 def _compute_same_shape_run(models, params, inputs):
@@ -357,6 +366,27 @@ def run_meta_batch_fused(slots):
 # ----------------------------------------------------------------------
 # Joint pretraining epochs (phi-level, Adam state carried via schedules)
 # ----------------------------------------------------------------------
+def run_pretrain_group(schedules, orders=None):
+    """A fusion group's pretrain epoch: :func:`run_pretrain_epoch_pooled`
+    as one stack, or as two halves on two threads
+    (:func:`repro.nn.cores.run_stack`) — the epoch of a subset of the
+    group is that subset's slice of the whole group's.  ``orders`` as
+    there; drawn here otherwise."""
+    schedules = list(schedules)
+    if orders is None:
+        orders = [schedule.next_pretrain_order() for schedule in schedules]
+
+    def train(span):
+        run_pretrain_epoch_pooled([schedules[s] for s in span],
+                                  [orders[s] for s in span])
+
+    sets = schedules[0].pretrain_sets
+    rows = len(sets[0][1]) if len(sets) else 0
+    run_stack(train, range(len(schedules)),
+              step_macs(schedules[0].trainer.model.config, len(schedules),
+                        rows))
+
+
 def run_pretrain_epoch_pooled(schedules, orders=None):
     """One joint-pretraining epoch of S trainers, fused across them.
 
@@ -366,7 +396,8 @@ def run_pretrain_epoch_pooled(schedules, orders=None):
     forward/backward and one stacked Adam step.  Slice s is bit-identical
     to a task-at-a-time epoch of trainer s alone — at ANY subset of
     trainers, S = 1 included, which is why the data-parallel engine can
-    pool each worker's span of a fusion group independently.  ``orders``
+    pool each worker's span of a fusion group independently, and
+    :func:`run_pretrain_group` split a group into halves.  ``orders``
     (optional) supplies the per-schedule task permutations instead of
     drawing them from the schedules' RNGs: the data-parallel master
     draws every order from its authoritative RNG streams and ships them,

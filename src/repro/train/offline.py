@@ -33,7 +33,7 @@ import numpy as np
 
 from ..obs import default_registry
 from .engine import (MetaBatchSlot, run_meta_batch_fused,
-                     run_pretrain_epoch_pooled, encode_task_sets)
+                     run_pretrain_group, encode_task_sets)
 
 __all__ = ["check_workers", "TrainerSchedule", "OfflineRun",
            "run_offline_training"]
@@ -291,7 +291,7 @@ class OfflineRun:
             if parallel is not None:
                 parallel.pretrain_epoch(group)
             else:
-                run_pretrain_epoch_pooled(group)
+                run_pretrain_group(group)
             metrics.histogram("train.offline.pretrain_epoch.seconds") \
                 .observe(time.perf_counter() - t0)
             metrics.counter("train.offline.epochs.pretrain").inc()

@@ -47,6 +47,20 @@ The contract rests on four invariants:
 Worker failures raise a prompt, typed :class:`TrainWorkerCrashed`
 (never a hang, never a silently wrong phi): the caller resumes from the
 last epoch checkpoint.
+
+**Beside in-process halves.**  Invariant 1 is also what lets one
+process train a large stack as two halves on two threads
+(:func:`repro.nn.cores.run_stack`, inside
+:func:`~repro.train.engine.compute_meta_batch` and
+:func:`~repro.train.engine.run_pretrain_group`, so in a worker too).
+The threads share phi, memories and task sets in memory — nothing
+ships, nothing forks — where a worker pays pickling, a pipe and a fork
+for the same split.  Each worker computes on its share of the cores,
+``max(1, cores // N)`` threads (:func:`repro.nn.cores.claim_share`): on
+two cores with N = 2 that is one, and its spans train whole.  Training
+stacks run on one BLAS thread in every process, so the share, like the
+worker count, never reaches the bits.  README ("Two cores") records a
+paper-size fit at ``workers=0`` with the halves against ``workers=2``.
 """
 
 from __future__ import annotations
@@ -57,13 +71,13 @@ import time
 
 import numpy as np
 
+from ..nn.cores import claim_share, compute_threads
 from ..obs import MetricsRegistry, aggregate, default_registry, \
     merge_snapshots, reset_all_metrics
 from ..shard.rpc import PipeRpc, RpcLink, serve_rpc
 from .engine import (MetaBatchResult, MetaBatchSlot, apply_meta_batch,
                      build_meta_batch_inputs, compute_meta_batch,
-                     concat_meta_batch_results,
-                     run_pretrain_epoch_pooled)
+                     concat_meta_batch_results, run_pretrain_group)
 
 __all__ = ["TrainParallelError", "TrainWorkerCrashed",
            "ParallelTrainEngine"]
@@ -79,15 +93,17 @@ class TrainWorkerCrashed(TrainParallelError):
     no partial epoch can have leaked into a checkpoint)."""
 
 
-def _worker_main(conn, schedules, worker_index):
+def _worker_main(conn, schedules, worker_index, n_workers):
     """The training worker: span compute behind a pipe-RPC loop.
 
     Stateless between calls with respect to the training numerics —
     every request ships the phi flats / optimizer state / orders it
     needs and the reply carries everything the master applies.  The
     inherited ``schedules`` contribute only their immutable encoded
-    task sets and trainer structure.
+    task sets and trainer structure.  It computes on its share of the
+    cores (:func:`repro.nn.cores.claim_share`).
     """
+    claim_share(n_workers)
     # Forked registries carry the parent's counts; zero them so this
     # worker's aggregate() reports only its own activity.
     reset_all_metrics()
@@ -99,7 +115,8 @@ def _worker_main(conn, schedules, worker_index):
     def handle(method, kwargs):
         if method == "ping":
             return {"worker": int(worker_index),
-                    "schedules": len(schedules)}
+                    "schedules": len(schedules),
+                    "threads": compute_threads()}
         if method == "meta_compute":
             if debug["crash_on_compute"]:
                 # Test hook: die exactly where a real worker would —
@@ -138,9 +155,8 @@ def _worker_main(conn, schedules, worker_index):
                     np.asarray(flat))
                 schedule.pretrain_opt_state = opt_state
                 span.append((schedule, np.asarray(order)))
-            run_pretrain_epoch_pooled(
-                [schedule for schedule, _ in span],
-                orders=[order for _, order in span])
+            run_pretrain_group([schedule for schedule, _ in span],
+                               orders=[order for _, order in span])
             t_compute.observe(time.perf_counter() - t0)
             n_batches.inc()
             return [(schedule.trainer.model.flat_parameters(),
@@ -216,7 +232,7 @@ class ParallelTrainEngine:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, self.schedules, index),
+                args=(child_conn, self.schedules, index, self.n_workers),
                 daemon=True,
                 name="repro-train-worker-{}".format(index))
             process.start()

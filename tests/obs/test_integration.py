@@ -442,3 +442,58 @@ class TestHullBuildAndGenerationMetrics:
         from repro.obs import registry
         for name in self.NAMES:
             assert "``{}``".format(name) in registry.__doc__
+
+
+class TestFanOutMetrics:
+    """A flush's adapt bucket trains as two halves on two threads once
+    its estimated multiply-adds a step reach ``repro.nn.cores.SPLIT_MACS``:
+    a paper-size bucket of 16 does, a small-net bucket of 32 does not."""
+
+    NAMES = ("nn.fan_out.split", "nn.fan_out.whole",
+             "nn.fan_out.wait.seconds")
+
+    @staticmethod
+    def _flush_one_bucket(k, **nets):
+        """Counter and histogram deltas of one flush of ``k`` sessions on
+        one 2-D subspace — one bucket of ``k`` tasks."""
+        from repro.core import LTE, LTEConfig
+        from repro.core.meta_training import MetaHyperParams
+        from repro.data import make_sdss, random_decomposition
+        table = make_sdss(2000, seed=3)
+        subspace = next(s for s in random_decomposition(table, dim=2, seed=0)
+                        if s.dim == 2)
+        lte = LTE(LTEConfig(n_tasks=3, meta=MetaHyperParams(
+            epochs=1, local_steps=1, pretrain_epochs=0), **nets))
+        lte.fit_offline(table, subspaces=[subspace])
+        manager = SessionManager(lte)
+        rng = np.random.default_rng(0)
+        for seed in range(k):
+            sid = manager.open_session(subspaces=[subspace], seed=seed)
+            tuples = manager.initial_tuples(sid)[subspace]
+            manager.submit_labels(sid, subspace,
+                                  (rng.random(len(tuples)) < 0.4).astype(int))
+        registry = obs.default_registry()
+        wait = registry.histogram("nn.fan_out.wait.seconds")
+        before = [registry.value(name) for name in
+                  TestFanOutMetrics.NAMES[:2]] + [wait.count]
+        assert manager.flush() == k
+        after = [registry.value(name) for name in
+                 TestFanOutMetrics.NAMES[:2]] + [wait.count]
+        return [b - a for a, b in zip(before, after)]
+
+    def test_a_paper_size_flush_of_16_splits(self):
+        from repro.nn import cores
+        if cores._BLAS is not None and cores.compute_threads() >= 2:
+            assert self._flush_one_bucket(16) == [1, 0, 1]
+        else:
+            assert self._flush_one_bucket(16) == [0, 1, 0]
+
+    def test_a_small_net_flush_of_32_runs_whole(self):
+        assert self._flush_one_bucket(
+            32, embed_size=32, hidden_size=32, ku=40, kq=60,
+            n_components=4) == [0, 1, 0]
+
+    def test_listed_in_the_catalogue(self):
+        from repro.obs import registry
+        for name in self.NAMES:
+            assert "``{}``".format(name) in registry.__doc__

@@ -1,11 +1,15 @@
-"""Gateway behavior: routing, parity, backpressure, crash isolation."""
+"""Gateway behavior: routing, parity, backpressure, crash isolation,
+shutdown, the workers' share of the cores."""
+
+import os
 
 import numpy as np
 import pytest
 from _helpers import feed_session, perturb_phi
 
+from repro.nn import cores
 from repro.serve import SessionManager
-from repro.shard import (Overloaded, ShardGateway, WorkerCrashed,
+from repro.shard import (Overloaded, ShardError, ShardGateway, WorkerCrashed,
                          assign_worker, home_worker)
 
 pytestmark = pytest.mark.shard
@@ -299,3 +303,57 @@ class TestShutdown:
             root = gateway._root
             assert os.path.isdir(root)
         assert not os.path.exists(root)
+
+    @staticmethod
+    def _armed_gateway(shard_lte, shard_subspaces, make_oracle):
+        """Two workers; one holds a queued session and fails every flush
+        (systemically: its whole wave stays queued)."""
+        gateway = ShardGateway(shard_lte, n_workers=2)
+        sid = gateway.open_session(subspaces=shard_subspaces, seed=0)
+        feed_session(gateway, make_oracle(29), sid)
+        owner = gateway._workers[gateway._sessions[sid]]
+        gateway._call(owner, "_debug", {"fail_training": True})
+        return gateway, owner
+
+    def test_close_without_drain_leaves_the_queue(self, shard_lte,
+                                                  shard_subspaces,
+                                                  make_oracle):
+        """``drain=False`` drops the queue: the armed flush never runs,
+        so no worker answers with its error and every one exits
+        cleanly."""
+        gateway, _ = self._armed_gateway(shard_lte, shard_subspaces,
+                                         make_oracle)
+        gateway.close(drain=False)
+        assert [w.process.exitcode for w in gateway._workers] == [0, 0]
+        assert not os.path.exists(gateway._root)
+
+    def test_a_failed_drain_raises_once_every_worker_is_down(
+            self, shard_lte, shard_subspaces, make_oracle):
+        """A systemic flush failure while draining comes back as a typed
+        error reply; ``close`` still shuts every worker down and removes
+        its checkpoint root, then raises ``ShardError`` naming the
+        worker.  A second ``close`` is a no-op."""
+        gateway, owner = self._armed_gateway(shard_lte, shard_subspaces,
+                                             make_oracle)
+        message = r"worker {} \(RuntimeError: adaptation failed\)".format(
+            owner.index)
+        with pytest.raises(ShardError, match=message):
+            gateway.close()
+        assert all(not w.process.is_alive() for w in gateway._workers)
+        assert not os.path.exists(gateway._root)
+        gateway.close()
+        gateway.close(drain=False)
+
+
+class TestWorkerShare:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_each_worker_owns_its_share_of_the_cores(self, shard_lte,
+                                                     n_workers):
+        """``max(1, cores // n_workers)`` compute threads a worker — one
+        each for two workers on two cores — and the gateway's process
+        keeps all of its own."""
+        share = max(1, cores._affinity() // n_workers)
+        with ShardGateway(shard_lte, n_workers=n_workers) as gateway:
+            for worker in gateway._workers:
+                assert gateway._call(worker, "ping", {})["threads"] == share
+        assert cores.compute_threads() == cores._affinity()
