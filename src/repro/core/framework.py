@@ -161,7 +161,7 @@ class LTE:
     # Offline phase
     # ------------------------------------------------------------------
     def fit_offline(self, table, subspaces=None, train=True, progress=None,
-                    checkpoint=None, workers=None, stream=None):
+                    checkpoint=None, stream=None):
         """Run the full offline phase on an exploratory table.
 
         Parameters
@@ -188,28 +188,23 @@ class LTE:
             a later ``fit_offline`` call pointed at the same directory
             (same table, config and decomposition) resumes from the last
             completed epoch — converging to the identical phi bit for
-            bit.  Checkpoints resume interchangeably across worker
-            counts.
-        workers:
-            All subspaces meta-train pooled — epochs interleaved
-            round-robin, shape-compatible meta-tasks from *all*
-            subspaces fused into shared stacked programs
-            (:mod:`repro.train`).  ``None`` / ``0`` runs those programs
-            in this process, N >= 1 fans them out across N forked
-            workers (:mod:`repro.train.parallel`); the trainers are
-            bit-identical at any count.  Anything else is a
-            ``ValueError``, raised before a subspace is prepared.
+            bit.
         stream:
             ``True`` (or a directory path) spills each subspace's
             encoded meta-task set into an on-disk chunk store and
             trains from it lazily, bounding peak offline memory by the
             chunk size instead of the task count — bit-identical to the
             in-memory path (:mod:`repro.train.stream`).
+
+        All subspaces meta-train pooled in this process — epochs
+        interleaved round-robin, shape-compatible meta-tasks from *all*
+        subspaces fused into shared stacked programs
+        (:mod:`repro.train`), a program worth two threads trained as two
+        halves on two cores (:mod:`repro.nn.cores`).
         """
-        from ..train.offline import check_workers, run_offline_training
+        from ..train.offline import run_offline_training
 
         cfg = self.config
-        workers = check_workers(workers)
         self.table = table
         if subspaces is None:
             subspaces = random_decomposition(table, dim=cfg.subspace_dim,
@@ -224,8 +219,7 @@ class LTE:
                 progress(subspace, "prepared")
         if train:
             run_offline_training(self, subspaces, progress=progress,
-                                 checkpoint=checkpoint, workers=workers,
-                                 stream=stream)
+                                 checkpoint=checkpoint, stream=stream)
         self.offline_seconds_ = time.perf_counter() - start
         return self
 

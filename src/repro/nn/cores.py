@@ -12,8 +12,9 @@ as fast as whole.  The policy, stated once here the way
 * **A process owns a number of compute threads**
   (:func:`compute_threads`): its CPU-affinity count, or
   ``max(1, cores // n)`` in each of the ``n`` forked workers of a
-  ``ShardGateway`` or ``ParallelTrainEngine``, which also set their
-  BLAS thread count to that share at start (:func:`claim_share`).
+  ``ShardGateway``, which also set their BLAS thread count to that
+  share at start (:func:`claim_share`).  Training runs in one process,
+  which the halves below spread over its cores.
 * **Training products run on one BLAS thread.**  Every stack the
   training seams hand to :func:`run_stack` — the serving flush's adapt
   buckets, the meta-batch runs, the pooled pretrain epochs, whole or
@@ -23,7 +24,7 @@ as fast as whole.  The policy, stated once here the way
   shape *and* its thread count, and for some shapes (a paper-size net
   at 60 labels, say) the two kernels disagree in the last place: held
   at one thread, a stack's bits depend on neither the host's core
-  count, nor the worker count, nor whether it was split.  Products
+  count, nor a shard worker's share, nor whether it was split.  Products
   outside training (the store scan, predictions) keep the process's
   count.
 * **A training stack worth two threads runs as two halves**
@@ -122,10 +123,10 @@ def compute_threads():
 
 
 def claim_share(workers):
-    """Take a forked worker's share of the cores: ``max(1, cores //
-    workers)`` compute threads, and as many BLAS threads.  Called once,
-    first thing, by each worker of a pool of ``workers`` processes;
-    returns the share."""
+    """Take a forked shard worker's share of the cores: ``max(1, cores
+    // workers)`` compute threads, and as many BLAS threads.  Called
+    once, first thing, by each worker of a ``ShardGateway`` of
+    ``workers`` processes; returns the share."""
     global _STATE
     # A fresh state: a hold or fan-out of another parent thread at fork
     # time left its locks held and its depth counted.

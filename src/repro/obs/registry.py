@@ -42,8 +42,6 @@ name                                             kind        unit
 ``shard.gateway.workers.alive``                  gauge       workers
 ``shard.gateway.workers.crashed``                counter     workers
 ``shard.gateway.pending.depth``                  gauge       batches
-``shard.gateway.flush.seconds``                  histogram   seconds
-``shard.gateway.predict.seconds``                histogram   seconds
 ``store.scan.plans``                             counter     scans
 ``store.scan.chunks.scanned``                    counter     chunks
 ``store.scan.chunks.pruned``                     counter     chunks
@@ -69,15 +67,6 @@ name                                             kind        unit
 ``train.offline.meta_epoch.seconds``             histogram   seconds
 ``train.offline.epochs.pretrain``                counter     epochs
 ``train.offline.epochs.meta``                    counter     epochs
-``train.parallel.rpc.seconds``                   histogram   seconds
-``train.parallel.rpc.calls``                     counter     calls
-``train.parallel.workers.alive``                 gauge       workers
-``train.parallel.workers.crashed``               counter     workers
-``train.worker.busy``                            gauge       spans
-``train.worker.compute.seconds``                 histogram   seconds
-``train.worker.batches``                         counter     spans
-``train.reduce.latency``                         gauge       seconds
-``train.reduce.seconds``                         histogram   seconds
 ================================================ =========== ==========
 
 Design constraints (the no-interference guarantee):

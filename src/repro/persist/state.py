@@ -254,7 +254,7 @@ def load_pretrained(path, lte):
 # ----------------------------------------------------------------------
 # Resumable (epoch-granular) offline pretraining runs
 # ----------------------------------------------------------------------
-def save_pretrain_run(path, lte, entries, meta=None):
+def save_pretrain_run(path, lte, entries):
     """Checkpoint an in-flight offline meta-training run.
 
     ``entries`` is ``[{"names": [...], "schedule": schedule_state}, ...]``
@@ -262,23 +262,19 @@ def save_pretrain_run(path, lte, entries, meta=None):
     :meth:`repro.train.TrainerSchedule.state_dict`.  The per-subspace
     epoch cursors are mirrored into the manifest ``meta`` (under
     ``"epoch_cursor"``) so ``python -m repro.persist inspect`` shows
-    resume progress without decoding the arrays.  The driver's ``meta``
-    additionally records the writing run's ``workers`` — provenance
-    only, never read: checkpoints are written at epoch reduction
-    barriers, where a run at any worker count holds identical master
-    state, so it resumes interchangeably at any other (``tests/persist``
-    pins this).
+    resume progress without decoding the arrays.  Resuming reads none
+    of ``meta``: keys older runs recorded there (``workers``,
+    ``engine``, ``nn_backend``) are provenance only.
     Returns the manifest.
     """
-    meta = dict(meta or {})
-    meta["epoch_cursor"] = {
+    meta = {"epoch_cursor": {
         ",".join(entry["names"]): {
             "pretrain": "{}/{}".format(entry["schedule"]["pretrain_done"],
                                        entry["schedule"]["pretrain_total"]),
             "meta": "{}/{}".format(entry["schedule"]["meta_done"],
                                    entry["schedule"]["meta_total"]),
         }
-        for entry in entries}
+        for entry in entries}}
     state = {"identity": _lte_identity(lte), "subspaces": list(entries)}
     return save_checkpoint(path, "pretrain-run", state,
                            meta=_meta_with_provenance(meta, lte))

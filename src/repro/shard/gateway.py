@@ -43,13 +43,13 @@ import os
 import shutil
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
 from ..core.framework import LTE
 from ..obs import MetricsRegistry, merge_snapshots
 from ..persist import model_fingerprint, save_pretrained
-from . import errors as _errors
 from .errors import Overloaded, ShardError, WorkerCrashed
 from .routing import assign_worker
 from .rpc import PipeRpc, RpcLink
@@ -135,18 +135,17 @@ class ShardGateway:
         self.max_pending_per_worker = int(max_pending_per_worker)
         self.max_sessions_per_worker = max_sessions_per_worker
         self.rpc_timeout = rpc_timeout
-        # Wire mechanics live in repro.shard.rpc; the gateway injects
-        # its typed error family, crash-loss wording and telemetry.
-        self._rpc = PipeRpc(
-            timeout=rpc_timeout, crashed_type=WorkerCrashed,
-            error_type=ShardError, error_modules=(_errors,),
-            dead_hint="; its sessions are lost (re-open them or restore "
-                      "a manager checkpoint)",
-            crash_hint="; its sessions are lost",
-            on_dead=self._on_worker_dead, on_reply=self._on_rpc_reply)
+        # Wire mechanics live in repro.shard.rpc; the gateway hooks its
+        # telemetry and crash bookkeeping in.
+        self._rpc = PipeRpc(timeout=rpc_timeout,
+                            on_dead=self._on_worker_dead,
+                            on_reply=self._on_rpc_reply)
         self._owns_root = checkpoint_root is None
         self._root = checkpoint_root or tempfile.mkdtemp(
             prefix="repro-shard-")
+        # From here on the gateway owns resources close() releases.
+        self._workers = []
+        self._closed = False
         self.model_version = model_fingerprint(lte)
         checkpoint_dir = self._generation_dir(self.model_version)
         save_pretrained(checkpoint_dir, lte)
@@ -154,7 +153,6 @@ class ShardGateway:
         # clean replica: inherited offline artifacts, checkpointed
         # weights re-installed in worker_main.
         context = multiprocessing.get_context("fork")
-        self._workers = []
         for index in range(int(n_workers)):
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
@@ -167,7 +165,6 @@ class ShardGateway:
             self._workers.append(_Worker(index, process, parent_conn))
         self._sessions = {}      # global sid -> worker index
         self._next_id = 0
-        self._closed = False
         # Confirm every replica warm-started to the published model.
         for worker in self._workers:
             reply = self._call(worker, "ping", {})
@@ -692,7 +689,10 @@ class ShardGateway:
         return False
 
     def __del__(self):
-        try:
-            self.close(drain=False)
-        except Exception:
-            pass
+        # An __init__ that raised before owning anything left no _closed.
+        if getattr(self, "_closed", True):
+            return
+        warnings.warn("unclosed ShardGateway with {} workers; close() it "
+                      "or use it as a context manager".format(
+                          len(self._workers)), ResourceWarning, source=self)
+        self.close(drain=False)

@@ -1,15 +1,14 @@
-"""Shared pipe-RPC machinery for master/worker process fleets.
+"""Pipe-RPC machinery between the shard gateway and its workers.
 
-Both multi-process tiers — the sharded serving gateway
-(:mod:`repro.shard.gateway`) and the data-parallel pretraining engine
-(:mod:`repro.train.parallel`) — speak the same tiny message-passing
-protocol over duplex ``multiprocessing`` pipes:
+The gateway (:mod:`repro.shard.gateway`) and each worker
+(:mod:`repro.shard.worker`) speak a tiny message-passing protocol over
+a duplex ``multiprocessing`` pipe:
 
     request:  ``(request_id, method, kwargs)``
     reply:    ``(request_id, "ok", result)`` or
               ``(request_id, "error", (exception_type_name, message))``
 
-This module owns the wire mechanics both sides share:
+This module owns the wire mechanics of both ends:
 
 * :class:`RpcLink` — the master-side per-worker connection state
   (request counter, in-flight post times, last-RPC latency bookkeeping);
@@ -21,11 +20,9 @@ This module owns the wire mechanics both sides share:
   (errors become *replies*, ``shutdown`` drains and exits, pipe EOF
   means the master went away).
 
-The callers differ only in policy, which is injected: the typed error
-family (``crashed_type`` / ``error_type`` / ``error_modules``), what the
-loss of a worker means for the caller (``dead_hint`` / ``crash_hint``
-message suffixes), and bookkeeping hooks (``on_dead`` fires exactly once
-per link death, ``on_reply`` observes per-RPC latency for metrics).
+Failures are the shard tier's typed family (:mod:`repro.shard.errors`):
+a dead worker raises :class:`~repro.shard.errors.WorkerCrashed`, a
+protocol failure :class:`~repro.shard.errors.ShardError`.
 """
 
 from __future__ import annotations
@@ -33,14 +30,17 @@ from __future__ import annotations
 import builtins
 import time
 
+from . import errors
+from .errors import ShardError, WorkerCrashed
+
 __all__ = ["RpcLink", "PipeRpc", "serve_rpc"]
 
 
 class RpcLink:
     """Master-side state of one worker's pipe connection.
 
-    Subclass (adding ``__slots__``) to attach tier-specific bookkeeping;
-    the RPC layer touches only the slots declared here.
+    The gateway subclasses it (adding ``__slots__``) for its own
+    bookkeeping; the RPC layer touches only the slots declared here.
     """
 
     __slots__ = ("index", "process", "conn", "alive", "next_request",
@@ -63,37 +63,19 @@ class PipeRpc:
     Parameters
     ----------
     timeout:
-        Seconds to wait for a single reply before raising ``error_type``
-        (a *dead* worker is detected promptly regardless); ``None``
-        disables the timeout.
-    crashed_type / error_type:
-        Exception types raised for worker death and protocol-level
-        failures respectively.
-    error_modules:
-        Modules searched (before ``builtins``) when rebuilding a
-        worker-side exception under its original type name.
-    dead_hint / crash_hint:
-        Message suffixes appended when a request targets an
-        already-dead link and when a link dies mid-call — the caller
-        states what the loss means ("its sessions are lost", "resume
-        from the last checkpoint", ...).
+        Seconds to wait for a single reply before raising
+        :class:`~repro.shard.errors.ShardError` (a *dead* worker is
+        detected promptly regardless); ``None`` disables the timeout.
     on_dead:
-        Optional callback ``(link)`` fired exactly once when a link is
-        marked dead (before the raising call returns).
+        Callback ``(link)`` fired exactly once when a link is marked
+        dead (before the raising call returns).
     on_reply:
-        Optional callback ``(link, method, seconds)`` fired per
-        completed RPC with its post-to-reply latency.
+        Callback ``(link, method, seconds)`` fired per completed RPC
+        with its post-to-reply latency.
     """
 
-    def __init__(self, *, timeout=600.0, crashed_type=RuntimeError,
-                 error_type=RuntimeError, error_modules=(),
-                 dead_hint="", crash_hint="", on_dead=None, on_reply=None):
+    def __init__(self, *, timeout, on_dead, on_reply):
         self.timeout = timeout
-        self.crashed_type = crashed_type
-        self.error_type = error_type
-        self.error_modules = tuple(error_modules)
-        self.dead_hint = dead_hint
-        self.crash_hint = crash_hint
         self.on_dead = on_dead
         self.on_reply = on_reply
 
@@ -104,8 +86,7 @@ class PipeRpc:
             return
         link.alive = False
         link.post_times.clear()
-        if self.on_dead is not None:
-            self.on_dead(link)
+        self.on_dead(link)
         try:
             link.conn.close()
         except OSError:
@@ -114,8 +95,9 @@ class PipeRpc:
     def post(self, link, method, kwargs):
         """Send one request without waiting (pipelined fan-out)."""
         if not link.alive:
-            raise self.crashed_type(
-                "worker {} is dead{}".format(link.index, self.dead_hint))
+            raise WorkerCrashed(
+                "worker {} is dead; its sessions are lost (re-open them "
+                "or restore a manager checkpoint)".format(link.index))
         request_id = link.next_request
         link.next_request += 1
         link.post_times[request_id] = time.monotonic()
@@ -123,7 +105,7 @@ class PipeRpc:
             link.conn.send((request_id, method, kwargs))
         except (BrokenPipeError, OSError):
             self.mark_dead(link)
-            raise self.crashed_type(
+            raise WorkerCrashed(
                 "worker {} died before accepting {!r}".format(
                     link.index, method))
         return request_id
@@ -138,21 +120,21 @@ class PipeRpc:
                     if not link.process.is_alive() \
                             and not link.conn.poll(0.2):
                         self.mark_dead(link)
-                        raise self.crashed_type(
-                            "worker {} died during {!r}{}".format(
-                                link.index, method, self.crash_hint))
+                        raise WorkerCrashed(
+                            "worker {} died during {!r}; its sessions "
+                            "are lost".format(link.index, method))
                     if deadline is not None \
                             and time.monotonic() > deadline:
-                        raise self.error_type(
+                        raise ShardError(
                             "worker {} did not answer {!r} within "
                             "{}s".format(link.index, method, self.timeout))
                     continue
                 message = link.conn.recv()
             except (EOFError, OSError):
                 self.mark_dead(link)
-                raise self.crashed_type(
-                    "worker {} died during {!r}{}".format(
-                        link.index, method, self.crash_hint))
+                raise WorkerCrashed(
+                    "worker {} died during {!r}; its sessions are "
+                    "lost".format(link.index, method))
             reply_id, status, payload = message
             if reply_id < request_id:
                 # Stale reply from a pipelined call whose wait was
@@ -162,7 +144,7 @@ class PipeRpc:
                 continue
             if reply_id > request_id:
                 self.mark_dead(link)
-                raise self.error_type(
+                raise ShardError(
                     "worker {} answered request {} while {} was "
                     "expected; the RPC stream is corrupt".format(
                         link.index, reply_id, request_id))
@@ -173,8 +155,7 @@ class PipeRpc:
                 # earlier work, which is the latency a caller observes.
                 link.last_rpc_seconds = time.monotonic() - posted_at
                 link.last_rpc_method = method
-                if self.on_reply is not None:
-                    self.on_reply(link, method, link.last_rpc_seconds)
+                self.on_reply(link, method, link.last_rpc_seconds)
             if status == "error":
                 raise self.rebuild_exception(link, method, payload)
             return payload
@@ -183,17 +164,14 @@ class PipeRpc:
         return self.wait(link, self.post(link, method, kwargs), method)
 
     def rebuild_exception(self, link, method, payload):
-        """Re-raise a worker-side exception under its original type."""
+        """Re-raise a worker-side exception under its original type: one
+        of :mod:`repro.shard.errors` or a builtin."""
         type_name, message = payload
-        exc_type = None
-        for module in self.error_modules:
-            exc_type = getattr(module, type_name, None)
-            if exc_type is not None:
-                break
-        exc_type = exc_type or getattr(builtins, type_name, None)
+        exc_type = getattr(errors, type_name, None) \
+            or getattr(builtins, type_name, None)
         if isinstance(exc_type, type) and issubclass(exc_type, Exception):
             return exc_type(message)
-        return self.error_type("worker {} failed {!r}: {}: {}".format(
+        return ShardError("worker {} failed {!r}: {}: {}".format(
             link.index, method, type_name, message))
 
 

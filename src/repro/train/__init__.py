@@ -14,27 +14,21 @@ autograd programs over the shared substrate in :mod:`repro.nn.batching`.
   subspace.  Bit-identical to the task-at-a-time loops kept as the
   oracle ``tests/train/_sequential_oracle.py`` (property-fuzzed in
   ``tests/train``), and factored into retrieval / partition-invariant
-  compute / ordered reduction phases the worker pool fans out.
+  compute / ordered reduction phases, so a large stack's compute
+  trains as two halves on two threads (:func:`repro.nn.cores.run_stack`).
 * :mod:`offline <repro.train.offline>` — the pooled scheduler:
   :class:`TrainerSchedule` / :class:`OfflineRun` interleave epochs
   round-robin across all meta-subspaces (shape-bucketed fusion) and
   checkpoint cursor + RNG + weights + optimizer moments after every
   epoch, so a killed pretraining run resumes to the identical phi.
-* :mod:`parallel <repro.train.parallel>` — what ``workers=N`` selects:
-  :class:`ParallelTrainEngine` forks N workers over the shared
-  :mod:`repro.shard.rpc` machinery and splits each fused batch into
-  deterministic task spans; reduction, memory-EMA updates and RNG
-  draws stay on the master, so phi is bit-identical at any worker
-  count.
 * :mod:`stream <repro.train.stream>` — store-streamed encoded task
   sets: :class:`EncodedTaskSet` spills encoded support/query rows into
   an on-disk :class:`~repro.store.ChunkStore` and serves them lazily,
   bounding peak training memory by the chunk size instead of the task
   count (bit-identical to the materialized path).
 
-``MetaTrainer.train`` / ``LTE.fit_offline`` ride this package;
-``fit_offline(workers=N)`` fans the same programs out across N forked
-processes.
+``MetaTrainer.train`` / ``LTE.fit_offline`` ride this package, in one
+process.
 """
 
 from .engine import (MetaBatchSlot, apply_meta_batch,
@@ -43,8 +37,6 @@ from .engine import (MetaBatchSlot, apply_meta_batch,
                      evaluate_batched, run_meta_batch_fused,
                      run_pretrain_epoch_pooled)
 from .offline import OfflineRun, TrainerSchedule, run_offline_training
-from .parallel import (ParallelTrainEngine, TrainParallelError,
-                       TrainWorkerCrashed)
 from .stream import EncodedTaskSet
 
 __all__ = [
@@ -52,7 +44,5 @@ __all__ = [
     "MetaBatchSlot", "run_meta_batch_fused", "encode_task_sets",
     "build_meta_batch_inputs", "compute_meta_batch",
     "concat_meta_batch_results", "apply_meta_batch",
-    "run_pretrain_epoch_pooled", "evaluate_batched",
-    "ParallelTrainEngine", "TrainParallelError", "TrainWorkerCrashed",
-    "EncodedTaskSet",
+    "run_pretrain_epoch_pooled", "evaluate_batched", "EncodedTaskSet",
 ]

@@ -123,21 +123,21 @@ MetaBatchSlot = namedtuple("MetaBatchSlot", ["trainer", "encoded", "indices"])
 #: ``(K, theta_r_size)`` memory-retrieved theta_R start stack (or None
 #: without memories); ``sx`` / ``sy`` / ``qx`` / ``qy`` /
 #: ``conversions`` / ``attentions`` are per-task lists (the sets are
-#: stacked per same-shape run by :func:`compute_meta_batch`;
-#: ``attentions`` entries are None when the retrieval was computed
-#: elsewhere — the parallel worker path).
+#: stacked per same-shape run by :func:`compute_meta_batch`; without
+#: memories ``conversions`` and ``attentions`` entries are None).
 MetaBatchInputs = namedtuple("MetaBatchInputs", [
     "features", "sx", "sy", "qx", "qy",
     "shifts", "conversions", "attentions"])
 
 #: The pure-compute products of one fused meta-batch (or a contiguous
-#: task span of one): per-task query losses, last-step theta_R gradient
-#: stack, per-parameter query gradient stacks, adapted conversion data.
+#: task span of one — a half): per-task query losses, last-step theta_R
+#: gradient stack, per-parameter query gradient stacks, adapted
+#: conversion data.
 MetaBatchResult = namedtuple("MetaBatchResult", [
     "losses", "theta_grads", "grad_stacks", "conversion_data"])
 
 
-def build_meta_batch_inputs(slots, retrieval=None):
+def build_meta_batch_inputs(slots):
     """Stack one meta-batch's per-task arrays; returns (models, inputs).
 
     Task-wise initialization (Eqs. 6/10/11), stacked straight off each
@@ -145,51 +145,34 @@ def build_meta_batch_inputs(slots, retrieval=None):
     (no per-task model construction), then the memory-retrieved theta_R
     shifts land row-wise in the stacked UIS block — the same bits
     ``task_retrieval`` produces per task.
-
-    ``retrieval`` (optional) is a ``(shifts, conversions)`` pair
-    computed by another process: the data-parallel master performs the
-    memory retrievals against its authoritative memories and ships them
-    to workers, whose forked memory copies are stale.  When given, the
-    local memories are never touched and ``attentions`` is all-None
-    (the EMA updates that need attentions happen on the master).
     """
     models = []
     attentions, conversions, shifts = [], [], []
     v_rs, sxs, sys_, qxs, qys = [], [], [], [], []
-    external = retrieval is not None
     for slot in slots:
         trainer = slot.trainer
         models.extend([trainer.model] * len(slot.indices))
         flat = trainer.model.get_theta_r_flat() \
-            if (trainer.use_memories and not external) else None
+            if trainer.use_memories else None
         for idx in slot.indices:
             v_r, sx, sy, qx, qy = slot.encoded[idx]
-            if not external:
-                if trainer.use_memories:
-                    attention = trainer.memories.attention(v_r)
-                    omega = trainer.memories.omega_r(attention)
-                    attentions.append(attention)
-                    shifts.append(flat - trainer.params.sigma * omega)
-                    conversions.append(
-                        trainer.memories.conversion(attention))
-                else:
-                    attentions.append(None)
-                    conversions.append(None)
+            if trainer.use_memories:
+                attention = trainer.memories.attention(v_r)
+                omega = trainer.memories.omega_r(attention)
+                attentions.append(attention)
+                shifts.append(flat - trainer.params.sigma * omega)
+                conversions.append(trainer.memories.conversion(attention))
+            else:
+                attentions.append(None)
+                conversions.append(None)
             v_rs.append(v_r)
             sxs.append(sx)
             sys_.append(np.asarray(sy, dtype=np.float64).ravel())
             qxs.append(qx)
             qys.append(np.asarray(qy, dtype=np.float64).ravel())
-    if external:
-        shift_stack, conversions = retrieval
-        conversions = list(conversions) if conversions is not None \
-            else [None] * len(v_rs)
-        attentions = [None] * len(v_rs)
-    else:
-        shift_stack = np.stack(shifts) if shifts else None
     return models, MetaBatchInputs(
-        np.stack(v_rs), sxs, sys_, qxs, qys, shift_stack, conversions,
-        attentions)
+        np.stack(v_rs), sxs, sys_, qxs, qys,
+        np.stack(shifts) if shifts else None, conversions, attentions)
 
 
 def slice_meta_batch_inputs(inputs, start, stop):
@@ -199,9 +182,7 @@ def slice_meta_batch_inputs(inputs, start, stop):
         inputs.sy[start:stop], inputs.qx[start:stop],
         inputs.qy[start:stop],
         None if inputs.shifts is None else inputs.shifts[start:stop],
-        inputs.conversions[start:stop],
-        None if inputs.attentions is None
-        else inputs.attentions[start:stop])
+        inputs.conversions[start:stop], inputs.attentions[start:stop])
 
 
 def compute_meta_batch(models, params, inputs):
@@ -210,9 +191,9 @@ def compute_meta_batch(models, params, inputs):
     ``models`` and ``inputs`` may cover a whole batch or any contiguous
     task span of one: the stacked program is block-diagonal, so every
     task's losses and gradients are bit-identical at any stack size —
-    which is what lets the data-parallel engine split a batch across
-    worker processes without perturbing a single bit.  The same
-    property carries a batch whose tasks differ in support/query size
+    which is what lets a run train as two halves on two threads without
+    perturbing a single bit.  The same property carries a batch whose
+    tasks differ in support/query size
     (hand-built task lists only; ``MetaTaskGenerator`` emits uniform
     sets): each consecutive run of same-shape tasks is one stacked
     program — or two halves on two threads
@@ -271,9 +252,10 @@ def _compute_same_shape_run(models, params, inputs):
 def concat_meta_batch_results(parts):
     """Stitch span results back into one batch-wide result, in order.
 
-    The spans must be the contiguous partition of the batch's task list,
-    given in task order — concatenation then reproduces exactly the
-    arrays a single whole-batch :func:`compute_meta_batch` returns.
+    The spans (same-shape runs, or the halves of one) must be the
+    contiguous partition of the batch's task list, given in task order
+    — concatenation then reproduces exactly the arrays a single
+    whole-batch :func:`compute_meta_batch` returns.
     """
     if len(parts) == 1:
         return parts[0]
@@ -300,8 +282,8 @@ def apply_meta_batch(slots, inputs, result):
     bits), deferred memory EMA updates (Eqs. 14-16) in task order, then
     one Eq. 13 step on each trainer's phi.  Because
     :func:`compute_meta_batch` is partition-invariant and this fold is
-    fixed, the data-parallel engine applies the identical update no
-    matter how many workers computed the spans.
+    fixed, the update is the same whether a run trained whole or as
+    two halves.
 
     Returns the per-slot lists of query losses, in slot order.
     """
@@ -352,9 +334,8 @@ def run_meta_batch_fused(slots):
     per-trainer gradient accumulation in task order, deferred memory EMA
     updates in task order, one Eq. 13 step on each trainer's phi.  The
     three phases are :func:`build_meta_batch_inputs` ->
-    :func:`compute_meta_batch` -> :func:`apply_meta_batch`; the
-    data-parallel engine runs the same phases with the middle one fanned
-    out across worker processes.
+    :func:`compute_meta_batch` -> :func:`apply_meta_batch`; only the
+    middle one, pure compute, fans out over threads.
 
     Returns the per-slot lists of query losses, in slot order.
     """
@@ -366,15 +347,15 @@ def run_meta_batch_fused(slots):
 # ----------------------------------------------------------------------
 # Joint pretraining epochs (phi-level, Adam state carried via schedules)
 # ----------------------------------------------------------------------
-def run_pretrain_group(schedules, orders=None):
+def run_pretrain_group(schedules):
     """A fusion group's pretrain epoch: :func:`run_pretrain_epoch_pooled`
     as one stack, or as two halves on two threads
     (:func:`repro.nn.cores.run_stack`) — the epoch of a subset of the
-    group is that subset's slice of the whole group's.  ``orders`` as
-    there; drawn here otherwise."""
+    group is that subset's slice of the whole group's.  Every schedule's
+    task order is drawn here, in schedule order, before either half
+    starts."""
     schedules = list(schedules)
-    if orders is None:
-        orders = [schedule.next_pretrain_order() for schedule in schedules]
+    orders = [schedule.next_pretrain_order() for schedule in schedules]
 
     def train(span):
         run_pretrain_epoch_pooled([schedules[s] for s in span],
@@ -395,13 +376,11 @@ def run_pretrain_epoch_pooled(schedules, orders=None):
     every trainer's t-th task (per its own shuffle) in one stacked
     forward/backward and one stacked Adam step.  Slice s is bit-identical
     to a task-at-a-time epoch of trainer s alone — at ANY subset of
-    trainers, S = 1 included, which is why the data-parallel engine can
-    pool each worker's span of a fusion group independently, and
-    :func:`run_pretrain_group` split a group into halves.  ``orders``
-    (optional) supplies the per-schedule task permutations instead of
-    drawing them from the schedules' RNGs: the data-parallel master
-    draws every order from its authoritative RNG streams and ships them,
-    so worker-side RNG state never exists, let alone drifts.
+    trainers, S = 1 included, which is why :func:`run_pretrain_group`
+    can split a group into halves.  ``orders`` (optional) supplies the
+    per-schedule task permutations instead of drawing them from the
+    schedules' RNGs: a group's orders are drawn before it splits, so
+    the draws do not depend on which half runs first.
     """
     trainers = [schedule.trainer for schedule in schedules]
     models = [trainer.model for trainer in trainers]

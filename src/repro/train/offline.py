@@ -35,20 +35,7 @@ from ..obs import default_registry
 from .engine import (MetaBatchSlot, run_meta_batch_fused,
                      run_pretrain_group, encode_task_sets)
 
-__all__ = ["check_workers", "TrainerSchedule", "OfflineRun",
-           "run_offline_training"]
-
-
-def check_workers(workers):
-    """The worker-process count a ``workers=`` argument asks for:
-    ``None`` / ``0`` is 0 (train in this process), an integer N >= 1 is
-    N forked workers; anything else is a ``ValueError``."""
-    if workers is None:
-        return 0
-    if not isinstance(workers, (int, np.integer)) or workers < 0:
-        raise ValueError("workers must be None or a non-negative integer, "
-                         "got {!r}".format(workers))
-    return int(workers)
+__all__ = ["TrainerSchedule", "OfflineRun", "run_offline_training"]
 
 
 class TrainerSchedule:
@@ -232,38 +219,14 @@ class OfflineRun:
         Optional callback ``(schedule, kind, epoch_index, mean_loss)``
         fired after each completed epoch — ``kind`` is ``"pretrain"``
         (``mean_loss`` is None) or ``"meta"`` (mean query loss).
-    workers:
-        ``None`` / ``0`` runs every stacked program in this process;
-        N >= 1 fans each one out across N forked workers
-        (:mod:`repro.train.parallel` — same bits at any count).  The
-        pool is created lazily on the first epoch and owned by this
-        run — :meth:`close` it (or use :func:`run_offline_training`,
-        which does).
+
+    Every stacked program runs in this process; one worth two threads
+    trains as two halves on two cores (:func:`repro.nn.cores.run_stack`).
     """
 
-    def __init__(self, schedules, on_epoch=None, workers=None):
+    def __init__(self, schedules, on_epoch=None):
         self.schedules = list(schedules)
         self.on_epoch = on_epoch
-        self.workers = check_workers(workers)
-        self._parallel = None
-
-    @property
-    def parallel(self):
-        """The lazily created :class:`ParallelTrainEngine`, or None
-        when the run trains in process."""
-        if self.workers and self._parallel is None:
-            from .parallel import ParallelTrainEngine
-            self._parallel = ParallelTrainEngine(self.schedules,
-                                                 self.workers)
-        return self._parallel
-
-    def close(self):
-        """Release the worker pool (idempotent; no-op in process).
-        Schedules and trainers stay valid — all state lives on the
-        master."""
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
 
     @property
     def done(self):
@@ -282,16 +245,12 @@ class OfflineRun:
         timing only, never on the training numerics.
         """
         metrics = default_registry()
-        parallel = self.parallel
         pretraining = [s for s in self.schedules if s.phase == "pretrain"]
         meta = [s for s in self.schedules if s.phase == "meta"]
         for group in _grouped(pretraining,
                               TrainerSchedule.pretrain_group_key):
             t0 = time.perf_counter()
-            if parallel is not None:
-                parallel.pretrain_epoch(group)
-            else:
-                run_pretrain_group(group)
+            run_pretrain_group(group)
             metrics.histogram("train.offline.pretrain_epoch.seconds") \
                 .observe(time.perf_counter() - t0)
             metrics.counter("train.offline.epochs.pretrain").inc()
@@ -301,7 +260,7 @@ class OfflineRun:
                            schedule.pretrain_done - 1, None)
         for group in _grouped(meta, TrainerSchedule.meta_group_key):
             t0 = time.perf_counter()
-            losses = _run_meta_epoch(group, parallel)
+            losses = _run_meta_epoch(group)
             metrics.histogram("train.offline.meta_epoch.seconds") \
                 .observe(time.perf_counter() - t0)
             metrics.counter("train.offline.epochs.meta").inc()
@@ -324,14 +283,12 @@ def _grouped(schedules, key_method):
     return list(groups.values())
 
 
-def _run_meta_epoch(schedules, parallel):
+def _run_meta_epoch(schedules):
     """One meta epoch for a fusion group, batches interleaved round-robin.
 
     Returns per-schedule lists of query losses in task order — exactly
     the list a per-trainer epoch would produce, because the round-robin
-    only reorders work *across* independent trainers.  With ``parallel``
-    (a :class:`~repro.train.parallel.ParallelTrainEngine`) each batch's
-    compute fans out across worker processes.
+    only reorders work *across* independent trainers.
     """
     batch_size = max(1, int(schedules[0].trainer.params.batch_size))
     orders = [schedule.next_meta_order() for schedule in schedules]
@@ -348,12 +305,7 @@ def _run_meta_epoch(schedules, parallel):
                 owners.append(s)
         if not slots:
             continue
-        if parallel is not None:
-            slot_losses = parallel.meta_batch(
-                slots, [schedules[s] for s in owners])
-        else:
-            slot_losses = run_meta_batch_fused(slots)
-        for s, batch_losses in zip(owners, slot_losses):
+        for s, batch_losses in zip(owners, run_meta_batch_fused(slots)):
             losses[s].extend(batch_losses)
     return losses
 
@@ -362,7 +314,7 @@ def _run_meta_epoch(schedules, parallel):
 # The LTE offline phase: pooled training over every prepared subspace
 # ----------------------------------------------------------------------
 def run_offline_training(lte, subspaces, progress=None, checkpoint=None,
-                         workers=None, stream=None):
+                         stream=None):
     """Meta-train every prepared subspace of ``lte``, pooled and resumable.
 
     Builds one :class:`TrainerSchedule` per subspace (regenerating the
@@ -375,11 +327,7 @@ def run_offline_training(lte, subspaces, progress=None, checkpoint=None,
     epoch_index, mean_query_loss))`` after every meta epoch and
     ``(subspace, "trained")`` per subspace once training completes.
     Event order is deterministic — epoch by epoch, subspaces in run
-    order — at any worker count (the master emits after its ordered
-    reduction, so worker reply timing cannot reorder events).
-
-    ``workers`` is :class:`OfflineRun`'s: ``None`` / ``0`` trains in
-    this process, N >= 1 across N forked workers.
+    order.
 
     ``stream`` bounds encode/training memory: ``True`` spills every
     subspace's encoded task set into a private on-disk
@@ -431,18 +379,14 @@ def run_offline_training(lte, subspaces, progress=None, checkpoint=None,
             else:
                 progress(by_schedule[schedule], ("pretrain", epoch))
 
-        run = OfflineRun(schedules, on_epoch=on_epoch, workers=workers)
-        try:
-            while not run.done:
-                run.step_epoch()
-                # Checkpoint strictly after the epoch's reduction
-                # barrier: a run at any worker count passes through
-                # identical master state here, so the file resumes
-                # interchangeably across worker counts.
-                if checkpoint is not None:
-                    _save_run(checkpoint, lte, subspaces, schedules, run)
-        finally:
-            run.close()
+        run = OfflineRun(schedules, on_epoch=on_epoch)
+        while not run.done:
+            run.step_epoch()
+            # Checkpoint strictly between epochs: every fusion group of
+            # the tick has applied its update, so no half-trained epoch
+            # is ever captured.
+            if checkpoint is not None:
+                _save_run(checkpoint, lte, subspaces, schedules)
 
         for subspace, schedule in zip(subspaces, schedules):
             lte.states[subspace].trainer = schedule.trainer
@@ -454,16 +398,13 @@ def run_offline_training(lte, subspaces, progress=None, checkpoint=None,
             shutil.rmtree(spill_root, ignore_errors=True)
 
 
-def _save_run(checkpoint, lte, subspaces, schedules, run):
+def _save_run(checkpoint, lte, subspaces, schedules):
     from ..persist.state import save_pretrain_run
 
     entries = [{"names": list(subspace.names),
                 "schedule": schedule.state_dict()}
                for subspace, schedule in zip(subspaces, schedules)]
-    # The worker count is recorded for provenance only: the bits do not
-    # depend on it, so a run may resume at any other.
-    save_pretrain_run(checkpoint, lte, entries,
-                      meta={"workers": run.workers})
+    save_pretrain_run(checkpoint, lte, entries)
 
 
 def _entry_done(entry):

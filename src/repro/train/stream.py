@@ -42,8 +42,7 @@ class EncodedTaskSet:
 
     Indexable and iterable like the materialized list the training
     engines normally consume; rows live in an on-disk chunk store and
-    are gathered (and verified) on access.  Safe to inherit through a
-    ``fork`` — child processes lazily re-open their own chunk mmaps.
+    are gathered (and verified) on access.
     """
 
     def __init__(self, store, n_tasks, feature_size, support_shape,

@@ -34,12 +34,12 @@ class _Killed(Exception):
 
 
 def _fit_killed_after(table, subspaces, checkpoint, kill_epoch,
-                      kill_phase="epoch", kill_count=None, **fit_kwargs):
+                      kill_phase="epoch", kill_count=None):
     """fit_offline that dies once ``kill_count`` subspaces (default:
     all) finished ``kill_epoch`` of ``kill_phase`` ("pretrain" or
     "epoch" = the meta loop).  ``kill_count < len(subspaces)`` kills
-    *mid-tick* — after one fusion group's ordered reduction but before
-    the epoch's checkpoint barrier."""
+    *mid-tick* — after one fusion group's epoch but before the tick's
+    checkpoint."""
     finished = set()
     target = len(subspaces) if kill_count is None else kill_count
 
@@ -53,7 +53,7 @@ def _fit_killed_after(table, subspaces, checkpoint, kill_epoch,
     lte = LTE(resume_config())
     with pytest.raises(_Killed):
         lte.fit_offline(table, subspaces=subspaces, progress=progress,
-                        checkpoint=str(checkpoint), **fit_kwargs)
+                        checkpoint=str(checkpoint))
 
 
 def assert_identical_trainers(a, b):
@@ -130,6 +130,21 @@ def test_resumed_sessions_match_uninterrupted(tmp_path, persist_table,
     assert np.array_equal(results[0].predictions, results[1].predictions)
 
 
+def test_mid_tick_kill_resumes_identically(tmp_path, persist_table,
+                                           persist_subspaces,
+                                           uninterrupted):
+    """Killed after one fusion group's epoch but before the tick's
+    checkpoint: the half-finished tick is discarded and the resume
+    replays it from the last checkpoint, bit-identically."""
+    checkpoint = tmp_path / "pretrain"
+    _fit_killed_after(persist_table, persist_subspaces, checkpoint, 1,
+                      kill_count=1)
+    resumed = LTE(resume_config())
+    resumed.fit_offline(persist_table, subspaces=persist_subspaces,
+                        checkpoint=str(checkpoint))
+    assert_identical_trainers(uninterrupted, resumed)
+
+
 def test_finished_checkpoint_resumes_instantly(tmp_path, persist_table,
                                                persist_subspaces,
                                                uninterrupted):
@@ -148,19 +163,23 @@ def test_checkpoint_naming_an_nn_backend_still_resumes(tmp_path,
                                                       persist_subspaces,
                                                       uninterrupted):
     """Runs checkpointed while a second nn executor existed recorded
-    ``nn_backend`` in the manifest meta, and runs checkpointed while
-    ``engine=`` chose between training executors recorded ``engine``;
-    both keys were provenance only, are never read, and such a
+    ``nn_backend`` in the manifest meta, runs checkpointed while
+    ``engine=`` chose between training executors recorded ``engine``,
+    and runs checkpointed by a forked worker pool recorded ``workers``;
+    all three keys were provenance only, are never read, and such a
     checkpoint resumes to the identical phi."""
     checkpoint = tmp_path / "pretrain"
     _fit_killed_after(persist_table, persist_subspaces, checkpoint, 1)
     manifest_path = checkpoint / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
+    assert not {"nn_backend", "engine", "workers"} & set(manifest["meta"])
     manifest["meta"]["nn_backend"] = "fused"
     manifest["meta"]["engine"] = "sequential"
+    manifest["meta"]["workers"] = 2
     manifest_path.write_text(json.dumps(manifest))
     meta = inspect_checkpoint(str(checkpoint))["meta"]
-    assert (meta["nn_backend"], meta["engine"]) == ("fused", "sequential")
+    assert (meta["nn_backend"], meta["engine"], meta["workers"]) == \
+        ("fused", "sequential", 2)
 
     resumed = LTE(resume_config())
     resumed.fit_offline(persist_table, subspaces=persist_subspaces,
@@ -188,72 +207,3 @@ def test_resume_rejects_foreign_system(tmp_path, persist_table,
     foreign = LTE(resume_config())
     with pytest.raises(CheckpointError):
         foreign.fit_offline(other_table, checkpoint=str(checkpoint))
-
-
-# ----------------------------------------------------------------------
-# Resume interchange across worker counts (pool <-> in process)
-# ----------------------------------------------------------------------
-# Checkpoints are written only after each epoch's reduction barrier, at
-# which point a run at any worker count has passed through identical
-# master state — so a run killed at one count must resume to the
-# identical phi at any other.
-
-@pytest.mark.train_parallel
-@pytest.mark.parametrize("kill_phase,kill_epoch",
-                         [("pretrain", 1), ("epoch", 1)])
-def test_parallel_kill_resumes_under_batched(tmp_path, persist_table,
-                                             persist_subspaces,
-                                             uninterrupted, kill_phase,
-                                             kill_epoch):
-    checkpoint = tmp_path / "pretrain"
-    _fit_killed_after(persist_table, persist_subspaces, checkpoint,
-                      kill_epoch, kill_phase=kill_phase, workers=2)
-    summary = inspect_checkpoint(str(checkpoint))
-    assert summary["kind"] == "pretrain-run"
-    assert summary["digest_ok"]
-    resumed = LTE(resume_config())
-    resumed.fit_offline(persist_table, subspaces=persist_subspaces,
-                        checkpoint=str(checkpoint))
-    assert_identical_trainers(uninterrupted, resumed)
-
-
-@pytest.mark.train_parallel
-@pytest.mark.parametrize("workers", [1, 3])
-def test_batched_kill_resumes_under_parallel(tmp_path, persist_table,
-                                             persist_subspaces,
-                                             uninterrupted, workers):
-    checkpoint = tmp_path / "pretrain"
-    _fit_killed_after(persist_table, persist_subspaces, checkpoint, 0)
-    resumed = LTE(resume_config())
-    resumed.fit_offline(persist_table, subspaces=persist_subspaces,
-                        checkpoint=str(checkpoint), workers=workers)
-    assert_identical_trainers(uninterrupted, resumed)
-
-
-@pytest.mark.train_parallel
-def test_mid_reduction_kill_resumes_identically(tmp_path, persist_table,
-                                                persist_subspaces,
-                                                uninterrupted):
-    """Killed after one fusion group's ordered reduction but before the
-    epoch's checkpoint barrier: the half-finished tick is discarded and
-    the resume replays it from the last barrier, bit-identically, under
-    a different worker count."""
-    checkpoint = tmp_path / "pretrain"
-    _fit_killed_after(persist_table, persist_subspaces, checkpoint, 1,
-                      kill_count=1, workers=2)
-    resumed = LTE(resume_config())
-    resumed.fit_offline(persist_table, subspaces=persist_subspaces,
-                        checkpoint=str(checkpoint), workers=3)
-    assert_identical_trainers(uninterrupted, resumed)
-
-
-@pytest.mark.train_parallel
-def test_checkpoint_meta_records_engine_provenance(tmp_path, persist_table,
-                                                   persist_subspaces):
-    checkpoint = tmp_path / "pretrain"
-    lte = LTE(resume_config())
-    lte.fit_offline(persist_table, subspaces=persist_subspaces,
-                    checkpoint=str(checkpoint), workers=2)
-    meta = inspect_checkpoint(str(checkpoint))["meta"]
-    assert "engine" not in meta
-    assert meta["workers"] == 2

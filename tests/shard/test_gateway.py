@@ -1,7 +1,10 @@
 """Gateway behavior: routing, parity, backpressure, crash isolation,
 shutdown, the workers' share of the cores."""
 
+import gc
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +346,37 @@ class TestShutdown:
         assert not os.path.exists(gateway._root)
         gateway.close()
         gateway.close(drain=False)
+
+    def test_an_unclosed_gateway_warns_and_reaps_when_collected(
+            self, shard_lte):
+        """Dropped without ``close``: collecting it raises a
+        ``ResourceWarning``, and the workers are reaped and the owned
+        checkpoint root removed all the same."""
+        gateway = ShardGateway(shard_lte, n_workers=2)
+        processes = [worker.process for worker in gateway._workers]
+        root = gateway._root
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del gateway
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == \
+            ["unclosed ShardGateway with 2 workers; close() it or use it "
+             "as a context manager"]
+        assert all(process.exitcode is not None for process in processes)
+        assert not os.path.exists(root)
+
+    def test_a_failed_init_is_collected_quietly(self, monkeypatch):
+        """An ``__init__`` that raised before owning anything leaves
+        nothing to close: no warning, no error while collecting."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TypeError):
+                ShardGateway("not a fitted LTE")
+            gc.collect()
+        assert not caught and not unraisable
 
 
 class TestWorkerShare:

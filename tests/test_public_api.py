@@ -1,6 +1,7 @@
 """Public-API surface checks: imports, __all__ consistency, paper defaults."""
 
 import importlib
+import importlib.util
 
 import pytest
 
@@ -35,7 +36,8 @@ def test_nn_has_one_executor():
 
 
 def test_one_executor_per_job():
-    """No option chooses between executors, and none is left to choose:
+    """No option chooses between executors or asks for worker processes,
+    and none is left to choose:
     outside the optimizers themselves ``optimizer.step()`` is written at
     exactly two sites in ``src/`` — the stacked local phase and the
     stacked pretrain epoch, each run at K = 1 for one task.  (The eager
@@ -52,8 +54,13 @@ def test_one_executor_per_job():
     for function in (LTE.fit_offline, LTE.train_subspace, MetaTrainer.train,
                      MetaTrainer.evaluate, OfflineRun.__init__,
                      run_offline_training):
-        assert "engine" not in inspect.signature(function).parameters, \
+        parameters = inspect.signature(function).parameters
+        assert not {"engine", "workers"} & set(parameters), \
             function.__qualname__
+    # Training runs in one process: there is no worker pool to ask for.
+    with pytest.raises(TypeError):
+        LTE().fit_offline(None, workers=2)
+    assert importlib.util.find_spec("repro.train.parallel") is None
 
     root = pathlib.Path(repro.__file__).parent
     sites = {path.relative_to(root).as_posix():

@@ -163,23 +163,15 @@ def _update_memories(trainer, feature_vector, info, adapted):
                                               params.gamma)
 
 
-def run_pretrain_epoch_sequential(schedule, order=None):
-    """One joint-pretraining epoch of a single trainer, task at a time.
-
-    ``order`` (optional) supplies the epoch's task permutation instead
-    of drawing it from the schedule's RNG — the data-parallel master
-    draws every order from its authoritative RNG streams and ships them,
-    so worker-side RNG state never exists, let alone drifts.
-    """
+def run_pretrain_epoch_sequential(schedule):
+    """One joint-pretraining epoch of a single trainer, task at a time."""
     trainer = schedule.trainer
     optimizer = Adam(trainer.model.parameters(),
                      lr=trainer.params.pretrain_lr)
     if schedule.pretrain_opt_state is not None:
         optimizer.load_state_dict(schedule.pretrain_opt_state)
     conversion = trainer.pretrain_conversion()
-    if order is None:
-        order = schedule.next_pretrain_order()
-    for idx in order:
+    for idx in schedule.next_pretrain_order():
         v_r, x, y = schedule.pretrain_sets[idx]
         pretrain_step(trainer, optimizer, conversion, v_r, x, y)
     schedule.pretrain_opt_state = optimizer.state_dict()

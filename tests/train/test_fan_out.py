@@ -10,7 +10,7 @@ runner of any size, and compare bit for bit at each of the three seams:
 the serving flush's adapt buckets, the meta-batch's same-shape runs and
 the pooled pretrain epoch; then a paper-size fit with its flush and
 answers.  The rest pins the primitive's behaviour: exceptions, nesting,
-concurrent callers, the restored BLAS thread count, the workers' share.
+concurrent callers, the restored BLAS thread count.
 """
 
 import contextlib
@@ -33,9 +33,9 @@ from repro.data import make_car, make_sdss
 from repro.data.subspaces import random_decomposition
 from repro.nn import cores
 from repro.serve import SessionManager
-from repro.train import (MetaBatchSlot, ParallelTrainEngine, TrainerSchedule,
+from repro.train import (MetaBatchSlot, OfflineRun, TrainerSchedule,
                          build_meta_batch_inputs, compute_meta_batch,
-                         encode_task_sets)
+                         encode_task_sets, engine, run_meta_batch_fused)
 from repro.train.engine import run_pretrain_group
 
 pytestmark = pytest.mark.train
@@ -394,6 +394,69 @@ def test_a_failed_half_leaves_the_queue_for_a_retry(fan_lte, monkeypatch):
         assert np.array_equal(got[sid], want[ref_sid])
 
 
+def meta_state(trainer):
+    memories = trainer.memories.state_dict()
+    return [trainer.model.flat_parameters()] + [
+        memories[key] for key in ("M_vR", "M_R", "M_CP")]
+
+
+@needs_blas
+def test_a_failed_half_leaves_the_trainer_for_a_retry(task_generator,
+                                                      preprocessor,
+                                                      meta_tasks,
+                                                      monkeypatch):
+    """The helper half of a meta-batch fails: the batch re-raises its
+    error before the ordered reduction, so phi and the memories are
+    untouched, and the retry trains what an untroubled batch trains."""
+    real = engine.fused_local_adapt
+
+    def flaky(*args, **kwargs):
+        if threading.current_thread().name == "repro-fan-out":
+            raise FloatingPointError("the helper's half")
+        return real(*args, **kwargs)
+
+    encoded = encode_task_sets(meta_tasks[:6], preprocessor.transform)
+
+    def slots(trainer):
+        return [MetaBatchSlot(trainer, encoded, [4, 0, 5, 2])]
+
+    with stacks(True):
+        trainer = build_trainer(task_generator, preprocessor)
+        before = meta_state(trainer)
+        monkeypatch.setattr(engine, "fused_local_adapt", flaky)
+        with pytest.raises(FloatingPointError, match="the helper's half"):
+            run_meta_batch_fused(slots(trainer))
+        assert_arrays_equal(meta_state(trainer), before)
+        monkeypatch.setattr(engine, "fused_local_adapt", real)
+        losses = run_meta_batch_fused(slots(trainer))
+        reference = build_trainer(task_generator, preprocessor)
+        assert run_meta_batch_fused(slots(reference)) == losses
+    assert_arrays_equal(meta_state(trainer), meta_state(reference))
+
+
+def test_epoch_events_are_the_same_split_or_whole(task_generator,
+                                                  preprocessor, meta_tasks):
+    """Two fused schedules report every pretrain and meta epoch in the
+    same order with the same losses whether their stacks split."""
+    encoded = encode_task_sets(meta_tasks[:6], preprocessor.transform)
+
+    def run():
+        schedules = [TrainerSchedule(build_trainer(
+            task_generator, preprocessor, seed=seed, epochs=2), encoded)
+            for seed in (0, 1)]
+        events = []
+        OfflineRun(schedules, on_epoch=lambda s, kind, epoch, loss:
+                   events.append((schedules.index(s), kind, epoch, loss))
+                   ).run()
+        return events
+
+    split, whole = both(run)
+    assert split == whole
+    assert [event[:3] for event in whole] == [
+        (0, "pretrain", 0), (1, "pretrain", 0), (0, "meta", 0),
+        (1, "meta", 0), (0, "meta", 1), (1, "meta", 1)]
+
+
 @needs_blas
 def test_no_fan_out_nests():
     """Inside a half, a fan-out or a splitting stack runs whole, on the
@@ -548,19 +611,3 @@ def test_holds_from_many_threads_restore_the_count():
     assert len(results) == 160 and all(results)
     assert set(seen) == {1}
     assert get_threads() == before
-
-
-@pytest.mark.train_parallel
-def test_a_training_worker_owns_its_share_of_the_cores(task_generator,
-                                                       preprocessor,
-                                                       meta_tasks):
-    """``max(1, cores // workers)`` compute threads: one each for two
-    workers on two cores."""
-    encoded = encode_task_sets(meta_tasks[:3], preprocessor.transform)
-    schedules = [TrainerSchedule(build_trainer(task_generator,
-                                               preprocessor), encoded)]
-    share = max(1, cores._affinity() // 2)
-    with ParallelTrainEngine(schedules, 2) as engine:
-        for link in engine._workers:
-            assert engine._rpc.call(link, "ping", {})["threads"] == share
-    assert cores.compute_threads() == cores._affinity()
