@@ -35,11 +35,12 @@ from ..data.subspaces import Subspace, random_decomposition
 from ..geometry.engine import HullPackCache
 from ..ml.scaler import MinMaxScaler
 from ..nn.batching import fused_local_adapt
-from ..nn.cores import run_stack, step_macs
+from ..nn.cores import fan_out, run_stack, step_macs
 from ..nn.tensor import Parameter
 from ..obs import default_registry
 from .meta_learner import UISClassifier
-from .meta_task import MetaTaskGenerator, uis_feature_vector
+from .meta_task import (MetaTaskGenerator, cluster_sample_rows,
+                        uis_feature_vector)
 from .meta_training import AdaptedClassifier, MetaHyperParams, MetaTrainer
 from .optimizer import FewShotOptimizer, HullRegistry
 from .preprocessing import TabularPreprocessor
@@ -51,6 +52,14 @@ __all__ = ["LTEConfig", "LTE", "ExplorationSession", "SubspaceState",
            "scan_conjunctions", "VARIANTS"]
 
 VARIANTS = ("basic", "meta", "meta_star")
+
+#: One subspace's clustering work, ``n · (ku + ks + kq)`` over the n rows
+#: k-means samples, from which the subspaces of a fit or refresh prepare
+#: as two halves on two threads (README, "Where a fit goes": the sweep of
+#: ``benchmarks/sweep_fan_out.py`` that sized it).  Below it, k-means++
+#: over a few hundred rows holds the GIL and the halves run slower than
+#: whole.  No state depends on it.
+_PREPARE_SPLIT_WORK = 1 << 18
 
 
 @dataclass
@@ -176,8 +185,9 @@ class LTE:
             (used by benches that time the stages separately).
         progress:
             Optional callback ``(subspace, stage)``.  ``stage`` is
-            ``"prepared"`` after a subspace's offline artifacts are
-            built, ``("pretrain", epoch_index)`` after each of its joint
+            ``"prepared"`` once every subspace's offline artifacts are
+            built and installed (one event per subspace, in order),
+            ``("pretrain", epoch_index)`` after each of its joint
             pretraining epochs, ``("epoch", epoch_index,
             mean_query_loss)`` after each of its meta-training epochs,
             and ``"trained"`` once its meta-learner is done.
@@ -200,28 +210,65 @@ class LTE:
         interleaved round-robin, shape-compatible meta-tasks from *all*
         subspaces fused into shared stacked programs
         (:mod:`repro.train`), a program worth two threads trained as two
-        halves on two cores (:mod:`repro.nn.cores`).
+        halves on two cores (:mod:`repro.nn.cores`).  Preparation —
+        scaler, encoders, the three k-means rounds — splits the same way
+        when a subspace's clustering is worth it
+        (:meth:`_prepare_subspaces`); nothing is installed unless every
+        subspace prepared.
         """
         from ..train.offline import run_offline_training
 
         cfg = self.config
-        self.table = table
         if subspaces is None:
             subspaces = random_decomposition(table, dim=cfg.subspace_dim,
                                              seed=cfg.seed)
         # Materialize: the list is walked twice (prepare, then train).
         subspaces = list(subspaces)
         start = time.perf_counter()
-        for i, subspace in enumerate(subspaces):
-            state = self._prepare_subspace(table, subspace, index=i)
-            self.states[subspace] = state
-            if progress is not None:
+        states = self._prepare_subspaces(table, list(enumerate(subspaces)))
+        self.table = table
+        self.states.update(zip(subspaces, states))
+        if progress is not None:
+            for subspace in subspaces:
                 progress(subspace, "prepared")
         if train:
             run_offline_training(self, subspaces, progress=progress,
                                  checkpoint=checkpoint, stream=stream)
         self.offline_seconds_ = time.perf_counter() - start
         return self
+
+    def _prepare_subspaces(self, table, targets):
+        """The prepared states of ``targets``, ``(index, subspace)``
+        pairs, in order — as two contiguous halves on two threads
+        (:func:`~repro.nn.cores.fan_out`) when there are two or more and
+        one subspace's clustering work reaches
+        :data:`_PREPARE_SPLIT_WORK`.  A state depends only on (table,
+        config, subspace, index), so the halves return the serial loop's
+        states bit for bit; an error is the serial loop's too, the one of
+        the lowest failing index (a first-half error wins the join)."""
+        def prepare(part):
+            return [self._prepare_subspace(table, subspace, index=index)
+                    for index, subspace in part]
+
+        if len(targets) < 2 or \
+                self._clustering_work(table) < _PREPARE_SPLIT_WORK:
+            return prepare(targets)
+        middle = (len(targets) + 1) // 2
+        return [state for half in fan_out(prepare, targets[:middle],
+                                          targets[middle:])
+                for state in half]
+
+    def _clustering_work(self, table):
+        """``n · (ku + ks + kq)``: one subspace's k-means work, n the rows
+        :func:`~repro.core.meta_task.build_cluster_summary` samples from
+        the projection :meth:`_prepare_subspace` builds of ``table``."""
+        cfg = self.config
+        rows = table.n_rows
+        if hasattr(table, "iter_chunks"):
+            rows = min(rows, cfg.store_sample_rows)
+        return cluster_sample_rows(rows, cfg.ku, cfg.ks, cfg.kq,
+                                   cfg.cluster_sample_ratio) \
+            * (cfg.ku + cfg.ks + cfg.kq)
 
     def _prepare_subspace(self, table, subspace, index=0):
         cfg = self.config
@@ -326,12 +373,22 @@ class LTE:
         pick up the fresh artifacts — the zero-downtime half of drift
         handling.
         """
-        index = list(self.states).index(subspace)
-        state = self._prepare_subspace(table, subspace, index=index)
-        self.states[subspace] = state
+        return self._refresh_subspaces(table, [subspace], train=train)[0]
+
+    def _refresh_subspaces(self, table, subspaces, train=True):
+        """:meth:`refresh_subspace` for several fitted subspaces at once:
+        all of them prepare through :meth:`_prepare_subspaces`, each at
+        its index in :attr:`states` (so its seeds are the fit's), and
+        replace their states only once every one has prepared; then, with
+        ``train``, they meta-train in order.  Returns the new states."""
+        order = list(self.states)
+        states = self._prepare_subspaces(
+            table, [(order.index(s), s) for s in subspaces])
+        self.states.update(zip(subspaces, states))
         if train:
-            self.train_subspace(subspace)
-        return state
+            for subspace in subspaces:
+                self.train_subspace(subspace)
+        return states
 
     def scaler_ranges(self):
         """Fitted raw-space ``{subspace: (min_, max_)}`` per subspace."""
@@ -362,8 +419,8 @@ class LTE:
         new scaler ranges so the monitor scores future appends against
         the refreshed fit.  Returns the refreshed subspace list."""
         drifted = monitor.drifted()
-        for subspace in drifted:
-            state = self.refresh_subspace(table, subspace, train=train)
+        states = self._refresh_subspaces(table, drifted, train=train)
+        for subspace, state in zip(drifted, states):
             monitor.register(subspace, subspace.columns,
                              state.scaler.min_, state.scaler.max_)
         return drifted

@@ -43,14 +43,15 @@ from functools import cached_property
 
 import numpy as np
 
-from ..data.sampling import random_sample, ratio_sample
+from ..data.sampling import random_sample, ratio_size
 from ..geometry.engine import PackedHulls
 from ..ml.kmeans import DistanceRows, KMeans, pairwise_distances
 from ..obs import default_registry
 from .uis import UISGenerator, UISMode
 
 __all__ = ["ClusterSummary", "MetaTask", "MetaTaskGenerator",
-           "build_cluster_summary", "uis_feature_vector", "expand_bits"]
+           "build_cluster_summary", "cluster_sample_rows",
+           "uis_feature_vector", "expand_bits"]
 
 
 @dataclass
@@ -89,6 +90,16 @@ class ClusterSummary:
         return len(self.centers_q)
 
 
+def cluster_sample_rows(n_rows, ku, ks, kq, sample_ratio=0.01):
+    """Rows of the sample :func:`build_cluster_summary` clusters out of
+    an ``n_rows``-row projection: all of at most 100 rows, else a
+    ``sample_ratio`` share floored at ``10 · max(ku, ks, kq)``."""
+    if n_rows <= 100:
+        return n_rows
+    return ratio_size(n_rows, sample_ratio,
+                      min_rows=max(10 * max(ku, ks, kq), 100))
+
+
 def build_cluster_summary(data, ku, ks, kq, sample_ratio=0.01, seed=None):
     """Run the clustering step on a sampled subset of ``data``.
 
@@ -96,8 +107,8 @@ def build_cluster_summary(data, ku, ks, kq, sample_ratio=0.01, seed=None):
     meta-subspace; sampling keeps the three k-means rounds cheap.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    sample = ratio_sample(data, sample_ratio, seed=seed,
-                          min_rows=max(10 * max(ku, ks, kq), 100)) \
+    sample = random_sample(data, cluster_sample_rows(
+        len(data), ku, ks, kq, sample_ratio), seed=seed) \
         if len(data) > 100 else data
     base = seed if seed is not None else 0
     # One sample, three rounds: its norms and doubled rows are built once.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["random_indices", "random_sample", "ratio_sample",
+__all__ = ["random_indices", "random_sample", "ratio_size", "ratio_sample",
            "stratified_indices", "stratified_chunk_sample"]
 
 
@@ -42,13 +42,18 @@ def random_sample(data, n, seed=None):
     return data[random_indices(len(data), n, seed=seed)]
 
 
-def ratio_sample(data, ratio, seed=None, min_rows=100):
-    """Sample a fraction of rows (default floor keeps tiny tables usable)."""
+def ratio_size(n_total, ratio, min_rows=100):
+    """Rows :func:`ratio_sample` draws out of ``n_total``."""
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1], got {}".format(ratio))
+    return max(min(n_total, min_rows), int(round(n_total * ratio)))
+
+
+def ratio_sample(data, ratio, seed=None, min_rows=100):
+    """Sample a fraction of rows (default floor keeps tiny tables usable)."""
     data = np.asarray(data)
-    n = max(min(len(data), min_rows), int(round(len(data) * ratio)))
-    return random_sample(data, n, seed=seed)
+    return random_sample(data, ratio_size(len(data), ratio, min_rows),
+                         seed=seed)
 
 
 def stratified_indices(labels, per_class, seed=None):

@@ -35,6 +35,17 @@ as fast as whole.  The policy, stated once here the way
   program is block-diagonal, so each half computes exactly its tasks'
   slices of the whole stack, and the seams stitch the halves back in
   task order.
+* **Subspace preparation fans out too.**  ``LTE.fit_offline`` and the
+  refresh path hand :func:`fan_out` two contiguous halves of their
+  subspace list when one subspace's clustering work reaches
+  ``core.framework._PREPARE_SPLIT_WORK``; a prepared state is a function
+  of its table, config, subspace and index alone.  A half prepares on
+  one BLAS thread, like every fan-out, and that costs no bits: the
+  clustering step's products (k-means distances, the quantization
+  baseline) gave equal states held at one thread and at the default two
+  in every case sized — paper and small cluster counts, table and store,
+  one to five subspaces (``tests/train/test_fan_out.py``).  A
+  preparation below the threshold runs serially, unheld.
 
 A fan-out that cannot take the lock — another thread is fanning out, or
 this call is nested inside a half — runs whole, and so does every
@@ -198,7 +209,9 @@ def fan_out(fn, first, second):
 
     Under the process's one fan-out lock and a one-thread BLAS hold, the
     caller starts the helper, runs its own half and joins; an exception
-    the helper raised re-raises here with its type, after the join.
+    the helper raised re-raises here with its type, after the join, and
+    one the caller's half raised wins over the helper's — the error of
+    the earliest failing item when ``fn`` walks its items in order.
     Without the lock (a concurrent or nested fan-out), without a second
     compute thread or without a BLAS setter it returns
     ``[fn(first + second)]`` instead.

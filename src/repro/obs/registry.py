@@ -366,8 +366,8 @@ class MetricsRegistry:
             return _NULL
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = _KINDS[kind]()
-            return metric
+            # setdefault: two threads creating one metric share one object.
+            return self._metrics.setdefault(name, _KINDS[kind]())
         if metric.kind != kind:
             raise ValueError(
                 "metric {!r} already registered as a {}, requested as a "

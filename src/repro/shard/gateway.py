@@ -498,7 +498,8 @@ class ShardGateway:
         gateway re-reads the master LTE's store view, rebuilds the
         offline artifacts — scaler, cluster summary, encoder and (with
         ``train=True``) a re-pretrained meta-learner — for the given
-        subspaces on the master replica, then broadcasts the result via
+        subspaces on the master replica (all of them, or — when one
+        fails to prepare — none), then broadcasts the result via
         :meth:`publish_model`, which makes every worker catch up on the
         grown store and re-prepare the same subspaces before installing
         the new weights.  Live sessions keep serving throughout (their
@@ -531,8 +532,7 @@ class ShardGateway:
                     raise KeyError(
                         "no fitted subspace {!r} to refresh".format(key))
                 targets.append(by_key[key])
-        for subspace in targets:
-            self.lte.refresh_subspace(table, subspace, train=train)
+        self.lte._refresh_subspaces(table, targets, train=train)
         return self.publish_model(
             self.lte, refresh=[list(s.names) for s in targets])
 

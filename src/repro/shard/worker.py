@@ -141,10 +141,9 @@ def worker_main(conn, lte, checkpoint_dir, worker_index, n_workers):
                 if hasattr(table, "refresh"):
                     table.refresh()
                 by_key = {s.key: s for s in lte.states}
-                for names in refresh:
-                    lte.refresh_subspace(table,
-                                         by_key[tuple(sorted(names))],
-                                         train=False)
+                lte._refresh_subspaces(
+                    table, [by_key[tuple(sorted(names))] for names in refresh],
+                    train=False)
             load_pretrained(kwargs["path"], lte)
             return model_fingerprint(lte)
         if method == "stats":

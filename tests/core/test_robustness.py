@@ -1,11 +1,27 @@
 """Failure-injection and degenerate-input robustness tests."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.core import LTE, LTEConfig
+from repro.core import LTE, LTEConfig, framework
 from repro.core.meta_training import MetaHyperParams
 from repro.data import Attribute, Table, make_car
+from repro.nn import cores
+
+
+@pytest.fixture
+def prepare_as(monkeypatch):
+    """``prepare_as(split)``: every preparation of two or more subspaces
+    runs as two halves on two threads (``split``) or whole, as on a host
+    of two cores."""
+    monkeypatch.setattr(cores._STATE, "threads", 2)
+
+    def force(split):
+        monkeypatch.setattr(framework, "_PREPARE_SPLIT_WORK",
+                            0 if split else float("inf"))
+    return force
 
 
 def tiny_config(**overrides):
@@ -340,6 +356,67 @@ class TestNonFiniteInputs:
             LTE(tiny_config()).fit_offline(table, subspaces=[victim],
                                            train=False)
         assert victim.names[0] not in str(excinfo.value).split("attribute")[1]
+
+    @pytest.mark.parametrize("poisoned", [(2,), (3,), (1, 3), (0, 2)])
+    @pytest.mark.parametrize("backend", ["memory", "store"])
+    def test_a_failed_fit_installs_nothing(self, prepare_as, backend,
+                                           poisoned):
+        """Four subspaces, prepared as halves [0, 1] | [2, 3] or whole:
+        the error is the serial loop's — the lowest poisoned index, from
+        whichever half raised it — and the LTE keeps its earlier table
+        and every earlier state."""
+        from repro.data import make_sdss
+        clean = make_sdss(800, seed=3)
+        lte = LTE(tiny_config()).fit_offline(clean, train=False)
+        subspaces = list(lte.states)
+        before = dict(lte.states)
+        table = make_sdss(800, seed=4)
+        for index in poisoned:
+            table.data[7, subspaces[index].columns[1]] = np.nan
+        if backend == "store":
+            table = table.to_store(chunk_rows=128)
+        prepare_as(False)
+        with pytest.raises(ValueError) as serial:
+            LTE(tiny_config()).fit_offline(table, subspaces=subspaces,
+                                           train=False)
+        assert subspaces[min(poisoned)].names[1] in str(serial.value)
+        prepare_as(True)
+        with pytest.raises(ValueError) as excinfo:
+            lte.fit_offline(table, subspaces=subspaces, train=False)
+        assert str(excinfo.value) == str(serial.value)
+        assert lte.table is clean
+        assert all(lte.states[s] is before[s] for s in subspaces)
+        fresh = LTE(tiny_config())
+        with pytest.raises(ValueError):
+            fresh.fit_offline(table, subspaces=subspaces, train=False)
+        assert fresh.table is None and fresh.states == {}
+
+    def test_a_corrupted_chunk_fails_typed_and_installs_nothing(
+            self, tmp_path, prepare_as):
+        """A bit-flipped chunk file raises ``StoreCorruptedError`` out of
+        the halves — both read it; the one whose read lands first raises,
+        and the join re-raises with the type and the serial message."""
+        from repro.data import make_sdss
+        from repro.store import ChunkStore, StoreCorruptedError
+        directory = str(tmp_path / "s")
+        make_sdss(1024, seed=6).to_store(chunk_rows=128, directory=directory)
+        path = os.path.join(directory, sorted(
+            f for f in os.listdir(directory) if f.startswith("chunk"))[3])
+        size = os.path.getsize(path)
+        with open(path, "r+b") as fh:
+            fh.seek(size - 9)
+            byte = fh.read(1)
+            fh.seek(size - 9)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        errors = []
+        for split in (False, True):
+            prepare_as(split)
+            lte = LTE(tiny_config())
+            with pytest.raises(StoreCorruptedError) as excinfo:
+                lte.fit_offline(ChunkStore.open(directory), train=False)
+            errors.append(str(excinfo.value))
+            assert lte.table is None and lte.states == {}
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf])
     def test_refresh_on_non_finite_table_keeps_the_old_state(self, poison):

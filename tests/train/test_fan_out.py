@@ -3,19 +3,25 @@
 ``repro.nn.cores.run_stack`` trains a stack of tasks whole or as two
 halves on two threads (``fan_out``), with numpy's OpenBLAS held at one
 thread either way.  The stacked program is block-diagonal, so the halves
-must return exactly the whole stack's slices.  The tests force the
-choice — every stack of two or more tasks splits, or none does — by
-patching the threshold and the core count, so the thread path runs on a
-runner of any size, and compare bit for bit at each of the three seams:
-the serving flush's adapt buckets, the meta-batch's same-shape runs and
-the pooled pretrain epoch; then a paper-size fit with its flush and
-answers.  The rest pins the primitive's behaviour: exceptions, nesting,
-concurrent callers, the restored BLAS thread count.
+must return exactly the whole stack's slices.  ``LTE.fit_offline`` and
+the refresh path prepare their subspaces the same way, two contiguous
+halves of the subspace list on two threads, and a state depends only on
+its table, config, subspace and index.  The tests force the choice —
+every stack of two or more tasks and every preparation of two or more
+subspaces splits, or none does — by patching the thresholds and the core
+count, so the thread path runs on a runner of any size, and compare bit
+for bit at each of the four seams: the serving flush's adapt buckets,
+the meta-batch's same-shape runs, the pooled pretrain epoch and subspace
+preparation; then a paper-size fit with its flush and answers.  The rest
+pins the primitive's behaviour: exceptions, nesting, concurrent callers,
+the restored BLAS thread count.
 """
 
 import contextlib
 import copy
+import dataclasses
 import math
+import pickle
 import sys
 import threading
 from dataclasses import replace
@@ -29,7 +35,7 @@ from repro import obs
 from repro.core import LTE, LTEConfig, VARIANTS, run_adapt_requests
 from repro.core import framework
 from repro.core.meta_training import MetaHyperParams, MetaTrainer
-from repro.data import make_car, make_sdss
+from repro.data import Table, make_car, make_sdss
 from repro.data.subspaces import random_decomposition
 from repro.nn import cores
 from repro.serve import SessionManager
@@ -47,15 +53,19 @@ needs_blas = pytest.mark.skipif(
 
 @contextlib.contextmanager
 def stacks(split):
-    """Every stack of two or more tasks splits (``split``) or none
-    does, as on a host of two cores."""
-    saved = cores.SPLIT_MACS, cores._STATE.threads
-    cores.SPLIT_MACS = 0 if split else math.inf
+    """Every stack of two or more tasks and every preparation of two or
+    more subspaces splits (``split``) or none does, as on a host of two
+    cores."""
+    saved = (cores.SPLIT_MACS, framework._PREPARE_SPLIT_WORK,
+             cores._STATE.threads)
+    cores.SPLIT_MACS = framework._PREPARE_SPLIT_WORK = \
+        0 if split else math.inf
     cores._STATE.threads = 2
     try:
         yield
     finally:
-        cores.SPLIT_MACS, cores._STATE.threads = saved
+        (cores.SPLIT_MACS, framework._PREPARE_SPLIT_WORK,
+         cores._STATE.threads) = saved
 
 
 def both(run):
@@ -284,6 +294,191 @@ def test_pretrain_checkpoint_resumes_across_the_split(tmp_path, first, then):
             table, subspaces=subspaces)
     assert_arrays_equal(trainer_arrays(resumed),
                         trainer_arrays(uninterrupted))
+
+
+# ----------------------------------------------------------------------
+# Seam 4: subspace preparation
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def nine_attributes():
+    """Nine attributes of clustered rows: ``random_decomposition`` emits
+    four 2-D subspaces and a 1-D trailing one."""
+    rng = np.random.default_rng(17)
+    centres = rng.uniform(-5.0, 5.0, size=(6, 9))
+    data = centres[rng.integers(6, size=1500)] \
+        + rng.normal(scale=0.6, size=(1500, 9))
+    table = Table("nine", ["a{}".format(i) for i in range(9)], data)
+    subspaces = random_decomposition(table, dim=2, seed=0)
+    assert [s.dim for s in subspaces] == [2, 2, 2, 2, 1]
+    return table, subspaces
+
+
+def prepared_fields(lte):
+    """Every array a prepared state holds, subspace by subspace: the
+    normalized sample, the scaler's bounds, each cluster-summary array,
+    the pickled preprocessor and the quantization baseline."""
+    out = []
+    for subspace, state in lte.states.items():
+        summary = state.summary
+        out += [np.asarray(subspace.columns), state.data, state.scaler.min_,
+                state.scaler.max_]
+        out += [getattr(summary, f.name) for f in dataclasses.fields(summary)
+                if f.compare]
+        out += [np.frombuffer(pickle.dumps(state.preprocessor), np.uint8),
+                np.float64(state.quantization_baseline)]
+    return out
+
+
+def prepare(table, subspaces, config=None):
+    return LTE(config or resume_config()).fit_offline(
+        table, subspaces=subspaces, train=False)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("backend", ["memory", "store"])
+def test_preparation_halves_equal_whole(nine_attributes, backend, n):
+    """One to five subspaces, the fifth the 1-D trailing one, over a
+    table and over a chunk store (zone-map scaler, chunk sample)."""
+    table, subspaces = nine_attributes
+    if backend == "store":
+        table = table.to_store(chunk_rows=256)
+    split, whole = both(lambda: prepared_fields(
+        prepare(table, subspaces[:n])))
+    assert_arrays_equal(split, whole)
+
+
+@needs_blas
+@pytest.mark.parametrize("config", [resume_config(), LTEConfig()],
+                         ids=["small", "paper"])
+def test_preparation_on_one_blas_thread_equals_the_default(config):
+    """Preparation in a half runs with OpenBLAS held at one thread; the
+    clustering products give the default thread count's bits, at small
+    and at paper-size cluster counts."""
+    table = make_sdss(3000, seed=5)
+    subspaces = random_decomposition(table, dim=2, seed=0)[:2]
+    with stacks(False):
+        default = prepared_fields(prepare(table, subspaces, config))
+        with cores._one_blas_thread():
+            held = prepared_fields(prepare(table, subspaces, config))
+    assert_arrays_equal(held, default)
+
+
+def test_preparation_metrics_are_the_same_split_or_whole(nine_attributes):
+    table, subspaces = nine_attributes
+    registry = obs.default_registry
+
+    def run():
+        before = (registry().value("ml.kmeans.iterations"),
+                  registry().histogram("core.offline.prepare.seconds").count)
+        prepare(table, subspaces)
+        return (registry().value("ml.kmeans.iterations") - before[0],
+                registry().histogram("core.offline.prepare.seconds").count
+                - before[1])
+
+    with obs.enabled_scope(True):
+        split, whole = both(run)
+    assert split == whole
+    assert whole[1] == len(subspaces) and whole[0] >= 3 * len(subspaces)
+
+
+def test_prepared_events_follow_every_preparation_in_order(nine_attributes):
+    """``"prepared"`` fires once a subspace, in index order, after every
+    state is installed."""
+    table, subspaces = nine_attributes
+
+    def run():
+        lte = LTE(resume_config())
+        events = []
+
+        def progress(subspace, stage):
+            if stage == "prepared":
+                events.append((subspace, len(lte.states)))
+
+        lte.fit_offline(table, subspaces=subspaces, train=False,
+                        progress=progress)
+        return events
+
+    split, whole = both(run)
+    assert split == whole == [(s, len(subspaces)) for s in subspaces]
+
+
+@needs_blas
+def test_a_split_preparation_splits_once(nine_attributes):
+    table, subspaces = nine_attributes
+    with obs.enabled_scope(True), stacks(True):
+        before = counter("nn.fan_out.split")
+        prepare(table, subspaces)
+        assert counter("nn.fan_out.split") == before + 1
+
+
+@needs_blas
+def test_a_preparation_beside_a_fan_out_runs_whole(nine_attributes):
+    """Another thread holds the fan-out lock: the fit prepares whole, on
+    this thread, to the states it prepares alone."""
+    table, subspaces = nine_attributes
+    taken, release = threading.Event(), threading.Event()
+
+    def holder():
+        with cores._STATE.fan_out:
+            taken.set()
+            release.wait(60)
+
+    with stacks(True):
+        alone = prepared_fields(prepare(table, subspaces))
+        thread = threading.Thread(target=holder)
+        thread.start()
+        try:
+            assert taken.wait(60)
+            with obs.enabled_scope(True):
+                split = counter("nn.fan_out.split")
+                whole = counter("nn.fan_out.whole")
+                beside = prepared_fields(prepare(table, subspaces))
+                assert counter("nn.fan_out.split") == split
+                assert counter("nn.fan_out.whole") == whole + 1
+        finally:
+            release.set()
+            thread.join(60)
+    assert_arrays_equal(beside, alone)
+
+
+class _Flagged:
+    """A freshness monitor that flags a fixed list of subspaces."""
+
+    def __init__(self, subspaces):
+        self.subspaces = list(subspaces)
+        self.registered = []
+
+    def drifted(self):
+        return list(self.subspaces)
+
+    def register(self, subspace, columns, lo, hi):
+        self.registered.append(subspace)
+
+
+def test_refresh_drifted_equals_a_loop_of_refresh_subspace(nine_attributes):
+    """Three of four subspaces, out of index order, refreshed on shifted
+    rows: split through ``refresh_drifted`` and whole through one
+    ``refresh_subspace`` a subspace, the states and trainers are equal
+    and each refreshed subspace kept its index (hence its seeds)."""
+    table, subspaces = nine_attributes
+    subspaces = subspaces[:4]
+    fitted = prepare(table, subspaces)
+    shifted = Table("shifted", table.attribute_names,
+                    table.data * 1.5 + 2.0)
+    targets = [subspaces[3], subspaces[0], subspaces[2]]
+    one, loop = copy.deepcopy(fitted), copy.deepcopy(fitted)
+    monitor = _Flagged(targets)
+    with stacks(True):
+        assert one.refresh_drifted(shifted, monitor) == targets
+    with stacks(False):
+        for subspace in targets:
+            loop.refresh_subspace(shifted, subspace)
+    assert monitor.registered == targets
+    assert list(one.states) == list(loop.states) == subspaces
+    assert_arrays_equal(prepared_fields(one), prepared_fields(loop))
+    assert_arrays_equal(
+        [one.states[s].trainer.model.flat_parameters() for s in targets],
+        [loop.states[s].trainer.model.flat_parameters() for s in targets])
 
 
 # ----------------------------------------------------------------------
