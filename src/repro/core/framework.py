@@ -710,20 +710,25 @@ def run_adapt_requests(requests):
 # Prediction has the same shape: ONE routine answers a block of rows, a
 # lone session hands it a dict of one, the serving layer a whole wave.
 # ----------------------------------------------------------------------
-def predict_conjunctions(conjunctions, project, n_rows, pack_cache):
+def predict_conjunctions(conjunctions, project, n_rows, pack_cache,
+                         spans=None):
     """0/1 answers of one block of ``n_rows`` rows for N conjunctions —
     the one place hulls, encoder and classifiers meet.
 
     ``conjunctions`` maps an id to ``{subspace: _SubspaceSession}`` (all
     adapted); ``project(subspace)`` returns the block's ``(n_rows, d)``
     raw points in that subspace; ``pack_cache`` is the caller's
-    :class:`~repro.geometry.engine.HullPackCache`.  Sessions are grouped
+    :class:`~repro.geometry.engine.HullPackCache`; ``spans``, when the
+    rows are stored chunks, their ``(digest, start, stop)`` tiling, for
+    the optimizers' decision memos.  Sessions are grouped
     per (subspace, state *object*) — a refreshed subspace is a new
     object, so each generation scales and encodes with its own
     artifacts — and the block is answered in two passes:
 
-    **(A) Geometry, every subspace.**  Per group, ``to_scaled`` once and
-    one :meth:`FewShotOptimizer.decide_batch` call over all rows; each
+    **(A) Geometry, every subspace.**  Per group, one
+    :meth:`FewShotOptimizer.decide_batch` call over all rows, which
+    scales them (``to_scaled``, once) only if some chunk is not in
+    every member's memo; each
     session's boolean ``alive`` is AND-ed with ``inner | open`` of every
     one of its subspaces, so a row outside one subspace's outer hulls is
     dead before any classifier runs.  So is a row with a NaN or an
@@ -766,14 +771,27 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache):
     staged = []
     for (subspace, _), members in groups.items():
         state = members[0][1].state
+        optimizers = [subsession.optimizer for _, subsession in members]
+        if any(optimizer is not None and optimizer.summary
+               is not state.summary for optimizer in optimizers):
+            # Hulls live in the scaled space of the state they were
+            # fitted over, and so does every decision an optimizer
+            # memoizes: it serves that one state.
+            raise RuntimeError("a few-shot optimizer serves a subspace "
+                               "state it was not fitted over")
         start = clock()
         points = project(subspace)
         finite = np.isfinite(points).all(axis=1)
-        scaled = state.to_scaled(points)
-        scaled_at = clock()
+        scaled = []             # filled by the first call of ``scale``
+
+        def scale(state=state, points=points, scaled=scaled):
+            if not scaled:
+                scaled.append(state.to_scaled(points))
+            return scaled[0]
+
+        projected_at = clock()
         decisions = FewShotOptimizer.decide_batch(
-            [subsession.optimizer for _, subsession in members], scaled,
-            pack_cache=pack_cache)
+            optimizers, scale, pack_cache=pack_cache, spans=spans)
         if not finite.all():
             for key, _ in members:
                 alive[key] &= finite
@@ -787,11 +805,11 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache):
                 alive[key] &= survives
                 tally["settled"] += n_rows - open_rows.size
             opens.append(open_rows)
-        tally["encode_s"] += scaled_at - start
-        tally["geometry_s"] += clock() - scaled_at
-        staged.append((state, scaled, members, opens))
+        tally["encode_s"] += projected_at - start
+        tally["geometry_s"] += clock() - projected_at
+        staged.append((state, points, scaled, members, opens))
 
-    for state, scaled, members, opens in staged:
+    for state, points, scaled, members, opens in staged:
         start = clock()
         wanted, union = [], np.zeros(n_rows, dtype=bool)
         for (key, _), open_rows in zip(members, opens):
@@ -803,8 +821,14 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache):
         need = np.flatnonzero(union)
         if not need.size:
             continue
-        encoded = state.encode_scaled(
-            scaled if need.size == n_rows else scaled[need])
+        if scaled:
+            block = scaled[0] if need.size == n_rows else scaled[0][need]
+        else:
+            # ``to_scaled`` is row-wise: the rows asked for get the bits
+            # a scale of the whole block would give them.
+            block = state.to_scaled(
+                points if need.size == n_rows else points[need])
+        encoded = state.encode_scaled(block)
         position = np.cumsum(union) - 1     # block row -> row of encoded
         encoded_at = clock()
         for (key, subsession), rows in zip(members, wanted):
@@ -820,9 +844,10 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache):
 
 #: Most rows of one :func:`predict_conjunctions` call of a store scan (a
 #: larger chunk is still one call).  Swept on the benchmark's stores
-#: (README, "Scan in blocks"): below it a classifier sees too few open
-#: rows a call, above it a cold scan of a small store is one block and
-#: leaves the hull packs' rasters unbuilt.  No answer depends on it.
+#: (README, "Where a row·session goes"): below it a classifier sees too
+#: few open rows a call, above it a cold scan of a small store is one
+#: block and leaves the hull packs' rasters unbuilt.  No answer depends
+#: on it.
 _SCAN_BLOCK_ROWS = 8192
 
 
@@ -922,11 +947,16 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache, cache=None):
     blocks = []
     for run, keys, rows in runs:
         chunks = [store.chunk(ci) for ci in run]
+        # A run may pass over chunks it does not owe: its block rows are
+        # its own chunks' rows, back to back.
+        bounds = np.cumsum([0] + [len(chunk) for chunk in chunks])
         answers, tally = predict_conjunctions(
             {key: conjunctions[key] for key in keys},
             lambda subspace: np.concatenate(
                 [chunk[:, list(subspace.columns)] for chunk in chunks]),
-            rows, pack_cache)
+            rows, pack_cache,
+            spans=[(digests[ci], int(bounds[i]), int(bounds[i + 1]))
+                   for i, ci in enumerate(run)])
         blocks.append(dict(tally, rows=rows))
         at = 0
         for ci in run:

@@ -34,6 +34,19 @@ asking answers most rows from its raster and the rest from the exact
 facets.  The classifier-first spelling (``refine`` / ``refine_batch``)
 is a test oracle now (``tests/serve/_refine_oracle.py``).
 
+**A stored chunk is decided once.**  The hulls are built from the
+initial labels; every later label round re-adapts only the classifier
+(``install_readaptation`` keeps the optimizer).  So when a store scan
+hands :meth:`FewShotOptimizer.decide_batch` the chunk spans of its
+block, each optimizer memoizes its ``inner`` / ``open`` masks per chunk
+content digest, as packed bits, and the rescan that follows a label
+round runs only the classifiers.  The memo belongs to the optimizer
+object: new hulls are a new optimizer (or a :meth:`~FewShotOptimizer.fit`,
+which starts a fresh memo), an optimizer serves the one subspace state
+— scaler — it was fitted over, and the digest covers the rows.  It is
+capped at :data:`_MEMO_ROWS` rows, least recently used chunks first,
+and never checkpointed or pickled.
+
 **An anchor hull is a function of the summary.**  The hull around a
 positive C_s center covers that center and its ``n`` nearest C_u
 centers — nothing a session brings but *which* centers it labelled
@@ -52,13 +65,22 @@ the oracle of ``tests/core/_task_oracle.py``.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 from ..geometry.convex_hull import HalfspaceSystem, Hull
 from ..geometry.engine import PackedHulls, union_masks
 from ..geometry.regions import UnionRegion
+from ..obs import default_registry
 
 __all__ = ["FewShotOptimizer", "HullRegistry"]
+
+#: Most stored-chunk rows one optimizer's decision memo holds, at two
+#: bits a row (256 KiB); past it the least recently used chunks go
+#: first, and a larger chunk is never memoized.  No answer depends on it.
+_MEMO_ROWS = 1 << 20
 
 
 class HullRegistry:
@@ -153,6 +175,51 @@ class HullRegistry:
         return cls(hulls)
 
 
+class _DecisionMemo:
+    """Chunk content digest -> what one optimizer's hulls settle there.
+
+    Each entry is ``(rows, bits)``: ``bits`` packs the chunk's ``inner``
+    and ``open`` masks as a ``(2, ceil(rows / 8))`` uint8 array.  Least
+    recently used entries go first once more than :data:`_MEMO_ROWS`
+    rows are held.  A lock guards the order, so sessions scanned from
+    two threads share one memo safely.
+    """
+
+    __slots__ = ("_entries", "_rows", "_lock")
+
+    def __init__(self):
+        self._entries = OrderedDict()
+        self._rows = 0
+        self._lock = threading.Lock()
+
+    def recall(self, spans):
+        """Each span's entry, or None where the memo holds none."""
+        found = []
+        with self._lock:
+            for digest, _, _ in spans:
+                entry = self._entries.get(digest)
+                if entry is not None:
+                    self._entries.move_to_end(digest)
+                found.append(entry)
+        return found
+
+    def keep(self, digest, masks):
+        """Memoize one chunk's ``(2, rows)`` inner / open masks, dropping
+        the oldest past the cap."""
+        rows = masks.shape[1]
+        if rows > _MEMO_ROWS:
+            return
+        bits = np.packbits(masks, axis=1)
+        with self._lock:
+            if digest in self._entries:
+                return
+            self._entries[digest] = (rows, bits)
+            self._rows += rows
+            while self._rows > _MEMO_ROWS:
+                _, (dropped, _) = self._entries.popitem(last=False)
+                self._rows -= dropped
+
+
 def _settles(optimizer):
     """Whether the optimizer has a subregion at all (none exists without
     a positive anchor: the classifier then answers every row)."""
@@ -184,6 +251,17 @@ class FewShotOptimizer:
         self.n_sub = max(2, int(round(n_sub_ratio * summary.ku)))
         self.outer_region = None
         self.inner_region = None
+        self._memo = _DecisionMemo()
+
+    # The memo is process-local: pickles and copies start without one.
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._memo = _DecisionMemo()
 
     # ------------------------------------------------------------------
     def _expanded_region(self, positive_center_indices, n_neighbours):
@@ -220,6 +298,7 @@ class FewShotOptimizer:
         anchors = np.flatnonzero(labels == 1)
         self.outer_region = self._expanded_region(anchors, self.n_sup)
         self.inner_region = self._expanded_region(anchors, self.n_sub)
+        self._memo = _DecisionMemo()    # new hulls: nothing is settled
         return self
 
     @classmethod
@@ -303,11 +382,12 @@ class FewShotOptimizer:
 
         optimizer.outer_region = rebuild(state["outer"])
         optimizer.inner_region = rebuild(state["inner"])
+        optimizer._memo = _DecisionMemo()
         return optimizer
 
     # ------------------------------------------------------------------
     @staticmethod
-    def decide_batch(optimizers, points, pack_cache=None):
+    def decide_batch(optimizers, points, pack_cache=None, spans=None):
         """What the hulls settle, for many sessions over one point set —
         the one place the hull decision is computed.
 
@@ -321,6 +401,20 @@ class FewShotOptimizer:
         reuses the compiled pack — and the raster a scanned pack holds —
         across calls; the serving layer passes its own.
 
+        ``points`` is the ``(n, d)`` scaled array, or a callable that
+        returns it, called only when some row needs the hulls.
+
+        ``spans`` lists the stored chunks the points are, as
+        ``(digest, start, stop)`` tiling ``range(n)`` in order.  Each
+        optimizer then memoizes its decision per chunk digest: the
+        decision is a function of the chunk's rows, of the scaler of
+        the one subspace state the optimizer was fitted over and of its
+        hulls, and :meth:`fit` starts a fresh memo.  A chunk every
+        optimizer holds is answered from the memos; the engine call
+        covers only the chunks some optimizer misses, and only the
+        optimizers that miss one.  ``core.optimizer.memo.hits`` /
+        ``.misses`` count chunk·optimizers.
+
         Returns one ``(answers, open_rows)`` pair per optimizer:
         ``answers`` is a fresh ``(n,)`` int64 vector, 1 inside the inner
         subregion and 0 elsewhere; ``open_rows`` indexes the rows (inside
@@ -329,24 +423,76 @@ class FewShotOptimizer:
         or has neither region yields ``(None, None)`` — every row is
         open — and with no region anywhere the engine is not called.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        hull_lists = [[] if region is None else region.hulls
-                      for optimizer in optimizers if _settles(optimizer)
-                      for region in (optimizer.outer_region,
-                                     optimizer.inner_region)]
-        masks = iter(union_masks(hull_lists, points, pack_cache=pack_cache)
-                     if hull_lists else ())
-        decisions = []
-        for optimizer in optimizers:
-            if not _settles(optimizer):
-                decisions.append((None, None))
-                continue
-            # A missing region's mask is all False: nothing is promoted
-            # without an inner region, nothing demoted without an outer.
-            outer_mask, inner_mask = next(masks), next(masks)
-            open_mask = ~inner_mask
-            if optimizer.outer_region is not None:
-                open_mask &= outer_mask
-            decisions.append((inner_mask.astype(np.int64),
-                              np.flatnonzero(open_mask)))
-        return decisions
+        settling = [optimizer for optimizer in optimizers
+                    if _settles(optimizer)]
+        if spans is None:
+            recalled = [None] * len(settling)
+            owed = None             # no memo: every row is asked
+        else:
+            recalled = [optimizer._memo.recall(spans)
+                        for optimizer in settling]
+            owed = np.zeros(len(spans), dtype=bool)
+            for found in recalled:
+                owed |= [entry is None for entry in found]
+        asking = [i for i, found in enumerate(recalled)
+                  if found is None or None in found]
+
+        computed = {}
+        if asking:
+            scaled = points() if callable(points) else points
+            scaled = np.atleast_2d(np.asarray(scaled, dtype=np.float64))
+            if owed is not None and not owed.all():
+                scaled = scaled[np.concatenate(
+                    [np.arange(start, stop) for (_, start, stop), miss
+                     in zip(spans, owed) if miss])]
+            masks = iter(union_masks(
+                [[] if region is None else region.hulls
+                 for i in asking for region in (settling[i].outer_region,
+                                                settling[i].inner_region)],
+                scaled, pack_cache=pack_cache))
+            for i in asking:
+                # A missing region's mask is all False: nothing is
+                # promoted without an inner region, nothing demoted
+                # without an outer.
+                outer_mask, inner_mask = next(masks), next(masks)
+                open_mask = ~inner_mask
+                if settling[i].outer_region is not None:
+                    open_mask &= outer_mask
+                computed[i] = inner_mask, open_mask
+
+        decided = []
+        for i, (optimizer, found) in enumerate(zip(settling, recalled)):
+            inner, open_mask = computed[i] if found is None else _assemble(
+                spans, found, owed, computed.get(i), optimizer._memo)
+            decided.append((inner.astype(np.int64),
+                            np.flatnonzero(open_mask)))
+        if spans is not None and settling:
+            misses = sum(found.count(None) for found in recalled)
+            counter = default_registry().counter
+            counter("core.optimizer.memo.hits").inc(
+                len(spans) * len(settling) - misses)
+            counter("core.optimizer.memo.misses").inc(misses)
+        decided = iter(decided)
+        return [next(decided) if _settles(optimizer) else (None, None)
+                for optimizer in optimizers]
+
+
+def _assemble(spans, found, owed, computed, memo):
+    """One optimizer's ``(inner, open)`` masks over a block of chunks:
+    from its memo where it holds a chunk, else from ``computed`` — its
+    masks over the ``owed`` chunks only, in order — memoizing those."""
+    n = spans[-1][2] if spans else 0
+    masks = np.empty((2, n), dtype=bool)
+    at = 0
+    for (digest, start, stop), entry, miss in zip(spans, found, owed):
+        if miss:
+            piece = slice(at, at + stop - start)
+            at = piece.stop
+        if entry is not None:
+            masks[:, start:stop] = np.unpackbits(
+                entry[1], axis=1, count=entry[0]).view(bool)
+        else:
+            masks[0, start:stop] = computed[0][piece]
+            masks[1, start:stop] = computed[1][piece]
+            memo.keep(digest, masks[:, start:stop])
+    return masks[0], masks[1]

@@ -520,8 +520,7 @@ class HullPackCache:
         self._entries = OrderedDict()
         # Hit/miss counts live in a repro.obs registry (the owner may
         # share its own, e.g. the serving manager) under
-        # ``geometry.pack_cache.*``; the ``hits`` / ``misses``
-        # attributes and ``stats`` read through to it.
+        # ``geometry.pack_cache.*``.
         if metrics is None:
             from ..obs import MetricsRegistry
             metrics = MetricsRegistry()
@@ -535,22 +534,6 @@ class HullPackCache:
         self._raster_tally = tuple(
             metrics.counter("geometry.raster." + name)
             for name in ("built", "rows.settled", "rows.exact"))
-
-    @property
-    def hits(self):
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value):
-        self._hits.set(value)
-
-    @property
-    def misses(self):
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value):
-        self._misses.set(value)
 
     def __len__(self):
         return len(self._entries)
@@ -587,8 +570,3 @@ class HullPackCache:
         for key in stale:
             del self._entries[key]
         return len(stale)
-
-    @property
-    def stats(self):
-        return {"entries": len(self._entries), "hits": self.hits,
-                "misses": self.misses, "capacity": self.capacity}

@@ -57,6 +57,8 @@ name                                             kind        unit
 ``geometry.raster.built``                        counter     rasters
 ``geometry.raster.rows.settled``                 counter     rows
 ``geometry.raster.rows.exact``                   counter     rows
+``core.optimizer.memo.hits``                      counter     chunk·optimizers
+``core.optimizer.memo.misses``                    counter     chunk·optimizers
 ``core.offline.prepare.seconds``                 histogram   seconds
 ``core.offline.generate.seconds``                histogram   seconds
 ``ml.kmeans.iterations``                         counter     iterations
@@ -85,10 +87,13 @@ Design constraints (the no-interference guarantee):
   returns one shared no-op context manager (no per-call allocation).
 
 Ownership model: components that expose per-instance ``stats()`` dicts
-(the session manager, the prediction/plan/pack caches, the moment pool)
+(the session manager, the prediction/plan caches, the moment pool)
 each own a private :class:`MetricsRegistry`; the old dict methods are
-compatibility shims reading those registries.  Registries auto-enlist
-in a process-wide weak set, so :func:`aggregate` merges every live
+compatibility shims reading those registries.  The compiled-hull pack
+cache has no such dict: its counts are read from the registry it
+counts into (its owner's, e.g. the serving manager's ``metrics``).
+Registries auto-enlist in a process-wide weak set, so
+:func:`aggregate` merges every live
 registry — plus the :func:`default_registry` used by module-level sites
 (store scans, appends, offline preparation, training epochs) — into
 one process snapshot.  That snapshot is what a shard worker ships to

@@ -750,11 +750,3 @@ class SessionManager:
                                       self._session_errors.values()),
                 "cache": self.cache.stats,
             }
-
-    @property
-    def region_pack_stats(self):
-        """Compiled-geometry pack cache counters (process-local: packs
-        are keyed by hull identity, so they are rebuilt — cheaply, from
-        the hulls' precompiled facet rows — rather than checkpointed)."""
-        with self._lock:
-            return self._region_packs.stats

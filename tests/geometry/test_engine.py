@@ -426,6 +426,12 @@ def test_property_conjunctive_parity(seed):
 # ----------------------------------------------------------------------
 # Pack caching and registry engine calls.
 # ----------------------------------------------------------------------
+def lookups(cache):
+    """``(hits, misses)`` of a pack cache, read from its registry."""
+    return (cache.metrics.value("geometry.pack_cache.hits"),
+            cache.metrics.value("geometry.pack_cache.misses"))
+
+
 class TestPackReuse:
     def test_cache_hit_on_same_hull_identities(self):
         rng = np.random.default_rng(1)
@@ -434,7 +440,7 @@ class TestPackReuse:
         pack1 = cache.get(hulls)
         pack2 = cache.get(hulls)
         assert pack1 is pack2
-        assert cache.stats["hits"] == 1 and cache.stats["misses"] == 1
+        assert lookups(cache) == (1, 1)
         # A different identity set compiles its own pack.
         other = [Hull(h.points.copy()) for h in hulls]
         assert cache.get(other) is not pack1
@@ -468,7 +474,7 @@ class TestPackReuse:
                             pack_cache=cache)
         second = union_masks([hulls[:2], hulls[1:]], points,
                              pack_cache=cache)
-        assert cache.stats["misses"] == 1 and cache.stats["hits"] == 1
+        assert lookups(cache) == (1, 1)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 

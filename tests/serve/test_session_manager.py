@@ -453,7 +453,7 @@ class TestStats:
                                   oracle.label_subspace(subspace, tuples))
         manager.flush()
         manager.predict(sid, eval_rows)
-        misses = manager.region_pack_stats["misses"]
+        misses = manager.metrics.value("geometry.pack_cache.misses")
         assert misses > 0
         # An iterative round re-adapts every subspace (version bump).
         subspace = serve_subspaces[0]
@@ -464,9 +464,9 @@ class TestStats:
                            oracle.label_subspace(subspace, raw))
         manager.flush()
         manager.predict(sid, eval_rows)
-        stats = manager.region_pack_stats
-        assert stats["misses"] == misses   # no recompilation
-        assert stats["hits"] > 0
+        # No recompilation.
+        assert manager.metrics.value("geometry.pack_cache.misses") == misses
+        assert manager.metrics.value("geometry.pack_cache.hits") > 0
 
     def test_retrieve_returns_interesting_rows(self, manager,
                                                serve_subspaces,
