@@ -772,13 +772,9 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache,
     for (subspace, _), members in groups.items():
         state = members[0][1].state
         optimizers = [subsession.optimizer for _, subsession in members]
-        if any(optimizer is not None and optimizer.summary
-               is not state.summary for optimizer in optimizers):
-            # Hulls live in the scaled space of the state they were
-            # fitted over, and so does every decision an optimizer
-            # memoizes: it serves that one state.
-            raise RuntimeError("a few-shot optimizer serves a subspace "
-                               "state it was not fitted over")
+        for optimizer in optimizers:
+            if optimizer is not None:
+                optimizer.check_serves(state)
         start = clock()
         points = project(subspace)
         finite = np.isfinite(points).all(axis=1)
@@ -866,7 +862,8 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache, cache=None):
       it *is* the answer; over an appended store its closed prefix —
       immutable chunks — is copied and the chunks after it are owed;
     * less those the zone maps prune (no hull of some subspace reaches
-      them, every row is 0: :func:`~repro.store.scan.session_chunk_keep`);
+      them, every row is 0: :func:`~repro.store.scan.plan_conjunctions`,
+      one plan for every conjunction, over the owed chunks only);
     * less those ``cache`` (a :class:`~repro.serve.cache.PredictionCache`)
       holds under the chunk's digest; what is evaluated goes there too.
 
@@ -889,7 +886,7 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache, cache=None):
     ``sessions_served_from_mark``; and ``blocks``, one
     :func:`predict_conjunctions` tally per run plus its ``rows``.
     """
-    from ..store.scan import session_chunk_keep
+    from ..store.scan import plan_conjunctions
 
     n_chunks, n_rows = store.n_chunks, store.n_rows
     offsets, digests = store.offsets, store.zone_maps.digests
@@ -916,17 +913,16 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache, cache=None):
         if valid:
             results[key][:mark["closed_rows"]] = \
                 mark["result"][:mark["closed_rows"]]
-    keep = {key: session_chunk_keep(store, conjunctions[key])
-            for key, first in first_owed.items() if first < n_chunks}
+    first, keep = plan_conjunctions(store, conjunctions, first_owed)
 
     def cache_key(key, ci):
         return cache.key(key, zip(conjunctions[key], versions[key]),
                          digests[ci])
 
     evals, runs = 0, []             # runs: [chunk indices, ids, rows]
-    for ci in range(n_chunks):
+    for ci in range(first, n_chunks):
         owing = [key for key, chunk_keep in keep.items()
-                 if ci >= first_owed[key] and chunk_keep[ci]]
+                 if ci >= first_owed[key] and chunk_keep[ci - first]]
         evals += len(owing)
         if cache is not None:
             hits = {key: cache.get(cache_key(key, ci)) for key in owing}

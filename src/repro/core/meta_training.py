@@ -41,8 +41,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..nn.batching import fused_local_adapt, theta_r_grad_stack
-from ..nn.tensor import Parameter
+from ..nn.batching import (constant_logits, fused_local_adapt,
+                           inference_constants, theta_r_grad_stack)
+from ..nn.tensor import Parameter, stable_sigmoid
 from .memory import MetaMemories
 from .meta_learner import UISClassifier
 
@@ -93,17 +94,29 @@ class MetaHyperParams:
 
 
 class AdaptedClassifier:
-    """A task-adapted classifier: model copy + its conversion matrix + v_R."""
+    """A task-adapted classifier: model copy + its conversion matrix + v_R.
+
+    Never changed once built (a label round adapts a new one), so its
+    :func:`~repro.nn.batching.inference_constants` are computed on the
+    first prediction and kept — in no checkpoint, pickle or copy.
+    """
 
     def __init__(self, model, feature_vector, conversion=None):
         self.model = model
         self.feature_vector = np.asarray(feature_vector, dtype=np.float64)
         self.conversion = conversion
+        self._constants = None
+
+    def __getstate__(self):
+        return dict(self.__dict__, _constants=None)
 
     def predict_proba(self, tuple_vectors):
-        conv = self.conversion.data if self.conversion is not None else None
-        return self.model.predict_proba(self.feature_vector, tuple_vectors,
-                                        conversion=conv)
+        if self._constants is None:
+            self._constants = inference_constants(
+                self.model, self.feature_vector, None
+                if self.conversion is None else self.conversion.data)
+        return stable_sigmoid(constant_logits(self._constants,
+                                              tuple_vectors))
 
     def predict(self, tuple_vectors, threshold=0.5):
         return (self.predict_proba(tuple_vectors) >= threshold).astype(np.int64)

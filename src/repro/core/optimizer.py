@@ -72,8 +72,9 @@ import numpy as np
 
 from ..geometry.convex_hull import HalfspaceSystem, Hull
 from ..geometry.engine import PackedHulls, union_masks
-from ..geometry.regions import UnionRegion
+from ..geometry.regions import ScaledRegion, UnionRegion
 from ..obs import default_registry
+from ..store.scan import region_bounds
 
 __all__ = ["FewShotOptimizer", "HullRegistry"]
 
@@ -251,17 +252,43 @@ class FewShotOptimizer:
         self.n_sub = max(2, int(round(n_sub_ratio * summary.ku)))
         self.outer_region = None
         self.inner_region = None
-        self._memo = _DecisionMemo()
+        self._memo, self._boxes = _DecisionMemo(), None
 
-    # The memo is process-local: pickles and copies start without one.
+    # The memos are process-local: pickles and copies start without them.
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_memo"]
+        del state["_memo"], state["_boxes"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._memo = _DecisionMemo()
+        self._memo, self._boxes = _DecisionMemo(), None
+
+    def check_serves(self, state):
+        """Raise ``RuntimeError`` unless ``state`` is the subspace state
+        the optimizer was fitted over: hulls live in that state's scaled
+        space, and so does every decision and box it memoizes."""
+        if self.summary is not state.summary:
+            raise RuntimeError("a few-shot optimizer serves a subspace "
+                               "state it was not fitted over")
+
+    def gate_boxes(self, state):
+        """Raw-space :func:`~repro.store.scan.region_bounds` of the outer
+        and inner region through ``state``'s scaler, or None without an
+        outer region (whose demotion zeroes a pruned chunk) or bounds.
+        Memoized for the state it serves."""
+        self.check_serves(state)
+        memo = self._boxes
+        if memo is None or memo[0] is not state:
+            boxes = None
+            if self.outer_region is not None:
+                boxes = [region_bounds(ScaledRegion(region, state.scaler))
+                         for region in (self.outer_region, self.inner_region)
+                         if region is not None]
+                if None in boxes:
+                    boxes = None
+            memo = self._boxes = (state, boxes)
+        return memo[1]
 
     # ------------------------------------------------------------------
     def _expanded_region(self, positive_center_indices, n_neighbours):
@@ -298,7 +325,8 @@ class FewShotOptimizer:
         anchors = np.flatnonzero(labels == 1)
         self.outer_region = self._expanded_region(anchors, self.n_sup)
         self.inner_region = self._expanded_region(anchors, self.n_sub)
-        self._memo = _DecisionMemo()    # new hulls: nothing is settled
+        # New hulls: nothing is settled, no box is known.
+        self._memo, self._boxes = _DecisionMemo(), None
         return self
 
     @classmethod
@@ -382,7 +410,7 @@ class FewShotOptimizer:
 
         optimizer.outer_region = rebuild(state["outer"])
         optimizer.inner_region = rebuild(state["inner"])
-        optimizer._memo = _DecisionMemo()
+        optimizer._memo, optimizer._boxes = _DecisionMemo(), None
         return optimizer
 
     # ------------------------------------------------------------------

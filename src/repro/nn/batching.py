@@ -28,7 +28,7 @@ both layers build on:
   trained (the training engine's query accuracy only);
 * :func:`inference_logits` — the no-grad forward of ONE classifier as
   plain ``np.matmul`` products, no :class:`Tensor` nodes, the conversion
-  through :func:`~repro.nn.functional.conversion_forward` — the array
+  through :func:`~repro.nn.functional.conversion_rows` — the array
   kernel under ``convert_embeddings``.  Every prediction outside
   training goes through it: serving scores each session over the rows
   *its* hulls left open, so nothing is stacked.
@@ -50,8 +50,8 @@ from __future__ import annotations
 import numpy as np
 
 from .functional import (batched_binary_cross_entropy_with_logits,
-                         batched_pos_weight, conversion_forward,
-                         convert_embeddings)
+                         batched_pos_weight, conversion_constant,
+                         conversion_rows, convert_embeddings)
 from .layers import (Linear, Module, ReLU, Sequential, batch_modules,
                      unstack_modules)
 from .optim import SGD, Adam
@@ -59,7 +59,8 @@ from .tensor import Parameter, Tensor, no_grad
 
 __all__ = ["BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
            "load_flat_stack", "theta_r_grad_stack", "grad_stacks",
-           "stacked_loss_backward", "stacked_predict", "inference_logits"]
+           "stacked_loss_backward", "stacked_predict", "inference_logits",
+           "inference_constants", "constant_logits"]
 
 
 class BatchedUISClassifier(Module):
@@ -310,15 +311,16 @@ def _leaf_layers(module):
         yield module
 
 
-def _infer_block(block, x):
-    """``block(x)`` on raw arrays, for a ``Sequential`` tree of ``Linear``
-    / ``ReLU`` layers of any depth.  Each step is the array operation the
-    layer's ``forward`` performs, in place on the running activation (the
-    input is never written); the rectifier is ``x * (x > 0)``, not
-    ``maximum``, which keeps the ``-0.0`` and NaN the autograd op yields.
+def _infer_layers(layers, x):
+    """The leaf ``layers`` of a ``Sequential`` tree of ``Linear`` / ``ReLU``
+    layers of any depth applied to ``x``, on raw arrays.  Each step is
+    the array operation the layer's ``forward`` performs, in place on
+    the running activation (the input is never written); the rectifier
+    is ``x * (x > 0)``, not ``maximum``, which keeps the ``-0.0`` and
+    NaN the autograd op yields.
     """
     owned = False
-    for layer in _leaf_layers(block):
+    for layer in layers:
         if isinstance(layer, Linear):
             x = np.matmul(x, layer.weight.data)
             if layer.bias is not None:
@@ -332,13 +334,51 @@ def _infer_block(block, x):
     return x
 
 
+def inference_constants(model, feature_vector, conversion=None):
+    """What :func:`inference_logits` needs that no row changes, for
+    :func:`constant_logits`: the tuple and classification blocks' leaf
+    layers, ``emb_R`` and ``emb_R @ M1^T``.  ``W = M2 + M3 * emb_R``
+    stays per call, so no Ne x Ne array is kept per classifier."""
+    if model.use_conversion and conversion is None:
+        raise ValueError("use_conversion=True requires a conversion matrix")
+    if not model.use_conversion and conversion is not None:
+        raise ValueError("conversion given but use_conversion=False")
+    v_r = np.asarray(feature_vector, dtype=np.float64).reshape(1, model.ku)
+    emb_r = _infer_layers(_leaf_layers(model.uis_block), v_r)    # (1, Ne)
+    if conversion is not None:
+        conversion = np.asarray(conversion, dtype=np.float64)
+    return (list(_leaf_layers(model.tuple_block)),
+            list(_leaf_layers(model.clf_block)), emb_r, conversion,
+            None if conversion is None
+            else conversion_constant(emb_r, conversion))
+
+
+def constant_logits(constants, tuple_vectors):
+    """:func:`inference_logits` over ``tuple_vectors`` from the
+    classifier's :func:`inference_constants`, bit for bit."""
+    tuple_layers, clf_layers, emb_r, conversion, constant = constants
+    x = np.asarray(tuple_vectors, dtype=np.float64)
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
+    emb_x = _infer_layers(tuple_layers, x)                   # (n, Ne)
+    if conversion is not None:
+        combined, _ = conversion_rows(emb_r, emb_x, conversion, constant)
+    else:
+        ne = emb_r.shape[1]
+        combined = np.empty((len(x), 3 * ne))
+        combined[:, :ne] = emb_r
+        combined[:, ne:2 * ne] = emb_x
+        np.multiply(emb_r, emb_x, out=combined[:, 2 * ne:])
+    return _infer_layers(clf_layers, combined).reshape(-1)
+
+
 def inference_logits(model, feature_vector, tuple_vectors, conversion=None):
     """No-grad logits of one UIS classifier over a row set, shape (n,).
 
     The products of ``UISClassifier.forward`` in the same order (hence
     the same bits for the same rows in one call): the two embedding
     blocks, then — with a conversion matrix —
-    :func:`~repro.nn.functional.conversion_forward`, the very function
+    :func:`~repro.nn.functional.conversion_rows`, the very function
     under the autograd op (``emb_tau @ (M2 + M3 * emb_R)^T + emb_R @
     M1^T``; no 3Ne-wide row), then the classification block.  Without
     one, ``[emb_R, emb_tau, emb_R * emb_tau]`` is written straight into
@@ -348,26 +388,8 @@ def inference_logits(model, feature_vector, tuple_vectors, conversion=None):
     counts (BLAS picks its kernel by shape), so callers compare
     *answers* across row sets, not logits.  ``model`` is anything with
     the ``uis_block`` / ``tuple_block`` / ``clf_block`` / ``ku`` /
-    ``embed_size`` / ``use_conversion`` surface; the arguments are
-    those of ``forward``.
+    ``use_conversion`` surface; the arguments are those of ``forward``.
     """
-    if model.use_conversion and conversion is None:
-        raise ValueError("use_conversion=True requires a conversion matrix")
-    if not model.use_conversion and conversion is not None:
-        raise ValueError("conversion given but use_conversion=False")
-    x = np.asarray(tuple_vectors, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    v_r = np.asarray(feature_vector, dtype=np.float64).reshape(1, model.ku)
-    emb_r = _infer_block(model.uis_block, v_r)               # (1, Ne)
-    emb_x = _infer_block(model.tuple_block, x)               # (n, Ne)
-    if conversion is not None:
-        combined, _ = conversion_forward(
-            emb_r, emb_x, np.asarray(conversion, dtype=np.float64))
-    else:
-        ne = model.embed_size
-        combined = np.empty((len(x), 3 * ne))
-        combined[:, :ne] = emb_r
-        combined[:, ne:2 * ne] = emb_x
-        np.multiply(emb_r, emb_x, out=combined[:, 2 * ne:])
-    return _infer_block(model.clf_block, combined).reshape(-1)
+    return constant_logits(
+        inference_constants(model, feature_vector, conversion=conversion),
+        tuple_vectors)

@@ -17,7 +17,8 @@ __all__ = [
     "sigmoid", "relu", "softmax", "log_softmax",
     "binary_cross_entropy_with_logits", "balanced_pos_weight", "mse_loss",
     "batched_binary_cross_entropy_with_logits", "batched_pos_weight",
-    "cosine_similarity", "conversion_forward", "convert_embeddings",
+    "cosine_similarity", "conversion_constant", "conversion_rows",
+    "convert_embeddings",
 ]
 
 _EPS = 1e-12
@@ -202,9 +203,18 @@ def _conversion_blocks(conversion):
             conversion[..., 2 * ne:])
 
 
-def conversion_forward(emb_r, emb_tau, conversion):
+def conversion_constant(emb_r, conversion):
+    """``emb_R @ M1^T``, the per-task constant of the conversion: (..., 1,
+    Ne) for an (..., 1, Ne) ``emb_r`` and an (..., Ne, 3Ne) ``M_cp``.
+    Computed once per task and handed to :func:`conversion_rows`."""
+    m1 = _conversion_blocks(conversion)[0]
+    return emb_r @ np.swapaxes(m1, -1, -2)
+
+
+def conversion_rows(emb_r, emb_tau, conversion, constant):
     """``[emb_R, emb_tau, emb_R * emb_tau] @ M_cp^T`` on raw arrays, by
-    blocks; returns ``(z, W)``.
+    blocks, given ``constant`` = :func:`conversion_constant`; returns
+    ``(z, W)``.
 
     ``emb_r`` is ONE row per task, (..., 1, Ne), so two of the three
     blocks of ``M_cp = [M1 | M2 | M3]`` multiply a per-task constant:
@@ -214,21 +224,21 @@ def conversion_forward(emb_r, emb_tau, conversion):
     (n, 3Ne) x (3Ne, Ne), and that row is never built.  Rank-agnostic
     over leading task axes: (..., n, Ne) rows and a (..., Ne, 3Ne)
     matrix give (..., n, Ne), slice k the bits of the per-task call.
-    This is the only place in ``src/`` that spells the formula: the
-    autograd op below, hence both classifiers' ``forward``, and
-    :func:`repro.nn.batching.inference_logits` call it, which is what
-    keeps stacked == per-task and inference == forward bit for bit.
+    These two functions are the only place in ``src/`` that spells the
+    formula: the autograd op below, hence both classifiers' ``forward``,
+    and :func:`repro.nn.batching.inference_logits` call them, which is
+    what keeps stacked == per-task and inference == forward bit for bit.
     """
-    m1, m2, m3 = _conversion_blocks(conversion)
+    _, m2, m3 = _conversion_blocks(conversion)
     w = m3 * emb_r
     w += m2
     z = emb_tau @ np.swapaxes(w, -1, -2)
-    z += emb_r @ np.swapaxes(m1, -1, -2)
+    z += constant
     return z, w
 
 
 def convert_embeddings(emb_r, emb_tau, conversion):
-    """Differentiable :func:`conversion_forward` (Eq. 9 plus the
+    """Differentiable :func:`conversion_rows` (Eq. 9 plus the
     interaction term): (..., 1, Ne), (..., n, Ne), (..., Ne, 3Ne) ->
     (..., n, Ne), the operands' leading axes equal.
 
@@ -249,7 +259,8 @@ def convert_embeddings(emb_r, emb_tau, conversion):
             "convert_embeddings needs (..., 1, Ne), (..., n, Ne) and "
             "(..., Ne, 3Ne) over the same leading axes, got {}, {}, {}"
             .format(emb_r.shape, emb_tau.shape, conversion.shape))
-    z, w = conversion_forward(emb_r.data, emb_tau.data, conversion.data)
+    z, w = conversion_rows(emb_r.data, emb_tau.data, conversion.data,
+                           conversion_constant(emb_r.data, conversion.data))
 
     def backward(grad):
         need_r, need_x, need_m = (t.requires_grad or t._backward is not None

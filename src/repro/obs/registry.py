@@ -46,6 +46,7 @@ name                                             kind        unit
 ``store.scan.chunks.scanned``                    counter     chunks
 ``store.scan.chunks.pruned``                     counter     chunks
 ``store.scan.chunks.watermark_skipped``          counter     chunks
+``store.scan.chunks.planned``                    counter     chunk·sessions
 ``store.ingest.append.seconds``                  histogram   seconds
 ``store.ingest.append.rows``                     counter     rows
 ``store.ingest.commits``                         counter     commits

@@ -17,12 +17,12 @@ without the store loaded.
 from .chunks import (DEFAULT_CHUNK_ROWS, ChunkStore, StoreCorruptedError,
                      StoreReadOnlyError, ZoneMaps)
 from .ingest import FreshnessMonitor
-from .scan import (ChunkScan, optimizer_chunk_keep, region_bounds,
+from .scan import (ChunkScan, plan_conjunctions, region_bounds,
                    scan_region, session_chunk_keep)
 
 __all__ = [
     "ChunkStore", "ZoneMaps", "DEFAULT_CHUNK_ROWS",
     "StoreCorruptedError", "StoreReadOnlyError", "FreshnessMonitor",
-    "ChunkScan", "region_bounds", "scan_region", "optimizer_chunk_keep",
+    "ChunkScan", "region_bounds", "scan_region", "plan_conjunctions",
     "session_chunk_keep",
 ]

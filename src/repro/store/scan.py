@@ -38,7 +38,7 @@ from ..geometry.regions import (BoxRegion, ConjunctiveRegion, ScaledRegion,
 from ..obs import default_registry
 
 __all__ = ["ChunkScan", "region_bounds", "scan_region",
-           "optimizer_chunk_keep", "session_chunk_keep"]
+           "plan_conjunctions", "session_chunk_keep"]
 
 
 def _widen(lo, hi):
@@ -122,39 +122,18 @@ def _membership(region, rows):
     return np.asarray(region.predicate(rows)) == 1
 
 
-def _zone_map_keep(store, region, columns=None):
-    """The zone-map test itself: ``(keep, prunable)`` — a fresh boolean
-    ``(n_chunks,)`` mask, False where the chunk's zone map proves it
-    holds no member of ``region`` (given over the store's ``columns``,
-    default all in order), and whether the region offered any bounds to
-    prune by.  Counts nothing: a plan that is only *consulted*
-    (:func:`optimizer_chunk_keep`) is not a scan."""
-    base = tuple(range(store.n_attributes)) if columns is None \
-        else tuple(columns)
-    expected = getattr(region, "dim", None)
-    if expected is None and hasattr(region, "attribute_names"):
-        expected = len(region.attribute_names)
-    if expected is not None and expected != len(base):
-        raise ValueError(
-            "region over {} dims scanned against {} store columns"
-            .format(expected, len(base)))
-    zone = store.zone_maps
-    keep = np.ones(zone.n_chunks, dtype=bool)
-    groups = region_bounds(region)
-    if groups is not None:
-        for cols, lo, hi in groups:
-            sel = list(base) if cols is None else [base[c] for c in cols]
-            zmin = zone.mins[:, sel]
-            zmax = zone.maxs[:, sel]
-            # (chunks, parts, cols): a chunk can hold a member of a
-            # part only if every column range overlaps the part's
-            # box.  NaN zone entries (no finite value in the chunk's
-            # column) compare False on both sides — correctly pruned,
-            # since NaN coordinates fail every membership test.
-            overlap = ((zmin[:, None, :] <= hi[None, :, :])
-                       & (zmax[:, None, :] >= lo[None, :, :]))
-            keep &= overlap.all(axis=2).any(axis=1)
-    return keep, groups is not None
+def _overlaps(zone, columns, lo, hi, first=0):
+    """``(n_chunks - first, n_parts)``: whether each chunk's zone map from
+    ``first`` on overlaps each ``(n_parts, k)`` box over the store's
+    ``columns``.  A chunk can hold a member of a box only if every
+    column range overlaps it.  NaN zone entries (no finite value in the
+    chunk's column) compare False on both sides — correctly pruned,
+    since NaN coordinates fail every membership test."""
+    hit = np.ones((zone.n_chunks - first, len(lo)), dtype=bool)
+    for j, column in enumerate(columns):
+        hit &= zone.mins[first:, column, None] <= hi[:, j]
+        hit &= zone.maxs[first:, column, None] >= lo[:, j]
+    return hit
 
 
 class ChunkScan:
@@ -189,12 +168,24 @@ class ChunkScan:
         self.region = region
         self.columns = None if columns is None \
             else tuple(int(c) for c in columns)
-        keep, self._prunable = _zone_map_keep(store, region, self.columns)
+        base = tuple(range(store.n_attributes)) if columns is None \
+            else self.columns
+        expected = getattr(region, "dim", None)
+        if expected is None and hasattr(region, "attribute_names"):
+            expected = len(region.attribute_names)
+        if expected is not None and expected != len(base):
+            raise ValueError(
+                "region over {} dims scanned against {} store columns"
+                .format(expected, len(base)))
+        zone = store.zone_maps
+        keep = np.ones(zone.n_chunks, dtype=bool)
+        for cols, lo, hi in region_bounds(region) or ():
+            sel = base if cols is None else [base[c] for c in cols]
+            keep &= _overlaps(zone, sel, lo, hi).any(axis=1)
         self.first_chunk = max(0, min(int(first_chunk), len(keep)))
         keep[:self.first_chunk] = False
         self._keep = keep
-        # Cumulative pruning telemetry (process default registry, under
-        # store.scan.*) — the per-plan breakdown stays in `stats`.
+        # Pruning telemetry (process default registry, store.scan.*).
         metrics = default_registry()
         metrics.counter("store.scan.plans").inc()
         scanned = int(keep.sum())
@@ -208,22 +199,6 @@ class ChunkScan:
     def chunk_mask(self):
         """Boolean ``(n_chunks,)``: True where the chunk must be scanned."""
         return self._keep.copy()
-
-    @property
-    def stats(self):
-        """Pruning accounting: chunks/rows scanned vs skipped."""
-        counts = self.store.zone_maps.counts
-        scanned = int(self._keep.sum())
-        return {
-            "chunks": int(len(self._keep)),
-            "chunks_scanned": scanned,
-            "chunks_watermarked": int(self.first_chunk),
-            "chunks_pruned": int(len(self._keep) - scanned
-                                 - self.first_chunk),
-            "rows_total": int(counts.sum()),
-            "rows_scanned": int(counts[self._keep].sum()),
-            "prunable": bool(self._prunable),
-        }
 
     def row_mask(self):
         """Exact boolean membership over all rows, scanning survivors only."""
@@ -244,49 +219,72 @@ def scan_region(store, region, columns=None):
     return ChunkScan(store, region, columns=columns).row_mask()
 
 
-def optimizer_chunk_keep(store, columns, scaler, optimizer):
-    """Chunks a few-shot optimizer's refinement could mark positive.
+def plan_conjunctions(store, conjunctions, first_owed):
+    """Chunks each conjunction could mark positive, from the first chunk
+    any owes: ``(first, {id: (n_chunks - first,) keep})`` for the ids
+    with ``first_owed[id] < n_chunks``, in ``conjunctions`` order — the
+    single soundness site of ``core.framework.scan_conjunctions``.
 
-    The Meta* refinement demotes every positive prediction outside the
-    outer subregion and promotes only points inside the inner subregion,
-    so a chunk intersecting *neither* region's conservative bbox (in raw
-    coordinates, through the subspace scaler) ends up all-negative
-    regardless of the classifier — it can be skipped entirely without
-    changing a bit of the output.  Returns a ``(n_chunks,)`` keep mask,
-    or ``None`` when the optimizer gives no pruning leverage: no
-    optimizer, or no **outer** region — the outer demotion is the step
-    that zeroes classifier positives in skipped chunks, so without it
-    pruning would be unsound even if an inner region existed.
+    ``conjunctions`` maps an id to ``{subspace: _SubspaceSession}``.  The
+    Meta* refinement demotes every positive outside the outer subregion
+    and promotes only inside the inner one, so a chunk whose zone map
+    meets neither region's boxes (:meth:`~repro.core.optimizer.
+    FewShotOptimizer.gate_boxes`, which also refuses a mispaired state)
+    is all 0, and so is the conjunction there.  A keep is AND over a
+    region's groups, OR over its outer and inner region, AND over its
+    subspaces.  Every box over one store column set is tested in one
+    broadcast; ``store.scan.chunks.planned`` counts the chunk·ids.
     """
-    if optimizer is None or optimizer.outer_region is None:
-        return None
-    regions = [r for r in (optimizer.outer_region, optimizer.inner_region)
-               if r is not None]
-    keep = np.zeros(store.zone_maps.n_chunks, dtype=bool)
-    for region in regions:
-        keep |= _zone_map_keep(store, ScaledRegion(region, scaler),
-                              columns)[0]
-    return keep
+    zone = store.zone_maps
+    keys = [key for key in conjunctions if first_owed[key] < zone.n_chunks]
+    first = min((first_owed[key] for key in keys), default=zone.n_chunks)
+    stacks, slots = {}, []      # store columns -> ([lo], [hi]); per group
+    groups, regions, subspaces = [], [], []     # a region's, ...: counts
+    for key in keys:
+        subspaces.append(0)
+        for subspace, session in conjunctions[key].items():
+            boxes = None if session.optimizer is None \
+                else session.optimizer.gate_boxes(session.state)
+            if boxes is None:
+                continue
+            for region in boxes:
+                for cols, lo, hi in region:
+                    sel = tuple(subspace.columns) if cols is None \
+                        else tuple(subspace.columns[c] for c in cols)
+                    los, his = stacks.setdefault(sel, ([], []))
+                    slots.append((sel, len(los)))
+                    los.append(lo)
+                    his.append(hi)
+                groups.append(len(region))
+            regions.append(len(boxes))
+            subspaces[-1] += 1
+    n_chunks = zone.n_chunks - first
+    met, at = [np.zeros((n_chunks, 0), dtype=bool)], {}
+    for sel, (los, his) in stacks.items():
+        at[sel] = sum(part.shape[1] for part in met)
+        hit = _overlaps(zone, sel, np.concatenate(los), np.concatenate(his),
+                        first)
+        met.append(_held(hit, [len(lo) for lo in los]) > 0)
+    met = np.concatenate(met, axis=1)[:, [at[sel] + i for sel, i in slots]]
+    reached = _held(_held(met, groups) == groups, regions) > 0
+    keep = _held(reached, subspaces) == subspaces
+    default_registry().counter("store.scan.chunks.planned").inc(
+        len(keys) * n_chunks)
+    return first, dict(zip(keys, np.ascontiguousarray(keep.T)))
+
+
+def _held(values, runs):
+    """``(n, len(runs))``: how many columns of the boolean ``(n, m)``
+    ``values`` hold in each run of ``runs[i]`` consecutive columns (0 in
+    an empty run), row by row."""
+    runs = np.asarray(runs, dtype=np.int64)
+    padded = np.zeros((len(values), values.shape[1] + 1), dtype=bool)
+    padded[:, :-1] = values     # every run, even an empty one, starts inside
+    return np.add.reduceat(padded, np.cumsum(runs) - runs, axis=1,
+                           dtype=np.int64) * (runs > 0)
 
 
 def session_chunk_keep(store, subsessions):
-    """Chunks a whole conjunctive session could mark positive.
-
-    ``subsessions`` maps each subspace to its online state (anything
-    with ``state.scaler`` and ``optimizer`` — the framework's
-    ``_SubspaceSession``).  One subspace's refinement zeroing a chunk
-    zeroes the whole conjunction, so the per-subspace keeps from
-    :func:`optimizer_chunk_keep` are ANDed; subspaces with no pruning
-    leverage contribute all-True.  This is the single soundness site
-    of the one store scan, ``core.framework.scan_conjunctions`` — which
-    also does the counting: what it evaluated, skipped by watermark and
-    pruned goes under ``store.scan.chunks.*`` per chunk·session.
-    """
-    keep = np.ones(store.zone_maps.n_chunks, dtype=bool)
-    for subspace, subsession in subsessions.items():
-        chunk_keep = optimizer_chunk_keep(
-            store, subspace.columns, subsession.state.scaler,
-            subsession.optimizer)
-        if chunk_keep is not None:
-            keep &= chunk_keep
-    return keep
+    """One conjunction's ``(n_chunks,)`` :func:`plan_conjunctions` keep."""
+    return plan_conjunctions(store, {0: subsessions}, {0: 0})[1].get(
+        0, np.ones(0, dtype=bool))

@@ -4,8 +4,9 @@
 Three contracts.  Two are old and stay exact: slice k of the stacked op
 is the per-task op bit for bit, and ``inference_logits`` returns the
 bits of ``forward`` for the same rows in one call — both hold because
-one function (:func:`repro.nn.functional.conversion_forward`) is the
-only place the formula is written.  The third is new: against the
+two functions (:func:`repro.nn.functional.conversion_constant` and
+:func:`~repro.nn.functional.conversion_rows`) are the only place the
+formula is written.  The third is new: against the
 oracle the block form adds the same products in another association, so
 logits and gradients agree to a tolerance fixed here from the dtype
 (1e-10 relative to the largest entry; observed ~1e-15), 30 optimizer

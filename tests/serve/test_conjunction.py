@@ -11,7 +11,7 @@ subspaces.  Three things are pinned here:
   cold), over sessions with *different* subspace sets and several state
   generations in one call, for fuzzed row sets that include the empty,
   the tiny, rows far outside every hull and rows at hull centres;
-* **mechanism** — by wrapping ``inference_logits`` and
+* **mechanism** — by wrapping ``AdaptedClassifier.predict_proba`` and
   ``TabularPreprocessor.transform``: a kernel call sees exactly the rows
   ``open ∩ alive`` of its session, an encode exactly the union of its
   group's kernel calls, and neither runs for a block geometry settles;
@@ -34,7 +34,7 @@ import _predict_oracle as oracle
 import _refine_oracle as refine_oracle
 from test_predict_oracle_parity import draw_rows, labels_for
 from test_serving_bugfixes import _perturb_phi
-from repro.core import meta_learner
+from repro.core.meta_training import AdaptedClassifier
 from repro.core.preprocessing import TabularPreprocessor
 from repro.data.schema import Table
 from repro.persist import (load_manager, load_pretrained, save_manager,
@@ -274,28 +274,27 @@ def test_store_scan_incremental_and_cold_answer_like_the_oracle(
 # ----------------------------------------------------------------------
 class Recorder:
     """Wraps the two layers a row can reach after geometry: every
-    ``inference_logits`` call (which model, which encoded rows) and every
-    ``TabularPreprocessor.transform`` call (which scaled rows in, which
-    encoded rows out)."""
+    classifier call (``AdaptedClassifier.predict_proba``: which model,
+    which encoded rows) and every ``TabularPreprocessor.transform`` call
+    (which scaled rows in, which encoded rows out)."""
 
     def __init__(self, monkeypatch):
         self.kernel_calls, self.encodes = [], []
-        kernel, transform = (meta_learner.inference_logits,
+        kernel, transform = (AdaptedClassifier.predict_proba,
                              TabularPreprocessor.transform)
 
-        def inference_logits(model, feature_vector, tuple_vectors,
-                             conversion=None):
-            self.kernel_calls.append((model, np.array(tuple_vectors)))
-            return kernel(model, feature_vector, tuple_vectors,
-                          conversion=conversion)
+        def predict_proba(adapted, tuple_vectors):
+            self.kernel_calls.append((adapted.model,
+                                      np.array(tuple_vectors)))
+            return kernel(adapted, tuple_vectors)
 
         def recorded_transform(preprocessor, points):
             encoded = transform(preprocessor, points)
             self.encodes.append((preprocessor, np.array(points), encoded))
             return encoded
 
-        monkeypatch.setattr(meta_learner, "inference_logits",
-                            inference_logits)
+        monkeypatch.setattr(AdaptedClassifier, "predict_proba",
+                            predict_proba)
         monkeypatch.setattr(TabularPreprocessor, "transform",
                             recorded_transform)
 

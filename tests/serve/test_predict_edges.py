@@ -13,7 +13,7 @@ import pytest
 import _predict_oracle as oracle
 import _refine_oracle as refine_oracle
 from repro.core import ExplorationSession
-from repro.core import meta_learner
+from repro.core import meta_training
 from repro.core import optimizer as optimizer_module
 from repro.core.preprocessing import TabularPreprocessor
 from repro.data.schema import Table
@@ -62,7 +62,7 @@ class TestEmptyOpenBand:
         rows = serve_lte.table.data[:200] * 50.0
         want = oracle.predict_session(manager.session(sid), rows)
         assert not want.any()
-        forbid(monkeypatch, meta_learner, "inference_logits")
+        forbid(monkeypatch, meta_training, "constant_logits")
         forbid(monkeypatch, TabularPreprocessor, "transform")
         assert np.array_equal(manager.predict(sid, rows), want)
         assert is_answer(manager.session(sid).predict(rows), 200)
@@ -78,7 +78,7 @@ class TestEmptyOpenBand:
         inner = subsession.optimizer.inner_region
         points = subsession.state.to_raw(np.vstack(
             [hull.points.mean(axis=0) for hull in inner.hulls]))
-        forbid(monkeypatch, meta_learner, "inference_logits")
+        forbid(monkeypatch, meta_training, "constant_logits")
         forbid(monkeypatch, TabularPreprocessor, "transform")
         got = manager.predict_subspace(sid, subspace, points)
         assert is_answer(got, len(points)) and got.all()

@@ -43,8 +43,6 @@ def test_sequential_store_parity(store_lte, store_subspaces, store_table,
 def test_predict_store_prunes_but_matches(store_lte, store_subspaces,
                                           store_table, eval_store,
                                           make_oracle):
-    from repro.store.scan import optimizer_chunk_keep
-
     oracle = make_oracle(seed=9)
     session = store_lte.start_session(variant="meta_star",
                                       subspaces=store_subspaces, seed=3)
@@ -55,13 +53,8 @@ def test_predict_store_prunes_but_matches(store_lte, store_subspaces,
     chunked = session.predict_store(eval_store)
     assert np.array_equal(dense, chunked)
     # The pruning hook is live for meta_star sessions.
-    any_prunable = False
-    for subspace, subsession in session._subsessions.items():
-        keep = optimizer_chunk_keep(eval_store, subspace.columns,
-                                    subsession.state.scaler,
-                                    subsession.optimizer)
-        any_prunable |= keep is not None
-    assert any_prunable
+    assert any(subsession.optimizer.gate_boxes(subsession.state) is not None
+               for subsession in session._subsessions.values())
 
 
 def test_manager_store_parity_and_chunk_cache(store_lte, store_subspaces,
