@@ -44,7 +44,6 @@ from repro.core import LTE, LTEConfig
 from repro.core.meta_training import MetaHyperParams
 from repro.data import build_dataset_store, make_car
 from repro.serve import SessionManager
-from repro.serve.cache import PredictionCache
 
 CHUNK_ROWS = 16_384
 N_SESSIONS = 4
@@ -72,10 +71,11 @@ def build_system(n_rows, directory):
     return store, lte
 
 
-def cold_caches(manager):
-    """Drop the digest-keyed prediction cache (restored-manager
-    conditions), leaving the sessions' adapted models untouched."""
-    manager.cache = PredictionCache(manager.cache.capacity)
+def cold_caches(manager, marks=None):
+    """Reset the store-scan watermarks to a copy of ``marks`` (none by
+    default: the next scan is a full one), leaving the sessions' adapted
+    models untouched."""
+    manager._store_marks = copy.deepcopy(marks) if marks else {}
 
 
 def _best_of(fn, repeats=2):
@@ -133,13 +133,11 @@ def test_ingest_freshness(benchmark, scale, report, tmp_path):
             accounted &= scan["chunk_evals"] <= len(sids) * new_chunks
 
             def incremental_run():
-                cold_caches(manager)
-                manager._store_marks = copy.deepcopy(marks)
+                cold_caches(manager, marks)
                 return manager.predict_many_store(sids, store)
 
             def full_run():
                 cold_caches(manager)
-                manager._store_marks = {}
                 return manager.predict_many_store(sids, store)
 
             incr_s, incr_result = _best_of(incremental_run)
@@ -174,7 +172,6 @@ def test_ingest_freshness(benchmark, scale, report, tmp_path):
         swap_s = time.perf_counter() - start
         post = manager.predict_many_store(sids, store)
         cold_caches(manager)
-        manager._store_marks = {}
         full_post = manager.predict_many_store(sids, store)
         drift_ok = drifted == [target] and monitor.drifted() == [] and \
             all(np.array_equal(post[sid], full_post[sid]) for sid in sids)

@@ -105,8 +105,8 @@ def _wave(lte, subspaces, oracles, eval_rows):
                                                              tuples))
         manager.flush()
         predictions = manager.predict_many(sids, eval_rows)
-        # A second scoring pass hits the prediction cache — the cheap
-        # path where per-call instrumentation overhead shows up loudest.
+        # A second scoring pass over the same rows recomputes every
+        # answer at unchanged model versions.
         manager.predict_many(sids, eval_rows)
         seconds = time.perf_counter() - start
     finally:

@@ -6,13 +6,13 @@ Demonstrates the persist subsystem (``repro.persist``):
    checkpoint (npz + JSON manifest with schema version + content digest);
 2. online: users open serving sessions, label, adapt, and predict; the
    whole serving engine — sessions, a still-pending label batch, the
-   versioned prediction cache — is snapshotted to disk mid-workload;
+   serving counters — is snapshotted to disk mid-workload;
 3. "the process dies": every live object is dropped;
 4. restart: the offline artifacts are re-prepared cheaply
    (``fit_offline(train=False)``), the pretrained weights restore
    instantly, the serving snapshot restores, and the workload continues —
-   producing BIT-IDENTICAL predictions (and the same cache hit counters)
-   as a control run that was never interrupted.
+   producing BIT-IDENTICAL predictions (and the same model versions and
+   serving counters) as a control run that was never interrupted.
 
 Run:  python examples/checkpoint_restore.py
 """
@@ -53,7 +53,7 @@ def run_workload_until_snapshot(lte, subspaces, oracles, eval_rows):
                 sid, subspace, oracle.label_subspace(subspace, tuples))
         sids.append(sid)
     manager.flush()
-    for sid in sids:                     # warm the prediction cache
+    for sid in sids:
         manager.predict(sid, eval_rows)
     # User 0 submits an extra label round that is still *queued* when the
     # snapshot is taken — pending work survives the restart too.
@@ -69,6 +69,21 @@ def continue_workload(manager, sids, eval_rows):
     """The post-restart half: drain the queue, re-predict everything."""
     manager.flush()
     return {sid: manager.predict(sid, eval_rows) for sid in sids}
+
+
+def model_versions(manager, sids):
+    """{session: {subspace names: model version}}."""
+    return {sid: {tuple(s.names): version for s, version in
+                  manager.poll(sid, advance=False)["versions"].items()}
+            for sid in sids}
+
+
+def serving_counters(manager):
+    """The manager's counters and gauges from its metrics registry."""
+    return {name: entry["value"]
+            for name, entry in manager.metrics.snapshot().items()
+            if name.startswith("serve.manager.")
+            and entry["kind"] in ("counter", "gauge")}
 
 
 def main():
@@ -113,7 +128,8 @@ def main():
 
     # Control: the same manager continues uninterrupted.
     control = continue_workload(manager, sids, eval_rows)
-    control_stats = manager.stats
+    control_versions = model_versions(manager, sids)
+    control_counters = serving_counters(manager)
 
     print("\nSimulated crash: dropping the LTE system and the manager.")
     del manager, lte
@@ -136,10 +152,14 @@ def main():
     print("\nRestore-and-continue vs uninterrupted run:")
     print("  predictions bit-identical for all {} users: {}".format(
         len(sids), identical))
-    print("  cache counters preserved: {} (control {}, restored {})".format(
-        control_stats == restored.stats, control_stats["cache"],
-        restored.stats["cache"]))
-    if not identical or control_stats != restored.stats:
+    same_versions = control_versions == model_versions(restored, sids)
+    print("  model versions preserved: {}".format(same_versions))
+    restored_counters = serving_counters(restored)
+    same_counters = control_counters == restored_counters
+    print("  serving counters preserved: {} ({} counters, {} adaptations)"
+          .format(same_counters, len(restored_counters),
+                  restored_counters.get("serve.manager.adapt.total", 0)))
+    if not (identical and same_versions and same_counters):
         raise SystemExit("restore parity violated — this is a bug")
     print("\nCheckpoints kept at {} — try:".format(workdir))
     print("  python -m repro.persist inspect {}".format(serving_path))

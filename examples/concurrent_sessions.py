@@ -86,7 +86,15 @@ def main():
     status = manager.poll(sid)          # drives the queued re-adaptation
     print("\nUser 0 added labels; model versions now {}".format(
         {str(s): v for s, v in status["versions"].items()}))
-    print("Serving stats: {}".format(manager.stats))
+    value = manager.metrics.value
+    print("Serving metrics: {} live sessions, {} flushes adapted {} "
+          "tasks; {} row·subspaces scored by a classifier, {} settled by "
+          "hulls".format(
+              value("serve.manager.sessions.live"),
+              value("serve.manager.adapt.batches"),
+              value("serve.manager.adapt.total"),
+              value("serve.manager.predict.rows.scored"),
+              value("serve.manager.predict.rows.settled")))
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ Packages
     The harness regenerating every table and figure of the paper.
 ``repro.serve``
     Batched multi-session serving: many concurrent exploration sessions
-    adapted in fused tensor batches over one shared LTE, with a
-    versioned prediction cache.
+    adapted in fused tensor batches over one shared LTE, with
+    watermarked incremental store scans.
 ``repro.persist``
     Versioned checkpoint/restore (npz + JSON manifest with schema
     version and content digest) for pretrained artifacts, resumable

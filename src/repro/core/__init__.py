@@ -9,7 +9,7 @@ optimizer (Section VII), and the public offline/online framework
 from .framework import (LTE, AdaptRequest, ExplorationSession, LTEConfig,
                         SubspaceState, VARIANTS, build_adapt_request,
                         build_readapt_request, run_adapt_requests)
-from .memory import LRUStore, MetaMemories, softmax_cosine_attention
+from .memory import MetaMemories, softmax_cosine_attention
 from .meta_learner import UISClassifier
 from .meta_task import (ClusterSummary, MetaTask, MetaTaskGenerator,
                         build_cluster_summary, expand_bits,
@@ -24,7 +24,7 @@ __all__ = [
     "LTE", "LTEConfig", "ExplorationSession", "SubspaceState", "VARIANTS",
     "AdaptRequest", "build_adapt_request", "build_readapt_request",
     "run_adapt_requests",
-    "UISClassifier", "MetaMemories", "LRUStore", "softmax_cosine_attention",
+    "UISClassifier", "MetaMemories", "softmax_cosine_attention",
     "MetaTask", "MetaTaskGenerator", "ClusterSummary",
     "build_cluster_summary", "uis_feature_vector", "expand_bits",
     "MetaTrainer", "MetaHyperParams", "AdaptedClassifier",

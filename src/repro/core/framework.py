@@ -847,7 +847,7 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache,
 _SCAN_BLOCK_ROWS = 8192
 
 
-def scan_conjunctions(conjunctions, store, marks, pack_cache, cache=None):
+def scan_conjunctions(conjunctions, store, marks, pack_cache):
     """0/1 answers of every row of a chunk store for N conjunctions —
     the one store scan; a lone session hands it a dict of one, the
     serving layer all the sessions of a call.
@@ -863,9 +863,7 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache, cache=None):
       immutable chunks — is copied and the chunks after it are owed;
     * less those the zone maps prune (no hull of some subspace reaches
       them, every row is 0: :func:`~repro.store.scan.plan_conjunctions`,
-      one plan for every conjunction, over the owed chunks only);
-    * less those ``cache`` (a :class:`~repro.serve.cache.PredictionCache`)
-      holds under the chunk's digest; what is evaluated goes there too.
+      one plan for every conjunction, over the owed chunks only).
 
     The owed chunks are evaluated by **runs**: consecutive owed chunks
     (chunks nobody owes in between do not end a run) that the same
@@ -880,7 +878,7 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache, cache=None):
     int64}``; ``{id: watermark}`` at this store version, for the caller
     to keep and hand back; and the call's counts — of ``sessions`` x
     ``chunks`` = ``chunk_evals_possible`` chunk·sessions,
-    ``chunk_evals`` were answered now (by a run or by ``cache``),
+    ``chunk_evals`` were answered now by a run,
     ``watermark_skipped`` and ``pruned_skipped`` the rest (the three
     also go to the process registry's ``store.scan.chunks.*``);
     ``sessions_served_from_mark``; and ``blocks``, one
@@ -914,22 +912,11 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache, cache=None):
             results[key][:mark["closed_rows"]] = \
                 mark["result"][:mark["closed_rows"]]
     first, keep = plan_conjunctions(store, conjunctions, first_owed)
-
-    def cache_key(key, ci):
-        return cache.key(key, zip(conjunctions[key], versions[key]),
-                         digests[ci])
-
     evals, runs = 0, []             # runs: [chunk indices, ids, rows]
     for ci in range(first, n_chunks):
         owing = [key for key, chunk_keep in keep.items()
                  if ci >= first_owed[key] and chunk_keep[ci - first]]
         evals += len(owing)
-        if cache is not None:
-            hits = {key: cache.get(cache_key(key, ci)) for key in owing}
-            for key in owing:
-                if hits[key] is not None:
-                    results[key][offsets[ci]:offsets[ci + 1]] = hits[key]
-            owing = [key for key in owing if hits[key] is None]
         if not owing:
             continue
         rows = int(offsets[ci + 1] - offsets[ci])
@@ -958,10 +945,7 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache, cache=None):
         for ci in run:
             start, stop = int(offsets[ci]), int(offsets[ci + 1])
             for key in keys:
-                piece = answers[key][at:at + stop - start]
-                results[key][start:stop] = piece
-                if cache is not None:
-                    cache.put(cache_key(key, ci), piece)
+                results[key][start:stop] = answers[key][at:at + stop - start]
             at += stop - start
 
     closed = store.closed_chunks

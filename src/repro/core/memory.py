@@ -18,11 +18,9 @@ Both memories are EMA-updated in the global phase (Eqs. 14-16).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-__all__ = ["MetaMemories", "LRUStore", "softmax_cosine_attention"]
+__all__ = ["MetaMemories", "softmax_cosine_attention"]
 
 
 def softmax_cosine_attention(vector, matrix):
@@ -35,71 +33,6 @@ def softmax_cosine_attention(vector, matrix):
     shifted = sims - sims.max()
     exp = np.exp(shifted)
     return exp / exp.sum()
-
-
-class LRUStore:
-    """Bounded key-value store with least-recently-used eviction.
-
-    The fixed-size EMA memories above hold *learned* state; this is their
-    unbounded-key cousin for *derived* artifacts — the serving layer keeps
-    per-(session, subspace, model-version) prediction vectors in one so
-    repeated predictions over the same rows cost a dictionary lookup.
-
-    Aliasing contract: the store holds *references* — :meth:`put` does
-    not copy the value and :meth:`get` returns the stored object itself.
-    A caller that mutates a retrieved value mutates the store.  Layers
-    that hand stored values across a trust boundary must either copy on
-    the way out or store immutable values; the serving layer's
-    :class:`~repro.serve.cache.PredictionCache` does the latter (it
-    freezes arrays on ``put``), and checkpoint restore always deep-copies
-    so a restored store never aliases the snapshot it came from.
-    """
-
-    def __init__(self, capacity=1024):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._data = OrderedDict()
-
-    def __len__(self):
-        return len(self._data)
-
-    def __contains__(self, key):
-        return key in self._data
-
-    def get(self, key, default=None):
-        """Fetch and mark most-recently-used."""
-        if key not in self._data:
-            return default
-        self._data.move_to_end(key)
-        return self._data[key]
-
-    def put(self, key, value):
-        """Insert/overwrite; evicts the least-recently-used past capacity."""
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
-    def items(self):
-        """``(key, value)`` pairs, least- to most-recently used.
-
-        Pure iteration: recency is *not* updated (unlike :meth:`get`), so
-        a snapshot taken through this method leaves the eviction order
-        untouched and replaying ``put`` in yielded order reproduces it.
-        """
-        return iter(list(self._data.items()))
-
-    def evict(self, predicate):
-        """Drop every entry whose key satisfies ``predicate``; returns count."""
-        doomed = [k for k in self._data if predicate(k)]
-        for key in doomed:
-            del self._data[key]
-        return len(doomed)
-
-    def clear(self):
-        self._data.clear()
 
 
 class MetaMemories:

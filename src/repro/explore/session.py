@@ -154,7 +154,8 @@ def run_concurrent_explorations(lte, oracles, eval_rows, variant="meta_star",
         Optional per-session seeds (default: the LTE config seed for
         every session, i.e. identical initial tuples).
     manager:
-        Reuse an existing manager (and its cache); default: a fresh one.
+        Reuse an existing manager (and its watermarks); default: a fresh
+        one.
 
     Returns
     -------

@@ -34,9 +34,6 @@ name                                             kind        unit
 ``serve.manager.store_scan.pruned_skipped``      counter     chunks
 ``serve.manager.store_scan.blocks``              counter     blocks
 ``serve.manager.store_scan.block_rows``          histogram   rows
-``serve.cache.prediction.hits``                  counter     lookups
-``serve.cache.prediction.misses``                counter     lookups
-``serve.cache.prediction.entries``               gauge       entries
 ``shard.gateway.rpc.seconds``                    histogram   seconds
 ``shard.gateway.rpc.calls``                      counter     calls
 ``shard.gateway.workers.alive``                  gauge       workers
@@ -87,12 +84,10 @@ Design constraints (the no-interference guarantee):
   out shared null metrics whose methods are no-ops, and the span tracer
   returns one shared no-op context manager (no per-call allocation).
 
-Ownership model: components that expose per-instance ``stats()`` dicts
-(the session manager, the prediction/plan caches, the moment pool)
-each own a private :class:`MetricsRegistry`; the old dict methods are
-compatibility shims reading those registries.  The compiled-hull pack
-cache has no such dict: its counts are read from the registry it
-counts into (its owner's, e.g. the serving manager's ``metrics``).
+Ownership model: a component with per-instance counts (the session
+manager) owns a private :class:`MetricsRegistry`, read as its
+``metrics``; what it owns counts into that registry too (the
+compiled-hull pack cache counts into the serving manager's).
 Registries auto-enlist in a process-wide weak set, so
 :func:`aggregate` merges every live
 registry — plus the :func:`default_registry` used by module-level sites
@@ -390,8 +385,7 @@ class MetricsRegistry:
         return self._get(_check_name(name), "histogram")
 
     def value(self, name, default=0):
-        """The scalar value of a counter/gauge (0/default when absent) —
-        what the legacy ``stats()`` compatibility shims read."""
+        """The scalar value of a counter/gauge (0/default when absent)."""
         metric = self._metrics.get(name)
         return default if metric is None else metric.value
 
@@ -443,7 +437,7 @@ _DEFAULT = [None]
 def default_registry():
     """The registry module-level call sites record into (store scans,
     append commits, training epochs) — components with per-instance
-    ``stats()`` semantics own their own registries instead."""
+    counts own their own registries instead."""
     registry = _DEFAULT[0]
     if registry is None or (registry.enabled is not enabled()):
         registry = _DEFAULT[0] = MetricsRegistry()
@@ -487,7 +481,7 @@ def aggregate():
 
     This is the process-wide view a shard worker ships to the gateway:
     the default registry plus every component-owned registry (session
-    manager, caches, pools) still alive.  Registries are merged in a
+    manager, pack caches) still alive.  Registries are merged in a
     deterministic order-insensitive way, so two aggregations over the
     same state are identical.
     """

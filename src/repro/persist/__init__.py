@@ -12,9 +12,9 @@ manifest carrying a schema version and a content digest) spanning
   meta-learners, :class:`FewShotOptimizer` region capture with shared
   hull interning, resumable :class:`ExplorationSession` state;
 * ``repro.serve`` — :meth:`SessionManager.snapshot`/``restore`` covering
-  pending queues, per-session model versions and the LRU prediction
-  cache, so a restored manager serves bit-identical predictions without
-  re-adaptation.
+  pending queues, per-session model versions and store-scan watermarks,
+  so a restored manager serves bit-identical predictions without
+  re-adaptation or a full rescan.
 
 Round trips are exact: ``load(save(x))`` reproduces arrays, dtypes and
 step counts bit-for-bit (``tests/persist/test_roundtrip.py``), and a

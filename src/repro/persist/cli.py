@@ -76,11 +76,11 @@ def _summarize_state(kind, state):
             print("    {}: {}".format(",".join(entry["names"]), detail))
     elif kind == "session-manager":
         snapshot = state["snapshot"]
-        print("  sessions: {}   queued: {}   cache entries: {} "
-              "(hits {} / misses {})".format(
+        marks = snapshot.get("store_marks", [])
+        print("  sessions: {}   queued: {}   watermarks: {} "
+              "(stores {})".format(
                   len(snapshot["sessions"]), len(snapshot["queue"]),
-                  len(snapshot["cache"]["entries"]),
-                  snapshot["cache"]["hits"], snapshot["cache"]["misses"]))
+                  len(marks), len({mark["uid"] for mark in marks})))
     elif kind == "exploration-session":
         print("  variant: {}   subspaces: {}".format(
             state["session"]["variant"],

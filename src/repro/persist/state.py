@@ -18,8 +18,8 @@ kind                    contents
                         identical phi
 ``exploration-session`` the online state of one (resumable) session
 ``session-manager``     a full :class:`~repro.serve.SessionManager`
-                        snapshot: sessions, pending queue, prediction
-                        cache, counters
+                        snapshot: sessions, pending queue, store-scan
+                        watermarks, counters
 ======================  ==============================================
 
 The offline *derived* artifacts (scalers, preprocessors, cluster
@@ -340,11 +340,12 @@ def load_manager(path, lte):
     """Restore a serving engine snapshot against a (restored) LTE system.
 
     The returned manager serves bit-identical predictions — including
-    cache hits, model versions and queued-but-unflushed label batches —
-    to the manager that was snapshotted.  ``lte`` must be the system the
-    snapshot was taken over (or a bit-identical restore of it, e.g. via
-    :func:`load_pretrained`); a different table or config raises
-    :class:`CheckpointError` instead of silently serving garbage.
+    watermarked store scans, model versions and queued-but-unflushed
+    label batches — to the manager that was snapshotted.  ``lte`` must
+    be the system the snapshot was taken over (or a bit-identical
+    restore of it, e.g. via :func:`load_pretrained`); a different table
+    or config raises :class:`CheckpointError` instead of silently
+    serving garbage.
     """
     from ..serve.manager import SessionManager
 

@@ -7,8 +7,8 @@ This package serves that loop for *many users at once* over one shared
 queue up, one fused tensor program adapts every pending (session,
 subspace) task in stacked batches, and predictions — each session's
 conjunction over its subspaces, rows encoded only where a classifier
-will read them — are memoized in a versioned cache.  The adaptation
-hot path is
+will read them — are computed for all sessions of a call at once.  The
+adaptation hot path is
 :func:`~repro.core.framework.run_adapt_requests` (re-exported here with
 :class:`~repro.nn.BatchedUISClassifier`), the one executor a lone
 :class:`~repro.core.framework.ExplorationSession` also runs — as a
@@ -39,23 +39,16 @@ Modules
 -------
 ``manager``
     :class:`SessionManager` — session lifecycle, the submit/poll/flush
-    queue, and cached prediction.
-``cache``
-    :class:`PredictionCache` — (session, model versions, rows
-    digest)-keyed LRU memoization of a session's answers (frozen copies:
-    a cached prediction can never be poisoned through a returned
-    reference).
+    queue, batched prediction and watermarked store scans.
 
 The engine survives restarts: :meth:`SessionManager.snapshot` /
 :meth:`SessionManager.restore` capture sessions, the pending queue and
-the prediction cache, and :mod:`repro.persist` writes them to disk — a
+the store-scan watermarks, and :mod:`repro.persist` writes them to disk — a
 restored manager serves bit-identically (``tests/persist``).
 """
 
 from ..core.framework import run_adapt_requests
 from ..nn.batching import BatchedUISClassifier
-from .cache import PredictionCache, rows_digest
 from .manager import SessionManager
 
-__all__ = ["SessionManager", "BatchedUISClassifier", "run_adapt_requests",
-           "PredictionCache", "rows_digest"]
+__all__ = ["SessionManager", "BatchedUISClassifier", "run_adapt_requests"]

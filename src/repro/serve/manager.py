@@ -11,11 +11,14 @@ online loop into three independently scheduled stages:
    *all* sessions by shape, and trains each bucket as one fused tensor
    program (:func:`~repro.core.framework.run_adapt_requests`);
 3. **predict** — a block of rows is answered for all its sessions by
-   :func:`~repro.core.framework.predict_conjunctions` (every
+   one :func:`~repro.core.framework.predict_conjunctions` call (every
    subspace's hulls decide first, then the classifiers encode and score
-   only the rows still open *and* alive), and each session's answer is
-   memoized in a versioned :class:`~repro.serve.cache.PredictionCache`,
-   so repeated retrievals over unchanged models are dictionary lookups.
+   only the rows still open *and* alive).  Nothing is memoized per
+   answer: every label round bumps a model version, so an answer never
+   repeats.  What does repeat is answered below the manager — a store
+   scan's per-session watermark answers the chunks a session was
+   already scored on, and each few-shot optimizer recalls its hull
+   decision per stored chunk.
 
 Sessions adapted through the manager are bit-compatible with sessions
 driven on their own (see ``tests/serve/test_batched_parity.py``).
@@ -34,7 +37,6 @@ from ..core.framework import (ExplorationSession, LTE, predict_conjunctions,
 from ..core.optimizer import HullRegistry
 from ..geometry.engine import HullPackCache
 from ..obs import MetricsRegistry, span
-from .cache import PredictionCache, rows_digest
 
 __all__ = ["SessionManager"]
 
@@ -62,8 +64,6 @@ class SessionManager:
         A fitted :class:`~repro.core.framework.LTE` shared by every
         session (its per-subspace meta-learners are read-only at serve
         time, so sessions cannot interfere through it).
-    cache_entries:
-        Capacity of the versioned prediction cache.
 
     Example
     -------
@@ -77,25 +77,24 @@ class SessionManager:
         mask = manager.predict(sid, table.data)
     """
 
-    def __init__(self, lte, cache_entries=1024):
+    def __init__(self, lte):
         if not isinstance(lte, LTE):
             raise TypeError("SessionManager needs a fitted LTE system")
         self.lte = lte
-        # One registry for the whole serving engine: the prediction and
-        # hull-pack caches record into it too, so a single
-        # ``manager.metrics.snapshot()`` covers the full request path.
-        # See repro.obs.registry for the metric name catalogue.
+        # One registry for the whole serving engine: the hull-pack cache
+        # records into it too, so a single ``manager.metrics.snapshot()``
+        # covers the full request path.  See repro.obs.registry for the
+        # metric name catalogue.
         self.metrics = MetricsRegistry()
-        self.cache = PredictionCache(cache_entries, metrics=self.metrics)
         # Compiled halfspace packs for few-shot refinement, keyed by the
         # identity tuple of each refine group's deduped hull set.
         # Re-adaptation bumps model versions but never touches hull
         # geometry, so the steady-state pattern — the same session group
-        # flushing and predicting again — hits across versions.  A
-        # partial-miss group (some sessions served from the prediction
-        # cache) keys a subset and compiles its own pack; that compile
-        # is a cheap vstack of per-hull precompiled lowerings, and the
-        # LRU bounds the subset entries.  Restored managers rebuild
+        # flushing and predicting again — hits across versions.  A call
+        # over a subset of a group (a store-scan run that only some
+        # sessions owe) keys that subset and compiles its own pack; that
+        # compile is a cheap vstack of per-hull precompiled lowerings,
+        # and the LRU bounds the subset entries.  Restored managers rebuild
         # packs from the checkpoint's serialized facet form without
         # ever re-running Qhull.
         self._region_packs = HullPackCache(capacity=128,
@@ -178,7 +177,7 @@ class SessionManager:
             return session_id
 
     def close_session(self, session_id):
-        """Forget a session and drop its queued work and cache entries."""
+        """Forget a session and drop its queued work and watermarks."""
         with self._lock:
             self._require(session_id)
             session = self._sessions.pop(session_id)
@@ -188,7 +187,6 @@ class SessionManager:
             self._store_marks = {key: mark
                                  for key, mark in self._store_marks.items()
                                  if key[0] != session_id}
-            self.cache.invalidate_session(session_id)
             self.metrics.counter("serve.manager.sessions.closed").inc()
             self._sessions_live.set(len(self._sessions))
             self._queue_depth.set(len(self._queue))
@@ -397,7 +395,8 @@ class SessionManager:
         reflects the post-flush state; with ``advance=False`` the queue
         is only inspected — ``pending`` then lists the session's
         subspaces still awaiting adaptation.  ``versions`` carries the
-        per-subspace model versions that key the prediction cache.
+        per-subspace model versions; a store-scan watermark holds while
+        they are unchanged.
 
         ``errors`` lists flush failures attributed to *this* session
         (``[{"subspace": [names], "error": "Type: msg"}]``), cleared
@@ -420,7 +419,7 @@ class SessionManager:
             }
 
     # ------------------------------------------------------------------
-    # Stage 3: cached, batched prediction
+    # Stage 3: batched prediction
     # ------------------------------------------------------------------
     def _conjunctions(self, session_ids):
         """``{session_id: {subspace: _SubspaceSession}}`` of sessions
@@ -434,40 +433,21 @@ class SessionManager:
             conjunctions[session_id] = session._subsessions
         return conjunctions
 
-    def _answer_block(self, conjunctions, project, n_rows, digest):
-        """Answers of one block of rows, ``{id: (n_rows,) 0/1}``: one
-        cache lookup per session, the misses through ONE
-        :func:`~repro.core.framework.predict_conjunctions` call.
+    def _answer_block(self, conjunctions, project, n_rows):
+        """Answers of one block of rows, ``{id: (n_rows,) 0/1}``, from
+        ONE :func:`~repro.core.framework.predict_conjunctions` call.
 
-        ``digest`` identifies the block's rows.  Every answer is the
-        caller's to keep: a hit is a copy of the cache's frozen array.
+        Every answer is a fresh array, the caller's to keep.  The
+        manager-level pack cache keeps the compiled halfspace stacks
+        across model versions and repeated calls.
         """
         t0 = time.perf_counter() if self._obs_on else None
-        out, misses = {}, {}
-        for session_id, subsessions in conjunctions.items():
-            key = self.cache.key(
-                session_id, ((subspace, subsession.model_version) for
-                             subspace, subsession in subsessions.items()),
-                digest)
-            cached = self.cache.get(key)
-            if cached is None:
-                misses[session_id] = key
-            else:
-                out[session_id] = cached.copy()
-        if misses:
-            # The manager-level pack cache keeps the compiled halfspace
-            # stacks across model versions and repeated calls.
-            answers, tally = predict_conjunctions(
-                {session_id: conjunctions[session_id]
-                 for session_id in misses},
-                project, n_rows, self._region_packs)
-            for session_id, key in misses.items():
-                self.cache.put(key, answers[session_id])
-            out.update(answers)
-            self._record_tally(tally)
+        answers, tally = predict_conjunctions(conjunctions, project, n_rows,
+                                              self._region_packs)
+        self._record_tally(tally)
         if t0 is not None:
             self._t_predict.observe(time.perf_counter() - t0)
-        return out
+        return answers
 
     def _record_tally(self, tally):
         """One :func:`~repro.core.framework.predict_conjunctions` call's
@@ -480,7 +460,7 @@ class SessionManager:
         self._rows_skipped.inc(tally["skipped"])
 
     def predict_subspace(self, session_id, subspace, points):
-        """Cached 0/1 UIS membership for subspace-coordinate points (a
+        """0/1 UIS membership for subspace-coordinate points (a
         conjunction of one)."""
         points = subspace.validate_points(points)
         with self._lock:
@@ -489,23 +469,22 @@ class SessionManager:
             subsession.require_adapted()
             return self._answer_block(
                 {session_id: {subspace: subsession}}, lambda _: points,
-                len(points), rows_digest(points))[session_id]
+                len(points))[session_id]
 
     def predict_many(self, session_ids, rows):
         """0/1 UIR membership of ``rows`` for many sessions at once.
 
         The fused counterpart of calling :meth:`predict` per session,
         one :func:`~repro.core.framework.predict_conjunctions` call for
-        every session the cache cannot answer: rows are projected and
-        scaled once per subspace, all sessions' few-shot hulls are
-        tested in one engine call per subspace, and only then are the
-        rows some classifier will read encoded — once for all the
-        sessions that read them — and scored, each session's classifier
-        seeing the rows its hulls left open that no other subspace of
-        the session has already answered 0.
+        every session: rows are projected and scaled once per subspace,
+        all sessions' few-shot hulls are tested in one engine call per
+        subspace, and only then are the rows some classifier will read
+        encoded — once for all the sessions that read them — and scored,
+        each session's classifier seeing the rows its hulls left open
+        that no other subspace of the session has already answered 0.
         Returns ``{session_id: (n,) predictions}``.  ``rows`` may be a
         :class:`~repro.store.ChunkStore` (chunk-wise, zone-map-pruned,
-        per-chunk-cached evaluation via :meth:`predict_many_store`).
+        watermarked evaluation via :meth:`predict_many_store`).
         """
         if hasattr(rows, "iter_chunks"):
             return self.predict_many_store(session_ids, rows)
@@ -514,19 +493,18 @@ class SessionManager:
             self.flush(raise_errors=False)
             return self._answer_block(
                 self._conjunctions(session_ids),
-                lambda subspace: subspace.project(rows), len(rows),
-                rows_digest(rows))
+                lambda subspace: subspace.project(rows), len(rows))
 
     def predict_many_store(self, session_ids, store):
         """0/1 UIR membership over a chunk store for many sessions: ONE
         :func:`~repro.core.framework.scan_conjunctions` call — the scan
         a lone session's ``predict_store`` runs for itself — over the
         sessions, their watermarks (per ``(session, store uid)``, kept
-        in snapshots) and this manager's pack and prediction caches.
-        It prunes chunks by zone map, skips what a watermark or the
-        per-chunk cache already answers and evaluates the rest in
-        blocks of at most ``max(chunk_rows, 8 192)`` rows — the bound
-        on resident memory, whatever the store's size.
+        in snapshots) and this manager's pack cache.  It prunes chunks
+        by zone map, skips what a watermark already answers and
+        evaluates the rest in blocks of at most ``max(chunk_rows,
+        8 192)`` rows — the bound on resident memory, whatever the
+        store's size.
 
         Returns ``{session_id: (n_rows,) predictions}``.  The call's
         accounting — chunk·sessions evaluated vs skipped by watermark
@@ -541,7 +519,7 @@ class SessionManager:
                 sessions, store,
                 {sid: self._store_marks.get((sid, store.uid))
                  for sid in sessions},
-                self._region_packs, cache=self.cache)
+                self._region_packs)
             for sid, mark in marks.items():
                 self._store_marks[(sid, store.uid)] = mark
             blocks = scan.pop("blocks")
@@ -564,15 +542,15 @@ class SessionManager:
             return results
 
     def predict_store(self, session_id, store):
-        """Chunk-pruned, per-chunk-cached UIR membership over a store."""
+        """Chunk-pruned, watermarked UIR membership over a store."""
         return self.predict_many_store([session_id], store)[session_id]
 
     def predict(self, session_id, rows):
-        """Cached 0/1 UIR membership for full-space rows (conjunctive)."""
+        """0/1 UIR membership for full-space rows (conjunctive)."""
         return self.predict_many([session_id], rows)[session_id]
 
     def retrieve(self, session_id, rows=None, limit=None):
-        """Rows predicted interesting for the session (cached)."""
+        """Rows predicted interesting for the session."""
         if rows is None:
             rows = self.lte.table if hasattr(self.lte.table, "iter_chunks") \
                 else self.lte.table.data
@@ -598,12 +576,11 @@ class SessionManager:
         Captures every session's online state (adapted models, few-shot
         regions, model versions), the *pending* submit queue exactly as
         it stands (nothing is flushed — a snapshot is a point-in-time
-        copy, not a barrier), the versioned prediction cache with its
-        hit/miss counters, and the serving counters.  Hull objects shared
-        across sessions are interned once through a
-        :class:`~repro.core.optimizer.HullRegistry`, so the sharing that
-        makes :meth:`FewShotOptimizer.decide_batch` cheap survives the
-        round trip.
+        copy, not a barrier), the store-scan watermarks, and the serving
+        counters.  Hull objects shared across sessions are interned once
+        through a :class:`~repro.core.optimizer.HullRegistry`, so the
+        sharing that makes :meth:`FewShotOptimizer.decide_batch` cheap
+        survives the round trip.
 
         The shared pretrained LTE system is *not* included: it is the
         long-lived artifact the manager serves, persisted separately
@@ -644,7 +621,6 @@ class SessionManager:
                      "errors": [dict(e) for e in entries]}
                     for sid, entries in self._session_errors.items()
                 ],
-                "cache": self.cache.state_dict(),
                 "hulls": registry.state(),
                 "store_marks": [
                     {"session_id": int(sid), "uid": str(uid),
@@ -666,15 +642,17 @@ class SessionManager:
         ``lte`` must be the same pretrained system the snapshot was taken
         over (or a bit-identical restore of it — e.g. via
         :func:`repro.persist.load_pretrained`); sessions, the pending
-        queue, model versions and the prediction cache come back exactly,
-        including session ids and cache hit counters, so serving
-        continues as if the process had never died.
+        queue, model versions and watermarks come back exactly, including
+        session ids and counters, so serving continues as if the process
+        had never died.  A snapshot that still carries the ``"cache"``
+        field of the retired prediction cache loads too: no answer ever
+        depended on it, so it is ignored.
         """
-        manager = cls(lte, cache_entries=snapshot["cache"]["capacity"])
+        manager = cls(lte)
         # Older snapshots predate the metrics key; they restore with
-        # fresh telemetry.  load_state_dict / the explicit counter
-        # assignments below re-assert the persisted scalar counters on
-        # top, keeping both paths consistent.
+        # fresh telemetry.  The explicit counter assignments below
+        # re-assert the persisted scalar counters on top, keeping both
+        # paths consistent.
         manager.metrics.load(snapshot.get("metrics") or {})
         hulls = HullRegistry.restore(snapshot["hulls"]).hulls
         for entry in snapshot["sessions"]:
@@ -712,7 +690,6 @@ class SessionManager:
             manager._session_errors[int(entry["session_id"])] = [
                 {"subspace": list(e["subspace"]), "error": str(e["error"])}
                 for e in entry["errors"]]
-        manager.cache.load_state_dict(snapshot["cache"])
         # Store-scan watermarks (absent in pre-watermark snapshots):
         # validity is re-checked against the live store on first use, so
         # restoring against a since-mutated store degrades to a rescan.
@@ -730,23 +707,3 @@ class SessionManager:
                 "result": np.asarray(entry["result"]).astype(np.int8),
             }
         return manager
-
-    # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        """Serving counters: sessions, queue depth, batches, cache.
-
-        Compatibility shim over the ``repro.obs`` registry — the same
-        numbers (plus latency histograms) are in
-        ``self.metrics.snapshot()`` under ``serve.manager.*``.
-        """
-        with self._lock:
-            return {
-                "sessions": self.n_sessions,
-                "queued": len(self._queue),
-                "adapt_batches": self.adapt_batches,
-                "adapted_total": self.adapted_total,
-                "session_errors": sum(len(v) for v in
-                                      self._session_errors.values()),
-                "cache": self.cache.stats,
-            }

@@ -384,7 +384,7 @@ class ShardGateway:
         return result
 
     def predict(self, session_id, rows):
-        """Cached 0/1 UIR membership for full-space rows."""
+        """0/1 UIR membership for full-space rows."""
         worker = self._worker_of(session_id)
         return self._call(worker, "predict",
                           {"session_id":
@@ -392,7 +392,7 @@ class ShardGateway:
                            "rows": rows})
 
     def predict_subspace(self, session_id, subspace, points):
-        """Cached 0/1 UIS membership for subspace-coordinate points
+        """0/1 UIS membership for subspace-coordinate points
         (their width is checked here, before any RPC)."""
         points = subspace.validate_points(points)
         worker = self._worker_of(session_id)
@@ -431,7 +431,7 @@ class ShardGateway:
         return results
 
     def retrieve(self, session_id, rows=None, limit=None):
-        """Rows predicted interesting for the session (worker-cached)."""
+        """Rows predicted interesting for the session."""
         worker = self._worker_of(session_id)
         return self._call(worker, "retrieve",
                           {"session_id":
@@ -540,11 +540,12 @@ class ShardGateway:
     # Drain / shutdown / stats
     # ------------------------------------------------------------------
     def stats(self):
-        """Pool-level counters plus each worker's manager stats.
+        """Pool-level counters plus each worker's manager counts.
 
         ``workers`` carries one entry per worker **in pool order,
-        including dead ones**: an alive worker's entry is its manager
-        stats dict extended with its gateway-observed ``queue_depth``
+        including dead ones**: an alive worker's entry is its manager's
+        ``sessions``, ``queued``, ``adapt_batches`` and
+        ``adapted_total`` extended with its gateway-observed ``queue_depth``
         (pending label batches), ``last_rpc_seconds`` /
         ``last_rpc_method`` and ``alive: True``; a dead worker reports
         a tombstone (``alive: False``, ``model: None``,
@@ -582,8 +583,8 @@ class ShardGateway:
 
         Fans a pipelined ``metrics`` RPC out to every live worker; each
         returns its process-wide :func:`repro.obs.aggregate` snapshot
-        (manager latency histograms, cache hit counters, compile-plan
-        stats).  Returns::
+        (manager latency histograms, pack-cache and store-scan
+        counters).  Returns::
 
             {"workers": {worker_index: snapshot | tombstone},
              "gateway": <gateway-side snapshot>,

@@ -72,11 +72,15 @@ def worker_main(conn, lte, checkpoint_dir, worker_index, n_workers):
     manager = SessionManager(lte)
     debug = {"crash_on_flush": False}
 
+    def queued():
+        return len(manager.pending())
+
     def worker_stats():
-        stats = manager.stats
-        stats["worker"] = int(worker_index)
-        stats["model"] = model_fingerprint(lte)
-        return stats
+        return {"sessions": manager.n_sessions, "queued": queued(),
+                "adapt_batches": manager.adapt_batches,
+                "adapted_total": manager.adapted_total,
+                "worker": int(worker_index),
+                "model": model_fingerprint(lte)}
 
     def handle(method, kwargs):
         if method == "ping":
@@ -87,28 +91,28 @@ def worker_main(conn, lte, checkpoint_dir, worker_index, n_workers):
             return manager.open_session(**kwargs)
         if method == "close_session":
             manager.close_session(kwargs["session_id"])
-            return manager.stats["queued"]
+            return queued()
         if method == "initial_tuples":
             return manager.initial_tuples(kwargs["session_id"])
         if method == "submit_labels":
             manager.submit_labels(kwargs["session_id"], kwargs["subspace"],
                                   kwargs["labels"])
-            return manager.stats["queued"]
+            return queued()
         if method == "add_labels":
             manager.add_labels(kwargs["session_id"], kwargs["subspace"],
                                kwargs["tuples"], kwargs["labels"])
-            return manager.stats["queued"]
+            return queued()
         if method == "flush":
             if debug["crash_on_flush"]:
                 # Test hook: die exactly where a real worker would —
                 # mid-flush, with label batches still queued.
                 os._exit(17)
             done = manager.flush(raise_errors=False)
-            return {"done": done, "queued": manager.stats["queued"]}
+            return {"done": done, "queued": queued()}
         if method == "poll":
             result = manager.poll(kwargs["session_id"],
                                   advance=kwargs.get("advance", True))
-            result["worker_queued"] = manager.stats["queued"]
+            result["worker_queued"] = queued()
             return result
         if method == "predict":
             return manager.predict(kwargs["session_id"], kwargs["rows"])

@@ -20,7 +20,7 @@ bit-identical to one full-table pass by construction.
 Stores are **appendable** (:meth:`ChunkStore.append_blocks`): appends
 extend the mutable tail chunk and add new chunks, while every *closed*
 (full) chunk keeps its bytes and digest bit-stable — so per-chunk
-digest-keyed caches stay warm across appends.  Each content change bumps
+digest-keyed memos stay valid across appends.  Each content change bumps
 a monotonically increasing ``store_version``; sessions use it (plus the
 store's stable ``uid``) as a freshness watermark to scan only chunks
 newer than their last answer.
@@ -595,8 +595,9 @@ class ChunkStore:
         resulting store is bit-identical — rows, zone maps, chunk
         digests, store digest — to a one-shot build over the concatenated
         rows.  Closed chunks are never touched: their bytes, digests and
-        (for disk stores) files stay bit-stable, which keeps digest-keyed
-        prediction caches warm across appends.
+        (for disk stores) files stay bit-stable, which keeps scan
+        watermarks and digest-keyed hull-decision memos valid across
+        appends.
 
         Each append that adds rows bumps ``store_version``.  On disk the
         commit is crash-safe: the rewritten tail gets a fresh

@@ -14,7 +14,7 @@ pytestmark = pytest.mark.obs
 def _filled_registry(seed, n_obs=200):
     rng = random.Random(seed)
     registry = obs.MetricsRegistry(enabled=True)
-    counter = registry.counter("serve.cache.prediction.hits")
+    counter = registry.counter("geometry.pack_cache.hits")
     hist = registry.histogram("serve.manager.flush.seconds")
     gauge = registry.gauge("serve.manager.queue.depth")
     for _ in range(n_obs):
@@ -164,7 +164,7 @@ class TestExporters:
     def test_prometheus_text(self):
         snap = _filled_registry(3).snapshot()
         text = obs.to_prometheus(snap)
-        assert "# TYPE repro_serve_cache_prediction_hits counter" in text
+        assert "# TYPE repro_geometry_pack_cache_hits counter" in text
         assert "# TYPE repro_serve_manager_flush_seconds histogram" in text
         assert 'le="+Inf"' in text
         assert "repro_serve_manager_flush_seconds_count 200" in text
@@ -181,14 +181,14 @@ class TestExporters:
     def test_summarize_tables(self):
         events = [{"type": "span", "name": "serve.flush", "seconds": s}
                   for s in (0.01, 0.02, 0.03)]
-        snap = {"serve.cache.prediction.hits":
+        snap = {"geometry.pack_cache.hits":
                 {"kind": "counter", "value": 9},
-                "serve.cache.prediction.misses":
+                "geometry.pack_cache.misses":
                 {"kind": "counter", "value": 1}}
         summary = obs.summarize_events(events, snap)
         assert summary["spans"][0]["name"] == "serve.flush"
         assert summary["spans"][0]["count"] == 3
-        assert summary["ratios"] == [{"name": "serve.cache.prediction",
+        assert summary["ratios"] == [{"name": "geometry.pack_cache",
                                       "hits": 9, "misses": 1,
                                       "ratio": 0.9}]
         text = obs.format_summary(summary)
@@ -198,9 +198,9 @@ class TestExporters:
         events_path = tmp_path / "capture.jsonl"
         obs.write_jsonl(events_path, [
             {"type": "span", "name": "stage.one", "seconds": 0.1},
-            {"name": "serve.cache.prediction.hits", "kind": "counter",
+            {"name": "geometry.pack_cache.hits", "kind": "counter",
              "value": 4},
-            {"name": "serve.cache.prediction.misses", "kind": "counter",
+            {"name": "geometry.pack_cache.misses", "kind": "counter",
              "value": 4},
         ])
         assert obs_main(["summarize", str(events_path)]) == 0

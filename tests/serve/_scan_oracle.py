@@ -5,7 +5,7 @@ Until the store scan answered *runs* of chunks as blocks,
 ``SessionManager.predict_many_store`` each walked the chunks themselves
 — validate the watermark, copy the remembered prefix, ``for ci in
 range(n_chunks)``, one ``predict_conjunctions`` call (the manager: one
-``_answer_block``, cache look-up included) per chunk, re-mark.  The two
+``_answer_block``) per chunk, re-mark.  The two
 bodies below are that code, moved here verbatim with ``self`` spelled
 ``session`` / ``manager``; ``test_scan_blocks.py`` compares answers,
 ``last_store_scan`` and marks of the block scan against them.  Nothing
@@ -127,7 +127,7 @@ def predict_many_store(manager, session_ids, store):
             answers = manager._answer_block(
                 live, lambda subspace: np.ascontiguousarray(
                     block[:, list(subspace.columns)]),
-                len(block), store.chunk_digest(ci))
+                len(block))
             for sid, predictions in answers.items():
                 results[sid][start:start + len(block)] = predictions
                 evals[sid] += 1

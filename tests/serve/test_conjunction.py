@@ -15,9 +15,8 @@ subspaces.  Three things are pinned here:
   ``TabularPreprocessor.transform``: a kernel call sees exactly the rows
   ``open ∩ alive`` of its session, an encode exactly the union of its
   group's kernel calls, and neither runs for a block geometry settles;
-* **cache** — one entry, one lookup per (session, rows); checkpoints
-  written when the cache held per-subspace vectors restore and start
-  cold.
+* **repeats** — a repeated call recomputes and answers alike, and
+  every returned answer is the caller's to mutate.
 
 Example counts come from the hypothesis profile (``x10`` in CI's serving
 lane, registered in ``tests/conftest.py``).
@@ -37,10 +36,8 @@ from test_serving_bugfixes import _perturb_phi
 from repro.core.meta_training import AdaptedClassifier
 from repro.core.preprocessing import TabularPreprocessor
 from repro.data.schema import Table
-from repro.persist import (load_manager, load_pretrained, save_manager,
-                           save_pretrained)
+from repro.persist import load_pretrained, save_pretrained
 from repro.serve import SessionManager
-from repro.serve.cache import rows_digest
 from repro.shard import ShardGateway
 
 SETTLED, SCORED, SKIPPED = ("serve.manager.predict.rows." + kind
@@ -250,10 +247,8 @@ def test_store_scan_incremental_and_cold_answer_like_the_oracle(
     first = manager.predict_many_store(sids, store)
     store.append_blocks([rows[n_rows:]])
     incremental = manager.predict_many_store(sids, store)
-    # Cold: neither a watermark nor a cached chunk answer to lean on.
+    # Cold: no watermark to lean on.
     manager._store_marks.clear()
-    for sid in sids:
-        manager.cache.invalidate_session(sid)
     cold = manager.predict_many_store(sids, store)
     assert manager.last_store_scan["watermark_skipped"] == 0
     manager._store_marks.clear()
@@ -358,8 +353,6 @@ def test_kernels_see_open_and_alive_rows_encodes_their_union(
     groups, counts = expected_reads(sessions, rows)
     assert sum(counts) == n_rows * sum(len(session._subsessions)
                                        for session in sessions)
-    for sid in sids:
-        manager.cache.invalidate_session(sid)
     before = [manager.metrics.value(name)
               for name in (SETTLED, SCORED, SKIPPED)]
 
@@ -445,8 +438,6 @@ def test_a_settled_block_reaches_neither_encoder_nor_kernel(fleet):
 
     for chosen, rows, answer in blocks:
         sids = [fleet["manager_ids"][i] for i in chosen]
-        for sid in sids:
-            manager.cache.invalidate_session(sid)
         with pytest.MonkeyPatch.context() as monkeypatch:
             recorder = Recorder(monkeypatch)
             served = manager.predict_many(sids, rows)
@@ -461,7 +452,7 @@ def test_a_settled_block_reaches_neither_encoder_nor_kernel(fleet):
 
 
 # ----------------------------------------------------------------------
-# Cache
+# Repeats
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def pair(serve_lte, serve_subspaces, make_oracle):
@@ -473,22 +464,19 @@ def pair(serve_lte, serve_subspaces, make_oracle):
     return manager, sids
 
 
-class TestConjunctionCache:
-    def test_a_repeated_call_is_one_hit_per_session(self, pair, eval_rows):
+class TestRepeats:
+    def test_a_repeated_call_answers_alike_and_answers_are_the_callers(
+            self, pair, eval_rows):
         manager, sids = pair
         first = manager.predict_many(sids, eval_rows)
-        assert (manager.cache.hits, manager.cache.misses) == (0, len(sids))
-        assert len(manager.cache) == len(sids)
         again = manager.predict_many(sids, eval_rows)
-        assert (manager.cache.hits, manager.cache.misses) == \
-            (len(sids), len(sids))
         for sid in sids:
             assert np.array_equal(first[sid], again[sid])
-            again[sid][:] = 9           # hits come back as copies
+            again[sid][:] = 9
         assert np.array_equal(manager.predict(sids[0], eval_rows),
                               first[sids[0]])
 
-    def test_a_label_round_on_one_subspace_of_two_is_a_miss(
+    def test_a_label_round_on_one_subspace_of_two_answers_like_the_oracle(
             self, pair, serve_lte, serve_subspaces, make_oracle, eval_rows):
         manager, sids = pair
         manager.predict_many(sids, eval_rows)
@@ -497,71 +485,17 @@ class TestConjunctionCache:
         extra = state.to_raw(state.data[40:46])
         manager.add_labels(sids[0], subspace, extra,
                            make_oracle(30).label_subspace(subspace, extra))
-        hits, misses = manager.cache.hits, manager.cache.misses
         answers = manager.predict_many(sids, eval_rows)
-        # The re-adapted session misses (its other subspace's version is
-        # unchanged, the conjunction's key is not); the other one hits.
-        assert (manager.cache.hits, manager.cache.misses) == \
-            (hits + 1, misses + 1)
         want = oracle.predict_many([manager.session(sid) for sid in sids],
                                    eval_rows)
         for sid, expected in zip(sids, want):
             assert np.array_equal(answers[sid], expected)
 
-    def test_a_subspace_query_has_its_own_entry(self, pair, serve_subspaces,
-                                                eval_rows):
+    def test_subspace_queries_and_to_the_whole(self, pair, serve_subspaces,
+                                               eval_rows):
         manager, sids = pair
         whole = manager.predict(sids[0], eval_rows)
         parts = [manager.predict_subspace(sids[0], subspace,
                                           subspace.project(eval_rows))
                  for subspace in serve_subspaces]
-        assert len(manager.cache) == 1 + len(serve_subspaces)
         assert np.array_equal(parts[0] & parts[1], whole)
-        hits = manager.cache.hits
-        manager.predict_subspace(sids[0], serve_subspaces[0],
-                                 serve_subspaces[0].project(eval_rows))
-        assert manager.cache.hits == hits + 1
-
-    def test_a_per_subspace_checkpoint_restores_and_starts_cold(
-            self, pair, serve_lte, eval_rows, tmp_path):
-        """A ``save_manager`` snapshot as the parent commit wrote it —
-        one cache entry per (session, subspace), keyed by the projected
-        points' digest, and the encode-cache counters in its metrics —
-        loads, answers like the manager it was taken from and simply has
-        nothing cached: no caller asks for a per-subspace vector."""
-        manager, sids = pair
-        reference = manager.predict_many(sids, eval_rows)
-        legacy = manager.snapshot()
-        assert all("models" in entry
-                   for entry in legacy["cache"]["entries"])
-        legacy["cache"]["entries"] = [
-            {"session": sid, "subspace": list(subspace.names),
-             "version": int(subsession.model_version),
-             "digest": rows_digest(subspace.project(eval_rows)),
-             "value": oracle.predict_subspace(
-                 subsession, subspace.project(eval_rows))}
-            for sid in sids
-            for subspace, subsession
-            in manager.session(sid)._subsessions.items()]
-        legacy["cache"]["hits"], legacy["cache"]["misses"] = 7, 11
-        for kind, value in (("hits", 2), ("misses", 40)):
-            legacy["metrics"]["serve.manager.encode_cache." + kind] = \
-                {"kind": "counter", "value": value}
-        manager.snapshot = lambda: legacy
-        save_manager(tmp_path / "parent-format", manager)
-
-        restored = load_manager(tmp_path / "parent-format", serve_lte)
-        assert len(restored.cache) == 0
-        assert restored.stats["cache"] == \
-            {"entries": 0, "hits": 7, "misses": 11}
-        answers = restored.predict_many(sids, eval_rows)
-        assert restored.stats["cache"] == \
-            {"entries": len(sids), "hits": 7, "misses": 11 + len(sids)}
-        for sid in sids:
-            assert np.array_equal(answers[sid], reference[sid])
-        # Re-saved, it is a checkpoint of today's form and stays warm.
-        save_manager(tmp_path / "resaved", restored)
-        warm = load_manager(tmp_path / "resaved", serve_lte)
-        assert len(warm.cache) == len(sids)
-        warm.predict_many(sids, eval_rows)
-        assert warm.cache.hits == 7 + len(sids)

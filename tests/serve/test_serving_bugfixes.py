@@ -120,8 +120,6 @@ class TestArtifactGenerations:
         assert manager.session(first)._subsessions[target].state \
             is states[target]
 
-        for sid in answers:
-            manager.cache.invalidate_session(sid)
         served = manager.predict_many([first, second, third], eval_rows)
         for sid, before in answers.items():
             assert np.array_equal(served[sid], before)

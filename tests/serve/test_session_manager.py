@@ -1,4 +1,4 @@
-"""SessionManager behaviour: queueing, isolation, caching, determinism."""
+"""SessionManager behaviour: queueing, isolation, determinism, counters."""
 
 import numpy as np
 import pytest
@@ -328,66 +328,6 @@ class TestIsolation:
         assert ss_b.model_version == 0
 
 
-class TestPredictionCache:
-    def test_repeat_predictions_hit_cache(self, manager, serve_subspaces,
-                                          make_oracle, eval_rows):
-        oracle = make_oracle(30)
-        sid = manager.open_session(subspaces=serve_subspaces)
-        for subspace, tuples in manager.initial_tuples(sid).items():
-            manager.submit_labels(sid, subspace,
-                                  oracle.label_subspace(subspace, tuples))
-        first = manager.predict(sid, eval_rows)
-        misses, hits = manager.cache.misses, manager.cache.hits
-        second = manager.predict(sid, eval_rows)
-        assert np.array_equal(first, second)
-        assert manager.cache.misses == misses          # no new misses
-        # One entry per (session, rows): the conjunction, not a vector
-        # per subspace.
-        assert manager.cache.hits == hits + 1
-
-    def test_cache_invalidates_on_new_labels(self, manager, serve_lte,
-                                             serve_subspaces, make_oracle,
-                                             eval_rows):
-        oracle = make_oracle(31)
-        subspace = serve_subspaces[0]
-        state = serve_lte.states[subspace]
-        sid = manager.open_session(subspaces=[subspace])
-        tuples = manager.initial_tuples(sid)[subspace]
-        manager.submit_labels(sid, subspace,
-                              oracle.label_subspace(subspace, tuples))
-        manager.predict(sid, eval_rows)
-        version = manager.session(sid)._subsessions[subspace].model_version
-
-        extra = state.to_raw(state.data[30:36])
-        manager.add_labels(sid, subspace, extra,
-                           oracle.label_subspace(subspace, extra))
-        misses = manager.cache.misses
-        refreshed = manager.predict(sid, eval_rows)
-        # New model version -> the old entry is unreachable: a fresh miss.
-        assert manager.cache.misses == misses + 1
-        assert manager.session(sid)._subsessions[subspace].model_version \
-            == version + 1
-        assert refreshed.shape == (len(eval_rows),)
-
-    def test_sessions_share_encode_but_not_predictions(self, manager,
-                                                       serve_subspaces,
-                                                       make_oracle,
-                                                       eval_rows):
-        oracle_a, oracle_b = make_oracle(32), make_oracle(42)
-        subspace = serve_subspaces[0]
-        sid_a = manager.open_session(subspaces=[subspace])
-        sid_b = manager.open_session(subspaces=[subspace])
-        for sid, oracle in ((sid_a, oracle_a), (sid_b, oracle_b)):
-            tuples = manager.initial_tuples(sid)[subspace]
-            manager.submit_labels(sid, subspace,
-                                  oracle.label_subspace(subspace, tuples))
-        results = manager.predict_many([sid_a, sid_b], eval_rows)
-        assert set(results) == {sid_a, sid_b}
-        # Distinct interests -> (almost surely) distinct predictions, and
-        # each session's cache entry is keyed separately.
-        assert manager.cache.stats["entries"] == 2
-
-
 class TestDeterminism:
     def test_hundred_adapt_cycles_deterministic(self, serve_lte,
                                                 serve_subspaces,
@@ -429,16 +369,14 @@ class TestStats:
         for subspace, tuples in manager.initial_tuples(sid).items():
             manager.submit_labels(sid, subspace,
                                   oracle.label_subspace(subspace, tuples))
-        stats = manager.stats
-        assert stats["sessions"] == 1
-        assert stats["queued"] == len(serve_subspaces)
+        value = manager.metrics.value
+        assert value("serve.manager.sessions.live") == 1
+        assert value("serve.manager.queue.depth") == len(serve_subspaces)
         manager.flush()
         manager.predict(sid, eval_rows)
-        stats = manager.stats
-        assert stats["queued"] == 0
-        assert stats["adapt_batches"] == 1
-        assert stats["adapted_total"] == len(serve_subspaces)
-        assert stats["cache"]["entries"] == 1      # per session, not subspace
+        assert value("serve.manager.queue.depth") == 0
+        assert value("serve.manager.adapt.batches") == 1
+        assert value("serve.manager.adapt.total") == len(serve_subspaces)
 
     def test_region_packs_reused_across_model_versions(
             self, manager, serve_subspaces, make_oracle, eval_rows):

@@ -57,9 +57,9 @@ def test_predict_store_prunes_but_matches(store_lte, store_subspaces,
                for subsession in session._subsessions.values())
 
 
-def test_manager_store_parity_and_chunk_cache(store_lte, store_subspaces,
-                                              store_table, eval_store,
-                                              make_oracle):
+def test_manager_store_parity_and_watermark(store_lte, store_subspaces,
+                                            store_table, eval_store,
+                                            make_oracle):
     manager = SessionManager(store_lte)
     oracles = make_oracle(seed=21, count=3)
     mem = run_concurrent_explorations(store_lte, oracles, store_table.data,
@@ -73,8 +73,7 @@ def test_manager_store_parity_and_chunk_cache(store_lte, store_subspaces,
         assert np.array_equal(a.predictions, b.predictions)
         assert a.f1 == b.f1
 
-    # Per-chunk result caching: a repeated scan over an unchanged model
-    # is served from the prediction cache, keyed by chunk digests.
+    # A repeated scan over an unchanged model and store.
     oracle = make_oracle(seed=22)
     sid = manager.open_session(variant="meta_star",
                                subspaces=store_subspaces)
@@ -82,7 +81,6 @@ def test_manager_store_parity_and_chunk_cache(store_lte, store_subspaces,
         manager.submit_labels(sid, subspace,
                               oracle.label_subspace(subspace, tuples))
     first = manager.predict_store(sid, eval_store)
-    hits_before = manager.stats["cache"]["hits"]
     second = manager.predict_store(sid, eval_store)
     assert np.array_equal(first, second)
     # The repeat is served wholesale from the session's freshness
@@ -90,12 +88,12 @@ def test_manager_store_parity_and_chunk_cache(store_lte, store_subspaces,
     # touched.
     assert manager.last_store_scan["chunk_evals"] == 0
     assert manager.last_store_scan["sessions_served_from_mark"] == 1
-    # With the watermark dropped (e.g. a restored manager), the rescan
-    # falls back to the per-chunk digest-keyed prediction cache.
+    # With the watermark dropped, the session rescans what it owes.
     manager._store_marks.clear()
     third = manager.predict_store(sid, eval_store)
     assert np.array_equal(first, third)
-    assert manager.stats["cache"]["hits"] > hits_before
+    assert manager.last_store_scan["chunk_evals"] > 0
+    assert manager.last_store_scan["watermark_skipped"] == 0
     assert np.array_equal(first, manager.predict(sid, store_table.data))
     manager.close_session(sid)
 
