@@ -156,6 +156,24 @@ class TestServingWaveMetrics:
         assert manager.adapted_total == \
             metrics.value("serve.manager.adapt.total") > 0
 
+    def test_a_repeated_wave_records_no_answer_cache(self, obs_lte,
+                                                     obs_subspaces,
+                                                     make_oracle,
+                                                     eval_rows):
+        """No registry — the manager's or the process-wide merge —
+        carries a per-answer cache row, even after a repeat that such a
+        cache would have answered."""
+        manager = SessionManager(obs_lte)
+        sids, first = _serve_wave(manager, make_oracle(41), obs_subspaces,
+                                  eval_rows)
+        again = manager.predict_many(sids, eval_rows)
+        for sid in sids:
+            assert np.array_equal(again[sid], first[sid])
+        for names in (manager.metrics.snapshot(), obs.aggregate()):
+            assert names
+            assert not [name for name in names
+                        if name.startswith("serve.cache.")]
+
     def test_spans_cover_adapt_and_predict(self, obs_lte, obs_subspaces,
                                            make_oracle, eval_rows):
         manager = SessionManager(obs_lte)

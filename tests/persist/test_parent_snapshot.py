@@ -103,3 +103,61 @@ def test_a_parent_format_checkpoint_restores_and_answers_alike(
     out = capsys.readouterr().out
     assert "kind: session-manager" in out
     assert "watermarks: {} (stores 1)".format(len(sids)) in out
+
+
+def _fed_manager(lte, subspaces, make_oracle, n_sessions):
+    manager = SessionManager(lte)
+    sids = []
+    for k in range(n_sessions):
+        sid = manager.open_session(variant="meta_star",
+                                   subspaces=subspaces, seed=k)
+        oracle = make_oracle(720 + k)
+        for subspace, tuples in manager.initial_tuples(sid).items():
+            manager.submit_labels(sid, subspace,
+                                  oracle.label_subspace(subspace, tuples))
+        sids.append(sid)
+    return manager, sids
+
+
+def test_a_parent_format_snapshot_with_queued_work_flushes_alike(
+        persist_lte, persist_subspaces, make_oracle, eval_rows):
+    """The parent's ``"cache"`` field rides along with a queue that was
+    never flushed: the restored queue adapts exactly as the live one."""
+    manager, sids = _fed_manager(persist_lte, persist_subspaces,
+                                 make_oracle, 2)
+    snapshot = manager.snapshot()
+    assert len(snapshot["queue"]) == 2 * len(persist_subspaces)
+    snapshot["cache"] = {"capacity": 1024, "hits": 0, "misses": 0,
+                         "entries": []}
+    restored = SessionManager.restore(persist_lte, snapshot)
+    assert restored.pending() == manager.pending()
+    assert restored.flush() == manager.flush()
+    for sid in sids:
+        assert np.array_equal(restored.predict(sid, eval_rows),
+                              manager.predict(sid, eval_rows))
+
+
+def test_load_counts_no_watermarks_before_a_store_scan(
+        tmp_path, persist_lte, persist_subspaces, make_oracle, capsys):
+    manager, sids = _fed_manager(persist_lte, persist_subspaces,
+                                 make_oracle, 2)
+    persist.save_manager(tmp_path / "serving", manager)
+    assert persist_cli(["load", str(tmp_path / "serving")]) == 0
+    out = capsys.readouterr().out
+    assert "sessions: {}   queued: {}   watermarks: 0 (stores 0)".format(
+        len(sids), 2 * len(persist_subspaces)) in out
+
+
+def test_load_counts_watermarks_per_store(
+        tmp_path, persist_lte, persist_subspaces, make_oracle, capsys):
+    manager, sids = _fed_manager(persist_lte, persist_subspaces,
+                                 make_oracle, 3)
+    rows = persist_lte.table.sample_rows(300, seed=11)
+    stores = [Table("CAR", persist_lte.table.attributes, part)
+              .to_store(chunk_rows=64) for part in (rows[:200], rows[200:])]
+    manager.predict_many_store(sids, stores[0])
+    manager.predict_many_store(sids[:2], stores[1])
+    persist.save_manager(tmp_path / "serving", manager)
+    assert persist_cli(["load", str(tmp_path / "serving")]) == 0
+    out = capsys.readouterr().out
+    assert "sessions: 3   queued: 0   watermarks: 5 (stores 2)" in out

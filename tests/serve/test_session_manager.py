@@ -328,6 +328,73 @@ class TestIsolation:
         assert ss_b.model_version == 0
 
 
+class TestRepeatedPredictions:
+    """Nothing is memoized per answer: a repeat recomputes, so what a
+    session answers follows its models at the moment it is asked."""
+
+    def test_new_labels_bump_the_version_and_answer_like_a_solo_session(
+            self, manager, serve_lte, serve_subspaces, make_oracle,
+            eval_rows):
+        oracle = make_oracle(31)
+        subspace = serve_subspaces[0]
+        state = serve_lte.states[subspace]
+        sid = manager.open_session(subspaces=[subspace])
+        tuples = manager.initial_tuples(sid)[subspace]
+        manager.submit_labels(sid, subspace,
+                              oracle.label_subspace(subspace, tuples))
+        manager.predict(sid, eval_rows)
+        version = manager.session(sid)._subsessions[subspace].model_version
+
+        extra = state.to_raw(state.data[30:36])
+        manager.add_labels(sid, subspace, extra,
+                           oracle.label_subspace(subspace, extra))
+        refreshed = manager.predict(sid, eval_rows)
+        assert manager.session(sid)._subsessions[subspace].model_version \
+            == version + 1
+
+        solo = serve_lte.start_session(subspaces=[subspace])
+        solo.submit_labels(subspace, oracle.label_subspace(
+            subspace, solo.initial_tuples()[subspace]))
+        solo.add_labels(subspace, extra,
+                        oracle.label_subspace(subspace, extra))
+        assert np.array_equal(refreshed, solo.predict(eval_rows))
+
+    def test_predict_many_answers_each_session_as_predict_does(
+            self, manager, serve_subspaces, make_oracle, eval_rows):
+        subspace = serve_subspaces[0]
+        sids = []
+        for seed in (32, 42):
+            oracle = make_oracle(seed)
+            sid = manager.open_session(subspaces=[subspace])
+            tuples = manager.initial_tuples(sid)[subspace]
+            manager.submit_labels(sid, subspace,
+                                  oracle.label_subspace(subspace, tuples))
+            sids.append(sid)
+        results = manager.predict_many(sids, eval_rows)
+        assert set(results) == set(sids)
+        assert results[sids[0]] is not results[sids[1]]
+        for sid in sids:
+            assert np.array_equal(results[sid],
+                                  manager.predict(sid, eval_rows))
+
+    def test_a_closed_session_leaves_the_others_answers_alike(
+            self, manager, serve_subspaces, make_oracle, eval_rows):
+        sids = []
+        for seed in (33, 43):
+            oracle = make_oracle(seed)
+            sid = manager.open_session(subspaces=serve_subspaces)
+            for subspace, tuples in manager.initial_tuples(sid).items():
+                manager.submit_labels(
+                    sid, subspace, oracle.label_subspace(subspace, tuples))
+            sids.append(sid)
+        before = manager.predict_many(sids, eval_rows)
+        manager.close_session(sids[0])
+        with pytest.raises(KeyError):
+            manager.predict(sids[0], eval_rows)
+        assert np.array_equal(manager.predict(sids[1], eval_rows),
+                              before[sids[1]])
+
+
 class TestDeterminism:
     def test_hundred_adapt_cycles_deterministic(self, serve_lte,
                                                 serve_subspaces,
@@ -377,6 +444,23 @@ class TestStats:
         assert value("serve.manager.queue.depth") == 0
         assert value("serve.manager.adapt.batches") == 1
         assert value("serve.manager.adapt.total") == len(serve_subspaces)
+
+    def test_a_snapshot_carries_no_prediction_cache(
+            self, manager, serve_lte, serve_subspaces, make_oracle,
+            eval_rows):
+        oracle = make_oracle(63)
+        sid = manager.open_session(subspaces=serve_subspaces)
+        for subspace, tuples in manager.initial_tuples(sid).items():
+            manager.submit_labels(sid, subspace,
+                                  oracle.label_subspace(subspace, tuples))
+        expected = manager.predict(sid, eval_rows)
+        snapshot = manager.snapshot()
+        assert set(snapshot) == {
+            "next_id", "adapt_batches", "adapted_total", "metrics",
+            "sessions", "queue", "session_errors", "hulls", "store_marks"}
+        restored = SessionManager.restore(serve_lte, snapshot)
+        assert restored.metrics.snapshot() == manager.metrics.snapshot()
+        assert np.array_equal(restored.predict(sid, eval_rows), expected)
 
     def test_region_packs_reused_across_model_versions(
             self, manager, serve_subspaces, make_oracle, eval_rows):

@@ -105,6 +105,60 @@ class TestGatewayProtocol:
             retrieved = gateway.retrieve(sid, rows=eval_rows)
             assert len(retrieved) == int(predictions.sum())
 
+    def test_every_reply_carries_the_workers_pending_count(
+            self, shard_lte, shard_subspaces, make_oracle):
+        """Submit, add, close, flush and poll replies each report the
+        worker's queued label batches, which the gateway keeps as that
+        worker's pending count."""
+        oracle = make_oracle(13)
+        subspace = shard_subspaces[0]
+        state = shard_lte.states[subspace]
+        with ShardGateway(shard_lte, n_workers=1) as gateway:
+            def pending():
+                return gateway.stats()["pending"][0]
+
+            sid_a, sid_b = (gateway.open_session(subspaces=shard_subspaces,
+                                                 seed=s) for s in (0, 1))
+            feed_session(gateway, oracle, sid_a)
+            assert pending() == len(shard_subspaces)
+            feed_session(gateway, oracle, sid_b)
+            assert pending() == 2 * len(shard_subspaces)
+            gateway.close_session(sid_a)
+            assert pending() == len(shard_subspaces)
+            assert gateway.flush_all() == len(shard_subspaces)
+            assert pending() == 0
+            extra = state.to_raw(state.data[10:14])
+            gateway.add_labels(sid_b, subspace, extra,
+                               oracle.label_subspace(subspace, extra))
+            assert pending() == 1
+            assert gateway.poll(sid_b, advance=False)["pending"] != []
+            assert pending() == 1
+            assert gateway.poll(sid_b)["pending"] == []
+            assert pending() == 0
+
+    def test_worker_stats_carry_the_managers_counts(self, shard_lte,
+                                                    shard_subspaces,
+                                                    make_oracle):
+        oracle = make_oracle(17)
+        with ShardGateway(shard_lte, n_workers=2) as gateway:
+            sids = [gateway.open_session(subspaces=shard_subspaces, seed=s)
+                    for s in range(2)]
+            for sid in sids:
+                feed_session(gateway, oracle, sid)
+            gateway.flush_all()
+            stats = gateway.stats()
+        assert stats["sessions"] == len(sids)
+        for index, entry in enumerate(stats["workers"]):
+            assert set(entry) == {
+                "sessions", "queued", "adapt_batches", "adapted_total",
+                "worker", "model", "alive", "queue_depth",
+                "last_rpc_seconds", "last_rpc_method"}
+            assert entry["worker"] == index
+            assert (entry["sessions"], entry["queued"],
+                    entry["adapt_batches"], entry["adapted_total"]) == \
+                (1, 0, 1, len(shard_subspaces))
+            assert entry["model"] == stats["model"]
+
     def test_hostile_labels_rejected_by_the_worker(self, shard_lte,
                                                    shard_subspaces,
                                                    make_oracle, eval_rows):

@@ -213,6 +213,40 @@ def test_readaptation_invalidates_only_that_sessions_mark(store_lte,
         assert np.array_equal(results[sid], full[sid])
 
 
+def test_a_lost_watermark_rescans_only_that_session(store_lte,
+                                                   store_subspaces,
+                                                   store_table,
+                                                   make_oracle):
+    """Nothing else remembers a session's chunk answers: once its
+    watermark is gone it rescans the whole store, while the others
+    still skip their closed prefix — and all answer as a full rescan."""
+    store = store_table.to_store(chunk_rows=256)
+    manager = SessionManager(store_lte)
+    oracles = make_oracle(seed=47, count=2)
+    sids = [manager.open_session(variant="meta_star",
+                                 subspaces=store_subspaces, seed=i)
+            for i in range(2)]
+    for sid, oracle in zip(sids, oracles):
+        feed(manager, sid, oracle)
+    manager.flush()
+    manager.predict_many_store(sids, store)
+    closed_before = store.closed_chunks
+    assert closed_before > 0
+
+    del manager._store_marks[(sids[0], store.uid)]
+    store.append_blocks([grow(store_table, 300)])
+    results = manager.predict_many_store(sids, store)
+    scan = dict(manager.last_store_scan)
+    assert scan["sessions_served_from_mark"] == 0
+    assert scan["watermark_skipped"] == closed_before
+    assert scan["chunk_evals"] == 2 * store.n_chunks - closed_before
+
+    manager._store_marks.clear()
+    full = manager.predict_many_store(sids, store)
+    for sid in sids:
+        assert np.array_equal(results[sid], full[sid])
+
+
 def test_predict_group_spans_artifact_generations(store_lte,
                                                   store_subspaces,
                                                   store_table, make_oracle):
