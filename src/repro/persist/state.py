@@ -30,8 +30,11 @@ default config over the four 2-D subspaces of a 16 384-row SDSS table on
 2 cores — median of 7, re-measured at PR 24, where this host also reads
 0.36 s at the parent; most of it the three k-means rounds a subspace,
 and no hull is built before a session or a task asks for one) and then
-:func:`load_pretrained` (instant: ~20 ms), as
-``benchmarks/bench_serving_throughput.py`` does for its warm starts.
+:func:`load_pretrained` (instant: ~20 ms).  The end-to-end benchmark's
+``paper_nets`` workload restores its set-up model this way, checks that
+the copy answers like the original, and reports the checkpoint's write
+and read as ``persist.save_pretrained_ms`` and
+``persist.load_pretrained_ms``.
 """
 
 from __future__ import annotations

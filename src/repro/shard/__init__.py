@@ -26,9 +26,9 @@ tier above it: a :class:`ShardGateway` front end that
 
 Per-worker semantics are exactly the single-process manager's, so
 gateway predictions are bit-identical to an unsharded
-:class:`~repro.serve.SessionManager` (``tests/shard``), while
-``benchmarks/bench_shard_scaling.py`` measures the sessions/sec scaling
-across worker counts.
+:class:`~repro.serve.SessionManager` (``tests/shard``).  The end-to-end
+benchmark's ``shard_fleet`` workload reads the sessions/sec of two
+workers against one in-process manager as ``shard.scaling_x``.
 
 Quickstart (mirrors ``examples/sharded_serving.py``)::
 

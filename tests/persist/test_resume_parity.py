@@ -8,9 +8,15 @@ predictions AND continue its counters exactly like the manager that was
 never interrupted, for all three variants.
 """
 
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro import persist
 from repro.explore import score_session
 from repro.serve import SessionManager
@@ -177,3 +183,58 @@ def test_restore_against_reloaded_pretrained_lte(tmp_path, persist_table,
     fresh_rows = persist_lte.table.sample_rows(120, seed=91)
     assert np.array_equal(manager2.predict(sid, fresh_rows),
                           manager.predict(sid, fresh_rows))
+
+
+_FIT_AND_SAVE = """
+import pickle
+import sys
+
+from repro import persist
+from repro.core import LTE
+
+with open(sys.argv[1], "rb") as fh:
+    config, table, subspaces = pickle.load(fh)
+lte = LTE(config)
+lte.fit_offline(table, subspaces=subspaces)
+persist.save_pretrained(sys.argv[2], lte)
+"""
+
+
+def test_pretrained_checkpoint_outlives_its_process(tmp_path, persist_table,
+                                                    persist_config,
+                                                    persist_subspaces,
+                                                    persist_lte, make_oracle,
+                                                    eval_rows):
+    """Save -> exit -> restore: a checkpoint a child process fits and
+    writes, loaded into a system prepared with ``train=False``, serves
+    exactly what the system trained in this process serves."""
+    from repro.core import LTE
+
+    system = tmp_path / "system.pkl"
+    with open(system, "wb") as fh:
+        pickle.dump((persist_config, persist_table, persist_subspaces), fh)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", _FIT_AND_SAVE, str(system),
+                    str(tmp_path / "lte")], env=env, check=True,
+                   capture_output=True, text=True)
+
+    restored = LTE(persist_config)
+    restored.fit_offline(persist_table, subspaces=persist_subspaces,
+                         train=False)
+    persist.load_pretrained(tmp_path / "lte", restored)
+
+    oracle = make_oracle(410)
+    answers = []
+    for lte in (persist_lte, restored):
+        manager = SessionManager(lte)
+        sids = [manager.open_session(variant=variant,
+                                     subspaces=persist_subspaces, seed=6)
+                for variant in ("meta", "meta_star")]
+        for sid in sids:
+            _label_initial(manager, sid, oracle)
+        manager.flush()
+        answers.append([manager.predict_many(sids, eval_rows)[sid]
+                        for sid in sids])
+    for trained, loaded in zip(*answers):
+        assert np.array_equal(trained, loaded)

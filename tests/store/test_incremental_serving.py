@@ -93,6 +93,7 @@ def test_manager_incremental_parity_and_accounting(store_lte,
     manager.flush()
 
     first = manager.predict_many_store(sids, store)
+    closed_before = store.closed_chunks
     store.append_blocks([grow(store_table, 400)])
 
     incremental = manager.predict_many_store(sids, store)
@@ -100,6 +101,8 @@ def test_manager_incremental_parity_and_accounting(store_lte,
     assert scan["sessions"] == 3
     assert scan["watermark_skipped"] > 0        # closed prefix not re-run
     assert scan["chunk_evals"] < scan["chunk_evals_possible"]
+    # At most the chunks past the watermark, for every session.
+    assert scan["chunk_evals"] <= 3 * (store.n_chunks - closed_before)
     assert scan["sessions_served_from_mark"] == 0   # the store did grow
 
     manager._store_marks.clear()
@@ -280,12 +283,25 @@ def test_predict_group_spans_artifact_generations(store_lte,
 # Drift-triggered refresh
 # ----------------------------------------------------------------------
 def test_drift_triggers_subspace_refresh(store_lte, store_subspaces,
-                                         store_table):
+                                         store_table, make_oracle):
     lte = copy.deepcopy(store_lte)
     store = store_table.to_store(chunk_rows=256)
     monitor = lte.freshness_monitor(threshold=0.2)
     monitor.observe(store)
     assert monitor.drifted() == []
+
+    # Live sessions, adapted and watermarked before the drift.
+    manager = SessionManager(lte)
+    oracles = make_oracle(seed=53, count=2)
+    sids = [manager.open_session(variant="meta_star",
+                                 subspaces=store_subspaces, seed=i)
+            for i in range(2)]
+    for sid, oracle in zip(sids, oracles):
+        feed(manager, sid, oracle)
+    manager.flush()
+    manager.predict_many_store(sids, store)
+    closed_before = store.closed_chunks
+    assert closed_before > 0
 
     target = store_subspaces[0]
     drifting = grow(store_table, 200)
@@ -296,7 +312,7 @@ def test_drift_triggers_subspace_refresh(store_lte, store_subspaces,
     assert monitor.drifted() == [target]
 
     old_state = lte.states[target]
-    refreshed = lte.refresh_drifted(store, monitor, train=False)
+    refreshed = lte.refresh_drifted(store, monitor, train=True)
     assert refreshed == [target]
     # Zero-downtime half: the state is replaced, never mutated.
     assert lte.states[target] is not old_state
@@ -306,6 +322,16 @@ def test_drift_triggers_subspace_refresh(store_lte, store_subspaces,
     assert monitor.drifted() == []
     monitor.observe(store)
     assert monitor.drifted() == []
+
+    # The live sessions keep serving across the swap: their incremental
+    # scan skips the closed prefix and equals a cold full rescan.
+    incremental = manager.predict_many_store(sids, store)
+    assert manager.last_store_scan["watermark_skipped"] == \
+        closed_before * len(sids)
+    manager._store_marks.clear()
+    full = manager.predict_many_store(sids, store)
+    for sid in sids:
+        assert np.array_equal(incremental[sid], full[sid])
 
 
 def test_gateway_refresh_model_rolls_out_live(tmp_path, store_config,

@@ -150,3 +150,26 @@ class TestPaperDefaults:
     def test_variants_tuple(self):
         from repro.core import VARIANTS
         assert VARIANTS == ("basic", "meta", "meta_star")
+
+
+def test_knob_catalogue():
+    """Every ``REPRO_*`` switch read through ``os.environ`` outside the
+    end-to-end benchmark (which only scans the prefix).  The two store
+    bench knobs go with ``benchmarks/bench_store_scan.py`` once an e2e
+    workload measures zone-map pruning."""
+    import pathlib
+    import re
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parents[2]
+    read = re.compile(r"""os\.(?:environ(?:\.get)?\s*[(\[]|getenv\s*\()"""
+                      r"""\s*["'](REPRO_[A-Z_]+)["']""")
+    e2e = root / "benchmarks" / "e2e"
+    knobs = {knob
+             for folder in ("src", "examples", "benchmarks")
+             for path in (root / folder).rglob("*.py")
+             if e2e not in path.parents
+             for knob in read.findall(path.read_text())}
+    assert knobs == {"REPRO_OBS", "REPRO_SCALE", "REPRO_DATA_BACKEND",
+                     "REPRO_STORE_MIN_SPEEDUP", "REPRO_STORE_BASELINE"}
