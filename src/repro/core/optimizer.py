@@ -99,8 +99,8 @@ class HullRegistry:
 
     The checkpointed form includes each hull's **packed halfspace
     lowering** alongside its point set, so restores rebuild hulls via
-    :meth:`~repro.geometry.convex_hull.Hull.from_halfspaces` — no SVD or
-    Qhull run, and the restored facet rows (hence every membership mask)
+    :meth:`~repro.geometry.convex_hull.Hull.from_halfspaces` — no SVD and
+    no hull build, and the restored facet rows (hence every membership mask)
     are bit-identical by construction.
     """
 
@@ -156,7 +156,7 @@ class HullRegistry:
     @classmethod
     def restore(cls, entries):
         """Rebuild the shared hull objects from :meth:`state` output —
-        no SVD or Qhull run.  An entry without the packed facet arrays
+        no SVD and no hull build.  An entry without the packed facet arrays
         (the bare point set of a pre-engine checkpoint) is refused."""
         facets = ("A", "b", "tol_scale", "tol_fixed")
         hulls = []
@@ -166,7 +166,7 @@ class HullRegistry:
             if missing:
                 raise ValueError(
                     "hull entry {} holds no facet arrays {}: a points-only "
-                    "hull state is not rebuilt (that would re-run Qhull); "
+                    "hull state is not rebuilt (that would rebuild it); "
                     "save the checkpoint again from a live system"
                     .format(i, ", ".join(missing)))
             hulls.append(Hull.from_halfspaces(

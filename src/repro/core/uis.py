@@ -12,8 +12,8 @@ convex region is ``alpha = 1``.
 around a seed center depends on nothing but ``(centers, proximity)``,
 so :class:`UISGenerator` sorts P_u once and keeps one
 :class:`~repro.geometry.convex_hull.Hull` per seed center it has drawn:
-however many regions a generator hands out, it runs Qhull at most ku
-times, and regions that drew the same seed share the hull *object*
+however many regions a generator hands out, it builds at most ku
+hulls, and regions that drew the same seed share the hull *object*
 (hulls are immutable; the packed engine and ``HullRegistry`` dedup by
 identity).  The memo lives and dies with its generator.  The per-draw
 construction it replaced is the oracle of

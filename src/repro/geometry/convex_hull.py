@@ -18,7 +18,11 @@ stacked facet-for-facet into the packed engine
 in one BLAS call.  The lowering rules:
 
 * **1-D interval** ``[lo, hi]`` -> rows ``(+1, -hi)`` and ``(-1, +lo)``;
-* **full-dimensional** -> Qhull's facet equations verbatim;
+* **full-dimensional 2-D** -> one row per edge of the monotone chain
+  (:func:`convex_hull_vertices_2d`): the unit outward normal ``n`` and
+  offset ``-n . v``, the layout of Qhull's facet equations;
+* **full-dimensional, 3-D and up** -> Qhull's facet equations verbatim
+  (scipy is imported on the first such hull, never at ``import repro``);
 * **degenerate affine span** (rank r < d) -> two opposing rows per
   orthonormal complement direction (an on-the-span band of fixed width
   ``1e-6 * scale``) plus the recursively lowered sub-hull of the points
@@ -38,13 +42,10 @@ test.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
-# A hard dependency: without Qhull every full-dimensional hull would have
-# to be something else — a missing scipy fails here, at ``import repro``.
-from scipy.spatial import ConvexHull as _SciPyHull
-from scipy.spatial import QhullError
 
 from ..obs import default_registry
 
@@ -98,34 +99,117 @@ def as_query_array(points, dim):
     return points
 
 
+# Directions 0°, 45°, ..., 315° as columns: the points extreme along
+# them are hull points in counter-clockwise order (Akl–Toussaint).
+_OCTANTS = np.array([[1.0, 1.0, 0.0, -1.0, -1.0, -1.0, 0.0, 1.0],
+                     [0.0, 1.0, 1.0, 1.0, 0.0, -1.0, -1.0, -1.0]])
+# From this many points on, the prefilter costs less than the chain saves.
+_PREFILTER_MIN_POINTS = 32
+
+
+def _outside_octagon(pts):
+    """Drop the points strictly inside the octagon of extreme points.
+
+    Such a point is no hull vertex, so the chain need never see it.
+    "Strictly" means by more than ``4e-12 * reach**2`` in cross product,
+    ``reach`` bounding every coordinate (so ``2 * reach`` every normal
+    component): over a hundred times the rounding of the products, so
+    no point on or near an edge is dropped.  Edges between coinciding
+    corners constrain nothing.
+    """
+    corners = pts[(pts @ _OCTANTS).argmax(axis=0)].tolist()
+    reach = max(max(abs(x), abs(y)) for x, y in corners)
+    rows = []   # per edge c -> d: its inward normal, then n . c
+    for (cx, cy), (dx, dy) in zip(corners, corners[1:] + corners[:1]):
+        if cx != dx or cy != dy:
+            nx, ny = cy - dy, dx - cx
+            rows += (nx, ny, nx * cx + ny * cy)
+    if not rows:
+        return pts
+    rows = np.array(rows).reshape(-1, 3)
+    depth = rows[:, :2] @ pts.T
+    margin = 4e-12 * reach * reach
+    return pts[(depth <= rows[:, 2:] + margin).any(axis=0)]
+
+
+def _half_chain(rows):
+    """One monotone half-chain over lexicographically ordered points:
+    every point that does not make a strict left turn is popped."""
+    chain = []
+    for p in rows:
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _chain_2d(points):
+    """:func:`convex_hull_vertices_2d` as a list of ``(x, y)`` tuples."""
+    pts = np.asarray(points, dtype=np.float64)
+    if len(pts) >= _PREFILTER_MIN_POINTS:
+        pts = _outside_octagon(pts)
+    rows = sorted(set(map(tuple, pts.tolist())))
+    if len(rows) <= 2:
+        return rows
+    return _half_chain(rows)[:-1] + _half_chain(rows[::-1])[:-1]
+
+
 def convex_hull_vertices_2d(points):
     """Andrew's monotone chain: CCW hull vertices of 2-D points.
 
-    A dependency-free 2-D hull used for cross-checking the scipy-based
-    implementation in tests and as a fallback; returns the vertices in
-    counter-clockwise order without repetition.
+    The builder of every full-dimensional 2-D :class:`Hull`.  Returns
+    the distinct vertices in counter-clockwise order from the
+    lexicographically smallest, without repetition; points on an edge
+    are not vertices, so a collinear set returns its two ends, and
+    fewer than three distinct points come back sorted.  Sets of 32
+    points or more first drop the points strictly inside their
+    extreme-point octagon, which holds no vertex.
     """
-    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
-    if len(pts) <= 2:
-        return pts
-    # Sort lexicographically.
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    return np.array(_chain_2d(points), dtype=np.float64).reshape(-1, 2)
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.asarray(lower[:-1] + upper[:-1])
+def _facets_2d(points):
+    """``[A | b]`` facet rows of a 2-D set's hull, and its vertices.
+
+    One row per counter-clockwise edge ``v -> w``: the unit outward
+    normal ``n = (w_y - v_y, v_x - w_x) / |w - v|`` and the offset
+    ``-n . v``, so ``A x + b <= 0`` inside, as in Qhull's equations.
+    ``None`` when the chain finds fewer than three vertices (a sliver
+    whose crosses all round to zero).
+    """
+    vertices = _chain_2d(points)
+    if len(vertices) < 3:
+        return None
+    rows = []
+    for (vx, vy), (wx, wy) in zip(vertices, vertices[1:] + vertices[:1]):
+        nx, ny = wy - vy, vx - wx
+        norm = math.sqrt(nx * nx + ny * ny)
+        nx, ny = nx / norm, ny / norm
+        rows.append((nx, ny, -(nx * vx + ny * vy)))
+    return np.array(rows), np.array(vertices)
+
+
+def _qhull(points, options=None):
+    """Qhull's ``(equations, vertex indices)`` for a 3-D-or-more set.
+
+    ``None`` if Qhull rejects the set (a ``QhullError``).  scipy is
+    imported here, on the first such hull, never at ``import repro``;
+    without it this raises ``ImportError`` naming scipy.
+    """
+    try:
+        from scipy.spatial import ConvexHull, QhullError
+    except ImportError as exc:
+        raise ImportError(
+            "a convex hull of {}-D points needs scipy (Qhull); 2-D hulls "
+            "do not".format(np.shape(points)[1])) from exc
+    try:
+        hull = ConvexHull(points, qhull_options=options)
+    except QhullError:
+        return None
+    return hull.equations, hull.vertices
 
 
 class Hull:
@@ -134,8 +218,11 @@ class Hull:
     Handles three regimes:
 
     * 1-D point sets -> an interval [min, max];
-    * full-dimensional sets -> Qhull half-space representation
-      ``A x + b <= 0``;
+    * full-dimensional sets -> half-space representation ``A x + b <= 0``:
+      in 2-D one row per edge of the monotone chain
+      (:func:`convex_hull_vertices_2d`), from 3-D up Qhull's facets
+      (which need scipy, imported on the first such hull; without it
+      the hull raises ``ImportError``);
     * degenerate sets (points lying in an affine subspace, e.g. collinear
       2-D samples) -> hull of the points projected onto their affine span,
       plus a per-direction "on-the-span" band check (see the module
@@ -180,19 +267,22 @@ class Hull:
         rank = int(np.sum(s > 1e-9 * scale))
         if rank >= self.dim and len(pts) > self.dim:
             default_registry().counter("geometry.hull.builds").inc()
-            try:
-                hull = _SciPyHull(pts)
-                self._equations = hull.equations
-                self.vertices = pts[hull.vertices]
-                return
-            except QhullError:
-                try:  # joggle inputs to break precision degeneracies
-                    hull = _SciPyHull(pts, qhull_options="QJ")
-                    self._equations = hull.equations
-                    self.vertices = pts[hull.vertices]
+            if self.dim == 2:
+                facets = _facets_2d(pts)
+                if facets is not None:
+                    self._equations, self.vertices = facets
                     return
-                except QhullError:
-                    pass  # fall through to the degenerate path
+                rank = 1  # a sliver the chain calls collinear: a span
+            else:
+                # A rejected set is retried with joggled inputs ("QJ")
+                # to break precision degeneracies; a second rejection
+                # falls through to the bounding box below.
+                for options in (None, "QJ"):
+                    found = _qhull(pts, options)
+                    if found is not None:
+                        self._equations = found[0]
+                        self.vertices = pts[found[1]]
+                        return
         if rank == 0:
             # All points coincide: a zero-width band in every direction.
             self._span = (origin, np.zeros((0, self.dim)), None)
@@ -200,8 +290,9 @@ class Hull:
             self.vertices = pts[:1]
             return
         if rank >= self.dim:
-            # Full-rank input on which Qhull failed twice: conservative
-            # bounding-box fallback (guards against unbounded recursion).
+            # Full-rank 3-D-or-more input on which Qhull failed twice:
+            # conservative bounding-box fallback (guards against
+            # unbounded recursion).
             self._span = None
             lo, hi = pts.min(axis=0), pts.max(axis=0)
             eye = np.eye(self.dim)

@@ -96,7 +96,7 @@ class SessionManager:
         # compile is a cheap vstack of per-hull precompiled lowerings,
         # and the LRU bounds the subset entries.  Restored managers rebuild
         # packs from the checkpoint's serialized facet form without
-        # ever re-running Qhull.
+        # ever rebuilding a hull.
         self._region_packs = HullPackCache(capacity=128,
                                            metrics=self.metrics)
         self._sessions = {}

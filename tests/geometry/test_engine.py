@@ -239,29 +239,31 @@ def test_masks_do_not_depend_on_the_blas_kernel(record_property):
 # Qhull failure fallbacks (joggle, bounding box) stay parity-exact.
 # ----------------------------------------------------------------------
 class _FlakyQhull:
+    """The ``_qhull`` seam, rejecting its first ``failures`` sets the
+    way it reports a ``QhullError``: by returning ``None``."""
+
     def __init__(self, real, failures):
         self.real = real
         self.failures = failures
-        self.calls = 0
+        self.options = []
 
-    def __call__(self, points, qhull_options=None):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise convex_hull_module.QhullError("forced failure")
-        if qhull_options is not None:
-            return self.real(points, qhull_options=qhull_options)
-        return self.real(points)
+    def __call__(self, points, options=None):
+        self.options.append(options)
+        if len(self.options) <= self.failures:
+            return None
+        return self.real(points, options)
 
 
 @pytest.mark.parametrize("failures", [1, 2])
 def test_qhull_fallback_pack_parity(monkeypatch, failures):
-    """Joggle retry (1 failure) and bbox fallback (2) both pack exactly."""
+    """Joggle retry (1 failure) and bbox fallback (2) both pack exactly.
+    Only hulls of three or more dimensions reach Qhull."""
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(12, 3))
-    flaky = _FlakyQhull(convex_hull_module._SciPyHull, failures)
-    monkeypatch.setattr(convex_hull_module, "_SciPyHull", flaky)
+    flaky = _FlakyQhull(convex_hull_module._qhull, failures)
+    monkeypatch.setattr(convex_hull_module, "_qhull", flaky)
     hull = Hull(pts)
-    assert flaky.calls >= failures
+    assert flaky.options == [None, "QJ"]
     queries = np.vstack([pts, rng.normal(size=(50, 3)) * 2])
     assert hull.contains(pts).all()
     assert np.array_equal(PackedHulls([hull]).membership(queries)[:, 0],
@@ -520,14 +522,17 @@ class TestPackedSerialization:
             assert np.array_equal(system_a.b, system_b.b)
 
     def test_restore_never_recompiles(self, monkeypatch):
-        """No Qhull and no SVD run when restoring the packed form."""
+        """No hull builder (the 2-D chain, Qhull) and no SVD run when
+        restoring the packed form."""
         registry, _ = self._zoo_registry()
+        registry.add(Hull(np.random.default_rng(9).normal(size=(12, 3))))
         state = registry.state()
 
         def boom(*args, **kwargs):
             raise AssertionError("geometry was recompiled on restore")
 
-        monkeypatch.setattr(convex_hull_module, "_SciPyHull", boom)
+        monkeypatch.setattr(convex_hull_module, "_facets_2d", boom)
+        monkeypatch.setattr(convex_hull_module, "_qhull", boom)
         monkeypatch.setattr(np.linalg, "svd", boom)
         restored = HullRegistry.restore(state)
         assert len(restored.hulls) == len(registry.hulls)
@@ -546,7 +551,8 @@ class TestPackedSerialization:
         def boom(*args, **kwargs):
             raise AssertionError("a refused restore built a hull")
 
-        monkeypatch.setattr(convex_hull_module, "_SciPyHull", boom)
+        monkeypatch.setattr(convex_hull_module, "_facets_2d", boom)
+        monkeypatch.setattr(convex_hull_module, "_qhull", boom)
         monkeypatch.setattr(np.linalg, "svd", boom)
         for entry in (points, {"points": points}):
             with pytest.raises(ValueError, match="entry 1 .* A, b, "

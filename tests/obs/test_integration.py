@@ -390,8 +390,9 @@ class TestOfflinePreparationMetrics:
 
 class TestHullBuildAndGenerationMetrics:
     """Meta-task generation sits between ``core.offline.prepare`` and the
-    training epochs; it has a histogram of its own, and every Qhull run
-    — offline or in a flush — is counted where it happens."""
+    training epochs; it has a histogram of its own, and every
+    full-dimensional hull build — offline or in a flush — is counted
+    where it happens."""
 
     NAMES = ("core.offline.generate.seconds", "geometry.hull.builds")
 
@@ -410,8 +411,8 @@ class TestHullBuildAndGenerationMetrics:
         assert generate["count"] == len(lte.states)   # one a subspace
         assert 0 < generate["sum"] <= lte.offline_seconds_
         # 40 tasks x 4 parts draw 160 seeds a subspace out of 25: the
-        # per-draw construction ran Qhull 320 times over the two 2-D
-        # subspaces (the 1-D one builds intervals, no Qhull).
+        # per-draw construction built 320 full-dimensional hulls over the
+        # two 2-D subspaces (the 1-D one builds intervals).
         full_dim = sum(subspace.dim > 1 for subspace in lte.states)
         builds = snap["geometry.hull.builds"]
         assert builds["kind"] == "counter"

@@ -19,6 +19,35 @@ def test_package_imports_and_all_resolves(name):
         assert hasattr(module, symbol), "{}.{} missing".format(name, symbol)
 
 
+def test_importing_every_module_leaves_scipy_unloaded():
+    """scipy is imported by the first hull of three or more dimensions
+    and by nothing else: a fresh interpreter that imports ``repro``, every
+    subpackage and every module under them has not loaded it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import repro\n"
+        "names = [m.name for m in pkgutil.walk_packages(repro.__path__,\n"
+        "                                               'repro.')\n"
+        "         if not m.name.endswith('__main__')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "assert {} <= set(names), sorted(names)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n"
+    ).format(set(PACKAGES) - {"repro"})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_top_level_exports():
     import repro
     assert repro.LTE is not None
