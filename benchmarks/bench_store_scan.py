@@ -39,8 +39,7 @@ from repro.store import ChunkScan, ChunkStore
 
 CHUNK_ROWS = 16_384
 #: Rows per size; the largest carries the acceptance bar.
-QUICK_SIZES = (100_000, 300_000, 1_000_000)
-FULL_SIZES = QUICK_SIZES + (3_000_000,)
+SIZES = (100_000, 300_000, 1_000_000)
 # 5x is the acceptance bar on dedicated hardware; shared CI runners set
 # REPRO_STORE_MIN_SPEEDUP lower so timing noise cannot block merges.
 MIN_SPEEDUP = float(os.environ.get("REPRO_STORE_MIN_SPEEDUP", "5.0"))
@@ -109,8 +108,8 @@ def _best_of(fn, repeats=3):
 
 @pytest.mark.store
 @pytest.mark.benchmark(group="store")
-def test_store_scan_speedup(benchmark, scale, report, tmp_path):
-    sizes = QUICK_SIZES if scale.name == "quick" else FULL_SIZES
+def test_store_scan_speedup(benchmark, capsys, tmp_path):
+    sizes = SIZES
 
     def run():
         series = {"full_ms": [], "pruned_ms": [], "speedup": [],
@@ -139,7 +138,7 @@ def test_store_scan_speedup(benchmark, scale, report, tmp_path):
 
     (series, parity), = [benchmark.pedantic(run, rounds=1, iterations=1)]
     labels = ["{}k".format(n // 1000) for n in sizes]
-    with report():
+    with capsys.disabled():
         print_series(
             "Store region scan ({}-row chunks, on disk): ms".format(
                 CHUNK_ROWS), "rows", labels,

@@ -37,8 +37,7 @@ Packages
 ``repro.obs``
     Observability: process-wide metrics registries (counters, gauges,
     deterministically mergeable fixed-bucket histograms), a lightweight
-    span tracer, and exporters (Prometheus text, JSONL, a summarize
-    CLI).  Numerics-neutral and near-zero cost when ``REPRO_OBS=off``;
+    span tracer, and exporters (JSONL, a summarize CLI).  Numerics-neutral and near-zero cost when ``REPRO_OBS=off``;
     shard workers ship snapshots to the gateway for one merged fleet
     view.
 """

@@ -1,14 +1,14 @@
 """Benchmark scale presets.
 
 The paper's full parameter scale (|TM| = 5000 meta-tasks per subspace,
-2500 test UIRs, 100K-tuple evaluation) takes hours; benches default to a
-*quick* preset that preserves every qualitative shape while finishing on a
-laptop.  Set ``REPRO_SCALE=paper`` to run the full configuration.
+2500 test UIRs, 100K-tuple evaluation) takes hours; experiments default
+to a *quick* preset that preserves every qualitative shape while
+finishing on a laptop.  ``benchmarks/paper.py run --scale paper`` runs
+the full configuration.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 __all__ = ["BenchScale", "get_scale"]
@@ -29,7 +29,7 @@ class BenchScale:
     basic_steps: int         # online steps for the Basic variant
 
 
-_SCALES = {
+SCALES = {
     "quick": BenchScale(
         name="quick", dataset_rows=20_000, n_tasks=80, epochs=1,
         local_steps=8, n_test_uirs=4, eval_rows=5000, pool_size=800,
@@ -45,11 +45,10 @@ _SCALES = {
 }
 
 
-def get_scale(name=None):
-    """Resolve the bench scale from argument or the REPRO_SCALE env var."""
-    name = name or os.environ.get("REPRO_SCALE", "quick")
+def get_scale(name="quick"):
+    """The named bench scale preset (``quick`` by default)."""
     try:
-        return _SCALES[name.lower()]
+        return SCALES[name.lower()]
     except KeyError:
         raise ValueError("unknown scale {!r}; options: {}".format(
-            name, sorted(_SCALES))) from None
+            name, sorted(SCALES))) from None

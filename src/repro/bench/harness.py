@@ -1,30 +1,29 @@
-"""Experiment runner + table printer for the benchmark suite.
+"""Competitor runners and table printers for :mod:`repro.bench.experiments`.
 
-Each benchmark regenerates one of the paper's tables/figures by printing
-the same rows/series; these helpers run the competitors over a batch of
-ground-truth UIRs and aggregate F1 / time / budget statistics.
+Budget accounting (documented in EXPERIMENTS.md): LTE methods and the
+SVM/SVMr competitors label B tuples *per subspace* (the C_s centers plus
+delta random tuples, exactly the paper's initial-exploration protocol);
+the full-space baselines DSM and AL-SVM label B full tuples total, with
+free query-agnostic seed sampling (the paper excludes the baselines'
+initial-sampling cost too).
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from ..baselines.aide import AIDEExplorer
 from ..baselines.al_svm import ALSVMExplorer
 from ..baselines.dsm import DSMExplorer
+from ..baselines.dsm_factorized import FactorizedDSMExplorer
 from ..baselines.svm_variants import SubspaceSVMExplorer
 from ..explore.metrics import f1_score
 from ..explore.session import run_lte_exploration
 
-__all__ = ["print_series", "print_matrix", "mean_f1_lte", "mean_f1_baseline",
-           "mean_f1_subspace_svm", "budget_to_reach", "online_times"]
+__all__ = ["print_series", "print_matrix", "baseline_oracle_pairs",
+           "run_methods", "subspaces_for_dims", "budget_to_reach"]
 
 
-# ----------------------------------------------------------------------
-# Reporting
-# ----------------------------------------------------------------------
 def print_series(title, x_label, xs, series):
     """Print an x vs many-series table (one paper figure panel)."""
     print("\n== {} ==".format(title))
@@ -49,38 +48,9 @@ def print_matrix(title, row_names, col_names, values):
         print("".join(c.ljust(w) for c, w in zip(cells, widths)))
 
 
-# ----------------------------------------------------------------------
-# Competitor runners (mean F1 over a batch of test UIRs)
-# ----------------------------------------------------------------------
-def mean_f1_lte(lte, oracles, eval_rows, variant, subspaces=None, seed=None):
-    """Mean F1 of an LTE variant over ground-truth oracles."""
-    scores = []
-    for i, oracle in enumerate(oracles):
-        result = run_lte_exploration(
-            lte, oracle, eval_rows, variant=variant,
-            subspaces=subspaces or list(oracle.subspace_regions),
-            seed=None if seed is None else seed + i)
-        scores.append(result.f1)
-    return float(np.mean(scores))
-
-
-def mean_f1_baseline(kind, rows, oracles, eval_rows, budget, pool_size=1500,
-                     seed=0):
-    """Mean F1 of a full-space baseline ('dsm' or 'al_svm').
-
-    ``rows`` must be restricted to the user-interest space columns (the
-    baselines operate directly on the full user space).
-    """
-    factory = {"dsm": DSMExplorer, "al_svm": ALSVMExplorer,
-               "aide": AIDEExplorer}[kind]
-    scores = []
-    for i, (oracle, project) in enumerate(oracles):
-        explorer = factory(budget=budget, pool_size=pool_size, seed=seed + i)
-        explorer.explore(rows, lambda pts: oracle.ground_truth(project(pts)))
-        predictions = explorer.predict(eval_rows)
-        truth = oracle.ground_truth(project(eval_rows))
-        scores.append(f1_score(truth, predictions))
-    return float(np.mean(scores))
+LTE_VARIANTS = {"Meta*": "meta_star", "Meta": "meta", "Basic": "basic"}
+BASELINES = {"DSM": DSMExplorer, "AL-SVM": ALSVMExplorer,
+             "AIDE": AIDEExplorer}
 
 
 def baseline_oracle_pairs(oracles, subspaces):
@@ -91,63 +61,72 @@ def baseline_oracle_pairs(oracles, subspaces):
     ``(oracle, project)`` pairs where ``project`` maps user-space rows back
     to full-table layout for the oracle.
     """
-    pairs = []
-    # Build the reverse map: user-space column j -> full-table column.
     columns = [c for s in subspaces for c in s.columns]
     n_full = max(columns) + 1
 
-    def make_project(cols):
-        def project(points):
-            points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-            rows = np.zeros((len(points), n_full))
-            rows[:, cols] = points
-            return rows
-        return project
+    def project(points):
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        rows = np.zeros((len(points), n_full))
+        rows[:, columns] = points
+        return rows
 
-    project = make_project(columns)
-    for oracle in oracles:
-        pairs.append((oracle, project))
-    return pairs
+    return [(oracle, project) for oracle in oracles]
 
 
-def mean_f1_subspace_svm(lte, oracles, eval_rows, subspaces, encoded,
-                         seed=0):
-    """Mean F1 of the SVM / SVMr competitors on LTE's initial tuples."""
-    scores = []
-    for i, oracle in enumerate(oracles):
-        session = lte.start_session(variant="basic", subspaces=subspaces,
-                                    seed=(seed or 0) + i)
-        explorer = SubspaceSVMExplorer(
-            {s: lte.states[s] for s in subspaces}, encoded=encoded,
-            seed=seed + i)
-        for subspace, tuples in session.initial_tuples().items():
-            labels = oracle.label_subspace(subspace, tuples)
-            explorer.fit_subspace(subspace, tuples, labels)
-        predictions = explorer.predict(eval_rows)
-        truth = oracle.ground_truth(eval_rows)
-        scores.append(f1_score(truth, predictions))
-    return float(np.mean(scores))
-
-
-# ----------------------------------------------------------------------
-# Efficiency helpers
-# ----------------------------------------------------------------------
-def budget_to_reach(f1_at_budget, target):
-    """Smallest budget whose mean F1 reaches ``target`` (None if never).
-
-    ``f1_at_budget`` is a {budget: f1} mapping.
+def run_methods(methods, lte, oracles, eval_rows, subspaces, budget=30,
+                pool_size=1500):
+    """``{label: mean F1}`` of each named competitor over the oracles:
+    LTE explorations (``Meta*``, ``Meta``, ``Basic``); ``SVM`` / ``SVMr``
+    (raw / tabular features) and factorized ``DSM-F`` on LTE's initial
+    tuples; full-space ``DSM`` / ``AL-SVM`` / ``AIDE`` on the user-space
+    columns of the first 4 000 rows.  Oracle i seeds them i.
     """
+    columns = [c for s in subspaces for c in s.columns]
+    states = {s: lte.states[s] for s in subspaces}
+    scores = {label: [] for label in methods}
+    for i, (oracle, project) in enumerate(
+            baseline_oracle_pairs(oracles, subspaces)):
+        truth = oracle.ground_truth(eval_rows)
+        for label in methods:
+            if label in LTE_VARIANTS:
+                scores[label].append(run_lte_exploration(
+                    lte, oracle, eval_rows, variant=LTE_VARIANTS[label],
+                    subspaces=subspaces).f1)
+                continue
+            if label in BASELINES:
+                explorer = BASELINES[label](budget=budget,
+                                            pool_size=pool_size, seed=i)
+                explorer.explore(lte.table.data[:4000, columns],
+                                 lambda pts: oracle.ground_truth(project(pts)))
+                pred = explorer.predict(eval_rows[:, columns])
+            else:
+                explorer = FactorizedDSMExplorer(states, seed=i) \
+                    if label == "DSM-F" else SubspaceSVMExplorer(
+                        states, encoded=label == "SVMr", seed=i)
+                session = lte.start_session(variant="basic",
+                                            subspaces=subspaces, seed=i)
+                for sub, tuples in session.initial_tuples().items():
+                    explorer.fit_subspace(sub, tuples,
+                                          oracle.label_subspace(sub, tuples))
+                pred = explorer.predict(eval_rows)
+            scores[label].append(f1_score(truth, pred))
+    return {label: float(np.mean(v)) for label, v in scores.items()}
+
+
+def subspaces_for_dims(lte, n_dims):
+    """First ceil(n_dims / subspace_dim) meta-subspaces of the system."""
+    per = lte.config.subspace_dim
+    need = max(1, n_dims // per)
+    subs = list(lte.states)[:need]
+    if len(subs) < need:
+        raise ValueError("system has only {} subspaces".format(len(subs)))
+    return subs
+
+
+def budget_to_reach(f1_at_budget, target):
+    """Smallest budget of a ``{budget: f1}`` map whose F1 reaches
+    ``target`` (None if never)."""
     for budget in sorted(f1_at_budget):
         if f1_at_budget[budget] >= target:
             return budget
     return None
-
-
-def online_times(run_once, repeats=3):
-    """Mean wall-clock seconds of ``run_once()`` over ``repeats`` runs."""
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_once()
-        samples.append(time.perf_counter() - start)
-    return float(np.mean(samples))

@@ -1,4 +1,4 @@
-"""Workload builders shared by all benchmarks.
+"""Workload builders shared by the paper's experiments.
 
 Centralizes (and caches) the expensive artifacts — synthetic datasets and
 offline-trained LTE systems — and generates the ground-truth test UIRs of
@@ -11,20 +11,19 @@ meta-learner is never evaluated on regions it trained on.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..core.framework import LTE, LTEConfig
 from ..core.meta_training import MetaHyperParams
-from ..core.uis import UISGenerator, UISMode
+from ..core.uis import PAPER_MODES, UISGenerator, UISMode
 from ..data.datasets import load_dataset
 from ..explore.oracle import ConjunctiveOracle
 from ..geometry.regions import ScaledRegion
 from .config import get_scale
 
 __all__ = ["get_table", "build_lte", "convex_oracles", "mode_oracles",
-           "subspace_region", "eval_rows_for", "clear_caches"]
+           "mixed_mode_oracles", "subspace_region", "eval_rows_for",
+           "clear_caches"]
 
 _TABLE_CACHE = {}
 _LTE_CACHE = {}
@@ -36,18 +35,14 @@ def clear_caches():
     _LTE_CACHE.clear()
 
 
-def get_table(dataset="sdss", scale=None, backend=None):
+def get_table(dataset="sdss", scale=None, backend="memory"):
     """Cached synthetic dataset at the given bench scale.
 
-    ``backend`` (or the ``REPRO_DATA_BACKEND`` env var) selects the data
-    substrate: ``"memory"`` (default) for the dense in-memory
-    :class:`~repro.data.Table`, ``"store"`` for the same rows chunked
-    into a :class:`~repro.store.ChunkStore` — every bench and example
-    built on this helper can opt into the chunked substrate without code
-    changes.
+    ``backend`` selects the data substrate: ``"memory"`` (default) for
+    the dense in-memory :class:`~repro.data.Table`, ``"store"`` for the
+    same rows chunked into a :class:`~repro.store.ChunkStore`.
     """
     scale = scale or get_scale()
-    backend = backend or os.environ.get("REPRO_DATA_BACKEND", "memory")
     key = (dataset, scale.dataset_rows, backend)
     if key not in _TABLE_CACHE:
         _TABLE_CACHE[key] = load_dataset(dataset, n_rows=scale.dataset_rows,
@@ -114,9 +109,6 @@ def subspace_region(state, mode, seed):
     return ScaledRegion(region, state.scaler)
 
 
-_subspace_uis = subspace_region
-
-
 def convex_oracles(lte, subspaces, n_uirs, psi_choices=(50, 40, 30, 20),
                    seed=12345):
     """Test UIRs for the baseline comparison (Section VIII-B).
@@ -137,7 +129,7 @@ def convex_oracles(lte, subspaces, n_uirs, psi_choices=(50, 40, 30, 20),
         regions = {}
         for subspace in subspaces:
             psi = int(rng.choice(psi_choices))
-            regions[subspace] = _subspace_uis(
+            regions[subspace] = subspace_region(
                 lte.states[subspace], UISMode(alpha=1, psi=psi),
                 seed=int(rng.integers(2 ** 31)))
         oracles.append(ConjunctiveOracle(regions))
@@ -150,9 +142,16 @@ def mode_oracles(lte, subspaces, mode, n_uirs, seed=54321):
     oracles = []
     for _ in range(n_uirs):
         regions = {
-            subspace: _subspace_uis(lte.states[subspace], mode,
-                                    seed=int(rng.integers(2 ** 31)))
+            subspace: subspace_region(lte.states[subspace], mode,
+                                      seed=int(rng.integers(2 ** 31)))
             for subspace in subspaces
         }
         oracles.append(ConjunctiveOracle(regions))
     return oracles
+
+
+def mixed_mode_oracles(lte, subspaces, n_uirs, seed):
+    """UIRs whose per-subspace modes cycle through Table III."""
+    modes = list(PAPER_MODES.values())
+    return [mode_oracles(lte, subspaces, modes[i % len(modes)], n_uirs=1,
+                         seed=seed + i)[0] for i in range(n_uirs)]

@@ -9,7 +9,7 @@
   naming scheme);
 * :func:`span` — monotonic-clock scopes with per-thread parent
   nesting, emitted as JSONL events to a pluggable sink;
-* exporters — Prometheus text exposition, JSONL files, and the
+* exporters — JSONL files and the
   ``python -m repro.obs summarize`` CLI for percentile / hit-ratio
   tables.
 
@@ -25,7 +25,7 @@ from .registry import (BUCKET_BOUNDS, Counter, Gauge, Histogram,
                        reset_default_registry)
 from .trace import JsonlSink, capture, get_sink, set_sink, span
 from .export import (format_summary, read_jsonl, summarize_events,
-                     to_prometheus, write_jsonl)
+                     write_jsonl)
 
 __all__ = [
     "BUCKET_BOUNDS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -33,6 +33,5 @@ __all__ = [
     "enabled_scope", "merge_snapshots", "reset_all_metrics",
     "reset_default_registry",
     "JsonlSink", "capture", "get_sink", "set_sink", "span",
-    "format_summary", "read_jsonl", "summarize_events", "to_prometheus",
-    "write_jsonl",
+    "format_summary", "read_jsonl", "summarize_events", "write_jsonl",
 ]

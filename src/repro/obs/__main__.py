@@ -3,13 +3,11 @@
 Usage::
 
     python -m repro.obs summarize capture.jsonl [snapshot.jsonl]
-    python -m repro.obs prom snapshot.jsonl
 
 ``summarize`` reads a JSONL file of span events (and optionally a JSONL
 metrics snapshot, one ``{"name": ..., ...snapshot}`` row per metric or
 a single ``{"type": "snapshot", "metrics": {...}}`` row) and prints
-latency percentiles plus hit-ratio tables.  ``prom`` converts a
-snapshot file to Prometheus text exposition.
+latency percentiles plus hit-ratio tables.
 """
 
 from __future__ import annotations
@@ -17,8 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .export import (format_summary, read_jsonl, summarize_events,
-                     to_prometheus)
+from .export import format_summary, read_jsonl, summarize_events
 
 
 def _load_snapshot(records):
@@ -47,12 +44,6 @@ def main(argv=None):
     p_sum.add_argument("snapshot", nargs="?", default=None,
                        help="optional JSONL metrics snapshot")
 
-    p_prom = sub.add_parser(
-        "prom", help="convert a snapshot to Prometheus text format")
-    p_prom.add_argument("snapshot", help="JSONL metrics snapshot")
-    p_prom.add_argument("--prefix", default="repro",
-                        help="metric name prefix (default: repro)")
-
     args = parser.parse_args(argv)
     if args.command == "summarize":
         records = read_jsonl(args.events)
@@ -61,9 +52,6 @@ def main(argv=None):
         if args.snapshot:
             snapshot.update(_load_snapshot(read_jsonl(args.snapshot)))
         sys.stdout.write(format_summary(summarize_events(events, snapshot)))
-    elif args.command == "prom":
-        snapshot = _load_snapshot(read_jsonl(args.snapshot))
-        sys.stdout.write(to_prometheus(snapshot, prefix=args.prefix))
     return 0
 
 

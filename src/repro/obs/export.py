@@ -1,10 +1,7 @@
-"""Exporters: Prometheus text exposition, JSONL snapshots, summaries.
+"""Exporters: JSONL snapshots and summaries.
 
-Three consumers of the same data:
+Two consumers of the same data:
 
-* :func:`to_prometheus` renders a registry snapshot in the Prometheus
-  text exposition format (metric dots become underscores, histograms
-  expand to ``_bucket{le=...}`` / ``_sum`` / ``_count`` series);
 * :func:`write_jsonl` / :func:`read_jsonl` persist snapshots or span
   events as JSON lines;
 * :func:`summarize_events` + :func:`format_summary` turn a span capture
@@ -16,66 +13,10 @@ from __future__ import annotations
 
 import json
 
-from .registry import BUCKET_BOUNDS, Histogram
+from .registry import Histogram
 
-__all__ = ["to_prometheus", "write_jsonl", "read_jsonl",
-           "summarize_events", "format_summary"]
-
-
-def _prom_name(name):
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch == "_" else "_")
-    if out and out[0].isdigit():
-        out.insert(0, "_")
-    return "".join(out)
-
-
-def _prom_float(value):
-    if value != value:   # NaN
-        return "NaN"
-    if value == float("inf"):
-        return "+Inf"
-    return repr(float(value))
-
-
-def to_prometheus(snapshot, prefix="repro"):
-    """Render a ``MetricsRegistry.snapshot()`` as Prometheus text.
-
-    Counters map to ``counter``, gauges to ``gauge``, histograms to the
-    cumulative ``_bucket{le="..."}`` convention plus ``_sum`` and
-    ``_count``.  Output lines are sorted by metric name, so the same
-    snapshot always renders to the same text.
-    """
-    lines = []
-    for name in sorted(snapshot or {}):
-        entry = snapshot[name]
-        if entry is None:
-            continue
-        pname = _prom_name(prefix + "_" + name if prefix else name)
-        kind = entry["kind"]
-        if kind == "counter":
-            lines.append("# TYPE {} counter".format(pname))
-            lines.append("{} {}".format(pname, int(entry["value"])))
-        elif kind == "gauge":
-            lines.append("# TYPE {} gauge".format(pname))
-            lines.append("{} {}".format(pname, _prom_float(entry["value"])))
-        elif kind == "histogram":
-            lines.append("# TYPE {} histogram".format(pname))
-            cumulative = 0
-            for bound, count in zip(BUCKET_BOUNDS, entry["counts"]):
-                cumulative += count
-                lines.append('{}_bucket{{le="{}"}} {}'.format(
-                    pname, _prom_float(bound), cumulative))
-            cumulative += entry["counts"][len(BUCKET_BOUNDS)]
-            lines.append('{}_bucket{{le="+Inf"}} {}'.format(
-                pname, cumulative))
-            lines.append("{}_sum {}".format(pname, _prom_float(entry["sum"])))
-            lines.append("{}_count {}".format(pname, int(entry["count"])))
-        else:
-            raise ValueError("unknown metric kind {!r} for {!r}".format(
-                kind, name))
-    return "\n".join(lines) + ("\n" if lines else "")
+__all__ = ["write_jsonl", "read_jsonl", "summarize_events",
+           "format_summary"]
 
 
 def write_jsonl(path, records):

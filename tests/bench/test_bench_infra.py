@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench import (baseline_oracle_pairs, budget_to_reach, get_scale,
-                         online_times, print_matrix, print_series)
+                         paper, print_matrix, print_series)
 from repro.bench.config import BenchScale
 from repro.data.subspaces import Subspace
 from repro.explore import ConjunctiveOracle
@@ -18,9 +18,21 @@ class TestScale:
             assert isinstance(scale, BenchScale)
             assert scale.name == name
 
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "medium")
-        assert get_scale().name == "medium"
+    def test_scale_option(self, monkeypatch):
+        """``paper.py run --scale NAME`` picks the preset; quick is the
+        default."""
+        seen = []
+
+        def fake_run(figures, scale, commit):
+            seen.append((scale.name, [fig.id for fig in figures]))
+            return {"cells": []}, []
+
+        monkeypatch.setattr(paper, "run", fake_run)
+        assert paper.main(["run", "table2", "--scale", "medium"]) == 0
+        assert paper.main(["run"]) == 0
+        assert seen[0] == ("medium", ["table2"])
+        assert seen[1][0] == "quick" and len(seen[1][1]) > 1
+        assert get_scale().name == "quick"
 
     def test_unknown_scale(self):
         with pytest.raises(ValueError):
@@ -77,7 +89,3 @@ class TestBaselineOraclePairs:
         orc, project = pairs[0]
         assert orc.ground_truth(project(np.array([[0.5, 0.5]])))[0] == 1
         assert orc.ground_truth(project(np.array([[5.0, 0.5]])))[0] == 0
-
-
-def test_online_times_positive():
-    assert online_times(lambda: sum(range(1000)), repeats=2) > 0

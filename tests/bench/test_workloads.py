@@ -43,6 +43,14 @@ class TestBuildLte:
         lte = build_lte("sdss", budget=20, scale=TINY, train=False)
         assert all(s.trainer is None for s in lte.states.values())
 
+    def test_build_lte_variants_cached_separately(self):
+        """Ablation builds must not collide in the workload cache."""
+        a = build_lte("sdss", budget=30, scale=TINY, use_memories=True,
+                      train=False)
+        b = build_lte("sdss", budget=30, scale=TINY, use_memories=False,
+                      train=False)
+        assert a is not b
+
     def test_config_scale_mapping(self):
         cfg = make_config(budget=20, scale=TINY)
         assert cfg.n_tasks == 4

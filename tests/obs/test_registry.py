@@ -161,16 +161,6 @@ class TestDisabledFastPath:
 
 
 class TestExporters:
-    def test_prometheus_text(self):
-        snap = _filled_registry(3).snapshot()
-        text = obs.to_prometheus(snap)
-        assert "# TYPE repro_geometry_pack_cache_hits counter" in text
-        assert "# TYPE repro_serve_manager_flush_seconds histogram" in text
-        assert 'le="+Inf"' in text
-        assert "repro_serve_manager_flush_seconds_count 200" in text
-        # Cumulative bucket counts end at the total count.
-        assert obs.to_prometheus(snap) == text   # deterministic render
-
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "events.jsonl"
         records = [{"type": "span", "name": "a.b", "seconds": 0.5},
@@ -194,7 +184,7 @@ class TestExporters:
         text = obs.format_summary(summary)
         assert "serve.flush" in text and "90.0%" in text
 
-    def test_cli_summarize_and_prom(self, tmp_path, capsys):
+    def test_cli_summarize(self, tmp_path, capsys):
         events_path = tmp_path / "capture.jsonl"
         obs.write_jsonl(events_path, [
             {"type": "span", "name": "stage.one", "seconds": 0.1},
@@ -206,13 +196,6 @@ class TestExporters:
         assert obs_main(["summarize", str(events_path)]) == 0
         out = capsys.readouterr().out
         assert "stage.one" in out and "50.0%" in out
-        snap_path = tmp_path / "snap.jsonl"
-        snap = _filled_registry(1).snapshot()
-        obs.write_jsonl(snap_path, [dict(entry, name=name)
-                                    for name, entry in snap.items()])
-        assert obs_main(["prom", str(snap_path)]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_serve_manager_flush_seconds histogram" in out
 
     def test_snapshot_is_json_safe(self):
         json.dumps(_filled_registry(5).snapshot())

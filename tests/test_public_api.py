@@ -200,5 +200,5 @@ def test_knob_catalogue():
              for path in (root / folder).rglob("*.py")
              if e2e not in path.parents
              for knob in read.findall(path.read_text())}
-    assert knobs == {"REPRO_OBS", "REPRO_SCALE", "REPRO_DATA_BACKEND",
-                     "REPRO_STORE_MIN_SPEEDUP", "REPRO_STORE_BASELINE"}
+    assert knobs == {"REPRO_OBS", "REPRO_STORE_MIN_SPEEDUP",
+                     "REPRO_STORE_BASELINE"}
