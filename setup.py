@@ -1,2 +1,3 @@
 from setuptools import setup
-setup(install_requires=["numpy", "scipy"])
+setup(install_requires=["numpy", "scipy"],
+      package_data={"repro.nn": ["_adam.c"]})

@@ -240,7 +240,7 @@ def fig8a_cell(scale, dataset, d, seed):
     multi-modal representations (plain min-max) the model can hardly be
     trained.
 
-    Reproduction note (see EXPERIMENTS.md): the paper's catastrophic
+    Reproduction note: the paper's catastrophic
     min-max failure stems from feeding raw unnormalized attribute values
     to the NN; this reproduction normalizes every subspace internally,
     which already removes the gradient-saturation pathology, so the
@@ -248,7 +248,8 @@ def fig8a_cell(scale, dataset, d, seed):
     every multi-modal encoding trains and stays competitive; the contrast
     is strongest in the low-step few-shot regime used here.  The
     center-affinity channel is disabled so the comparison isolates the
-    GMM/JKC encodings themselves (DESIGN.md §6).
+    GMM/JKC encodings themselves (the channel is this reproduction's
+    extension of Algorithm 3, ``core.preprocessing.CenterAffinityEncoder``).
     """
     out = {}
     for encoding in ENCODINGS:
@@ -341,7 +342,7 @@ def fig8d_cell(scale, dataset, lr, seed):
 
 
 def ablations_cell(scale, dataset, _x, seed):
-    """Ablations of the reproduction's design choices (DESIGN.md §6).
+    """Ablations of the reproduction's design choices.
 
     Not a paper figure: quantifies what each switchable component
     contributes at bench scale, on held-out subspace tasks (SDSS, B=30):

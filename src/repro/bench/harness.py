@@ -1,6 +1,6 @@
 """Competitor runners and table printers for :mod:`repro.bench.experiments`.
 
-Budget accounting (documented in EXPERIMENTS.md): LTE methods and the
+Budget accounting: LTE methods and the
 SVM/SVMr competitors label B tuples *per subspace* (the C_s centers plus
 delta random tuples, exactly the paper's initial-exploration protocol);
 the full-space baselines DSM and AL-SVM label B full tuples total, with

@@ -6,8 +6,10 @@ default) and writes a record: the ``commit``, the ``scale`` and one cell
 (figure, dataset, x, method, seed, value) per measurement.  ``compare A B``
 names each cell of A missing from B or whose seed mean in B is more than
 ``max(0.04, 3 sd / sqrt(n))`` from A's (A's sd over its n seeds; timings
-are not compared) and runs the table's checks on B.  Both exit 1 naming
-what failed.
+are not compared), and each method's average over a dataset's x values
+(Table II's mode average) whose seed mean in B is more than
+``max(0.01, 3 sd / sqrt(n))`` from A's (the sd of A's per-seed averages);
+then it runs the table's checks on B.  Both exit 1 naming what failed.
 """
 
 from __future__ import annotations
@@ -37,6 +39,37 @@ def _by_key(cells):
         key = (c["figure"], c["dataset"], c["x"], c["method"])
         out.setdefault(key, []).append(c["value"])
     return out
+
+
+def _x_averages(cells):
+    """``(figure, dataset, method) -> [average over x per seed]``, for
+    methods measured at two or more x values (at one x the average is
+    the cell), over the seeds measured at every x."""
+    grid = {}
+    for c in cells:
+        key = (c["figure"], c["dataset"], c["method"])
+        grid.setdefault(key, {}).setdefault(c["seed"], {})[c["x"]] = \
+            c["value"]
+    out = {}
+    for key, seeds in grid.items():
+        xs = set().union(*seeds.values())
+        if len(xs) >= 2:
+            out[key] = [_mean(list(by_x.values()))
+                        for _, by_x in sorted(seeds.items())
+                        if set(by_x) == xs]
+    return out
+
+
+def _moved(name, ref, new, floor):
+    """A line naming how ``new``'s mean left the band of ``ref``'s
+    seeds, ``max(floor, 3 sd / sqrt(n))``, or None inside it."""
+    mean, new = _mean(ref), _mean(new)
+    sd = math.sqrt(sum((v - mean) ** 2 for v in ref) / max(1, len(ref) - 1))
+    tolerance = max(floor, 3 * sd / math.sqrt(len(ref)))
+    if abs(new - mean) <= tolerance:
+        return None
+    return "{}: moved, A {:.3f} (sd {:.3f}, {} seeds) B {:.3f}, tolerance " \
+        "{:.3f}".format(name, mean, sd, len(ref), new, tolerance)
 
 
 def _tables(fig, by_key):
@@ -108,21 +141,22 @@ def compare(a, b):
             moved.append(name + ": missing from B")
             continue
         compared += 1
-        ref, mean, new = in_a[key], _mean(in_a[key]), _mean(in_b[key])
-        sd = math.sqrt(sum((v - mean) ** 2 for v in ref)
-                       / max(1, len(ref) - 1))
-        tolerance = max(0.04, 3 * sd / math.sqrt(len(ref)))
-        if not abs(new - mean) <= tolerance:
-            moved.append("{}: moved, A {:.3f} (sd {:.3f}, {} seeds) B {:.3f},"
-                         " tolerance {:.3f}".format(name, mean, sd, len(ref),
-                                                    new, tolerance))
+        moved.append(_moved(name, in_a[key], in_b[key], 0.04))
+    averages_a, averages_b = _x_averages(a["cells"]), _x_averages(b["cells"])
+    averaged = [key for key in averages_a
+                if key[0] not in timing and averages_b.get(key)]
+    moved += [_moved("{} {} average over x {}".format(*key),
+                     averages_a[key], averages_b[key], 0.01)
+              for key in averaged]
+    moved = [line for line in moved if line is not None]
     for line in moved:
         print("  " + line)
     in_record = {key[0] for key in in_b}
     failed = [name for fig in FIGURES.values() if fig.id in in_record
               for name in _check(fig, _tables(fig, in_b))]
-    print("{} cells compared (timings are not): {} moved or missing, {} "
-          "checks failed".format(compared, len(moved), len(failed)))
+    print("{} cells and {} averages over x compared (timings are not): {} "
+          "moved or missing, {} checks failed".format(
+              compared, len(averaged), len(moved), len(failed)))
     return moved, failed
 
 

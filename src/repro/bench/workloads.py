@@ -121,7 +121,7 @@ def convex_oracles(lte, subspaces, n_uirs, psi_choices=(50, 40, 30, 20),
     (alpha=1, psi=50) rather than the generalized-mode test psis of
     Table III: with 2-4 conjoined subspaces, smaller psis drive the joint
     positive rate below what any competitor (or an F1 evaluation on a
-    uniform sample) can resolve — see EXPERIMENTS.md.
+    uniform sample) can resolve.
     """
     rng = np.random.default_rng(seed)
     oracles = []

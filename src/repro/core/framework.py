@@ -78,7 +78,9 @@ class LTEConfig:
     preprocessing_mode: str = "auto"
     n_components: int = 8
     preprocessing_sample_ratio: float = 0.01
-    center_affinity: bool = True     # RBF-affinity channel (DESIGN.md §6)
+    # RBF affinities to the cluster centers, an ablatable extension of
+    # Algorithm 3 (preprocessing.CenterAffinityEncoder says why)
+    center_affinity: bool = True
     # classifier
     embed_size: int = 100
     hidden_size: int = 64

@@ -18,8 +18,8 @@ interaction ``emb_R * emb_tau`` (so the block input is 3Ne wide and
 match between where the tuple lies and where ``v_R`` says the interest is;
 the explicit product term lets a few meta-gradient steps discover that
 alignment, which pure concatenation only reaches after far longer
-training.  This is a documented deviation from the paper's Eq. 5/9 (see
-DESIGN.md section 6) and changes no other interface.
+training.  This is a deviation from the paper's Eq. 5/9 and changes no
+other interface.
 
 What is computed: with a conversion matrix the 3Ne-wide row is never
 built.  ``emb_R`` is one row per task, so ``M_cp = [M1 | M2 | M3]`` is

@@ -80,7 +80,7 @@ class MetaHyperParams:
     #: loop.  At the reproduction's task counts this supplies the bulk of
     #: the zero-shot quality that the paper obtains from |TM|=5000 tasks
     #: of pure meta-gradients; set pretrain_epochs=0 for the literal
-    #: Algorithm 2 (DESIGN.md section 6).
+    #: Algorithm 2.
 
     def __post_init__(self):
         for name in ("eta", "beta", "gamma", "sigma"):

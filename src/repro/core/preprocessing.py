@@ -139,7 +139,7 @@ class CenterAffinityEncoder:
     ``exp(-||tau - c_j||^2 / (2 sigma^2))`` with sigma set to the median
     nearest-neighbour spacing of the centers.  It is built from the same
     unsupervised clustering step as the rest of the framework (no labels)
-    and is an ablatable extension of Algorithm 3 (DESIGN.md section 6).
+    and is an ablatable extension of Algorithm 3.
     """
 
     def __init__(self, centers):

@@ -19,7 +19,7 @@ background fluxes are correlated and unimodal-with-tails, car prices and
 mileages are heavy-tail skewed, registration years are multimodal, etc.
 This preserves the behaviours the experiments measure: multimodality (GMM
 vs JKC encodings), attribute correlation, cluster structure, and density
-variation across the space.  See DESIGN.md §2.
+variation across the space.
 """
 
 from __future__ import annotations

@@ -33,11 +33,13 @@ in one BLAS call.  The lowering rules:
   test, membership differs only at the band's corners, within
   ``sqrt(codim) * 1e-6 * scale`` of the span.
 
-Facet tolerances are *relative to the equation offsets*
-(``tol_scale = max(1, |b|)``), so boundary points of large-magnitude
-data are classified as robustly as unit-cube data; span rows carry a
-fixed tolerance and ignore ``eps``, matching the historical residual
-test.
+Facet tolerances are *relative to the terms a row sums*
+(``tol_scale = max(1, |n|·|x|)``: the row's absolute normal against the
+hull points' largest absolute coordinates, a bound on every ``|n_j x_j|``
+the dot product ``n·x`` adds up), so boundary points of data far from
+the origin are classified as robustly as unit-cube data, even on a row
+whose offset is small next to its terms; span rows carry a fixed
+tolerance and ignore ``eps``, matching the historical residual test.
 """
 
 from __future__ import annotations
@@ -341,7 +343,10 @@ class Hull:
             b = np.ascontiguousarray(self._equations[:, -1])
             rows_A.append(A)
             rows_b.append(b)
-            tol_scale.append(np.maximum(1.0, np.abs(b)))
+            # ``n·x`` rounds relative to its terms, not to ``b``: a row
+            # with mixed-sign normal has a small ``b`` beside large terms.
+            tol_scale.append(np.maximum(
+                1.0, np.abs(A) @ np.abs(self.points).max(axis=0)))
             tol_fixed.append(np.zeros(len(b)))
         elif self._span is not None:
             # Degenerate affine span: a fixed-width band around the span

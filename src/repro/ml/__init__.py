@@ -1,7 +1,7 @@
 """Classical machine-learning substrate built from scratch on numpy.
 
 Provides the clustering, density modelling, discretization, and SVM
-components the LTE framework and its baselines depend on (DESIGN.md §3).
+components the LTE framework and its baselines depend on.
 """
 
 from .decision_tree import DecisionTree, TreeNode

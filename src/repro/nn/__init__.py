@@ -2,7 +2,7 @@
 
 The paper implements its meta-learner on PyTorch; this package provides the
 equivalent functionality on plain numpy so the reproduction has no deep
-learning framework dependency.  See DESIGN.md section 2.
+learning framework dependency.
 """
 
 from . import functional, init

@@ -63,6 +63,7 @@ name                                             kind        unit
 ``nn.fan_out.split``                             counter     fan-outs
 ``nn.fan_out.whole``                             counter     stacks
 ``nn.fan_out.wait.seconds``                      histogram   seconds
+``nn.optim.adam.numpy_steps``                    counter     steps
 ``train.offline.pretrain_epoch.seconds``         histogram   seconds
 ``train.offline.meta_epoch.seconds``             histogram   seconds
 ``train.offline.epochs.pretrain``                counter     epochs

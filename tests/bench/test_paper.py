@@ -138,3 +138,22 @@ def test_every_paper_figure_has_a_row_and_table2_is_the_fidelity_row():
     assert table2.seeds == (7, 8, 9, 10, 11)
     assert table2.methods == ("Meta*", "Meta", "Basic", "SVMr", "SVM")
     assert table2.xs == ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
+
+
+def test_compare_bands_each_methods_average_over_x():
+    # Five seeds at two modes, 0.01 apart from seed to seed: the average
+    # over x has sd 0.016 and a band of max(0.01, 3 sd / sqrt(5)) = 0.021.
+    values = {(x, "Meta*", seed): 0.7 + 0.01 * (seed - 7)
+              for x in ("M1", "M2") for seed in range(7, 12)}
+    a = _record(values)
+    b = copy.deepcopy(a)
+    for cell in b["cells"]:
+        cell["value"] -= 0.03            # inside every cell's 0.04 band
+    moved, failed = paper.compare(a, b)
+    assert failed == []
+    assert len(moved) == 1 and moved[0].startswith(
+        "demo car average over x Meta*: moved, A 0.720 (sd 0.016, 5 seeds) "
+        "B 0.690, tolerance 0.021")
+    for cell in b["cells"]:
+        cell["value"] += 0.015
+    assert paper.compare(a, b)[0] == []

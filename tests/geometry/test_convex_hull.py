@@ -197,15 +197,29 @@ def test_property_monotone_chain_matches_qhull(kind, seed):
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     queries = lo + (hi - lo) * rng.uniform(-0.5, 1.5, size=(200, 2))
     values = queries @ expected[:, :2].T + expected[:, 2]
-    tol = 1e-9 * np.maximum(1.0, np.abs(expected[:, 2]))
+    tol = 1e-9 * np.maximum(1.0, np.abs(expected[:, :2])
+                            @ np.abs(pts).max(axis=0))
     away = (np.abs(values) > 10 * tol + 1e-12 * reach).all(axis=1)
-    if reach < 1e4:
-        # At 1e8 a facet whose offset is small next to its coordinates
-        # rounds by more than its offset-relative tolerance, with Qhull's
-        # facets as with the chain's (a known defect, see ROADMAP).
-        assert hull.contains(pts).all()
+    assert hull.contains(pts).all()
     assert np.array_equal(hull.contains(queries[away]),
                           (values[away] <= 0).all(axis=1))
+
+
+def test_hulls_far_from_the_origin_contain_their_own_points():
+    """Integer grids moved by 1e8: a facet whose normal has mixed signs
+    has an offset small next to the terms ``n·x`` sums, and those round
+    by ~1e-8; the facet tolerance scales with the terms, not the offset."""
+    rng = np.random.default_rng(0)
+    built = 0
+    for _ in range(300):
+        pts = rng.integers(-4, 5, size=(int(rng.integers(3, 121)), 2)) + 1e8
+        if np.linalg.matrix_rank(pts - pts.mean(axis=0)) < 2:
+            continue
+        hull = Hull(pts)
+        assert hull._equations is not None
+        assert hull.contains(pts).all()
+        built += 1
+    assert built > 250
 
 
 def test_a_sliver_the_chain_calls_collinear_takes_the_span_path(

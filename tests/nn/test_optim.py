@@ -1,10 +1,26 @@
-"""Tests for SGD and Adam optimizers."""
+"""Tests for SGD and Adam optimizers.
+
+Every case runs twice: with Adam's compiled loop, and with the numpy
+kernel alone, as on a host without a C compiler.
+"""
 
 import numpy as np
 import pytest
 
 from repro.nn import Adam, SGD, Tensor, optim
 from repro.nn.tensor import Parameter
+
+
+@pytest.fixture(autouse=True, params=["compiled", "numpy"])
+def kernel(request, monkeypatch):
+    if request.param == "numpy":
+        monkeypatch.setattr(optim, "_adam_kernel", lambda: None)
+    elif optim._adam_kernel() is None:
+        if optim._compiler() is not None:
+            pytest.fail("a C compiler is on the PATH, yet the compiled "
+                        "Adam loop did not load")
+        pytest.skip("no C compiler on this host")
+    return request.param
 
 
 def quadratic_loss(param, target):

@@ -202,3 +202,20 @@ def test_knob_catalogue():
              for knob in read.findall(path.read_text())}
     assert knobs == {"REPRO_OBS", "REPRO_STORE_MIN_SPEEDUP",
                      "REPRO_STORE_BASELINE"}
+
+
+def test_every_markdown_file_named_in_src_exists():
+    """A docstring or comment in ``src/`` that sends the reader to a
+    ``*.md`` file names one the repository holds (paths from its root)."""
+    import pathlib
+    import re
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parents[2]
+    named = {(path.relative_to(root).as_posix(), name)
+             for path in (root / "src").rglob("*.py")
+             for name in re.findall(r"[\w./-]+\.md\b", path.read_text())}
+    assert ("src/repro/nn/optim.py", "README.md") in named
+    missing = sorted(pair for pair in named if not (root / pair[1]).is_file())
+    assert not missing, missing
