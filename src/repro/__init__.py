@@ -37,9 +37,9 @@ Packages
 ``repro.obs``
     Observability: process-wide metrics registries (counters, gauges,
     deterministically mergeable fixed-bucket histograms), a lightweight
-    span tracer, and exporters (JSONL, a summarize CLI).  Numerics-neutral and near-zero cost when ``REPRO_OBS=off``;
-    shard workers ship snapshots to the gateway for one merged fleet
-    view.
+    span tracer, and exporters (JSONL, a summarize CLI).  Always on
+    and numerics-neutral; shard workers ship snapshots to the gateway
+    for one merged fleet view.
 """
 
 from .core import LTE, LTEConfig

@@ -33,7 +33,7 @@ class ExplorationResult:
 
 
 def run_lte_exploration(lte, oracle, eval_rows, variant="meta_star",
-                        subspaces=None, seed=None, manager=None):
+                        subspaces=None, seed=None):
     """Run one full LTE online exploration against an oracle.
 
     Parameters
@@ -49,53 +49,29 @@ def run_lte_exploration(lte, oracle, eval_rows, variant="meta_star",
         zone-map pruning, bit-identically).
     variant:
         ``"basic"``, ``"meta"`` or ``"meta_star"``.
-    manager:
-        Optional :class:`~repro.serve.SessionManager` built on ``lte``;
-        when given, the session is opened, adapted and predicted through
-        the serving layer (batched with any other pending work) instead
-        of sequentially.
 
     Returns
     -------
-    :class:`ExplorationResult`
+    :class:`ExplorationResult`, as :func:`score_session` reports it.
     """
     if not isinstance(oracle, ConjunctiveOracle):
         raise TypeError("run_lte_exploration needs a ConjunctiveOracle")
-    if manager is not None:
-        result, = run_concurrent_explorations(
-            lte, [oracle], eval_rows, variant=variant, subspaces=subspaces,
-            seeds=None if seed is None else [seed], manager=manager)
-        return result
-    if not hasattr(eval_rows, "iter_chunks"):
-        eval_rows = np.atleast_2d(np.asarray(eval_rows, dtype=np.float64))
-    before = oracle.labels_given
     session = lte.start_session(variant=variant, subspaces=subspaces,
                                 seed=seed)
     for subspace, tuples in session.initial_tuples().items():
         session.submit_labels(subspace, oracle.label_subspace(subspace,
                                                               tuples))
-    labels_used = oracle.labels_given - before
-    predictions = session.predict(eval_rows)
-    truth = oracle.ground_truth(eval_rows)
-    return ExplorationResult(
-        f1=f1_score(truth, predictions),
-        labels_used=labels_used,
-        adapt_seconds=session.adapt_seconds,
-        predictions=predictions,
-        ground_truth=truth,
-    )
+    return score_session(session, oracle, eval_rows)
 
 
 def score_session(session, oracle, eval_rows):
-    """Score an existing session like :func:`run_lte_exploration` would.
+    """Score an adapted session (what :func:`run_lte_exploration` returns).
 
     The missing half of resumable exploration: a session restored from a
     checkpoint (:func:`repro.persist.load_session`) carries its adapted
     models and labels but no live oracle counter, so ``labels_used`` is
     recomputed from the labels the session has actually accumulated
-    (initial + iterative rounds).  Works identically on a live session —
-    for an uninterrupted run the result matches
-    :func:`run_lte_exploration` exactly.
+    (initial + iterative rounds).  Works identically on a live session.
 
     Parameters
     ----------

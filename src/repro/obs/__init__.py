@@ -13,14 +13,14 @@
   ``python -m repro.obs summarize`` CLI for percentile / hit-ratio
   tables.
 
-Everything is numerics-neutral (no RNG, no float ops on model data —
-enabling observability never changes a prediction) and collapses to
-shared no-op singletons when ``REPRO_OBS=off``.
+Metrics are always on; spans are emitted only while a sink is
+installed.  Everything is numerics-neutral (no RNG, no float ops on
+model data — neither metrics nor a span sink ever change a
+prediction).
 """
 
 from .registry import (BUCKET_BOUNDS, Counter, Gauge, Histogram,
-                       MetricsRegistry, aggregate, configure,
-                       default_registry, enabled, enabled_scope,
+                       MetricsRegistry, aggregate, default_registry,
                        merge_snapshots, reset_all_metrics,
                        reset_default_registry)
 from .trace import JsonlSink, capture, get_sink, set_sink, span
@@ -29,9 +29,8 @@ from .export import (format_summary, read_jsonl, summarize_events,
 
 __all__ = [
     "BUCKET_BOUNDS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "aggregate", "configure", "default_registry", "enabled",
-    "enabled_scope", "merge_snapshots", "reset_all_metrics",
-    "reset_default_registry",
+    "aggregate", "default_registry", "merge_snapshots",
+    "reset_all_metrics", "reset_default_registry",
     "JsonlSink", "capture", "get_sink", "set_sink", "span",
     "format_summary", "read_jsonl", "summarize_events", "write_jsonl",
 ]

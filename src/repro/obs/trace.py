@@ -13,9 +13,9 @@ reconstructs the call tree without any global state.
 
 Events go to the installed *sink* (a callable taking the event dict) —
 :class:`JsonlSink` appends JSONL lines, :func:`capture` collects into a
-list for tests and the examples.  With no sink installed, or with
-``REPRO_OBS=off``, :func:`span` returns one shared no-op context
-manager: no span object is allocated, no clock is read.
+list for tests and the examples.  With no sink installed, :func:`span`
+returns one shared no-op context manager: no span object is allocated,
+no clock is read.
 
 Like the metrics registry, spans are numerics-neutral: they read the
 clock and build dicts, and never touch RNG state or model data.
@@ -28,8 +28,6 @@ import itertools
 import json
 import threading
 import time
-
-from .registry import enabled
 
 __all__ = ["span", "set_sink", "get_sink", "capture", "JsonlSink"]
 
@@ -52,7 +50,7 @@ def get_sink():
 
 
 class _NoopSpan:
-    """Shared do-nothing span handed out when tracing is off."""
+    """Shared do-nothing span handed out when no sink is installed."""
 
     __slots__ = ()
 
@@ -118,10 +116,10 @@ class Span:
 def span(name, **attrs):
     """Open a timed scope: ``with span("serve.manager.flush"): ...``.
 
-    Returns the shared no-op span when observability is disabled or no
-    sink is installed — zero allocation on the fast path.
+    Returns the shared no-op span when no sink is installed — zero
+    allocation on the fast path.
     """
-    if _SINK[0] is None or not enabled():
+    if _SINK[0] is None:
         return _NOOP
     return Span(name, attrs)
 

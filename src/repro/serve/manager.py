@@ -52,7 +52,7 @@ class _Pending:
         self.subspace = subspace
         self.labels = labels
         self.tuples = tuples   # None -> initial labels; else add_labels round
-        self.enqueued = enqueued   # perf_counter at submit (None if obs off)
+        self.enqueued = enqueued   # perf_counter at submit (None if restored)
 
 
 class SessionManager:
@@ -117,7 +117,6 @@ class SessionManager:
         self._next_id = 0
         self._lock = threading.RLock()
         metrics = self.metrics
-        self._obs_on = metrics.enabled
         self._adapt_batches = metrics.counter("serve.manager.adapt.batches")
         self._adapted_total = metrics.counter("serve.manager.adapt.total")
         self._sessions_live = metrics.gauge("serve.manager.sessions.live")
@@ -245,7 +244,7 @@ class SessionManager:
                 .validate_initial_labels(labels)
             self._queue.append(_Pending(
                 session_id, subspace, labels,
-                enqueued=time.perf_counter() if self._obs_on else None))
+                enqueued=time.perf_counter()))
             self._queue_depth.set(len(self._queue))
 
     def submit_all_labels(self, session_id, labels_by_subspace):
@@ -264,7 +263,7 @@ class SessionManager:
                 .validate_extra_labels(tuples, labels)
             self._queue.append(_Pending(
                 session_id, subspace, labels, tuples,
-                enqueued=time.perf_counter() if self._obs_on else None))
+                enqueued=time.perf_counter()))
             self._queue_depth.set(len(self._queue))
 
     def pending(self, session_id=None):
@@ -304,7 +303,7 @@ class SessionManager:
             self._queue_depth.set(0)
             if not work:
                 return 0
-            flush_start = time.perf_counter() if self._obs_on else None
+            flush_start = time.perf_counter()
             done = 0
             errors = []
             # Items targeting the *same* (session, subspace) must run in
@@ -329,8 +328,7 @@ class SessionManager:
                     self._queue_depth.set(len(self._queue))
                     raise
                 work = rest
-            if flush_start is not None:
-                self._t_flush.observe(time.perf_counter() - flush_start)
+            self._t_flush.observe(time.perf_counter() - flush_start)
             if errors and raise_errors:
                 raise errors[0]
             return done
@@ -345,10 +343,9 @@ class SessionManager:
 
     def _run_wave(self, wave, errors):
         start = time.perf_counter()
-        if self._obs_on:
-            for item in wave:
-                if item.enqueued is not None:
-                    self._queue_wait.observe(start - item.enqueued)
+        for item in wave:
+            if item.enqueued is not None:
+                self._queue_wait.observe(start - item.enqueued)
         requests, installs = [], []
         for item in wave:
             subsession = \
@@ -441,12 +438,11 @@ class SessionManager:
         manager-level pack cache keeps the compiled halfspace stacks
         across model versions and repeated calls.
         """
-        t0 = time.perf_counter() if self._obs_on else None
+        t0 = time.perf_counter()
         answers, tally = predict_conjunctions(conjunctions, project, n_rows,
                                               self._region_packs)
         self._record_tally(tally)
-        if t0 is not None:
-            self._t_predict.observe(time.perf_counter() - t0)
+        self._t_predict.observe(time.perf_counter() - t0)
         return answers
 
     def _record_tally(self, tally):
@@ -513,7 +509,7 @@ class SessionManager:
         """
         with self._lock, span("serve.manager.store_scan") as scan_span:
             self.flush(raise_errors=False)
-            t0 = time.perf_counter() if self._obs_on else None
+            t0 = time.perf_counter()
             sessions = self._conjunctions(session_ids)
             results, marks, scan = scan_conjunctions(
                 sessions, store,
@@ -537,8 +533,7 @@ class SessionManager:
             for tally in blocks:
                 block_rows.observe(tally["rows"])
                 self._record_tally(tally)
-            if t0 is not None:
-                self._t_predict.observe(time.perf_counter() - t0)
+            self._t_predict.observe(time.perf_counter() - t0)
             return results
 
     def predict_store(self, session_id, store):

@@ -40,8 +40,9 @@ On-disk layout (one directory per store, format version 2)::
 Appends are crash-safe: new chunk bytes and the new zone-map file are
 written under names no live manifest references, and the single
 ``os.replace`` of ``store.json`` is the commit point — a crash at any
-earlier moment leaves the previous store fully intact.  Format-version-1
-directories (pre-append layout) still open, read-only.
+earlier moment leaves the previous store fully intact.  This build
+reads format version 2 only; :meth:`ChunkStore.open` rejects any other
+version with a :class:`ValueError` naming it.
 
 Chunks are written streaming (constant memory) and opened lazily via
 ``np.load(..., mmap_mode="r")``, so peak resident memory is bounded by
@@ -69,9 +70,7 @@ __all__ = ["DEFAULT_CHUNK_ROWS", "ZoneMaps", "ChunkStore",
 DEFAULT_CHUNK_ROWS = 65_536
 
 _MANIFEST = "store.json"
-_ZONEMAPS_V1 = "zonemaps.npz"
 _FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
 
 
 class StoreCorruptedError(ValueError):
@@ -86,7 +85,8 @@ class StoreCorruptedError(ValueError):
 
 
 class StoreReadOnlyError(RuntimeError):
-    """Mutation attempted on a store opened read-only (e.g. format v1)."""
+    """Append to a source store that :meth:`ChunkStore.cluster_by`
+    detached from its directory by clustering into that directory."""
 
 
 def _chunk_digest(block):
@@ -300,7 +300,7 @@ class ChunkStore:
 
     def __init__(self, name, attributes, chunks, zone_maps, directory=None,
                  chunk_rows=DEFAULT_CHUNK_ROWS, provenance=None,
-                 store_version=1, uid=None, read_only=False, files=None):
+                 store_version=1, uid=None, files=None):
         self.name = str(name)
         self.attributes = [a if isinstance(a, Attribute) else Attribute(a)
                            for a in attributes]
@@ -325,7 +325,10 @@ class ChunkStore:
         #: (unlike ``digest``, which changes with content).  Watermarks
         #: key on ``(uid, store_version)``.
         self.uid = str(uid) if uid else uuid.uuid4().hex
-        self.read_only = bool(read_only)
+        #: Set once :meth:`cluster_by` has swapped a rewritten store into
+        #: this store's directory: the source keeps serving reads from
+        #: its resident chunks but can never append again.
+        self.read_only = False
         if files is not None:
             self._files = [str(f) for f in files]
         else:
@@ -610,9 +613,9 @@ class ChunkStore:
         """
         if self.read_only:
             raise StoreReadOnlyError(
-                "store {!r} was opened read-only (format v1 layout); "
-                "rewrite it with save() to a new directory to get an "
-                "appendable v2 store".format(self.name))
+                "store {!r} is read-only: cluster_by() rewrote its "
+                "directory and detached this source; append to the "
+                "store cluster_by() returned".format(self.name))
         t0 = time.perf_counter()
         width = self.n_attributes
         zone = self.zone_maps
@@ -713,7 +716,6 @@ class ChunkStore:
         self._files = fresh._files
         self.store_version = fresh.store_version
         self.uid = fresh.uid
-        self.read_only = fresh.read_only
         self._zone_name = fresh._zone_name
         self._data = None
         self._digest = None
@@ -930,8 +932,9 @@ class ChunkStore:
     def save(self, directory):
         """Write this store to ``directory``; returns the on-disk store.
 
-        Materializes a compacted copy (fresh uid, ``store_version`` 1) —
-        also the upgrade path for read-only format-v1 stores.
+        Materializes a compacted copy (fresh uid, ``store_version`` 1)
+        of the current rows; saving to the store's own directory returns
+        the store itself.
         """
         if self.directory is not None \
                 and os.path.abspath(self.directory) \
@@ -999,8 +1002,8 @@ class ChunkStore:
     def open(cls, directory, validate=True):
         """Open an on-disk store; chunks memory-map lazily on access.
 
-        Format-v2 stores open appendable; format-v1 directories (written
-        before appends existed) open **read-only**.  With ``validate``
+        Only format-version-2 stores open (appendable); any other version
+        raises :class:`ValueError` naming it.  With ``validate``
         (the default) every chunk file's presence, shape and byte size is
         checked up front — a damaged directory raises
         :class:`StoreCorruptedError` here instead of deep inside a later
@@ -1014,12 +1017,11 @@ class ChunkStore:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         version = manifest.get("format_version")
-        if version not in _SUPPORTED_VERSIONS:
+        if version != _FORMAT_VERSION:
             raise ValueError(
                 "store at {!r} uses format version {!r}; this build reads "
-                "versions {}".format(directory, version,
-                                     list(_SUPPORTED_VERSIONS)))
-        zone_name = manifest.get("zone_file", _ZONEMAPS_V1)
+                "versions {}".format(directory, version, [_FORMAT_VERSION]))
+        zone_name = manifest["zone_file"]
         zone_path = os.path.join(directory, zone_name)
         if not os.path.isfile(zone_path):
             raise StoreCorruptedError(
@@ -1029,24 +1031,17 @@ class ChunkStore:
             zones = ZoneMaps.from_state({k: npz[k] for k in npz.files})
         attributes = [Attribute(e["name"], hint=e["hint"])
                       for e in manifest["attributes"]]
-        files = manifest.get("chunk_files")
-        if files is None:
-            files = [_chunk_filename(i) for i in range(zones.n_chunks)]
+        files = manifest["chunk_files"]
         if len(files) != zones.n_chunks:
             raise StoreCorruptedError(
                 "store at {!r} lists {} chunk files for {} chunks".format(
                     directory, len(files), zones.n_chunks))
-        uid = manifest.get("uid")
-        if uid is None:
-            # v1 stores are immutable, so the content digest is a stable
-            # identity for them.
-            uid = "v1:" + str(manifest.get("digest", ""))
         store = cls(manifest["name"], attributes,
                     [None] * zones.n_chunks, zones, directory=directory,
                     chunk_rows=manifest["chunk_rows"],
                     provenance=manifest.get("provenance"),
-                    store_version=manifest.get("store_version", 1),
-                    uid=uid, read_only=(version == 1), files=files)
+                    store_version=manifest["store_version"],
+                    uid=manifest["uid"], files=files)
         store._zone_name = zone_name
         if store.digest != manifest.get("digest"):
             raise StoreCorruptedError(

@@ -17,7 +17,7 @@ import pytest
 import repro
 from repro.nn import Adam, optim
 from repro.nn.tensor import Parameter
-from repro.obs import default_registry, enabled_scope
+from repro.obs import default_registry
 
 BLOCK = optim._BLOCK
 MIB = (1 << 20) // 8            # float64 elements in one MiB
@@ -137,21 +137,19 @@ def test_without_the_loop_the_numpy_kernel_runs_with_the_same_bits(
         blocker.write_text("")
         monkeypatch.setattr(optim, "_cache_dir",
                             lambda: str(blocker / "repro"))
-    with enabled_scope(True):
-        before = counted_numpy_steps()
-        ours = adam_state("odd sizes", None, step=Adam.step)
-        assert counted_numpy_steps() - before == len(
-            CASES["odd sizes"](np.random.default_rng(0))[1])
+    before = counted_numpy_steps()
+    ours = adam_state("odd sizes", None, step=Adam.step)
+    assert counted_numpy_steps() - before == len(
+        CASES["odd sizes"](np.random.default_rng(0))[1])
     assert optim._KERNEL == [None]
     assert_same_bits(ours, reference)
 
 
 @needs_compiler
 def test_the_compiled_loop_counts_no_numpy_step():
-    with enabled_scope(True):
-        before = counted_numpy_steps()
-        adam_state("odd sizes", None, step=Adam.step)
-        assert counted_numpy_steps() == before
+    before = counted_numpy_steps()
+    adam_state("odd sizes", None, step=Adam.step)
+    assert counted_numpy_steps() == before
 
 
 def test_threads_that_step_first_at_once_build_the_loop_once(monkeypatch):

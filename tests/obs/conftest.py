@@ -1,8 +1,8 @@
 """Fixtures for the observability suite: a tiny trained LTE + obs reset.
 
-Metrics enablement is forced ON for every test here (the suite asserts
-telemetry content), and the process-default registry is dropped between
-tests so cumulative counters never leak across cases.
+The process-default registry is dropped between tests so cumulative
+counters never leak across cases, and no span sink is installed unless
+a test installs one.
 """
 
 import pytest
@@ -15,12 +15,11 @@ from repro.data import make_car
 
 @pytest.fixture(autouse=True)
 def _fresh_obs_state():
-    with obs.enabled_scope(True):
-        obs.reset_default_registry()
-        previous_sink = obs.set_sink(None)
-        yield
-        obs.set_sink(previous_sink)
-        obs.reset_default_registry()
+    obs.reset_default_registry()
+    previous_sink = obs.set_sink(None)
+    yield
+    obs.set_sink(previous_sink)
+    obs.reset_default_registry()
 
 
 @pytest.fixture(scope="session")

@@ -313,42 +313,29 @@ class TestSnapshotRestore:
 
 
 class TestNoInterference:
-    def test_predictions_bit_identical_with_obs_off(self, obs_lte,
-                                                    obs_subspaces,
-                                                    make_oracle,
-                                                    eval_rows):
-        """The acceptance guarantee: enabling observability changes no
-        prediction by a single bit."""
+    def test_predictions_bit_identical_with_and_without_sink(
+            self, obs_lte, obs_subspaces, make_oracle, eval_rows):
+        """The acceptance guarantee: tracing a wave into a sink changes
+        no prediction by a single bit, and with no sink installed the
+        tracer builds no span at all."""
+        from repro.obs import trace
         oracle = make_oracle(59)
-        manager_on = SessionManager(obs_lte)
+        traced = SessionManager(obs_lte)
         with obs.capture() as events:
-            _, on = _serve_wave(manager_on, oracle, obs_subspaces,
-                                eval_rows)
-        assert events                       # telemetry was really live
-        assert manager_on.metrics.snapshot()
-        with obs.enabled_scope(False):
-            manager_off = SessionManager(obs_lte)
-            with obs.capture() as off_events:
-                _, off = _serve_wave(manager_off, oracle, obs_subspaces,
-                                     eval_rows)
-        assert off_events == []             # off path emits nothing
-        assert manager_off.metrics.snapshot() == {}
-        assert sorted(on) == sorted(off)
-        for sid in on:
-            assert np.array_equal(on[sid], off[sid])
-
-    def test_off_manager_counts_come_from_live_state(self, obs_lte,
-                                                     obs_subspaces,
-                                                     make_oracle, eval_rows):
-        """With REPRO_OBS=off the counter properties read null metrics,
-        while session counts and the queue come from real state."""
-        with obs.enabled_scope(False):
-            manager = SessionManager(obs_lte)
-            sids, _ = _serve_wave(manager, make_oracle(61), obs_subspaces,
-                                  eval_rows, n_sessions=2)
-            assert manager.n_sessions == len(sids)
-            assert manager.pending() == []
-            assert manager.adapt_batches == 0   # null counter
+            _, with_sink = _serve_wave(traced, oracle, obs_subspaces,
+                                       eval_rows)
+        assert events                       # the spans were really live
+        plain = SessionManager(obs_lte)
+        first_id = next(trace._IDS)
+        _, without_sink = _serve_wave(plain, oracle, obs_subspaces,
+                                      eval_rows)
+        assert next(trace._IDS) == first_id + 1   # no Span was created
+        # Metrics count either way.
+        assert plain.metrics.value("serve.manager.adapt.batches") == \
+            traced.metrics.value("serve.manager.adapt.batches") >= 1
+        assert sorted(with_sink) == sorted(without_sink)
+        for sid in with_sink:
+            assert np.array_equal(with_sink[sid], without_sink[sid])
 
 
 class TestOfflinePreparationMetrics:
@@ -375,12 +362,6 @@ class TestOfflinePreparationMetrics:
         # Three clustering rounds a subspace, at least one iteration each.
         assert snap["ml.kmeans.iterations"]["kind"] == "counter"
         assert snap["ml.kmeans.iterations"]["value"] >= 3 * len(lte.states)
-
-    def test_absent_with_obs_off(self):
-        with obs.enabled_scope(False):
-            self._prepare()
-            assert obs.default_registry().snapshot() == {}
-        assert not set(self.NAMES) & set(obs.default_registry().names())
 
     def test_listed_in_the_catalogue(self):
         from repro.obs import registry

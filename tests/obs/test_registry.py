@@ -1,6 +1,7 @@
 """Registry unit tests: primitives, merge determinism, exporters, CLI."""
 
 import json
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ pytestmark = pytest.mark.obs
 
 def _filled_registry(seed, n_obs=200):
     rng = random.Random(seed)
-    registry = obs.MetricsRegistry(enabled=True)
+    registry = obs.MetricsRegistry()
     counter = registry.counter("geometry.pack_cache.hits")
     hist = registry.histogram("serve.manager.flush.seconds")
     gauge = registry.gauge("serve.manager.queue.depth")
@@ -26,7 +27,7 @@ def _filled_registry(seed, n_obs=200):
 
 class TestPrimitives:
     def test_counter_gauge_histogram_roundtrip(self):
-        registry = obs.MetricsRegistry(enabled=True)
+        registry = obs.MetricsRegistry()
         registry.counter("a.b.c").inc(5)
         registry.gauge("a.b.depth").set(3)
         hist = registry.histogram("a.b.seconds")
@@ -38,22 +39,22 @@ class TestPrimitives:
         assert snap["a.b.seconds"]["count"] == 3
         assert snap["a.b.seconds"]["min"] == pytest.approx(0.001)
         assert snap["a.b.seconds"]["max"] == pytest.approx(0.5)
-        restored = obs.MetricsRegistry(enabled=True)
+        restored = obs.MetricsRegistry()
         restored.load(snap)
         assert restored.snapshot() == snap
 
     def test_get_or_create_returns_same_object(self):
-        registry = obs.MetricsRegistry(enabled=True)
+        registry = obs.MetricsRegistry()
         assert registry.counter("x.y.z") is registry.counter("x.y.z")
 
     def test_kind_conflict_rejected(self):
-        registry = obs.MetricsRegistry(enabled=True)
+        registry = obs.MetricsRegistry()
         registry.counter("x.y.z")
         with pytest.raises(ValueError, match="already registered"):
             registry.histogram("x.y.z")
 
     def test_name_scheme_enforced(self):
-        registry = obs.MetricsRegistry(enabled=True)
+        registry = obs.MetricsRegistry()
         for bad in ("", "Upper.case", "has space", ".leading", "trailing.",
                     "double..dot"):
             with pytest.raises(ValueError):
@@ -67,6 +68,21 @@ class TestPrimitives:
         assert p50 in obs.BUCKET_BOUNDS and p50 >= 0.001
         assert hist.percentile(0.999) >= 5.0 or \
             hist.percentile(0.999) in obs.BUCKET_BOUNDS
+
+    def test_histogram_bucket_indices(self):
+        def bucket(value):
+            hist = obs.Histogram()
+            hist.observe(value)
+            return hist.counts.index(1)
+
+        overflow = len(obs.BUCKET_BOUNDS)
+        for i, bound in enumerate(obs.BUCKET_BOUNDS):
+            assert bucket(bound) == i
+            assert bucket(math.nextafter(bound, math.inf)) == i + 1
+        for value in (0.0, -0.0, -1.0, -1e300, -math.inf):
+            assert bucket(value) == 0, value
+        assert bucket(math.inf) == overflow
+        assert bucket(math.nan) == overflow
 
     def test_counter_set_supports_restore(self):
         counter = obs.Counter()
@@ -105,10 +121,10 @@ class TestMergeDeterminism:
         merging yields the same histogram as observing it in one."""
         rng = random.Random(7)
         values = [rng.uniform(1e-6, 100.0) for _ in range(500)]
-        whole = obs.MetricsRegistry(enabled=True)
+        whole = obs.MetricsRegistry()
         for value in values:
             whole.histogram("a.b.seconds").observe(value)
-        parts = [obs.MetricsRegistry(enabled=True) for _ in range(4)]
+        parts = [obs.MetricsRegistry() for _ in range(4)]
         for i, value in enumerate(values):
             parts[i % 4].histogram("a.b.seconds").observe(value)
         merged = obs.merge_snapshots([p.snapshot() for p in parts])
@@ -135,29 +151,6 @@ class TestMergeDeterminism:
         snap["counts"] = snap["counts"][:-3]
         with pytest.raises(ValueError, match="bucket"):
             hist.merge(snap)
-
-
-class TestDisabledFastPath:
-    def test_disabled_registry_hands_out_shared_null(self):
-        with obs.enabled_scope(False):
-            registry = obs.MetricsRegistry()
-            assert registry.counter("a.b.c") is registry.histogram("d.e.f")
-            registry.counter("a.b.c").inc(10)
-            registry.histogram("d.e.f").observe(1.0)
-            assert registry.snapshot() == {}
-            assert registry.merge({"a.b.c": {"kind": "counter",
-                                             "value": 3}}).snapshot() == {}
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "off")
-        obs.configure(None)   # force re-resolution
-        try:
-            assert not obs.enabled()
-            monkeypatch.setenv("REPRO_OBS", "on")
-            obs.configure(None)
-            assert obs.enabled()
-        finally:
-            obs.configure(True)
 
 
 class TestExporters:
@@ -203,8 +196,8 @@ class TestExporters:
 
 class TestAggregate:
     def test_aggregate_merges_live_registries(self):
-        a = obs.MetricsRegistry(enabled=True)
-        b = obs.MetricsRegistry(enabled=True)
+        a = obs.MetricsRegistry()
+        b = obs.MetricsRegistry()
         a.counter("x.y.z").inc(2)
         b.counter("x.y.z").inc(3)
         obs.default_registry().counter("x.y.z").inc(1)

@@ -5,7 +5,6 @@ The acceptance criterion lives here: ``gateway.metrics()`` on a
 pipe RPC) plus one deterministic element-wise merge of the fleet.
 """
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -134,25 +133,3 @@ class TestDeadWorkers:
             assert gateway_snap["shard.gateway.workers.alive"]["value"] == 1
             assert gateway_snap["shard.gateway.workers.crashed"]["value"] \
                 == 1
-
-
-class TestShardedParityWithObs:
-    def test_gateway_predictions_unchanged_by_obs(self, obs_lte,
-                                                  obs_subspaces,
-                                                  make_oracle, eval_rows):
-        """Shard parity with telemetry live: predictions through an
-        instrumented 2-worker gateway match an instrumented-but-disabled
-        run bit for bit."""
-        oracle = make_oracle(89)
-        with ShardGateway(obs_lte, n_workers=2) as gateway:
-            sids = _serve_fleet(gateway, oracle, obs_subspaces,
-                                n_sessions=2)
-            on = gateway.predict_many(sids, eval_rows)
-            assert gateway.metrics()["merged"]       # telemetry was live
-        with obs.enabled_scope(False):
-            with ShardGateway(obs_lte, n_workers=2) as gateway:
-                sids_off = _serve_fleet(gateway, oracle, obs_subspaces,
-                                        n_sessions=2)
-                off = gateway.predict_many(sids_off, eval_rows)
-        for sid, ref_sid in zip(sorted(on), sorted(off)):
-            assert np.array_equal(on[sid], off[ref_sid])

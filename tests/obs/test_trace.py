@@ -1,4 +1,4 @@
-"""Span tracer tests: nesting, sinks, and the disabled fast path."""
+"""Span tracer tests: nesting, sinks, and the no-sink fast path."""
 
 import pytest
 
@@ -89,27 +89,30 @@ class TestJsonlSink:
         assert [e["name"] for e in obs.read_jsonl(sink.path)] == ["a"]
 
 
-class TestDisabledFastPath:
+class TestNoSinkFastPath:
     def test_no_sink_returns_shared_noop(self):
         assert obs.get_sink() is None   # conftest removed any sink
         assert obs.span("x") is obs.span("y")
 
-    def test_disabled_with_sink_emits_nothing(self):
-        with obs.capture() as events:
-            with obs.enabled_scope(False):
-                # Same shared no-op object every call: no span
-                # allocation, no clock reads, nothing emitted.
-                scope = obs.span("x", attr=1)
-                assert scope is obs.span("y")
-                with scope:
-                    scope.annotate(more=2)
-        assert events == []
+    def test_noop_span_keeps_the_span_protocol(self):
+        """Code written against a live span runs unchanged on the no-op:
+        nesting, ``annotate`` chaining and exceptions propagating."""
+        scope = obs.span("x", attr=1)
+        with scope as entered:
+            assert entered is scope
+            assert scope.annotate(more=2) is scope
+            with obs.span("inner") as inner:
+                assert inner is scope
+        with pytest.raises(RuntimeError, match="boom"):
+            with obs.span("will.fail"):
+                raise RuntimeError("boom")
 
-    def test_reenabling_restores_emission(self):
+    def test_removing_the_sink_stops_emission_until_reinstalled(self):
         with obs.capture() as events:
-            with obs.enabled_scope(False):
-                with obs.span("off"):
-                    pass
-            with obs.span("on"):
+            previous = obs.set_sink(None)
+            with obs.span("unsunk") as scope:
+                scope.annotate(more=2)
+            obs.set_sink(previous)
+            with obs.span("sunk"):
                 pass
-        assert [e["name"] for e in events] == ["on"]
+        assert [e["name"] for e in events] == ["sunk"]

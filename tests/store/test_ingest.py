@@ -136,9 +136,9 @@ def test_crash_at_commit_point_preserves_the_old_version(tmp_path,
     assert ChunkStore.open(directory).digest == store.digest
 
 
-def test_v1_layout_opens_read_only_and_upgrades_via_save(tmp_path):
+def test_v1_layout_is_rejected(tmp_path):
     directory = str(tmp_path / "v1")
-    store = build(make_rows(30, seed=5), chunk_rows=8, directory=directory)
+    build(make_rows(30, seed=5), chunk_rows=8, directory=directory)
     manifest = read_manifest(directory)
     # Doctor the directory back to the pre-append v1 layout.
     os.rename(os.path.join(directory, manifest.pop("zone_file")),
@@ -149,16 +149,26 @@ def test_v1_layout_opens_read_only_and_upgrades_via_save(tmp_path):
     with open(os.path.join(directory, "store.json"), "w") as fh:
         json.dump(manifest, fh)
 
-    v1 = ChunkStore.open(directory)
-    assert v1.read_only
-    assert v1.uid.startswith("v1:")
-    assert v1.digest == store.digest
-    with pytest.raises(StoreReadOnlyError):
-        v1.append_blocks([make_rows(4, seed=6)])
-    upgraded = v1.save(str(tmp_path / "v2"))
-    assert not upgraded.read_only
-    assert upgraded.digest == v1.digest
-    assert upgraded.append_blocks([make_rows(4, seed=6)]) == 4
+    with pytest.raises(ValueError,
+                       match=r"format version 1; this build reads "
+                             r"versions \[2\]"):
+        ChunkStore.open(directory)
+
+
+def test_newer_format_version_is_rejected(tmp_path):
+    """A manifest from a later format is refused by name, never read
+    as if it were version 2."""
+    directory = str(tmp_path / "v3")
+    build(make_rows(30, seed=5), chunk_rows=8, directory=directory)
+    manifest = read_manifest(directory)
+    manifest["format_version"] = 3
+    with open(os.path.join(directory, "store.json"), "w") as fh:
+        json.dump(manifest, fh)
+
+    with pytest.raises(ValueError,
+                       match=r"format version 3; this build reads "
+                             r"versions \[2\]"):
+        ChunkStore.open(directory)
 
 
 def test_refresh_adopts_appends_from_another_handle(tmp_path):
@@ -175,6 +185,55 @@ def test_refresh_adopts_appends_from_another_handle(tmp_path):
     assert reader.digest == writer.digest
     assert reader.chunk(0) is first             # closed-prefix mmap kept
     assert np.array_equal(reader.data, writer.data, equal_nan=True)
+
+
+def _store_handles(directory):
+    """``(open fds, live mappings, deleted mappings)`` of this process;
+    mappings count only files under ``directory``."""
+    fds = len(os.listdir("/proc/self/fd"))
+    live = deleted = 0
+    with open("/proc/self/maps") as fh:
+        for line in fh:
+            fields = line.split(None, 5)
+            path = fields[5].strip() if len(fields) == 6 else ""
+            if not path.startswith(directory + os.sep):
+                continue
+            if path.endswith("(deleted)"):
+                deleted += 1
+            else:
+                live += 1
+    return fds, live, deleted
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd and /proc/self/maps")
+def test_open_append_refresh_loops_leak_no_fd_or_mapping(tmp_path):
+    """Each mapped chunk holds one fd.  Over many open → read → append →
+    refresh rounds a long-lived reader keeps one mapping per live chunk,
+    none of a superseded tail file, and dropping every handle gives all
+    of them back."""
+    directory = str(tmp_path / "s")
+    base_fds, base_maps, _ = _store_handles(directory)
+    build(make_rows(50, seed=20), chunk_rows=16, directory=directory)
+    reader = ChunkStore.open(directory)
+    for i in range(reader.n_chunks):
+        reader.chunk(i)
+    for loop in range(1, 61):
+        store = ChunkStore.open(directory)
+        for i in range(store.n_chunks):
+            store.chunk(i)
+        store.append_blocks([make_rows(5, seed=100 + loop)])
+        del store
+        reader.refresh()
+        for i in range(reader.n_chunks):
+            reader.chunk(i)
+        if loop % 20 == 0:
+            fds, live, deleted = _store_handles(directory)
+            assert fds <= base_fds + reader.n_chunks, (loop, fds)
+            assert live <= reader.n_chunks, (loop, live)
+            assert deleted == 0, loop
+    del reader
+    assert _store_handles(directory) == (base_fds, base_maps, 0)
 
 
 # ----------------------------------------------------------------------
@@ -262,13 +321,31 @@ def test_cluster_by_into_own_directory_swaps_atomically(tmp_path):
     # its mmaps: it still serves its old rows and can never write again.
     assert store.directory is None and store.read_only
     assert np.array_equal(store.chunk(0), first, equal_nan=True)
-    with pytest.raises(StoreReadOnlyError):
+    with pytest.raises(StoreReadOnlyError, match="cluster_by"):
         store.append_blocks([make_rows(4, seed=15)])
     # The swapped directory holds exactly the manifest-referenced files.
     manifest = read_manifest(directory)
     assert set(os.listdir(directory)) == \
         {"store.json", manifest["zone_file"], *manifest["chunk_files"]}
     assert ChunkStore.open(directory).digest == clustered.digest
+
+
+def test_detached_source_saves_a_writable_copy(tmp_path):
+    """The source that an in-place ``cluster_by`` detached cannot
+    append, but ``save()`` copies its rows into a store that can."""
+    directory = str(tmp_path / "s")
+    store = build(make_rows(60, seed=16), chunk_rows=16,
+                  directory=directory)
+    rows_before = np.array(store.data)
+    store.cluster_by("b", directory=directory)
+    assert store.read_only
+
+    copy = store.save(str(tmp_path / "copy"))
+    assert not copy.read_only and copy.store_version == 1
+    assert np.array_equal(copy.data, rows_before, equal_nan=True)
+    assert copy.append_blocks([make_rows(5, seed=17)]) == 5
+    reopened = ChunkStore.open(str(tmp_path / "copy"))
+    assert reopened.n_rows == 65 and reopened.digest == copy.digest
 
 
 def test_cluster_rewrite_cleans_stale_tail_files(tmp_path):

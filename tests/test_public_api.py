@@ -200,8 +200,23 @@ def test_knob_catalogue():
              for path in (root / folder).rglob("*.py")
              if e2e not in path.parents
              for knob in read.findall(path.read_text())}
-    assert knobs == {"REPRO_OBS", "REPRO_STORE_MIN_SPEEDUP",
-                     "REPRO_STORE_BASELINE"}
+    assert knobs == {"REPRO_STORE_MIN_SPEEDUP", "REPRO_STORE_BASELINE"}
+
+
+def test_obs_has_no_mode_switch():
+    """Metrics are always on: ``repro.obs`` exports no switch and a
+    registry takes no mode argument."""
+    import inspect
+
+    from repro import obs
+
+    for name in ("enabled", "configure", "enabled_scope"):
+        assert name not in obs.__all__
+        assert not hasattr(obs, name)
+    assert list(inspect.signature(obs.MetricsRegistry).parameters) == []
+    registry = obs.MetricsRegistry()
+    registry.counter("a.b.c").inc(2)
+    assert registry.value("a.b.c") == 2
 
 
 def test_every_markdown_file_named_in_src_exists():

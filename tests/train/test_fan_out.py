@@ -155,11 +155,10 @@ def test_adapt_buckets_split_equal_whole(fan_lte, variant, k, optimizer,
 @needs_blas
 def test_a_forced_bucket_splits_once(fan_lte):
     requests = adapt_requests(fan_lte, "meta", 5, 3, "adam", True)
-    with obs.enabled_scope(True):
-        before = counter("nn.fan_out.split")
-        with stacks(True):
-            run_adapt_requests(requests)
-        assert counter("nn.fan_out.split") == before + 1
+    before = counter("nn.fan_out.split")
+    with stacks(True):
+        run_adapt_requests(requests)
+    assert counter("nn.fan_out.split") == before + 1
 
 
 # ----------------------------------------------------------------------
@@ -375,8 +374,7 @@ def test_preparation_metrics_are_the_same_split_or_whole(nine_attributes):
                 registry().histogram("core.offline.prepare.seconds").count
                 - before[1])
 
-    with obs.enabled_scope(True):
-        split, whole = both(run)
+    split, whole = both(run)
     assert split == whole
     assert whole[1] == len(subspaces) and whole[0] >= 3 * len(subspaces)
 
@@ -405,7 +403,7 @@ def test_prepared_events_follow_every_preparation_in_order(nine_attributes):
 @needs_blas
 def test_a_split_preparation_splits_once(nine_attributes):
     table, subspaces = nine_attributes
-    with obs.enabled_scope(True), stacks(True):
+    with stacks(True):
         before = counter("nn.fan_out.split")
         prepare(table, subspaces)
         assert counter("nn.fan_out.split") == before + 1
@@ -429,12 +427,11 @@ def test_a_preparation_beside_a_fan_out_runs_whole(nine_attributes):
         thread.start()
         try:
             assert taken.wait(60)
-            with obs.enabled_scope(True):
-                split = counter("nn.fan_out.split")
-                whole = counter("nn.fan_out.whole")
-                beside = prepared_fields(prepare(table, subspaces))
-                assert counter("nn.fan_out.split") == split
-                assert counter("nn.fan_out.whole") == whole + 1
+            split = counter("nn.fan_out.split")
+            whole = counter("nn.fan_out.whole")
+            beside = prepared_fields(prepare(table, subspaces))
+            assert counter("nn.fan_out.split") == split
+            assert counter("nn.fan_out.whole") == whole + 1
         finally:
             release.set()
             thread.join(60)
