@@ -106,8 +106,9 @@ def main():
                          scan["watermark_skipped"],
                          scan["pruned_skipped"]))
 
-    manager._store_marks.clear()     # force the full rescan a restored
-    full = manager.predict_many_store(sids, store)   # manager would run
+    for sid in sids:                 # drop the watermarks: a full rescan
+        manager.session(sid)._store_marks.clear()
+    full = manager.predict_many_store(sids, store)
     assert all(np.array_equal(fresh[sid], full[sid]) for sid in sids)
     print("  incremental answers are bit-identical to a full rescan")
     assert monitor.observe(store) and monitor.drifted() == []
@@ -132,7 +133,8 @@ def main():
           "their adapted state".format(time.perf_counter() - start))
 
     post = manager.predict_many_store(sids, store)
-    manager._store_marks.clear()
+    for sid in sids:
+        manager.session(sid)._store_marks.clear()
     again = manager.predict_many_store(sids, store)
     assert all(np.array_equal(post[sid], again[sid]) for sid in sids)
     fresh_sid = manager.open_session(variant="meta_star",

@@ -49,7 +49,7 @@ from .uis import UISMode
 __all__ = ["LTEConfig", "LTE", "ExplorationSession", "SubspaceState",
            "AdaptRequest", "build_adapt_request", "build_readapt_request",
            "run_adapt_requests", "predict_conjunctions",
-           "scan_conjunctions", "VARIANTS"]
+           "scan_conjunctions", "retrieve_rows", "VARIANTS"]
 
 VARIANTS = ("basic", "meta", "meta_star")
 
@@ -391,12 +391,6 @@ class LTE:
             for subspace in subspaces:
                 self.train_subspace(subspace)
         return states
-
-    def scaler_ranges(self):
-        """Fitted raw-space ``{subspace: (min_, max_)}`` per subspace."""
-        return {subspace: (state.scaler.min_.copy(),
-                           state.scaler.max_.copy())
-                for subspace, state in self.states.items()}
 
     def freshness_monitor(self, threshold=0.2):
         """A :class:`~repro.store.ingest.FreshnessMonitor` watching every
@@ -849,17 +843,19 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache,
 _SCAN_BLOCK_ROWS = 8192
 
 
-def scan_conjunctions(conjunctions, store, marks, pack_cache):
-    """0/1 answers of every row of a chunk store for N conjunctions —
-    the one store scan; a lone session hands it a dict of one, the
-    serving layer all the sessions of a call.
+def scan_conjunctions(sessions, store, pack_cache):
+    """0/1 answers of every row of a chunk store for N sessions — the
+    one store scan; a lone session hands it a dict of one, the serving
+    layer all the sessions of a call.
 
-    ``conjunctions`` and ``pack_cache`` are :func:`predict_conjunctions`'
-    own.  What a conjunction still **owes** is decided chunk by chunk:
+    ``sessions`` maps an id to an :class:`ExplorationSession` whose
+    subspaces are all adapted; ``pack_cache`` is
+    :func:`predict_conjunctions`' own.  What a session still **owes** is
+    decided chunk by chunk:
 
-    * ``marks[id]`` is the watermark an earlier scan of this store
-      returned for it (absent or ``None``: none), trusted while the
-      model versions are the ones it was taken under and the store still
+    * its watermark for this store (``session._store_marks[store.uid]``,
+      which the scan reads and replaces) is trusted while the model
+      versions are the ones it was taken under and the store still
       holds the chunk that closed its prefix.  At the same store version
       it *is* the answer; over an appended store its closed prefix —
       immutable chunks — is copied and the chunks after it are owed;
@@ -876,9 +872,9 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache):
     however small the storage chunks, and resident memory is bounded by
     ``max(chunk_rows, 8 192)`` rows.
 
-    Returns ``(results, new_marks, accounting)``: ``{id: (n_rows,)
-    int64}``; ``{id: watermark}`` at this store version, for the caller
-    to keep and hand back; and the call's counts — of ``sessions`` x
+    Every session leaves with a watermark at this store version.
+    Returns ``(results, accounting)``: ``{id: (n_rows,) int64}`` and the
+    call's counts — of ``sessions`` x
     ``chunks`` = ``chunk_evals_possible`` chunk·sessions,
     ``chunk_evals`` were answered now by a run,
     ``watermark_skipped`` and ``pruned_skipped`` the rest (the three
@@ -888,6 +884,8 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache):
     """
     from ..store.scan import plan_conjunctions
 
+    conjunctions = {key: session._subsessions
+                    for key, session in sessions.items()}
     n_chunks, n_rows = store.n_chunks, store.n_rows
     offsets, digests = store.offsets, store.zone_maps.digests
     results, versions, first_owed = {}, {}, {}
@@ -895,7 +893,7 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache):
     for key, subsessions in conjunctions.items():
         versions[key] = tuple(subsession.model_version
                               for subsession in subsessions.values())
-        mark = marks.get(key)
+        mark = sessions[key]._store_marks.get(store.uid)
         valid = (
             mark is not None and mark["models"] == versions[key]
             and store.store_version >= mark["version"]
@@ -954,9 +952,9 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache):
     stamp = {"version": int(store.store_version), "n_rows": int(n_rows),
              "closed": int(closed), "closed_rows": int(offsets[closed]),
              "tail_digest": digests[closed - 1] if closed else None}
-    new_marks = {key: dict(stamp, models=versions[key],
-                           result=result.astype(np.int8))
-                 for key, result in results.items()}
+    for key, result in results.items():
+        sessions[key]._store_marks[store.uid] = dict(
+            stamp, models=versions[key], result=result.astype(np.int8))
     possible = len(conjunctions) * n_chunks
     watermarked = sum(first_owed.values())
     pruned = possible - watermarked - evals
@@ -964,7 +962,7 @@ def scan_conjunctions(conjunctions, store, marks, pack_cache):
     counter("store.scan.chunks.scanned").inc(evals)
     counter("store.scan.chunks.watermark_skipped").inc(watermarked)
     counter("store.scan.chunks.pruned").inc(pruned)
-    return results, new_marks, {
+    return results, {
         "sessions": len(conjunctions), "chunks": n_chunks,
         "chunk_evals": evals, "chunk_evals_possible": possible,
         "watermark_skipped": watermarked, "pruned_skipped": pruned,
@@ -1196,7 +1194,8 @@ class ExplorationSession:
         self._subsessions = {}
         # Freshness watermarks per store uid: the store version this
         # session last answered at plus the answer itself, so the next
-        # predict_store only scans chunks newer than the watermark.
+        # scan of that store, lone or managed, only evaluates chunks
+        # newer than the watermark.  Checkpointed with the session.
         self._store_marks = {}
         self.last_store_scan = None
         self._region_packs = None    # compiled hulls, see _pack_cache
@@ -1212,7 +1211,8 @@ class ExplorationSession:
     # Checkpointing (resumable sessions)
     # ------------------------------------------------------------------
     def state_dict(self, hull_registry=None):
-        """Checkpointable state of the whole session.
+        """Checkpointable state of the whole session, its store-scan
+        watermarks included.
 
         Subspaces are identified by attribute names (not indices), so the
         state restores against any LTE system trained over the same
@@ -1228,6 +1228,8 @@ class ExplorationSession:
             "subspaces": [list(s.names) for s in self._subsessions],
             "sessions": [ss.state_dict(registry)
                          for ss in self._subsessions.values()],
+            "store_marks": {uid: dict(mark, result=mark["result"].copy())
+                            for uid, mark in self._store_marks.items()},
         }
         if hull_registry is None:
             state["hulls"] = registry.state()
@@ -1249,7 +1251,10 @@ class ExplorationSession:
         session.lte = lte
         session.variant = state["variant"]
         session._subsessions = {}
-        session._store_marks = {}
+        session._store_marks = {
+            uid: dict(mark, models=tuple(mark["models"]),
+                      result=np.asarray(mark["result"]).astype(np.int8))
+            for uid, mark in state["store_marks"].items()}
         session.last_store_scan = None
         session._region_packs = None
         for names, sub_state in zip(state["subspaces"], state["sessions"]):
@@ -1273,10 +1278,6 @@ class ExplorationSession:
     def submit_labels(self, subspace, labels):
         """Feed the user's 0/1 labels for one subspace's initial tuples."""
         self._subsessions[subspace].submit_labels(labels)
-
-    def submit_all_labels(self, labels_by_subspace):
-        for subspace, labels in labels_by_subspace.items():
-            self.submit_labels(subspace, labels)
 
     @property
     def total_budget(self):
@@ -1358,20 +1359,7 @@ class ExplorationSession:
         limit:
             Optional cap on the number of returned rows.
         """
-        if rows is None:
-            rows = self.lte.table if hasattr(self.lte.table, "iter_chunks") \
-                else self.lte.table.data
-        if hasattr(rows, "iter_chunks"):
-            indices = np.flatnonzero(self.predict_store(rows) == 1)
-            if limit is not None:
-                indices = indices[:int(limit)]
-            return rows.take(indices)
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        mask = self.predict(rows) == 1
-        result = rows[mask]
-        if limit is not None:
-            result = result[:int(limit)]
-        return result
+        return retrieve_rows(self.lte.table, self.predict, rows, limit)
 
     # ------------------------------------------------------------------
     def _pack_cache(self):
@@ -1418,7 +1406,8 @@ class ExplorationSession:
     def _require_predictable(self):
         """The conjunction over subspaces is only meaningful when there is
         at least one — with none, every row would come back positive —
-        and when each has its labels."""
+        and when each has its labels.  The one answerability check of a
+        lone session and of the serving layer's sessions alike."""
         if not self._subsessions:
             raise RuntimeError(
                 "session has no subspaces; predictions over an empty "
@@ -1433,21 +1422,37 @@ class ExplorationSession:
         serving layer makes for all its sessions at once.  Chunks the
         few-shot subregions cannot reach are pruned by zone map (Basic /
         Meta sessions evaluate every chunk); the session's watermark
-        (per store ``uid``; any re-adaptation invalidates it) leaves
-        only the chunks past the previously closed prefix of an
-        appended store; what is owed is answered in blocks of at most
+        (per store ``uid``, shared with the serving layer's scans and
+        checkpointed; any re-adaptation invalidates it) leaves only the
+        chunks past the previously closed prefix of an appended store;
+        what is owed is answered in blocks of at most
         ``max(chunk_rows, 8 192)`` rows.  :attr:`last_store_scan`
-        reports the accounting of the most recent call.
+        reports the accounting of the most recent call: the counts of
+        :func:`scan_conjunctions` without ``blocks``, the shape of
+        ``SessionManager.last_store_scan``.
         """
         self._require_predictable()
-        results, marks, accounting = scan_conjunctions(
-            {None: self._subsessions}, store,
-            {None: self._store_marks.get(store.uid)}, self._pack_cache())
-        self._store_marks[store.uid] = marks[None]
-        self.last_store_scan = {
-            "chunks": accounting["chunks"],
-            "chunks_watermarked": accounting["watermark_skipped"],
-            "chunks_scanned": accounting["chunk_evals"],
-            "chunks_pruned": accounting["pruned_skipped"],
-        }
+        results, scan = scan_conjunctions({None: self}, store,
+                                          self._pack_cache())
+        del scan["blocks"]
+        self.last_store_scan = scan
         return results[None]
+
+
+def retrieve_rows(table, predict, rows=None, limit=None):
+    """The rows ``predict`` answers 1, at most ``limit`` of them: the
+    one body of ``retrieve`` for a lone session and a managed one.
+
+    ``rows`` is an array of full-space rows or a chunk store (default:
+    ``table`` itself when it is a store, else its rows); ``predict``
+    maps either to a 0/1 vector.
+    """
+    if rows is None:
+        rows = table if hasattr(table, "iter_chunks") else table.data
+    store = hasattr(rows, "iter_chunks")
+    if not store:
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    indices = np.flatnonzero(predict(rows) == 1)
+    if limit is not None:
+        indices = indices[:int(limit)]
+    return rows.take(indices) if store else rows[indices]

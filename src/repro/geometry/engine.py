@@ -151,10 +151,6 @@ class PackedHulls:
         self._gate_hi = np.nextafter(pad_hi.astype(np.float32),
                                      np.inf).astype(np.float32)
 
-    @classmethod
-    def from_hulls(cls, hulls, eps=_EPS):
-        return cls(hulls, eps=eps)
-
     @property
     def n_hulls(self):
         return len(self.hulls)

@@ -81,6 +81,11 @@ Design constraints (the no-interference guarantee):
   log-scale bucket-bound table (:data:`BUCKET_BOUNDS`), so merging two
   histograms is an element-wise integer add: associative, commutative,
   independent of merge order and of which process observed what;
+* **non-finite values apart** — a histogram counts NaN and ±inf
+  observations in its ``nonfinite`` field, which its snapshot carries
+  and merges add, and keeps them out of its buckets, ``count``,
+  ``sum``, ``min`` and ``max``: a NaN shows as a count instead of
+  turning every later mean and percentile into NaN;
 * **always on, cheap** — there is no off switch: a counter increment,
   gauge set or histogram observation costs well under a microsecond,
   and a 30 s end-to-end run makes a few thousand of them.  Spans are
@@ -102,6 +107,7 @@ the gateway.
 from __future__ import annotations
 
 import bisect
+import math
 import weakref
 
 __all__ = [
@@ -132,10 +138,6 @@ class Counter:
 
     def inc(self, n=1):
         self.value += n
-
-    def set(self, value):
-        """Overwrite the count (checkpoint restore only)."""
-        self.value = int(value)
 
     def snapshot(self):
         return {"kind": "counter", "value": int(self.value)}
@@ -175,15 +177,17 @@ class Gauge:
 class Histogram:
     """Fixed-bucket distribution with order-independent merges.
 
-    Bucket *i* counts observations ``<= BUCKET_BOUNDS[i]``; the final
-    overflow bucket counts the rest.  Because every histogram in every
-    process shares :data:`BUCKET_BOUNDS`, merging is an element-wise
-    integer add — deterministic regardless of merge order or process
-    boundaries.  ``sum`` is kept for mean estimation only (telemetry,
-    never model data).
+    Bucket *i* counts finite observations ``<= BUCKET_BOUNDS[i]``; the
+    final overflow bucket counts the finite rest.  Because every
+    histogram in every process shares :data:`BUCKET_BOUNDS`, merging is
+    an element-wise integer add — deterministic regardless of merge
+    order or process boundaries.  ``sum`` is kept for mean estimation
+    only (telemetry, never model data).  NaN and ±inf are counted in
+    ``nonfinite`` and nowhere else, so one of them cannot turn ``sum``,
+    ``min``, ``max``, the mean or a percentile into NaN for good.
     """
 
-    __slots__ = ("counts", "count", "total", "vmin", "vmax")
+    __slots__ = ("counts", "count", "total", "vmin", "vmax", "nonfinite")
     kind = "histogram"
 
     def __init__(self):
@@ -192,15 +196,14 @@ class Histogram:
         self.total = 0.0
         self.vmin = None
         self.vmax = None
+        self.nonfinite = 0
 
     def observe(self, value):
         value = float(value)
-        # First bound >= value; NaN compares false to every bound, so it
-        # goes to the overflow bucket.
-        if value == value:
-            self.counts[bisect.bisect_left(BUCKET_BOUNDS, value)] += 1
-        else:
-            self.counts[-1] += 1
+        if not math.isfinite(value):
+            self.nonfinite += 1
+            return
+        self.counts[bisect.bisect_left(BUCKET_BOUNDS, value)] += 1
         self.count += 1
         self.total += value
         if self.vmin is None or value < self.vmin:
@@ -235,7 +238,8 @@ class Histogram:
     def snapshot(self):
         return {"kind": "histogram", "counts": list(self.counts),
                 "count": int(self.count), "sum": float(self.total),
-                "min": self.vmin, "max": self.vmax}
+                "min": self.vmin, "max": self.vmax,
+                "nonfinite": int(self.nonfinite)}
 
     def merge(self, snap):
         counts = snap["counts"]
@@ -248,6 +252,7 @@ class Histogram:
             self.counts[i] += int(n)
         self.count += int(snap["count"])
         self.total += float(snap["sum"])
+        self.nonfinite += int(snap["nonfinite"])
         if snap["min"] is not None and \
                 (self.vmin is None or snap["min"] < self.vmin):
             self.vmin = snap["min"]

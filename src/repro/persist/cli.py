@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from .checkpoint import CheckpointError, inspect_checkpoint, load_checkpoint
+from .state import _session_state
 
 __all__ = ["main"]
 
@@ -60,7 +61,7 @@ def _describe_dataset(meta):
     return " ".join(parts) if parts else None
 
 
-def _summarize_state(kind, state):
+def _summarize_state(kind, state, path):
     if kind == "lte-pretrained":
         trained = sum(1 for e in state["subspaces"]
                       if e["trainer"] is not None)
@@ -76,11 +77,12 @@ def _summarize_state(kind, state):
             print("    {}: {}".format(",".join(entry["names"]), detail))
     elif kind == "session-manager":
         snapshot = state["snapshot"]
-        marks = snapshot.get("store_marks", [])
+        uids = [uid for entry in snapshot["sessions"]
+                for uid in _session_state(entry["state"], path)["store_marks"]]
         print("  sessions: {}   queued: {}   watermarks: {} "
               "(stores {})".format(
                   len(snapshot["sessions"]), len(snapshot["queue"]),
-                  len(marks), len({mark["uid"] for mark in marks})))
+                  len(uids), len(set(uids))))
     elif kind == "exploration-session":
         print("  variant: {}   subspaces: {}".format(
             state["session"]["variant"],
@@ -108,7 +110,7 @@ def _cmd_load(args):
     dataset = _describe_dataset(info.get("meta"))
     if dataset:
         print("  trained on: {}".format(dataset))
-    _summarize_state(info["kind"], state)
+    _summarize_state(info["kind"], state, args.path)
     return 0
 
 

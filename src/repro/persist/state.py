@@ -16,10 +16,11 @@ kind                    contents
                         written after every epoch so a killed
                         ``fit_offline(checkpoint=...)`` resumes to the
                         identical phi
-``exploration-session`` the online state of one (resumable) session
+``exploration-session`` the online state of one (resumable) session,
+                        its store-scan watermarks included
 ``session-manager``     a full :class:`~repro.serve.SessionManager`
-                        snapshot: sessions, pending queue, store-scan
-                        watermarks, counters
+                        snapshot: sessions (each with its watermarks),
+                        pending queue, flush errors, metrics
 ======================  ==============================================
 
 The offline *derived* artifacts (scalers, preprocessors, cluster
@@ -163,6 +164,13 @@ def _require(state, key, path):
             "checkpoint at {!r} lacks the expected field {!r}; it was "
             "written by an incompatible build — re-save the state with "
             "this build".format(path, key))
+
+
+def _session_state(state, path):
+    """One session's state, refused when it predates the watermarks it
+    now carries (a restart would silently rescan every store)."""
+    _require(state, "store_marks", path)
+    return state
 
 
 def _check_identity(path, saved, lte, what):
@@ -313,14 +321,16 @@ def load_session(path, lte):
 
     ``lte`` must be the system the session was captured over (or a
     bit-identical restore of it); mismatched systems raise
-    :class:`CheckpointError` instead of silently mis-predicting.
+    :class:`CheckpointError` instead of silently mis-predicting.  The
+    session resumes with its store-scan watermarks, so an unchanged
+    store is answered without evaluating a chunk.
     """
     state, _ = load_checkpoint(path, expected_kind="exploration-session")
     _check_identity(path, _require(state, "identity", path), lte,
                     "session checkpoint")
     try:
         return ExplorationSession.from_state_dict(
-            lte, _require(state, "session", path))
+            lte, _session_state(_require(state, "session", path), path))
     except KeyError as error:
         raise CheckpointError(
             "session checkpoint at {!r} does not fit the target LTE "
@@ -355,8 +365,11 @@ def load_manager(path, lte):
     state, _ = load_checkpoint(path, expected_kind="session-manager")
     _check_identity(path, _require(state, "identity", path), lte,
                     "serving snapshot")
+    snapshot = _require(state, "snapshot", path)
+    for entry in _require(snapshot, "sessions", path):
+        _session_state(entry["state"], path)
     try:
-        return SessionManager.restore(lte, _require(state, "snapshot", path))
+        return SessionManager.restore(lte, snapshot)
     except KeyError as error:
         raise CheckpointError(
             "serving snapshot at {!r} does not fit the target LTE "

@@ -41,10 +41,15 @@ Modules
     :class:`SessionManager` — session lifecycle, the submit/poll/flush
     queue, batched prediction and watermarked store scans.
 
-The engine survives restarts: :meth:`SessionManager.snapshot` /
-:meth:`SessionManager.restore` capture sessions, the pending queue and
-the store-scan watermarks, and :mod:`repro.persist` writes them to disk — a
-restored manager serves bit-identically (``tests/persist``).
+The manager keeps only what spans sessions — the queue, session ids,
+attributed flush errors, the compiled-hull pack cache and the metrics;
+everything else a session serves from, its store-scan watermarks
+included, is the :class:`~repro.core.framework.ExplorationSession`'s
+own.  The engine survives restarts: :meth:`SessionManager.snapshot` /
+:meth:`SessionManager.restore` capture the sessions' states and the
+pending queue, and :mod:`repro.persist` writes them to disk — a
+restored manager serves bit-identically, watermarks and all
+(``tests/persist``).
 """
 
 from ..core.framework import run_adapt_requests

@@ -16,9 +16,14 @@ online loop into three independently scheduled stages:
    only the rows still open *and* alive).  Nothing is memoized per
    answer: every label round bumps a model version, so an answer never
    repeats.  What does repeat is answered below the manager — a store
-   scan's per-session watermark answers the chunks a session was
-   already scored on, and each few-shot optimizer recalls its hull
-   decision per stored chunk.
+   scan's watermark, which each session keeps for itself, answers the
+   chunks the session was already scored on, and each few-shot
+   optimizer recalls its hull decision per stored chunk.
+
+The manager holds only what spans sessions: the queue, session ids,
+attributed flush errors, the compiled-hull pack cache and the metrics.
+A session's serving state — adapted models, model versions, store-scan
+watermarks — lives on its :class:`ExplorationSession`.
 
 Sessions adapted through the manager are bit-compatible with sessions
 driven on their own (see ``tests/serve/test_batched_parity.py``).
@@ -33,7 +38,8 @@ from collections import deque
 import numpy as np
 
 from ..core.framework import (ExplorationSession, LTE, predict_conjunctions,
-                              run_adapt_requests, scan_conjunctions)
+                              retrieve_rows, run_adapt_requests,
+                              scan_conjunctions)
 from ..core.optimizer import HullRegistry
 from ..geometry.engine import HullPackCache
 from ..obs import MetricsRegistry, span
@@ -100,13 +106,6 @@ class SessionManager:
         self._region_packs = HullPackCache(capacity=128,
                                            metrics=self.metrics)
         self._sessions = {}
-        # Freshness watermarks per (session_id, store uid): the store
-        # version each session last answered at plus that answer, so
-        # predict_many_store re-scans only chunks newer than the
-        # watermark (see predict_many_store).  Included in snapshots, so
-        # a restored manager resumes incremental scanning instead of
-        # paying one full rescan per session.
-        self._store_marks = {}
         self.last_store_scan = None
         self._queue = deque()
         # Flush errors attributed to the session that caused them:
@@ -147,18 +146,10 @@ class SessionManager:
         """Flush calls that trained something (registry-backed)."""
         return self._adapt_batches.value
 
-    @adapt_batches.setter
-    def adapt_batches(self, value):
-        self._adapt_batches.set(value)
-
     @property
     def adapted_total(self):
         """(session, subspace) adaptations served (registry-backed)."""
         return self._adapted_total.value
-
-    @adapted_total.setter
-    def adapted_total(self, value):
-        self._adapted_total.set(value)
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -176,16 +167,13 @@ class SessionManager:
             return session_id
 
     def close_session(self, session_id):
-        """Forget a session and drop its queued work and watermarks."""
+        """Forget a session and drop its queued work."""
         with self._lock:
             self._require(session_id)
             session = self._sessions.pop(session_id)
             self._queue = deque(p for p in self._queue
                                 if p.session_id != session_id)
             self._session_errors.pop(session_id, None)
-            self._store_marks = {key: mark
-                                 for key, mark in self._store_marks.items()
-                                 if key[0] != session_id}
             self.metrics.counter("serve.manager.sessions.closed").inc()
             self._sessions_live.set(len(self._sessions))
             self._queue_depth.set(len(self._queue))
@@ -214,17 +202,6 @@ class SessionManager:
             raise KeyError("unknown session id {!r}".format(session_id))
         return True
 
-    @staticmethod
-    def _require_subspaces(session_id, session):
-        """Refuse to predict for a session with no subspaces at all: the
-        conjunctive combination over *nothing* would report every row
-        positive, which is never what a caller means."""
-        if not session._subsessions:
-            raise RuntimeError(
-                "session {!r} has no subspaces (none adapted, nothing to "
-                "predict with); predictions would be trivially "
-                "all-positive".format(session_id))
-
     # ------------------------------------------------------------------
     # Stage 1: label submission (enqueue only)
     # ------------------------------------------------------------------
@@ -246,10 +223,6 @@ class SessionManager:
                 session_id, subspace, labels,
                 enqueued=time.perf_counter()))
             self._queue_depth.set(len(self._queue))
-
-    def submit_all_labels(self, session_id, labels_by_subspace):
-        for subspace, labels in labels_by_subspace.items():
-            self.submit_labels(session_id, subspace, labels)
 
     def add_labels(self, session_id, subspace, tuples, labels):
         """Queue an iterative-exploration label round for re-adaptation."""
@@ -418,17 +391,13 @@ class SessionManager:
     # ------------------------------------------------------------------
     # Stage 3: batched prediction
     # ------------------------------------------------------------------
-    def _conjunctions(self, session_ids):
-        """``{session_id: {subspace: _SubspaceSession}}`` of sessions
-        that can answer: at least one subspace, every one adapted."""
-        conjunctions = {}
-        for session_id in session_ids:
-            session = self.session(session_id)
-            self._require_subspaces(session_id, session)
-            for subsession in session._subsessions.values():
-                subsession.require_adapted()
-            conjunctions[session_id] = session._subsessions
-        return conjunctions
+    def _answerable(self, session_ids):
+        """``{session_id: ExplorationSession}`` of sessions that can
+        answer (``ExplorationSession._require_predictable``)."""
+        sessions = {sid: self.session(sid) for sid in session_ids}
+        for session in sessions.values():
+            session._require_predictable()
+        return sessions
 
     def _answer_block(self, conjunctions, project, n_rows):
         """Answers of one block of rows, ``{id: (n_rows,) 0/1}``, from
@@ -488,16 +457,17 @@ class SessionManager:
         with self._lock, span("serve.manager.predict_many"):
             self.flush(raise_errors=False)
             return self._answer_block(
-                self._conjunctions(session_ids),
+                {sid: session._subsessions
+                 for sid, session in self._answerable(session_ids).items()},
                 lambda subspace: subspace.project(rows), len(rows))
 
     def predict_many_store(self, session_ids, store):
         """0/1 UIR membership over a chunk store for many sessions: ONE
         :func:`~repro.core.framework.scan_conjunctions` call — the scan
         a lone session's ``predict_store`` runs for itself — over the
-        sessions, their watermarks (per ``(session, store uid)``, kept
-        in snapshots) and this manager's pack cache.  It prunes chunks
-        by zone map, skips what a watermark already answers and
+        sessions, each with its own watermark for the store (kept in
+        the session's state), and this manager's pack cache.  It prunes
+        chunks by zone map, skips what a watermark already answers and
         evaluates the rest in blocks of at most ``max(chunk_rows,
         8 192)`` rows — the bound on resident memory, whatever the
         store's size.
@@ -510,14 +480,8 @@ class SessionManager:
         with self._lock, span("serve.manager.store_scan") as scan_span:
             self.flush(raise_errors=False)
             t0 = time.perf_counter()
-            sessions = self._conjunctions(session_ids)
-            results, marks, scan = scan_conjunctions(
-                sessions, store,
-                {sid: self._store_marks.get((sid, store.uid))
-                 for sid in sessions},
-                self._region_packs)
-            for sid, mark in marks.items():
-                self._store_marks[(sid, store.uid)] = mark
+            results, scan = scan_conjunctions(
+                self._answerable(session_ids), store, self._region_packs)
             blocks = scan.pop("blocks")
             self.last_store_scan = scan
             counted = {name: scan[name] for name in (
@@ -545,22 +509,11 @@ class SessionManager:
         return self.predict_many([session_id], rows)[session_id]
 
     def retrieve(self, session_id, rows=None, limit=None):
-        """Rows predicted interesting for the session."""
-        if rows is None:
-            rows = self.lte.table if hasattr(self.lte.table, "iter_chunks") \
-                else self.lte.table.data
-        if hasattr(rows, "iter_chunks"):
-            indices = np.flatnonzero(
-                self.predict_store(session_id, rows) == 1)
-            if limit is not None:
-                indices = indices[:int(limit)]
-            return rows.take(indices)
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        mask = self.predict(session_id, rows) == 1
-        result = rows[mask]
-        if limit is not None:
-            result = result[:int(limit)]
-        return result
+        """Rows predicted interesting for the session
+        (:meth:`ExplorationSession.retrieve`, answered by this manager)."""
+        return retrieve_rows(self.lte.table,
+                             lambda rows: self.predict(session_id, rows),
+                             rows, limit)
 
     # ------------------------------------------------------------------
     # Checkpointing: snapshot / restore
@@ -568,14 +521,15 @@ class SessionManager:
     def snapshot(self):
         """Checkpointable state of the whole serving engine.
 
-        Captures every session's online state (adapted models, few-shot
-        regions, model versions), the *pending* submit queue exactly as
-        it stands (nothing is flushed — a snapshot is a point-in-time
-        copy, not a barrier), the store-scan watermarks, and the serving
-        counters.  Hull objects shared across sessions are interned once
-        through a :class:`~repro.core.optimizer.HullRegistry`, so the
-        sharing that makes :meth:`FewShotOptimizer.decide_batch` cheap
-        survives the round trip.
+        Captures every session's state (adapted models, few-shot
+        regions, model versions, store-scan watermarks), the *pending*
+        submit queue exactly as it stands (nothing is flushed — a
+        snapshot is a point-in-time copy, not a barrier), the attributed
+        flush errors and the serving metrics.  Hull objects shared
+        across sessions are interned once through a
+        :class:`~repro.core.optimizer.HullRegistry`, so the sharing that
+        makes :meth:`FewShotOptimizer.decide_batch` cheap survives the
+        round trip.
 
         The shared pretrained LTE system is *not* included: it is the
         long-lived artifact the manager serves, persisted separately
@@ -601,8 +555,6 @@ class SessionManager:
             ]
             return {
                 "next_id": int(self._next_id),
-                "adapt_batches": int(self.adapt_batches),
-                "adapted_total": int(self.adapted_total),
                 # Full metrics state (counters + histogram buckets), so a
                 # restored manager's telemetry continues where it left
                 # off.  Snapshot entries are plain string-keyed dicts of
@@ -617,17 +569,6 @@ class SessionManager:
                     for sid, entries in self._session_errors.items()
                 ],
                 "hulls": registry.state(),
-                "store_marks": [
-                    {"session_id": int(sid), "uid": str(uid),
-                     "version": int(mark["version"]),
-                     "n_rows": int(mark["n_rows"]),
-                     "closed": int(mark["closed"]),
-                     "closed_rows": int(mark["closed_rows"]),
-                     "tail_digest": mark["tail_digest"],
-                     "models": [int(v) for v in mark["models"]],
-                     "result": mark["result"].copy()}
-                    for (sid, uid), mark in self._store_marks.items()
-                ],
             }
 
     @classmethod
@@ -639,16 +580,10 @@ class SessionManager:
         :func:`repro.persist.load_pretrained`); sessions, the pending
         queue, model versions and watermarks come back exactly, including
         session ids and counters, so serving continues as if the process
-        had never died.  A snapshot that still carries the ``"cache"``
-        field of the retired prediction cache loads too: no answer ever
-        depended on it, so it is ignored.
+        had never died.
         """
         manager = cls(lte)
-        # Older snapshots predate the metrics key; they restore with
-        # fresh telemetry.  The explicit counter assignments below
-        # re-assert the persisted scalar counters on top, keeping both
-        # paths consistent.
-        manager.metrics.load(snapshot.get("metrics") or {})
+        manager.metrics.load(snapshot["metrics"])
         hulls = HullRegistry.restore(snapshot["hulls"]).hulls
         for entry in snapshot["sessions"]:
             manager._sessions[int(entry["id"])] = \
@@ -656,8 +591,6 @@ class SessionManager:
                                                    hulls=hulls)
         manager._sessions_live.set(len(manager._sessions))
         manager._next_id = int(snapshot["next_id"])
-        manager.adapt_batches = int(snapshot["adapt_batches"])
-        manager.adapted_total = int(snapshot["adapted_total"])
         lookups = {}
         for item in snapshot["queue"]:
             session_id = int(item["session_id"])
@@ -681,24 +614,8 @@ class SessionManager:
             manager._queue.append(
                 _Pending(session_id, by_key[key], labels, tuples))
         manager._queue_depth.set(len(manager._queue))
-        for entry in snapshot.get("session_errors", []):
+        for entry in snapshot["session_errors"]:
             manager._session_errors[int(entry["session_id"])] = [
                 {"subspace": list(e["subspace"]), "error": str(e["error"])}
                 for e in entry["errors"]]
-        # Store-scan watermarks (absent in pre-watermark snapshots):
-        # validity is re-checked against the live store on first use, so
-        # restoring against a since-mutated store degrades to a rescan.
-        for entry in snapshot.get("store_marks", []):
-            session_id = int(entry["session_id"])
-            if session_id not in manager._sessions:
-                continue
-            manager._store_marks[(session_id, str(entry["uid"]))] = {
-                "version": int(entry["version"]),
-                "n_rows": int(entry["n_rows"]),
-                "closed": int(entry["closed"]),
-                "closed_rows": int(entry["closed_rows"]),
-                "tail_digest": entry["tail_digest"],
-                "models": tuple(int(v) for v in entry["models"]),
-                "result": np.asarray(entry["result"]).astype(np.int8),
-            }
         return manager

@@ -323,10 +323,6 @@ class ShardGateway:
         worker.pending = int(queued)
         self._note_pending()
 
-    def submit_all_labels(self, session_id, labels_by_subspace):
-        for subspace, labels in labels_by_subspace.items():
-            self.submit_labels(session_id, subspace, labels)
-
     def add_labels(self, session_id, subspace, tuples, labels):
         """Queue an iterative-exploration round (admission-controlled)."""
         worker = self._worker_of(session_id)

@@ -60,7 +60,7 @@ import warnings
 
 import numpy as np
 
-from ..data.schema import Attribute, Table
+from ..data.schema import Attribute
 from ..obs import default_registry
 
 __all__ = ["DEFAULT_CHUNK_ROWS", "ZoneMaps", "ChunkStore",
@@ -520,12 +520,6 @@ class ChunkStore:
                     np.vstack([self.chunk(i) for i in range(self.n_chunks)]))
             self._data.flags.writeable = False
         return self._data
-
-    def to_table(self):
-        """Materialize as an in-memory :class:`~repro.data.schema.Table`."""
-        table = Table(self.name, self.attributes, np.array(self.data))
-        table.provenance = dict(self.provenance) if self.provenance else None
-        return table
 
     # ------------------------------------------------------------------
     # Builders

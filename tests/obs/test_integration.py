@@ -231,9 +231,18 @@ class TestStoreScanMetrics:
         session.predict_store(store)
         scan = session.last_store_scan
         assert [b - a for a, b in zip(before, counts())] == \
-            [scan["chunks_scanned"], scan["chunks_pruned"],
-             scan["chunks_watermarked"]]
-        assert scan["chunks_scanned"] + scan["chunks_pruned"] == 17
+            [scan["chunk_evals"], scan["pruned_skipped"],
+             scan["watermark_skipped"]]
+        assert scan.keys() == manager.last_store_scan.keys()
+        # The managed scan left the session its mark: nothing is owed.
+        assert scan["watermark_skipped"] == 17
+        session._store_marks.clear()
+        before = counts()
+        session.predict_store(store)
+        scan = session.last_store_scan
+        assert [b - a for a, b in zip(before, counts())] == \
+            [scan["chunk_evals"], scan["pruned_skipped"], 0]
+        assert scan["chunk_evals"] + scan["pruned_skipped"] == 17
         # ... and a ChunkScan still is one plan.
         store.scan(session._subsessions[obs_subspaces[0]]
                    .optimizer.outer_region, columns=obs_subspaces[0].columns)
@@ -295,21 +304,18 @@ class TestSnapshotRestore:
             assert np.array_equal(restored.predict(sid, eval_rows),
                                   reference[sid])
 
-    def test_pre_metrics_snapshots_still_restore(self, obs_lte,
-                                                 obs_subspaces,
-                                                 make_oracle, eval_rows):
+    def test_a_snapshot_without_metrics_is_refused(self, obs_lte,
+                                                   obs_subspaces,
+                                                   make_oracle, eval_rows):
+        """The adaptation counts live in the metrics alone: a snapshot
+        without them (one from before repro.obs) cannot restore them."""
         manager = SessionManager(obs_lte)
-        _, reference = _serve_wave(manager, make_oracle(53), obs_subspaces,
-                                   eval_rows, n_sessions=1)
+        _serve_wave(manager, make_oracle(53), obs_subspaces, eval_rows,
+                    n_sessions=1)
         snapshot = manager.snapshot()
-        del snapshot["metrics"]   # a checkpoint from before repro.obs
-        restored = SessionManager.restore(obs_lte, snapshot)
-        # Scalar counters come back through the legacy fields even
-        # without the metrics payload.
-        assert restored.adapt_batches == manager.adapt_batches
-        sid = next(iter(reference))
-        assert np.array_equal(restored.predict(sid, eval_rows),
-                              reference[sid])
+        del snapshot["metrics"]
+        with pytest.raises(KeyError, match="metrics"):
+            SessionManager.restore(obs_lte, snapshot)
 
 
 class TestNoInterference:

@@ -1,5 +1,6 @@
 """Registry unit tests: primitives, merge determinism, exporters, CLI."""
 
+import bisect
 import json
 import math
 import random
@@ -75,20 +76,37 @@ class TestPrimitives:
             hist.observe(value)
             return hist.counts.index(1)
 
-        overflow = len(obs.BUCKET_BOUNDS)
         for i, bound in enumerate(obs.BUCKET_BOUNDS):
             assert bucket(bound) == i
             assert bucket(math.nextafter(bound, math.inf)) == i + 1
-        for value in (0.0, -0.0, -1.0, -1e300, -math.inf):
+        for value in (0.0, -0.0, -1.0, -1e300):
             assert bucket(value) == 0, value
-        assert bucket(math.inf) == overflow
-        assert bucket(math.nan) == overflow
+        assert bucket(1e300) == len(obs.BUCKET_BOUNDS)
+        for value in (math.inf, -math.inf, math.nan):
+            hist = obs.Histogram()
+            hist.observe(value)
+            assert hist.counts == [0] * len(hist.counts), value
+            assert (hist.count, hist.nonfinite) == (0, 1), value
 
-    def test_counter_set_supports_restore(self):
-        counter = obs.Counter()
-        counter.inc(7)
-        counter.set(3)
-        assert counter.value == 3
+    def test_histogram_keeps_nonfinite_values_apart(self):
+        hist = obs.Histogram()
+        for value in (math.nan, 0.5, 2.0):
+            hist.observe(value)
+        assert (hist.vmin, hist.vmax, hist.mean) == (0.5, 2.0, 1.25)
+        assert (hist.count, hist.nonfinite) == (2, 1)
+        assert hist.percentile(1.0) == obs.BUCKET_BOUNDS[
+            bisect.bisect_left(obs.BUCKET_BOUNDS, 2.0)]
+        for value in (math.inf, -math.inf):
+            hist.observe(value)
+        snap = hist.snapshot()
+        assert (snap["min"], snap["max"], snap["sum"]) == (0.5, 2.0, 2.5)
+        assert snap["nonfinite"] == 3
+        merged = obs.Histogram()
+        merged.merge(snap)
+        merged.merge(snap)
+        assert merged.snapshot() == dict(
+            snap, counts=[2 * n for n in snap["counts"]], count=4,
+            sum=5.0, nonfinite=6)
 
 
 def _assert_same_merge(left, right):

@@ -6,10 +6,12 @@ Until the store scan answered *runs* of chunks as blocks,
 — validate the watermark, copy the remembered prefix, ``for ci in
 range(n_chunks)``, one ``predict_conjunctions`` call (the manager: one
 ``_answer_block``) per chunk, re-mark.  The two
-bodies below are that code, moved here verbatim with ``self`` spelled
-``session`` / ``manager``; ``test_scan_blocks.py`` compares answers,
-``last_store_scan`` and marks of the block scan against them.  Nothing
-in ``src/`` imports this module.
+bodies below are that code, moved here with ``self`` spelled
+``session`` / ``manager``.  Since then both keep their watermarks on
+the session and report one ``last_store_scan`` shape, and the bodies
+follow.  ``test_scan_blocks.py`` compares answers, ``last_store_scan``
+and marks of the block scan against them.  Nothing in ``src/`` imports
+this module.
 """
 
 import numpy as np
@@ -35,9 +37,10 @@ def predict_store(session, store):
     if valid and store.store_version == mark["version"] \
             and store.n_rows == mark["n_rows"]:
         session.last_store_scan = {
-            "chunks": int(store.n_chunks),
-            "chunks_watermarked": int(store.n_chunks),
-            "chunks_scanned": 0, "chunks_pruned": 0,
+            "sessions": 1, "chunks": int(store.n_chunks),
+            "chunk_evals": 0, "chunk_evals_possible": int(store.n_chunks),
+            "watermark_skipped": int(store.n_chunks), "pruned_skipped": 0,
+            "sessions_served_from_mark": 1,
         }
         return mark["result"].astype(np.int64)
     start_chunk, prefix_rows = (mark["closed"], mark["closed_rows"]) \
@@ -57,10 +60,11 @@ def predict_store(session, store):
             lambda subspace: subspace.project(block), len(block))
         scanned += 1
     session.last_store_scan = {
-        "chunks": int(store.n_chunks),
-        "chunks_watermarked": int(start_chunk),
-        "chunks_scanned": scanned,
-        "chunks_pruned": int(store.n_chunks - start_chunk - scanned),
+        "sessions": 1, "chunks": int(store.n_chunks),
+        "chunk_evals": scanned, "chunk_evals_possible": int(store.n_chunks),
+        "watermark_skipped": int(start_chunk),
+        "pruned_skipped": int(store.n_chunks - start_chunk - scanned),
+        "sessions_served_from_mark": 0,
     }
     if uid is not None:
         closed = store.closed_chunks
@@ -81,7 +85,8 @@ def predict_many_store(manager, session_ids, store):
     """``SessionManager.predict_many_store`` as it was."""
     with manager._lock, span("serve.manager.store_scan") as scan_span:
         manager.flush(raise_errors=False)
-        sessions = manager._conjunctions(session_ids)
+        sessions = {sid: session._subsessions for sid, session
+                    in manager._answerable(session_ids).items()}
         uid = getattr(store, "uid", None)
         n_chunks = store.n_chunks
         results = {sid: np.zeros(store.n_rows, dtype=np.int64)
@@ -92,7 +97,7 @@ def predict_many_store(manager, session_ids, store):
             models = tuple(ss.model_version
                            for ss in subsessions.values())
             model_versions[sid] = models
-            mark = manager._store_marks.get((sid, uid)) \
+            mark = manager.session(sid)._store_marks.get(uid) \
                 if uid is not None else None
             valid = (
                 mark is not None and mark["models"] == models
@@ -161,7 +166,7 @@ def predict_many_store(manager, session_ids, store):
             tail_digest = store.zone_maps.digests[closed - 1] \
                 if closed else None
             for sid in sessions:
-                manager._store_marks[(sid, uid)] = {
+                manager.session(sid)._store_marks[uid] = {
                     "version": int(store.store_version),
                     "n_rows": int(store.n_rows),
                     "closed": int(closed),

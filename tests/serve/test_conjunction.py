@@ -15,9 +15,8 @@ subspaces.  Three things are pinned here:
   ``TabularPreprocessor.transform``: a kernel call sees exactly the rows
   ``open ∩ alive`` of its session, an encode exactly the union of its
   group's kernel calls, and neither runs for a block geometry settles;
-* **repeats** — a repeated call recomputes and answers alike, every
-  returned answer is the caller's to mutate, and checkpoints written
-  when a cache held per-subspace vectors restore and answer alike.
+* **repeats** — a repeated call recomputes and answers alike, and every
+  returned answer is the caller's to mutate.
 
 Example counts come from the hypothesis profile (``x10`` in CI's serving
 lane, registered in ``tests/conftest.py``).
@@ -32,14 +31,12 @@ from hypothesis import strategies as st
 
 import _predict_oracle as oracle
 import _refine_oracle as refine_oracle
-from test_predict_oracle_parity import draw_rows, labels_for
+from test_predict_oracle_parity import draw_rows, forget_marks, labels_for
 from test_serving_bugfixes import _perturb_phi
 from repro.core.meta_training import AdaptedClassifier
 from repro.core.preprocessing import TabularPreprocessor
 from repro.data.schema import Table
-from repro.persist import (load_checkpoint, load_manager,
-                           load_pretrained, save_checkpoint,
-                           save_manager, save_pretrained)
+from repro.persist import load_pretrained, save_pretrained
 from repro.serve import SessionManager
 from repro.shard import ShardGateway
 
@@ -245,16 +242,16 @@ def test_store_scan_incremental_and_cold_answer_like_the_oracle(
     rows = make_rows(fleet, kind, n_rows + n_appended, seed)
     store = Table("CAR", lte.table.attributes, rows[:n_rows]) \
         .to_store(chunk_rows=chunk_rows)
-    manager._store_marks.clear()
+    forget_marks(manager, sids)
 
     first = manager.predict_many_store(sids, store)
     store.append_blocks([rows[n_rows:]])
     incremental = manager.predict_many_store(sids, store)
     # Cold: no watermark to lean on.
-    manager._store_marks.clear()
+    forget_marks(manager, sids)
     cold = manager.predict_many_store(sids, store)
     assert manager.last_store_scan["watermark_skipped"] == 0
-    manager._store_marks.clear()
+    forget_marks(manager, sids)
 
     want = oracle.predict_many([manager.session(sid) for sid in sids], rows)
     for i, sid, expected in zip(pick, sids, want):
@@ -502,44 +499,3 @@ class TestRepeats:
                                           subspace.project(eval_rows))
                  for subspace in serve_subspaces]
         assert np.array_equal(parts[0] & parts[1], whole)
-
-    def test_a_per_subspace_checkpoint_restores_and_answers_alike(
-            self, pair, serve_lte, eval_rows, tmp_path):
-        """A ``save_manager`` snapshot in the oldest cached format — one
-        ``"cache"`` entry per (session, subspace) holding that
-        subspace's vector, and encode-cache counters in its metrics —
-        loads and answers like the manager it was taken from; saved
-        again, it carries no ``"cache"`` field."""
-        manager, sids = pair
-        reference = manager.predict_many(sids, eval_rows)
-        save_manager(tmp_path / "today", manager)
-        state, info = load_checkpoint(tmp_path / "today")
-        snapshot = state["snapshot"]
-        entries = [
-            {"session": sid, "subspace": list(subspace.names),
-             "version": int(subsession.model_version),
-             "digest": "{:016x}{:016x}".format(sid, position),
-             "value": oracle.predict_subspace(
-                 subsession, subspace.project(eval_rows))}
-            for sid in sids
-            for position, (subspace, subsession) in enumerate(
-                manager.session(sid)._subsessions.items())]
-        snapshot["cache"] = {"capacity": 1024, "hits": 7, "misses": 11,
-                             "entries": entries}
-        for kind, value in (("hits", 2), ("misses", 40)):
-            snapshot["metrics"]["serve.manager.encode_cache." + kind] = \
-                {"kind": "counter", "value": value}
-        save_checkpoint(tmp_path / "parent-format", "session-manager",
-                        state, meta=info["meta"])
-
-        restored = load_manager(tmp_path / "parent-format", serve_lte)
-        answers = restored.predict_many(sids, eval_rows)
-        for sid in sids:
-            assert np.array_equal(answers[sid], reference[sid])
-        save_manager(tmp_path / "resaved", restored)
-        resaved, _ = load_checkpoint(tmp_path / "resaved")
-        assert "cache" not in resaved["snapshot"]
-        again = load_manager(tmp_path / "resaved", serve_lte) \
-            .predict_many(sids, eval_rows)
-        for sid in sids:
-            assert np.array_equal(again[sid], reference[sid])

@@ -93,6 +93,13 @@ def fleet(serve_lte, make_oracle):
     gateway.close()
 
 
+def forget_marks(manager, sids):
+    """Drop the sessions' store-scan watermarks, so the next scan
+    evaluates every chunk they owe; their hull memos stay."""
+    for sid in sids:
+        manager.session(sid)._store_marks.clear()
+
+
 def draw_rows(lte, seed, n_rows):
     """Table rows with replacement, half of them jittered off the grid
     the clustering saw, plus a few far outside every hull."""
@@ -151,16 +158,16 @@ def test_store_scan_incremental_and_cold_answer_like_the_oracle(
     rows = draw_rows(lte, seed, n_rows + n_appended)
     store = Table("CAR", lte.table.attributes, rows[:n_rows]) \
         .to_store(chunk_rows=chunk_rows)
-    manager._store_marks.clear()
+    forget_marks(manager, sids)
 
     first = manager.predict_many_store(sids, store)
     store.append_blocks([rows[n_rows:]])
     incremental = manager.predict_many_store(sids, store)
     # Cold: no watermark to lean on.
-    manager._store_marks.clear()
+    forget_marks(manager, sids)
     cold = manager.predict_many_store(sids, store)
     assert manager.last_store_scan["watermark_skipped"] == 0
-    manager._store_marks.clear()
+    forget_marks(manager, sids)
 
     want = oracle.predict_many([manager.session(sid) for sid in sids], rows)
     for sid, expected in zip(sids, want):

@@ -51,7 +51,7 @@ from hypothesis import strategies as st
 import _predict_oracle as predict_oracle
 import _scan_oracle as oracle
 from test_conjunction import drive
-from test_predict_oracle_parity import draw_rows, labels_for
+from test_predict_oracle_parity import draw_rows, forget_marks, labels_for
 from repro.core import framework
 from repro.core import optimizer as optimizer_module
 from repro.core.optimizer import FewShotOptimizer
@@ -197,9 +197,7 @@ def test_block_scan_returns_what_the_chunk_loop_returned(
         .to_store(chunk_rows=chunk_rows)
     spare = rows[n_rows:]
     for front in (manager, twin):
-        front._store_marks.clear()
-        for sid in fleet["ids"]:
-            front.session(sid)._store_marks.clear()
+        forget_marks(front, fleet["ids"])
     closed_at = {}       # sid -> (store version, closed chunks) last scanned
 
     for step in range(n_steps):
@@ -216,7 +214,7 @@ def test_block_scan_returns_what_the_chunk_loop_returned(
             lost = asked[int(rng.integers(len(asked)))]
             closed_at.pop(lost, None)
             for front in (manager, twin):
-                front._store_marks.pop((lost, store.uid), None)
+                front.session(lost)._store_marks.pop(store.uid, None)
 
         first = {sid: 0 for sid in asked}
         for sid in asked:
@@ -237,7 +235,9 @@ def test_block_scan_returns_what_the_chunk_loop_returned(
             assert got[sid].dtype == np.int64
             assert np.array_equal(got[sid], want[sid])
         assert manager.last_store_scan == twin.last_store_scan
-        assert_same_marks(manager._store_marks, twin._store_marks)
+        for sid in fleet["ids"]:
+            assert_same_marks(manager.session(sid)._store_marks,
+                              twin.session(sid)._store_marks)
         check_runs(recorder, store, [
             [sid for sid in asked if ci >= first[sid] and keeps[sid][ci]]
             for ci in range(store.n_chunks)])
@@ -246,15 +246,22 @@ def test_block_scan_returns_what_the_chunk_loop_returned(
         for sid in asked:
             closed_at[sid] = (store.store_version, store.closed_chunks)
 
-        # A lone session runs the same scan for itself.
-        sid = asked[int(rng.integers(len(asked)))]
+        # A lone session runs the same scan for itself, over the mark
+        # the managed scans left it: the answer (asked now), an earlier
+        # version's (asked before) or none (never asked, or dropped).
+        sid = pick[int(rng.integers(len(pick)))]
         session, its_twin = manager.session(sid), twin.session(sid)
+        if rng.random() < 0.3:
+            for one in (session, its_twin):
+                one._store_marks.pop(store.uid, None)
         answers = session.predict_store(store)
         assert np.array_equal(answers,
                               oracle.predict_store(its_twin, store))
-        assert np.array_equal(answers, got[sid])
+        if sid in got:
+            assert np.array_equal(answers, got[sid])
         assert session.last_store_scan == its_twin.last_store_scan
         assert_same_marks(session._store_marks, its_twin._store_marks)
+        closed_at[sid] = (store.store_version, store.closed_chunks)
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +278,7 @@ def scan_recorded(manager, sids, store):
 def fresh(fleet):
     """The fleet's manager without watermarks."""
     manager = fleet["manager"]
-    manager._store_marks.clear()
+    forget_marks(manager, fleet["ids"])
     return manager
 
 
@@ -308,7 +315,7 @@ def test_sessions_share_a_call_only_for_chunks_both_owe(fleet, fresh):
         ([star, basic], [4, 5]), ([basic], [6]), ([star, basic], [7])]
     assert fresh.last_store_scan["pruned_skipped"] == 3
     # Alone, the Meta* session's run passes over the pruned chunks.
-    fresh._store_marks.clear()
+    forget_marks(fresh, [star])
     calls, alone = scan_recorded(fresh, [star], store)
     assert [chunks for _, _, chunks in calls] == [[0, 1, 4, 5, 7]]
     assert np.array_equal(alone[star], answers[star])
@@ -333,7 +340,7 @@ def test_marks_decide_what_a_scan_owes(fleet, fresh):
     assert [(ids, chunks) for ids, _, chunks in calls] == \
         [([first, second], [5, 6, 7])]
     # Without its mark a session rescans every chunk, the other none.
-    del fresh._store_marks[(first, store.uid)]
+    del fresh.session(first)._store_marks[store.uid]
     calls, _ = scan_recorded(fresh, [first, second], store)
     assert [(ids, chunks) for ids, _, chunks in calls] == \
         [([first], list(range(store.n_chunks)))]
@@ -377,7 +384,7 @@ def test_small_chunks_keep_the_scan_below_one_large_chunk(
         Table("CAR", lte.table.attributes, rows) \
             .to_store(chunk_rows=chunk_rows, directory=directory)
         store = ChunkStore.open(directory)
-        fresh._store_marks.clear()
+        forget_marks(fresh, sids)
         tracemalloc.start()
         try:
             answers = fresh.predict_many_store(sids, store)
@@ -403,15 +410,6 @@ def settling(manager, sid):
     return [subsession.optimizer
             for subsession in manager.session(sid)._subsessions.values()
             if optimizer_module._settles(subsession.optimizer)]
-
-
-def forget(front, sids):
-    """Drop the sessions' watermarks, so the next scan evaluates every
-    chunk they owe; their memos stay."""
-    for sid in sids:
-        for key in [key for key in front._store_marks if key[0] == sid]:
-            del front._store_marks[key]
-        front.session(sid)._store_marks.clear()
 
 
 def store_rows(store):
@@ -443,7 +441,7 @@ def recomputed(manager, sids, store):
             for optimizer in settling(manager, sid):
                 monkeypatch.setattr(optimizer, "_memo",
                                     optimizer_module._DecisionMemo())
-        forget(manager, sids)
+        forget_marks(manager, sids)
         hits = memo_counts()[0]
         answers = manager.predict_many_store(sids, store)
         assert memo_counts()[0] == hits             # nothing recalled
@@ -455,7 +453,7 @@ def scan_and_check(manager, sids, store):
     answered; the answers equal a recomputing scan's, the oracle's and
     a lone session's.  Returns ``(hits, misses, engine calls)`` of the
     scan."""
-    forget(manager, sids)
+    forget_marks(manager, sids)
     engine, union_masks = [], optimizer_module.union_masks
     before = memo_counts()
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -719,7 +717,7 @@ def test_evictions_keep_the_memo_under_its_cap(memo_fleet, monkeypatch):
     monkeypatch.setattr(optimizer_module, "_MEMO_ROWS", 250)
 
     def scan():
-        forget(manager, [sid])
+        forget_marks(manager, [sid])
         before = memo_counts()
         manager.predict_many_store([sid], store)
         return tuple(after - was
@@ -850,7 +848,7 @@ def test_memo_with_a_one_dimensional_subspace_in_the_scan(serve_lte,
         scanned = manager.predict_many_store(sids, store)
         in_memory = manager.predict_many(sids, rows)
         restored = SessionManager.restore(serve_lte, manager.snapshot())
-        forget(restored, sids)
+        forget_marks(restored, sids)
         cold = restored.predict_many_store(sids, store)
         for sid in sids:
             assert np.array_equal(scanned[sid], in_memory[sid])

@@ -456,8 +456,8 @@ class TestStats:
         expected = manager.predict(sid, eval_rows)
         snapshot = manager.snapshot()
         assert set(snapshot) == {
-            "next_id", "adapt_batches", "adapted_total", "metrics",
-            "sessions", "queue", "session_errors", "hulls", "store_marks"}
+            "next_id", "metrics", "sessions", "queue", "session_errors",
+            "hulls"}
         restored = SessionManager.restore(serve_lte, snapshot)
         assert restored.metrics.snapshot() == manager.metrics.snapshot()
         assert np.array_equal(restored.predict(sid, eval_rows), expected)

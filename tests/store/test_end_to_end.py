@@ -89,7 +89,7 @@ def test_manager_store_parity_and_watermark(store_lte, store_subspaces,
     assert manager.last_store_scan["chunk_evals"] == 0
     assert manager.last_store_scan["sessions_served_from_mark"] == 1
     # With the watermark dropped, the session rescans what it owes.
-    manager._store_marks.clear()
+    manager.session(sid)._store_marks.clear()
     third = manager.predict_store(sid, eval_store)
     assert np.array_equal(first, third)
     assert manager.last_store_scan["chunk_evals"] > 0

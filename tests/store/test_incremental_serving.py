@@ -29,6 +29,11 @@ def feed(manager, sid, oracle):
                               oracle.label_subspace(subspace, tuples))
 
 
+def forget_marks(manager, sids):
+    for sid in sids:
+        manager.session(sid)._store_marks.clear()
+
+
 # ----------------------------------------------------------------------
 # Session-level watermarks
 # ----------------------------------------------------------------------
@@ -45,7 +50,7 @@ def test_incremental_predict_matches_full_rescan(store_lte, store_subspaces,
                               oracle.label_subspace(subspace, tuples))
 
     first = session.predict_store(store)
-    assert session.last_store_scan["chunks_watermarked"] == 0
+    assert session.last_store_scan["watermark_skipped"] == 0
 
     closed_before = store.closed_chunks
     extra = grow(store_table, 300)
@@ -54,13 +59,13 @@ def test_incremental_predict_matches_full_rescan(store_lte, store_subspaces,
     incremental = session.predict_store(store)
     scan = dict(session.last_store_scan)
     # Only chunks past the watermark were eligible for scanning.
-    assert scan["chunks_watermarked"] == closed_before > 0
-    assert scan["chunks_scanned"] <= scan["chunks"] - closed_before
+    assert scan["watermark_skipped"] == closed_before > 0
+    assert scan["chunk_evals"] <= scan["chunks"] - closed_before
 
     # ... and the merged answer is bit-identical to a full rescan ...
     session._store_marks.clear()
     full = session.predict_store(store)
-    assert session.last_store_scan["chunks_watermarked"] == 0
+    assert session.last_store_scan["watermark_skipped"] == 0
     assert np.array_equal(incremental, full)
 
     # ... and to a from-scratch store over the concatenated rows.
@@ -72,12 +77,13 @@ def test_incremental_predict_matches_full_rescan(store_lte, store_subspaces,
     # A repeat at the same version is served wholesale from the mark.
     repeat = session.predict_store(store)
     assert np.array_equal(repeat, incremental)
-    assert session.last_store_scan["chunks_scanned"] == 0
-    assert session.last_store_scan["chunks_watermarked"] == store.n_chunks
+    assert session.last_store_scan["chunk_evals"] == 0
+    assert session.last_store_scan["watermark_skipped"] == store.n_chunks
+    assert session.last_store_scan["sessions_served_from_mark"] == 1
 
 
 # ----------------------------------------------------------------------
-# Manager-level watermarks
+# Watermarks through the serving engine (kept on each session)
 # ----------------------------------------------------------------------
 def test_manager_incremental_parity_and_accounting(store_lte,
                                                    store_subspaces,
@@ -105,7 +111,7 @@ def test_manager_incremental_parity_and_accounting(store_lte,
     assert scan["chunk_evals"] <= 3 * (store.n_chunks - closed_before)
     assert scan["sessions_served_from_mark"] == 0   # the store did grow
 
-    manager._store_marks.clear()
+    forget_marks(manager, sids)
     full = manager.predict_many_store(sids, store)
     for sid in sids:
         assert np.array_equal(incremental[sid], full[sid])
@@ -121,12 +127,38 @@ def test_manager_incremental_parity_and_accounting(store_lte,
         assert np.array_equal(repeat[sid], full[sid])
 
 
+def test_lone_and_managed_sessions_report_the_same_scan(store_lte,
+                                                       store_subspaces,
+                                                       store_table,
+                                                       make_oracle):
+    """A lone session and a one-session manager run one scan: cold, then
+    over an append, they answer alike and report equal accounting."""
+    store = store_table.to_store(chunk_rows=256)
+    oracle = make_oracle(seed=5)
+    lone = store_lte.start_session(variant="meta_star",
+                                   subspaces=store_subspaces, seed=7)
+    for subspace, tuples in lone.initial_tuples().items():
+        lone.submit_labels(subspace, oracle.label_subspace(subspace, tuples))
+    manager = SessionManager(store_lte)
+    sid = manager.open_session(variant="meta_star",
+                               subspaces=store_subspaces, seed=7)
+    feed(manager, sid, oracle)
+    manager.flush()
+    for step in range(2):
+        if step:
+            store.append_blocks([grow(store_table, 300)])
+        answers = lone.predict_store(store)
+        assert np.array_equal(manager.predict_store(sid, store), answers)
+        assert lone.last_store_scan == manager.last_store_scan
+    assert lone.last_store_scan["watermark_skipped"] > 0
+
+
 def test_snapshot_restores_store_watermarks(tmp_path, store_lte,
                                             store_subspaces, store_table,
                                             make_oracle):
-    """A restored manager resumes incremental scanning from the
-    persisted per-(session, store-uid) watermarks instead of paying one
-    full rescan per session."""
+    """A restored manager resumes incremental scanning from each
+    session's persisted per-store watermarks instead of paying one full
+    rescan per session."""
     from repro import persist
 
     store = store_table.to_store(chunk_rows=256)
@@ -164,21 +196,10 @@ def test_snapshot_restores_store_watermarks(tmp_path, store_lte,
     assert scan["sessions_served_from_mark"] == 0   # the store did grow
     assert scan["watermark_skipped"] == closed_before * len(sids)
     assert scan["chunk_evals"] < scan["chunk_evals_possible"]
-    incremental_mgr._store_marks.clear()
+    forget_marks(incremental_mgr, sids)
     full = incremental_mgr.predict_many_store(sids, store)
     for sid in sids:
         assert np.array_equal(incremental[sid], full[sid])
-
-    # Pre-watermark snapshots (no "store_marks" key) restore cleanly
-    # and simply rescan once.
-    legacy_snapshot = manager.snapshot()
-    del legacy_snapshot["store_marks"]
-    legacy = SessionManager.restore(store_lte, legacy_snapshot)
-    assert legacy._store_marks == {}
-    legacy_results = legacy.predict_many_store(sids, store)
-    assert legacy.last_store_scan["sessions_served_from_mark"] == 0
-    for sid in sids:
-        assert np.array_equal(legacy_results[sid], full[sid])
 
 
 def test_readaptation_invalidates_only_that_sessions_mark(store_lte,
@@ -210,7 +231,7 @@ def test_readaptation_invalidates_only_that_sessions_mark(store_lte,
     assert scan["sessions_served_from_mark"] == 1
     assert scan["chunk_evals"] == store.n_chunks
 
-    manager._store_marks.clear()
+    forget_marks(manager, sids)
     full = manager.predict_many_store(sids, store)
     for sid in sids:
         assert np.array_equal(results[sid], full[sid])
@@ -236,7 +257,7 @@ def test_a_lost_watermark_rescans_only_that_session(store_lte,
     closed_before = store.closed_chunks
     assert closed_before > 0
 
-    del manager._store_marks[(sids[0], store.uid)]
+    del manager.session(sids[0])._store_marks[store.uid]
     store.append_blocks([grow(store_table, 300)])
     results = manager.predict_many_store(sids, store)
     scan = dict(manager.last_store_scan)
@@ -244,7 +265,7 @@ def test_a_lost_watermark_rescans_only_that_session(store_lte,
     assert scan["watermark_skipped"] == closed_before
     assert scan["chunk_evals"] == 2 * store.n_chunks - closed_before
 
-    manager._store_marks.clear()
+    forget_marks(manager, sids)
     full = manager.predict_many_store(sids, store)
     for sid in sids:
         assert np.array_equal(results[sid], full[sid])
@@ -328,7 +349,7 @@ def test_drift_triggers_subspace_refresh(store_lte, store_subspaces,
     incremental = manager.predict_many_store(sids, store)
     assert manager.last_store_scan["watermark_skipped"] == \
         closed_before * len(sids)
-    manager._store_marks.clear()
+    forget_marks(manager, sids)
     full = manager.predict_many_store(sids, store)
     for sid in sids:
         assert np.array_equal(incremental[sid], full[sid])
