@@ -19,6 +19,9 @@ Demonstrates the chunked columnar store (``repro.store``):
 5. ``tracemalloc`` proves the online scan allocates chunk-scale
    megabytes, not the ~1 GiB a whole-table encode would cost.
 
+The stores live in a temporary directory (``$TMPDIR``), removed when
+the run ends.
+
 Run:  python examples/out_of_core_session.py
 """
 
@@ -41,8 +44,15 @@ CHUNK_ROWS = 16_384
 
 
 def main():
-    workdir = tempfile.mkdtemp(prefix="repro-out-of-core-")
+    """Run the walk-through in a temporary directory, removed when it
+    ends (also on an error)."""
+    with tempfile.TemporaryDirectory(prefix="repro-out-of-core-") as workdir:
+        explore(workdir)
+        print("Removing the store directory {}.".format(workdir))
 
+
+def explore(workdir):
+    """Steps 1-5 above, with every store under ``workdir``."""
     print("Generating a {:,}-row CAR table chunk-by-chunk onto disk..."
           .format(N_ROWS))
     start = time.perf_counter()
@@ -112,7 +122,6 @@ def main():
 
     retrieved = session.retrieve(limit=5)
     print("First retrieved tuples:\n{}".format(np.round(retrieved, 1)))
-    print("Store directory kept at {} (delete when done).".format(workdir))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -24,9 +24,10 @@ from ..core.meta_learner import UISClassifier
 from ..core.meta_training import MetaHyperParams, MetaTrainer
 from ..core.uis import PAPER_MODES, UISMode
 from ..explore.metrics import f1_score
+from ..explore.session import score_session
 from ..nn.batching import fused_local_adapt
-from .harness import (baseline_oracle_pairs, budget_to_reach, run_methods,
-                      subspaces_for_dims)
+from .harness import (LTE_VARIANTS, baseline_oracle_pairs, budget_to_reach,
+                      run_methods, subspaces_for_dims)
 from .workloads import (build_lte, convex_oracles, eval_rows_for, get_table,
                         make_config, mixed_mode_oracles, mode_oracles)
 
@@ -37,6 +38,7 @@ ENCODINGS = ("gmm", "jkc", "both", "minmax")           # Fig. 8(a)
 FIG8C_TASKS, FIG8C_HELD_OUT = (10, 40, 120, 240), 8
 ABLATIONS = ("full", "no_memories", "no_affinity", "no_pretrain",
              "no_balance")
+ROUNDS, ROUND_LABELS, ROUND_POOL_ROWS = (0, 1, 2, 3), 10, 1000
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,61 @@ def table2_cell(scale, dataset, mode_name, seed):
                            seed=5000 + list(PAPER_MODES).index(mode_name))
     return run_methods(TABLE2_METHODS, lte, oracles,
                        eval_rows_for(lte, scale), [subspace])
+
+
+@lru_cache(maxsize=2)
+def _round_curves(scale, dataset, seed):
+    """``{method: [mode average per round]}`` of the LTE variants on
+    Table II's system, modes and oracles.  Each session labels its
+    initial tuples, then ``ROUND_LABELS`` more tuples a round, drawn per
+    oracle from one seeded row pool (the same tuples for every
+    variant); F1 is scored after every round."""
+    lte = build_lte(dataset, budget=30, scale=scale, seed=seed)
+    subspace = list(lte.states)[0]
+    eval_rows = eval_rows_for(lte, scale)
+    pool = subspace.project(lte.table.sample_rows(ROUND_POOL_ROWS, seed=202))
+    by_mode = {m: [[] for _ in ROUNDS] for m in LTE_VARIANTS}
+    for position, mode in enumerate(PAPER_MODES.values()):
+        scores = {m: [[] for _ in ROUNDS] for m in LTE_VARIANTS}
+        oracles = mode_oracles(lte, [subspace], mode,
+                               n_uirs=scale.n_test_uirs, seed=5000 + position)
+        for i, oracle in enumerate(oracles):
+            draws = np.random.default_rng((6000 + position, i)).integers(
+                len(pool), size=(len(ROUNDS) - 1, ROUND_LABELS))
+            for method, variant in LTE_VARIANTS.items():
+                session = lte.start_session(variant=variant,
+                                            subspaces=[subspace])
+                for sub, tuples in session.initial_tuples().items():
+                    session.submit_labels(sub,
+                                          oracle.label_subspace(sub, tuples))
+                for r in ROUNDS:
+                    if r:
+                        tuples = pool[draws[r - 1]]
+                        session.add_labels(subspace, tuples,
+                                           oracle.label_subspace(subspace,
+                                                                 tuples))
+                    scores[method][r].append(
+                        score_session(session, oracle, eval_rows).f1)
+        for method, rounds in scores.items():
+            for r, values in zip(ROUNDS, rounds):
+                by_mode[method][r].append(float(np.mean(values)))
+    return {method: [_avg(modes) for modes in rounds]
+            for method, rounds in by_mode.items()}
+
+
+def rounds_cell(scale, dataset, round_, seed):
+    """Label rounds: F1 after each round of iterative exploration (B=30
+    initial labels, then 10 more a round), averaged over Table II's
+    modes M1-M7.
+
+    Not a paper figure: Table II scores only the initial adaptation,
+    and the paper's iterative exploration (Section III-B, "Other IDE
+    Modules") adds labels in later rounds.  Round 0 equals Table II's
+    mode average.  The extra tuples are uniform draws from the table,
+    as a user paging through rows labels them.
+    """
+    return {method: curve[round_] for method, curve in
+            _round_curves(scale, dataset, seed).items()}
 
 
 def fig4a_cell(scale, dataset, dim, seed):
@@ -424,6 +481,16 @@ FIGURES = {fig.id: fig for fig in (
            notes={"Meta >= Basic":
                   lambda s: _avg(s["Meta"]) >= _avg(s["Basic"])},
            seeds=(7, 8, 9, 10, 11), matrix=True),
+    Figure("rounds", "Label rounds: mode-average F1 per round ({dataset}, "
+           "B=30 + 10 a round)", ("car", "sdss"), "round", ROUNDS,
+           tuple(LTE_VARIANTS), rounds_cell, {
+               "F1 in [0, 1]": _in_0_1,
+               "Meta* at round 3 >= at round 0 + 0.01":
+               lambda s: s["Meta*"][-1] >= s["Meta*"][0] + 0.01},
+           notes={"Meta >= Basic at every round":
+                  lambda s: all(m >= b for m, b in zip(s["Meta"],
+                                                       s["Basic"]))},
+           seeds=(7, 8, 9, 10, 11)),
     Figure("fig4a", "Figure 4(a): F1 vs |Du| ({dataset}, B=30)", ("sdss",),
            "|Du|", (2, 4, 6, 8),
            ("Meta*", "Meta", "Basic", "DSM", "AL-SVM", "AIDE"), fig4a_cell, {

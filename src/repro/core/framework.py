@@ -53,6 +53,13 @@ __all__ = ["LTEConfig", "LTE", "ExplorationSession", "SubspaceState",
 
 VARIANTS = ("basic", "meta", "meta_star")
 
+
+class StateMismatchError(KeyError):
+    """A captured online state names a subspace or session that the
+    system restoring it does not have: the state is whole, but it
+    belongs to another system or decomposition."""
+
+
 #: One subspace's clustering work, ``n · (ku + ks + kq)`` over the n rows
 #: k-means samples, from which the subspaces of a fit or refresh prepare
 #: as two halves on two threads (README, "Where a fit goes": the sweep of
@@ -60,6 +67,11 @@ VARIANTS = ("basic", "meta", "meta_star")
 #: over a few hundred rows holds the GIL and the halves run slower than
 #: whole.  No state depends on it.
 _PREPARE_SPLIT_WORK = 1 << 18
+
+#: A label round continues from the session's adapted classifier for a
+#: third of the variant's step count, rounded up (README, "What a label
+#: round costs": the rounds row of ``benchmarks/paper.py`` gates F1).
+_WARM_STEP_DIVISOR = 3
 
 
 @dataclass
@@ -521,7 +533,10 @@ class AdaptRequest:
     Produced by :func:`build_adapt_request` (initial labels) or
     :func:`build_readapt_request` (iterative-exploration rounds) and
     executed, alone or fused with other requests, by
-    :func:`run_adapt_requests`.
+    :func:`run_adapt_requests`.  An initial request trains from the
+    task-wise initialization for the variant's full step count; a
+    re-adaptation continues from ``start``, the session's current
+    classifier, for a third of it.
     """
 
     state: SubspaceState
@@ -531,11 +546,15 @@ class AdaptRequest:
     encoded: np.ndarray          # (n, input_width) preprocessed tuples
     targets: np.ndarray          # (n,) float 0/1 labels
     center_bits: np.ndarray = None   # C_s labels; None on re-adaptation
+    start: AdaptedClassifier = None  # the classifier a re-adaptation
+                                     # continues from; None initially
 
     @property
     def steps(self):
-        return self.config.basic_steps if self.variant == "basic" \
+        steps = self.config.basic_steps if self.variant == "basic" \
             else self.config.online_steps
+        return steps if self.start is None \
+            else -(-steps // _WARM_STEP_DIVISOR)
 
     @property
     def lr(self):
@@ -591,12 +610,15 @@ def build_adapt_request(state, variant, config, scaled_points, labels):
         targets=labels.astype(np.float64), center_bits=center_bits)
 
 
-def build_readapt_request(state, variant, config, feature, encoded, labels):
+def build_readapt_request(state, variant, config, adapted, encoded, labels):
     """Re-adaptation request from accumulated iterative-exploration labels.
 
-    Keeps the session's existing UIS feature vector and does not rebuild
-    the few-shot optimizer (matching
-    :meth:`ExplorationSession.add_labels` semantics).
+    Continues from ``adapted``, the session's current
+    :class:`AdaptedClassifier` (its weights, conversion matrix and UIS
+    feature vector), over every label so far, and does not rebuild the
+    few-shot optimizer (matching :meth:`ExplorationSession.add_labels`
+    semantics).  ``adapted`` itself is never written: training runs on
+    a copy.
     """
     if variant != "basic" and state.trainer is None:
         raise RuntimeError("subspace {} has no trained meta-learner".format(
@@ -604,15 +626,16 @@ def build_readapt_request(state, variant, config, feature, encoded, labels):
     labels = np.asarray(labels).ravel().astype(np.float64)
     return AdaptRequest(
         state=state, variant=variant, config=config,
-        feature=np.asarray(feature, dtype=np.float64),
+        feature=adapted.feature_vector,
         encoded=np.atleast_2d(np.asarray(encoded, dtype=np.float64)),
-        targets=labels, center_bits=None)
+        targets=labels, center_bits=None, start=adapted)
 
 
 def _prepare_local_models(requests):
     """Per-task initial models + conversion matrices for one bucket.
 
-    The task-wise initialization: Basic builds a fresh
+    A re-adaptation clones the classifier it continues from.  Otherwise
+    the task-wise initialization: Basic builds a fresh
     seed-``config.seed`` classifier; Meta/Meta* clone the subspace's
     meta-learned phi and apply the memory retrievals (attention ->
     theta_R shift, conversion matrix).
@@ -621,7 +644,11 @@ def _prepare_local_models(requests):
     for request in requests:
         cfg = request.config
         state = request.state
-        if request.variant == "basic":
+        if request.start is not None:
+            model = request.start.model.clone()
+            conversion = None if request.start.conversion is None \
+                else request.start.conversion.data
+        elif request.variant == "basic":
             model = UISClassifier(
                 ku=state.summary.ku, input_width=state.preprocessor.width,
                 embed_size=cfg.embed_size, hidden_size=cfg.hidden_size,
@@ -1081,7 +1108,10 @@ class _SubspaceSession:
     # ------------------------------------------------------------------
     # Iterative exploration (paper Section III-B, "Other IDE Modules"):
     # additional labelled tuples from further rounds — e.g. picked by
-    # active learning — re-adapt the learner from the meta initialization.
+    # active learning — re-adapt the learner over every label so far.
+    # A round starts from the session's current adapted classifier, with
+    # fresh optimizer moments, and takes a third of the initial
+    # adaptation's steps.
     # ------------------------------------------------------------------
     def build_readapt_request_for(self, tuples, labels):
         """Package a re-adaptation over the accumulated + new labels.
@@ -1101,8 +1131,8 @@ class _SubspaceSession:
         all_x = np.vstack([self.initial_x, extra_x])
         all_y = np.concatenate([self.labels, extra_y])
         request = build_readapt_request(
-            self.state, self.variant, self.config,
-            self.adapted.feature_vector, self.state.encode(all_x), all_y)
+            self.state, self.variant, self.config, self.adapted,
+            self.state.encode(all_x), all_y)
         return request, (tuples, labels)
 
     def add_labels(self, tuples, labels):
@@ -1242,7 +1272,8 @@ class ExplorationSession:
         The LTE system supplies every offline artifact (scalers,
         preprocessors, cluster summaries, meta-learners); the state
         supplies the online remainder.  A subspace in the state with no
-        offline counterpart in ``lte`` raises ``KeyError``.
+        offline counterpart in ``lte`` raises :class:`StateMismatchError`
+        (a ``KeyError``).
         """
         if hulls is None and "hulls" in state:
             hulls = HullRegistry.restore(state["hulls"]).hulls
@@ -1260,7 +1291,7 @@ class ExplorationSession:
         for names, sub_state in zip(state["subspaces"], state["sessions"]):
             key = tuple(sorted(names))
             if key not in by_key:
-                raise KeyError(
+                raise StateMismatchError(
                     "no offline state for subspace {} in the target LTE "
                     "system; the checkpoint belongs to a different "
                     "decomposition".format(tuple(names)))

@@ -96,7 +96,7 @@ class MetaHyperParams:
 class AdaptedClassifier:
     """A task-adapted classifier: model copy + its conversion matrix + v_R.
 
-    Never changed once built (a label round adapts a new one), so its
+    Never changed once built (a label round trains a copy), so its
     :func:`~repro.nn.batching.inference_constants` are computed on the
     first prediction and kept — in no checkpoint, pickle or copy.
     """

@@ -44,7 +44,7 @@ import hashlib
 
 import numpy as np
 
-from ..core.framework import ExplorationSession
+from ..core.framework import ExplorationSession, StateMismatchError
 from ..core.meta_training import MetaTrainer
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
@@ -156,14 +156,33 @@ def _meta_with_provenance(meta, lte):
     return meta
 
 
+def _lacks(path, key):
+    return CheckpointError(
+        "checkpoint at {!r} lacks the expected field {!r}; it was "
+        "written by an incompatible build — re-save the state with "
+        "this build".format(path, key))
+
+
 def _require(state, key, path):
     try:
         return state[key]
     except (KeyError, TypeError):
+        raise _lacks(path, key) from None
+
+
+def _restore(path, what, build):
+    """``build()``, its ``KeyError`` turned into a
+    :class:`CheckpointError`: a state that names a subspace or session
+    the target lacks does not fit it; any other lookup that failed is a
+    field the state lacks."""
+    try:
+        return build()
+    except StateMismatchError as error:
         raise CheckpointError(
-            "checkpoint at {!r} lacks the expected field {!r}; it was "
-            "written by an incompatible build — re-save the state with "
-            "this build".format(path, key))
+            "{} at {!r} does not fit the target LTE system: {}".format(
+                what, path, error.args[0])) from None
+    except KeyError as error:
+        raise _lacks(path, error.args[0]) from None
 
 
 def _session_state(state, path):
@@ -328,14 +347,9 @@ def load_session(path, lte):
     state, _ = load_checkpoint(path, expected_kind="exploration-session")
     _check_identity(path, _require(state, "identity", path), lte,
                     "session checkpoint")
-    try:
-        return ExplorationSession.from_state_dict(
-            lte, _session_state(_require(state, "session", path), path))
-    except KeyError as error:
-        raise CheckpointError(
-            "session checkpoint at {!r} does not fit the target LTE "
-            "system: {}".format(path, error.args[0] if error.args
-                                else error))
+    session = _session_state(_require(state, "session", path), path)
+    return _restore(path, "session checkpoint",
+                    lambda: ExplorationSession.from_state_dict(lte, session))
 
 
 # ----------------------------------------------------------------------
@@ -367,11 +381,6 @@ def load_manager(path, lte):
                     "serving snapshot")
     snapshot = _require(state, "snapshot", path)
     for entry in _require(snapshot, "sessions", path):
-        _session_state(entry["state"], path)
-    try:
-        return SessionManager.restore(lte, snapshot)
-    except KeyError as error:
-        raise CheckpointError(
-            "serving snapshot at {!r} does not fit the target LTE "
-            "system: {}".format(path, error.args[0] if error.args
-                                else error))
+        _session_state(_require(entry, "state", path), path)
+    return _restore(path, "serving snapshot",
+                    lambda: SessionManager.restore(lte, snapshot))

@@ -37,9 +37,9 @@ from collections import deque
 
 import numpy as np
 
-from ..core.framework import (ExplorationSession, LTE, predict_conjunctions,
-                              retrieve_rows, run_adapt_requests,
-                              scan_conjunctions)
+from ..core.framework import (ExplorationSession, LTE, StateMismatchError,
+                              predict_conjunctions, retrieve_rows,
+                              run_adapt_requests, scan_conjunctions)
 from ..core.optimizer import HullRegistry
 from ..geometry.engine import HullPackCache
 from ..obs import MetricsRegistry, span
@@ -595,7 +595,7 @@ class SessionManager:
         for item in snapshot["queue"]:
             session_id = int(item["session_id"])
             if session_id not in manager._sessions:
-                raise KeyError(
+                raise StateMismatchError(
                     "queued work references unknown session id {}"
                     .format(session_id))
             by_key = lookups.get(session_id)
@@ -605,7 +605,7 @@ class SessionManager:
                     for s in manager._sessions[session_id]._subsessions}
             key = tuple(sorted(item["subspace"]))
             if key not in by_key:
-                raise KeyError(
+                raise StateMismatchError(
                     "queued work references subspace {} absent from its "
                     "session".format(tuple(item["subspace"])))
             tuples = None if item["tuples"] is None \

@@ -130,7 +130,7 @@ def test_unknown_scale_fails_with_a_message(capsys):
 
 def test_every_paper_figure_has_a_row_and_table2_is_the_fidelity_row():
     assert list(FIGURES) == [
-        "table2", "fig4a", "fig4b", "fig5a", "fig5b", "fig5c", "fig5d",
+        "table2", "rounds", "fig4a", "fig4b", "fig5a", "fig5b", "fig5c", "fig5d",
         "fig6", "fig7ab", "fig7budget", "fig7c", "fig8a", "fig8b", "fig8c",
         "fig8d", "ablations", "dsmf"]
     assert all(fig.id == key for key, fig in FIGURES.items())
@@ -138,6 +138,9 @@ def test_every_paper_figure_has_a_row_and_table2_is_the_fidelity_row():
     assert table2.seeds == (7, 8, 9, 10, 11)
     assert table2.methods == ("Meta*", "Meta", "Basic", "SVMr", "SVM")
     assert table2.xs == ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
+    rounds = FIGURES["rounds"]
+    assert rounds.seeds == table2.seeds and rounds.xs == (0, 1, 2, 3)
+    assert rounds.methods == ("Meta*", "Meta", "Basic")
 
 
 def test_compare_bands_each_methods_average_over_x():

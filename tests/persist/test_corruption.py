@@ -214,3 +214,39 @@ def test_session_restore_against_wrong_lte_raises(tmp_path, persist_lte,
         persist.load_manager(tmp_path / "serving", foreign)
     with pytest.raises(CheckpointError, match="captured over"):
         persist.load_session(tmp_path / "sess", foreign)
+
+
+def test_a_state_lacking_a_field_names_the_field(tmp_path, monkeypatch,
+                                                 persist_lte,
+                                                 persist_subspaces,
+                                                 make_oracle):
+    """A whole state that misses one field is an incompatible build's
+    checkpoint, not a foreign system's: the error names the field."""
+    from repro import persist
+    from repro.serve import SessionManager
+
+    oracle = make_oracle(601)
+    manager = SessionManager(persist_lte)
+    sid = manager.open_session(variant="meta", subspaces=persist_subspaces,
+                               seed=1)
+    for subspace, tuples in manager.initial_tuples(sid).items():
+        manager.submit_labels(sid, subspace,
+                              oracle.label_subspace(subspace, tuples))
+    manager.flush()
+
+    snapshot = manager.snapshot()
+    del snapshot["metrics"]
+    monkeypatch.setattr(manager, "snapshot", lambda: snapshot)
+    persist.save_manager(tmp_path / "serving", manager)
+    with pytest.raises(CheckpointError,
+                       match="lacks the expected field 'metrics'"):
+        persist.load_manager(tmp_path / "serving", persist_lte)
+
+    session = manager.session(sid)
+    state = session.state_dict()
+    del state["sessions"][0]["model_version"]
+    monkeypatch.setattr(session, "state_dict", lambda: state)
+    persist.save_session(tmp_path / "sess", session)
+    with pytest.raises(CheckpointError,
+                       match="lacks the expected field 'model_version'"):
+        persist.load_session(tmp_path / "sess", persist_lte)

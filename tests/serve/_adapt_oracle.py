@@ -8,8 +8,10 @@ a sequential executor beside the stacked one: ``run_adapt_request``
 of one.  The two bodies below are that code, moved here verbatim (the
 eager ``adapt`` is the one of ``tests/train/_sequential_oracle.py``);
 the parity suite compares ``run_adapt_requests``, the sessions, the
-manager and the gateway against them.  Nothing in ``src/`` imports this
-module.
+manager and the gateway against them.  A re-adaptation (a request with a
+``start`` classifier) runs :func:`_continue`: the same sequential loop
+from a clone of that classifier, for the request's (warm) step count.
+Nothing in ``src/`` imports this module.
 
 :func:`submit_labels` / :func:`add_labels` drive a session the way
 ``_SubspaceSession`` did: build the request, run it here, install the
@@ -22,7 +24,7 @@ import sys
 from repro.core.meta_learner import UISClassifier
 from repro.core.meta_training import AdaptedClassifier
 from repro.core.optimizer import FewShotOptimizer
-from repro.nn import Adam
+from repro.nn import SGD, Adam, Parameter
 from repro.nn.functional import (balanced_pos_weight,
                                  binary_cross_entropy_with_logits)
 
@@ -53,6 +55,34 @@ def _train_basic_classifier(request):
     return AdaptedClassifier(model, request.feature)
 
 
+def _continue(request):
+    """A re-adaptation: the one-task local loop from a clone of the
+    request's ``start`` classifier, with fresh optimizer moments."""
+    start = request.start
+    model = start.model.clone()
+    conversion = None if start.conversion is None \
+        else Parameter(start.conversion.data.copy())
+    trainable = list(model.parameters())
+    if conversion is not None:
+        trainable.append(conversion)
+    optimizer = (Adam if request.optimizer_kind == "adam" else SGD)(
+        trainable, lr=request.lr)
+    targets = request.targets
+    pos_weight = balanced_pos_weight(targets) \
+        if request.balance_classes else None
+    steps = request.steps if request.variant == "basic" \
+        else max(1, request.steps)
+    for _ in range(steps):
+        optimizer.zero_grad()
+        logits = model.forward(request.feature, request.encoded,
+                               conversion=conversion)
+        loss = binary_cross_entropy_with_logits(logits, targets,
+                                                pos_weight=pos_weight)
+        loss.backward()
+        optimizer.step()
+    return AdaptedClassifier(model, request.feature, conversion)
+
+
 def run_adapt_request(request):
     """Execute one request sequentially.
 
@@ -61,7 +91,9 @@ def run_adapt_request(request):
     """
     cfg = request.config
     state = request.state
-    if request.variant == "basic":
+    if request.start is not None:
+        adapted = _continue(request)
+    elif request.variant == "basic":
         adapted = _train_basic_classifier(request)
     else:
         adapted, _ = adapt(
