@@ -394,14 +394,17 @@ class LTE:
         all of them prepare through :meth:`_prepare_subspaces`, each at
         its index in :attr:`states` (so its seeds are the fit's), and
         replace their states only once every one has prepared; then, with
-        ``train``, they meta-train in order.  Returns the new states."""
+        ``train``, they meta-train pooled, as a fit's subspaces do
+        (:func:`~repro.train.offline.run_offline_training`).  Returns the
+        new states."""
+        from ..train.offline import run_offline_training
+
         order = list(self.states)
         states = self._prepare_subspaces(
             table, [(order.index(s), s) for s in subspaces])
         self.states.update(zip(subspaces, states))
         if train:
-            for subspace in subspaces:
-                self.train_subspace(subspace)
+            run_offline_training(self, subspaces)
         return states
 
     def freshness_monitor(self, threshold=0.2):
@@ -433,44 +436,23 @@ class LTE:
                              state.scaler.min_, state.scaler.max_)
         return drifted
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, path):
-        """Pickle the trained system (table reference included)."""
-        import pickle
-        with open(path, "wb") as fh:
-            pickle.dump(self, fh)
-
-    @staticmethod
-    def load(path):
-        import pickle
-        with open(path, "rb") as fh:
-            system = pickle.load(fh)
-        if not isinstance(system, LTE):
-            raise TypeError("{} does not contain a saved LTE system"
-                            .format(path))
-        return system
-
     def build_trainer(self, state):
         """Fresh (untrained) meta-learner for one prepared subspace —
-        the single construction point shared by :meth:`train_subspace`
-        and the pooled offline engine."""
+        the single construction point of the pooled offline engine
+        (:func:`~repro.train.offline.run_offline_training`)."""
         cfg = self.config
         return MetaTrainer(
             ku=state.summary.ku, input_width=state.preprocessor.width,
             embed_size=cfg.embed_size, hidden_size=cfg.hidden_size,
             params=cfg.meta, use_memories=cfg.use_memories, seed=cfg.seed)
 
-    def train_subspace(self, subspace, n_tasks=None, epochs=None):
-        """Generate meta-tasks and meta-train the subspace's learner."""
-        cfg = self.config
-        state = self.states[subspace]
-        tasks = state.task_generator.generate(n_tasks or cfg.n_tasks)
-        trainer = self.build_trainer(state)
-        trainer.train(tasks, state.encode_scaled, epochs=epochs)
-        state.trainer = trainer
-        return trainer
+    def train_subspace(self, subspace):
+        """Generate meta-tasks and meta-train the subspace's learner, as
+        :meth:`fit_offline` does; returns the installed trainer."""
+        from ..train.offline import run_offline_training
+
+        run_offline_training(self, [subspace])
+        return self.states[subspace].trainer
 
     # ------------------------------------------------------------------
     # Online phase
@@ -1209,6 +1191,7 @@ class _SubspaceSession:
 
     def most_uncertain(self, candidates, k=1):
         """Indices of the k candidates nearest the decision boundary."""
+        k = _count(k, "k")
         self.require_adapted()
         candidates = self.state.subspace.validate_points(candidates)
         proba = self.adapted.predict_proba(self.state.encode(candidates))
@@ -1476,8 +1459,11 @@ def retrieve_rows(table, predict, rows=None, limit=None):
 
     ``rows`` is an array of full-space rows or a chunk store (default:
     ``table`` itself when it is a store, else its rows); ``predict``
-    maps either to a 0/1 vector.
+    maps either to a 0/1 vector.  ``limit`` is None or a whole number
+    >= 0.
     """
+    if limit is not None:
+        limit = _count(limit, "limit")
     if rows is None:
         rows = table if hasattr(table, "iter_chunks") else table.data
     store = hasattr(rows, "iter_chunks")
@@ -1485,5 +1471,18 @@ def retrieve_rows(table, predict, rows=None, limit=None):
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     indices = np.flatnonzero(predict(rows) == 1)
     if limit is not None:
-        indices = indices[:int(limit)]
+        indices = indices[:limit]
     return rows.take(indices) if store else rows[indices]
+
+
+def _count(value, name):
+    """``value`` as an int, or ``ValueError`` unless it is a whole number
+    >= 0: a negative or fractional slice bound would drop rows quietly."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < 0:
+        raise ValueError("{} must be a whole number >= 0, got {!r}"
+                         .format(name, value))
+    return count

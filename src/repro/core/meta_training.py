@@ -245,33 +245,25 @@ class MetaTrainer:
     # ------------------------------------------------------------------
     # Offline meta-training
     # ------------------------------------------------------------------
-    def train(self, tasks, encode, epochs=None, progress=None):
-        """Run Algorithm 2 over a meta-task set.
+    def train(self, tasks, encode):
+        """Run Algorithm 2 over a meta-task set, ``params.epochs`` long.
 
         Parameters
         ----------
         tasks:
-            Sequence of :class:`~repro.core.meta_task.MetaTask`.
+            Sequence of :class:`~repro.core.meta_task.MetaTask` of one
+            shape (:func:`~repro.train.engine.encode_task_sets` raises
+            ``ValueError`` otherwise).
         encode:
             Callable mapping raw tuples (n x d) to representation vectors
             (n x input_width) — the fitted preprocessor's ``transform``.
-        epochs:
-            Override for ``params.epochs``.
-        progress:
-            Optional callback ``(epoch, mean_query_loss)``.
         """
         from ..train.engine import encode_task_sets
         from ..train.offline import OfflineRun, TrainerSchedule
 
         # Pre-encode once: representation vectors are training-invariant.
         encoded = encode_task_sets(tasks, encode)
-        schedule = TrainerSchedule(self, encoded, epochs=epochs)
-
-        def on_epoch(_schedule, kind, epoch, mean_loss):
-            if kind == "meta" and progress is not None:
-                progress(epoch, mean_loss)
-
-        OfflineRun([schedule], on_epoch=on_epoch).run()
+        OfflineRun([TrainerSchedule(self, encoded)]).run()
         return self
 
     def pretrain_conversion(self):
@@ -335,22 +327,10 @@ class MetaTrainer:
         trainer.load_state_dict(state)
         return trainer
 
-    def save(self, path, meta=None):
-        """Write this meta-learner as a checkpoint directory at ``path``."""
-        from ..persist.checkpoint import save_checkpoint
-        save_checkpoint(path, "meta-trainer", self.state_dict(), meta=meta)
-
-    @classmethod
-    def load(cls, path):
-        """Load a meta-learner checkpoint written by :meth:`save`."""
-        from ..persist.checkpoint import load_checkpoint
-        state, _ = load_checkpoint(path, expected_kind="meta-trainer")
-        return cls.from_state_dict(state)
-
     # ------------------------------------------------------------------
     def evaluate(self, tasks, encode, local_steps=None):
         """Mean query-set accuracy after adaptation (diagnostic): every
-        task adapted and scored in one stacked program per shape bucket
+        task adapted and scored in one stacked program
         (:func:`repro.train.engine.evaluate_batched`)."""
         from ..train.engine import evaluate_batched
         return evaluate_batched(self, tasks, encode, local_steps=local_steps)

@@ -71,7 +71,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..geometry.convex_hull import HalfspaceSystem, Hull
-from ..geometry.engine import PackedHulls, union_masks
+from ..geometry.engine import union_masks
 from ..geometry.regions import ScaledRegion, UnionRegion
 from ..obs import default_registry
 from ..store.scan import region_bounds
@@ -116,24 +116,6 @@ class HullRegistry:
             self._index[id(hull)] = idx
             self.hulls.append(hull)
         return idx
-
-    def pack(self):
-        """A :class:`~repro.geometry.engine.PackedHulls` over every
-        registered hull.
-
-        Stateless — packing precompiled lowerings is cheap.  Only
-        meaningful for a *same-dimension* registry (e.g. one scoped to
-        a single subspace's sessions); a checkpoint registry spanning
-        subspaces of different dimensionality raises ``ValueError``,
-        since a query point set has one width.
-        """
-        return PackedHulls(self.hulls)
-
-    def membership(self, points):
-        """``(n, n_hulls)`` membership of ``points`` in every registered
-        hull — all points x all hulls in one engine call.  Same-dim
-        registries only; see :meth:`pack`."""
-        return self.pack().membership(points)
 
     def state(self):
         """Checkpointable per-hull state, in registry order.

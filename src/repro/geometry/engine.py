@@ -50,9 +50,6 @@ Layers stack on top:
 * :func:`union_masks` — many unions over one shared point set, hulls
   deduplicated by identity, one engine call total (what
   ``FewShotOptimizer.decide_batch`` rides);
-* :class:`PackedRegion` — a compiled conjunction-of-disjunctions
-  program (``ConjunctiveRegion`` over ``UnionRegion`` parts), each part
-  a packed group over a column subset of the query row;
 * :class:`HullPackCache` — identity-keyed LRU of compiled packs so a
   serving engine reuses one pack — and the raster it grew — across
   model versions and repeated predict calls.
@@ -66,7 +63,7 @@ import numpy as np
 
 from .convex_hull import _EPS, as_query_array
 
-__all__ = ["PackedHulls", "PackedRegion", "HullPackCache", "union_masks"]
+__all__ = ["PackedHulls", "HullPackCache", "union_masks"]
 
 #: Cap on the (points x hulls) gate slab evaluated at once; larger
 #: queries are chunked over points so the gate stays cache-resident.
@@ -432,67 +429,6 @@ def union_masks(hull_lists, points, pack_cache=None):
     else:
         pack = PackedHulls(distinct)
     return pack.unions(points, columns)
-
-
-class PackedRegion:
-    """A compiled conjunction-of-disjunctions membership program.
-
-    ``groups`` is a list of ``(hulls, columns)`` pairs: a point belongs
-    to the region iff for *every* group its projection onto ``columns``
-    (``None`` = the whole row) lies inside *some* hull of the group.  A
-    single group with ``columns=None`` is exactly a union region; many
-    groups over per-subspace column sets are a conjunctive UIR.  Each
-    group compiles to its own :class:`PackedHulls`, so evaluation is
-    one union query per group on the projected rows — the same kernel
-    (and the same masks) as querying each part directly.
-    """
-
-    def __init__(self, groups, dim=None):
-        self.dim = None if dim is None else int(dim)
-        self.groups = []
-        for hulls, columns in groups:
-            hulls = list(hulls)
-            if not hulls:
-                raise ValueError("a conjunction group needs >= 1 hull")
-            if columns is not None:
-                columns = np.asarray(list(columns), dtype=np.intp)
-                if len(columns) != hulls[0].dim:
-                    raise ValueError(
-                        "hull dimension {} != column group size {}"
-                        .format(hulls[0].dim, len(columns)))
-            elif self.dim is not None and hulls[0].dim != self.dim:
-                raise ValueError("hull dimension {} != region dimension {}"
-                                 .format(hulls[0].dim, self.dim))
-            self.groups.append((PackedHulls(hulls), columns))
-        if not self.groups:
-            raise ValueError("PackedRegion needs >= 1 group")
-
-    @property
-    def n_groups(self):
-        return len(self.groups)
-
-    @property
-    def n_hulls(self):
-        return sum(pack.n_hulls for pack, _ in self.groups)
-
-    # ------------------------------------------------------------------
-    def contains(self, points):
-        """Boolean ``(n,)`` mask: AND over groups of OR over hulls."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.size == 0:
-            return np.zeros(0, dtype=bool)
-        points = np.atleast_2d(points)
-        mask = np.ones(len(points), dtype=bool)
-        for pack, columns in self.groups:
-            if not mask.any():
-                break
-            projected = points if columns is None else points[:, columns]
-            mask &= pack.contains_any(projected)
-        return mask
-
-    def __repr__(self):
-        return "PackedRegion(dim={}, groups={}, hulls={})".format(
-            self.dim, self.n_groups, self.n_hulls)
 
 
 class HullPackCache:

@@ -1,16 +1,20 @@
-"""Regions as unions of convex parts, and conjunctive cross-subspace regions.
+"""Regions over one (sub)space: unions of convex parts, boxes, and
+regions queried through a scaler.
 
 ``UnionRegion`` realizes the paper's general UIS form (Section V-C):
 "the composition of any set of convex parts on a meta-subspace", which by
 convex decomposition covers concave and even disconnected interest regions.
-``ConjunctiveRegion`` combines per-subspace regions into a full-space UIR
-(Section III-A: R_u is the conjunctive combination of its subregions).
+The full-space UIR is the conjunction of per-subspace regions (Section
+III-A); it is evaluated where it is served —
+``repro.core.framework.predict_conjunctions`` for sessions,
+``ConjunctiveOracle.ground_truth`` / ``ground_truth_store`` for ground
+truth.
 
-Both compile themselves lazily to packed halfspace programs
+A ``UnionRegion`` compiles itself lazily to a packed halfspace program
 (:mod:`repro.geometry.engine`): the first ``contains`` call stacks every
 hull's facet rows into one matrix, and every later call is a single
 matmul plus segment reductions instead of a Python loop over hulls.
-Packs are cached on the region and never invalidated — hulls are
+The pack is cached on the region and never invalidated — hulls are
 immutable once built, and a region's hull list is fixed at construction.
 """
 
@@ -19,10 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from .convex_hull import Hull, as_query_array
-from .engine import PackedHulls, PackedRegion
+from .engine import PackedHulls
 
-__all__ = ["Region", "UnionRegion", "ConjunctiveRegion", "BoxRegion",
-           "ScaledRegion"]
+__all__ = ["Region", "UnionRegion", "BoxRegion", "ScaledRegion"]
 
 
 class Region:
@@ -116,67 +119,3 @@ class ScaledRegion(Region):
     @property
     def n_parts(self):
         return getattr(self.region, "n_parts", 1)
-
-
-class ConjunctiveRegion(Region):
-    """Conjunction of per-subspace regions over column groups.
-
-    Parameters
-    ----------
-    subspace_regions:
-        List of ``(column_indices, Region)``: a full-space point belongs to
-        the UIR iff, for every entry, its projection onto ``column_indices``
-        belongs to the corresponding region.
-
-    Hull-backed entries (``UnionRegion``, bare ``Hull``) are compiled
-    into **one** packed program spanning all their column groups — a
-    single matmul answers the whole conjunction-of-disjunctions; other
-    region types (scaled wrappers, boxes, custom predicates) are ANDed
-    in through their own ``contains``.
-    """
-
-    def __init__(self, subspace_regions):
-        if not subspace_regions:
-            raise ValueError("need at least one subspace region")
-        self.subspace_regions = []
-        for columns, region in subspace_regions:
-            columns = tuple(int(c) for c in columns)
-            if len(columns) != region.dim:
-                raise ValueError(
-                    "column group {} does not match region dim {}".format(
-                        columns, region.dim))
-            self.subspace_regions.append((columns, region))
-        self.dim = sum(len(cols) for cols, _ in self.subspace_regions)
-        self._generic = [(cols, r) for cols, r in self.subspace_regions
-                         if not isinstance(r, (UnionRegion, Hull))]
-        self._hull_groups = [(cols, r) for cols, r in self.subspace_regions
-                             if isinstance(r, (UnionRegion, Hull))]
-        self._packed = None
-
-    def compiled(self):
-        """Cached :class:`~repro.geometry.engine.PackedRegion` over the
-        hull-backed parts (None when no part is hull-backed)."""
-        if self._packed is None and self._hull_groups:
-            self._packed = PackedRegion(
-                [(region.hulls if isinstance(region, UnionRegion)
-                  else [region], columns)
-                 for columns, region in self._hull_groups])
-        return self._packed
-
-    def contains(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        if points.size == 0:
-            return np.zeros(0, dtype=bool)
-        points = np.atleast_2d(points)
-        packed = self.compiled()
-        mask = packed.contains(points) if packed is not None \
-            else np.ones(len(points), dtype=bool)
-        for columns, region in self._generic:
-            if not mask.any():
-                break
-            mask &= region.contains(points[:, list(columns)])
-        return mask
-
-    def __repr__(self):
-        groups = [cols for cols, _ in self.subspace_regions]
-        return "ConjunctiveRegion(groups={})".format(groups)

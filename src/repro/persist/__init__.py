@@ -8,9 +8,10 @@ manifest carrying a schema version and a content digest) spanning
 
 * ``repro.nn``    — ``state_dict``/``load_state_dict`` on modules,
   parameters and optimizers (Adam step counts + moment buffers);
-* ``repro.core``  — :meth:`MetaTrainer.save`/``load`` for pretrained
-  meta-learners, :class:`FewShotOptimizer` region capture with shared
-  hull interning, resumable :class:`ExplorationSession` state;
+* ``repro.core``  — :func:`save_pretrained`/:func:`load_pretrained`
+  for a fitted LTE's meta-learners, :class:`FewShotOptimizer` region
+  capture with shared hull interning, resumable
+  :class:`ExplorationSession` state;
 * ``repro.serve`` — :meth:`SessionManager.snapshot`/``restore`` covering
   pending queues, per-session model versions and store-scan watermarks,
   so a restored manager serves bit-identical predictions without

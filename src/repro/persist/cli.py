@@ -87,10 +87,6 @@ def _summarize_state(kind, state, path):
         print("  variant: {}   subspaces: {}".format(
             state["session"]["variant"],
             len(state["session"]["subspaces"])))
-    elif kind == "meta-trainer":
-        print("  ku={} width={} memories={} epochs trained: {}".format(
-            state["config"]["ku"], state["config"]["input_width"],
-            state["use_memories"], len(state["history"])))
     elif kind == "pretrain-run":
         print("  resumable offline run over {} subspaces".format(
             len(state["subspaces"])))

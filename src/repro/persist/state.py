@@ -1,6 +1,6 @@
 """Save/load wrappers binding checkpoints to the stateful layers.
 
-Five artifact kinds cover the system's stateful layers:
+Four artifact kinds cover the system's stateful layers:
 
 ======================  ==============================================
 kind                    contents
@@ -8,7 +8,6 @@ kind                    contents
 ``lte-pretrained``      per-subspace meta-learners (phi + memories) of
                         a fitted :class:`~repro.core.LTE` — the
                         shippable pretrained artifact
-``meta-trainer``        one subspace's meta-learner on its own
 ``pretrain-run``        an *in-flight* offline meta-training run:
                         per-subspace trainer weights, memories, RNG
                         state, pretrain-optimizer moments and epoch

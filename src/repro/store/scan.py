@@ -13,10 +13,7 @@ inside some box of that group on the group's columns.  The sources:
 * ``ScaledRegion``: the wrapped region's bounds mapped back through the
   min-max scaler's affine inverse, widened for rounding, with bounds
   touching the clip limits 0/1 opened to +-inf (clipping makes the
-  transform non-injective there, so every raw preimage must survive);
-* ``ConjunctiveRegion``: one group per hull/box part, mapped onto the
-  part's column subset; parts with no known bounds simply contribute no
-  group (they never cause pruning).
+  transform non-injective there, so every raw preimage must survive).
 
 A chunk whose zone map (NaN-ignoring per-column min/max) fails the
 interval-overlap test against every box of some group contains no member
@@ -33,8 +30,7 @@ import numpy as np
 
 from ..geometry.convex_hull import Hull
 from ..geometry.engine import PackedHulls
-from ..geometry.regions import (BoxRegion, ConjunctiveRegion, ScaledRegion,
-                                UnionRegion)
+from ..geometry.regions import BoxRegion, ScaledRegion, UnionRegion
 from ..obs import default_registry
 
 __all__ = ["ChunkScan", "region_bounds", "scan_region",
@@ -90,17 +86,6 @@ def region_bounds(region):
             return None
         return [(cols, *_unscale_bounds(region.scaler, lo, hi, cols))
                 for cols, lo, hi in inner]
-    if isinstance(region, ConjunctiveRegion):
-        groups = []
-        for cols, sub in region.subspace_regions:
-            sub_groups = region_bounds(sub)
-            if sub_groups is None:
-                continue   # unconstrained part: never causes pruning
-            for sub_cols, lo, hi in sub_groups:
-                mapped = cols if sub_cols is None \
-                    else tuple(cols[c] for c in sub_cols)
-                groups.append((tuple(mapped), lo, hi))
-        return groups or None
     if hasattr(region, "boxes") and hasattr(region, "predicate"):
         # SynthesizedQuery (duck-typed: repro.store must not import
         # repro.explore).  Its predicate is an exact DNF of boxes.
@@ -145,7 +130,7 @@ class ChunkScan:
         The :class:`~repro.store.ChunkStore` to scan.
     region:
         Any region predicate (``Hull`` / ``UnionRegion`` /
-        ``ConjunctiveRegion`` / ``ScaledRegion`` / ``BoxRegion`` /
+        ``ScaledRegion`` / ``BoxRegion`` /
         ``SynthesizedQuery`` / custom ``Region``).
     columns:
         Store columns the region's input dimensions refer to (default:

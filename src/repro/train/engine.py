@@ -67,8 +67,14 @@ def encode_task_sets(tasks, encode, rows_per_block=8192, spill=None):
     path reuses the exact same encode-block boundaries (BLAS results
     depend on operand shapes), so the bits read back are identical to
     the materialized list.
+
+    A task set has one shape: every task's feature vector, support set
+    and query set must have task 0's shapes (``MetaTaskGenerator``
+    emits such sets), or a ``ValueError`` names the first that does
+    not.  An empty set encodes to an empty list.
     """
     tasks = list(tasks)
+    _require_one_shape(tasks)
     if spill is not None:
         from .stream import spill_encoded_tasks
         return spill_encoded_tasks(tasks, encode, rows_per_block, spill)
@@ -80,6 +86,23 @@ def encode_task_sets(tasks, encode, rows_per_block=8192, spill=None):
                     encoded_arrays[2 * i], task.support_y,
                     encoded_arrays[2 * i + 1], task.query_y))
     return out
+
+
+def _require_one_shape(tasks):
+    """Raise ``ValueError`` naming the first task whose feature, support
+    or query shape differs from task 0's."""
+    def shapes(task):
+        return (np.shape(task.feature_vector),
+                np.atleast_2d(np.asarray(task.support_x)).shape,
+                np.atleast_2d(np.asarray(task.query_x)).shape)
+
+    first = shapes(tasks[0]) if tasks else None
+    for index, task in enumerate(tasks):
+        if shapes(task) != first:
+            raise ValueError(
+                "meta-task {} has (feature, support, query) shapes {} but "
+                "task 0 has {}: a task set has one shape".format(
+                    index, shapes(task), first))
 
 
 def _iter_encoded_arrays(tasks, encode, rows_per_block):
@@ -122,9 +145,9 @@ MetaBatchSlot = namedtuple("MetaBatchSlot", ["trainer", "encoded", "indices"])
 #: ``features`` is the ``(K, ku)`` stack and ``shifts`` the
 #: ``(K, theta_r_size)`` memory-retrieved theta_R start stack (or None
 #: without memories); ``sx`` / ``sy`` / ``qx`` / ``qy`` /
-#: ``conversions`` / ``attentions`` are per-task lists (the sets are
-#: stacked per same-shape run by :func:`compute_meta_batch`; without
-#: memories ``conversions`` and ``attentions`` entries are None).
+#: ``conversions`` / ``attentions`` are per-task lists (stacked by
+#: :func:`compute_meta_batch`; without memories ``conversions`` and
+#: ``attentions`` entries are None).
 MetaBatchInputs = namedtuple("MetaBatchInputs", [
     "features", "sx", "sy", "qx", "qy",
     "shifts", "conversions", "attentions"])
@@ -191,36 +214,25 @@ def compute_meta_batch(models, params, inputs):
     ``models`` and ``inputs`` may cover a whole batch or any contiguous
     task span of one: the stacked program is block-diagonal, so every
     task's losses and gradients are bit-identical at any stack size —
-    which is what lets a run train as two halves on two threads without
-    perturbing a single bit.  The same property carries a batch whose
-    tasks differ in support/query size
-    (hand-built task lists only; ``MetaTaskGenerator`` emits uniform
-    sets): each consecutive run of same-shape tasks is one stacked
-    program — or two halves on two threads
-    (:func:`repro.nn.cores.run_stack`) — stitched back in task order.
+    which is what lets a batch train as two halves on two threads
+    (:func:`repro.nn.cores.run_stack`), stitched back in task order,
+    without perturbing a single bit.
 
     Mutates nothing: phi, memories, and optimizer state are untouched
     (apply the result with :func:`apply_meta_batch`).
     """
     def compute(tasks):
         start, stop = tasks[0], tasks[-1] + 1
-        return _compute_same_shape_run(
-            models[start:stop], params,
-            slice_meta_batch_inputs(inputs, start, stop))
+        return _compute_stack(models[start:stop], params,
+                              slice_meta_batch_inputs(inputs, start, stop))
 
-    shapes = [(sx.shape, qx.shape) for sx, qx in zip(inputs.sx, inputs.qx)]
-    cuts = [0] + [j for j in range(1, len(shapes))
-                  if shapes[j] != shapes[j - 1]] + [len(shapes)]
-    parts = []
-    for start, stop in zip(cuts, cuts[1:]):
-        macs = step_macs(models[start].config, stop - start,
-                         len(inputs.sx[start]))
-        parts.extend(run_stack(compute, range(start, stop), macs))
-    return concat_meta_batch_results(parts)
+    macs = step_macs(models[0].config, len(models), len(inputs.sx[0]))
+    return concat_meta_batch_results(
+        run_stack(compute, range(len(models)), macs))
 
 
-def _compute_same_shape_run(models, params, inputs):
-    """:func:`compute_meta_batch` for tasks of one support/query shape."""
+def _compute_stack(models, params, inputs):
+    """:func:`compute_meta_batch` on one stack, whole or a half."""
     batched = BatchedUISClassifier(models)
     if inputs.shifts is not None:
         load_flat_stack(batched.uis_block, np.asarray(inputs.shifts))
@@ -252,8 +264,8 @@ def _compute_same_shape_run(models, params, inputs):
 def concat_meta_batch_results(parts):
     """Stitch span results back into one batch-wide result, in order.
 
-    The spans (same-shape runs, or the halves of one) must be the
-    contiguous partition of the batch's task list, given in task order
+    The spans (the halves of a batch) must be the contiguous partition
+    of the batch's task list, given in task order
     — concatenation then reproduces exactly the arrays a single
     whole-batch :func:`compute_meta_batch` returns.
     """
@@ -452,37 +464,28 @@ def _store_stacked_adam(optimizer, schedules, models):
 # Batched evaluation
 # ----------------------------------------------------------------------
 def evaluate_batched(trainer, tasks, encode, local_steps=None):
-    """The body of :meth:`MetaTrainer.evaluate`: adapt + score per shape
-    bucket; tasks of odd shapes simply land in their own (possibly
-    singleton) bucket.
-    """
+    """The body of :meth:`MetaTrainer.evaluate`: every task adapted and
+    scored in one stacked program."""
     encoded = encode_task_sets(tasks, encode)
     if not encoded:
         return 0.0
     params = trainer.params
     steps = params.local_steps if local_steps is None else int(local_steps)
-    buckets = {}
-    for i, (v_r, sx, sy, qx, qy) in enumerate(encoded):
-        buckets.setdefault((sx.shape, qx.shape), []).append(i)
-    scores = [0.0] * len(encoded)
-    for indices in buckets.values():
-        models, conversions = [], []
-        for i in indices:
-            local, conversion, _ = trainer.task_retrieval(encoded[i][0])
-            models.append(local)
-            conversions.append(conversion)
-        features = np.stack([encoded[i][0] for i in indices])
-        sx = np.stack([encoded[i][1] for i in indices])
-        sy = np.stack([np.asarray(encoded[i][2], dtype=np.float64).ravel()
-                       for i in indices])
-        batched, conversion, _ = fused_local_adapt(
-            models, features, sx, sy, conversions=conversions,
-            steps=max(1, steps), lr=params.rho,
-            optimizer_kind=params.local_optimizer,
-            balance_classes=params.balance_classes)
-        qx = np.stack([encoded[i][3] for i in indices])
-        preds = stacked_predict(batched, features, qx,
-                                conversion=conversion)
-        for row, i in enumerate(indices):
-            scores[i] = float(np.mean(preds[row] == encoded[i][4]))
-    return float(np.mean(scores))
+    models, conversions = [], []
+    for v_r, _, _, _, _ in encoded:
+        local, conversion, _ = trainer.task_retrieval(v_r)
+        models.append(local)
+        conversions.append(conversion)
+    features = np.stack([task[0] for task in encoded])
+    sx = np.stack([task[1] for task in encoded])
+    sy = np.stack([np.asarray(task[2], dtype=np.float64).ravel()
+                   for task in encoded])
+    batched, conversion, _ = fused_local_adapt(
+        models, features, sx, sy, conversions=conversions,
+        steps=max(1, steps), lr=params.rho,
+        optimizer_kind=params.local_optimizer,
+        balance_classes=params.balance_classes)
+    qx = np.stack([task[3] for task in encoded])
+    preds = stacked_predict(batched, features, qx, conversion=conversion)
+    return float(np.mean([np.mean(pred == task[4])
+                          for pred, task in zip(preds, encoded)]))

@@ -47,7 +47,7 @@ class TrainerSchedule:
     that such a schedule really is complete.
     """
 
-    def __init__(self, trainer, encoded, epochs=None):
+    def __init__(self, trainer, encoded):
         self.trainer = trainer
         if encoded is None or hasattr(encoded, "shape_signature"):
             # None, or a store-streamed EncodedTaskSet — keep the lazy
@@ -60,8 +60,7 @@ class TrainerSchedule:
         self.rng = np.random.default_rng(trainer.seed)
         params = trainer.params
         self.pretrain_total = max(0, int(params.pretrain_epochs))
-        self.meta_total = max(0, int(params.epochs if epochs is None
-                                     else epochs))
+        self.meta_total = max(0, int(params.epochs))
         self.pretrain_done = 0
         self.meta_done = 0
         self.pretrain_opt_state = None
@@ -106,32 +105,27 @@ class TrainerSchedule:
 
     # -- fusion grouping ------------------------------------------------
     def _shape_signature(self):
-        """Uniform (support, query) shapes of the task set, or None."""
+        """The ``(support, query)`` shapes every task of the set shares
+        (:func:`~repro.train.engine.encode_task_sets` admits one), None
+        for an empty set."""
         signature = getattr(self.encoded, "shape_signature", None)
         if signature is not None:
             return signature
-        shapes = {(sx.shape, qx.shape)
-                  for _, sx, _, qx, _ in self.encoded}
-        return next(iter(shapes)) if len(shapes) == 1 else None
+        return next(((sx.shape, qx.shape)
+                     for _, sx, _, qx, _ in self.encoded), None)
 
     def pretrain_group_key(self):
         """Schedules sharing this key can pretrain in lockstep fusion."""
-        signature = self._shape_signature()
-        if signature is None:
-            return ("solo", id(self))
         params = self.trainer.params
         return (tuple(sorted(self.trainer.model.config.items())),
-                signature, len(self.encoded),
+                self._shape_signature(), len(self.encoded),
                 float(params.pretrain_lr), bool(params.balance_classes))
 
     def meta_group_key(self):
         """Schedules sharing this key can fuse their meta-batches."""
-        signature = self._shape_signature()
-        if signature is None:
-            return ("solo", id(self))
         params = self.trainer.params
         return (tuple(sorted(self.trainer.model.config.items())),
-                signature, int(params.batch_size),
+                self._shape_signature(), int(params.batch_size),
                 int(params.local_steps), float(params.rho),
                 str(params.local_optimizer), bool(params.balance_classes))
 

@@ -23,9 +23,8 @@ so training over an :class:`EncodedTaskSet` produces phi, memories and
 optimizer moments bit-identical to training over the materialized list
 (``tests/train`` pins this, tracemalloc pins the memory bound).
 
-Task sets of non-uniform support/query shapes cannot be packed into
-fixed-width rows; :func:`spill_encoded_tasks` falls back to the
-materialized list for them (such sets train as same-shape runs).
+Every task of a set has one shape (``encode_task_sets`` checks it), so
+each task packs into one fixed-width row.
 """
 
 from __future__ import annotations
@@ -130,22 +129,14 @@ class _PretrainView:
 
 def spill_encoded_tasks(tasks, encode, rows_per_block, directory):
     """Encode ``tasks`` block-wise, spilling rows into a store at
-    ``directory``; returns an :class:`EncodedTaskSet` (or, for
-    non-uniform task shapes, the materialized list — see module note).
+    ``directory``; returns an :class:`EncodedTaskSet` (an empty list
+    for no tasks).  ``tasks`` share one shape (``encode_task_sets``
+    checks it).
     """
-    from .engine import _iter_encoded_arrays, encode_task_sets
+    from .engine import _iter_encoded_arrays
 
-    tasks = list(tasks)
     if not tasks:
         return []
-    shapes = {(np.atleast_2d(np.asarray(task.support_x)).shape,
-               np.atleast_2d(np.asarray(task.query_x)).shape)
-              for task in tasks}
-    features = {np.asarray(task.feature_vector).size for task in tasks}
-    if len(shapes) != 1 or len(features) != 1:
-        return encode_task_sets(tasks, encode,
-                                rows_per_block=rows_per_block)
-
     state = {}
 
     def rows():

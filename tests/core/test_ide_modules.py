@@ -141,6 +141,20 @@ class TestRetrieve:
         retrieved = session.retrieve(table.sample_rows(400, seed=0), limit=3)
         assert len(retrieved) <= 3
 
+    def test_limit_is_a_whole_number(self, system):
+        """A negative or fractional limit is refused: ``indices[:-1]``
+        would quietly drop the last interesting row."""
+        lte, table, subspace, oracle = system
+        session = labelled_session(lte, subspace, oracle)
+        rows = table.sample_rows(400, seed=0)
+        every = session.retrieve(rows)
+        for limit in (-1, 2.9, "3"):
+            with pytest.raises(ValueError, match="limit"):
+                session.retrieve(rows, limit=limit)
+        assert len(session.retrieve(rows, limit=0)) == 0
+        assert np.array_equal(
+            session.retrieve(rows, limit=np.int64(len(every))), every)
+
     def test_defaults_to_full_table(self, system):
         lte, table, subspace, oracle = system
         session = labelled_session(lte, subspace, oracle)
@@ -178,19 +192,30 @@ class TestDrift:
 
 class TestPersistence:
     def test_save_load_round_trip(self, system, tmp_path):
+        """The meta-learners, saved and installed into a twin prepared
+        from the same table and config, serve the same answers."""
+        from repro.persist import load_pretrained, save_pretrained
         lte, table, subspace, oracle = system
-        path = tmp_path / "lte.pkl"
-        lte.save(path)
-        loaded = LTE.load(path)
+        save_pretrained(tmp_path / "lte", lte)
+        loaded = LTE(lte.config).fit_offline(table, train=False)
+        load_pretrained(tmp_path / "lte", loaded)
         assert set(loaded.states) == set(lte.states)
-        session = labelled_session(loaded, subspace, oracle)
-        preds = session.predict(table.sample_rows(100, seed=1))
+        rows = table.sample_rows(100, seed=1)
+        preds = labelled_session(loaded, subspace, oracle).predict(rows)
         assert preds.shape == (100,)
+        assert np.array_equal(
+            preds, labelled_session(lte, subspace, oracle).predict(rows))
 
-    def test_load_rejects_non_lte(self, tmp_path):
-        import pickle
-        path = tmp_path / "junk.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump({"not": "lte"}, fh)
-        with pytest.raises(TypeError):
-            LTE.load(path)
+    def test_load_rejects_non_lte(self, system, tmp_path):
+        """A checkpoint of another kind is refused before any trainer
+        is swapped."""
+        from repro.persist import (CheckpointError, load_pretrained,
+                                   save_session)
+        lte, _, subspace, oracle = system
+        save_session(tmp_path / "session",
+                     labelled_session(lte, subspace, oracle))
+        trainers = {s: state.trainer for s, state in lte.states.items()}
+        with pytest.raises(CheckpointError, match="kind"):
+            load_pretrained(tmp_path / "session", lte)
+        assert all(lte.states[s].trainer is trainer
+                   for s, trainer in trainers.items())

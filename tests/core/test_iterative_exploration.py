@@ -96,6 +96,17 @@ class TestMostUncertain:
         assert np.allclose(sorted(margins[picks]),
                            np.sort(margins)[:3])
 
+    def test_k_is_a_whole_number(self, lte_and_oracle):
+        """A negative or fractional k is refused: ``order[:-1]`` would
+        quietly drop one candidate."""
+        lte, subspace, oracle = lte_and_oracle
+        session = started_session(lte, subspace, oracle)
+        raw = subspace.project(lte.table.data)[:10]
+        for k in (-1, 2.5):
+            with pytest.raises(ValueError, match="k must"):
+                session.most_uncertain(subspace, raw, k=k)
+        assert len(session.most_uncertain(subspace, raw, k=10)) == 10
+
     def test_before_labels_raises(self, lte_and_oracle):
         lte, subspace, _ = lte_and_oracle
         session = lte.start_session(variant="meta", subspaces=[subspace])

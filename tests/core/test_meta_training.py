@@ -111,14 +111,6 @@ class TestTrain:
         trainer.train(meta_tasks, preprocessor.transform)
         assert len(trainer.history) == 2
 
-    def test_progress_callback(self, preprocessor, meta_tasks,
-                               task_generator):
-        trainer = make_trainer(preprocessor, task_generator)
-        seen = []
-        trainer.train(meta_tasks, preprocessor.transform,
-                      progress=lambda e, loss: seen.append((e, loss)))
-        assert seen and seen[0][0] == 0
-
     def test_pretraining_alone_learns(self, preprocessor, meta_tasks,
                                       task_generator):
         """Joint pretraining should beat a random model on query accuracy."""
@@ -130,7 +122,7 @@ class TestTrain:
         untrained.params.epochs = 1
         trained.params.epochs = 1
         acc_untrained = _query_accuracy(untrained, meta_tasks, preprocessor)
-        trained.train(meta_tasks, preprocessor.transform, epochs=1)
+        trained.train(meta_tasks, preprocessor.transform)
         acc_trained = _query_accuracy(trained, meta_tasks, preprocessor)
         assert acc_trained >= acc_untrained - 0.05
 

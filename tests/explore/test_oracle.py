@@ -36,8 +36,9 @@ class TestConjunctiveOracle:
 
     def test_full_space_label_is_conjunction(self):
         oracle, _, _ = two_subspace_oracle()
-        rows = np.array([[0.5, 0.5, 15.0], [0.5, 0.5, 5.0]])
-        assert list(oracle.label(rows)) == [1, 0]
+        rows = np.array([[0.5, 0.5, 15.0], [0.5, 0.5, 5.0],
+                         [2.0, 0.5, 15.0]])
+        assert list(oracle.label(rows)) == [1, 0, 0]
 
     def test_ground_truth_does_not_count(self):
         oracle, _, _ = two_subspace_oracle()

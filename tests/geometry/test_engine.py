@@ -21,9 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.optimizer import HullRegistry
-from repro.geometry import (BoxRegion, ConjunctiveRegion, Hull, HullPackCache,
-                            PackedHulls, PackedRegion, UnionRegion,
-                            union_masks)
+from repro.geometry import (BoxRegion, Hull, HullPackCache, PackedHulls,
+                            UnionRegion, union_masks)
 from repro.geometry import convex_hull as convex_hull_module
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -377,12 +376,15 @@ class TestEmptyQueries:
     def test_box_region(self):
         self._check(BoxRegion([0, 0], [1, 1]).contains, 2)
 
-    def test_conjunctive_region(self):
-        region = ConjunctiveRegion([
-            ((0, 1), UnionRegion([np.array([[0.0, 0], [1, 0], [0, 1]])])),
-            ((2,), BoxRegion([0.0], [1.0])),
-        ])
-        self._check(region.contains, 3)
+    def test_conjunctive_ground_truth(self):
+        from repro.data.subspaces import Subspace
+        from repro.explore import ConjunctiveOracle
+        oracle = ConjunctiveOracle({
+            Subspace(["a", "b"], [0, 1]):
+                UnionRegion([np.array([[0.0, 0], [1, 0], [0, 1]])]),
+            Subspace(["c"], [2]): BoxRegion([0.0], [1.0])})
+        truth = oracle.ground_truth(np.zeros((0, 3)))
+        assert truth.shape == (0,) and truth.dtype == np.int64
 
     def test_packed_engine(self):
         hulls = [Hull(np.array([[0.0, 0], [1, 0], [0, 1]]))]
@@ -402,31 +404,38 @@ class TestEmptyQueries:
 
 
 # ----------------------------------------------------------------------
-# Conjunctive / packed-region parity.
+# Conjunctive ground truth parity.
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_property_conjunctive_parity(seed):
-    """Compiled ConjunctiveRegion == per-part projection loop."""
+    """``ConjunctiveOracle`` over two hull unions and a box == the
+    per-part projection loop, in memory and over a zone-map-pruned
+    chunk store (the box rides the bounds of its own kind)."""
+    from repro.data import Table
+    from repro.data.subspaces import Subspace
+    from repro.explore import ConjunctiveOracle
+
     rng = np.random.default_rng(seed)
     union_a = UnionRegion([Hull(rng.normal(size=(6, 2)))
                            for _ in range(2)])
     union_b = UnionRegion([Hull(rng.normal(size=(5, 1)))])
     box = BoxRegion([-1.0], [1.0])
-    region = ConjunctiveRegion([((0, 1), union_a), ((2,), union_b),
-                                ((3,), box)])
+    oracle = ConjunctiveOracle({Subspace(["a", "c"], [0, 2]): union_a,
+                                Subspace(["b"], [1]): union_b,
+                                Subspace(["d"], [3]): box})
     rows = rng.normal(size=(150, 4)) * 1.5
-    expected = union_a.contains(rows[:, [0, 1]]) \
-        & union_b.contains(rows[:, [2]]) \
+    expected = union_a.contains(rows[:, [0, 2]]) \
+        & union_b.contains(rows[:, [1]]) \
         & box.contains(rows[:, [3]])
-    assert np.array_equal(region.contains(rows), expected)
-    packed = region.compiled()
-    assert isinstance(packed, PackedRegion)
-    assert packed.n_groups == 2   # the box rides the generic path
+    assert np.array_equal(oracle.ground_truth(rows), expected)
+    store = Table("parity", list("abcd"), rows).to_store(
+        chunk_rows=int(rng.integers(1, 40)))
+    assert np.array_equal(oracle.ground_truth_store(store), expected)
 
 
 # ----------------------------------------------------------------------
-# Pack caching and registry engine calls.
+# Pack caching.
 # ----------------------------------------------------------------------
 def lookups(cache):
     """``(hits, misses)`` of a pack cache, read from its registry."""
@@ -484,16 +493,6 @@ class TestPackReuse:
         rng = np.random.default_rng(4)
         region = UnionRegion([Hull(rng.normal(size=(6, 2)))])
         assert region.compiled() is region.compiled()
-
-    def test_registry_membership_matches_loop(self):
-        rng = np.random.default_rng(5)
-        registry = HullRegistry()
-        hulls = [Hull(rng.normal(size=(6, 2))) for _ in range(4)]
-        for hull in hulls:
-            registry.add(hull)
-        points = rng.normal(size=(80, 2)) * 2
-        assert np.array_equal(registry.membership(points),
-                              loop_membership(hulls, points))
 
 
 # ----------------------------------------------------------------------

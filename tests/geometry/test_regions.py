@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry import BoxRegion, ConjunctiveRegion, Hull, UnionRegion
+from repro.geometry import BoxRegion, Hull, UnionRegion
 
 
 def square_at(x, y, size=1.0):
@@ -61,36 +61,3 @@ class TestUnionRegion:
         b = UnionRegion([square_at(0.5, 0.5), square_at(0, 0)])
         queries = np.random.default_rng(0).uniform(-1, 2, size=(50, 2))
         assert np.array_equal(a.contains(queries), b.contains(queries))
-
-
-class TestConjunctiveRegion:
-    def test_conjunction_over_column_groups(self):
-        region = ConjunctiveRegion([
-            ((0, 1), BoxRegion([0, 0], [1, 1])),
-            ((2,), BoxRegion([10], [20])),
-        ])
-        rows = np.array([
-            [0.5, 0.5, 15.0],   # both satisfied
-            [0.5, 0.5, 25.0],   # second violated
-            [2.0, 0.5, 15.0],   # first violated
-        ])
-        assert list(region.contains(rows)) == [True, False, False]
-
-    def test_dim_is_total(self):
-        region = ConjunctiveRegion([
-            ((0, 1), BoxRegion([0, 0], [1, 1])),
-            ((2,), BoxRegion([0], [1])),
-        ])
-        assert region.dim == 3
-
-    def test_column_region_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            ConjunctiveRegion([((0,), BoxRegion([0, 0], [1, 1]))])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            ConjunctiveRegion([])
-
-    def test_repr_shows_groups(self):
-        region = ConjunctiveRegion([((0, 1), BoxRegion([0, 0], [1, 1]))])
-        assert "(0, 1)" in repr(region)

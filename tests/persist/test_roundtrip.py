@@ -238,13 +238,19 @@ def test_optimizer_state_validation():
 
 
 # ----------------------------------------------------------------------
-# MetaTrainer artifact (save/load on the meta-learner itself)
+# A meta-learner through the lte-pretrained artifact
 # ----------------------------------------------------------------------
-def test_meta_trainer_save_load(tmp_path, persist_lte, persist_subspaces):
-    from repro.core import MetaTrainer
+def test_meta_trainer_save_load(tmp_path, persist_lte, persist_subspaces,
+                                persist_table, persist_config):
+    from repro.core import LTE
+    from repro.persist import load_pretrained, save_pretrained
     trainer = persist_lte.states[persist_subspaces[0]].trainer
-    trainer.save(tmp_path / "trainer", meta={"note": "unit test"})
-    restored = MetaTrainer.load(tmp_path / "trainer")
+    save_pretrained(tmp_path / "lte", persist_lte, meta={"note": "unit test"})
+    prepared = LTE(persist_config).fit_offline(
+        persist_table, subspaces=persist_subspaces, train=False)
+    load_pretrained(tmp_path / "lte", prepared)
+    restored = prepared.states[persist_subspaces[0]].trainer
+    assert restored is not trainer
     assert restored.use_memories == trainer.use_memories
     assert restored.history == trainer.history
     for (name, p), (_, q) in zip(trainer.model.named_parameters(),

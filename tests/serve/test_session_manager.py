@@ -502,3 +502,8 @@ class TestStats:
         assert rows.ndim == 2 and len(rows) <= 10
         if len(rows):
             assert np.all(manager.predict(sid, rows) == 1)
+        # A managed session refuses what a lone one does.
+        with pytest.raises(ValueError, match="limit"):
+            manager.retrieve(sid, limit=-1)
+        with pytest.raises(ValueError, match="k must"):
+            manager.session(sid).most_uncertain(subspace, tuples, k=-1)

@@ -29,7 +29,7 @@ import _plan_oracle as plan_oracle
 from repro.core.optimizer import FewShotOptimizer
 from repro.data.schema import Table
 from repro.explore.query_synthesis import SynthesizedQuery
-from repro.geometry import (BoxRegion, ConjunctiveRegion, Hull, UnionRegion)
+from repro.geometry import BoxRegion, Hull, UnionRegion
 from repro.geometry.regions import ScaledRegion
 from repro.ml.scaler import MinMaxScaler
 from repro.obs import default_registry
@@ -128,16 +128,28 @@ def test_column_projection_scan():
         ChunkScan(store, region, columns=(0, 1, 2))
 
 
-def test_conjunctive_region_fuzz():
+def test_conjunctive_ground_truth_fuzz():
+    """``ConjunctiveOracle.ground_truth_store`` scans each subspace's
+    scaled union over its column subset, pruned, and ANDs them: equal to
+    the in-memory ground truth, and no pruned chunk holds a member."""
+    from repro.data.subspaces import Subspace as ColumnGroup
+    from repro.explore import ConjunctiveOracle
+
     rng = np.random.default_rng(23)
     for trial in range(6):
         data = clustered_data(rng, int(rng.integers(50, 400)), 4)
         store = make_store(data, int(rng.integers(1, 40)))
-        region = ConjunctiveRegion([
-            ((0, 2), random_hull_union(rng, data[:, [0, 2]], 2, parts=2)),
-            ((1, 3), random_hull_union(rng, data[:, [1, 3]], 2, parts=1)),
-        ])
-        assert_scan_parity(store, region, data)
+        regions = {}
+        for columns in ((0, 2), (3, 1)):
+            scaler = MinMaxScaler().fit(data[:len(data) // 2, list(columns)])
+            subspace = ColumnGroup(["c{}".format(c) for c in columns],
+                                   columns)
+            regions[subspace] = ScaledRegion(scaled_union(rng, 2), scaler)
+            assert_scan_parity(store, regions[subspace], data,
+                               columns=columns)
+        oracle = ConjunctiveOracle(regions)
+        assert np.array_equal(oracle.ground_truth_store(store),
+                              oracle.ground_truth(data))
 
 
 def test_scaled_region_matches_raw_membership():
@@ -258,17 +270,6 @@ def scaled_union(rng, dim):
                         for _ in range(int(rng.integers(1, 4)))])
 
 
-def scaled_region(rng, dim):
-    """A union of hulls, or — over two or more columns — a conjunction of
-    unions over a split of them (one bounds group a part)."""
-    if dim == 1 or rng.random() < 0.5:
-        return scaled_union(rng, dim)
-    order = rng.permutation(dim)
-    cut = int(rng.integers(1, dim))
-    return ConjunctiveRegion([(tuple(part), scaled_union(rng, len(part)))
-                              for part in (order[:cut], order[cut:])])
-
-
 def optimizer_over(rng, state, dim):
     """None, or an optimizer with some of an outer and an inner region."""
     kind = rng.choice(["none", "outer", "inner", "both", "opaque"])
@@ -278,9 +279,9 @@ def optimizer_over(rng, state, dim):
     optimizer.__setstate__({
         "summary": state.summary, "n_sup": 2, "n_sub": 2,
         "outer_region": None if kind == "inner"
-        else scaled_region(rng, dim),
+        else scaled_union(rng, dim),
         "inner_region": Opaque(dim) if kind == "opaque"
-        else None if kind == "outer" else scaled_region(rng, dim)})
+        else None if kind == "outer" else scaled_union(rng, dim)})
     return optimizer
 
 
@@ -363,8 +364,8 @@ def test_planner_keeps_what_the_per_session_reference_keeps(
 def test_planner_edge_conjunctions():
     """NaN zone entries and a scaler whose range the rows exceed (boxes
     at the clip limits opened to infinity), for each optimizer shape:
-    none, no outer region, an unbounded inner region, a multi-group
-    outer region, and a 1-column subspace."""
+    none, no outer region, an unbounded inner region, an outer region
+    past a clip limit, and a 1-column subspace."""
     data = np.array([[np.nan, 0.0], [np.nan, 1.0], [-50.0, 2.0],
                      [0.5, 3.0], [0.6, np.nan], [80.0, 5.0]])
     store = make_store(data, 2)
@@ -383,9 +384,8 @@ def test_planner_edge_conjunctions():
 
     low = UnionRegion([Hull(np.array([[-0.1, -0.1], [0.2, 0.1],
                                       [0.1, 0.3]]))])
-    split = ConjunctiveRegion([
-        ((0,), UnionRegion([Hull(np.array([[0.4], [0.7]]))])),
-        ((1,), UnionRegion([Hull(np.array([[0.9], [1.3]]))]))])
+    rect = UnionRegion([Hull(np.array([[0.4, 0.9], [0.7, 0.9],
+                                      [0.4, 1.3], [0.7, 1.3]]))])
     line = UnionRegion([Hull(np.array([[0.2], [0.3]]))])
     cases = {
         "none": {both: SimpleNamespace(state=state, optimizer=None)},
@@ -393,15 +393,15 @@ def test_planner_edge_conjunctions():
             state=state, optimizer=optimizer(None, low))},
         "unbounded inner": {both: SimpleNamespace(
             state=state, optimizer=optimizer(low, Opaque(2)))},
-        "two groups": {both: SimpleNamespace(
-            state=state, optimizer=optimizer(split, None))},
+        "past the clip": {both: SimpleNamespace(
+            state=state, optimizer=optimizer(rect, None))},
         "outer and inner": {both: SimpleNamespace(
-            state=state, optimizer=optimizer(low, split))},
+            state=state, optimizer=optimizer(low, rect))},
         "one column": {first: SimpleNamespace(
             state=narrow, optimizer=optimizer(line, None, narrow))},
         "conjunction": {
             both: SimpleNamespace(state=state,
-                                  optimizer=optimizer(split, low)),
+                                  optimizer=optimizer(rect, low)),
             first: SimpleNamespace(state=narrow,
                                    optimizer=optimizer(line, None, narrow))},
     }
@@ -410,7 +410,7 @@ def test_planner_edge_conjunctions():
     keeps = plan_conjunctions(store, cases, dict.fromkeys(cases, 0))[1]
     assert keeps["none"].all() and keeps["inner only"].all()
     assert keeps["unbounded inner"].all()
-    assert not keeps["two groups"].all()
+    assert not keeps["past the clip"].all()
     assert not keeps["one column"].all()
 
 

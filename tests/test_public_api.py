@@ -129,9 +129,20 @@ def test_persist_exports():
         assert hasattr(cls, "from_state_dict")
     assert hasattr(SessionManager, "snapshot")
     assert hasattr(SessionManager, "restore")
-    assert hasattr(MetaTrainer, "save")
-    assert hasattr(MetaTrainer, "load")
     assert hasattr(HullRegistry, "restore")
+    # repro.persist is the one serialization subsystem: no pickle file
+    # and no lone-trainer checkpoint beside it.
+    from repro.core import LTE
+    for cls in (LTE, MetaTrainer):
+        assert not hasattr(cls, "save") and not hasattr(cls, "load")
+
+
+def test_geometry_has_no_conjunction_class():
+    """The full-space UIR is evaluated where it is served
+    (``predict_conjunctions``, ``ConjunctiveOracle``), not by a region
+    class of its own."""
+    from repro import geometry
+    assert not {"ConjunctiveRegion", "PackedRegion"} & set(geometry.__all__)
 
 
 def test_every_public_symbol_has_docstring():

@@ -217,11 +217,10 @@ def run_schedule_sequential(schedule):
     return schedule
 
 
-def train_sequential(trainer, tasks, encode, epochs=None):
-    """``MetaTrainer.train(tasks, encode, epochs)`` on the executors
-    above."""
+def train_sequential(trainer, tasks, encode):
+    """``MetaTrainer.train(tasks, encode)`` on the executors above."""
     run_schedule_sequential(TrainerSchedule(
-        trainer, encode_task_sets(tasks, encode), epochs=epochs))
+        trainer, encode_task_sets(tasks, encode)))
     return trainer
 
 

@@ -123,14 +123,21 @@ def test_evaluate_parity(task_generator, preprocessor, meta_tasks,
     assert sequential == batched
 
 
-def test_progress_callback_matches_history(task_generator, preprocessor,
-                                           meta_tasks):
+def test_epoch_callback_matches_history(task_generator, preprocessor,
+                                        meta_tasks):
+    """``OfflineRun``'s per-epoch callback (what ``fit_offline``'s
+    progress events ride) reports each epoch's mean query loss."""
     trainer = build_trainer(task_generator, preprocessor)
     seen = []
-    trainer.train(meta_tasks, preprocessor.transform,
-                  progress=lambda e, loss: seen.append((e, loss)))
-    assert [loss for _, loss in seen] == trainer.history
-    assert [epoch for epoch, _ in seen] == [0, 1]
+    schedule = TrainerSchedule(trainer, _encoded(meta_tasks, preprocessor,
+                                                 len(meta_tasks)))
+    OfflineRun([schedule], on_epoch=lambda s, kind, epoch, loss:
+               seen.append((s, kind, epoch, loss))).run()
+    assert [(s, kind, epoch) for s, kind, epoch, _ in seen] == [
+        (schedule, "pretrain", 0), (schedule, "meta", 0),
+        (schedule, "meta", 1)]
+    assert [loss for _, kind, _, loss in seen if kind == "meta"] == \
+        trainer.history
 
 
 def _encoded(meta_tasks, preprocessor, n):
@@ -216,29 +223,55 @@ class TestPooledAcrossTrainers:
             assert_trainers_identical(a, b)
 
 
-def _ragged(meta_tasks, n):
-    """``n`` tasks of three support sizes (hand-built: the generator
-    only emits uniform sets)."""
+def _two_shapes(meta_tasks, n, odd):
+    """``n`` tasks, task ``odd`` one support row short of the others
+    (hand-built: the generator only emits uniform sets)."""
     from dataclasses import replace
 
-    return [replace(task,
-                    support_x=task.support_x[:len(task.support_x) - (i % 3)],
-                    support_y=task.support_y[:len(task.support_y) - (i % 3)])
-            for i, task in enumerate(meta_tasks[:n])]
+    tasks = list(meta_tasks[:n])
+    tasks[odd] = replace(tasks[odd], support_x=tasks[odd].support_x[:-1],
+                         support_y=tasks[odd].support_y[:-1])
+    return tasks
 
 
-def test_mixed_shape_task_sets_train_and_match(task_generator, preprocessor,
-                                               meta_tasks):
-    """Task sets with non-uniform support/query sizes cannot stack into
-    one fused program; a batch of them runs as consecutive same-shape
-    spans — same semantics, no crash."""
-    tasks = _ragged(meta_tasks, 6)
-    results = train_both(tasks, preprocessor,
-                         lambda: build_trainer(task_generator, preprocessor))
-    assert_trainers_identical(*results)
-    # evaluate buckets odd shapes on its own and stays bit-equal too
-    assert results[1].evaluate(tasks, preprocessor.transform) == \
-        oracle.evaluate(results[0], tasks, preprocessor.transform)
+@pytest.mark.parametrize("odd", [1, 4])
+def test_a_task_set_of_two_shapes_is_refused(task_generator, preprocessor,
+                                             meta_tasks, odd):
+    """Training and evaluation raise ``ValueError`` naming the first
+    task whose shape differs from task 0's, before any weight moves
+    (the spilled encode: ``test_stream.py``)."""
+    tasks = _two_shapes(meta_tasks, 6, odd)
+    trainer = build_trainer(task_generator, preprocessor)
+    phi = trainer.model.flat_parameters().copy()
+    named = "meta-task {} ".format(odd)
+    with pytest.raises(ValueError, match=named):
+        trainer.train(tasks, preprocessor.transform)
+    with pytest.raises(ValueError, match=named):
+        trainer.evaluate(tasks, preprocessor.transform)
+    assert np.array_equal(trainer.model.flat_parameters(), phi)
+    assert encode_task_sets([], preprocessor.transform) == []
+
+
+@pytest.mark.parametrize("field", ["feature_vector", "support_x",
+                                   "query_x"])
+def test_encode_refuses_a_task_set_of_two_shapes(preprocessor, meta_tasks,
+                                                 field):
+    """The materialized encode names the first task whose feature,
+    support or query shape differs from task 0's, before it encodes a
+    row (the spilled encode: ``test_stream.py``)."""
+    from dataclasses import replace
+
+    tasks = list(meta_tasks[:5])
+    tasks[3] = replace(tasks[3], **{field: getattr(tasks[3], field)[:-1]})
+    blocks = []
+
+    def encode(block):
+        blocks.append(block)
+        return preprocessor.transform(block)
+
+    with pytest.raises(ValueError, match="meta-task 3 "):
+        encode_task_sets(tasks, encode)
+    assert blocks == []
 
 
 def _one_batch_both(task_generator, preprocessor, encoded, batch, **kwargs):
@@ -261,20 +294,6 @@ def test_meta_batch_of_one_matches_sequential(task_generator, preprocessor,
     (reference, want), (candidate, got) = _one_batch_both(
         task_generator, preprocessor, encoded, [3],
         use_memories=use_memories, local_optimizer=optimizer)
-    assert got == want
-    assert_trainers_identical(reference, candidate)
-
-
-def test_mixed_shape_batch_runs_as_same_shape_spans(task_generator,
-                                                    preprocessor, meta_tasks):
-    """Seven tasks of three support sizes in ONE batch: the spans read
-    the batch-start memories, their results are stitched in task order
-    and applied once — phi, memories and losses equal the oracle's."""
-    encoded = encode_task_sets(_ragged(meta_tasks, 7),
-                               preprocessor.transform)
-    assert len({sx.shape for _, sx, _, _, _ in encoded}) == 3
-    (reference, want), (candidate, got) = _one_batch_both(
-        task_generator, preprocessor, encoded, [5, 0, 3, 6, 1, 4, 2])
     assert got == want
     assert_trainers_identical(reference, candidate)
 
@@ -328,6 +347,31 @@ def test_fit_offline_accepts_subspace_iterator():
     lte = LTE(config)
     lte.fit_offline(table, subspaces=iter(subspaces))
     assert all(state.trainer is not None for state in lte.states.values())
+
+
+def test_refresh_pools_its_targets_bit_identically():
+    """A refresh of several subspaces meta-trains them in one pooled run
+    (``run_offline_training``); each trainer equals the one
+    ``train_subspace`` trains alone."""
+    import copy
+
+    from repro.core import LTE, LTEConfig
+    from repro.data import make_car
+
+    table = make_car(n_rows=1200, seed=3)
+    lte = LTE(LTEConfig(budget=20, ku=20, kq=20, n_tasks=5,
+                        meta=MetaHyperParams(epochs=2, local_steps=2,
+                                             batch_size=2,
+                                             pretrain_epochs=1),
+                        basic_steps=5, online_steps=2))
+    lte.fit_offline(table, train=False)
+    targets = list(lte.states)[:2]
+    alone = copy.deepcopy(lte)
+    lte._refresh_subspaces(table, targets, train=True)
+    alone._refresh_subspaces(table, targets, train=False)
+    for subspace in targets:
+        assert_trainers_identical(alone.train_subspace(subspace),
+                                  lte.states[subspace].trainer)
 
 
 def test_encode_task_sets_matches_per_task_encode(preprocessor, meta_tasks):

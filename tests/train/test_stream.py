@@ -4,8 +4,8 @@
 on-disk chunk store and hands back a lazy ``EncodedTaskSet``.  The view
 must read back the materialized list's bits, train to the same phi,
 memories and history, keep peak allocation bounded by the chunk size
-rather than the task count, and fall back to the materialized list for
-task sets of mixed shapes.  At the top, ``fit_offline(stream=True)``
+rather than the task count, and refuse a task set of two shapes before
+spilling anything.  At the top, ``fit_offline(stream=True)``
 and ``fit_offline(stream=dir)`` must fit the materialized run's
 trainers and sessions, resume from a checkpoint the same way, and
 remove a private spill (and only a private one) when the fit ends.
@@ -118,14 +118,18 @@ def test_streamed_spill_bounds_peak_memory(tmp_path):
         "read peak {} vs materialized {}".format(peak_read, total_bytes)
 
 
-def test_spill_falls_back_for_nonuniform_shapes(tmp_path):
+@pytest.mark.parametrize("field", ["feature_vector", "support_x",
+                                   "query_x"])
+def test_spill_refuses_a_task_set_of_two_shapes(tmp_path, field):
+    """A task whose feature, support or query shape differs from task
+    0's is named in a ``ValueError`` before anything is spilled."""
     rng = np.random.default_rng(1)
-    tasks = [_SyntheticTask(rng, ku=10, kq=12, width=6),
-             _SyntheticTask(rng, ku=11, kq=12, width=6)]
-    encoded = encode_task_sets(tasks, lambda block: np.asarray(block),
-                               spill=str(tmp_path / "mixed"))
-    assert isinstance(encoded, list)   # materialized fallback
-    assert len(encoded) == 2
+    tasks = [_SyntheticTask(rng, ku=10, kq=12, width=6) for _ in range(3)]
+    setattr(tasks[2], field, getattr(tasks[2], field)[:-1])
+    with pytest.raises(ValueError, match="meta-task 2 "):
+        encode_task_sets(tasks, lambda block: np.asarray(block),
+                         spill=str(tmp_path / "mixed"))
+    assert not (tmp_path / "mixed").exists()
 
 
 # ----------------------------------------------------------------------
