@@ -35,7 +35,7 @@ from ..data.subspaces import Subspace, random_decomposition
 from ..geometry.engine import HullPackCache
 from ..ml.scaler import MinMaxScaler
 from ..nn.batching import fused_local_adapt
-from ..nn.cores import fan_out, run_stack, step_macs
+from ..nn.cores import fan_out, one_blas_thread, run_stack, step_macs
 from ..nn.tensor import Parameter
 from ..obs import default_registry
 from .meta_learner import UISClassifier
@@ -690,24 +690,27 @@ def run_adapt_requests(requests):
 
     Returns ``[(AdaptedClassifier, FewShotOptimizer | None), ...]`` in
     input order.  Buckets share nothing, so every request's result is
-    bit-identical whatever else is in the list.
+    bit-identical whatever else is in the list.  All of it runs on one
+    BLAS thread (:func:`repro.nn.cores.one_blas_thread`), the task-wise
+    initialization included.
     """
     requests = list(requests)
     adapted = [None] * len(requests)
     buckets = {}
     for i, request in enumerate(requests):
         buckets.setdefault(request.shape_key(), []).append(i)
-    for indices in buckets.values():
-        for i, result in zip(indices,
-                             _adapt_bucket([requests[i] for i in indices])):
-            adapted[i] = result
+    with one_blas_thread():
+        for indices in buckets.values():
+            for i, result in zip(indices, _adapt_bucket(
+                    [requests[i] for i in indices])):
+                adapted[i] = result
 
-    pending = [i for i, request in enumerate(requests)
-               if request.builds_optimizer]
-    optimizers = dict(zip(pending, FewShotOptimizer.fit_batch(
-        [(requests[i].state.summary, requests[i].center_bits,
-          requests[i].config.n_sup_ratio, requests[i].config.n_sub_ratio)
-         for i in pending])))
+        pending = [i for i, request in enumerate(requests)
+                   if request.builds_optimizer]
+        optimizers = dict(zip(pending, FewShotOptimizer.fit_batch(
+            [(requests[i].state.summary, requests[i].center_bits,
+              requests[i].config.n_sup_ratio, requests[i].config.n_sub_ratio)
+             for i in pending])))
     return [(result, optimizers.get(i)) for i, result in enumerate(adapted)]
 
 
@@ -1387,10 +1390,12 @@ class ExplorationSession:
         return self._region_packs
 
     def _answer(self, subsessions, project, n_rows):
-        """This session's answer for one block of rows: a conjunction of
-        one id through :func:`predict_conjunctions`."""
-        answers, _ = predict_conjunctions({None: subsessions}, project,
-                                          n_rows, self._pack_cache())
+        """This session's answer for one block of caller rows: a
+        conjunction of one id through :func:`predict_conjunctions`, on
+        one BLAS thread (:func:`repro.nn.cores.one_blas_thread`)."""
+        with one_blas_thread():
+            answers, _ = predict_conjunctions({None: subsessions}, project,
+                                              n_rows, self._pack_cache())
         return answers[None]
 
     def predict_subspace(self, subspace, raw_points):

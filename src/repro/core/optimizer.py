@@ -255,10 +255,11 @@ class FewShotOptimizer:
                                "state it was not fitted over")
 
     def gate_boxes(self, state):
-        """Raw-space :func:`~repro.store.scan.region_bounds` of the outer
-        and inner region through ``state``'s scaler, or None without an
-        outer region (whose demotion zeroes a pruned chunk) or bounds.
-        Memoized for the state it serves."""
+        """Raw-space :func:`~repro.store.scan.region_bounds` ``(lo, hi)``
+        of the outer and inner region through ``state``'s scaler, a list
+        of one or two, or None without an outer region (whose demotion
+        zeroes a pruned chunk) or bounds.  Memoized for the state it
+        serves."""
         self.check_serves(state)
         memo = self._boxes
         if memo is None or memo[0] is not state:

@@ -12,6 +12,14 @@ import numpy as np
 __all__ = ["RegionOracle", "ConjunctiveOracle"]
 
 
+def _as_rows(rows):
+    """``rows`` as a 2-D float64 array: an empty query given flat
+    (``[]``, ``np.zeros(0)``) is zero rows, not one row of width 0."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return rows.reshape(0, 0) if rows.ndim == 1 and rows.size == 0 \
+        else np.atleast_2d(rows)
+
+
 class RegionOracle:
     """Oracle for a single region over one (sub)space."""
 
@@ -58,7 +66,7 @@ class ConjunctiveOracle:
         if hasattr(rows, "iter_chunks"):
             self.labels_given += rows.n_rows
             return self.ground_truth_store(rows)
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        rows = _as_rows(rows)
         self.labels_given += len(rows)
         return self.ground_truth(rows)
 
@@ -71,8 +79,10 @@ class ConjunctiveOracle:
         """
         if hasattr(rows, "iter_chunks"):
             return self.ground_truth_store(rows)
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        rows = _as_rows(rows)
         result = np.ones(len(rows), dtype=np.int64)
+        if not len(rows):
+            return result
         for subspace, region in self.subspace_regions.items():
             result &= region.label(subspace.project(rows))
         return result

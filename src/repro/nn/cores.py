@@ -15,18 +15,29 @@ as fast as whole.  The policy, stated once here the way
   ``ShardGateway``, which also set their BLAS thread count to that
   share at start (:func:`claim_share`).  Training runs in one process,
   which the halves below spread over its cores.
-* **Training products run on one BLAS thread.**  Every stack the
-  training seams hand to :func:`run_stack` — the serving flush's adapt
-  buckets, the meta-batch runs, the pooled pretrain epochs, whole or
-  split — runs while numpy's OpenBLAS is held at one thread, under a
-  process-wide count of such holds; the last one out restores the
-  previous thread count.  OpenBLAS picks a product's kernel by its
-  shape *and* its thread count, and for some shapes (a paper-size net
-  at 60 labels, say) the two kernels disagree in the last place: held
-  at one thread, a stack's bits depend on neither the host's core
-  count, nor a shard worker's share, nor whether it was split.  Products
-  outside training (the store scan, predictions) keep the process's
-  count.
+* **Every product runs on one BLAS thread but a store scan's.**
+  Every stack the training seams hand to :func:`run_stack` — the
+  serving flush's adapt buckets, the meta-batch runs, the pooled
+  pretrain epochs, whole or split — runs while numpy's OpenBLAS is held
+  at one thread (:func:`one_blas_thread`), under a process-wide count
+  of such holds; the last one out restores the previous thread count.
+  OpenBLAS picks a product's kernel by its shape *and* its thread
+  count, and for some shapes (a paper-size net at 60 labels, say) the
+  two kernels disagree in the last place: held at one thread, a stack's
+  bits depend on neither the host's core count, nor a shard worker's
+  share, nor whether it was split.  The serving layer holds the rest of
+  a label round too: all of ``core.framework.run_adapt_requests`` (the
+  task-wise initialization's memory retrievals are threaded products
+  at paper sizes) and every prediction over caller rows (a session's
+  or a manager's ``predict``, ``predict_many``, ``predict_subspace``,
+  ``retrieve``).  The reason is OpenBLAS's worker thread: after a
+  product that ran on two threads it spins on the other core for about
+  0.13 s before it sleeps, and a flush that starts within that window
+  runs its halves beside the spinner (README, "Two cores": a paper-size
+  K = 16 warm adapt bucket takes ×1.6 as long right after a threaded
+  1 000-row prediction as after a pause).  Only a store scan's blocks
+  keep the process's count: a scan's 8 192-row blocks are large enough
+  to gain from the second thread, and held they run ×0.85–0.96 as fast.
 * **A training stack worth two threads runs as two halves**
   (:func:`run_stack`): at least two tasks, at least :data:`SPLIT_MACS`
   estimated multiply-adds a step (:func:`step_macs`), and two compute
@@ -71,7 +82,7 @@ import numpy as np
 from ..obs import default_registry
 
 __all__ = ["SPLIT_MACS", "compute_threads", "claim_share", "fan_out",
-           "run_stack", "step_macs"]
+           "one_blas_thread", "run_stack", "step_macs"]
 
 #: Estimated multiply-adds of one training step from which a stack of
 #: two or more tasks trains as two halves (README, "Two cores": the
@@ -148,9 +159,10 @@ def claim_share(workers):
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Hold numpy's OpenBLAS at one thread; the last hold out restores
-    the count the first one found."""
+    the count the first one found.  Holds nest and may overlap across
+    threads; where no OpenBLAS setter was found, nothing is held."""
     state = _STATE
     if _BLAS is None:
         yield
@@ -198,7 +210,7 @@ def run_stack(fn, tasks, macs):
     if len(tasks) >= 2 and macs >= SPLIT_MACS:
         middle = (len(tasks) + 1) // 2
         return fan_out(fn, tasks[:middle], tasks[middle:])
-    with _one_blas_thread():
+    with one_blas_thread():
         if len(tasks) >= 2:
             default_registry().counter("nn.fan_out.whole").inc()
         return [fn(tasks)]
@@ -218,7 +230,7 @@ def fan_out(fn, first, second):
     """
     metrics = default_registry()
     state = _STATE
-    with _one_blas_thread():
+    with one_blas_thread():
         if _BLAS is None or state.threads < 2 \
                 or not state.fan_out.acquire(blocking=False):
             metrics.counter("nn.fan_out.whole").inc()

@@ -42,6 +42,7 @@ from ..core.framework import (ExplorationSession, LTE, StateMismatchError,
                               run_adapt_requests, scan_conjunctions)
 from ..core.optimizer import HullRegistry
 from ..geometry.engine import HullPackCache
+from ..nn.cores import one_blas_thread
 from ..obs import MetricsRegistry, span
 
 __all__ = ["SessionManager"]
@@ -400,16 +401,18 @@ class SessionManager:
         return sessions
 
     def _answer_block(self, conjunctions, project, n_rows):
-        """Answers of one block of rows, ``{id: (n_rows,) 0/1}``, from
-        ONE :func:`~repro.core.framework.predict_conjunctions` call.
+        """Answers of one block of caller rows, ``{id: (n_rows,) 0/1}``,
+        from ONE :func:`~repro.core.framework.predict_conjunctions` call
+        on one BLAS thread (:func:`repro.nn.cores.one_blas_thread`).
 
         Every answer is a fresh array, the caller's to keep.  The
         manager-level pack cache keeps the compiled halfspace stacks
         across model versions and repeated calls.
         """
         t0 = time.perf_counter()
-        answers, tally = predict_conjunctions(conjunctions, project, n_rows,
-                                              self._region_packs)
+        with one_blas_thread():
+            answers, tally = predict_conjunctions(
+                conjunctions, project, n_rows, self._region_packs)
         self._record_tally(tally)
         self._t_predict.observe(time.perf_counter() - t0)
         return answers

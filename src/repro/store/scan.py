@@ -1,9 +1,8 @@
 """Zone-map scan planner: prune chunks a region provably cannot touch.
 
 Every region type in the system admits a *conservative bounding-box
-form*: a conjunction of groups, each group a disjunction of per-column
-boxes, such that every point the region accepts lies — for every group —
-inside some box of that group on the group's columns.  The sources:
+form*: a disjunction of boxes over the region's input columns, such that
+every point the region accepts lies inside some box.  The sources:
 
 * hull-backed regions (``Hull``, ``UnionRegion``): the packed engine's
   padded float32 gate (:attr:`~repro.geometry.engine.PackedHulls.
@@ -16,7 +15,7 @@ inside some box of that group on the group's columns.  The sources:
   transform non-injective there, so every raw preimage must survive).
 
 A chunk whose zone map (NaN-ignoring per-column min/max) fails the
-interval-overlap test against every box of some group contains no member
+interval-overlap test against every box contains no member
 of the region: rows with finite values lie outside every box, and rows
 with NaN coordinates fail every membership predicate in the system (all
 facet/interval comparisons are ``False`` under NaN).  Pruned + exact is
@@ -44,15 +43,14 @@ def _widen(lo, hi):
     return lo - pad_lo, hi + pad_hi
 
 
-def _unscale_bounds(scaler, lo, hi, columns):
+def _unscale_bounds(scaler, lo, hi):
     """Map normalized-space boxes back to raw space, conservatively.
 
     The scaler's transform is affine-increasing per column *inside* the
     fitted range and clipped to [0, 1] outside it; a scaled bound at (or
     beyond) a clip limit therefore has an unbounded raw preimage.
     """
-    mn = scaler.min_ if columns is None else scaler.min_[list(columns)]
-    mx = scaler.max_ if columns is None else scaler.max_[list(columns)]
+    mn, mx = scaler.min_, scaler.max_
     span = np.where(mx > mn, mx - mn, 1.0)
     lo_raw, hi_raw = _widen(lo * span + mn, hi * span + mn)
     lo_raw = np.where(lo <= 0.0, -np.inf, lo_raw)
@@ -63,40 +61,33 @@ def _unscale_bounds(scaler, lo, hi, columns):
 def region_bounds(region):
     """Conservative bounding-box form of a region predicate.
 
-    Returns a list of conjunct groups ``(columns, lo, hi)`` — ``columns``
-    a tuple of column indices relative to the region's input row (or
-    ``None`` for the whole row), ``lo`` / ``hi`` float64 ``(n_parts, k)``
-    box stacks — or ``None`` when the region offers no usable bounds
-    (every chunk must then be scanned).  A group with zero parts encodes
-    an always-empty region: every chunk is prunable.
+    Returns ``(lo, hi)``, float64 ``(n_parts, k)`` box stacks over the
+    region's input row, or ``None`` when the region offers no usable
+    bounds (every chunk must then be scanned).  Zero parts encode an
+    always-empty region: every chunk is prunable.
     """
     if isinstance(region, Hull):
-        lo, hi = PackedHulls([region]).gate_bounds
-        return [(None, lo, hi)]
+        return PackedHulls([region]).gate_bounds
     if isinstance(region, UnionRegion):
-        lo, hi = region.compiled().gate_bounds
-        return [(None, lo, hi)]
+        return region.compiled().gate_bounds
     if isinstance(region, BoxRegion):
-        lo, hi = _widen(region.lo[None, :].astype(np.float64),
-                        region.hi[None, :].astype(np.float64))
-        return [(None, lo, hi)]
+        return _widen(region.lo[None, :].astype(np.float64),
+                      region.hi[None, :].astype(np.float64))
     if isinstance(region, ScaledRegion):
         inner = region_bounds(region.region)
-        if inner is None:
-            return None
-        return [(cols, *_unscale_bounds(region.scaler, lo, hi, cols))
-                for cols, lo, hi in inner]
+        return None if inner is None \
+            else _unscale_bounds(region.scaler, *inner)
     if hasattr(region, "boxes") and hasattr(region, "predicate"):
         # SynthesizedQuery (duck-typed: repro.store must not import
         # repro.explore).  Its predicate is an exact DNF of boxes.
         d = len(region.attribute_names)
         if not region.boxes:
-            return [(None, np.zeros((0, d)), np.zeros((0, d)))]
+            return np.zeros((0, d)), np.zeros((0, d))
         lo = np.vstack([np.asarray(lo, dtype=np.float64)
                         for lo, _ in region.boxes])
         hi = np.vstack([np.asarray(hi, dtype=np.float64)
                         for _, hi in region.boxes])
-        return [(None, *_widen(lo, hi))]
+        return _widen(lo, hi)
     return None
 
 
@@ -163,10 +154,9 @@ class ChunkScan:
                 "region over {} dims scanned against {} store columns"
                 .format(expected, len(base)))
         zone = store.zone_maps
-        keep = np.ones(zone.n_chunks, dtype=bool)
-        for cols, lo, hi in region_bounds(region) or ():
-            sel = base if cols is None else [base[c] for c in cols]
-            keep &= _overlaps(zone, sel, lo, hi).any(axis=1)
+        bounds = region_bounds(region)
+        keep = np.ones(zone.n_chunks, dtype=bool) if bounds is None \
+            else _overlaps(zone, base, *bounds).any(axis=1)
         self.first_chunk = max(0, min(int(first_chunk), len(keep)))
         keep[:self.first_chunk] = False
         self._keep = keep
@@ -215,16 +205,16 @@ def plan_conjunctions(store, conjunctions, first_owed):
     and promotes only inside the inner one, so a chunk whose zone map
     meets neither region's boxes (:meth:`~repro.core.optimizer.
     FewShotOptimizer.gate_boxes`, which also refuses a mispaired state)
-    is all 0, and so is the conjunction there.  A keep is AND over a
-    region's groups, OR over its outer and inner region, AND over its
+    is all 0, and so is the conjunction there.  A keep is OR over a
+    region's boxes and over its outer and inner region, AND over its
     subspaces.  Every box over one store column set is tested in one
     broadcast; ``store.scan.chunks.planned`` counts the chunk·ids.
     """
     zone = store.zone_maps
     keys = [key for key in conjunctions if first_owed[key] < zone.n_chunks]
     first = min((first_owed[key] for key in keys), default=zone.n_chunks)
-    stacks, slots = {}, []      # store columns -> ([lo], [hi]); per group
-    groups, regions, subspaces = [], [], []     # a region's, ...: counts
+    stacks, slots = {}, []      # store columns -> ([lo], [hi]); per region
+    regions, subspaces = [], []     # a subspace's, a conjunction's: counts
     for key in keys:
         subspaces.append(0)
         for subspace, session in conjunctions[key].items():
@@ -232,15 +222,12 @@ def plan_conjunctions(store, conjunctions, first_owed):
                 else session.optimizer.gate_boxes(session.state)
             if boxes is None:
                 continue
-            for region in boxes:
-                for cols, lo, hi in region:
-                    sel = tuple(subspace.columns) if cols is None \
-                        else tuple(subspace.columns[c] for c in cols)
-                    los, his = stacks.setdefault(sel, ([], []))
-                    slots.append((sel, len(los)))
-                    los.append(lo)
-                    his.append(hi)
-                groups.append(len(region))
+            sel = tuple(subspace.columns)
+            los, his = stacks.setdefault(sel, ([], []))
+            for lo, hi in boxes:
+                slots.append((sel, len(los)))
+                los.append(lo)
+                his.append(hi)
             regions.append(len(boxes))
             subspaces[-1] += 1
     n_chunks = zone.n_chunks - first
@@ -251,7 +238,7 @@ def plan_conjunctions(store, conjunctions, first_owed):
                         first)
         met.append(_held(hit, [len(lo) for lo in los]) > 0)
     met = np.concatenate(met, axis=1)[:, [at[sel] + i for sel, i in slots]]
-    reached = _held(_held(met, groups) == groups, regions) > 0
+    reached = _held(met, regions) > 0
     keep = _held(reached, subspaces) == subspaces
     default_registry().counter("store.scan.chunks.planned").inc(
         len(keys) * n_chunks)

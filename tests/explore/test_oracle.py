@@ -51,6 +51,15 @@ class TestConjunctiveOracle:
         assert truth[0] == 1
         assert oracle.labels_given == 0
 
+    @pytest.mark.parametrize("method", ["ground_truth", "label"])
+    @pytest.mark.parametrize("rows", [[], np.zeros(0), np.zeros((0, 3))],
+                             ids=["list", "flat", "2d"])
+    def test_empty_query_answers_empty(self, method, rows):
+        oracle, _, _ = two_subspace_oracle()
+        answer = getattr(oracle, method)(rows)
+        assert answer.shape == (0,) and answer.dtype == np.int64
+        assert oracle.labels_given == 0
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             ConjunctiveOracle({})

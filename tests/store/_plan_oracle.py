@@ -18,16 +18,14 @@ def zone_map_keep(store, region, columns):
     no member of ``region`` (given over the store's ``columns``)."""
     zone = store.zone_maps
     keep = np.ones(zone.n_chunks, dtype=bool)
-    groups = region_bounds(region)
-    if groups is not None:
-        for cols, lo, hi in groups:
-            sel = list(columns) if cols is None \
-                else [columns[c] for c in cols]
-            zmin = zone.mins[:, sel]
-            zmax = zone.maxs[:, sel]
-            overlap = ((zmin[:, None, :] <= hi[None, :, :])
-                       & (zmax[:, None, :] >= lo[None, :, :]))
-            keep &= overlap.all(axis=2).any(axis=1)
+    bounds = region_bounds(region)
+    if bounds is not None:
+        lo, hi = bounds
+        zmin = zone.mins[:, list(columns)]
+        zmax = zone.maxs[:, list(columns)]
+        overlap = ((zmin[:, None, :] <= hi[None, :, :])
+                   & (zmax[:, None, :] >= lo[None, :, :]))
+        keep = overlap.all(axis=2).any(axis=1)
     return keep
 
 

@@ -342,7 +342,7 @@ def test_preparation_on_one_blas_thread_equals_the_default(config):
     subspaces = random_decomposition(table, dim=2, seed=0)[:2]
     with stacks(False):
         default = prepared_fields(prepare(table, subspaces, config))
-        with cores._one_blas_thread():
+        with cores.one_blas_thread():
             held = prepared_fields(prepare(table, subspaces, config))
     assert_arrays_equal(held, default)
 
