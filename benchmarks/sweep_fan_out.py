@@ -6,12 +6,14 @@
 **Training stacks.**  For small nets (``benchmarks/e2e``'s
 ``shard_fleet``) and paper-size nets (``paper_nets``), a stack of K Meta
 tasks over n rows a task runs one ``fused_local_adapt`` of 30 Adam steps
-three ways: whole on the process's BLAS threads (how every stack ran
-before the fan-out), whole on one BLAS thread, and as two halves on two
-threads (``repro.nn.cores.fan_out``).  Each line gives the stack's
-estimated multiply-adds a step (``repro.nn.cores.step_macs``), the
-median of ``--repeats`` runs of each, the split's speed-up over the
-one-thread whole and whether the halves returned the whole stack's bits.
+(a flush's 30-row stacks online, over the tuple and classification
+blocks; the larger meta-training ones over all four blocks) three ways:
+whole on the process's BLAS threads (how every stack ran before the
+fan-out), whole on one BLAS thread, and as two halves on two threads
+(``repro.nn.cores.fan_out``).  Each line gives the stack's estimated
+multiply-adds a step (``repro.nn.cores.step_macs``), the median of
+``--repeats`` runs of each, the split's speed-up over the one-thread
+whole and whether the halves returned the whole stack's bits.
 
 **Subspace preparation.**  ``fit_offline(train=False)`` over four 2-D
 subspaces of a 10 000-row SDSS table, for cluster counts from the
@@ -51,6 +53,7 @@ import argparse
 import contextlib
 import pickle
 import time
+from functools import partial
 
 import numpy as np
 
@@ -68,12 +71,14 @@ from repro.nn.batching import fused_local_adapt, inference_logits
 
 #: (name, ku, representation width, Ne, H) of the two workloads' nets.
 NETS = [("small", 40, 50, 32, 32), ("paper", 100, 118, 100, 64)]
-#: (K, rows): a flush's 30-odd labels, and the 100 / 230 rows of a
-#: meta-batch's query sets and a pretrain epoch's tasks.
+#: (K, rows): a flush's 30-odd labels (``FLUSH_ROWS``, trained online),
+#: and the 100 / 230 rows of a meta-batch's query sets and a pretrain
+#: epoch's tasks.
 STACKS = [(2, 30), (4, 30), (6, 30), (8, 30), (12, 30), (16, 30), (32, 30),
           (48, 30), (64, 30), (2, 100), (3, 100), (4, 100), (8, 100),
           (2, 230), (4, 230)]
 STEPS = 30
+FLUSH_ROWS = 30
 #: (ku, kq) of the preparation sweep, ks = 25 throughout: the
 #: ``shard_fleet`` nets', two between, the paper's.
 CLUSTERS = [(40, 60), (60, 100), (80, 140), (100, 200)]
@@ -100,12 +105,13 @@ def make_stack(k, rows, ku, width, ne, hidden, seed=0):
     return models, conversions, features, xs, ys
 
 
-def train(stack, tasks, steps=STEPS):
+def train(stack, tasks, steps=STEPS, keep_retrieved=False):
     """The adapted parameters of ``tasks`` of the stack, as arrays."""
     models, conversions, features, xs, ys = stack
     batched, conversion, _ = fused_local_adapt(
         [models[i] for i in tasks], features[tasks], xs[tasks], ys[tasks],
-        conversions=[conversions[i] for i in tasks], steps=steps, lr=0.01)
+        conversions=[conversions[i] for i in tasks], steps=steps, lr=0.01,
+        keep_retrieved=keep_retrieved)
     return [p.data for p in batched.parameters()] + [conversion.data]
 
 
@@ -129,17 +135,18 @@ def sweep_stacks(repeats):
             stack = make_stack(k, rows, ku, width, ne, hidden)
             tasks = list(range(k))
             half = (k + 1) // 2
-            default, _ = timed(lambda: train(stack, tasks), repeats)
+            run = partial(train, stack, keep_retrieved=rows == FLUSH_ROWS)
+            default, _ = timed(lambda: run(tasks), repeats)
             with cores.one_blas_thread():
-                held, whole = timed(lambda: train(stack, tasks), repeats)
+                held, whole = timed(lambda: run(tasks), repeats)
                 split, parts = timed(lambda: cores.fan_out(
-                    lambda part: train(stack, part), tasks[:half],
-                    tasks[half:]), repeats)
+                    run, tasks[:half], tasks[half:]), repeats)
             same = all(np.array_equal(w, np.concatenate([a, b]))
                        for w, a, b in zip(whole, *parts))
             print("{:6} {:3d} {:4d} {:8.2f} {:9.1f} {:9.1f} {:9.1f} "
                   "{:6.2f} {}".format(
-                      name, k, rows, cores.step_macs(config, k, rows) / 1e6,
+                      name, k, rows, cores.step_macs(
+                          config, k, rows, rows == FLUSH_ROWS) / 1e6,
                       default, held, split, held / split,
                       "equal" if same else "DIFFER"))
 
@@ -189,7 +196,7 @@ def sweep_spin(repeats):
                   hidden_size=hidden, use_conversion=True)
     k, rows, steps = SPIN_BUCKET
     stack = make_stack(k, rows, ku, width, ne, hidden)
-    macs = cores.step_macs(config, k, rows)
+    macs = cores.step_macs(config, k, rows, keep_retrieved=True)
     models, conversions, features, _, _ = stack
     preview = np.random.default_rng(1).normal(size=(PREVIEW_ROWS, width))
 
@@ -201,8 +208,9 @@ def sweep_spin(repeats):
             predict_preview()
 
     def bucket():
-        return cores.run_stack(lambda part: train(stack, part, steps),
-                               list(range(k)), macs)
+        return cores.run_stack(
+            lambda part: train(stack, part, steps, keep_retrieved=True),
+            list(range(k)), macs)
 
     befores = {"after a pause": lambda: time.sleep(IDLE_S),
                "after a prediction": predict_preview,

@@ -39,6 +39,7 @@ FIG8C_TASKS, FIG8C_HELD_OUT = (10, 40, 120, 240), 8
 ABLATIONS = ("full", "no_memories", "no_affinity", "no_pretrain",
              "no_balance")
 ROUNDS, ROUND_LABELS, ROUND_POOL_ROWS = (0, 1, 2, 3), 10, 1000
+ONLINE_STEPS = (1, 5, 10, 30)
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,30 @@ def table2_cell(scale, dataset, mode_name, seed):
     disconnected, so DSM is not run — with non-convex regions it
     degenerates into SVM (Section VIII-C).
     """
+    return _table2_scores(TABLE2_METHODS, scale, dataset, mode_name, seed)
+
+
+def _table2_system(scale, dataset, seed):
+    """Table II's cached system and the subspace it explores."""
     lte = build_lte(dataset, budget=30, scale=scale, seed=seed)
-    subspace = list(lte.states)[0]
-    # Seeded by the mode's position, not by hash(mode_name): str hashes
-    # are salted per process.
-    oracles = mode_oracles(lte, [subspace], PAPER_MODES[mode_name],
-                           n_uirs=scale.n_test_uirs,
-                           seed=5000 + list(PAPER_MODES).index(mode_name))
-    return run_methods(TABLE2_METHODS, lte, oracles,
+    return lte, list(lte.states)[0]
+
+
+def _table2_oracles(lte, subspace, scale, mode_name):
+    """Table II's oracles of one paper mode.  Seeded by the mode's
+    position, not by hash(mode_name): str hashes are salted per
+    process."""
+    return mode_oracles(lte, [subspace], PAPER_MODES[mode_name],
+                        n_uirs=scale.n_test_uirs,
+                        seed=5000 + list(PAPER_MODES).index(mode_name))
+
+
+def _table2_scores(methods, scale, dataset, mode_name, seed):
+    """``{method: mean F1}`` of ``methods`` on Table II's system and
+    one mode's oracles."""
+    lte, subspace = _table2_system(scale, dataset, seed)
+    return run_methods(methods, lte,
+                       _table2_oracles(lte, subspace, scale, mode_name),
                        eval_rows_for(lte, scale), [subspace])
 
 
@@ -140,15 +157,13 @@ def _round_curves(scale, dataset, seed):
     initial tuples, then ``ROUND_LABELS`` more tuples a round, drawn per
     oracle from one seeded row pool (the same tuples for every
     variant); F1 is scored after every round."""
-    lte = build_lte(dataset, budget=30, scale=scale, seed=seed)
-    subspace = list(lte.states)[0]
+    lte, subspace = _table2_system(scale, dataset, seed)
     eval_rows = eval_rows_for(lte, scale)
     pool = subspace.project(lte.table.sample_rows(ROUND_POOL_ROWS, seed=202))
     by_mode = {m: [[] for _ in ROUNDS] for m in LTE_VARIANTS}
-    for position, mode in enumerate(PAPER_MODES.values()):
+    for position, mode_name in enumerate(PAPER_MODES):
         scores = {m: [[] for _ in ROUNDS] for m in LTE_VARIANTS}
-        oracles = mode_oracles(lte, [subspace], mode,
-                               n_uirs=scale.n_test_uirs, seed=5000 + position)
+        oracles = _table2_oracles(lte, subspace, scale, mode_name)
         for i, oracle in enumerate(oracles):
             draws = np.random.default_rng((6000 + position, i)).integers(
                 len(pool), size=(len(ROUNDS) - 1, ROUND_LABELS))
@@ -186,6 +201,29 @@ def rounds_cell(scale, dataset, round_, seed):
     """
     return {method: curve[round_] for method, curve in
             _round_curves(scale, dataset, seed).items()}
+
+
+def steps_cell(scale, dataset, steps, seed):
+    """Step curve: F1 against the online steps of an initial adaptation
+    (B=30), averaged over Table II's modes M1-M7.
+
+    Not a paper figure: Meta and Meta* run ``online_steps`` = x and
+    Basic ``basic_steps`` = x on Table II's cached systems and oracles
+    (Table II itself serves 30 and ``scale.basic_steps``).  It tells an
+    initialization that learns faster from one that only starts closer:
+    a meta-learned start that is worth something keeps a lead over
+    Basic's random one past the first step.
+    """
+    config = _table2_system(scale, dataset, seed)[0].config
+    served = config.online_steps, config.basic_steps
+    config.online_steps = config.basic_steps = steps
+    try:
+        modes = [_table2_scores(tuple(LTE_VARIANTS), scale, dataset, mode,
+                                seed) for mode in PAPER_MODES]
+    finally:
+        config.online_steps, config.basic_steps = served
+    return {method: _avg([scores[method] for scores in modes])
+            for method in LTE_VARIANTS}
 
 
 def fig4a_cell(scale, dataset, dim, seed):
@@ -490,6 +528,13 @@ FIGURES = {fig.id: fig for fig in (
            notes={"Meta >= Basic at every round":
                   lambda s: all(m >= b for m, b in zip(s["Meta"],
                                                        s["Basic"]))},
+           seeds=(7, 8, 9, 10, 11)),
+    Figure("steps", "Step curve: mode-average F1 vs online steps "
+           "({dataset}, B=30)", ("car", "sdss"), "steps", ONLINE_STEPS,
+           tuple(LTE_VARIANTS), steps_cell, {"F1 in [0, 1]": _in_0_1},
+           # Slices: a run over fewer x values has no 5-step point.
+           notes={"Meta > Basic at 5 steps":
+                  lambda s: s["Meta"][1:2] > s["Basic"][1:2]},
            seeds=(7, 8, 9, 10, 11)),
     Figure("fig4a", "Figure 4(a): F1 vs |Du| ({dataset}, B=30)", ("sdss",),
            "|Du|", (2, 4, 6, 8),

@@ -7,9 +7,12 @@ default) and writes a record: the ``commit``, the ``scale`` and one cell
 names each cell of A missing from B or whose seed mean in B is more than
 ``max(0.04, 3 sd / sqrt(n))`` from A's (A's sd over its n seeds; timings
 are not compared), and each method's average over a dataset's x values
-(Table II's mode average) whose seed mean in B is more than
-``max(0.01, 3 sd / sqrt(n))`` from A's (the sd of A's per-seed averages);
-then it runs the table's checks on B.  Both exit 1 naming what failed.
+(Table II's mode average) that moved by more than its paired band: the
+mean over the n seeds both records measured of B's average minus A's,
+against ``max(0.01, 3 sd / sqrt(n))`` with sd that of the per-seed
+differences (two records of one row share build seeds, so the seed's
+own variance cancels); then it runs the table's checks on B.  Both exit
+1 naming what failed.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ def _by_key(cells):
 
 
 def _x_averages(cells):
-    """``(figure, dataset, method) -> [average over x per seed]``, for
+    """``(figure, dataset, method) -> {seed: average over x}``, for
     methods measured at two or more x values (at one x the average is
     the cell), over the seeds measured at every x."""
     grid = {}
@@ -54,9 +57,9 @@ def _x_averages(cells):
     for key, seeds in grid.items():
         xs = set().union(*seeds.values())
         if len(xs) >= 2:
-            out[key] = [_mean(list(by_x.values()))
-                        for _, by_x in sorted(seeds.items())
-                        if set(by_x) == xs]
+            out[key] = {seed: _mean(list(by_x.values()))
+                        for seed, by_x in sorted(seeds.items())
+                        if set(by_x) == xs}
     return out
 
 
@@ -70,6 +73,27 @@ def _moved(name, ref, new, floor):
         return None
     return "{}: moved, A {:.3f} (sd {:.3f}, {} seeds) B {:.3f}, tolerance " \
         "{:.3f}".format(name, mean, sd, len(ref), new, tolerance)
+
+
+def _moved_paired(name, ref, new, floor):
+    """A line naming how the mean of ``new[seed] - ref[seed]`` over the
+    seeds of both left its band, ``max(floor, 3 sd / sqrt(n))`` with sd
+    that of the n differences, or None inside it."""
+    seeds = sorted(set(ref) & set(new))
+    if not seeds:
+        return name + ": no seed in both records"
+    diffs = [new[seed] - ref[seed] for seed in seeds]
+    shift = _mean(diffs)
+    sd = math.sqrt(sum((d - shift) ** 2 for d in diffs)
+                   / max(1, len(diffs) - 1))
+    band = max(floor, 3 * sd / math.sqrt(len(diffs)))
+    if abs(shift) <= band:
+        return None
+    return "{}: moved, A {:.3f} B {:.3f}, paired shift {:+.3f} (sd {:.3f}, " \
+        "{} seeds), band {:.3f}".format(
+            name, _mean([ref[seed] for seed in seeds]),
+            _mean([new[seed] for seed in seeds]), shift, sd, len(seeds),
+            band)
 
 
 def _tables(fig, by_key):
@@ -145,8 +169,8 @@ def compare(a, b):
     averages_a, averages_b = _x_averages(a["cells"]), _x_averages(b["cells"])
     averaged = [key for key in averages_a
                 if key[0] not in timing and averages_b.get(key)]
-    moved += [_moved("{} {} average over x {}".format(*key),
-                     averages_a[key], averages_b[key], 0.01)
+    moved += [_moved_paired("{} {} average over x {}".format(*key),
+                            averages_a[key], averages_b[key], 0.01)
               for key in averaged]
     moved = [line for line in moved if line is not None]
     for line in moved:

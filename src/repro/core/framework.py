@@ -647,13 +647,18 @@ def _prepare_local_models(requests):
 def _adapt_bucket(requests):
     """Fused adaptation of shape-compatible requests (one per task): one
     stack, or two halves on two threads (:func:`repro.nn.cores.run_stack`)
-    once the stack is large enough to be worth it."""
+    once the stack is large enough to be worth it.  Meta and Meta* train
+    the tuple and classification blocks only: theta_R and M_cp keep the
+    values the memories retrieved (Eqs. 6 and 10), in the initial round
+    and every warm one.  Basic, which retrieved nothing, trains all of
+    its classifier."""
     first = requests[0]
     models, conversions = _prepare_local_models(requests)
     # The Basic variant runs exactly ``basic_steps`` iterations, while
     # the local phase of Meta/Meta* (``MetaTrainer.adapt``) floors its
     # steps at 1.
     steps = first.steps if first.variant == "basic" else max(1, first.steps)
+    keep_retrieved = first.variant != "basic"
 
     def train(tasks):
         """Adapt ``models[tasks]`` in place; their conversion matrices."""
@@ -664,14 +669,15 @@ def _adapt_bucket(requests):
             np.stack([requests[i].targets for i in tasks]),
             conversions=[conversions[i] for i in tasks], steps=steps,
             lr=first.lr, optimizer_kind=first.optimizer_kind,
-            balance_classes=first.balance_classes)
+            balance_classes=first.balance_classes,
+            keep_retrieved=keep_retrieved)
         batched.unstack_into(stack)
         return [None if conversion is None
                 else Parameter(conversion.data[j].copy())
                 for j in range(len(tasks))]
 
     macs = step_macs(models[0].config, len(requests),
-                     first.encoded.shape[0])
+                     first.encoded.shape[0], keep_retrieved=keep_retrieved)
     adapted = [conv for part in run_stack(train, range(len(requests)), macs)
                for conv in part]
     return [AdaptedClassifier(model, request.feature, conv)

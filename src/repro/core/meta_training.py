@@ -14,23 +14,27 @@ phi_clf} (held in a template :class:`UISClassifier`) and the two
   aggregated step (a first-order / one-step global update, "like [54]"),
   while the memories take their attentive EMA updates (Eqs. 14-16).
 
-The same local phase doubles as the *online adaptation* (the underlined
-steps of Algorithm 2): :meth:`MetaTrainer.adapt` is called with real user
-labels instead of a simulated support set.
+Online adaptation (the underlined steps of Algorithm 2) runs the same
+local phase on real user labels, with one deviation: theta_R and M_cp
+keep their memory-retrieved values and only theta_tau and theta_clf
+train (:meth:`MetaTrainer.adapt`, :meth:`MetaTrainer.evaluate` and the
+serving path alike), after ANIL's finding that fast adaptation mostly
+reuses meta-learned features.  The offline local phase still trains
+all four: Eqs. 14-16 read theta_R's last-step gradient and the adapted
+M_cp.
 
 **Stacked execution.**  Meta-tasks inside one Eq. 13 batch are mutually
 independent, so :meth:`MetaTrainer.train` runs the whole batch's local
 phase as ONE stacked autograd program over ``(K, ...)`` parameter stacks
 and computes all K query losses in one fused forward/backward
 (:mod:`repro.train.engine`, built on :mod:`repro.nn.batching` — the same
-substrate the online serving path uses); :meth:`MetaTrainer.adapt` is
-that program at K = 1.  **Eq. 13 semantics are unchanged**: the fused
-global phase accumulates the per-task query gradients in task order and
-applies one averaged step to phi.  The memory EMA updates (Eqs. 14-16)
-are applied *after* the batch's global phase, in the original task
-order — i.e. every retrieval inside a batch reads the memories as they
-stood at the start of that batch.  The task-at-a-time spelling of the
-same semantics is the test oracle
+substrate the online serving path uses).  **Eq. 13 semantics are
+unchanged**: the fused global phase accumulates the per-task query
+gradients in task order and applies one averaged step to phi.  The
+memory EMA updates (Eqs. 14-16) are applied *after* the batch's global
+phase, in the original task order — i.e. every retrieval inside a batch
+reads the memories as they stood at the start of that batch.  The
+task-at-a-time spelling of the same semantics is the test oracle
 (``tests/train/_sequential_oracle.py``); the stacked executors match it
 bit for bit (property-fuzzed in ``tests/train``).
 """
@@ -42,7 +46,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..nn.batching import (constant_logits, fused_local_adapt,
-                           inference_constants, theta_r_grad_stack)
+                           inference_constants)
 from ..nn.tensor import Parameter, stable_sigmoid
 from .memory import MetaMemories
 from .meta_learner import UISClassifier
@@ -199,7 +203,14 @@ class MetaTrainer:
 
     def adapt(self, feature_vector, support_x, support_y, local_steps=None,
               local_lr=None):
-        """Fast-adapt a copy of the meta-learner to one task.
+        """Fast-adapt a copy of the meta-learner to one task, online.
+
+        The task-wise initialization (:meth:`task_retrieval`), then
+        ``local_steps`` of the stacked local phase at K = 1 over the
+        tuple and classification blocks: theta_R and M_cp keep their
+        retrieved values, as in serving.  This is not the offline inner
+        loop — that is :func:`repro.train.engine.compute_meta_batch`
+        (``_compute_stack``), which trains all four.
 
         Parameters
         ----------
@@ -212,9 +223,9 @@ class MetaTrainer:
 
         Returns
         -------
-        (AdaptedClassifier, info_dict) where info carries the attention,
-        the last theta_R gradient and final support loss — the global
-        phase and the memories consume these.
+        (AdaptedClassifier, info_dict) where info carries the memory
+        attention (None without memories) and the support loss of the
+        last step.
         """
         params = self.params
         steps = params.local_steps if local_steps is None else int(local_steps)
@@ -229,17 +240,14 @@ class MetaTrainer:
             [local], feature_vector[None], support_x[None], support_y[None],
             conversions=[conversion], steps=max(1, steps), lr=lr,
             optimizer_kind=params.local_optimizer,
-            balance_classes=params.balance_classes)
+            balance_classes=params.balance_classes, keep_retrieved=True)
         batched.unstack_into([local])
         if conversion is not None:
             conversion = Parameter(conversion.data[0])
 
         adapted = AdaptedClassifier(local, feature_vector, conversion)
-        info = {
-            "attention": attention,
-            "theta_r_grad": theta_r_grad_stack(batched)[0],
-            "support_loss": float(task_losses[0]),
-        }
+        info = {"attention": attention,
+                "support_loss": float(task_losses[0])}
         return adapted, info
 
     # ------------------------------------------------------------------
@@ -329,8 +337,9 @@ class MetaTrainer:
 
     # ------------------------------------------------------------------
     def evaluate(self, tasks, encode, local_steps=None):
-        """Mean query-set accuracy after adaptation (diagnostic): every
-        task adapted and scored in one stacked program
+        """Mean query-set accuracy after online adaptation (diagnostic,
+        theta_R and M_cp fixed as in :meth:`adapt`): every task adapted
+        and scored in one stacked program
         (:func:`repro.train.engine.evaluate_batched`)."""
         from ..train.engine import evaluate_batched
         return evaluate_batched(self, tasks, encode, local_steps=local_steps)

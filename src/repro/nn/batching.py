@@ -16,7 +16,9 @@ both layers build on:
   :func:`~repro.nn.functional.convert_embeddings`: no (K, n, 3Ne)
   combined row exists, in the forward or the backward);
 * :func:`fused_local_adapt` — the fused few-shot optimization loop
-  (per-task-reduced BCE + pos-weight, one Adam/SGD over the stacks);
+  (per-task-reduced BCE + pos-weight, one Adam/SGD over the stacks;
+  online, over the tuple and classification blocks only, the UIS
+  block evaluated once per stack);
 * :func:`theta_r_grad_stack` / :func:`grad_stacks` — per-task gradient
   slices out of the stacked parameters, in the exact layout of the
   corresponding per-task model (the meta-training global phase and the
@@ -46,6 +48,8 @@ the models it stacks, so :mod:`repro.nn` does not import
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -95,6 +99,36 @@ class BatchedUISClassifier(Module):
         unstack_modules(self.tuple_block, [m.tuple_block for m in models])
         unstack_modules(self.clf_block, [m.clf_block for m in models])
 
+    def _check_conversion(self, conversion):
+        if self.use_conversion and conversion is None:
+            raise ValueError("use_conversion=True requires conversion")
+        if not self.use_conversion and conversion is not None:
+            raise ValueError("conversion given but use_conversion=False")
+
+    def _embed_tasks(self, feature_vectors):
+        """The UIS block over the (K, ku) feature vectors: (K, 1, Ne)."""
+        v_r = Tensor._wrap(feature_vectors)
+        return self.uis_block(v_r.reshape(self.k, 1, self.ku))
+
+    def _classify(self, emb_r, emb_x, conversion):
+        """Logits (K, n) of the classification block over the converted
+        embeddings or, without conversion matrices, over ``[emb_R,
+        emb_tau, emb_R * emb_tau]``."""
+        n = emb_x.shape[1]
+        if conversion is not None:
+            combined = convert_embeddings(emb_r, emb_x,
+                                          conversion)            # (K, n, Ne)
+        else:
+            # Differentiable broadcast of each task's emb_R to its n rows
+            # — same tiler trick as the per-task forward, batched by
+            # numpy's matmul broadcasting: (n, 1) @ (K, 1, Ne).
+            tiler = Tensor(np.ones((n, 1)))
+            emb_r_rows = tiler @ emb_r                           # (K, n, Ne)
+            combined = Tensor.concat([emb_r_rows, emb_x, emb_r_rows * emb_x],
+                                     axis=-1)                    # (K, n, 3Ne)
+        logits = self.clf_block(combined)                        # (K, n, 1)
+        return logits.reshape(self.k, n)
+
     def forward(self, feature_vectors, tuple_vectors, conversion=None):
         """Stacked interestingness logits.
 
@@ -111,29 +145,34 @@ class BatchedUISClassifier(Module):
         -------
         Tensor of shape (K, n) with raw logits.
         """
-        if self.use_conversion and conversion is None:
-            raise ValueError("use_conversion=True requires conversion")
-        if not self.use_conversion and conversion is not None:
-            raise ValueError("conversion given but use_conversion=False")
-        v_r = Tensor._wrap(feature_vectors)
-        x = Tensor._wrap(tuple_vectors)
-        n = x.shape[1]
+        self._check_conversion(conversion)
+        emb_r = self._embed_tasks(feature_vectors)              # (K, 1, Ne)
+        emb_x = self.tuple_block(Tensor._wrap(tuple_vectors))   # (K, n, Ne)
+        return self._classify(emb_r, emb_x, conversion)
 
-        emb_r = self.uis_block(v_r.reshape(self.k, 1, self.ku))  # (K, 1, Ne)
-        emb_x = self.tuple_block(x)                              # (K, n, Ne)
-        if conversion is not None:
-            combined = convert_embeddings(emb_r, emb_x,
-                                          conversion)            # (K, n, Ne)
-        else:
-            # Differentiable broadcast of each task's emb_R to its n rows
-            # — same tiler trick as the per-task forward, batched by
-            # numpy's matmul broadcasting: (n, 1) @ (K, 1, Ne).
-            tiler = Tensor(np.ones((n, 1)))
-            emb_r_rows = tiler @ emb_r                           # (K, n, Ne)
-            combined = Tensor.concat([emb_r_rows, emb_x, emb_r_rows * emb_x],
-                                     axis=-1)                    # (K, n, 3Ne)
-        logits = self.clf_block(combined)                        # (K, n, 1)
-        return logits.reshape(self.k, n)
+    def fixed_task_forward(self, feature_vectors, conversion=None):
+        """:meth:`forward` as a function of the tuple batches alone, for
+        stacks whose UIS block and conversion matrices (a (K, Ne, 3Ne)
+        array) do not train.
+
+        ``emb_R`` comes from one no-grad UIS-block forward, here, once.
+        Each call of the returned function then runs the tuple block,
+        :func:`~repro.nn.functional.convert_embeddings` with ``emb_R``
+        and ``M_cp`` as constants (their backward is skipped) and the
+        classification block: the bits of :meth:`forward` with the same
+        parameters, and gradients only for the tuple and classification
+        blocks.
+        """
+        self._check_conversion(conversion)
+        with no_grad():
+            emb_r = Tensor(self._embed_tasks(feature_vectors).data)
+
+        def forward(tuple_vectors):
+            return self._classify(
+                emb_r, self.tuple_block(Tensor._wrap(tuple_vectors)),
+                conversion)
+
+        return forward
 
 
 def stack_conversions(conversions):
@@ -181,7 +220,8 @@ def load_flat_stack(module, flat_stack):
 
 def fused_local_adapt(models, features, xs, ys, *, conversions=None,
                       steps=1, lr=0.01, optimizer_kind="adam",
-                      balance_classes=True, batched=None):
+                      balance_classes=True, batched=None,
+                      keep_retrieved=False):
     """Fused few-shot optimization of K stacked tasks (the local phase).
 
     Stacks ``models`` (and their task-wise conversion matrices, if any)
@@ -189,6 +229,17 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     loss is the *sum of per-task mean losses*, which is block-diagonal,
     so each task's parameters see exactly their own sequential gradient
     and one Adam/SGD instance updates all K tasks at once.
+
+    With ``keep_retrieved`` the task-wise initialization the memories
+    retrieved -- the UIS block (theta_R = phi_R - sigma * omega_R, Eq. 6)
+    and the conversion matrices (M_cp, Eq. 10) -- keeps its values and
+    the optimizer steps the tuple and classification blocks only: the
+    online local phase of Meta and Meta*.  The UIS block then runs once
+    per stack, not once per step
+    (:meth:`BatchedUISClassifier.fixed_task_forward`).  Basic, which
+    retrieved nothing, and meta-training's inner loop train all four
+    blocks (Eqs. 13-16 read theta_R's last-step gradient and the
+    adapted M_cp).
 
     Parameters
     ----------
@@ -208,16 +259,19 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
         already hold the task-wise initializations (``models`` is then
         ignored); the offline engine uses this to stack straight off the
         meta-learned template without constructing K model copies.
+    keep_retrieved:
+        Whether the UIS block and the conversion matrices keep their
+        retrieved values (above); False trains every block.
 
     Returns
     -------
     ``(batched, conversion, task_losses)`` — the trained
     :class:`BatchedUISClassifier`, the stacked conversion
     :class:`Parameter` (or ``None``) and the (K,) per-task loss vector
-    of the *last* step (``None`` when ``steps`` is 0), as
-    :func:`stacked_loss_backward` returned it.  That step's gradients
-    are left on the parameters so callers can slice them
-    (:func:`theta_r_grad_stack`) before reusing the stacks.
+    of the *last* step (``None`` when ``steps`` is 0).  That step's
+    gradients are left on the parameters so callers can slice them
+    (:func:`theta_r_grad_stack`) before reusing the stacks; with
+    ``keep_retrieved`` the UIS block and the conversion carry none.
     """
     if batched is None:
         batched = BatchedUISClassifier(models)
@@ -233,14 +287,20 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     ys = np.asarray(ys, dtype=np.float64)
     pos_weight = batched_pos_weight(ys) if balance_classes else None
 
-    trainable = list(batched.parameters())
-    if conversion is not None:
-        trainable.append(conversion)
+    if keep_retrieved:
+        forward = batched.fixed_task_forward(
+            features, None if conversion is None else conversion.data)
+        trainable = [*batched.tuple_block.parameters(),
+                     *batched.clf_block.parameters()]
+    else:
+        forward = partial(batched.forward, features, conversion=conversion)
+        trainable = list(batched.parameters())
+        if conversion is not None:
+            trainable.append(conversion)
     optimizer = (Adam if optimizer_kind == "adam" else SGD)(trainable, lr=lr)
     task_losses = None
     for _ in range(steps):
-        task_losses = stacked_loss_backward(batched, conversion, features,
-                                            xs, ys, pos_weight)
+        task_losses = _loss_backward(forward, trainable, xs, ys, pos_weight)
         optimizer.step()
     return batched, conversion, task_losses
 
@@ -248,9 +308,9 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
 def theta_r_grad_stack(batched):
     """Per-task flattened UIS-block gradients, shape (K, theta_r_size).
 
-    Slice k is task k's ``theta_r_grad`` (``MetaTrainer.adapt`` reports
-    slice 0 of a stack of one): each parameter's gradient raveled in
-    declaration order, missing gradients as zeros.
+    Slice k is task k's last-step theta_R gradient, which the
+    meta-training parameter memory reads (Eq. 15): each parameter's
+    gradient raveled in declaration order, missing gradients as zeros.
     """
     k = batched.k
     parts = []
@@ -282,12 +342,22 @@ def stacked_loss_backward(batched, conversion, features, xs, ys, pos_weight):
     :class:`Parameter`; a plain array is a constant input), leaves the
     new gradients on them and returns the (K,) per-task loss vector.
     """
-    batched.zero_grad()
+    params = list(batched.parameters())
     if isinstance(conversion, Parameter):
-        conversion.zero_grad()
-    logits = batched.forward(features, xs, conversion=conversion)
+        params.append(conversion)
+    return _loss_backward(partial(batched.forward, features,
+                                  conversion=conversion),
+                          params, xs, ys, pos_weight)
+
+
+def _loss_backward(forward, params, xs, ys, pos_weight):
+    """Zero ``params``' gradients, then one forward (``forward(xs)``, the
+    (K, n) logits) and backward of the summed per-task BCE loss; the
+    (K,) per-task loss vector."""
+    for param in params:
+        param.zero_grad()
     task_losses = batched_binary_cross_entropy_with_logits(
-        logits, ys, pos_weight=pos_weight)
+        forward(xs), ys, pos_weight=pos_weight)
     task_losses.sum().backward()
     return task_losses.data
 

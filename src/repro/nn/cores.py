@@ -182,17 +182,20 @@ def one_blas_thread():
                 set_threads(state.previous)
 
 
-def step_macs(config, k, rows):
+def step_macs(config, k, rows, keep_retrieved=False):
     """Estimated multiply-adds of one training step of a ``k``-task stack
     of classifiers with ``config`` (``UISClassifier.config``) over
     ``rows`` rows a task: ``K · (P + n · (w·Ne + Ne² + Ne·H))``, P the
-    parameters a task trains (its conversion matrix included)."""
+    parameters a task trains: all of them (its conversion matrix
+    included), or with ``keep_retrieved`` the tuple and classification
+    blocks only (``fused_local_adapt``'s online local phase)."""
     ku, width = config["ku"], config["input_width"]
     ne, hidden = config["embed_size"], config["hidden_size"]
     conversion = config["use_conversion"]
-    params = ((ku + 1) * ne + (width + 1) * ne
-              + ((ne if conversion else 3 * ne) + 1) * hidden + hidden + 1
-              + (3 * ne * ne if conversion else 0))
+    params = ((width + 1) * ne
+              + ((ne if conversion else 3 * ne) + 1) * hidden + hidden + 1)
+    if not keep_retrieved:
+        params += (ku + 1) * ne + (3 * ne * ne if conversion else 0)
     return k * (params + rows * (width * ne + ne * ne + ne * hidden))
 
 

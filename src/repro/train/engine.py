@@ -464,8 +464,8 @@ def _store_stacked_adam(optimizer, schedules, models):
 # Batched evaluation
 # ----------------------------------------------------------------------
 def evaluate_batched(trainer, tasks, encode, local_steps=None):
-    """The body of :meth:`MetaTrainer.evaluate`: every task adapted and
-    scored in one stacked program."""
+    """The body of :meth:`MetaTrainer.evaluate`: every task adapted
+    online (theta_R and M_cp fixed) and scored in one stacked program."""
     encoded = encode_task_sets(tasks, encode)
     if not encoded:
         return 0.0
@@ -484,7 +484,7 @@ def evaluate_batched(trainer, tasks, encode, local_steps=None):
         models, features, sx, sy, conversions=conversions,
         steps=max(1, steps), lr=params.rho,
         optimizer_kind=params.local_optimizer,
-        balance_classes=params.balance_classes)
+        balance_classes=params.balance_classes, keep_retrieved=True)
     qx = np.stack([task[3] for task in encoded])
     preds = stacked_predict(batched, features, qx, conversion=conversion)
     return float(np.mean([np.mean(pred == task[4])

@@ -130,7 +130,7 @@ def test_unknown_scale_fails_with_a_message(capsys):
 
 def test_every_paper_figure_has_a_row_and_table2_is_the_fidelity_row():
     assert list(FIGURES) == [
-        "table2", "rounds", "fig4a", "fig4b", "fig5a", "fig5b", "fig5c", "fig5d",
+        "table2", "rounds", "steps", "fig4a", "fig4b", "fig5a", "fig5b", "fig5c", "fig5d",
         "fig6", "fig7ab", "fig7budget", "fig7c", "fig8a", "fig8b", "fig8c",
         "fig8d", "ablations", "dsmf"]
     assert all(fig.id == key for key, fig in FIGURES.items())
@@ -141,22 +141,28 @@ def test_every_paper_figure_has_a_row_and_table2_is_the_fidelity_row():
     rounds = FIGURES["rounds"]
     assert rounds.seeds == table2.seeds and rounds.xs == (0, 1, 2, 3)
     assert rounds.methods == ("Meta*", "Meta", "Basic")
+    steps = FIGURES["steps"]
+    assert steps.seeds == table2.seeds and steps.xs == (1, 5, 10, 30)
+    assert steps.methods == rounds.methods
 
 
 def test_compare_bands_each_methods_average_over_x():
     # Five seeds at two modes, 0.01 apart from seed to seed: the average
-    # over x has sd 0.016 and a band of max(0.01, 3 sd / sqrt(5)) = 0.021.
+    # over x has sd 0.016, but the seeds' own spread cancels in the
+    # per-seed differences B - A, whose sd sets the band.
     values = {(x, "Meta*", seed): 0.7 + 0.01 * (seed - 7)
               for x in ("M1", "M2") for seed in range(7, 12)}
     a = _record(values)
     b = copy.deepcopy(a)
     for cell in b["cells"]:
-        cell["value"] -= 0.03            # inside every cell's 0.04 band
+        cell["value"] -= 0.015           # inside every cell's 0.04 band
     moved, failed = paper.compare(a, b)
     assert failed == []
-    assert len(moved) == 1 and moved[0].startswith(
-        "demo car average over x Meta*: moved, A 0.720 (sd 0.016, 5 seeds) "
-        "B 0.690, tolerance 0.021")
+    assert len(moved) == 1 and moved[0] == (
+        "demo car average over x Meta*: moved, A 0.720 B 0.705, paired "
+        "shift -0.015 (sd 0.000, 5 seeds), band 0.010")
+    # Differences that scatter widen the band to 3 sd / sqrt(5): the
+    # same mean shift with sd 0.020 is inside 0.027.
     for cell in b["cells"]:
-        cell["value"] += 0.015
+        cell["value"] += (-0.02, 0.02, -0.02, 0.02, 0.0)[cell["seed"] - 7]
     assert paper.compare(a, b)[0] == []

@@ -11,7 +11,9 @@ the parity suite compares ``run_adapt_requests``, the sessions, the
 manager and the gateway against them.  A re-adaptation (a request with a
 ``start`` classifier) runs :func:`_continue`: the same sequential loop
 from a clone of that classifier, for the request's (warm) step count.
-Nothing in ``src/`` imports this module.
+Meta and Meta* step the tuple and classification blocks only, in both:
+theta_R and M_cp keep the values the memories retrieved.  Nothing in
+``src/`` imports this module.
 
 :func:`submit_labels` / :func:`add_labels` drive a session the way
 ``_SubspaceSession`` did: build the request, run it here, install the
@@ -57,14 +59,17 @@ def _train_basic_classifier(request):
 
 def _continue(request):
     """A re-adaptation: the one-task local loop from a clone of the
-    request's ``start`` classifier, with fresh optimizer moments."""
+    request's ``start`` classifier, with fresh optimizer moments; Basic
+    trains all of it, Meta / Meta* the tuple and classification blocks."""
     start = request.start
     model = start.model.clone()
     conversion = None if start.conversion is None \
         else Parameter(start.conversion.data.copy())
-    trainable = list(model.parameters())
-    if conversion is not None:
-        trainable.append(conversion)
+    if request.variant == "basic":
+        trainable = list(model.parameters())
+    else:
+        trainable = [*model.tuple_block.parameters(),
+                     *model.clf_block.parameters()]
     optimizer = (Adam if request.optimizer_kind == "adam" else SGD)(
         trainable, lr=request.lr)
     targets = request.targets
@@ -99,7 +104,8 @@ def run_adapt_request(request):
         adapted, _ = adapt(
             state.trainer,
             request.feature, request.encoded, request.targets,
-            local_steps=cfg.online_steps, local_lr=cfg.online_lr)
+            local_steps=cfg.online_steps, local_lr=cfg.online_lr,
+            keep_retrieved=True)
     optimizer = None
     if request.builds_optimizer:
         optimizer = FewShotOptimizer(

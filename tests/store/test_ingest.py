@@ -188,15 +188,24 @@ def test_refresh_adopts_appends_from_another_handle(tmp_path):
 
 
 def _store_handles(directory):
-    """``(open fds, live mappings, deleted mappings)`` of this process;
-    mappings count only files under ``directory``."""
-    fds = len(os.listdir("/proc/self/fd"))
+    """``(open fds, live mappings, deleted mappings)`` of this process
+    on files under ``directory``: an fd or mapping of another file (a
+    store an earlier test left to the garbage collector, say) is not
+    counted, so the reading does not depend on what ran before."""
+    prefix = os.path.realpath(directory) + os.sep
+    fds = 0
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(os.path.join("/proc/self/fd", name))
+        except OSError:                 # closed since the listing
+            continue
+        fds += target.startswith(prefix)
     live = deleted = 0
     with open("/proc/self/maps") as fh:
         for line in fh:
             fields = line.split(None, 5)
             path = fields[5].strip() if len(fields) == 6 else ""
-            if not path.startswith(directory + os.sep):
+            if not path.startswith(prefix):
                 continue
             if path.endswith("(deleted)"):
                 deleted += 1

@@ -30,9 +30,13 @@ from repro.train import TrainerSchedule, encode_task_sets
 
 
 def adapt(trainer, feature_vector, support_x, support_y, local_steps=None,
-          local_lr=None):
+          local_lr=None, keep_retrieved=False):
     """``MetaTrainer.adapt`` as it was: the eager local phase of one
-    task.  Returns ``(AdaptedClassifier, info)``."""
+    task.  Returns ``(AdaptedClassifier, info)``.  With
+    ``keep_retrieved`` it is the online local phase: the optimizer
+    steps the tuple and classification blocks only, so theta_R and M_cp
+    keep their retrieved values (the forward and backward still run
+    through them, every step)."""
     params = trainer.params
     steps = params.local_steps if local_steps is None else int(local_steps)
     lr = params.rho if local_lr is None else float(local_lr)
@@ -44,9 +48,13 @@ def adapt(trainer, feature_vector, support_x, support_y, local_steps=None,
     if conversion is not None:
         conversion = Parameter(conversion)
 
-    trainable = list(local.parameters())
-    if conversion is not None:
-        trainable.append(conversion)
+    if keep_retrieved:
+        trainable = [*local.tuple_block.parameters(),
+                     *local.clf_block.parameters()]
+    else:
+        trainable = list(local.parameters())
+        if conversion is not None:
+            trainable.append(conversion)
     if params.local_optimizer == "adam":
         optimizer = Adam(trainable, lr=lr)
     else:
@@ -178,13 +186,13 @@ def run_pretrain_epoch_sequential(schedule):
 
 
 def evaluate(trainer, tasks, encode, local_steps=None):
-    """``MetaTrainer.evaluate``'s task loop as it was: mean query-set
-    accuracy after one eager :func:`adapt` per task."""
+    """``MetaTrainer.evaluate``'s task loop: mean query-set accuracy
+    after one eager online :func:`adapt` per task."""
     scores = []
     for task in tasks:
         adapted, _ = adapt(trainer, task.feature_vector,
                            encode(task.support_x), task.support_y,
-                           local_steps=local_steps)
+                           local_steps=local_steps, keep_retrieved=True)
         pred = adapted.predict(encode(task.query_x))
         scores.append(float(np.mean(pred == task.query_y)))
     return float(np.mean(scores)) if scores else 0.0

@@ -788,3 +788,14 @@ def test_holds_from_many_threads_restore_the_count():
     assert len(results) == 160 and all(results)
     assert set(seen) == {1}
     assert get_threads() == before
+
+
+@pytest.mark.parametrize("conversion", [True, False])
+def test_step_macs_counts_the_parameters_a_step_trains(conversion):
+    """An online step trains the tuple and classification blocks only:
+    its estimate drops the UIS block and the conversion matrix."""
+    config = dict(ku=100, input_width=118, embed_size=100, hidden_size=64,
+                  use_conversion=conversion)
+    frozen = (100 + 1) * 100 + (3 * 100 * 100 if conversion else 0)
+    assert cores.step_macs(config, 8, 30) \
+        - cores.step_macs(config, 8, 30, keep_retrieved=True) == 8 * frozen
