@@ -558,17 +558,23 @@ class AdaptRequest:
         return self.variant != "basic" and self.state.trainer.use_memories
 
     @property
+    def model_config(self):
+        """The ``UISClassifier.config`` of the classifier it trains."""
+        return {"ku": self.state.summary.ku,
+                "input_width": self.state.preprocessor.width,
+                "embed_size": self.config.embed_size,
+                "hidden_size": self.config.hidden_size,
+                "use_conversion": self.use_conversion}
+
+    @property
     def builds_optimizer(self):
         return self.variant == "meta_star" and self.center_bits is not None
 
     def shape_key(self):
         """Hashable bucket key: requests sharing it can train fused."""
-        summary = self.state.summary
-        return (self.variant, self.optimizer_kind, self.use_conversion,
-                self.balance_classes, self.steps, float(self.lr),
-                summary.ku, self.state.preprocessor.width,
-                self.encoded.shape[0], self.config.embed_size,
-                self.config.hidden_size)
+        return (self.variant, self.optimizer_kind, self.balance_classes,
+                self.steps, float(self.lr), self.encoded.shape[0],
+                *self.model_config.values())
 
 
 def build_adapt_request(state, variant, config, scaled_points, labels):
@@ -613,8 +619,8 @@ def build_readapt_request(state, variant, config, adapted, encoded, labels):
         targets=labels, center_bits=None, start=adapted)
 
 
-def _prepare_local_models(requests):
-    """Per-task initial models + conversion matrices for one bucket.
+def _prepare_local_model(request):
+    """One task's initial model and conversion matrix.
 
     A re-adaptation clones the classifier it continues from.  Otherwise
     the task-wise initialization: Basic builds a fresh
@@ -622,38 +628,31 @@ def _prepare_local_models(requests):
     meta-learned phi and apply the memory retrievals (attention ->
     theta_R shift, conversion matrix).
     """
-    models, conversions = [], []
-    for request in requests:
-        cfg = request.config
-        state = request.state
-        if request.start is not None:
-            model = request.start.model.clone()
-            conversion = None if request.start.conversion is None \
-                else request.start.conversion.data
-        elif request.variant == "basic":
-            model = UISClassifier(
-                ku=state.summary.ku, input_width=state.preprocessor.width,
-                embed_size=cfg.embed_size, hidden_size=cfg.hidden_size,
-                use_conversion=False, seed=cfg.seed)
-            conversion = None
-        else:
-            model, conversion, _ = state.trainer.task_retrieval(
-                request.feature)
-        models.append(model)
-        conversions.append(conversion)
-    return models, conversions
+    cfg = request.config
+    state = request.state
+    if request.start is not None:
+        return request.start.model.clone(), \
+            None if request.start.conversion is None \
+            else request.start.conversion.data
+    if request.variant == "basic":
+        return UISClassifier(
+            ku=state.summary.ku, input_width=state.preprocessor.width,
+            embed_size=cfg.embed_size, hidden_size=cfg.hidden_size,
+            use_conversion=False, seed=cfg.seed), None
+    model, conversion, _ = state.trainer.task_retrieval(request.feature)
+    return model, conversion
 
 
 def _adapt_bucket(requests):
     """Fused adaptation of shape-compatible requests (one per task): one
     stack, or two halves on two threads (:func:`repro.nn.cores.run_stack`)
-    once the stack is large enough to be worth it.  Meta and Meta* train
-    the tuple and classification blocks only: theta_R and M_cp keep the
-    values the memories retrieved (Eqs. 6 and 10), in the initial round
-    and every warm one.  Basic, which retrieved nothing, trains all of
-    its classifier."""
+    once the stack is large enough to be worth it, each half building
+    its own tasks' initial models.  Meta and Meta* train the tuple and
+    classification blocks only: theta_R and M_cp keep the values the
+    memories retrieved (Eqs. 6 and 10), in the initial round and every
+    warm one.  Basic, which retrieved nothing, trains all of its
+    classifier."""
     first = requests[0]
-    models, conversions = _prepare_local_models(requests)
     # The Basic variant runs exactly ``basic_steps`` iterations, while
     # the local phase of Meta/Meta* (``MetaTrainer.adapt``) floors its
     # steps at 1.
@@ -661,27 +660,27 @@ def _adapt_bucket(requests):
     keep_retrieved = first.variant != "basic"
 
     def train(tasks):
-        """Adapt ``models[tasks]`` in place; their conversion matrices."""
-        stack = [models[i] for i in tasks]
+        """The adapted classifiers of ``requests[tasks]``."""
+        stack = [requests[i] for i in tasks]
+        models, conversions = zip(*map(_prepare_local_model, stack))
         batched, conversion, _ = fused_local_adapt(
-            stack, np.stack([requests[i].feature for i in tasks]),
-            np.stack([requests[i].encoded for i in tasks]),
-            np.stack([requests[i].targets for i in tasks]),
-            conversions=[conversions[i] for i in tasks], steps=steps,
-            lr=first.lr, optimizer_kind=first.optimizer_kind,
+            models, np.stack([request.feature for request in stack]),
+            np.stack([request.encoded for request in stack]),
+            np.stack([request.targets for request in stack]),
+            conversions=list(conversions), steps=steps, lr=first.lr,
+            optimizer_kind=first.optimizer_kind,
             balance_classes=first.balance_classes,
             keep_retrieved=keep_retrieved)
-        batched.unstack_into(stack)
-        return [None if conversion is None
-                else Parameter(conversion.data[j].copy())
-                for j in range(len(tasks))]
+        batched.unstack_into(models)
+        return [AdaptedClassifier(
+            model, request.feature, None if conversion is None
+            else Parameter(conversion.data[j].copy()))
+            for j, (model, request) in enumerate(zip(models, stack))]
 
-    macs = step_macs(models[0].config, len(requests),
+    macs = step_macs(first.model_config, len(requests),
                      first.encoded.shape[0], keep_retrieved=keep_retrieved)
-    adapted = [conv for part in run_stack(train, range(len(requests)), macs)
-               for conv in part]
-    return [AdaptedClassifier(model, request.feature, conv)
-            for model, request, conv in zip(models, requests, adapted)]
+    return [adapted for part in run_stack(train, range(len(requests)), macs)
+            for adapted in part]
 
 
 def run_adapt_requests(requests):

@@ -16,9 +16,12 @@ both layers build on:
   :func:`~repro.nn.functional.convert_embeddings`: no (K, n, 3Ne)
   combined row exists, in the forward or the backward);
 * :func:`fused_local_adapt` — the fused few-shot optimization loop
-  (per-task-reduced BCE + pos-weight, one Adam/SGD over the stacks;
-  online, over the tuple and classification blocks only, the UIS
-  block evaluated once per stack);
+  (per-task-reduced BCE + pos-weight, one Adam/SGD over the stacks).
+  Online it trains the tuple and classification blocks only, and its
+  steps are one array program with no autograd graph
+  (:func:`_fixed_retrieval_steps`): the UIS block and the conversion's
+  ``W`` and ``c`` once per stack, then each step's forward and explicit
+  backward into buffers allocated once, with the graph's bits;
 * :func:`theta_r_grad_stack` / :func:`grad_stacks` — per-task gradient
   slices out of the stacked parameters, in the exact layout of the
   corresponding per-task model (the meta-training global phase and the
@@ -53,11 +56,13 @@ from functools import partial
 
 import numpy as np
 
-from .functional import (batched_binary_cross_entropy_with_logits,
+from .functional import (batched_binary_cross_entropy_grad,
+                         batched_binary_cross_entropy_with_logits,
                          batched_pos_weight, conversion_constant,
-                         conversion_rows, convert_embeddings)
-from .layers import (Linear, Module, ReLU, Sequential, batch_modules,
-                     unstack_modules)
+                         conversion_rows, conversion_weight,
+                         convert_embeddings)
+from .layers import (BatchedLinear, Linear, Module, ReLU, Sequential,
+                     batch_modules, unstack_modules)
 from .optim import SGD, Adam
 from .tensor import Parameter, Tensor, no_grad
 
@@ -99,36 +104,6 @@ class BatchedUISClassifier(Module):
         unstack_modules(self.tuple_block, [m.tuple_block for m in models])
         unstack_modules(self.clf_block, [m.clf_block for m in models])
 
-    def _check_conversion(self, conversion):
-        if self.use_conversion and conversion is None:
-            raise ValueError("use_conversion=True requires conversion")
-        if not self.use_conversion and conversion is not None:
-            raise ValueError("conversion given but use_conversion=False")
-
-    def _embed_tasks(self, feature_vectors):
-        """The UIS block over the (K, ku) feature vectors: (K, 1, Ne)."""
-        v_r = Tensor._wrap(feature_vectors)
-        return self.uis_block(v_r.reshape(self.k, 1, self.ku))
-
-    def _classify(self, emb_r, emb_x, conversion):
-        """Logits (K, n) of the classification block over the converted
-        embeddings or, without conversion matrices, over ``[emb_R,
-        emb_tau, emb_R * emb_tau]``."""
-        n = emb_x.shape[1]
-        if conversion is not None:
-            combined = convert_embeddings(emb_r, emb_x,
-                                          conversion)            # (K, n, Ne)
-        else:
-            # Differentiable broadcast of each task's emb_R to its n rows
-            # — same tiler trick as the per-task forward, batched by
-            # numpy's matmul broadcasting: (n, 1) @ (K, 1, Ne).
-            tiler = Tensor(np.ones((n, 1)))
-            emb_r_rows = tiler @ emb_r                           # (K, n, Ne)
-            combined = Tensor.concat([emb_r_rows, emb_x, emb_r_rows * emb_x],
-                                     axis=-1)                    # (K, n, 3Ne)
-        logits = self.clf_block(combined)                        # (K, n, 1)
-        return logits.reshape(self.k, n)
-
     def forward(self, feature_vectors, tuple_vectors, conversion=None):
         """Stacked interestingness logits.
 
@@ -145,34 +120,29 @@ class BatchedUISClassifier(Module):
         -------
         Tensor of shape (K, n) with raw logits.
         """
-        self._check_conversion(conversion)
-        emb_r = self._embed_tasks(feature_vectors)              # (K, 1, Ne)
-        emb_x = self.tuple_block(Tensor._wrap(tuple_vectors))   # (K, n, Ne)
-        return self._classify(emb_r, emb_x, conversion)
+        if self.use_conversion and conversion is None:
+            raise ValueError("use_conversion=True requires conversion")
+        if not self.use_conversion and conversion is not None:
+            raise ValueError("conversion given but use_conversion=False")
+        v_r = Tensor._wrap(feature_vectors)
+        x = Tensor._wrap(tuple_vectors)
+        n = x.shape[1]
 
-    def fixed_task_forward(self, feature_vectors, conversion=None):
-        """:meth:`forward` as a function of the tuple batches alone, for
-        stacks whose UIS block and conversion matrices (a (K, Ne, 3Ne)
-        array) do not train.
-
-        ``emb_R`` comes from one no-grad UIS-block forward, here, once.
-        Each call of the returned function then runs the tuple block,
-        :func:`~repro.nn.functional.convert_embeddings` with ``emb_R``
-        and ``M_cp`` as constants (their backward is skipped) and the
-        classification block: the bits of :meth:`forward` with the same
-        parameters, and gradients only for the tuple and classification
-        blocks.
-        """
-        self._check_conversion(conversion)
-        with no_grad():
-            emb_r = Tensor(self._embed_tasks(feature_vectors).data)
-
-        def forward(tuple_vectors):
-            return self._classify(
-                emb_r, self.tuple_block(Tensor._wrap(tuple_vectors)),
-                conversion)
-
-        return forward
+        emb_r = self.uis_block(v_r.reshape(self.k, 1, self.ku))  # (K, 1, Ne)
+        emb_x = self.tuple_block(x)                              # (K, n, Ne)
+        if conversion is not None:
+            combined = convert_embeddings(emb_r, emb_x,
+                                          conversion)            # (K, n, Ne)
+        else:
+            # Differentiable broadcast of each task's emb_R to its n rows
+            # — same tiler trick as the per-task forward, batched by
+            # numpy's matmul broadcasting: (n, 1) @ (K, 1, Ne).
+            tiler = Tensor(np.ones((n, 1)))
+            emb_r_rows = tiler @ emb_r                           # (K, n, Ne)
+            combined = Tensor.concat([emb_r_rows, emb_x, emb_r_rows * emb_x],
+                                     axis=-1)                    # (K, n, 3Ne)
+        logits = self.clf_block(combined)                        # (K, n, 1)
+        return logits.reshape(self.k, n)
 
 
 def stack_conversions(conversions):
@@ -234,12 +204,14 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     retrieved -- the UIS block (theta_R = phi_R - sigma * omega_R, Eq. 6)
     and the conversion matrices (M_cp, Eq. 10) -- keeps its values and
     the optimizer steps the tuple and classification blocks only: the
-    online local phase of Meta and Meta*.  The UIS block then runs once
-    per stack, not once per step
-    (:meth:`BatchedUISClassifier.fixed_task_forward`).  Basic, which
-    retrieved nothing, and meta-training's inner loop train all four
-    blocks (Eqs. 13-16 read theta_R's last-step gradient and the
-    adapted M_cp).
+    online local phase of Meta and Meta*.  Its steps build no autograd
+    graph: they are one array program (:func:`_fixed_retrieval_steps`)
+    that runs the UIS block and the conversion's ``W`` and ``c`` once per
+    stack and each step's forward and backward into buffers allocated
+    once, with the autograd graph's bits.  Basic, which retrieved
+    nothing, and meta-training's inner loop train all four blocks
+    through the graph (Eqs. 13-16 read theta_R's last-step gradient and
+    the adapted M_cp).
 
     Parameters
     ----------
@@ -288,21 +260,142 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     pos_weight = batched_pos_weight(ys) if balance_classes else None
 
     if keep_retrieved:
-        forward = batched.fixed_task_forward(
-            features, None if conversion is None else conversion.data)
         trainable = [*batched.tuple_block.parameters(),
                      *batched.clf_block.parameters()]
+        loss_backward = _fixed_retrieval_steps(batched, conversion, features,
+                                               xs, ys, pos_weight)
     else:
-        forward = partial(batched.forward, features, conversion=conversion)
         trainable = list(batched.parameters())
         if conversion is not None:
             trainable.append(conversion)
+        loss_backward = partial(
+            _loss_backward,
+            partial(batched.forward, features, conversion=conversion),
+            trainable, xs, ys, pos_weight)
     optimizer = (Adam if optimizer_kind == "adam" else SGD)(trainable, lr=lr)
     task_losses = None
     for _ in range(steps):
-        task_losses = _loss_backward(forward, trainable, xs, ys, pos_weight)
+        task_losses = loss_backward()
         optimizer.step()
     return batched, conversion, task_losses
+
+
+def _fixed_retrieval_steps(batched, conversion, features, xs, ys,
+                           pos_weight):
+    """The online local phase's step without an autograd graph: a
+    function that runs one forward and backward of the summed per-task
+    BCE loss, sets the tuple and classification blocks' ``.grad`` and
+    returns the (K,) per-task losses.
+
+    ``emb_R``, ``W`` and ``c`` (the helpers of
+    :func:`~repro.nn.functional.conversion_rows`) are computed once per
+    stack, since the UIS block and ``conversion`` do not train.  A step
+    walks the blocks' leaf layers, stacked Linear or ReLU (anything else
+    is a ``TypeError``), into buffers allocated here.  Each operation is
+    the one the Tensor graph of :meth:`BatchedUISClassifier.forward`
+    runs on the same operands, so losses, gradients and parameters keep
+    its bits (``tests/nn/test_fixed_retrieval_steps.py``).
+    """
+    k, n, _ = xs.shape
+    emb_r = _infer_layers(_leaf_layers(batched.uis_block),
+                          features.reshape(k, 1, batched.ku))   # (K, 1, Ne)
+    ne = emb_r.shape[-1]
+    tuple_plan = _step_plan(batched.tuple_block, k, n, xs.shape[-1], False)
+    if conversion is not None:
+        w = conversion_weight(emb_r, conversion.data)            # (K, Ne, Ne)
+        w_t = np.swapaxes(w, -1, -2)
+        constant = conversion_constant(emb_r, conversion.data)   # (K, 1, Ne)
+        combined = np.empty((k, n, ne))
+    else:
+        combined = np.empty((k, n, 3 * ne))
+        combined[..., :ne] = emb_r
+    clf_plan = _step_plan(batched.clf_block, k, n, combined.shape[-1], True)
+    grad_x = np.empty((k, n, ne))
+
+    def loss_backward():
+        emb_x = _step_forward(tuple_plan, xs)                    # (K, n, Ne)
+        if conversion is not None:
+            np.add(np.matmul(emb_x, w_t, out=combined), constant,
+                   out=combined)
+        else:
+            combined[..., ne:2 * ne] = emb_x
+            np.multiply(emb_r, emb_x, out=combined[..., 2 * ne:])
+        logits = _step_forward(clf_plan, combined)               # (K, n, 1)
+        task_losses, grad = batched_binary_cross_entropy_grad(
+            logits.reshape(k, n), ys, pos_weight)
+        grad = _step_backward(clf_plan, grad.reshape(k, n, 1))
+        if conversion is not None:
+            np.matmul(grad, w, out=grad_x)
+        else:
+            np.add(grad[..., ne:2 * ne],
+                   np.multiply(grad[..., 2 * ne:], emb_r, out=grad_x),
+                   out=grad_x)
+        _step_backward(tuple_plan, grad_x)
+        return task_losses
+
+    return loss_backward
+
+
+def _step_plan(module, k, n, width, input_grad):
+    """The buffers of :func:`_fixed_retrieval_steps` for one block over
+    (K, n, ``width``) inputs, one entry per leaf layer: a Linear's
+    ``[layer, input, output, weight grad, bias grad, input grad]`` (the
+    input grad None where nothing below it trains and ``input_grad`` is
+    false, the bias grad None without a bias), a ReLU's ``[layer, mask]``.
+    """
+    plan, below = [], input_grad
+    for layer in _leaf_layers(module):
+        if isinstance(layer, BatchedLinear):
+            out = layer.out_features
+            plan.append([layer, None, np.empty((k, n, out)),
+                         np.empty((k, width, out)),
+                         None if layer.bias is None
+                         else np.empty((k, 1, out)),
+                         np.empty((k, n, width)) if below else None])
+            width, below = out, True
+        elif isinstance(layer, ReLU):
+            plan.append([layer, np.empty((k, n, width), dtype=bool)])
+        else:
+            raise TypeError("cannot step through module of type {}".format(
+                type(layer)))
+    return plan
+
+
+def _step_forward(plan, x):
+    """A block's forward over ``x`` into ``plan``'s buffers: each Linear
+    keeps its input, each ReLU its mask (and rectifies in place what the
+    block owns, as :func:`_infer_layers` does)."""
+    for i, entry in enumerate(plan):
+        if isinstance(entry[0], ReLU):
+            mask = np.greater(x, 0, out=entry[1])
+            x = np.multiply(x, mask, out=x if i else None)
+        else:
+            layer = entry[0]
+            entry[1] = x
+            x = np.matmul(x, layer.weight.data, out=entry[2])
+            if layer.bias is not None:
+                x += layer.bias.data
+    return x
+
+
+def _step_backward(plan, grad):
+    """A block's backward from ``grad``, the gradient of its output
+    (which this may overwrite): sets each Linear's ``.grad`` and returns
+    the gradient of the block's input, or None when it is not needed."""
+    for entry in reversed(plan):
+        if isinstance(entry[0], ReLU):
+            grad = np.multiply(grad, entry[1], out=grad)
+            continue
+        layer, x, _, grad_w, grad_b, grad_in = entry
+        if grad_b is not None:
+            layer.bias.grad = np.sum(grad, axis=1, keepdims=True, out=grad_b)
+        layer.weight.grad = np.matmul(np.swapaxes(x, -1, -2), grad,
+                                      out=grad_w)
+        if grad_in is None:
+            return None
+        grad = np.matmul(grad, np.swapaxes(layer.weight.data, -1, -2),
+                         out=grad_in)
+    return grad
 
 
 def theta_r_grad_stack(batched):
@@ -382,8 +475,9 @@ def _leaf_layers(module):
 
 
 def _infer_layers(layers, x):
-    """The leaf ``layers`` of a ``Sequential`` tree of ``Linear`` / ``ReLU``
-    layers of any depth applied to ``x``, on raw arrays.  Each step is
+    """The leaf ``layers`` of a ``Sequential`` tree of ``Linear`` (or
+    ``BatchedLinear``) / ``ReLU`` layers of any depth applied to ``x``,
+    on raw arrays.  Each step is
     the array operation the layer's ``forward`` performs, in place on
     the running activation (the input is never written); the rectifier
     is ``x * (x > 0)``, not ``maximum``, which keeps the ``-0.0`` and
@@ -391,7 +485,7 @@ def _infer_layers(layers, x):
     """
     owned = False
     for layer in layers:
-        if isinstance(layer, Linear):
+        if isinstance(layer, (Linear, BatchedLinear)):
             x = np.matmul(x, layer.weight.data)
             if layer.bias is not None:
                 np.add(x, layer.bias.data, out=x)

@@ -16,9 +16,10 @@ from .tensor import Tensor
 __all__ = [
     "sigmoid", "relu", "softmax", "log_softmax",
     "binary_cross_entropy_with_logits", "balanced_pos_weight", "mse_loss",
-    "batched_binary_cross_entropy_with_logits", "batched_pos_weight",
-    "cosine_similarity", "conversion_constant", "conversion_rows",
-    "convert_embeddings",
+    "batched_binary_cross_entropy_with_logits",
+    "batched_binary_cross_entropy_grad", "batched_pos_weight",
+    "cosine_similarity", "conversion_constant", "conversion_weight",
+    "conversion_rows", "convert_embeddings",
 ]
 
 _EPS = 1e-12
@@ -144,6 +145,40 @@ def batched_binary_cross_entropy_with_logits(logits, targets, pos_weight=None,
     raise ValueError("unknown reduction: {!r}".format(reduction))
 
 
+def batched_binary_cross_entropy_grad(logits, targets, pos_weight=None):
+    """:func:`batched_binary_cross_entropy_with_logits` (mean reduction)
+    on raw arrays with its gradient: the (K,) per-task losses and the
+    (K, n) gradient of their sum with respect to ``logits``.
+
+    Every operation is one the Tensor function's graph runs, so both
+    give the same bits.  With ``g0 = 1/n`` times each example's class
+    weight, the gradient is ``(g0 [z > 0] - g0 y) + (-(g0 / (1 +
+    e^-|z|)) e^-|z|) sign z``, summed in the order the graph accumulates
+    its three paths into the logits.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    positive = z > 0
+    exp = np.exp(-np.abs(z))
+    one_plus = exp + 1.0
+    losses = z * positive - z * y + np.log(one_plus)
+    g0 = np.full(z.shape, 1.0 / z.shape[-1])
+    if pos_weight is not None:
+        pos_weight = np.asarray(pos_weight, dtype=np.float64)
+        weights = np.where(y == 1.0, np.broadcast_to(pos_weight, y.shape),
+                           1.0)
+        losses *= weights
+        g0 *= weights
+    softplus = g0 / one_plus
+    softplus *= exp
+    np.negative(softplus, out=softplus)
+    softplus *= np.sign(z)
+    grad = g0 * positive
+    grad -= g0 * y
+    grad += softplus
+    return losses.mean(axis=-1), grad
+
+
 def batched_pos_weight(targets, cap=10.0):
     """Per-task :func:`balanced_pos_weight` over a (K, n) label batch.
 
@@ -211,6 +246,16 @@ def conversion_constant(emb_r, conversion):
     return emb_r @ np.swapaxes(m1, -1, -2)
 
 
+def conversion_weight(emb_r, conversion):
+    """``W = M2 + M3 * emb_R`` (row ``emb_R`` scaling the columns of
+    ``M3``), the per-task weight of the conversion: (..., Ne, Ne) for an
+    (..., 1, Ne) ``emb_r`` and an (..., Ne, 3Ne) ``M_cp``."""
+    _, m2, m3 = _conversion_blocks(conversion)
+    w = m3 * emb_r
+    w += m2
+    return w
+
+
 def conversion_rows(emb_r, emb_tau, conversion, constant):
     """``[emb_R, emb_tau, emb_R * emb_tau] @ M_cp^T`` on raw arrays, by
     blocks, given ``constant`` = :func:`conversion_constant`; returns
@@ -218,20 +263,19 @@ def conversion_rows(emb_r, emb_tau, conversion, constant):
 
     ``emb_r`` is ONE row per task, (..., 1, Ne), so two of the three
     blocks of ``M_cp = [M1 | M2 | M3]`` multiply a per-task constant:
-    with ``W = M2 + M3 * emb_R`` (row ``emb_R`` scaling the columns of
-    ``M3``) the product is ``emb_tau @ W^T + emb_R @ M1^T`` — one
+    with ``W`` = :func:`conversion_weight` the product is ``emb_tau @
+    W^T + emb_R @ M1^T`` — one
     (n, Ne) x (Ne, Ne) product a task where the combined row needs
     (n, 3Ne) x (3Ne, Ne), and that row is never built.  Rank-agnostic
     over leading task axes: (..., n, Ne) rows and a (..., Ne, 3Ne)
     matrix give (..., n, Ne), slice k the bits of the per-task call.
-    These two functions are the only place in ``src/`` that spells the
+    These three functions are the only place in ``src/`` that spells the
     formula: the autograd op below, hence both classifiers' ``forward``,
-    and :func:`repro.nn.batching.inference_logits` call them, which is
-    what keeps stacked == per-task and inference == forward bit for bit.
+    :func:`repro.nn.batching.inference_logits` and the online local
+    phase's array steps call them, which is what keeps stacked ==
+    per-task and inference == forward bit for bit.
     """
-    _, m2, m3 = _conversion_blocks(conversion)
-    w = m3 * emb_r
-    w += m2
+    w = conversion_weight(emb_r, conversion)
     z = emb_tau @ np.swapaxes(w, -1, -2)
     z += constant
     return z, w
