@@ -41,7 +41,8 @@ from ..obs import default_registry
 from .meta_learner import UISClassifier
 from .meta_task import (MetaTaskGenerator, cluster_sample_rows,
                         uis_feature_vector)
-from .meta_training import AdaptedClassifier, MetaHyperParams, MetaTrainer
+from .meta_training import (AdaptedClassifier, MetaHyperParams, MetaTrainer,
+                            check_count)
 from .optimizer import FewShotOptimizer, HullRegistry
 from .preprocessing import TabularPreprocessor
 from .uis import UISMode
@@ -118,6 +119,15 @@ class LTEConfig:
     # draw from it) — the knob bounding offline memory by sample size
     # rather than table size.
     store_sample_rows: int = 50_000
+
+    #: The least value of each online step count, checked on every
+    #: assignment, at construction and after it.
+    _COUNT_FLOORS = {"online_steps": 1, "basic_steps": 0}
+
+    def __setattr__(self, name, value):
+        if name in self._COUNT_FLOORS:
+            check_count(name, value, self._COUNT_FLOORS[name])
+        super().__setattr__(name, value)
 
     @property
     def ks(self):
@@ -653,10 +663,6 @@ def _adapt_bucket(requests):
     warm one.  Basic, which retrieved nothing, trains all of its
     classifier."""
     first = requests[0]
-    # The Basic variant runs exactly ``basic_steps`` iterations, while
-    # the local phase of Meta/Meta* (``MetaTrainer.adapt``) floors its
-    # steps at 1.
-    steps = first.steps if first.variant == "basic" else max(1, first.steps)
     keep_retrieved = first.variant != "basic"
 
     def train(tasks):
@@ -667,7 +673,7 @@ def _adapt_bucket(requests):
             models, np.stack([request.feature for request in stack]),
             np.stack([request.encoded for request in stack]),
             np.stack([request.targets for request in stack]),
-            conversions=list(conversions), steps=steps, lr=first.lr,
+            conversions=list(conversions), steps=first.steps, lr=first.lr,
             optimizer_kind=first.optimizer_kind,
             balance_classes=first.balance_classes,
             keep_retrieved=keep_retrieved)

@@ -13,7 +13,13 @@ memories (inspired by MAMO, KDD'20) so the initialization is *task-wise*:
   ``M_cp = a_R^T M_CP`` (Eq. 10) converts the concatenated embedding before
   classification (Eq. 9).
 
-Both memories are EMA-updated in the global phase (Eqs. 14-16).
+Both memories are EMA-updated in the global phase (Eqs. 14-16).  The
+local phase trains neither theta_R nor M_cp, so ``M_R`` takes theta_R's
+query gradient (Eq. 15) and ``M_CP`` the retrieved M_cp moved by one
+query-gradient step (Eq. 16).  Toward the retrieved M_cp itself, Eq. 16
+would only shrink ``M_CP``: its fixed point is 0 unless ``a_R`` is
+one-hot (at the bench's medium scale ``M_CP`` fell to 1 % of its norm,
+and Table II's ``Meta`` by 0.05).
 """
 
 from __future__ import annotations
@@ -94,7 +100,8 @@ class MetaMemories:
         self.M_vR = eta * outer + (1.0 - eta) * self.M_vR
 
     def update_parameter_memory(self, attention, theta_r_grad, beta):
-        """Eq. 15: attentive EMA of the theta_R gradient into M_R."""
+        """Eq. 15: attentive EMA of the theta_R gradient into M_R, that of
+        the task's query loss at the adapted parameters."""
         self._check_rate(beta, "beta")
         grad = np.asarray(theta_r_grad, dtype=np.float64).ravel()
         if grad.size != self.theta_r_size:

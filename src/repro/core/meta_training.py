@@ -7,25 +7,25 @@ phi_clf} (held in a template :class:`UISClassifier`) and the two
 * **local phase** (support set, Eq. 12): a working copy of the classifier
   is initialized task-wise — theta_R = phi_R - sigma * omega_R (Eq. 6),
   theta_tau / theta_clf copied from phi (Eq. 11), M_cp retrieved by
-  attention (Eq. 10) — then trained with a few SGD steps; M_cp also
-  descends by backpropagation;
+  attention (Eq. 10) — then theta_tau and theta_clf train for a few
+  steps while theta_R and M_cp keep their retrieved values;
 * **global phase** (query set, Eq. 13): the query loss of the adapted copy
   is backpropagated and its parameter gradients are applied to phi in one
   aggregated step (a first-order / one-step global update, "like [54]"),
-  while the memories take their attentive EMA updates (Eqs. 14-16).
+  while the memories take their attentive EMA updates (Eqs. 14-16):
+  M_R reads theta_R's query gradient, M_CP the retrieved M_cp moved by
+  one query-gradient step (:class:`~repro.core.memory.MetaMemories`).
 
 Online adaptation (the underlined steps of Algorithm 2) runs the same
-local phase on real user labels, with one deviation: theta_R and M_cp
-keep their memory-retrieved values and only theta_tau and theta_clf
-train (:meth:`MetaTrainer.adapt`, :meth:`MetaTrainer.evaluate` and the
-serving path alike), after ANIL's finding that fast adaptation mostly
-reuses meta-learned features.  The offline local phase still trains
-all four: Eqs. 14-16 read theta_R's last-step gradient and the adapted
-M_cp.
+local phase on real user labels (:meth:`MetaTrainer.adapt`,
+:meth:`MetaTrainer.evaluate` and the serving path alike).  That theta_R
+and M_cp do not train in it is a deviation from Eq. 12, after ANIL's
+finding that fast adaptation mostly reuses meta-learned features; phi_R
+still learns, through theta_R's query gradient.
 
 **Stacked execution.**  Meta-tasks inside one Eq. 13 batch are mutually
 independent, so :meth:`MetaTrainer.train` runs the whole batch's local
-phase as ONE stacked autograd program over ``(K, ...)`` parameter stacks
+phase as ONE stacked array program over ``(K, ...)`` parameter stacks
 and computes all K query losses in one fused forward/backward
 (:mod:`repro.train.engine`, built on :mod:`repro.nn.batching` — the same
 substrate the online serving path uses).  **Eq. 13 semantics are
@@ -51,7 +51,17 @@ from ..nn.tensor import Parameter, stable_sigmoid
 from .memory import MetaMemories
 from .meta_learner import UISClassifier
 
-__all__ = ["MetaHyperParams", "AdaptedClassifier", "MetaTrainer"]
+__all__ = ["MetaHyperParams", "AdaptedClassifier", "MetaTrainer",
+           "check_count"]
+
+
+def check_count(name, value, least):
+    """``value``, or a ``ValueError`` naming ``name`` when it is below
+    ``least``."""
+    if value < least:
+        raise ValueError("{} must be >= {}, got {}".format(
+            name, least, value))
+    return value
 
 
 @dataclass
@@ -85,6 +95,16 @@ class MetaHyperParams:
     #: the zero-shot quality that the paper obtains from |TM|=5000 tasks
     #: of pure meta-gradients; set pretrain_epochs=0 for the literal
     #: Algorithm 2.
+
+    #: The least value of each count, checked on every assignment, at
+    #: construction and after it: zero epochs skip a phase.
+    _COUNT_FLOORS = {"local_steps": 1, "batch_size": 1, "m": 1,
+                     "epochs": 0, "pretrain_epochs": 0}
+
+    def __setattr__(self, name, value):
+        if name in self._COUNT_FLOORS:
+            check_count(name, value, self._COUNT_FLOORS[name])
+        super().__setattr__(name, value)
 
     def __post_init__(self):
         for name in ("eta", "beta", "gamma", "sigma"):
@@ -206,11 +226,10 @@ class MetaTrainer:
         """Fast-adapt a copy of the meta-learner to one task, online.
 
         The task-wise initialization (:meth:`task_retrieval`), then
-        ``local_steps`` of the stacked local phase at K = 1 over the
-        tuple and classification blocks: theta_R and M_cp keep their
-        retrieved values, as in serving.  This is not the offline inner
-        loop — that is :func:`repro.train.engine.compute_meta_batch`
-        (``_compute_stack``), which trains all four.
+        ``local_steps`` (at least 1) of the stacked local phase at K = 1
+        over the tuple and classification blocks: theta_R and M_cp keep
+        their retrieved values, as in serving and in the offline inner
+        loop (:func:`repro.train.engine.compute_meta_batch`).
 
         Parameters
         ----------
@@ -228,7 +247,7 @@ class MetaTrainer:
         last step.
         """
         params = self.params
-        steps = params.local_steps if local_steps is None else int(local_steps)
+        steps = self._local_steps(local_steps)
         lr = params.rho if local_lr is None else float(local_lr)
         feature_vector = np.asarray(feature_vector, dtype=np.float64)
         support_x = np.atleast_2d(np.asarray(support_x, dtype=np.float64))
@@ -238,7 +257,7 @@ class MetaTrainer:
         # The local phase is the stacked program at K = 1.
         batched, conversion, task_losses = fused_local_adapt(
             [local], feature_vector[None], support_x[None], support_y[None],
-            conversions=[conversion], steps=max(1, steps), lr=lr,
+            conversions=[conversion], steps=steps, lr=lr,
             optimizer_kind=params.local_optimizer,
             balance_classes=params.balance_classes, keep_retrieved=True)
         batched.unstack_into([local])
@@ -249,6 +268,13 @@ class MetaTrainer:
         info = {"attention": attention,
                 "support_loss": float(task_losses[0])}
         return adapted, info
+
+    def _local_steps(self, local_steps):
+        """An explicit local step count, or ``params.local_steps``; a
+        ``ValueError`` below 1."""
+        if local_steps is None:
+            return self.params.local_steps
+        return check_count("local_steps", int(local_steps), 1)
 
     # ------------------------------------------------------------------
     # Offline meta-training
@@ -342,4 +368,5 @@ class MetaTrainer:
         and scored in one stacked program
         (:func:`repro.train.engine.evaluate_batched`)."""
         from ..train.engine import evaluate_batched
-        return evaluate_batched(self, tasks, encode, local_steps=local_steps)
+        return evaluate_batched(self, tasks, encode,
+                                self._local_steps(local_steps))

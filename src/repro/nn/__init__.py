@@ -8,8 +8,7 @@ learning framework dependency.
 from . import functional, init
 from .alloc import retain_freed_memory
 from .batching import (BatchedUISClassifier, fused_local_adapt, grad_stacks,
-                       load_flat_stack, stack_conversions, stacked_predict,
-                       theta_r_grad_stack)
+                       load_flat_stack, stack_conversions, stacked_predict)
 from .layers import (MLP, BatchedLinear, Linear, Module, ReLU, Sequential,
                      Sigmoid, batch_modules, unstack_modules)
 from .optim import Adam, Optimizer, SGD
@@ -20,7 +19,7 @@ __all__ = [
     "Module", "Linear", "ReLU", "Sigmoid", "Sequential", "MLP",
     "BatchedLinear", "batch_modules", "unstack_modules",
     "BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
-    "load_flat_stack", "theta_r_grad_stack", "grad_stacks", "stacked_predict",
+    "load_flat_stack", "grad_stacks", "stacked_predict",
     "Optimizer", "SGD", "Adam",
     "functional", "init",
 ]

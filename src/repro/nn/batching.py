@@ -17,15 +17,17 @@ both layers build on:
   combined row exists, in the forward or the backward);
 * :func:`fused_local_adapt` — the fused few-shot optimization loop
   (per-task-reduced BCE + pos-weight, one Adam/SGD over the stacks).
-  Online it trains the tuple and classification blocks only, and its
-  steps are one array program with no autograd graph
+  For Meta and Meta*, online and in meta-training's inner loop alike,
+  it trains the tuple and classification blocks only, and its steps are
+  one array program with no autograd graph
   (:func:`_fixed_retrieval_steps`): the UIS block and the conversion's
   ``W`` and ``c`` once per stack, then each step's forward and explicit
-  backward into buffers allocated once, with the graph's bits;
-* :func:`theta_r_grad_stack` / :func:`grad_stacks` — per-task gradient
-  slices out of the stacked parameters, in the exact layout of the
-  corresponding per-task model (the meta-training global phase and the
-  memory EMA updates consume these);
+  backward into buffers allocated once, with the graph's bits.  Basic
+  trains all of its classifier through the graph;
+* :func:`grad_stacks` — per-task gradient slices out of the stacked
+  parameters, in the exact layout of the corresponding per-task model
+  (the meta-training global phase and the parameter memory's EMA
+  update consume these);
 * :func:`stacked_loss_backward` — one forward + backward of the summed
   per-task BCE loss (the meta-training global phase and the pooled
   pretraining step);
@@ -67,9 +69,9 @@ from .optim import SGD, Adam
 from .tensor import Parameter, Tensor, no_grad
 
 __all__ = ["BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
-           "load_flat_stack", "theta_r_grad_stack", "grad_stacks",
-           "stacked_loss_backward", "stacked_predict", "inference_logits",
-           "inference_constants", "constant_logits"]
+           "load_flat_stack", "grad_stacks", "stacked_loss_backward",
+           "stacked_predict", "inference_logits", "inference_constants",
+           "constant_logits"]
 
 
 class BatchedUISClassifier(Module):
@@ -204,14 +206,13 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     retrieved -- the UIS block (theta_R = phi_R - sigma * omega_R, Eq. 6)
     and the conversion matrices (M_cp, Eq. 10) -- keeps its values and
     the optimizer steps the tuple and classification blocks only: the
-    online local phase of Meta and Meta*.  Its steps build no autograd
-    graph: they are one array program (:func:`_fixed_retrieval_steps`)
-    that runs the UIS block and the conversion's ``W`` and ``c`` once per
-    stack and each step's forward and backward into buffers allocated
-    once, with the autograd graph's bits.  Basic, which retrieved
-    nothing, and meta-training's inner loop train all four blocks
-    through the graph (Eqs. 13-16 read theta_R's last-step gradient and
-    the adapted M_cp).
+    local phase of Meta and Meta*, online and in meta-training's inner
+    loop.  Its steps build no autograd graph: they are one array program
+    (:func:`_fixed_retrieval_steps`) that runs the UIS block and the
+    conversion's ``W`` and ``c`` once per stack and each step's forward
+    and backward into buffers allocated once, with the autograd graph's
+    bits.  Basic, which retrieved nothing, trains all of its classifier
+    through the graph.
 
     Parameters
     ----------
@@ -240,10 +241,7 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     ``(batched, conversion, task_losses)`` — the trained
     :class:`BatchedUISClassifier`, the stacked conversion
     :class:`Parameter` (or ``None``) and the (K,) per-task loss vector
-    of the *last* step (``None`` when ``steps`` is 0).  That step's
-    gradients are left on the parameters so callers can slice them
-    (:func:`theta_r_grad_stack`) before reusing the stacks; with
-    ``keep_retrieved`` the UIS block and the conversion carry none.
+    of the *last* step (``None`` when ``steps`` is 0).
     """
     if batched is None:
         batched = BatchedUISClassifier(models)
@@ -396,23 +394,6 @@ def _step_backward(plan, grad):
         grad = np.matmul(grad, np.swapaxes(layer.weight.data, -1, -2),
                          out=grad_in)
     return grad
-
-
-def theta_r_grad_stack(batched):
-    """Per-task flattened UIS-block gradients, shape (K, theta_r_size).
-
-    Slice k is task k's last-step theta_R gradient, which the
-    meta-training parameter memory reads (Eq. 15): each parameter's
-    gradient raveled in declaration order, missing gradients as zeros.
-    """
-    k = batched.k
-    parts = []
-    for param in batched.uis_block.parameters():
-        if param.grad is None:
-            parts.append(np.zeros((k, param.size // k)))
-        else:
-            parts.append(np.asarray(param.grad).reshape(k, -1))
-    return np.concatenate(parts, axis=1) if parts else np.zeros((k, 0))
 
 
 def grad_stacks(batched):

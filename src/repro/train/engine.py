@@ -7,10 +7,11 @@ autograd overhead — but the tasks inside one Eq. 13 batch are mutually
 independent, and so are entire *meta-subspaces*.  This module therefore
 runs:
 
-* the **local + global phase of a whole meta-batch** as ONE stacked
-  autograd program over ``(K, ...)`` parameter stacks
-  (:func:`run_meta_batch_fused`), where K pools the batches of every
-  shape-compatible subspace trained this round;
+* the **local + global phase of a whole meta-batch** over ``(K, ...)``
+  parameter stacks (:func:`run_meta_batch_fused`), where K pools the
+  batches of every shape-compatible subspace trained this round: the
+  local phase is serving's graph-free array program, the global phase
+  one stacked autograd forward/backward;
 * one **joint-pretraining step of S subspaces** as one stacked program
   (:func:`run_pretrain_epoch_pooled`) — the pretrain *task* loop shares
   phi and is inherently sequential, but the S per-subspace models are
@@ -34,8 +35,7 @@ import numpy as np
 
 from ..nn.batching import (BatchedUISClassifier, fused_local_adapt,
                            grad_stacks, load_flat_stack,
-                           stacked_loss_backward, stacked_predict,
-                           theta_r_grad_stack)
+                           stacked_loss_backward, stacked_predict)
 from ..nn.cores import run_stack, step_macs
 from ..nn.functional import batched_pos_weight
 from ..nn.optim import Adam
@@ -153,11 +153,12 @@ MetaBatchInputs = namedtuple("MetaBatchInputs", [
     "shifts", "conversions", "attentions"])
 
 #: The pure-compute products of one fused meta-batch (or a contiguous
-#: task span of one — a half): per-task query losses, last-step theta_R
-#: gradient stack, per-parameter query gradient stacks, adapted
-#: conversion data.
+#: task span of one — a half): per-task query losses, per-parameter
+#: query gradient stacks (the ``uis_block.*`` entries are theta_R's, which
+#: the parameter memory reads, Eq. 15) and the (K, Ne, 3 Ne) M_cp stack
+#: the conversion memory reads (Eq. 16), or None without memories.
 MetaBatchResult = namedtuple("MetaBatchResult", [
-    "losses", "theta_grads", "grad_stacks", "conversion_data"])
+    "losses", "grad_stacks", "conversion_data"])
 
 
 def build_meta_batch_inputs(slots):
@@ -226,13 +227,23 @@ def compute_meta_batch(models, params, inputs):
         return _compute_stack(models[start:stop], params,
                               slice_meta_batch_inputs(inputs, start, stop))
 
-    macs = step_macs(models[0].config, len(models), len(inputs.sx[0]))
+    macs = step_macs(models[0].config, len(models), len(inputs.sx[0]),
+                     keep_retrieved=True)
     return concat_meta_batch_results(
         run_stack(compute, range(len(models)), macs))
 
 
 def _compute_stack(models, params, inputs):
-    """:func:`compute_meta_batch` on one stack, whole or a half."""
+    """:func:`compute_meta_batch` on one stack, whole or a half.
+
+    The local phase (Eq. 12) is the online one: the UIS block holds the
+    retrieved theta_R and the conversion the retrieved M_cp, and
+    ``local_steps`` graph-free steps train the tuple and classification
+    blocks (``fused_local_adapt(..., keep_retrieved=True)``).  The global
+    phase (Eq. 13) is one stacked query forward/backward: it yields every
+    block's gradient, theta_R's included, and M_cp's, by which the
+    retrieved M_cp takes one ``rho`` step for the conversion memory.
+    """
     batched = BatchedUISClassifier(models)
     if inputs.shifts is not None:
         load_flat_stack(batched.uis_block, np.asarray(inputs.shifts))
@@ -240,12 +251,9 @@ def _compute_stack(models, params, inputs):
     batched, conversion, _ = fused_local_adapt(
         models, features, np.stack(inputs.sx), np.stack(inputs.sy),
         conversions=list(inputs.conversions), batched=batched,
-        steps=max(1, params.local_steps), lr=params.rho,
+        steps=params.local_steps, lr=params.rho,
         optimizer_kind=params.local_optimizer,
-        balance_classes=params.balance_classes)
-    # Last-step theta_R gradients feed the parameter memory (Eq. 15);
-    # capture them before the global backward overwrites the stacks.
-    theta_grads = theta_r_grad_stack(batched)
+        balance_classes=params.balance_classes, keep_retrieved=True)
 
     # Global phase (Eq. 13): all K query losses in one forward/backward.
     qy_stack = np.stack(inputs.qy)
@@ -254,11 +262,10 @@ def _compute_stack(models, params, inputs):
     task_losses = stacked_loss_backward(
         batched, conversion, features, np.stack(inputs.qx), qy_stack,
         pos_weight)
-    stacks = grad_stacks(batched)
-    loss_values = [float(value) for value in np.asarray(task_losses)]
     return MetaBatchResult(
-        loss_values, theta_grads, stacks,
-        None if conversion is None else conversion.data)
+        [float(value) for value in task_losses], grad_stacks(batched),
+        None if conversion is None
+        else conversion.data - params.rho * conversion.grad)
 
 
 def concat_meta_batch_results(parts):
@@ -272,17 +279,12 @@ def concat_meta_batch_results(parts):
     if len(parts) == 1:
         return parts[0]
     losses = [value for part in parts for value in part.losses]
-    theta_grads = np.concatenate(
-        [np.asarray(part.theta_grads) for part in parts])
-    stacks = {}
-    for name in parts[0].grad_stacks:
-        grads = [part.grad_stacks[name] for part in parts]
-        stacks[name] = None if grads[0] is None else np.concatenate(
-            [np.asarray(grad) for grad in grads])
+    stacks = {name: np.concatenate([part.grad_stacks[name]
+                                    for part in parts])
+              for name in parts[0].grad_stacks}
     conversion_data = None if parts[0].conversion_data is None \
-        else np.concatenate([np.asarray(part.conversion_data)
-                             for part in parts])
-    return MetaBatchResult(losses, theta_grads, stacks, conversion_data)
+        else np.concatenate([part.conversion_data for part in parts])
+    return MetaBatchResult(losses, stacks, conversion_data)
 
 
 def apply_meta_batch(slots, inputs, result):
@@ -292,7 +294,10 @@ def apply_meta_batch(slots, inputs, result):
     in task order** (float addition is non-associative — a pairwise
     tree would diverge from the task-at-a-time oracle in the last
     bits), deferred memory EMA updates (Eqs. 14-16) in task order, then
-    one Eq. 13 step on each trainer's phi.  Because
+    one Eq. 13 step on each trainer's phi.  The parameter memory reads
+    theta_R's query gradient (Eq. 15), the conversion memory the
+    retrieved M_cp moved by one query-gradient step (Eq. 16; see
+    :class:`~repro.core.memory.MetaMemories`).  Because
     :func:`compute_meta_batch` is partition-invariant and this fold is
     fixed, the update is the same whether a run trained whole or as
     two halves.
@@ -311,23 +316,23 @@ def apply_meta_batch(slots, inputs, result):
                  for name, p in phi_params.items()}
         for j in range(offset, offset + k):
             for name, phi in phi_params.items():
-                grad = stacks.get(name)
-                if grad is not None:
-                    accum[name] += np.asarray(grad[j]).reshape(
-                        phi.data.shape)
+                accum[name] += stacks[name][j].reshape(phi.data.shape)
         if trainer.use_memories:
+            theta_r = [name for name, _ in
+                       trainer.model.uis_block.named_parameters("uis_block.")]
             for pos in range(k):
                 j = offset + pos
                 v_r = slot.encoded[slot.indices[pos]][0]
                 trainer.memories.update_feature_patterns(
                     inputs.attentions[j], v_r, params.eta)
                 trainer.memories.update_parameter_memory(
-                    inputs.attentions[j], result.theta_grads[j],
-                    params.beta)
+                    inputs.attentions[j],
+                    np.concatenate([stacks[name][j].ravel()
+                                    for name in theta_r]), params.beta)
                 trainer.memories.update_conversion_memory(
                     inputs.attentions[j], result.conversion_data[j],
                     params.gamma)
-        scale = params.lam / max(1, k)
+        scale = params.lam / k
         for name, phi in phi_params.items():
             phi.data = phi.data - scale * accum[name]
         out.append(result.losses[offset:offset + k])
@@ -463,14 +468,14 @@ def _store_stacked_adam(optimizer, schedules, models):
 # ----------------------------------------------------------------------
 # Batched evaluation
 # ----------------------------------------------------------------------
-def evaluate_batched(trainer, tasks, encode, local_steps=None):
+def evaluate_batched(trainer, tasks, encode, steps):
     """The body of :meth:`MetaTrainer.evaluate`: every task adapted
-    online (theta_R and M_cp fixed) and scored in one stacked program."""
+    online for ``steps`` steps (theta_R and M_cp fixed) and scored in one
+    stacked program."""
     encoded = encode_task_sets(tasks, encode)
     if not encoded:
         return 0.0
     params = trainer.params
-    steps = params.local_steps if local_steps is None else int(local_steps)
     models, conversions = [], []
     for v_r, _, _, _, _ in encoded:
         local, conversion, _ = trainer.task_retrieval(v_r)
@@ -482,7 +487,7 @@ def evaluate_batched(trainer, tasks, encode, local_steps=None):
                    for task in encoded])
     batched, conversion, _ = fused_local_adapt(
         models, features, sx, sy, conversions=conversions,
-        steps=max(1, steps), lr=params.rho,
+        steps=steps, lr=params.rho,
         optimizer_kind=params.local_optimizer,
         balance_classes=params.balance_classes, keep_retrieved=True)
     qx = np.stack([task[3] for task in encoded])

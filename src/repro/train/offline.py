@@ -59,8 +59,8 @@ class TrainerSchedule:
         self.n_tasks = None if encoded is None else len(self.encoded)
         self.rng = np.random.default_rng(trainer.seed)
         params = trainer.params
-        self.pretrain_total = max(0, int(params.pretrain_epochs))
-        self.meta_total = max(0, int(params.epochs))
+        self.pretrain_total = int(params.pretrain_epochs)
+        self.meta_total = int(params.epochs)
         self.pretrain_done = 0
         self.meta_done = 0
         self.pretrain_opt_state = None
@@ -284,7 +284,7 @@ def _run_meta_epoch(schedules):
     the list a per-trainer epoch would produce, because the round-robin
     only reorders work *across* independent trainers.
     """
-    batch_size = max(1, int(schedules[0].trainer.params.batch_size))
+    batch_size = int(schedules[0].trainer.params.batch_size)
     orders = [schedule.next_meta_order() for schedule in schedules]
     losses = [[] for _ in schedules]
     n_batches = max((len(order) + batch_size - 1) // batch_size

@@ -144,6 +144,7 @@ def test_every_paper_figure_has_a_row_and_table2_is_the_fidelity_row():
     steps = FIGURES["steps"]
     assert steps.seeds == table2.seeds and steps.xs == (1, 5, 10, 30)
     assert steps.methods == rounds.methods
+    assert FIGURES["fig8d"].seeds == table2.seeds
 
 
 def test_compare_bands_each_methods_average_over_x():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import LTEConfig
 from repro.core.meta_training import (AdaptedClassifier, MetaHyperParams,
                                       MetaTrainer)
 
@@ -32,6 +33,31 @@ class TestHyperParams:
             MetaHyperParams(lam=-1.0)
         with pytest.raises(ValueError):
             MetaHyperParams(local_optimizer="rmsprop")
+
+    @pytest.mark.parametrize("field,build", [
+        ("local_steps", lambda: MetaHyperParams(local_steps=0)),
+        ("local_steps", lambda: MetaHyperParams(local_steps=-3)),
+        ("batch_size", lambda: MetaHyperParams(batch_size=0)),
+        ("m", lambda: MetaHyperParams(m=0)),
+        ("epochs", lambda: MetaHyperParams(epochs=-1)),
+        ("pretrain_epochs", lambda: MetaHyperParams(pretrain_epochs=-1)),
+        ("online_steps", lambda: LTEConfig(online_steps=0)),
+        ("basic_steps", lambda: LTEConfig(basic_steps=-1)),
+        ("online_steps", lambda: setattr(LTEConfig(), "online_steps", 0)),
+        ("batch_size", lambda: setattr(MetaHyperParams(), "batch_size", 0)),
+        ("pretrain_epochs",
+         lambda: setattr(MetaHyperParams(), "pretrain_epochs", -1)),
+        ("local_steps", lambda: MetaTrainer(ku=3, input_width=2).adapt(
+            np.ones(3), np.ones((2, 2)), [0, 1], local_steps=0)),
+        ("local_steps", lambda: MetaTrainer(ku=3, input_width=2).evaluate(
+            [], None, local_steps=0)),
+    ])
+    def test_step_and_epoch_counts_are_refused(self, field, build):
+        """A count the loops cannot run raises ``ValueError`` naming its
+        field, at construction, on a later assignment or at the call;
+        zero epochs stay legal."""
+        with pytest.raises(ValueError, match=field):
+            build()
 
     def test_defaults_paper_like(self):
         p = MetaHyperParams()

@@ -1,10 +1,10 @@
 """The online local phase's array program against the eager oracle.
 
-``fused_local_adapt(..., keep_retrieved=True)`` -- every online local
-phase of Meta and Meta* -- builds no autograd graph: its steps are the
-plain array operations of ``repro.nn.batching._fixed_retrieval_steps``.
-This suite holds them to the eager per-task loop of
-``tests/train/_sequential_oracle.adapt(..., keep_retrieved=True)`` bit
+``fused_local_adapt(..., keep_retrieved=True)`` -- every local phase
+of Meta and Meta*, online and in meta-training's inner loop -- builds
+no autograd graph: its steps are the plain array operations of
+``repro.nn.batching._fixed_retrieval_steps``.  This suite holds them to
+the eager per-task loop of ``tests/train/_sequential_oracle.adapt`` bit
 for bit (trained parameters, the unchanged conversion and the last
 step's losses), the first step's gradients to the stacked autograd
 graph, and walks the edges of the arithmetic: a one-class label set,
@@ -78,8 +78,7 @@ def array_phase(trainer, features, xs, ys, steps=None):
 def assert_oracle_bits(trainer, features, xs, ys):
     models, conversion, losses = array_phase(trainer, features, xs, ys)
     for k, model in enumerate(models):
-        want, info = oracle.adapt(trainer, features[k], xs[k], ys[k],
-                                  keep_retrieved=True)
+        want, info = oracle.adapt(trainer, features[k], xs[k], ys[k])
         assert np.array_equal(model.flat_parameters(),
                               want.model.flat_parameters()), k
         if conversion is None:

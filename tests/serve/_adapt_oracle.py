@@ -75,9 +75,7 @@ def _continue(request):
     targets = request.targets
     pos_weight = balanced_pos_weight(targets) \
         if request.balance_classes else None
-    steps = request.steps if request.variant == "basic" \
-        else max(1, request.steps)
-    for _ in range(steps):
+    for _ in range(request.steps):
         optimizer.zero_grad()
         logits = model.forward(request.feature, request.encoded,
                                conversion=conversion)
@@ -104,8 +102,7 @@ def run_adapt_request(request):
         adapted, _ = adapt(
             state.trainer,
             request.feature, request.encoded, request.targets,
-            local_steps=cfg.online_steps, local_lr=cfg.online_lr,
-            keep_retrieved=True)
+            local_steps=cfg.online_steps, local_lr=cfg.online_lr)
     optimizer = None
     if request.builds_optimizer:
         optimizer = FewShotOptimizer(

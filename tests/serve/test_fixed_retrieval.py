@@ -6,9 +6,10 @@ after the initial round and every warm one, each classifier's UIS block
 Eq. 10) are exactly what ``MetaTrainer.task_retrieval`` returns for its
 feature vector — in a lone session, through a ``SessionManager`` and in
 the workers of a 2-worker ``ShardGateway``.  Basic retrieved nothing and
-trains all of its classifier.  Meta-training's inner loop still trains
-all four blocks: the memories read theta_R's last-step gradient and the
-adapted M_cp (Eqs. 15-16).
+trains all of its classifier.  Meta-training's inner loop keeps the
+retrieval too, without an autograd graph; the parameter memory then
+reads theta_R's query gradient (Eq. 15) and the conversion memory the
+retrieved M_cp moved by one query-gradient step (Eq. 16).
 """
 
 import copy
@@ -19,10 +20,12 @@ import pytest
 
 from repro.core import VARIANTS, framework
 from repro.core.meta_learner import UISClassifier
+from repro.nn.tensor import Tensor
 from repro.serve import SessionManager
 from repro.shard import ShardGateway
-from repro.train import (MetaBatchSlot, build_meta_batch_inputs,
-                         compute_meta_batch, encode_task_sets)
+from repro.train import (MetaBatchSlot, apply_meta_batch,
+                         build_meta_batch_inputs, compute_meta_batch,
+                         encode_task_sets, engine)
 
 ROUNDS = 2
 SEEDS = (0, 1)
@@ -168,15 +171,51 @@ def test_sharded_rounds_keep_the_retrieved_initialization(
     assert all(v["ok"] for v in verdicts)
 
 
-def test_meta_training_still_trains_theta_r_and_the_conversion(serve_lte):
+@pytest.mark.train
+def test_meta_training_keeps_the_retrieval_and_feeds_the_memories(
+        serve_lte, monkeypatch):
+    """A meta-batch's inner loop leaves each task's theta_R and M_cp
+    bit-equal to its retrieval and builds no autograd graph (no
+    ``Tensor`` node), while its query pass builds one; theta_R's query
+    gradient is non-zero and moves M_R (Eq. 15), and M_cp's moves M_CP
+    (Eq. 16)."""
     state = serve_lte.states[list(serve_lte.states)[0]]
-    trainer = state.trainer
+    trainer = copy.deepcopy(state.trainer)
     tasks = copy.deepcopy(state.task_generator).generate(3)
     encoded = encode_task_sets(tasks, state.encode_scaled)
     slots = [MetaBatchSlot(trainer, encoded, [0, 1, 2])]
     models, inputs = build_meta_batch_inputs(slots)
+    adapted, nodes, inside = [], [0], [0]
+    real_adapt, real_from_op = engine.fused_local_adapt, Tensor._from_op
+
+    def counted_from_op(*args):
+        nodes[0] += 1
+        return real_from_op(*args)
+
+    def kept(*args, **kwargs):
+        before = nodes[0]
+        out = real_adapt(*args, **kwargs)
+        inside[0] += nodes[0] - before
+        adapted.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(counted_from_op))
+    monkeypatch.setattr(engine, "fused_local_adapt", kept)
     result = compute_meta_batch(models, trainer.params, inputs)
+    (batched, conversion, _), = adapted
+    assert inside[0] == 0
+    assert nodes[0] > 0
     for k in range(3):
-        assert np.any(result.theta_grads[k] != 0.0)
+        uis = np.concatenate([param.data[k].ravel() for param in
+                              batched.uis_block.parameters()])
+        assert np.array_equal(uis, inputs.shifts[k])
+        assert np.array_equal(conversion.data[k], inputs.conversions[k])
+        assert all(np.any(grad[k] != 0.0)
+                   for name, grad in result.grad_stacks.items()
+                   if name.startswith("uis_block."))
         assert not np.array_equal(result.conversion_data[k],
                                   inputs.conversions[k])
+    memory = trainer.memories.state_dict()
+    apply_meta_batch(slots, inputs, result)
+    assert not np.array_equal(trainer.memories.M_R, memory["M_R"])
+    assert not np.array_equal(trainer.memories.M_CP, memory["M_CP"])

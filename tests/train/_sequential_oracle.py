@@ -30,13 +30,13 @@ from repro.train import TrainerSchedule, encode_task_sets
 
 
 def adapt(trainer, feature_vector, support_x, support_y, local_steps=None,
-          local_lr=None, keep_retrieved=False):
+          local_lr=None):
     """``MetaTrainer.adapt`` as it was: the eager local phase of one
-    task.  Returns ``(AdaptedClassifier, info)``.  With
-    ``keep_retrieved`` it is the online local phase: the optimizer
-    steps the tuple and classification blocks only, so theta_R and M_cp
-    keep their retrieved values (the forward and backward still run
-    through them, every step)."""
+    task, online and in meta-training's inner loop.  Returns
+    ``(AdaptedClassifier, info)``.  The optimizer steps the tuple and
+    classification blocks only, so theta_R and M_cp keep their retrieved
+    values (the forward and backward still run through them, every
+    step)."""
     params = trainer.params
     steps = params.local_steps if local_steps is None else int(local_steps)
     lr = params.rho if local_lr is None else float(local_lr)
@@ -48,42 +48,28 @@ def adapt(trainer, feature_vector, support_x, support_y, local_steps=None,
     if conversion is not None:
         conversion = Parameter(conversion)
 
-    if keep_retrieved:
-        trainable = [*local.tuple_block.parameters(),
-                     *local.clf_block.parameters()]
-    else:
-        trainable = list(local.parameters())
-        if conversion is not None:
-            trainable.append(conversion)
+    trainable = [*local.tuple_block.parameters(),
+                 *local.clf_block.parameters()]
     if params.local_optimizer == "adam":
         optimizer = Adam(trainable, lr=lr)
     else:
         optimizer = SGD(trainable, lr=lr)
 
-    theta_r_params = list(local.uis_block.parameters())
-    last_theta_r_grad = np.zeros(local.theta_r_size)
     loss_value = float("nan")
     pos_weight = balanced_pos_weight(support_y) \
         if params.balance_classes else None
-    for _ in range(max(1, steps)):
+    for _ in range(steps):
         optimizer.zero_grad()
         logits = local.forward(feature_vector, support_x,
                                conversion=conversion)
         loss = binary_cross_entropy_with_logits(logits, support_y,
                                                 pos_weight=pos_weight)
         loss.backward()
-        last_theta_r_grad = np.concatenate(
-            [np.zeros(p.size) if p.grad is None else p.grad.ravel()
-             for p in theta_r_params])
         optimizer.step()
         loss_value = loss.item()
 
     adapted = AdaptedClassifier(local, feature_vector, conversion)
-    info = {
-        "attention": attention,
-        "theta_r_grad": last_theta_r_grad,
-        "support_loss": loss_value,
-    }
+    info = {"attention": attention, "support_loss": loss_value}
     return adapted, info
 
 
@@ -115,10 +101,12 @@ def train_batch_sequential(trainer, encoded, batch):
     """One Eq. 12/13 meta-batch on the sequential reference executor.
 
     Adapts every task of the batch from the batch-start memory
-    state, backpropagates each query loss, applies the deferred
-    memory EMA updates (Eqs. 14-16) in task order and takes the one
-    aggregated Eq. 13 step on phi.  Returns the per-task query
-    losses in task order.
+    state (:func:`adapt`: theta_R and M_cp keep their retrieved values),
+    backpropagates each query loss, applies the deferred memory EMA
+    updates (Eqs. 14-16: theta_R's query gradient, and M_cp moved by one
+    query-gradient step) in task order and takes the one aggregated
+    Eq. 13 step on phi.  Returns the per-task query losses in task
+    order.
     """
     params = trainer.params
     phi_params = dict(trainer.model.named_parameters())
@@ -130,12 +118,13 @@ def train_batch_sequential(trainer, encoded, batch):
         v_r, sx, sy, qx, qy = encoded[task_idx]
         adapted, info = adapt(trainer, v_r, sx, sy)
         local = adapted.model
+        conversion = adapted.conversion
         # Global phase: query loss through adapted parameters
         # (first-order meta-gradient).
         local.zero_grad()
-        if adapted.conversion is not None:
-            adapted.conversion.zero_grad()
-        logits = local.forward(v_r, qx, conversion=adapted.conversion)
+        if conversion is not None:
+            conversion.zero_grad()
+        logits = local.forward(v_r, qx, conversion=conversion)
         query_pos_weight = balanced_pos_weight(qy) \
             if params.balance_classes else None
         query_loss = binary_cross_entropy_with_logits(
@@ -146,28 +135,30 @@ def train_batch_sequential(trainer, encoded, batch):
             if local_param.grad is not None:
                 accum[name] += local_param.grad
         if trainer.use_memories:
-            memory_updates.append((v_r, info, adapted))
-    for v_r, info, adapted in memory_updates:
-        _update_memories(trainer, v_r, info, adapted)
+            theta_r_grad = np.concatenate(
+                [p.grad.ravel() for p in local.uis_block.parameters()])
+            memory_updates.append((
+                v_r, info["attention"], theta_r_grad,
+                conversion.data - params.rho * conversion.grad))
+    for update in memory_updates:
+        _update_memories(trainer, *update)
     # Eq. 13: one aggregated step on phi.  The accumulated gradient
     # is averaged over the batch so the step size is invariant to
     # batch_size.
-    scale = params.lam / max(1, len(batch))
+    scale = params.lam / len(batch)
     for name, phi in phi_params.items():
         phi.data = phi.data - scale * accum[name]
     return losses
 
 
-def _update_memories(trainer, feature_vector, info, adapted):
+def _update_memories(trainer, feature_vector, attention, theta_r_grad,
+                     conversion):
     params = trainer.params
-    attention = info["attention"]
     trainer.memories.update_feature_patterns(attention, feature_vector,
                                              params.eta)
-    trainer.memories.update_parameter_memory(attention,
-                                             info["theta_r_grad"],
+    trainer.memories.update_parameter_memory(attention, theta_r_grad,
                                              params.beta)
-    trainer.memories.update_conversion_memory(attention,
-                                              adapted.conversion.data,
+    trainer.memories.update_conversion_memory(attention, conversion,
                                               params.gamma)
 
 
@@ -192,7 +183,7 @@ def evaluate(trainer, tasks, encode, local_steps=None):
     for task in tasks:
         adapted, _ = adapt(trainer, task.feature_vector,
                            encode(task.support_x), task.support_y,
-                           local_steps=local_steps, keep_retrieved=True)
+                           local_steps=local_steps)
         pred = adapted.predict(encode(task.query_x))
         scores.append(float(np.mean(pred == task.query_y)))
     return float(np.mean(scores)) if scores else 0.0
@@ -212,7 +203,7 @@ def run_schedule_sequential(schedule):
     while schedule.phase == "pretrain":
         run_pretrain_epoch_sequential(schedule)
         schedule.pretrain_done += 1
-    batch_size = max(1, int(trainer.params.batch_size))
+    batch_size = int(trainer.params.batch_size)
     while schedule.phase == "meta":
         order = schedule.next_meta_order()
         losses = []

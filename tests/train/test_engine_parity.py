@@ -313,7 +313,7 @@ def test_adapt_matches_sequential(task_generator, preprocessor, meta_tasks,
     args = (task.feature_vector, preprocessor.transform(task.support_x),
             task.support_y)
     want, want_info = oracle.adapt(trainer, *args, local_steps=local_steps,
-                                   local_lr=0.03, keep_retrieved=True)
+                                   local_lr=0.03)
     got, got_info = trainer.adapt(*args, local_steps=local_steps,
                                   local_lr=0.03)
     assert np.array_equal(got.model.flat_parameters(),
