@@ -67,7 +67,9 @@ from repro.data.subspaces import random_decomposition
 from repro.explore import ConjunctiveOracle
 from repro.geometry.engine import HullPackCache
 from repro.nn import cores
-from repro.nn.batching import fused_local_adapt, inference_logits
+from repro.nn.batching import (BatchedUISClassifier, block_leaves,
+                               fused_local_adapt, inference_logits,
+                               retrieval_constants)
 
 #: (name, ku, representation width, Ne, H) of the two workloads' nets.
 NETS = [("small", 40, 50, 32, 32), ("paper", 100, 118, 100, 64)]
@@ -108,10 +110,16 @@ def make_stack(k, rows, ku, width, ne, hidden, seed=0):
 def train(stack, tasks, steps=STEPS, keep_retrieved=False):
     """The adapted parameters of ``tasks`` of the stack, as arrays."""
     models, conversions, features, xs, ys = stack
+    models = [models[i] for i in tasks]
+    conversions = [conversions[i] for i in tasks]
+    batched = BatchedUISClassifier(models)
+    retrieved = None if not keep_retrieved else retrieval_constants(
+        block_leaves(batched.uis_block), features[tasks][:, None],
+        np.stack(conversions))
     batched, conversion, _ = fused_local_adapt(
-        [models[i] for i in tasks], features[tasks], xs[tasks], ys[tasks],
-        conversions=[conversions[i] for i in tasks], steps=steps, lr=0.01,
-        keep_retrieved=keep_retrieved)
+        models, features[tasks], xs[tasks], ys[tasks],
+        conversions=conversions, steps=steps, lr=0.01, batched=batched,
+        retrieved=retrieved)
     return [p.data for p in batched.parameters()] + [conversion.data]
 
 

@@ -2,7 +2,9 @@
 
 ``run [ids...] [--scale quick|medium|paper] [--out rec.json]`` measures,
 prints and checks rows of :data:`~repro.bench.experiments.FIGURES` (all by
-default) and writes a record: the ``commit``, the ``scale`` and one cell
+default) and writes a record: the ``commit``, the ``source`` digest of the
+``src/`` tree that ran (:func:`source_digest`; ``git describe --dirty``
+names only the commit below uncommitted work), the ``scale`` and one cell
 (figure, dataset, x, method, seed, value) per measurement.  ``compare A B``
 names each cell of A missing from B or whose seed mean in B is more than
 ``max(0.04, 3 sd / sqrt(n))`` from A's (A's sd over its n seeds; timings
@@ -18,6 +20,7 @@ own variance cancels); then it runs the table's checks on B.  Both exit
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -28,7 +31,7 @@ from .config import SCALES, get_scale
 from .experiments import FIGURES
 from .harness import print_matrix, print_series
 
-__all__ = ["run", "compare", "write_record", "main"]
+__all__ = ["run", "compare", "write_record", "source_digest", "main"]
 
 
 def _mean(values):
@@ -121,6 +124,25 @@ def _check(fig, tables):
     return failed
 
 
+def source_digest(root):
+    """Hex blake2b digest of every file under ``root`` as read — its
+    path relative to ``root`` and its bytes, in sorted order — less
+    ``__pycache__`` directories and compiled ``.pyc`` files."""
+    h = hashlib.blake2b(digest_size=16)
+    for folder, dirs, files in os.walk(root):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        for name in sorted(files):
+            if name.endswith(".pyc"):
+                continue
+            path = os.path.join(folder, name)
+            h.update(os.path.relpath(path, root).replace(os.sep, "/")
+                     .encode() + b"\0")
+            with open(path, "rb") as fh:
+                data = fh.read()
+            h.update(str(len(data)).encode() + b"\0" + data)
+    return h.hexdigest()
+
+
 def run(figures, scale, commit="unknown"):
     """Measure, print and check ``figures``; return ``(record, failed)``."""
     cells, failed = [], []
@@ -152,8 +174,10 @@ def run(figures, scale, commit="unknown"):
 def compare(a, b):
     """Print how record ``b`` differs from reference ``a``; return
     ``(moved, failed)``: moved or missing cells and failed checks."""
-    print("A: commit {} scale {}\nB: commit {} scale {}".format(
-        a["commit"], a["scale"], b["commit"], b["scale"]))
+    print("A: commit {} source {} scale {}\nB: commit {} source {} "
+          "scale {}".format(a["commit"], a.get("source", "unknown"),
+                            a["scale"], b["commit"],
+                            b.get("source", "unknown"), b["scale"]))
     in_a, in_b = _by_key(a["cells"]), _by_key(b["cells"])
     timing = {fig.id for fig in FIGURES.values() if fig.unit == "s"}
     moved, compared = [], 0
@@ -224,6 +248,8 @@ def main(argv=None):
     record, failed = run([FIGURES[i] for i in args.ids or FIGURES],
                          get_scale(args.scale),
                          commit=git.stdout.strip() or "unknown")
+    record["source"] = source_digest(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))))
     if args.out:
         write_record(record, args.out)
     print("{} checks failed".format(len(failed)))

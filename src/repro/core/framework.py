@@ -34,16 +34,16 @@ from ..data.sampling import (random_indices, random_sample,
 from ..data.subspaces import Subspace, random_decomposition
 from ..geometry.engine import HullPackCache
 from ..ml.scaler import MinMaxScaler
-from ..nn.batching import fused_local_adapt
+from ..nn.batching import block_leaves
 from ..nn.cores import fan_out, one_blas_thread, run_stack, step_macs
-from ..nn.tensor import Parameter
 from ..obs import default_registry
 from .meta_learner import UISClassifier
 from .meta_task import (MetaTaskGenerator, cluster_sample_rows,
                         uis_feature_vector)
 from .meta_training import (AdaptedClassifier, MetaHyperParams, MetaTrainer,
-                            check_count)
-from .optimizer import FewShotOptimizer, HullRegistry
+                            StateMismatchError, adapt_stack, check_count,
+                            checked_retrieval)
+from .optimizer import FewShotOptimizer, HullRegistry, caller_spans
 from .preprocessing import TabularPreprocessor
 from .uis import UISMode
 
@@ -53,12 +53,6 @@ __all__ = ["LTEConfig", "LTE", "ExplorationSession", "SubspaceState",
            "scan_conjunctions", "retrieve_rows", "VARIANTS"]
 
 VARIANTS = ("basic", "meta", "meta_star")
-
-
-class StateMismatchError(KeyError):
-    """A captured online state names a subspace or session that the
-    system restoring it does not have: the state is whole, but it
-    belongs to another system or decomposition."""
 
 
 #: One subspace's clustering work, ``n · (ku + ks + kq)`` over the n rows
@@ -612,11 +606,11 @@ def build_readapt_request(state, variant, config, adapted, encoded, labels):
     """Re-adaptation request from accumulated iterative-exploration labels.
 
     Continues from ``adapted``, the session's current
-    :class:`AdaptedClassifier` (its weights, conversion matrix and UIS
+    :class:`AdaptedClassifier` (its trained blocks, retrieval and UIS
     feature vector), over every label so far, and does not rebuild the
     few-shot optimizer (matching :meth:`ExplorationSession.add_labels`
     semantics).  ``adapted`` itself is never written: training runs on
-    a copy.
+    a stacked copy of its blocks.
     """
     if variant != "basic" and state.trainer is None:
         raise RuntimeError("subspace {} has no trained meta-learner".format(
@@ -629,59 +623,58 @@ def build_readapt_request(state, variant, config, adapted, encoded, labels):
         targets=labels, center_bits=None, start=adapted)
 
 
-def _prepare_local_model(request):
-    """One task's initial model and conversion matrix.
+def _local_start(request):
+    """What one task's local phase starts from: ``(blocks, retrieval)``
+    for :func:`~repro.core.meta_training.adapt_stack`.
 
-    A re-adaptation clones the classifier it continues from.  Otherwise
-    the task-wise initialization: Basic builds a fresh
-    seed-``config.seed`` classifier; Meta/Meta* clone the subspace's
-    meta-learned phi and apply the memory retrievals (attention ->
-    theta_R shift, conversion matrix).
+    A re-adaptation continues from the blocks of the classifier it
+    continues from — Meta and Meta* with its retrieval, by reference.
+    Otherwise the task-wise initialization: Basic builds a fresh
+    seed-``config.seed`` classifier and retrieves nothing; Meta/Meta*
+    start from phi's tuple and classification blocks and the memory
+    retrieval (:meth:`~repro.core.meta_training.MetaTrainer.task_retrieval`).
     """
     cfg = request.config
     state = request.state
-    if request.start is not None:
-        return request.start.model.clone(), \
-            None if request.start.conversion is None \
-            else request.start.conversion.data
+    start = request.start
+    if start is not None:
+        return start.blocks, \
+            None if request.variant == "basic" else start.retrieval
     if request.variant == "basic":
-        return UISClassifier(
+        model = UISClassifier(
             ku=state.summary.ku, input_width=state.preprocessor.width,
             embed_size=cfg.embed_size, hidden_size=cfg.hidden_size,
-            use_conversion=False, seed=cfg.seed), None
-    model, conversion, _ = state.trainer.task_retrieval(request.feature)
-    return model, conversion
+            use_conversion=False, seed=cfg.seed)
+        return {name: block_leaves(getattr(model, name))
+                for name in ("uis_block", "tuple_block", "clf_block")}, None
+    return state.trainer.local_start(), \
+        state.trainer.task_retrieval(request.feature)[0]
 
 
 def _adapt_bucket(requests):
     """Fused adaptation of shape-compatible requests (one per task): one
     stack, or two halves on two threads (:func:`repro.nn.cores.run_stack`)
-    once the stack is large enough to be worth it, each half building
-    its own tasks' initial models.  Meta and Meta* train the tuple and
+    once the stack is large enough to be worth it, each half preparing
+    its own tasks' starts.  Meta and Meta* stack and train the tuple and
     classification blocks only: theta_R and M_cp keep the values the
-    memories retrieved (Eqs. 6 and 10), in the initial round and every
-    warm one.  Basic, which retrieved nothing, trains all of its
-    classifier."""
+    memories retrieved (Eqs. 6 and 10), whose constants round 0 computes
+    and every warm round reads from the classifier it continues.  Basic,
+    which retrieved nothing, trains all of its classifier."""
     first = requests[0]
     keep_retrieved = first.variant != "basic"
 
     def train(tasks):
         """The adapted classifiers of ``requests[tasks]``."""
         stack = [requests[i] for i in tasks]
-        models, conversions = zip(*map(_prepare_local_model, stack))
-        batched, conversion, _ = fused_local_adapt(
-            models, np.stack([request.feature for request in stack]),
+        adapted, _ = adapt_stack(
+            first.model_config, [_local_start(request) for request in stack],
+            np.stack([request.feature for request in stack]),
             np.stack([request.encoded for request in stack]),
             np.stack([request.targets for request in stack]),
-            conversions=list(conversions), steps=first.steps, lr=first.lr,
+            steps=first.steps, lr=first.lr,
             optimizer_kind=first.optimizer_kind,
-            balance_classes=first.balance_classes,
-            keep_retrieved=keep_retrieved)
-        batched.unstack_into(models)
-        return [AdaptedClassifier(
-            model, request.feature, None if conversion is None
-            else Parameter(conversion.data[j].copy()))
-            for j, (model, request) in enumerate(zip(models, stack))]
+            balance_classes=first.balance_classes)
+        return adapted
 
     macs = step_macs(first.model_config, len(requests),
                      first.encoded.shape[0], keep_retrieved=keep_retrieved)
@@ -739,7 +732,11 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache,
     raw points in that subspace; ``pack_cache`` is the caller's
     :class:`~repro.geometry.engine.HullPackCache`; ``spans``, when the
     rows are stored chunks, their ``(digest, start, stop)`` tiling, for
-    the optimizers' decision memos.  Sessions are grouped
+    the optimizers' decision memos.  Without them a group's caller rows
+    are one span keyed by a digest of its projected points
+    (:func:`~repro.core.optimizer.caller_spans`), so a block of rows
+    asked again — the predictions after a label round — is recalled
+    too.  Sessions are grouped
     per (subspace, state *object*) — a refreshed subspace is a new
     object, so each generation scales and encodes with its own
     artifacts — and the block is answered in two passes:
@@ -806,7 +803,9 @@ def predict_conjunctions(conjunctions, project, n_rows, pack_cache,
 
         projected_at = clock()
         decisions = FewShotOptimizer.decide_batch(
-            optimizers, scale, pack_cache=pack_cache, spans=spans)
+            optimizers, scale, pack_cache=pack_cache,
+            spans=caller_spans(subspace, points, optimizers)
+            if spans is None else spans)
         if not finite.all():
             for key, _ in members:
                 alive[key] &= finite
@@ -1139,18 +1138,28 @@ class _SubspaceSession:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def state_dict(self, hull_registry=None):
+    def state_dict(self, hull_registry, current):
         """Checkpointable online state of this (session, subspace) pair.
 
         Everything the online phase accumulated — the drawn initial
         tuples, labels, the adapted classifier, the few-shot optimizer's
         regions, the model version — but none of the offline artifacts
-        (those are restored from the LTE system itself).
+        (those are restored from the LTE system itself).  A restore
+        recomputes a Meta / Meta* classifier's retrieval through the
+        meta-learner of ``current``, the subspace's state in the LTE
+        system now: one that adapted under another (the subspace was
+        refreshed or retrained since) is refused here, as its restore
+        would be, with :class:`StateMismatchError`.
         """
 
         def array_or_none(value):
             return None if value is None else np.asarray(value).copy()
 
+        adapted = None if self.adapted is None else self.adapted.state_dict()
+        if adapted is not None and self.variant != "basic":
+            checked_retrieval(_retrieving_trainer(current),
+                              self.adapted.feature_vector,
+                              adapted["retrieval_digest"])
         return {
             "initial_scaled": self._initial_scaled.copy(),
             "labels": array_or_none(self.labels),
@@ -1159,8 +1168,7 @@ class _SubspaceSession:
             "model_version": int(self.model_version),
             "adapt_seconds": None if self.adapt_seconds is None
             else float(self.adapt_seconds),
-            "adapted": None if self.adapted is None
-            else self.adapted.state_dict(),
+            "adapted": adapted,
             "optimizer": None if self.optimizer is None
             else self.optimizer.state_dict(hull_registry),
         }
@@ -1191,7 +1199,9 @@ class _SubspaceSession:
         session.model_version = int(state["model_version"])
         session.adapt_seconds = state["adapt_seconds"]
         session.adapted = None if state["adapted"] is None \
-            else AdaptedClassifier.from_state_dict(state["adapted"])
+            else AdaptedClassifier.from_state_dict(
+                state["adapted"], None if variant == "basic"
+                else _retrieving_trainer(subspace_state))
         session.optimizer = None if state["optimizer"] is None \
             else FewShotOptimizer.from_state_dict(
                 state["optimizer"], subspace_state.summary, hulls=hulls)
@@ -1210,6 +1220,18 @@ class _SubspaceSession:
         candidates = self.state.subspace.validate_points(candidates)
         proba = self.adapted.predict_proba(self.state.encode(candidates))
         return np.argsort(np.abs(proba - 0.5))[:k]
+
+
+def _retrieving_trainer(state):
+    """The meta-learner that recomputes a Meta / Meta* classifier's
+    retrieval over the subspace ``state``; :class:`StateMismatchError`
+    when it has none."""
+    if state.trainer is None:
+        raise StateMismatchError(
+            "subspace {} has no trained meta-learner to recompute the "
+            "retrieval of its classifier".format(
+                tuple(state.subspace.names)))
+    return state.trainer
 
 
 class ExplorationSession:
@@ -1246,15 +1268,19 @@ class ExplorationSession:
         decomposition.  Pass a shared
         :class:`~repro.core.optimizer.HullRegistry` when snapshotting
         many sessions at once (the serving layer does); without one the
-        state embeds its own hull table and is self-contained.
+        state embeds its own hull table and is self-contained.  A Meta /
+        Meta* session whose classifier adapted under a meta-learner the
+        system no longer holds for its subspace (it was refreshed or
+        retrained since) would not restore, and raises
+        :class:`StateMismatchError` here.
         """
         registry = hull_registry if hull_registry is not None \
             else HullRegistry()
         state = {
             "variant": self.variant,
             "subspaces": [list(s.names) for s in self._subsessions],
-            "sessions": [ss.state_dict(registry)
-                         for ss in self._subsessions.values()],
+            "sessions": [ss.state_dict(registry, self.lte.states[subspace])
+                         for subspace, ss in self._subsessions.items()],
             "store_marks": {uid: dict(mark, result=mark["result"].copy())
                             for uid, mark in self._store_marks.items()},
         }

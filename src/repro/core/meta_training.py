@@ -41,18 +41,30 @@ bit for bit (property-fuzzed in ``tests/train``).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..nn.batching import (constant_logits, fused_local_adapt,
-                           inference_constants)
-from ..nn.tensor import Parameter, stable_sigmoid
+from ..nn.batching import (BatchedUISClassifier, block_leaves,
+                           constant_logits, flat_leaves, fused_local_adapt,
+                           retrieval_constants, stack_leaves,
+                           stack_retrievals)
+from ..nn.tensor import stable_sigmoid
 from .memory import MetaMemories
 from .meta_learner import UISClassifier
 
 __all__ = ["MetaHyperParams", "AdaptedClassifier", "MetaTrainer",
-           "check_count"]
+           "StateMismatchError", "adapt_stack", "check_count",
+           "checked_retrieval", "retrieval_digest"]
+
+
+class StateMismatchError(KeyError):
+    """A captured online state does not fit the system restoring it: it
+    names a subspace or session that system lacks, or its classifier's
+    retrieval is not the one that system's meta-learner computes.  The
+    state is whole, but it belongs to another system, decomposition or
+    generation."""
 
 
 def check_count(name, value, least):
@@ -117,28 +129,69 @@ class MetaHyperParams:
             raise ValueError("local_optimizer must be 'adam' or 'sgd'")
 
 
-class AdaptedClassifier:
-    """A task-adapted classifier: model copy + its conversion matrix + v_R.
+#: The blocks an adapted classifier keeps: what its local phase trains.
+#: Basic trains its UIS block too; Meta and Meta* keep its retrieval.
+_TRAINED = ("tuple_block", "clf_block")
+_BASIC_TRAINED = ("uis_block",) + _TRAINED
 
-    Never changed once built (a label round trains a copy), so its
-    :func:`~repro.nn.batching.inference_constants` are computed on the
-    first prediction and kept — in no checkpoint, pickle or copy.
+
+def retrieval_digest(retrieval):
+    """Hex blake2b digest of a :class:`~repro.nn.batching.Retrieval`: what
+    a checkpoint stores in place of the constants it recomputes."""
+    h = hashlib.blake2b(digest_size=16, person=b"lte-retrieval")
+    for array in retrieval:
+        if array is None:
+            h.update(b"~")
+            continue
+        array = np.ascontiguousarray(array, dtype=np.float64)
+        h.update(str(array.shape).encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def checked_retrieval(trainer, feature_vector, digest):
+    """The :class:`~repro.nn.batching.Retrieval` ``trainer`` computes for
+    ``feature_vector``, which a Meta / Meta* classifier whose state
+    holds ``digest`` restores with; :class:`StateMismatchError` unless
+    it matches, i.e. unless ``trainer`` is the meta-learner the
+    classifier adapted under."""
+    retrieval, _ = trainer.task_retrieval(feature_vector)
+    got = retrieval_digest(retrieval)
+    if got != digest:
+        raise StateMismatchError(
+            "the subspace's meta-learner retrieves another initialization "
+            "than the one the classifier adapted under (digest {} != {}): "
+            "the subspace was refreshed or retrained since".format(
+                got, digest))
+    return retrieval
+
+
+class AdaptedClassifier:
+    """A task-adapted classifier: what its labels trained, v_R and the
+    fixed retrieval it scores with.
+
+    ``blocks`` maps each block the local phase trained — the tuple and
+    classification blocks, and for Basic the UIS block too — to its
+    :func:`~repro.nn.batching.block_leaves`.  ``retrieval`` is the
+    :class:`~repro.nn.batching.Retrieval` (``emb_R``, ``W``, ``c``):
+    for Meta and Meta* the one :meth:`MetaTrainer.task_retrieval`
+    computed at round 0, carried by reference by every later round;
+    for Basic computed here from the UIS block it trained.  Never
+    changed once built (a label round trains a copy of the blocks).
     """
 
-    def __init__(self, model, feature_vector, conversion=None):
-        self.model = model
+    def __init__(self, config, feature_vector, blocks, retrieval=None):
+        self.config = config
         self.feature_vector = np.asarray(feature_vector, dtype=np.float64)
-        self.conversion = conversion
-        self._constants = None
-
-    def __getstate__(self):
-        return dict(self.__dict__, _constants=None)
+        self.blocks = blocks
+        if retrieval is None:
+            retrieval = retrieval_constants(
+                blocks["uis_block"], self.feature_vector.reshape(1, -1))
+        self.retrieval = retrieval
+        self._constants = (blocks["tuple_block"], blocks["clf_block"],
+                           retrieval)
 
     def predict_proba(self, tuple_vectors):
-        if self._constants is None:
-            self._constants = inference_constants(
-                self.model, self.feature_vector, None
-                if self.conversion is None else self.conversion.data)
         return stable_sigmoid(constant_logits(self._constants,
                                               tuple_vectors))
 
@@ -147,23 +200,65 @@ class AdaptedClassifier:
 
     # ------------------------------------------------------------------
     def state_dict(self):
-        """Checkpointable state: model config + weights, v_R, M_cp."""
-        return {
-            "config": dict(self.model.config),
-            "model": self.model.state_dict(),
-            "feature_vector": self.feature_vector.copy(),
-            "conversion": None if self.conversion is None
-            else self.conversion.data.copy(),
-        }
+        """Checkpointable state: model config, v_R and the trained blocks'
+        leaf arrays; for Meta / Meta* the :func:`retrieval_digest` of the
+        retrieval, which a restore recomputes."""
+        state = {"config": dict(self.config),
+                 "feature_vector": self.feature_vector.copy()}
+        for name, leaves in self.blocks.items():
+            state[name] = [None if leaf is None else tuple(
+                None if array is None else array.copy() for array in leaf)
+                for leaf in leaves]
+        if "uis_block" not in self.blocks:
+            state["retrieval_digest"] = retrieval_digest(self.retrieval)
+        return state
 
     @classmethod
-    def from_state_dict(cls, state):
-        """Rebuild an adapted classifier from :meth:`state_dict` output."""
-        model = UISClassifier.from_config(state["config"])
-        model.load_state_dict(state["model"])
-        conversion = None if state["conversion"] is None \
-            else Parameter(np.array(state["conversion"], dtype=np.float64))
-        return cls(model, state["feature_vector"], conversion)
+    def from_state_dict(cls, state, trainer=None):
+        """Rebuild an adapted classifier from :meth:`state_dict` output.
+
+        A Meta / Meta* state recomputes its retrieval through ``trainer``
+        (:func:`checked_retrieval`): the trainer must be the one the
+        classifier adapted under (not a refreshed or further trained
+        one).  A Basic state (``trainer`` None) holds its UIS
+        block.  A missing field is a ``KeyError`` naming it."""
+        config = state["config"]
+        feature_vector = np.array(state["feature_vector"], dtype=np.float64)
+        names = _BASIC_TRAINED if trainer is None else _TRAINED
+        blocks = {name: tuple(None if leaf is None else tuple(
+            None if array is None else np.array(array, dtype=np.float64)
+            for array in leaf) for leaf in state[name]) for name in names}
+        if trainer is None:
+            return cls(config, feature_vector, blocks)
+        return cls(config, feature_vector, blocks, checked_retrieval(
+            trainer, feature_vector, state["retrieval_digest"]))
+
+
+def adapt_stack(config, starts, features, xs, ys, *, steps, lr,
+                optimizer_kind, balance_classes):
+    """The local phase of K tasks as one stack, the adapted classifiers
+    and the last step's (K,) losses.
+
+    ``starts`` holds each task's ``(blocks, retrieval)``: the
+    :func:`~repro.nn.batching.block_leaves` it starts from, and for Meta
+    and Meta* the :class:`~repro.nn.batching.Retrieval` that keeps its
+    value (None for Basic, which trains every block through the graph).
+    Only the given blocks are stacked and unstacked; each classifier
+    carries its retrieval by reference."""
+    retrievals = [retrieval for _, retrieval in starts]
+    names = list(starts[0][0])
+    batched = BatchedUISClassifier.from_blocks(config, len(starts), {
+        name: stack_leaves([blocks[name] for blocks, _ in starts])
+        for name in names})
+    _, _, losses = fused_local_adapt(
+        None, features, xs, ys, batched=batched, steps=steps, lr=lr,
+        optimizer_kind=optimizer_kind, balance_classes=balance_classes,
+        retrieved=None if retrievals[0] is None
+        else stack_retrievals(retrievals))
+    return [AdaptedClassifier(
+        config, features[j],
+        {name: block_leaves(getattr(batched, name), j) for name in names},
+        retrievals[j]) for j in range(len(starts))], losses
 
 
 class MetaTrainer:
@@ -199,27 +294,37 @@ class MetaTrainer:
     # ------------------------------------------------------------------
     # Local phase (shared by offline training and online adaptation)
     # ------------------------------------------------------------------
-    def task_retrieval(self, feature_vector):
-        """Task-wise initialization of a working copy (Eqs. 6, 10, 11).
+    def retrieved_init(self, feature_vector):
+        """The task-wise initialization the memories retrieve (Eqs. 6,
+        10): ``(theta_R, M_cp, attention)``, theta_R = phi_R - sigma *
+        omega_R as a flat vector (phi_R itself, M_cp and the attention
+        None, without memories), read from the *current* memory state."""
+        theta_r = self.model.get_theta_r_flat()
+        if not self.use_memories:
+            return theta_r, None, None
+        attention = self.memories.attention(feature_vector)
+        theta_r -= self.params.sigma * self.memories.omega_r(attention)
+        return theta_r, self.memories.conversion(attention), attention
 
-        Returns ``(local_model, conversion_matrix | None,
-        attention | None)``: a clone of phi with the memory-retrieved
-        theta_R shift applied and the retrieved conversion matrix, read
-        from the *current* memory state — the one spelling of the
-        task-wise initialization that :meth:`adapt`, the online requests
-        and batched evaluation share.
-        """
+    def task_retrieval(self, feature_vector):
+        """The fixed retrieval of one task, ``(Retrieval, attention |
+        None)``: ``emb_R`` of the retrieved theta_R, ``W`` and ``c`` of
+        the retrieved M_cp (:func:`~repro.nn.batching.retrieval_constants`)
+        — no copy of phi is made.  The one spelling of the task-wise
+        initialization :meth:`adapt`, the online requests and a
+        classifier's restore share."""
         feature_vector = np.asarray(feature_vector, dtype=np.float64)
-        local = self.model.clone(seed=self.seed)
-        conversion = None
-        attention = None
-        if self.use_memories:
-            attention = self.memories.attention(feature_vector)
-            omega = self.memories.omega_r(attention)
-            local.set_theta_r_flat(
-                local.get_theta_r_flat() - self.params.sigma * omega)
-            conversion = self.memories.conversion(attention)
-        return local, conversion, attention
+        theta_r, conversion, attention = self.retrieved_init(feature_vector)
+        return retrieval_constants(
+            flat_leaves(self.model.uis_block, theta_r),
+            feature_vector.reshape(1, self.model.ku), conversion), attention
+
+    def local_start(self):
+        """What a local phase starts from besides the retrieval: phi's
+        tuple and classification blocks (Eq. 11), as
+        :func:`~repro.nn.batching.block_leaves` views."""
+        return {name: block_leaves(getattr(self.model, name))
+                for name in _TRAINED}
 
     def adapt(self, feature_vector, support_x, support_y, local_steps=None,
               local_lr=None):
@@ -253,18 +358,13 @@ class MetaTrainer:
         support_x = np.atleast_2d(np.asarray(support_x, dtype=np.float64))
         support_y = np.asarray(support_y, dtype=np.float64).ravel()
 
-        local, conversion, attention = self.task_retrieval(feature_vector)
+        retrieval, attention = self.task_retrieval(feature_vector)
         # The local phase is the stacked program at K = 1.
-        batched, conversion, task_losses = fused_local_adapt(
-            [local], feature_vector[None], support_x[None], support_y[None],
-            conversions=[conversion], steps=steps, lr=lr,
-            optimizer_kind=params.local_optimizer,
-            balance_classes=params.balance_classes, keep_retrieved=True)
-        batched.unstack_into([local])
-        if conversion is not None:
-            conversion = Parameter(conversion.data[0])
-
-        adapted = AdaptedClassifier(local, feature_vector, conversion)
+        (adapted,), task_losses = adapt_stack(
+            self.model.config, [(self.local_start(), retrieval)],
+            feature_vector[None], support_x[None], support_y[None],
+            steps=steps, lr=lr, optimizer_kind=params.local_optimizer,
+            balance_classes=params.balance_classes)
         info = {"attention": attention,
                 "support_loss": float(task_losses[0])}
         return adapted, info

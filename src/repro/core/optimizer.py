@@ -40,12 +40,17 @@ initial labels; every later label round re-adapts only the classifier
 hands :meth:`FewShotOptimizer.decide_batch` the chunk spans of its
 block, each optimizer memoizes its ``inner`` / ``open`` masks per chunk
 content digest, as packed bits, and the rescan that follows a label
-round runs only the classifiers.  The memo belongs to the optimizer
-object: new hulls are a new optimizer (or a :meth:`~FewShotOptimizer.fit`,
-which starts a fresh memo), an optimizer serves the one subspace state
-— scaler — it was fitted over, and the digest covers the rows.  It is
-capped at :data:`_MEMO_ROWS` rows, least recently used chunks first,
-and never checkpointed or pickled.
+round runs only the classifiers.  Caller rows are recalled the same
+way: :func:`~repro.core.framework.predict_conjunctions` hands a block of
+them over as one span keyed by a digest of its projected points
+(:func:`caller_spans`), so the predictions after a label round over the
+rows the last ones asked run only the classifiers too.  The memo
+belongs to the optimizer object: new hulls are a new optimizer (or a
+:meth:`~FewShotOptimizer.fit`, which starts a fresh memo), an optimizer
+serves the one subspace state — scaler — it was fitted over, and the
+digest covers the rows.  It is capped at :data:`_MEMO_ROWS` rows and
+:data:`_MEMO_ENTRIES` spans, least recently used spans first, and never
+checkpointed or pickled.
 
 **An anchor hull is a function of the summary.**  The hull around a
 positive C_s center covers that center and its ``n`` nearest C_u
@@ -65,6 +70,7 @@ the oracle of ``tests/core/_task_oracle.py``.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 
@@ -76,12 +82,19 @@ from ..geometry.regions import ScaledRegion, UnionRegion
 from ..obs import default_registry
 from ..store.scan import region_bounds
 
-__all__ = ["FewShotOptimizer", "HullRegistry"]
+__all__ = ["FewShotOptimizer", "HullRegistry", "caller_spans"]
 
-#: Most stored-chunk rows one optimizer's decision memo holds, at two
-#: bits a row (256 KiB); past it the least recently used chunks go
-#: first, and a larger chunk is never memoized.  No answer depends on it.
+#: Most rows one optimizer's decision memo holds, at two bits a row
+#: (256 KiB); past it the least recently used spans go first, and a
+#: larger span is never memoized.  No answer depends on it.
 _MEMO_ROWS = 1 << 20
+
+#: Most spans one decision memo holds.  An entry costs a few hundred
+#: bytes besides its bits (key, tuple, array header, order node), so
+#: without this cap a stream of distinct one-row caller blocks would
+#: grow a memo to about a million entries under the row cap.  1024
+#: spans are the row cap's worth of 1024-row chunks.
+_MEMO_ENTRIES = 1 << 10
 
 
 class HullRegistry:
@@ -164,7 +177,7 @@ class _DecisionMemo:
     Each entry is ``(rows, bits)``: ``bits`` packs the chunk's ``inner``
     and ``open`` masks as a ``(2, ceil(rows / 8))`` uint8 array.  Least
     recently used entries go first once more than :data:`_MEMO_ROWS`
-    rows are held.  A lock guards the order, so sessions scanned from
+    rows or :data:`_MEMO_ENTRIES` entries are held.  A lock guards the order, so sessions scanned from
     two threads share one memo safely.
     """
 
@@ -198,9 +211,28 @@ class _DecisionMemo:
                 return
             self._entries[digest] = (rows, bits)
             self._rows += rows
-            while self._rows > _MEMO_ROWS:
+            while self._rows > _MEMO_ROWS \
+                    or len(self._entries) > _MEMO_ENTRIES:
                 _, (dropped, _) = self._entries.popitem(last=False)
                 self._rows -= dropped
+
+
+def caller_spans(subspace, points, optimizers):
+    """The ``spans`` of :meth:`FewShotOptimizer.decide_batch` for a block
+    of caller rows: one span over all of ``points``, the rows' projection
+    on ``subspace``, keyed by a blake2b digest tagged apart from stored
+    chunks' and covering the subspace's columns and the points' shape
+    and bytes.  None — every row asked, nothing kept — when no optimizer
+    has a subregion or the block holds more than :data:`_MEMO_ROWS`
+    rows, which is then not digested."""
+    n = len(points)
+    if n > _MEMO_ROWS or not any(map(_settles, optimizers)):
+        return None
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    h = hashlib.blake2b(digest_size=16, person=b"lte-caller-rows")
+    h.update(repr((tuple(subspace.columns), points.shape)).encode())
+    h.update(points.tobytes())
+    return [(h.hexdigest(), 0, n)]
 
 
 def _settles(optimizer):
@@ -423,8 +455,9 @@ class FewShotOptimizer:
         hulls, and :meth:`fit` starts a fresh memo.  A chunk every
         optimizer holds is answered from the memos; the engine call
         covers only the chunks some optimizer misses, and only the
-        optimizers that miss one.  ``core.optimizer.memo.hits`` /
-        ``.misses`` count chunk·optimizers.
+        optimizers that miss one.  A block of caller rows is one such
+        span (:func:`caller_spans`).  ``core.optimizer.memo.hits`` /
+        ``.misses`` count span·optimizers.
 
         Returns one ``(answers, open_rows)`` pair per optimizer:
         ``answers`` is a fresh ``(n,)`` int64 vector, 1 inside the inner

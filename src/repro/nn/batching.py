@@ -20,10 +20,10 @@ both layers build on:
   For Meta and Meta*, online and in meta-training's inner loop alike,
   it trains the tuple and classification blocks only, and its steps are
   one array program with no autograd graph
-  (:func:`_fixed_retrieval_steps`): the UIS block and the conversion's
-  ``W`` and ``c`` once per stack, then each step's forward and explicit
-  backward into buffers allocated once, with the graph's bits.  Basic
-  trains all of its classifier through the graph;
+  (:func:`_fixed_retrieval_steps`) fed the retrieval's ``emb_R``,
+  ``W`` and ``c`` (:class:`Retrieval`), each step's forward and
+  explicit backward into buffers allocated once, with the graph's bits.
+  Basic trains all of its classifier through the graph;
 * :func:`grad_stacks` — per-task gradient slices out of the stacked
   parameters, in the exact layout of the corresponding per-task model
   (the meta-training global phase and the parameter memory's EMA
@@ -34,9 +34,11 @@ both layers build on:
 * :func:`stacked_predict` — fused 0/1 predictions of the stacks just
   trained (the training engine's query accuracy only);
 * :func:`inference_logits` — the no-grad forward of ONE classifier as
-  plain ``np.matmul`` products, no :class:`Tensor` nodes, the conversion
-  through :func:`~repro.nn.functional.conversion_rows` — the array
-  kernel under ``convert_embeddings``.  Every prediction outside
+  plain ``np.matmul`` products, no :class:`Tensor` nodes, through
+  :func:`constant_logits` over the classifier's leaf arrays
+  (:func:`block_leaves`) and its :class:`Retrieval` — ``emb_R``,
+  ``W = M2 + M3 * emb_R`` and ``c = emb_R @ M1^T``, computed once a
+  task (:func:`retrieval_constants`).  Every prediction outside
   training goes through it: serving scores each session over the rows
   *its* hulls left open, so nothing is stacked.
 
@@ -54,6 +56,7 @@ the models it stacks, so :mod:`repro.nn` does not import
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -61,8 +64,7 @@ import numpy as np
 from .functional import (batched_binary_cross_entropy_grad,
                          batched_binary_cross_entropy_with_logits,
                          batched_pos_weight, conversion_constant,
-                         conversion_rows, conversion_weight,
-                         convert_embeddings)
+                         conversion_weight, convert_embeddings)
 from .layers import (BatchedLinear, Linear, Module, ReLU, Sequential,
                      batch_modules, unstack_modules)
 from .optim import SGD, Adam
@@ -71,7 +73,16 @@ from .tensor import Parameter, Tensor, no_grad
 __all__ = ["BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
            "load_flat_stack", "grad_stacks", "stacked_loss_backward",
            "stacked_predict", "inference_logits", "inference_constants",
-           "constant_logits"]
+           "constant_logits", "Retrieval", "retrieval_constants",
+           "stack_retrievals", "block_leaves", "flat_leaves",
+           "stack_leaves"]
+
+#: What a task's fixed retrieval gives every row, one task's or a (K,
+#: ...) stack of them: ``emb_r`` = the UIS block of ``v_R``, (..., 1, Ne);
+#: with a conversion matrix ``M_cp = [M1 | M2 | M3]``, ``weight`` = ``W =
+#: M2 + M3 * emb_R``, (..., Ne, Ne), and ``constant`` = ``emb_R @ M1^T``,
+#: (..., 1, Ne) — both None without one.  Read-only once computed.
+Retrieval = namedtuple("Retrieval", ["emb_r", "weight", "constant"])
 
 
 class BatchedUISClassifier(Module):
@@ -99,6 +110,22 @@ class BatchedUISClassifier(Module):
         self.uis_block = batch_modules([m.uis_block for m in models])
         self.tuple_block = batch_modules([m.tuple_block for m in models])
         self.clf_block = batch_modules([m.clf_block for m in models])
+
+    @classmethod
+    def from_blocks(cls, config, k, blocks):
+        """K tasks whose blocks are already stacked: ``blocks`` maps some
+        of ``uis_block`` / ``tuple_block`` / ``clf_block`` to a
+        :func:`stack_leaves` module.  The online local phase of Meta and
+        Meta* stacks only the two blocks it trains."""
+        out = cls.__new__(cls)
+        Module.__init__(out)
+        out.k = int(k)
+        out.ku = config["ku"]
+        out.embed_size = config["embed_size"]
+        out.use_conversion = config["use_conversion"]
+        for name, block in blocks.items():
+            setattr(out, name, block)
+        return out
 
     def unstack_into(self, models):
         """Copy the adapted per-slice parameters back into K models."""
@@ -192,8 +219,7 @@ def load_flat_stack(module, flat_stack):
 
 def fused_local_adapt(models, features, xs, ys, *, conversions=None,
                       steps=1, lr=0.01, optimizer_kind="adam",
-                      balance_classes=True, batched=None,
-                      keep_retrieved=False):
+                      balance_classes=True, batched=None, retrieved=None):
     """Fused few-shot optimization of K stacked tasks (the local phase).
 
     Stacks ``models`` (and their task-wise conversion matrices, if any)
@@ -202,17 +228,17 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     so each task's parameters see exactly their own sequential gradient
     and one Adam/SGD instance updates all K tasks at once.
 
-    With ``keep_retrieved`` the task-wise initialization the memories
+    Given ``retrieved``, the task-wise initialization the memories
     retrieved -- the UIS block (theta_R = phi_R - sigma * omega_R, Eq. 6)
     and the conversion matrices (M_cp, Eq. 10) -- keeps its values and
     the optimizer steps the tuple and classification blocks only: the
     local phase of Meta and Meta*, online and in meta-training's inner
     loop.  Its steps build no autograd graph: they are one array program
-    (:func:`_fixed_retrieval_steps`) that runs the UIS block and the
-    conversion's ``W`` and ``c`` once per stack and each step's forward
-    and backward into buffers allocated once, with the autograd graph's
-    bits.  Basic, which retrieved nothing, trains all of its classifier
-    through the graph.
+    (:func:`_fixed_retrieval_steps`) fed those constants that runs each
+    step's forward and backward into buffers allocated once, with the
+    autograd graph's bits.  Basic,
+    which retrieved nothing, trains all of its classifier through the
+    graph.
 
     Parameters
     ----------
@@ -232,9 +258,13 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
         already hold the task-wise initializations (``models`` is then
         ignored); the offline engine uses this to stack straight off the
         meta-learned template without constructing K model copies.
-    keep_retrieved:
-        Whether the UIS block and the conversion matrices keep their
-        retrieved values (above); False trains every block.
+    retrieved:
+        The stack's :class:`Retrieval`, whose values the UIS block and
+        the conversion matrices keep (above); None trains every block.
+        Serving stacks its classifiers' (:func:`stack_retrievals`),
+        meta-training computes it from its stack
+        (:func:`retrieval_constants`).  The stacks then need no UIS
+        block, and ``conversions`` trains nothing.
 
     Returns
     -------
@@ -257,11 +287,11 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     ys = np.asarray(ys, dtype=np.float64)
     pos_weight = batched_pos_weight(ys) if balance_classes else None
 
-    if keep_retrieved:
+    if retrieved is not None:
         trainable = [*batched.tuple_block.parameters(),
                      *batched.clf_block.parameters()]
-        loss_backward = _fixed_retrieval_steps(batched, conversion, features,
-                                               xs, ys, pos_weight)
+        loss_backward = _fixed_retrieval_steps(batched, retrieved, xs, ys,
+                                               pos_weight)
     else:
         trainable = list(batched.parameters())
         if conversion is not None:
@@ -278,16 +308,16 @@ def fused_local_adapt(models, features, xs, ys, *, conversions=None,
     return batched, conversion, task_losses
 
 
-def _fixed_retrieval_steps(batched, conversion, features, xs, ys,
-                           pos_weight):
+def _fixed_retrieval_steps(batched, retrieved, xs, ys, pos_weight):
     """The online local phase's step without an autograd graph: a
     function that runs one forward and backward of the summed per-task
     BCE loss, sets the tuple and classification blocks' ``.grad`` and
     returns the (K,) per-task losses.
 
-    ``emb_R``, ``W`` and ``c`` (the helpers of
-    :func:`~repro.nn.functional.conversion_rows`) are computed once per
-    stack, since the UIS block and ``conversion`` do not train.  A step
+    ``retrieved`` is the stack's :class:`Retrieval`: ``emb_R``, ``W``
+    and ``c`` (the helpers of
+    :func:`~repro.nn.functional.conversion_rows`) do not change while
+    the UIS block and the conversion do not train.  A step
     walks the blocks' leaf layers, stacked Linear or ReLU (anything else
     is a ``TypeError``), into buffers allocated here.  Each operation is
     the one the Tensor graph of :meth:`BatchedUISClassifier.forward`
@@ -295,14 +325,11 @@ def _fixed_retrieval_steps(batched, conversion, features, xs, ys,
     its bits (``tests/nn/test_fixed_retrieval_steps.py``).
     """
     k, n, _ = xs.shape
-    emb_r = _infer_layers(_leaf_layers(batched.uis_block),
-                          features.reshape(k, 1, batched.ku))   # (K, 1, Ne)
+    emb_r, w, constant = retrieved                               # (K, 1, Ne)
     ne = emb_r.shape[-1]
     tuple_plan = _step_plan(batched.tuple_block, k, n, xs.shape[-1], False)
-    if conversion is not None:
-        w = conversion_weight(emb_r, conversion.data)            # (K, Ne, Ne)
-        w_t = np.swapaxes(w, -1, -2)
-        constant = conversion_constant(emb_r, conversion.data)   # (K, 1, Ne)
+    if w is not None:
+        w_t = np.swapaxes(w, -1, -2)                             # (K, Ne, Ne)
         combined = np.empty((k, n, ne))
     else:
         combined = np.empty((k, n, 3 * ne))
@@ -312,7 +339,7 @@ def _fixed_retrieval_steps(batched, conversion, features, xs, ys,
 
     def loss_backward():
         emb_x = _step_forward(tuple_plan, xs)                    # (K, n, Ne)
-        if conversion is not None:
+        if w is not None:
             np.add(np.matmul(emb_x, w_t, out=combined), constant,
                    out=combined)
         else:
@@ -322,7 +349,7 @@ def _fixed_retrieval_steps(batched, conversion, features, xs, ys,
         task_losses, grad = batched_binary_cross_entropy_grad(
             logits.reshape(k, n), ys, pos_weight)
         grad = _step_backward(clf_plan, grad.reshape(k, n, 1))
-        if conversion is not None:
+        if w is not None:
             np.matmul(grad, w, out=grad_x)
         else:
             np.add(grad[..., ne:2 * ne],
@@ -455,66 +482,149 @@ def _leaf_layers(module):
         yield module
 
 
-def _infer_layers(layers, x):
-    """The leaf ``layers`` of a ``Sequential`` tree of ``Linear`` (or
-    ``BatchedLinear``) / ``ReLU`` layers of any depth applied to ``x``,
-    on raw arrays.  Each step is
-    the array operation the layer's ``forward`` performs, in place on
-    the running activation (the input is never written); the rectifier
-    is ``x * (x > 0)``, not ``maximum``, which keeps the ``-0.0`` and
-    NaN the autograd op yields.
+def _infer_layers(leaves, x):
+    """A block's :func:`block_leaves` applied to ``x``, on raw arrays.
+    Each step is the array operation the layer's ``forward`` performs,
+    in place on the running activation (the input is never written);
+    the rectifier is ``x * (x > 0)``, not ``maximum``, which keeps the
+    ``-0.0`` and NaN the autograd op yields.
     """
     owned = False
-    for layer in layers:
-        if isinstance(layer, (Linear, BatchedLinear)):
-            x = np.matmul(x, layer.weight.data)
-            if layer.bias is not None:
-                np.add(x, layer.bias.data, out=x)
-        elif isinstance(layer, ReLU):
+    for leaf in leaves:
+        if leaf is None:
             x = np.multiply(x, x > 0, out=x if owned else None)
         else:
-            raise TypeError("cannot infer through module of type {}".format(
-                type(layer)))
+            weight, bias = leaf
+            x = np.matmul(x, weight)
+            if bias is not None:
+                np.add(x, bias, out=x)
         owned = True
     return x
 
 
+def block_leaves(module, k=None):
+    """A block's leaf layers as plain arrays, in application order: a
+    ``(weight, bias)`` pair per Linear (the bias a (1, out) row, None
+    without one) and None per ReLU; anything else is a ``TypeError``.
+    Of a stacked block, the whole (K, ...) stacks, or with ``k`` copies
+    of slice k — what an adapted classifier keeps of what it trained."""
+    leaves = []
+    for layer in _leaf_layers(module):
+        if isinstance(layer, ReLU):
+            leaves.append(None)
+            continue
+        if not isinstance(layer, (Linear, BatchedLinear)):
+            raise TypeError("cannot infer through module of type {}".format(
+                type(layer)))
+        weight = layer.weight.data
+        bias = None if layer.bias is None else layer.bias.data
+        if isinstance(layer, Linear) and bias is not None:
+            bias = bias.reshape(1, -1)
+        if k is not None:
+            weight = weight[k].copy()
+            bias = None if bias is None else bias[k].copy()
+        leaves.append((weight, bias))
+    return tuple(leaves)
+
+
+def flat_leaves(module, flat):
+    """The :func:`block_leaves` of ``module`` with its parameters read
+    from ``flat`` (``Module.flat_parameters``'s layout) instead, as
+    views: a retrieved theta_R without a model to load it into."""
+    leaves, offset = [], 0
+    for layer in _leaf_layers(module):
+        if isinstance(layer, ReLU):
+            leaves.append(None)
+            continue
+        arrays = []
+        for param in (layer.weight, layer.bias):
+            if param is None:
+                arrays.append(None)
+                continue
+            arrays.append(flat[offset:offset + param.size].reshape(
+                -1, layer.out_features))
+            offset += param.size
+        leaves.append(tuple(arrays))
+    if offset != flat.size:
+        raise ValueError("flat vector size mismatch: {} != {}".format(
+            flat.size, offset))
+    return tuple(leaves)
+
+
+def stack_leaves(per_task):
+    """K tasks' :func:`block_leaves` of one block stacked into a trainable
+    ``Sequential`` of :class:`BatchedLinear` / :class:`ReLU` layers (each
+    slice a copy)."""
+    layers = []
+    for leaves in zip(*per_task):
+        if leaves[0] is None:
+            layers.append(ReLU())
+            continue
+        layer = BatchedLinear.__new__(BatchedLinear)
+        Module.__init__(layer)
+        layer.k = len(leaves)
+        layer.in_features, layer.out_features = leaves[0][0].shape
+        layer.weight = Parameter(np.stack([leaf[0] for leaf in leaves]))
+        layer.bias = None if leaves[0][1] is None else Parameter(np.stack(
+            [leaf[1].reshape(1, -1) for leaf in leaves]))
+        layers.append(layer)
+    return Sequential(*layers)
+
+
+def retrieval_constants(uis_leaves, feature_vectors, conversion=None):
+    """The :class:`Retrieval` of a UIS block's leaves (theta_R, Eq. 6)
+    over ``feature_vectors`` (..., 1, ku) and of ``conversion`` (M_cp,
+    Eq. 10, (..., Ne, 3Ne)) or None: one task's or, rank-agnostic, a
+    stack's — slice k the bits of task k's (``tests/serve``)."""
+    emb_r = _infer_layers(uis_leaves, feature_vectors)          # (..., 1, Ne)
+    if conversion is None:
+        return Retrieval(emb_r, None, None)
+    conversion = np.asarray(conversion, dtype=np.float64)
+    return Retrieval(emb_r, conversion_weight(emb_r, conversion),
+                     conversion_constant(emb_r, conversion))
+
+
+def stack_retrievals(retrievals):
+    """K tasks' :class:`Retrieval` as one (K, ...) stack."""
+    return Retrieval(*(None if parts[0] is None else np.stack(parts)
+                       for parts in zip(*retrievals)))
+
+
 def inference_constants(model, feature_vector, conversion=None):
-    """What :func:`inference_logits` needs that no row changes, for
-    :func:`constant_logits`: the tuple and classification blocks' leaf
-    layers, ``emb_R`` and ``emb_R @ M1^T``.  ``W = M2 + M3 * emb_R``
-    stays per call, so no Ne x Ne array is kept per classifier."""
+    """What :func:`constant_logits` reads of one classifier: its tuple and
+    classification blocks' :func:`block_leaves` and the
+    :class:`Retrieval` of its UIS block and ``conversion``."""
     if model.use_conversion and conversion is None:
         raise ValueError("use_conversion=True requires a conversion matrix")
     if not model.use_conversion and conversion is not None:
         raise ValueError("conversion given but use_conversion=False")
     v_r = np.asarray(feature_vector, dtype=np.float64).reshape(1, model.ku)
-    emb_r = _infer_layers(_leaf_layers(model.uis_block), v_r)    # (1, Ne)
-    if conversion is not None:
-        conversion = np.asarray(conversion, dtype=np.float64)
-    return (list(_leaf_layers(model.tuple_block)),
-            list(_leaf_layers(model.clf_block)), emb_r, conversion,
-            None if conversion is None
-            else conversion_constant(emb_r, conversion))
+    return (block_leaves(model.tuple_block), block_leaves(model.clf_block),
+            retrieval_constants(block_leaves(model.uis_block), v_r,
+                                conversion))
 
 
 def constant_logits(constants, tuple_vectors):
-    """:func:`inference_logits` over ``tuple_vectors`` from the
-    classifier's :func:`inference_constants`, bit for bit."""
-    tuple_layers, clf_layers, emb_r, conversion, constant = constants
+    """No-grad logits over ``tuple_vectors`` of the classifier whose
+    :func:`inference_constants` are ``constants``: the tuple block, then
+    ``emb_tau @ W^T + c`` with the kept ``W`` and ``c`` (or the combined
+    row ``[emb_R, emb_tau, emb_R * emb_tau]`` without a conversion
+    matrix), then the classification block."""
+    tuple_leaves, clf_leaves, (emb_r, weight, constant) = constants
     x = np.asarray(tuple_vectors, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(1, -1)
-    emb_x = _infer_layers(tuple_layers, x)                   # (n, Ne)
-    if conversion is not None:
-        combined, _ = conversion_rows(emb_r, emb_x, conversion, constant)
+    emb_x = _infer_layers(tuple_leaves, x)                       # (n, Ne)
+    if weight is not None:
+        combined = emb_x @ weight.T
+        combined += constant
     else:
         ne = emb_r.shape[1]
         combined = np.empty((len(x), 3 * ne))
         combined[:, :ne] = emb_r
         combined[:, ne:2 * ne] = emb_x
         np.multiply(emb_r, emb_x, out=combined[:, 2 * ne:])
-    return _infer_layers(clf_layers, combined).reshape(-1)
+    return _infer_layers(clf_leaves, combined).reshape(-1)
 
 
 def inference_logits(model, feature_vector, tuple_vectors, conversion=None):
@@ -522,13 +632,13 @@ def inference_logits(model, feature_vector, tuple_vectors, conversion=None):
 
     The products of ``UISClassifier.forward`` in the same order (hence
     the same bits for the same rows in one call): the two embedding
-    blocks, then — with a conversion matrix —
+    blocks, then — with a conversion matrix — ``emb_tau @ (M2 + M3 *
+    emb_R)^T + emb_R @ M1^T`` (the sums of
     :func:`~repro.nn.functional.conversion_rows`, the very function
-    under the autograd op (``emb_tau @ (M2 + M3 * emb_R)^T + emb_R @
-    M1^T``; no 3Ne-wide row), then the classification block.  Without
-    one, ``[emb_R, emb_tau, emb_R * emb_tau]`` is written straight into
-    one ``(n, 3Ne)`` array, the block's input.  No ``Tensor`` node, no
-    concatenation, no parameter stack.
+    under the autograd op; no 3Ne-wide row), then the classification
+    block.  Without one, ``[emb_R, emb_tau, emb_R * emb_tau]`` is
+    written straight into one ``(n, 3Ne)`` array, the block's input.
+    No ``Tensor`` node, no concatenation, no parameter stack.
     A logit may differ in the last place between calls of different row
     counts (BLAS picks its kernel by shape), so callers compare
     *answers* across row sets, not logits.  ``model`` is anything with

@@ -55,8 +55,8 @@ name                                             kind        unit
 ``geometry.raster.built``                        counter     rasters
 ``geometry.raster.rows.settled``                 counter     rows
 ``geometry.raster.rows.exact``                   counter     rows
-``core.optimizer.memo.hits``                      counter     chunk·optimizers
-``core.optimizer.memo.misses``                    counter     chunk·optimizers
+``core.optimizer.memo.hits``                      counter     span·optimizers
+``core.optimizer.memo.misses``                    counter     span·optimizers
 ``core.offline.prepare.seconds``                 histogram   seconds
 ``core.offline.generate.seconds``                histogram   seconds
 ``ml.kmeans.iterations``                         counter     iterations
@@ -69,6 +69,11 @@ name                                             kind        unit
 ``train.offline.epochs.pretrain``                counter     epochs
 ``train.offline.epochs.meta``                    counter     epochs
 ================================================ =========== ==========
+
+A decision-memo span (``core.optimizer.memo.*``) is a stored chunk of a
+store scan or a block of caller rows (``predict_many``, ``predict``,
+``predict_subspace``) of at most the memo's row cap: a second prediction
+over the same rows counts one hit per span and optimizer and no miss.
 
 Design constraints (the no-interference guarantee):
 

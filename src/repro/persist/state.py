@@ -184,6 +184,18 @@ def _restore(path, what, build):
         raise _lacks(path, error.args[0]) from None
 
 
+def _capture(what, build):
+    """``build()``, its :class:`StateMismatchError` turned into a
+    :class:`CheckpointError`: a state whose restore over the system it
+    was captured from would be refused is not written."""
+    try:
+        return build()
+    except StateMismatchError as error:
+        raise CheckpointError("{} is not checkpointed: its restore would "
+                              "not fit the LTE system it serves over: {}"
+                              .format(what, error.args[0])) from None
+
+
 def _session_state(state, path):
     """One session's state, refused when it predates the watermarks it
     now carries (a restart would silently rescan every store)."""
@@ -329,7 +341,7 @@ def load_pretrain_run(path, lte):
 def save_session(path, session, meta=None):
     """Checkpoint one :class:`~repro.core.ExplorationSession`."""
     state = {"identity": _lte_identity(session.lte),
-             "session": session.state_dict()}
+             "session": _capture("the session", session.state_dict)}
     return save_checkpoint(path, "exploration-session", state,
                            meta=_meta_with_provenance(meta, session.lte))
 
@@ -357,7 +369,7 @@ def load_session(path, lte):
 def save_manager(path, manager, meta=None):
     """Checkpoint a full :class:`~repro.serve.SessionManager` snapshot."""
     state = {"identity": _lte_identity(manager.lte),
-             "snapshot": manager.snapshot()}
+             "snapshot": _capture("the serving engine", manager.snapshot)}
     return save_checkpoint(path, "session-manager", state,
                            meta=_meta_with_provenance(meta, manager.lte))
 

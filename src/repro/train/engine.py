@@ -33,8 +33,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from ..nn.batching import (BatchedUISClassifier, fused_local_adapt,
-                           grad_stacks, load_flat_stack,
+from ..nn.batching import (BatchedUISClassifier, block_leaves,
+                           fused_local_adapt, grad_stacks, load_flat_stack,
+                           retrieval_constants, stack_conversions,
                            stacked_loss_backward, stacked_predict)
 from ..nn.cores import run_stack, step_macs
 from ..nn.functional import batched_pos_weight
@@ -167,8 +168,8 @@ def build_meta_batch_inputs(slots):
     Task-wise initialization (Eqs. 6/10/11), stacked straight off each
     trainer's meta-learned template: the K slices start as copies of phi
     (no per-task model construction), then the memory-retrieved theta_R
-    shifts land row-wise in the stacked UIS block — the same bits
-    ``task_retrieval`` produces per task.
+    (:meth:`~repro.core.meta_training.MetaTrainer.retrieved_init`) lands
+    row-wise in the stacked UIS block.
     """
     models = []
     attentions, conversions, shifts = [], [], []
@@ -176,19 +177,14 @@ def build_meta_batch_inputs(slots):
     for slot in slots:
         trainer = slot.trainer
         models.extend([trainer.model] * len(slot.indices))
-        flat = trainer.model.get_theta_r_flat() \
-            if trainer.use_memories else None
         for idx in slot.indices:
             v_r, sx, sy, qx, qy = slot.encoded[idx]
+            conversion = attention = None
             if trainer.use_memories:
-                attention = trainer.memories.attention(v_r)
-                omega = trainer.memories.omega_r(attention)
-                attentions.append(attention)
-                shifts.append(flat - trainer.params.sigma * omega)
-                conversions.append(trainer.memories.conversion(attention))
-            else:
-                attentions.append(None)
-                conversions.append(None)
+                theta_r, conversion, attention = trainer.retrieved_init(v_r)
+                shifts.append(theta_r)
+            attentions.append(attention)
+            conversions.append(conversion)
             v_rs.append(v_r)
             sxs.append(sx)
             sys_.append(np.asarray(sy, dtype=np.float64).ravel())
@@ -239,7 +235,7 @@ def _compute_stack(models, params, inputs):
     The local phase (Eq. 12) is the online one: the UIS block holds the
     retrieved theta_R and the conversion the retrieved M_cp, and
     ``local_steps`` graph-free steps train the tuple and classification
-    blocks (``fused_local_adapt(..., keep_retrieved=True)``).  The global
+    blocks (``fused_local_adapt(..., retrieved=...)``).  The global
     phase (Eq. 13) is one stacked query forward/backward: it yields every
     block's gradient, theta_R's included, and M_cp's, by which the
     retrieved M_cp takes one ``rho`` step for the conversion memory.
@@ -248,12 +244,13 @@ def _compute_stack(models, params, inputs):
     if inputs.shifts is not None:
         load_flat_stack(batched.uis_block, np.asarray(inputs.shifts))
     features = np.asarray(inputs.features)
-    batched, conversion, _ = fused_local_adapt(
+    conversion, retrieved = _stack_retrieval(batched, features,
+                                             inputs.conversions)
+    fused_local_adapt(
         models, features, np.stack(inputs.sx), np.stack(inputs.sy),
-        conversions=list(inputs.conversions), batched=batched,
-        steps=params.local_steps, lr=params.rho,
+        batched=batched, steps=params.local_steps, lr=params.rho,
         optimizer_kind=params.local_optimizer,
-        balance_classes=params.balance_classes, keep_retrieved=True)
+        balance_classes=params.balance_classes, retrieved=retrieved)
 
     # Global phase (Eq. 13): all K query losses in one forward/backward.
     qy_stack = np.stack(inputs.qy)
@@ -266,6 +263,17 @@ def _compute_stack(models, params, inputs):
         [float(value) for value in task_losses], grad_stacks(batched),
         None if conversion is None
         else conversion.data - params.rho * conversion.grad)
+
+
+def _stack_retrieval(batched, features, conversions):
+    """The stacked M_cp :class:`~repro.nn.tensor.Parameter` (None
+    without memories) and the :class:`~repro.nn.batching.Retrieval` of a
+    stack whose UIS block holds each task's retrieved theta_R."""
+    conversion = stack_conversions(list(conversions))
+    return conversion, retrieval_constants(
+        block_leaves(batched.uis_block),
+        features.reshape(batched.k, 1, batched.ku),
+        None if conversion is None else conversion.data)
 
 
 def concat_meta_batch_results(parts):
@@ -476,20 +484,23 @@ def evaluate_batched(trainer, tasks, encode, steps):
     if not encoded:
         return 0.0
     params = trainer.params
-    models, conversions = [], []
+    models = [trainer.model] * len(encoded)
+    shifts, conversions = [], []
     for v_r, _, _, _, _ in encoded:
-        local, conversion, _ = trainer.task_retrieval(v_r)
-        models.append(local)
+        theta_r, conversion, _ = trainer.retrieved_init(v_r)
+        shifts.append(theta_r)
         conversions.append(conversion)
+    batched = BatchedUISClassifier(models)
+    load_flat_stack(batched.uis_block, np.stack(shifts))
     features = np.stack([task[0] for task in encoded])
     sx = np.stack([task[1] for task in encoded])
     sy = np.stack([np.asarray(task[2], dtype=np.float64).ravel()
                    for task in encoded])
-    batched, conversion, _ = fused_local_adapt(
-        models, features, sx, sy, conversions=conversions,
-        steps=steps, lr=params.rho,
-        optimizer_kind=params.local_optimizer,
-        balance_classes=params.balance_classes, keep_retrieved=True)
+    conversion, retrieved = _stack_retrieval(batched, features, conversions)
+    fused_local_adapt(
+        models, features, sx, sy, batched=batched, steps=steps,
+        lr=params.rho, optimizer_kind=params.local_optimizer,
+        balance_classes=params.balance_classes, retrieved=retrieved)
     qx = np.stack([task[3] for task in encoded])
     preds = stacked_predict(batched, features, qx, conversion=conversion)
     return float(np.mean([np.mean(pred == task[4])

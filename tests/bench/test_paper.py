@@ -167,3 +167,36 @@ def test_compare_bands_each_methods_average_over_x():
     for cell in b["cells"]:
         cell["value"] += (-0.02, 0.02, -0.02, 0.02, 0.0)[cell["seed"] - 7]
     assert paper.compare(a, b)[0] == []
+
+
+def test_source_digest_reads_the_tree_as_it_is(tmp_path):
+    """The record's ``source`` digest names the files that ran: an edit
+    or a new file changes it, compiled caches do not."""
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\n")
+    (tmp_path / "b.py").write_text("y = 2\n")
+    first = paper.source_digest(tmp_path)
+    assert paper.source_digest(tmp_path) == first
+    (tmp_path / "pkg" / "__pycache__").mkdir()
+    (tmp_path / "pkg" / "__pycache__" / "a.cpython-311.pyc").write_bytes(
+        b"\0")
+    # The import system's temporary while it writes a cache file.
+    (tmp_path / "pkg" / "__pycache__" /
+     "a.cpython-311.pyc.140234").write_bytes(b"\0")
+    (tmp_path / "pkg" / "c.pyc").write_bytes(b"\0")
+    assert paper.source_digest(tmp_path) == first
+    (tmp_path / "pkg" / "a.py").write_text("x = 2\n")
+    edited = paper.source_digest(tmp_path)
+    assert edited != first
+    (tmp_path / "pkg" / "d.py").write_text("")
+    assert paper.source_digest(tmp_path) not in (first, edited)
+
+
+def test_compare_prints_the_source_and_tolerates_records_without(capsys):
+    stamped = dict(DEMO, source="0123abcd")
+    unstamped = {key: value for key, value in DEMO.items()
+                 if key != "source"}
+    assert paper.compare(unstamped, stamped) == ([], [])
+    out = capsys.readouterr().out
+    assert "A: commit {} source unknown".format(DEMO["commit"]) in out
+    assert "B: commit {} source 0123abcd".format(DEMO["commit"]) in out

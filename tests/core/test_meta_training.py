@@ -96,7 +96,7 @@ class TestAdapt:
             task.support_y)
         assert info["attention"].shape == (trainer.params.m,)
         assert np.isfinite(info["support_loss"])
-        assert adapted.conversion is not None
+        assert adapted.retrieval.weight is not None
 
     def test_adapt_without_memories(self, preprocessor, meta_tasks,
                                     task_generator):
@@ -107,7 +107,7 @@ class TestAdapt:
             task.feature_vector, preprocessor.transform(task.support_x),
             task.support_y)
         assert info["attention"] is None
-        assert adapted.conversion is None
+        assert adapted.retrieval.weight is None
         assert trainer.memories is None
 
     def test_sgd_local_optimizer_path(self, preprocessor, meta_tasks,

@@ -14,7 +14,7 @@ from repro.core.meta_learner import UISClassifier
 from repro.core.meta_training import AdaptedClassifier
 from repro.nn import (BatchedUISClassifier, Parameter, fused_local_adapt,
                       no_grad)
-from repro.nn.batching import stacked_loss_backward
+from repro.nn.batching import block_leaves, stacked_loss_backward
 from repro.nn.tensor import is_grad_enabled
 
 K, N, KU, WIDTH, NE = 3, 6, 6, 5, 4
@@ -81,13 +81,19 @@ def test_prebuilt_stack_is_trained_in_place_and_its_sources_are_not():
 
 
 def test_restored_adapted_classifier_does_not_alias_its_state_dict():
-    models, features, _, _, conversions = task_batch(3)
-    state = {"config": dict(models[0].config),
-             "model": models[0].state_dict(),
-             "feature_vector": features[0], "conversion": conversions[0]}
+    models, features, _, _, _ = task_batch(3)
+    blocks = {name: block_leaves(getattr(models[0], name))
+              for name in ("uis_block", "tuple_block", "clf_block")}
+    state = AdaptedClassifier(dict(models[0].config), features[0],
+                              blocks).state_dict()
     restored = AdaptedClassifier.from_state_dict(state)
-    assert np.array_equal(restored.conversion.data, conversions[0])
-    assert not np.shares_memory(restored.conversion.data, conversions)
+    for name, leaves in blocks.items():
+        for leaf, saved, got in zip(leaves, state[name],
+                                    restored.blocks[name]):
+            for array, kept, copy in zip(leaf or (), saved or (), got or ()):
+                assert np.array_equal(copy, array)
+                assert not np.shares_memory(copy, kept)
+                assert not np.shares_memory(copy, array)
 
 
 def test_no_grad_in_one_thread_leaves_a_training_thread_its_graph():

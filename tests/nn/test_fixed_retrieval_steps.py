@@ -1,9 +1,11 @@
 """The online local phase's array program against the eager oracle.
 
-``fused_local_adapt(..., keep_retrieved=True)`` -- every local phase
+``fused_local_adapt(..., retrieved=...)`` -- every local phase
 of Meta and Meta*, online and in meta-training's inner loop -- builds
 no autograd graph: its steps are the plain array operations of
-``repro.nn.batching._fixed_retrieval_steps``.  This suite holds them to
+``repro.nn.batching._fixed_retrieval_steps``, fed the retrieval's
+constants (serving's from ``task_retrieval``, meta-training's derived
+from its stack).  This suite holds them to
 the eager per-task loop of ``tests/train/_sequential_oracle.adapt`` bit
 for bit (trained parameters, the unchanged conversion and the last
 step's losses), the first step's gradients to the stacked autograd
@@ -18,10 +20,12 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.meta_training import MetaHyperParams, MetaTrainer
+from repro.core.meta_training import (MetaHyperParams, MetaTrainer,
+                                      adapt_stack)
 from repro.nn import (BatchedUISClassifier, Linear, Sequential, Sigmoid,
                       fused_local_adapt)
-from repro.nn.batching import stacked_loss_backward
+from repro.nn.batching import (block_leaves, retrieval_constants,
+                                stacked_loss_backward)
 from repro.nn.functional import batched_pos_weight
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -57,20 +61,31 @@ def make_tasks(trainer, k, seed=0):
     return features, xs, ys
 
 
+def stacked(models, features, conversions):
+    """The stack of ``models`` and its retrieval, computed from the
+    stack as meta-training computes it."""
+    batched = BatchedUISClassifier(models)
+    return batched, retrieval_constants(
+        block_leaves(batched.uis_block),
+        features.reshape(len(models), 1, -1),
+        None if conversions[0] is None else np.stack(conversions))
+
+
 def array_phase(trainer, features, xs, ys, steps=None):
     """Each task's retrieval, then the stacked array program: the adapted
     models, the returned conversion stack and the last step's losses."""
     params = trainer.params
     models, conversions = [], []
     for feature in features:
-        model, conversion, _ = trainer.task_retrieval(feature)
+        model, conversion, _ = oracle.retrieved_model(trainer, feature)
         models.append(model)
         conversions.append(conversion)
+    batched, retrieved = stacked(models, features, conversions)
     batched, conversion, losses = fused_local_adapt(
-        models, features, xs, ys, conversions=conversions,
+        models, features, xs, ys, conversions=conversions, batched=batched,
         steps=params.local_steps if steps is None else steps,
         lr=params.rho, optimizer_kind=params.local_optimizer,
-        balance_classes=params.balance_classes, keep_retrieved=True)
+        balance_classes=params.balance_classes, retrieved=retrieved)
     batched.unstack_into(models)
     return models, conversion, losses
 
@@ -78,13 +93,14 @@ def array_phase(trainer, features, xs, ys, steps=None):
 def assert_oracle_bits(trainer, features, xs, ys):
     models, conversion, losses = array_phase(trainer, features, xs, ys)
     for k, model in enumerate(models):
-        want, info = oracle.adapt(trainer, features[k], xs[k], ys[k])
+        _, info = oracle.adapt(trainer, features[k], xs[k], ys[k])
         assert np.array_equal(model.flat_parameters(),
-                              want.model.flat_parameters()), k
+                              info["model"].flat_parameters()), k
         if conversion is None:
-            assert want.conversion is None
+            assert info["conversion"] is None
         else:
-            assert np.array_equal(conversion.data[k], want.conversion.data), k
+            assert np.array_equal(conversion.data[k],
+                                  info["conversion"].data), k
         assert losses[k] == info["support_loss"], k
 
 
@@ -103,6 +119,31 @@ def test_array_phase_equals_the_eager_oracle(optimizer, balance, conversion,
     assert_oracle_bits(trainer, *make_tasks(trainer, k, seed))
 
 
+@pytest.mark.parametrize("optimizer, conversion, k, nets",
+                         list(itertools.product(["adam", "sgd"],
+                                                [True, False], [1, 5],
+                                                ["paper", "small"])))
+def test_fed_constants_equal_the_eager_oracle(optimizer, conversion, k,
+                                              nets):
+    """Serving's local phase, ``adapt_stack`` over phi's two trained
+    blocks and each task's ``task_retrieval`` constants (no UIS block is
+    stacked), leaves the eager oracle's classifiers and losses."""
+    trainer = make_trainer(nets, conversion, optimizer, seed=11 + k)
+    features, xs, ys = make_tasks(trainer, k, seed=11 + k)
+    params = trainer.params
+    adapted, losses = adapt_stack(
+        trainer.model.config,
+        [(trainer.local_start(), trainer.task_retrieval(feature)[0])
+         for feature in features], features, xs, ys,
+        steps=params.local_steps, lr=params.rho,
+        optimizer_kind=params.local_optimizer,
+        balance_classes=params.balance_classes)
+    for j, got in enumerate(adapted):
+        want, info = oracle.adapt(trainer, features[j], xs[j], ys[j])
+        oracle.assert_same_classifier(got, want)
+        assert losses[j] == info["support_loss"], j
+
+
 @pytest.mark.parametrize("conversion", [True, False])
 @pytest.mark.parametrize("nets", ["paper", "small"])
 def test_first_step_gradients_equal_the_autograd_graph(conversion, nets):
@@ -112,16 +153,16 @@ def test_first_step_gradients_equal_the_autograd_graph(conversion, nets):
     features, xs, ys = make_tasks(trainer, 5, seed=3)
     models, conversions = [], []
     for feature in features:
-        model, matrix, _ = trainer.task_retrieval(feature)
+        model, matrix, _ = oracle.retrieved_model(trainer, feature)
         models.append(model)
         conversions.append(matrix)
     reference = BatchedUISClassifier(models)
     stacked_loss_backward(reference, None if not conversion
                           else np.stack(conversions), features, xs, ys,
                           batched_pos_weight(ys))
-    batched, _, _ = fused_local_adapt(
-        models, features, xs, ys, conversions=conversions, steps=1,
-        lr=0.02, keep_retrieved=True)
+    batched, retrieved = stacked(models, features, conversions)
+    fused_local_adapt(models, features, xs, ys, batched=batched, steps=1,
+                      lr=0.02, retrieved=retrieved)
 
     want = dict(reference.named_parameters())
     trained = [(name, param) for name, param in batched.named_parameters()
@@ -171,11 +212,12 @@ def test_a_leaf_other_than_linear_or_relu_is_a_type_error():
     features, xs, ys = make_tasks(trainer, 2, seed=7)
     models, conversions = [], []
     for feature in features:
-        model, conversion, _ = trainer.task_retrieval(feature)
+        model, conversion, _ = oracle.retrieved_model(trainer, feature)
         model.tuple_block = Sequential(Linear(model.input_width,
                                               model.embed_size), Sigmoid())
         models.append(model)
         conversions.append(conversion)
+    batched, retrieved = stacked(models, features, conversions)
     with pytest.raises(TypeError, match="Sigmoid"):
-        fused_local_adapt(models, features, xs, ys, conversions=conversions,
-                          steps=1, keep_retrieved=True)
+        fused_local_adapt(models, features, xs, ys, batched=batched,
+                          steps=1, retrieved=retrieved)

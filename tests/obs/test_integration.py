@@ -56,6 +56,31 @@ class TestServingWaveMetrics:
         assert snap["serve.manager.adapt.batches"]["value"] == \
             manager.adapt_batches
 
+    def test_a_repeated_prediction_recalls_every_hull_decision(
+            self, obs_lte, obs_subspaces, make_oracle, eval_rows):
+        """``core.optimizer.memo.*`` count caller-row blocks too: the
+        first ``predict_many`` over a block misses once per subspace
+        and optimizer with a subregion, the second over the same rows
+        hits as often and misses never — and answers alike."""
+        manager = SessionManager(obs_lte)
+        sids = _open_fed(manager, make_oracle(37), obs_subspaces, 3)
+        registry = obs.default_registry()
+        lookups = sum(
+            ss.optimizer is not None and (
+                ss.optimizer.outer_region is not None
+                or ss.optimizer.inner_region is not None)
+            for sid in sids
+            for ss in manager.session(sid)._subsessions.values())
+        assert lookups > 0
+        first = manager.predict_many(sids, eval_rows)
+        assert registry.value("core.optimizer.memo.hits") == 0
+        assert registry.value("core.optimizer.memo.misses") == lookups
+        again = manager.predict_many(sids, eval_rows)
+        assert registry.value("core.optimizer.memo.hits") == lookups
+        assert registry.value("core.optimizer.memo.misses") == lookups
+        for sid in sids:
+            assert np.array_equal(again[sid], first[sid])
+
     def test_settled_and_scored_rows_account_for_every_row_session(
             self, obs_lte, obs_subspaces, make_oracle, eval_rows):
         """Where a row·session·subspace goes is three counters: answered

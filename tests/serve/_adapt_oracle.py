@@ -24,7 +24,6 @@ import os
 import sys
 
 from repro.core.meta_learner import UISClassifier
-from repro.core.meta_training import AdaptedClassifier
 from repro.core.optimizer import FewShotOptimizer
 from repro.nn import SGD, Adam, Parameter
 from repro.nn.functional import (balanced_pos_weight,
@@ -32,7 +31,9 @@ from repro.nn.functional import (balanced_pos_weight,
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "train"))
-from _sequential_oracle import adapt  # noqa: E402
+from _sequential_oracle import (adapt, adapted_of,  # noqa: E402
+                                assert_same_classifier, classifier_arrays,
+                                whole_model)
 
 
 def _train_basic_classifier(request):
@@ -54,17 +55,16 @@ def _train_basic_classifier(request):
                                                 pos_weight=pos_weight)
         loss.backward()
         optimizer.step()
-    return AdaptedClassifier(model, request.feature)
+    return adapted_of(model, request.feature, trains_uis=True)
 
 
 def _continue(request):
-    """A re-adaptation: the one-task local loop from a clone of the
+    """A re-adaptation: the one-task local loop from a copy of the
     request's ``start`` classifier, with fresh optimizer moments; Basic
     trains all of it, Meta / Meta* the tuple and classification blocks."""
-    start = request.start
-    model = start.model.clone()
-    conversion = None if start.conversion is None \
-        else Parameter(start.conversion.data.copy())
+    model, conversion = whole_model(request.start, request.state.trainer)
+    if conversion is not None:
+        conversion = Parameter(conversion)
     if request.variant == "basic":
         trainable = list(model.parameters())
     else:
@@ -83,7 +83,9 @@ def _continue(request):
                                                 pos_weight=pos_weight)
         loss.backward()
         optimizer.step()
-    return AdaptedClassifier(model, request.feature, conversion)
+    if request.variant == "basic":
+        return adapted_of(model, request.feature, trains_uis=True)
+    return adapted_of(model, request.feature, conversion)
 
 
 def run_adapt_request(request):

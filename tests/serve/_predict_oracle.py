@@ -10,48 +10,67 @@ the parity suite compares every serving path's 0/1 answers against
 them.  Nothing in ``src/`` imports this module.
 """
 
+import os
+import sys
+
 import numpy as np
 
 from repro.geometry.engine import union_masks
 from repro.nn import no_grad
 from repro.nn.batching import BatchedUISClassifier, stacked_predict
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "train"))
+from _sequential_oracle import whole_model  # noqa: E402
 
-def _forward(adapted, tuple_vectors):
+
+#: Meta-learners a state held before ``load_pretrained`` swapped in
+#: another: a classifier adapted under one of them stands for a model of
+#: its retrieval, not of the state's current trainer.
+FORMER_TRAINERS = []
+
+
+def _whole(subsession):
+    """The subsession's classifier as a whole model and M_cp."""
+    return whole_model(subsession.adapted,
+                       [subsession.state.trainer] + FORMER_TRAINERS)
+
+
+def _forward(subsession, tuple_vectors):
     """The ``Tensor`` forward under ``no_grad``: (n,) logits."""
-    conv = adapted.conversion.data if adapted.conversion is not None else None
+    model, conv = _whole(subsession)
     with no_grad():
-        return adapted.model.forward(adapted.feature_vector, tuple_vectors,
-                                     conversion=conv)
+        return model.forward(subsession.adapted.feature_vector,
+                             tuple_vectors, conversion=conv)
 
 
-def tensor_logits(adapted, tuple_vectors):
+def tensor_logits(subsession, tuple_vectors):
     """Raw logits of the autograd forward, shape (n,)."""
-    return _forward(adapted, tuple_vectors).data
+    return _forward(subsession, tuple_vectors).data
 
 
-def predict_proba(adapted, tuple_vectors):
+def predict_proba(subsession, tuple_vectors):
     """``AdaptedClassifier.predict_proba`` as it was."""
-    return _forward(adapted, tuple_vectors).sigmoid().numpy()
+    return _forward(subsession, tuple_vectors).sigmoid().numpy()
 
 
-def predict(adapted, tuple_vectors, threshold=0.5):
+def predict(subsession, tuple_vectors, threshold=0.5):
     """``AdaptedClassifier.predict`` as it was."""
-    return (predict_proba(adapted, tuple_vectors) >= threshold) \
+    return (predict_proba(subsession, tuple_vectors) >= threshold) \
         .astype(np.int64)
 
 
-def predict_adapted_batch(adapted_classifiers, tuple_vectors, threshold=0.5):
+def predict_adapted_batch(subsessions, tuple_vectors, threshold=0.5):
     """``repro.serve.batched.predict_adapted_batch`` as it was: K
     structurally identical models stacked into one forward over the
     stride-0 broadcast rows."""
-    models = [a.model for a in adapted_classifiers]
-    batched = BatchedUISClassifier(models)
-    features = np.stack([a.feature_vector for a in adapted_classifiers])
+    wholes = [_whole(subsession) for subsession in subsessions]
+    batched = BatchedUISClassifier([model for model, _ in wholes])
+    features = np.stack([subsession.adapted.feature_vector
+                         for subsession in subsessions])
     conversion = None
     if batched.use_conversion:
-        conversion = np.stack([a.conversion.data
-                               for a in adapted_classifiers])
+        conversion = np.stack([conv for _, conv in wholes])
     tuple_vectors = np.asarray(tuple_vectors, dtype=np.float64)
     xs = np.broadcast_to(tuple_vectors,
                          (batched.k,) + tuple_vectors.shape)
@@ -99,7 +118,7 @@ def predict_subspace(subsession, raw_points):
     """``_SubspaceSession.predict`` as it was."""
     raw_points = np.atleast_2d(np.asarray(raw_points, dtype=np.float64))
     scaled = subsession.state.to_scaled(raw_points)
-    predictions = predict(subsession.adapted,
+    predictions = predict(subsession,
                           subsession.state.encode_scaled(scaled))
     if subsession.optimizer is not None:
         # The optimizer's hull geometry lives in normalized space.
@@ -129,15 +148,15 @@ def predict_group(subsessions, raw_points):
     misses = {}
     for index, subsession in enumerate(subsessions):
         group = misses.setdefault(
-            tuple(sorted(subsession.adapted.model.config.items())), [])
+            tuple(sorted(subsession.adapted.config.items())), [])
         group.append((index, subsession))
     out = [None] * len(subsessions)
     for group in misses.values():
         if len(group) == 1:
-            stacked = predict(group[0][1].adapted, encoded)[None, :]
+            stacked = predict(group[0][1], encoded)[None, :]
         else:
             stacked = predict_adapted_batch(
-                [subsession.adapted for _, subsession in group], encoded)
+                [subsession for _, subsession in group], encoded)
         refined = refine_batch(
             [subsession.optimizer for _, subsession in group],
             scaled, stacked)

@@ -36,13 +36,7 @@ def oracle_session(lte, user, variant, subspaces):
 
 
 def assert_adapted_identical(got, want):
-    assert np.array_equal(got.model.flat_parameters(),
-                          want.model.flat_parameters())
-    assert np.array_equal(got.feature_vector, want.feature_vector)
-    if want.conversion is None:
-        assert got.conversion is None
-    else:
-        assert np.array_equal(got.conversion.data, want.conversion.data)
+    adapt_oracle.assert_same_classifier(got, want)
 
 
 def assert_optimizers_identical(got, want):
@@ -106,13 +100,10 @@ class TestVariantParity:
             for subspace in serve_subspaces:
                 seq_ss = session._subsessions[subspace]
                 bat_ss = managed._subsessions[subspace]
-                assert np.allclose(seq_ss.adapted.model.flat_parameters(),
-                                   bat_ss.adapted.model.flat_parameters(),
-                                   atol=1e-12)
-                if seq_ss.adapted.conversion is not None:
-                    assert np.allclose(seq_ss.adapted.conversion.data,
-                                       bat_ss.adapted.conversion.data,
-                                       atol=1e-12)
+                for seq, bat in zip(
+                        adapt_oracle.classifier_arrays(seq_ss.adapted),
+                        adapt_oracle.classifier_arrays(bat_ss.adapted)):
+                    assert np.allclose(seq, bat, atol=1e-12)
 
     def test_subspace_predictions_match(self, serve_lte, serve_subspaces,
                                         make_oracle, variant):

@@ -10,7 +10,7 @@ product records the count it would have run on.
 
 import pytest
 
-from repro.core import framework
+from repro.core import framework, meta_training
 from repro.core.meta_training import MetaTrainer
 from repro.nn import cores
 from repro.serve import SessionManager
@@ -55,8 +55,8 @@ def blas(monkeypatch):
                         (recorder.set_threads, lambda: recorder.threads))
     monkeypatch.setattr(MetaTrainer, "task_retrieval", recorder.record(
         "retrieval", MetaTrainer.task_retrieval))
-    monkeypatch.setattr(framework, "fused_local_adapt", recorder.record(
-        "adapt", framework.fused_local_adapt))
+    monkeypatch.setattr(meta_training, "fused_local_adapt", recorder.record(
+        "adapt", meta_training.fused_local_adapt))
     predict = recorder.record("predict", framework.predict_conjunctions)
     monkeypatch.setattr(framework, "predict_conjunctions", predict)
     monkeypatch.setattr(serve_manager, "predict_conjunctions", predict)

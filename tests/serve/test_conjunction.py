@@ -119,6 +119,8 @@ def fleet(serve_lte, make_oracle, tmp_path_factory):
     save_pretrained(path, _perturb_phi(serve_lte))
     gateway.publish_model(path, refresh=[list(subspaces[0].names)])
     lte.refresh_subspace(lte.table, subspaces[0], train=False)
+    oracle.FORMER_TRAINERS.extend(state.trainer
+                                  for state in lte.states.values())
     load_pretrained(path, lte)
     open_generation((manager, gateway))
 
@@ -153,9 +155,8 @@ def test_the_fleet_spans_state_generations(fleet):
         for subspace, subsession in session._subsessions.items():
             assert subsession.state is served._subsessions[subspace].state
             assert np.array_equal(
-                subsession.adapted.model.get_theta_r_flat(),
-                served._subsessions[subspace].adapted.model
-                .get_theta_r_flat())
+                subsession.adapted.retrieval.emb_r,
+                served._subsessions[subspace].adapted.retrieval.emb_r)
 
 
 def hull_centres(fleet, subspace):
@@ -279,8 +280,7 @@ class Recorder:
                              TabularPreprocessor.transform)
 
         def predict_proba(adapted, tuple_vectors):
-            self.kernel_calls.append((adapted.model,
-                                      np.array(tuple_vectors)))
+            self.kernel_calls.append((adapted, np.array(tuple_vectors)))
             return kernel(adapted, tuple_vectors)
 
         def recorded_transform(preprocessor, points):
@@ -311,7 +311,7 @@ def expected_reads(sessions, rows):
     """What each classifier may read, from the oracle's per-subspace
     answers: the (subspace, state) groups in first-appearance order,
     ``open & alive`` per session.  Returns ``{group: (state, scaled,
-    {id(model): reads mask})}`` and the (settled, scored, skipped)
+    {id(classifier): reads mask})}`` and the (settled, scored, skipped)
     counts."""
     groups, per_session = {}, []
     for session in sessions:
@@ -337,7 +337,7 @@ def expected_reads(sessions, rows):
             reads = open_mask & alive
             scored += int(reads.sum())
             skipped += int((open_mask & ~alive).sum())
-            groups[group][2][id(subsession.adapted.model)] = reads
+            groups[group][2][id(subsession.adapted)] = reads
             alive &= ~(reads & ~positive)
     return groups, (settled, scored, skipped)
 

@@ -1,15 +1,18 @@
 """Online adaptation keeps the task-wise retrieved initialization.
 
 Meta and Meta* train only the tuple and classification blocks online:
-after the initial round and every warm one, each classifier's UIS block
-(theta_R = phi_R - sigma * omega_R, Eq. 6) and conversion matrix (M_cp,
-Eq. 10) are exactly what ``MetaTrainer.task_retrieval`` returns for its
-feature vector — in a lone session, through a ``SessionManager`` and in
-the workers of a 2-worker ``ShardGateway``.  Basic retrieved nothing and
-trains all of its classifier.  Meta-training's inner loop keeps the
-retrieval too, without an autograd graph; the parameter memory then
-reads theta_R's query gradient (Eq. 15) and the conversion memory the
-retrieved M_cp moved by one query-gradient step (Eq. 16).
+a classifier holds those two blocks and the retrieval's constants
+(``emb_R``, ``W = M2 + M3 * emb_R`` and ``c = emb_R @ M1^T``), and after
+the initial round and every warm one those constants are exactly what
+``MetaTrainer.task_retrieval`` returns for its feature vector (theta_R
+= phi_R - sigma * omega_R, Eq. 6; M_cp, Eq. 10) — the very arrays of
+round 0, carried by reference by every warm round — in a lone session,
+through a ``SessionManager`` and in the workers of a 2-worker
+``ShardGateway``.  Basic retrieved nothing and trains all of its
+classifier.  Meta-training's inner loop keeps the retrieval too, without
+an autograd graph; the parameter memory then reads theta_R's query
+gradient (Eq. 15) and the conversion memory the retrieved M_cp moved by
+one query-gradient step (Eq. 16).
 """
 
 import copy
@@ -20,6 +23,7 @@ import pytest
 
 from repro.core import VARIANTS, framework
 from repro.core.meta_learner import UISClassifier
+from repro.nn.batching import flat_leaves, retrieval_constants
 from repro.nn.tensor import Tensor
 from repro.serve import SessionManager
 from repro.shard import ShardGateway
@@ -45,23 +49,30 @@ def fresh_uis(state, cfg):
         use_conversion=False, seed=cfg.seed).uis_block.flat_parameters()
 
 
+def uis_flat(adapted):
+    """The UIS block a Basic classifier trained, as one flat vector."""
+    return np.concatenate([array.ravel()
+                           for leaf in adapted.blocks["uis_block"]
+                           if leaf is not None for array in leaf])
+
+
 def start_uis(request):
     """The UIS block a Basic request starts from."""
     if request.start is not None:
-        return request.start.model.uis_block.flat_parameters()
+        return uis_flat(request.start)
     return fresh_uis(request.state, request.config)
 
 
 def kept_retrieval(state, adapted):
-    """Whether ``adapted``'s UIS block and conversion are, bit for bit,
-    the task-wise initialization of its feature vector."""
-    local, conversion, _ = state.trainer.task_retrieval(
-        adapted.feature_vector)
-    same_uis = np.array_equal(adapted.model.uis_block.flat_parameters(),
-                              local.uis_block.flat_parameters())
-    if conversion is None:
-        return same_uis and adapted.conversion is None
-    return same_uis and np.array_equal(adapted.conversion.data, conversion)
+    """Whether ``adapted`` holds no UIS block and its retrieval's
+    constants are, bit for bit, those ``task_retrieval`` computes for its
+    feature vector."""
+    retrieval, _ = state.trainer.task_retrieval(adapted.feature_vector)
+    return "uis_block" not in adapted.blocks and all(
+        (want is None and got is None) or (
+            want is not None and got is not None
+            and np.array_equal(got, want))
+        for got, want in zip(adapted.retrieval, retrieval))
 
 
 def rounds(front, lte, sids, user, subspaces, flush):
@@ -83,14 +94,17 @@ def rounds(front, lte, sids, user, subspaces, flush):
 
 
 def check_classifiers(lte, variant, classifiers):
-    """``classifiers``: ``[(subspace, adapted, start_uis), ...]``."""
-    for subspace, adapted, uis in classifiers:
+    """``classifiers``: ``[(subspace, adapted, start), ...]``, ``start``
+    the UIS block a Basic classifier started from, and for Meta / Meta*
+    the classifier a warm round continued (None at round 0)."""
+    for subspace, adapted, start in classifiers:
         if variant == "basic":
-            assert adapted.conversion is None
-            assert not np.array_equal(
-                adapted.model.uis_block.flat_parameters(), uis)
+            assert adapted.retrieval.weight is None
+            assert not np.array_equal(uis_flat(adapted), start)
         else:
             assert kept_retrieval(lte.states[subspace], adapted)
+            if start is not None:
+                assert adapted.retrieval is start.retrieval
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -122,11 +136,14 @@ def test_lone_and_managed_rounds_keep_the_retrieved_initialization(
                 for subspace in serve_subspaces:
                     adapted = session._subsessions[subspace].adapted
                     key = (id(session), subspace)
-                    classifiers.append((subspace, adapted, previous.get(
-                        key, fresh_uis(serve_lte.states[subspace],
-                                       serve_lte.config))))
-                    previous[key] = \
-                        adapted.model.uis_block.flat_parameters().copy()
+                    if variant == "basic":
+                        start = previous.get(key, fresh_uis(
+                            serve_lte.states[subspace], serve_lte.config))
+                        previous[key] = uis_flat(adapted)
+                    else:
+                        start = previous.get(key)
+                        previous[key] = adapted
+                    classifiers.append((subspace, adapted, start))
         check_classifiers(serve_lte, variant, classifiers)
 
 
@@ -145,11 +162,12 @@ def test_sharded_rounds_keep_the_retrieved_initialization(
         with open(log, "a", encoding="utf-8") as fh:
             for request, result in zip(requests, adapted):
                 if request.variant == "basic":
-                    verdict = not np.array_equal(
-                        result.model.uis_block.flat_parameters(),
-                        start_uis(request))
+                    verdict = not np.array_equal(uis_flat(result),
+                                                 start_uis(request))
                 else:
-                    verdict = kept_retrieval(request.state, result)
+                    verdict = kept_retrieval(request.state, result) and (
+                        request.start is None
+                        or result.retrieval is request.start.retrieval)
                 fh.write(json.dumps({"warm": request.start is not None,
                                      "ok": bool(verdict)}) + "\n")
         return adapted
@@ -174,9 +192,10 @@ def test_sharded_rounds_keep_the_retrieved_initialization(
 @pytest.mark.train
 def test_meta_training_keeps_the_retrieval_and_feeds_the_memories(
         serve_lte, monkeypatch):
-    """A meta-batch's inner loop leaves each task's theta_R and M_cp
-    bit-equal to its retrieval and builds no autograd graph (no
-    ``Tensor`` node), while its query pass builds one; theta_R's query
+    """A meta-batch's inner loop leaves each task's theta_R bit-equal to
+    its retrieval, reads the constants of that theta_R and the retrieved
+    M_cp, and builds no autograd graph (no ``Tensor`` node), while its
+    query pass builds one; theta_R's query
     gradient is non-zero and moves M_R (Eq. 15), and M_cp's moves M_CP
     (Eq. 16)."""
     state = serve_lte.states[list(serve_lte.states)[0]]
@@ -196,20 +215,24 @@ def test_meta_training_keeps_the_retrieval_and_feeds_the_memories(
         before = nodes[0]
         out = real_adapt(*args, **kwargs)
         inside[0] += nodes[0] - before
-        adapted.append(out)
+        adapted.append((out[0], kwargs["retrieved"]))
         return out
 
     monkeypatch.setattr(Tensor, "_from_op", staticmethod(counted_from_op))
     monkeypatch.setattr(engine, "fused_local_adapt", kept)
     result = compute_meta_batch(models, trainer.params, inputs)
-    (batched, conversion, _), = adapted
+    (batched, retrieved), = adapted
     assert inside[0] == 0
     assert nodes[0] > 0
     for k in range(3):
         uis = np.concatenate([param.data[k].ravel() for param in
                               batched.uis_block.parameters()])
         assert np.array_equal(uis, inputs.shifts[k])
-        assert np.array_equal(conversion.data[k], inputs.conversions[k])
+        want = retrieval_constants(
+            flat_leaves(trainer.model.uis_block, inputs.shifts[k]),
+            inputs.features[k].reshape(1, -1), inputs.conversions[k])
+        for got_part, want_part in zip(retrieved, want):
+            assert np.array_equal(got_part[k], want_part)
         assert all(np.any(grad[k] != 0.0)
                    for name, grad in result.grad_stacks.items()
                    if name.startswith("uis_block."))

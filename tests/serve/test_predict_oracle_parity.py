@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import _predict_oracle as oracle
 import _refine_oracle as refine_oracle
 from repro.data.schema import Table
-from repro.nn.batching import inference_logits
+from repro.nn.batching import constant_logits
 from repro.serve import SessionManager
 from repro.shard import ShardGateway
 
@@ -196,17 +196,14 @@ def test_kernel_logits_equal_tensor_forward_bits(fleet):
             encoded = state.encode(draw_rows(
                 fleet["lte"], n_rows, n_rows)[:, list(
                     state.subspace.columns)])
-            conv = None if adapted.conversion is None \
-                else adapted.conversion.data
-            logits = inference_logits(adapted.model, adapted.feature_vector,
-                                      encoded, conversion=conv)
+            logits = constant_logits(adapted._constants, encoded)
             assert logits.shape == (n_rows,)
             assert np.array_equal(logits,
-                                  oracle.tensor_logits(adapted, encoded))
+                                  oracle.tensor_logits(subsession, encoded))
             assert np.array_equal(adapted.predict_proba(encoded),
-                                  oracle.predict_proba(adapted, encoded))
+                                  oracle.predict_proba(subsession, encoded))
             assert np.array_equal(adapted.predict(encoded),
-                                  oracle.predict(adapted, encoded))
+                                  oracle.predict(subsession, encoded))
 
 
 def test_smallest_logit_leaves_a_margin(fleet, record_property):
@@ -222,19 +219,15 @@ def test_smallest_logit_leaves_a_margin(fleet, record_property):
             state = subsession.state
             scaled = state.to_scaled(rows[:, list(state.subspace.columns)])
             encoded = state.encode_scaled(scaled)
-            full = oracle.tensor_logits(subsession.adapted, encoded)
+            full = oracle.tensor_logits(subsession, encoded)
             open_rows = None if subsession.optimizer is None \
                 else refine_oracle.decide(subsession.optimizer, scaled)[1]
             if open_rows is None:
                 open_rows = np.arange(len(rows))
             if not open_rows.size:
                 continue
-            adapted = subsession.adapted
-            conv = None if adapted.conversion is None \
-                else adapted.conversion.data
-            gathered = inference_logits(
-                adapted.model, adapted.feature_vector, encoded[open_rows],
-                conversion=conv)
+            gathered = constant_logits(subsession.adapted._constants,
+                                       encoded[open_rows])
             smallest = min(smallest, float(np.abs(full[open_rows]).min()))
             widest = max(widest, float(
                 np.abs(gathered - full[open_rows]).max()))

@@ -740,6 +740,51 @@ def test_evictions_keep_the_memo_under_its_cap(memo_fleet, monkeypatch):
     assert all(len(optimizer._memo._entries) == 0 for optimizer in optimizers)
 
 
+def test_small_caller_blocks_keep_the_memo_under_its_entry_cap(
+        memo_fleet, monkeypatch):
+    """One-row caller blocks are an entry each.  Capped at 8 entries, a
+    memo holding a store's 4 chunks keeps them through 4 distinct
+    blocks between rescans (the older blocks go first), and holds 8
+    entries however many blocks it is asked."""
+    lte, manager, ids = (memo_fleet[key] for key in ("lte", "manager",
+                                                      "ids"))
+    sid = ids[0]
+    store = store_of(lte, draw_rows(lte, 31, 400), 100)
+    optimizers = settling(manager, sid)
+    for optimizer in optimizers:
+        monkeypatch.setattr(optimizer, "_memo",
+                            optimizer_module._DecisionMemo())
+    monkeypatch.setattr(optimizer_module, "_MEMO_ENTRIES", 8)
+    chunks = {store.chunk_digest(ci) for ci in range(store.n_chunks)}
+
+    def scan():
+        forget_marks(manager, [sid])
+        before = memo_counts()
+        manager.predict_many_store([sid], store)
+        return tuple(after - was
+                     for after, was in zip(memo_counts(), before))
+
+    def ask(rows):
+        want = predict_oracle.predict_many([manager.session(sid)], rows)[0]
+        assert np.array_equal(manager.predict_many([sid], rows)[sid], want)
+
+    assert scan() == (0, 4 * len(optimizers))
+    rows = draw_rows(lte, 32, 36)
+    for block in range(4):
+        for row in rows[4 * block:4 * block + 4]:
+            ask(row[None])
+        for optimizer in optimizers:
+            assert len(optimizer._memo._entries) == 8
+            assert chunks <= set(optimizer._memo._entries)
+        assert scan() == (4 * len(optimizers), 0)
+    for row in rows[16:]:
+        ask(row[None])
+    for optimizer in optimizers:
+        memo = optimizer._memo
+        assert len(memo._entries) == 8
+        assert memo._rows == sum(n for n, _ in memo._entries.values()) == 8
+
+
 def test_the_gateway_scans_from_its_workers_memos(fleet, serve_lte,
                                                   make_oracle):
     """Sessions on a 2-worker gateway and their twins on a manager: a
@@ -787,9 +832,13 @@ def test_the_gateway_scans_from_its_workers_memos(fleet, serve_lte,
 
 
 def test_the_memo_is_neither_checkpointed_nor_pickled(memo_fleet):
-    lte, manager, ids = (memo_fleet[key] for key in ("lte", "manager",
-                                                      "ids"))
-    sid = ids[0]
+    """On a manager of its own: the fleet's may hold sessions adapted
+    before ``refresh_drifted``, whose snapshot is refused
+    (``tests/persist/test_classifier_checkpoints.py``)."""
+    lte = memo_fleet["lte"]
+    manager = SessionManager(lte)
+    sid = drive(manager, lte, memo_fleet["make_oracle"], FLEET[0], 50)
+    manager.flush()
     store = store_of(lte, draw_rows(lte, 19, 900), 300)
     scan_and_check(manager, [sid], store)
     optimizer = settling(manager, sid)[0]
@@ -911,3 +960,154 @@ def test_memo_shared_by_threads_stays_consistent(memo_fleet, monkeypatch):
     memo = optimizer._memo
     assert memo._rows == sum(rows for rows, _ in memo._entries.values())
     assert memo._rows <= 200
+
+
+# ----------------------------------------------------------------------
+# Caller rows: a block of rows that is no stored chunk is one memo span,
+# keyed by a digest of each subspace's projection of it.
+# ----------------------------------------------------------------------
+def caller_lookups(manager, sids, rows):
+    """``(hits, misses)`` a ``predict_many`` of ``rows`` for ``sids``
+    should count, read off the memos before it: one lookup per session
+    and settling optimizer, a hit when its memo holds the digest of its
+    subspace's projection of the rows."""
+    hits = misses = 0
+    for sid in sids:
+        for subspace, subsession in \
+                manager.session(sid)._subsessions.items():
+            optimizer = subsession.optimizer
+            if not optimizer_module._settles(optimizer):
+                continue
+            spans = optimizer_module.caller_spans(
+                subspace, subspace.project(rows), [optimizer])
+            if spans is None:
+                continue
+            if spans[0][0] in optimizer._memo._entries:
+                hits += 1
+            else:
+                misses += 1
+    return hits, misses
+
+
+def swap_subspaces(rows, first, second):
+    """``rows`` with the columns of two subspaces of one width swapped:
+    each one's projection is the other's bytes."""
+    rows = rows.copy()
+    a, b = list(first.columns), list(second.columns)
+    rows[:, a], rows[:, b] = rows[:, b].copy(), rows[:, a].copy()
+    return rows
+
+
+def answers_everywhere(fleet, pick, rows):
+    """The fleet's answers for ``pick`` from the manager (counting its
+    memo lookups), a recall-free manager call, each session alone, the
+    restored twin and the gateway — all checked equal to the predict
+    oracle.  Returns the manager's ``(hits, misses)``."""
+    manager, twin = fleet["manager"], fleet["twin"]
+    sids = [fleet["ids"][i] for i in pick]
+    want = predict_oracle.predict_many([manager.session(sid) for sid in sids],
+                                       rows)
+    expected = caller_lookups(manager, sids, rows)
+    before = memo_counts()
+    got = manager.predict_many(sids, rows)
+    counted = tuple(after - was for after, was in zip(memo_counts(), before))
+    assert counted == expected
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(optimizer_module, "_MEMO_ROWS", 0)
+        was = memo_counts()
+        off = manager.predict_many(sids, rows)
+        assert memo_counts() == was                 # no span, no lookup
+    remote = fleet["gateway"].predict_many(
+        [fleet["gateway_ids"][i] for i in pick], rows)
+    restored = twin.predict_many(sids, rows)
+    for i, sid, expected_answers in zip(pick, sids, want):
+        for answers in (got[sid], off[sid], restored[sid],
+                        remote[fleet["gateway_ids"][i]],
+                        manager.session(sid).predict(rows)):
+            assert answers.dtype == np.int64
+            assert np.array_equal(answers, expected_answers)
+    return counted
+
+
+CALLER_STEPS = ("repeat", "change", "reorder", "swap")
+
+
+@settings(deadline=None)
+@given(picks, st.integers(2, 600),
+       st.lists(st.sampled_from(CALLER_STEPS), min_size=1, max_size=5),
+       seeds)
+def test_memoized_caller_rows_answer_like_recomputed_ones(
+        fleet, pick, n_rows, steps, seed):
+    """Caller rows asked again are recalled, rows with one value changed
+    or in another order are not, and a block whose projection on one
+    subspace is another subspace's earlier bytes recalls nothing of that
+    subspace: a manager, its sessions alone, its restored twin and a
+    2-worker gateway answer like a manager that recalls nothing, and
+    like the predict oracle."""
+    lte = fleet["lte"]
+    rng = np.random.default_rng(seed)
+    subspaces = list(lte.states)
+    rows = draw_rows(lte, seed, n_rows)
+    answers_everywhere(fleet, pick, rows)
+    for step in steps:
+        if step == "change":
+            column = int(rng.integers(rows.shape[1]))
+            rows = rows.copy()
+            rows[int(rng.integers(n_rows)), column] += 1.0
+        elif step == "reorder":
+            rows = np.roll(rows, 1, axis=0)
+        elif step == "swap":
+            rows = swap_subspaces(rows, subspaces[0], subspaces[1])
+        hits, misses = answers_everywhere(fleet, pick, rows)
+        if step == "repeat":
+            assert misses == 0
+
+
+def test_memo_recalls_no_caller_rows_of_another_subspace(fleet):
+    """Equal bytes through another subspace's columns are another key:
+    after a block is answered, the same block with two subspaces'
+    columns swapped misses in both (neither optimizer has seen its new
+    projection), and swapped back it hits in both."""
+    lte, manager = fleet["lte"], fleet["manager"]
+    first, second = list(lte.states)[:2]
+    sid = fleet["ids"][0]                   # Meta* over subspaces 0 and 1
+    optimizers = [manager.session(sid)._subsessions[s].optimizer
+                  for s in (first, second)]
+    assert all(map(optimizer_module._settles, optimizers))
+    rows = draw_rows(lte, 23, 300)
+    swapped = swap_subspaces(rows, first, second)
+    assert optimizer_module.caller_spans(
+        second, second.project(swapped), optimizers) != \
+        optimizer_module.caller_spans(first, first.project(rows), optimizers)
+    answers_everywhere(fleet, [0], rows)
+    assert answers_everywhere(fleet, [0], swapped) == (0, 2)
+    assert answers_everywhere(fleet, [0], rows) == (2, 0)
+
+
+def test_memo_keeps_no_caller_block_above_the_cap(fleet):
+    """A block of more rows than the memo holds is neither digested nor
+    kept: no lookup is counted, nothing is added; a block of the cap is
+    kept and recalled."""
+    lte, manager = fleet["lte"], fleet["manager"]
+    sid = fleet["ids"][0]
+    optimizers = settling(manager, sid)
+    rows = draw_rows(lte, 29, 65)
+    digests = []
+    real = optimizer_module.hashlib.blake2b
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(optimizer_module, "_MEMO_ROWS", 64)
+        monkeypatch.setattr(optimizer_module.hashlib, "blake2b",
+                            lambda *a, **k: digests.append(1) or real(*a, **k))
+        kept = [len(o._memo._entries) for o in optimizers]
+        for _ in range(2):
+            before = memo_counts()
+            answers = manager.predict_many([sid], rows)[sid]
+            assert memo_counts() == before
+            assert [len(o._memo._entries) for o in optimizers] == kept
+        assert digests == []
+        assert np.array_equal(answers, predict_oracle.predict_many(
+            [manager.session(sid)], rows)[0])
+        assert answers_everywhere(fleet, [0], rows[:64])[1] == \
+            len(optimizers)
+        assert answers_everywhere(fleet, [0], rows[:64]) == \
+            (len(optimizers), 0)

@@ -127,9 +127,9 @@ class TestArtifactGenerations:
         # The three generations really differ.
         assert not np.array_equal(
             manager.session(first)._subsessions[target].adapted
-            .model.get_theta_r_flat(),
+            .retrieval.emb_r,
             manager.session(second)._subsessions[target].adapted
-            .model.get_theta_r_flat())
+            .retrieval.emb_r)
 
 
 class TestPerSessionErrorAttribution:

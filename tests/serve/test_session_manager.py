@@ -466,7 +466,10 @@ class TestStats:
             self, manager, serve_subspaces, make_oracle, eval_rows):
         """Re-adaptation bumps model versions but never hull geometry,
         so the refine group's compiled pack is a cache hit on the next
-        predict instead of a recompile."""
+        predict instead of a recompile.  The same rows again are
+        recalled from the optimizers' decision memos without asking the
+        pack at all, so the next predict reverses their order (a memo
+        miss) to ask it."""
         oracle = make_oracle(62)
         sid = manager.open_session(variant="meta_star",
                                    subspaces=serve_subspaces)
@@ -486,6 +489,8 @@ class TestStats:
                            oracle.label_subspace(subspace, raw))
         manager.flush()
         manager.predict(sid, eval_rows)
+        assert manager.metrics.value("geometry.pack_cache.hits") == 0
+        manager.predict(sid, eval_rows[::-1])
         # No recompilation.
         assert manager.metrics.value("geometry.pack_cache.misses") == misses
         assert manager.metrics.value("geometry.pack_cache.hits") > 0

@@ -21,19 +21,101 @@ pooled driver draws them.
 
 import numpy as np
 
-from repro.core.meta_training import AdaptedClassifier
+from repro.core.meta_learner import UISClassifier
+from repro.core.meta_training import AdaptedClassifier, retrieval_digest
 from repro.nn import Adam, SGD
+from repro.nn.batching import (_leaf_layers, block_leaves,
+                               retrieval_constants)
 from repro.nn.functional import (balanced_pos_weight,
                                  binary_cross_entropy_with_logits)
 from repro.nn.tensor import Parameter
 from repro.train import TrainerSchedule, encode_task_sets
 
 
+def retrieved_model(trainer, feature_vector):
+    """``MetaTrainer.task_retrieval`` as it was: a clone of phi with the
+    retrieved theta_R (Eq. 6), the retrieved M_cp (Eq. 10, None without
+    memories) and the attention."""
+    theta_r, conversion, attention = trainer.retrieved_init(
+        np.asarray(feature_vector, dtype=np.float64))
+    local = trainer.model.clone()
+    local.set_theta_r_flat(theta_r)
+    return local, conversion, attention
+
+
+def adapted_of(model, feature_vector, conversion=None, trains_uis=False):
+    """The :class:`AdaptedClassifier` of a whole trained model: its tuple
+    and classification blocks (and its UIS block, for Basic, which
+    trains it) and the retrieval of its UIS block and ``conversion``."""
+    feature_vector = np.asarray(feature_vector, dtype=np.float64)
+    names = ("uis_block", "tuple_block", "clf_block") if trains_uis \
+        else ("tuple_block", "clf_block")
+    if isinstance(conversion, Parameter):
+        conversion = conversion.data
+    retrieval = None if trains_uis else retrieval_constants(
+        block_leaves(model.uis_block), feature_vector.reshape(1, -1),
+        conversion)
+    return AdaptedClassifier(
+        model.config, feature_vector,
+        {name: block_leaves(getattr(model, name)) for name in names},
+        retrieval)
+
+
+def whole_model(adapted, trainer=None):
+    """``(model, conversion | None)``: a whole ``UISClassifier`` holding
+    an adapted classifier's blocks and its retrieval's theta_R, with its
+    M_cp — what the classifier held before it kept only what its labels
+    moved.  A Meta / Meta* classifier's theta_R and M_cp are recomputed
+    from the meta-learner it adapted under (``retrieved_init``, to which
+    the classifier's constants are pinned in
+    ``tests/serve/test_fixed_retrieval.py``): ``trainer``, or the first
+    of a list of candidates whose retrieval is the classifier's."""
+    if "uis_block" not in adapted.blocks and isinstance(trainer, list):
+        digest = retrieval_digest(adapted.retrieval)
+        trainer = next(candidate for candidate in trainer
+                       if candidate is not None
+                       and retrieval_digest(candidate.task_retrieval(
+                           adapted.feature_vector)[0]) == digest)
+    model = UISClassifier.from_config(adapted.config)
+    for name, leaves in adapted.blocks.items():
+        for layer, leaf in zip(_leaf_layers(getattr(model, name)), leaves):
+            if leaf is not None:
+                layer.weight.copy_(leaf[0])
+                layer.bias.copy_(leaf[1].reshape(-1))
+    if "uis_block" in adapted.blocks:
+        return model, None
+    theta_r, conversion, _ = trainer.retrieved_init(adapted.feature_vector)
+    model.set_theta_r_flat(theta_r)
+    return model, None if conversion is None else np.array(conversion)
+
+
+def classifier_arrays(adapted):
+    """Every array an adapted classifier holds, in one fixed order: v_R,
+    its blocks' leaf arrays by block name, then its retrieval."""
+    arrays = [adapted.feature_vector]
+    for name in sorted(adapted.blocks):
+        for leaf in adapted.blocks[name]:
+            arrays.extend(array for array in leaf or () if array is not None)
+    arrays.extend(array for array in adapted.retrieval if array is not None)
+    return arrays
+
+
+def assert_same_classifier(got, want):
+    """Same blocks and retrieval, array for array and bit for bit."""
+    assert sorted(got.blocks) == sorted(want.blocks)
+    mine, theirs = classifier_arrays(got), classifier_arrays(want)
+    assert len(mine) == len(theirs)
+    for a, b in zip(mine, theirs):
+        assert np.array_equal(a, b)
+
+
 def adapt(trainer, feature_vector, support_x, support_y, local_steps=None,
           local_lr=None):
     """``MetaTrainer.adapt`` as it was: the eager local phase of one
     task, online and in meta-training's inner loop.  Returns
-    ``(AdaptedClassifier, info)``.  The optimizer steps the tuple and
+    ``(AdaptedClassifier, info)``; ``info["model"]`` and
+    ``info["conversion"]`` are the trained model and the conversion
+    :class:`Parameter` (or None).  The optimizer steps the tuple and
     classification blocks only, so theta_R and M_cp keep their retrieved
     values (the forward and backward still run through them, every
     step)."""
@@ -44,7 +126,7 @@ def adapt(trainer, feature_vector, support_x, support_y, local_steps=None,
     support_x = np.atleast_2d(np.asarray(support_x, dtype=np.float64))
     support_y = np.asarray(support_y, dtype=np.float64).ravel()
 
-    local, conversion, attention = trainer.task_retrieval(feature_vector)
+    local, conversion, attention = retrieved_model(trainer, feature_vector)
     if conversion is not None:
         conversion = Parameter(conversion)
 
@@ -68,8 +150,9 @@ def adapt(trainer, feature_vector, support_x, support_y, local_steps=None,
         optimizer.step()
         loss_value = loss.item()
 
-    adapted = AdaptedClassifier(local, feature_vector, conversion)
-    info = {"attention": attention, "support_loss": loss_value}
+    adapted = adapted_of(local, feature_vector, conversion)
+    info = {"attention": attention, "support_loss": loss_value,
+            "model": local, "conversion": conversion}
     return adapted, info
 
 
@@ -116,9 +199,9 @@ def train_batch_sequential(trainer, encoded, batch):
     losses = []
     for task_idx in batch:
         v_r, sx, sy, qx, qy = encoded[task_idx]
-        adapted, info = adapt(trainer, v_r, sx, sy)
-        local = adapted.model
-        conversion = adapted.conversion
+        _, info = adapt(trainer, v_r, sx, sy)
+        local = info["model"]
+        conversion = info["conversion"]
         # Global phase: query loss through adapted parameters
         # (first-order meta-gradient).
         local.zero_grad()

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import LTE, LTEConfig, VARIANTS, run_adapt_requests
-from repro.core import framework
+from repro.core import framework, meta_training
 from repro.core.meta_training import MetaHyperParams, MetaTrainer
 from repro.data import Table, make_car, make_sdss
 from repro.data.subspaces import random_decomposition
@@ -43,6 +43,8 @@ from repro.train import (MetaBatchSlot, OfflineRun, TrainerSchedule,
                          build_meta_batch_inputs, compute_meta_batch,
                          encode_task_sets, engine, run_meta_batch_fused)
 from repro.train.engine import run_pretrain_group
+
+import _sequential_oracle as oracle
 
 pytestmark = pytest.mark.train
 
@@ -129,12 +131,8 @@ def adapt_requests(lte, variant, k, seed, optimizer, balance):
 
 
 def adapted_arrays(results):
-    out = []
-    for adapted, _ in results:
-        out.append(adapted.model.flat_parameters())
-        out.append(None if adapted.conversion is None
-                   else adapted.conversion.data)
-    return out
+    return [array for adapted, _ in results
+            for array in oracle.classifier_arrays(adapted)]
 
 
 @settings(deadline=None)
@@ -497,8 +495,7 @@ def test_paper_size_fit_flush_and_answers_split_equal_whole():
         out = trainer_arrays(lte) + [answers[sid] for sid in sids]
         for sid in sids:
             for subsession in manager.session(sid)._subsessions.values():
-                out.append(subsession.adapted.model.flat_parameters())
-                out.append(subsession.adapted.conversion.data)
+                out.extend(oracle.classifier_arrays(subsession.adapted))
         return out
 
     subspaces = random_decomposition(table, dim=2, seed=0)[:2]
@@ -530,7 +527,7 @@ def test_a_failed_half_leaves_the_queue_for_a_retry(fan_lte, monkeypatch):
     and nothing is installed — every item stays queued (the manager's
     retry contract), and the retry answers what an untroubled manager
     answers."""
-    real = framework.fused_local_adapt
+    real = meta_training.fused_local_adapt
 
     def flaky(*args, **kwargs):
         if threading.current_thread().name == "repro-fan-out":
@@ -554,13 +551,13 @@ def test_a_failed_half_leaves_the_queue_for_a_retry(fan_lte, monkeypatch):
     with stacks(True):
         manager, sids = fed_manager()
         queued = manager.pending()
-        monkeypatch.setattr(framework, "fused_local_adapt", flaky)
+        monkeypatch.setattr(meta_training, "fused_local_adapt", flaky)
         with pytest.raises(FloatingPointError, match="the helper's half"):
             manager.flush()
         assert manager.pending() == queued
         assert all(not ss.adapted for sid in sids for ss in
                    manager.session(sid)._subsessions.values())
-        monkeypatch.setattr(framework, "fused_local_adapt", real)
+        monkeypatch.setattr(meta_training, "fused_local_adapt", real)
         assert manager.flush() == len(queued)
         reference, ref_sids = fed_manager()
         reference.flush()
