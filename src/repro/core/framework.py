@@ -33,6 +33,7 @@ from ..data.sampling import (random_indices, random_sample,
                              stratified_chunk_sample)
 from ..data.subspaces import Subspace, random_decomposition
 from ..geometry.engine import HullPackCache
+from ..ml.kmeans import DistanceRows
 from ..ml.scaler import MinMaxScaler
 from ..nn.batching import block_leaves
 from ..nn.cores import fan_out, one_blas_thread, run_stack, step_macs
@@ -41,8 +42,7 @@ from .meta_learner import UISClassifier
 from .meta_task import (MetaTaskGenerator, cluster_sample_rows,
                         uis_feature_vector)
 from .meta_training import (AdaptedClassifier, MetaHyperParams, MetaTrainer,
-                            StateMismatchError, adapt_stack, check_count,
-                            checked_retrieval)
+                            StateMismatchError, adapt_stack, check_count)
 from .optimizer import FewShotOptimizer, HullRegistry, caller_spans
 from .preprocessing import TabularPreprocessor
 from .uis import UISMode
@@ -347,11 +347,10 @@ class LTE:
     def _quantization_error(state, scaled_points, sample=500, seed=0):
         """Mean nearest-C_u-center distance of a sample — the clustering
         fit statistic used by drift detection."""
-        from ..ml.kmeans import pairwise_distances
         idx = random_indices(len(scaled_points), sample, seed=seed)
-        dist = pairwise_distances(scaled_points[idx],
-                                  state.summary.centers_u)
-        return float(dist.min(axis=1).mean())
+        _, dist = DistanceRows(scaled_points[idx]).nearest(
+            state.summary.centers_u)
+        return float(dist.mean())
 
     # ------------------------------------------------------------------
     # Dynamic maintenance (paper Section V-E): when the data distribution
@@ -1157,9 +1156,7 @@ class _SubspaceSession:
 
         adapted = None if self.adapted is None else self.adapted.state_dict()
         if adapted is not None and self.variant != "basic":
-            checked_retrieval(_retrieving_trainer(current),
-                              self.adapted.feature_vector,
-                              adapted["retrieval_digest"])
+            self.adapted.check_retrieval(_retrieving_trainer(current))
         return {
             "initial_scaled": self._initial_scaled.copy(),
             "labels": array_or_none(self.labels),

@@ -149,6 +149,13 @@ def retrieval_digest(retrieval):
     return h.hexdigest()
 
 
+def _other_retrieval(detail):
+    return StateMismatchError(
+        "the subspace's meta-learner retrieves another initialization "
+        "than the one the classifier adapted under ({}): the subspace "
+        "was refreshed or retrained since".format(detail))
+
+
 def checked_retrieval(trainer, feature_vector, digest):
     """The :class:`~repro.nn.batching.Retrieval` ``trainer`` computes for
     ``feature_vector``, which a Meta / Meta* classifier whose state
@@ -158,11 +165,7 @@ def checked_retrieval(trainer, feature_vector, digest):
     retrieval, _ = trainer.task_retrieval(feature_vector)
     got = retrieval_digest(retrieval)
     if got != digest:
-        raise StateMismatchError(
-            "the subspace's meta-learner retrieves another initialization "
-            "than the one the classifier adapted under (digest {} != {}): "
-            "the subspace was refreshed or retrained since".format(
-                got, digest))
+        raise _other_retrieval("digest {} != {}".format(got, digest))
     return retrieval
 
 
@@ -188,6 +191,7 @@ class AdaptedClassifier:
             retrieval = retrieval_constants(
                 blocks["uis_block"], self.feature_vector.reshape(1, -1))
         self.retrieval = retrieval
+        self._digest = None         # retrieval_digest(retrieval), once
         self._constants = (blocks["tuple_block"], blocks["clf_block"],
                            retrieval)
 
@@ -210,8 +214,25 @@ class AdaptedClassifier:
                 None if array is None else array.copy() for array in leaf)
                 for leaf in leaves]
         if "uis_block" not in self.blocks:
-            state["retrieval_digest"] = retrieval_digest(self.retrieval)
+            if self._digest is None:
+                self._digest = retrieval_digest(self.retrieval)
+            state["retrieval_digest"] = self._digest
         return state
+
+    def check_retrieval(self, trainer):
+        """:class:`StateMismatchError` unless ``trainer`` computes this
+        Meta / Meta* classifier's retrieval, bit for bit: whether a
+        checkpoint of it would restore through ``trainer``."""
+        retrieval, _ = trainer.task_retrieval(self.feature_vector)
+        for name, got, kept in zip(retrieval._fields, retrieval,
+                                   self.retrieval):
+            if got is None or kept is None:
+                same = got is kept
+            else:
+                same = got.shape == kept.shape \
+                    and got.tobytes() == kept.tobytes()
+            if not same:
+                raise _other_retrieval("{} differs".format(name))
 
     @classmethod
     def from_state_dict(cls, state, trainer=None):
@@ -230,8 +251,11 @@ class AdaptedClassifier:
             for array in leaf) for leaf in state[name]) for name in names}
         if trainer is None:
             return cls(config, feature_vector, blocks)
-        return cls(config, feature_vector, blocks, checked_retrieval(
-            trainer, feature_vector, state["retrieval_digest"]))
+        digest = state["retrieval_digest"]
+        classifier = cls(config, feature_vector, blocks, checked_retrieval(
+            trainer, feature_vector, digest))
+        classifier._digest = digest     # just checked: not hashed again
+        return classifier
 
 
 def adapt_stack(config, starts, features, xs, ys, *, steps, lr,

@@ -14,14 +14,10 @@ thirteen operations to each element, where numpy makes thirteen passes.
 ``ctypes`` releases the GIL for the call, so two fan-out halves
 (:func:`repro.nn.cores.run_stack`) step their optimizers on two cores.
 The library is built at the first ``Adam.step`` of a process, never at
-import, with the Python build's C compiler (``sysconfig`` ``CC``, else
-``cc``) and the fixed flags :data:`_CFLAGS`, into a per-user cache
-(``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``) under a name keyed
-by a hash of the source, the flags, the compiler's version and the
-machine; it is written to a temporary name and ``os.replace``d, so
-processes that build at once each load a whole library.  Before the
-first use a process checks the library against the numpy kernel on a
-few values (NaN, infinities and a subnormal included).
+import, by :mod:`repro.native` (one build and cache for every compiled
+loop of the package), and checked before its first use against the
+numpy kernel on a few values (NaN, infinities and a subnormal
+included).
 
 **The numpy kernel** (``Adam._numpy_step``) is the reference and the
 only path where no compiler is found, the cache is not writable or the
@@ -37,9 +33,9 @@ in the numpy kernel's order with its scalars, and is built without
 fused multiply-adds or fast-math, so the two give the same bits
 (``tests/nn/test_adam_kernel.py`` compares them on NaN, infinite,
 broadcast and strided inputs, and ``tests/nn/test_optim.py`` runs every
-case on both; README.md, "One compiled kernel: ``Adam.step``", has the
-measurements).  The update is
-element-wise with per-step scalars, so an element's new value depends
+case on both; README.md, "Compiled loops: ``Adam.step`` and k-means",
+has the measurements).  The update is element-wise with per-step
+scalars, so an element's new value depends
 only on its own old value, gradient and moments — never on which
 block, parameter or stack it sits in.  Every execution path shares
 this class, hence stacked (K, ...) optimizers equal K per-slice ones,
@@ -68,19 +64,12 @@ keep glibc from trimming the heap between training steps;
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
 import os
-import platform
-import shlex
-import shutil
-import subprocess
-import sysconfig
-import tempfile
-import threading
 
 import numpy as np
 
+from ..native import Kernel
 from ..obs import default_registry
 from .tensor import Parameter
 
@@ -91,74 +80,12 @@ __all__ = ["Optimizer", "SGD", "Adam"]
 #: 2 MiB L2.  A constant, not a knob — results do not depend on it.
 _BLOCK = 1 << 15
 
-#: Flags of the compiled Adam loop.  No fused multiply-add and no
-#: fast-math, so it keeps the numpy kernel's bits; ``-fno-math-errno``
-#: lets ``sqrt`` vectorize.  No ``-march=native``: the generic build
-#: measured as fast, and a cached library stays valid on any host of
-#: the same machine type.
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off",
-           "-fno-math-errno")
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       "_adam.c")
-_KERNEL = []        # empty until the first Adam.step; then [function or None]
-_KERNEL_LOCK = threading.Lock()
-
-
-def _compiler():
-    """The Python build's C compiler command (``sysconfig`` ``CC``),
-    else ``cc``; None when neither is on the ``PATH``."""
-    for command in (sysconfig.get_config_var("CC") or "", "cc"):
-        argv = shlex.split(command)
-        if argv and shutil.which(argv[0]):
-            return argv
-    return None
-
-
-def _cache_dir():
-    """The per-user directory the compiled kernel is kept in."""
-    base = os.environ.get("XDG_CACHE_HOME") \
-        or os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "repro")
-
-
-def _build_kernel():
-    """The compiled Adam loop, built into the cache unless a library of
-    the same source, flags, compiler and machine is there; None when
-    there is no compiler, the cache is not writable or the build fails."""
-    compiler = _compiler()
-    if compiler is None:
-        return None
-    try:
-        with open(_SOURCE, "rb") as fh:
-            source = fh.read()
-        version = subprocess.run(
-            compiler + ["--version"], capture_output=True, check=True,
-            timeout=60).stdout
-        key = hashlib.sha256(b"\0".join([
-            source, " ".join(compiler + list(_CFLAGS)).encode(), version,
-            platform.machine().encode()])).hexdigest()[:20]
-        folder = _cache_dir()
-        path = os.path.join(folder, "adam-{}.so".format(key))
-        if not os.path.exists(path):
-            os.makedirs(folder, exist_ok=True)
-            fd, partial = tempfile.mkstemp(prefix=".adam-", suffix=".so",
-                                           dir=folder)
-            os.close(fd)
-            try:
-                subprocess.run(compiler + list(_CFLAGS)
-                               + ["-o", partial, _SOURCE, "-lm"],
-                               capture_output=True, check=True, timeout=300)
-                os.replace(partial, path)
-            finally:
-                if os.path.exists(partial):
-                    os.unlink(partial)
-        function = ctypes.CDLL(path).repro_adam_step
-    except (OSError, subprocess.SubprocessError):
-        return None
+def _bind(library):
+    function = library.repro_adam_step
     function.restype = None
     function.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] \
         + [ctypes.c_double] * 7
-    return function if _agrees_with_numpy(function) else None
+    return function
 
 
 def _agrees_with_numpy(function):
@@ -181,14 +108,14 @@ def _agrees_with_numpy(function):
     return results[0].tobytes() == results[1].tobytes()
 
 
+_ADAM = Kernel(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "_adam.c"), _bind, _agrees_with_numpy)
+
+
 def _adam_kernel():
     """The compiled Adam loop of this process, built on first call;
     None when only the numpy kernel can run."""
-    if not _KERNEL:
-        with _KERNEL_LOCK:
-            if not _KERNEL:
-                _KERNEL.append(_build_kernel())
-    return _KERNEL[0]
+    return _ADAM.get()
 
 
 class Optimizer:

@@ -60,6 +60,7 @@ name                                             kind        unit
 ``core.offline.prepare.seconds``                 histogram   seconds
 ``core.offline.generate.seconds``                histogram   seconds
 ``ml.kmeans.iterations``                         counter     iterations
+``ml.kmeans.numpy_fits``                         counter     fits
 ``nn.fan_out.split``                             counter     fan-outs
 ``nn.fan_out.whole``                             counter     stacks
 ``nn.fan_out.wait.seconds``                      histogram   seconds

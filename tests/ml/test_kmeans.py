@@ -54,11 +54,6 @@ class TestKMeans:
         expected = pairwise_distances(data, km.centers_).argmin(axis=1)
         assert np.array_equal(km.labels_, expected)
 
-    def test_predict_consistent_with_fit_labels(self):
-        data = three_blobs(seed=4)
-        km = KMeans(3, seed=0).fit(data)
-        assert np.array_equal(km.predict(data), km.labels_)
-
     def test_inertia_decreases_with_more_clusters(self):
         data = three_blobs(seed=5)
         i2 = KMeans(2, seed=0).fit(data).inertia_
@@ -87,8 +82,6 @@ class TestKMeans:
             KMeans(5).fit(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             KMeans(2).fit(np.zeros(5))
-        with pytest.raises(RuntimeError):
-            KMeans(2).predict(np.zeros((2, 2)))
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("k", [1, 3])

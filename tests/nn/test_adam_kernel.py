@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import native
 from repro.nn import Adam, optim
 from repro.nn.tensor import Parameter
 from repro.obs import default_registry
@@ -23,7 +24,7 @@ BLOCK = optim._BLOCK
 MIB = (1 << 20) // 8            # float64 elements in one MiB
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-needs_compiler = pytest.mark.skipif(optim._compiler() is None,
+needs_compiler = pytest.mark.skipif(native.compiler() is None,
                                     reason="no C compiler on this host")
 
 
@@ -127,21 +128,21 @@ def counted_numpy_steps():
 def test_without_the_loop_the_numpy_kernel_runs_with_the_same_bits(
         host, monkeypatch, tmp_path):
     reference = adam_state("odd sizes", None)
-    monkeypatch.setattr(optim, "_KERNEL", [])
+    monkeypatch.setattr(optim._ADAM, "_loaded", [])
     if host == "no compiler":
-        monkeypatch.setattr(optim, "_compiler", lambda: None)
+        monkeypatch.setattr(native, "compiler", lambda: None)
     else:
         # A file where the cache's parent directory should be: no
         # directory can be made under it, whoever the user is.
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
-        monkeypatch.setattr(optim, "_cache_dir",
+        monkeypatch.setattr(native, "cache_dir",
                             lambda: str(blocker / "repro"))
     before = counted_numpy_steps()
     ours = adam_state("odd sizes", None, step=Adam.step)
     assert counted_numpy_steps() - before == len(
         CASES["odd sizes"](np.random.default_rng(0))[1])
-    assert optim._KERNEL == [None]
+    assert optim._ADAM._loaded == [None]
     assert_same_bits(ours, reference)
 
 
@@ -155,15 +156,15 @@ def test_the_compiled_loop_counts_no_numpy_step():
 def test_threads_that_step_first_at_once_build_the_loop_once(monkeypatch):
     """Adapts run on several threads: the first steps of a process race
     to build the loop, and exactly one builds it for all."""
-    monkeypatch.setattr(optim, "_KERNEL", [])
+    monkeypatch.setattr(optim._ADAM, "_loaded", [])
     built = []
-    real = optim._build_kernel
+    real = optim._ADAM._build
 
     def counted():
         built.append(None)
         return real()
 
-    monkeypatch.setattr(optim, "_build_kernel", counted)
+    monkeypatch.setattr(optim._ADAM, "_build", counted)
     found = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -185,9 +186,10 @@ def test_threads_that_step_first_at_once_build_the_loop_once(monkeypatch):
 @needs_compiler
 def test_two_processes_compiling_at_once_both_load_a_whole_library(
         tmp_path):
-    code = ("from repro.nn import optim\n"
+    code = ("from repro import native\n"
+            "from repro.nn import optim\n"
             "assert optim._adam_kernel() is not None\n"
-            "print(sorted(__import__('os').listdir(optim._cache_dir())))\n")
+            "print(sorted(__import__('os').listdir(native.cache_dir())))\n")
     env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
     children = [subprocess.Popen([sys.executable, "-c", code], env=env,
                                  stdout=subprocess.PIPE,
@@ -207,9 +209,10 @@ def test_two_processes_compiling_at_once_both_load_a_whole_library(
 
 
 def test_importing_repro_starts_no_compiler_and_writes_no_cache(tmp_path):
-    """The loop is built by the first ``Adam.step``, never at import:
-    a fresh interpreter that imports every module of ``repro`` has
-    started no process and has an empty cache."""
+    """A compiled loop is built by its first use (``Adam.step``,
+    ``KMeans.fit``), never at import: a fresh interpreter that imports
+    every module of ``repro`` has built neither kernel, started no
+    process and has an empty cache."""
     code = (
         "import importlib, pkgutil, sys\n"
         "started = []\n"
@@ -221,8 +224,9 @@ def test_importing_repro_starts_no_compiler_and_writes_no_cache(tmp_path):
         "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
         "    if not module.name.endswith('__main__'):\n"
         "        importlib.import_module(module.name)\n"
+        "from repro.ml import kmeans\n"
         "from repro.nn import optim\n"
-        "assert optim._KERNEL == [], optim._KERNEL\n"
+        "assert optim._ADAM._loaded == kmeans._KMEANS._loaded == []\n"
         "print(started)\n")
     env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
     done = subprocess.run([sys.executable, "-c", code], env=env,

@@ -7,6 +7,7 @@ kernel alone, as on a host without a C compiler.
 import numpy as np
 import pytest
 
+from repro import native
 from repro.nn import Adam, SGD, Tensor, optim
 from repro.nn.tensor import Parameter
 
@@ -16,7 +17,7 @@ def kernel(request, monkeypatch):
     if request.param == "numpy":
         monkeypatch.setattr(optim, "_adam_kernel", lambda: None)
     elif optim._adam_kernel() is None:
-        if optim._compiler() is not None:
+        if native.compiler() is not None:
             pytest.fail("a C compiler is on the PATH, yet the compiled "
                         "Adam loop did not load")
         pytest.skip("no C compiler on this host")

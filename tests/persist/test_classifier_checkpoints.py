@@ -210,3 +210,32 @@ def test_a_session_adapted_before_a_change_is_refused_at_save(
     got = restored.predict_many(sids, eval_rows)
     for sid in sids:
         assert np.array_equal(got[sid], want[sid])
+
+
+def test_two_saves_digest_each_retrieval_once(
+        tmp_path, persist_lte, persist_subspaces, make_oracle, eval_rows,
+        monkeypatch):
+    """A classifier's retrieval never changes: its digest is taken at
+    most once in the classifier's life (a restore's check included), and
+    the save-time check compares the recomputed constants with the kept
+    ones by bytes, not by a second digest."""
+    from repro.core import meta_training
+    manager, sids = fed_manager(persist_lte, persist_subspaces[:1],
+                                make_oracle, ("meta_star",) * 3)
+    digests = []
+    real = meta_training.retrieval_digest
+    monkeypatch.setattr(meta_training, "retrieval_digest",
+                        lambda retrieval: digests.append(0) or real(retrieval))
+    persist.save_manager(tmp_path / "first", manager)
+    persist.save_manager(tmp_path / "second", manager)
+    assert 0 < len(digests) <= len(sids)
+    # A restore checks each digest once and keeps it for later saves.
+    del digests[:]
+    restored = persist.load_manager(tmp_path / "second", persist_lte)
+    assert 0 < len(digests) <= len(sids)
+    persist.save_manager(tmp_path / "third", restored)
+    assert len(digests) <= len(sids)
+    want = manager.predict_many(sids, eval_rows)
+    got = restored.predict_many(sids, eval_rows)
+    for sid in sids:
+        assert np.array_equal(got[sid], want[sid])
