@@ -5,9 +5,10 @@
 
 **Training stacks.**  For small nets (``benchmarks/e2e``'s
 ``shard_fleet``) and paper-size nets (``paper_nets``), a stack of K Meta
-tasks over n rows a task runs one ``fused_local_adapt`` of 30 Adam steps
-(a flush's 30-row stacks online, over the tuple and classification
-blocks; the larger meta-training ones over all four blocks) three ways:
+tasks over n rows a task runs 30 Adam steps of the stacked step program
+(a flush's 30-row stacks as ``fused_local_adapt``'s online local phase,
+over the tuple and classification blocks; the larger ones as pretrain
+steps, over all three blocks against a constant conversion) three ways:
 whole on the process's BLAS threads (how every stack ran before the
 fan-out), whole on one BLAS thread, and as two halves on two threads
 (``repro.nn.cores.fan_out``).  Each line gives the stack's estimated
@@ -66,10 +67,11 @@ from repro.data import make_sdss
 from repro.data.subspaces import random_decomposition
 from repro.explore import ConjunctiveOracle
 from repro.geometry.engine import HullPackCache
-from repro.nn import cores
+from repro.nn import Adam, cores
 from repro.nn.batching import (BatchedUISClassifier, block_leaves,
                                fused_local_adapt, inference_logits,
-                               retrieval_constants)
+                               retrieval_constants, step_program)
+from repro.nn.functional import batched_pos_weight
 
 #: (name, ku, representation width, Ne, H) of the two workloads' nets.
 NETS = [("small", 40, 50, 32, 32), ("paper", 100, 118, 100, 64)]
@@ -108,19 +110,24 @@ def make_stack(k, rows, ku, width, ne, hidden, seed=0):
 
 
 def train(stack, tasks, steps=STEPS, keep_retrieved=False):
-    """The adapted parameters of ``tasks`` of the stack, as arrays."""
+    """The trained parameters of ``tasks`` of the stack, as arrays: the
+    online local phase with ``keep_retrieved``, else pretrain steps."""
     models, conversions, features, xs, ys = stack
-    models = [models[i] for i in tasks]
-    conversions = [conversions[i] for i in tasks]
-    batched = BatchedUISClassifier(models)
-    retrieved = None if not keep_retrieved else retrieval_constants(
-        block_leaves(batched.uis_block), features[tasks][:, None],
-        np.stack(conversions))
-    batched, conversion, _ = fused_local_adapt(
-        models, features[tasks], xs[tasks], ys[tasks],
-        conversions=conversions, steps=steps, lr=0.01, batched=batched,
-        retrieved=retrieved)
-    return [p.data for p in batched.parameters()] + [conversion.data]
+    batched = BatchedUISClassifier([models[i] for i in tasks])
+    conversion = np.stack([conversions[i] for i in tasks])
+    features, xs, ys = features[tasks], xs[tasks], ys[tasks]
+    if keep_retrieved:
+        fused_local_adapt(batched, features, xs, ys, steps=steps, lr=0.01,
+                          retrieved=retrieval_constants(
+                              block_leaves(batched.uis_block),
+                              features[:, None], conversion))
+    else:
+        loss_backward = step_program(batched, xs.shape, conversion=conversion)
+        optimizer = Adam(batched.parameters(), lr=0.01)
+        for _ in range(steps):
+            loss_backward(features, xs, ys, batched_pos_weight(ys))
+            optimizer.step()
+    return [p.data for p in batched.parameters()]
 
 
 def timed(run, repeats):

@@ -21,11 +21,11 @@ import numpy as np
 from ..baselines.dsm import DSMExplorer
 from ..core.framework import LTE
 from ..core.meta_learner import UISClassifier
-from ..core.meta_training import MetaHyperParams, MetaTrainer
+from ..core.meta_training import MetaHyperParams, MetaTrainer, adapt_stack
 from ..core.uis import PAPER_MODES, UISMode
 from ..explore.metrics import f1_score
 from ..explore.session import score_session
-from ..nn.batching import fused_local_adapt
+from ..nn.batching import block_leaves
 from .harness import (LTE_VARIANTS, baseline_oracle_pairs, budget_to_reach,
                       run_methods, subspaces_for_dims)
 from .workloads import (build_lte, convex_oracles, eval_rows_for, get_table,
@@ -423,13 +423,15 @@ def fig8d_cell(scale, dataset, lr, seed):
         model = UISClassifier(ku=state.summary.ku,
                               input_width=state.preprocessor.width,
                               seed=100 + i)
-        fused_local_adapt(
-            [model], task.feature_vector[None],
+        (classifier,), _ = adapt_stack(
+            model.config,
+            [({name: block_leaves(getattr(model, name)) for name in
+               ("uis_block", "tuple_block", "clf_block")}, None)],
+            task.feature_vector[None],
             state.encode_scaled(task.support_x)[None],
             task.support_y[None].astype(float), steps=20, lr=lr,
-            balance_classes=False)[0].unstack_into([model])
-        pred = model.predict(task.feature_vector,
-                             state.encode_scaled(task.query_x))
+            optimizer_kind="adam", balance_classes=False)
+        pred = classifier.predict(state.encode_scaled(task.query_x))
         basic.append(f1_score(task.query_y, pred))
     return {"Meta": _held_out_f1(state, state.trainer.adapt, tasks,
                                  local_steps=20, local_lr=lr),

@@ -57,11 +57,12 @@ VARIANTS = ("basic", "meta", "meta_star")
 
 #: One subspace's clustering work, ``n · (ku + ks + kq)`` over the n rows
 #: k-means samples, from which the subspaces of a fit or refresh prepare
-#: as two halves on two threads (README, "Where a fit goes": the sweep of
-#: ``benchmarks/sweep_fan_out.py`` that sized it).  Below it, k-means++
-#: over a few hundred rows holds the GIL and the halves run slower than
-#: whole.  No state depends on it.
-_PREPARE_SPLIT_WORK = 1 << 18
+#: as two halves on two threads: the smallest work of the sweep in
+#: ``benchmarks/sweep_fan_out.py`` at which the halves win (README,
+#: "Where a fit goes").  Below it a preparation is too short for the
+#: second thread to pay for itself: with k-means' compiled loops the
+#: halves read even at 343 000 and lose below.  No state depends on it.
+_PREPARE_SPLIT_WORK = 650_000
 
 #: A label round continues from the session's adapted classifier for a
 #: third of the variant's step count, rounded up (README, "What a label
@@ -687,7 +688,7 @@ def run_adapt_requests(requests):
     Requests are grouped into shape-compatible buckets (same variant,
     label count, representation width, hyper-parameters — sessions and
     subspaces may differ freely inside a bucket) and each bucket trains
-    as one fused autograd graph, a bucket of one as a stack of one.
+    as one fused array program, a bucket of one as a stack of one.
     Few-shot optimizers for initial ``meta_star`` requests are then
     batch-built with shared proximity sorts.
 

@@ -266,16 +266,16 @@ def adapt_stack(config, starts, features, xs, ys, *, steps, lr,
     ``starts`` holds each task's ``(blocks, retrieval)``: the
     :func:`~repro.nn.batching.block_leaves` it starts from, and for Meta
     and Meta* the :class:`~repro.nn.batching.Retrieval` that keeps its
-    value (None for Basic, which trains every block through the graph).
-    Only the given blocks are stacked and unstacked; each classifier
-    carries its retrieval by reference."""
+    value (None for Basic, which trains every block).  Only the given
+    blocks are stacked and unstacked; each classifier carries its
+    retrieval by reference."""
     retrievals = [retrieval for _, retrieval in starts]
     names = list(starts[0][0])
     batched = BatchedUISClassifier.from_blocks(config, len(starts), {
         name: stack_leaves([blocks[name] for blocks, _ in starts])
         for name in names})
-    _, _, losses = fused_local_adapt(
-        None, features, xs, ys, batched=batched, steps=steps, lr=lr,
+    losses = fused_local_adapt(
+        batched, features, xs, ys, steps=steps, lr=lr,
         optimizer_kind=optimizer_kind, balance_classes=balance_classes,
         retrieved=None if retrievals[0] is None
         else stack_retrievals(retrievals))
@@ -489,8 +489,23 @@ class MetaTrainer:
     def evaluate(self, tasks, encode, local_steps=None):
         """Mean query-set accuracy after online adaptation (diagnostic,
         theta_R and M_cp fixed as in :meth:`adapt`): every task adapted
-        and scored in one stacked program
-        (:func:`repro.train.engine.evaluate_batched`)."""
-        from ..train.engine import evaluate_batched
-        return evaluate_batched(self, tasks, encode,
-                                self._local_steps(local_steps))
+        in one stack (:func:`adapt_stack`), each scored by its
+        classifier."""
+        from ..train.engine import encode_task_sets
+        steps = self._local_steps(local_steps)
+        encoded = encode_task_sets(tasks, encode)
+        if not encoded:
+            return 0.0
+        params, start = self.params, self.local_start()
+        features = np.stack([task[0] for task in encoded])
+        adapted, _ = adapt_stack(
+            self.model.config,
+            [(start, self.task_retrieval(v_r)[0]) for v_r in features],
+            features, np.stack([task[1] for task in encoded]),
+            np.stack([np.asarray(task[2], dtype=np.float64).ravel()
+                      for task in encoded]),
+            steps=steps, lr=params.rho,
+            optimizer_kind=params.local_optimizer,
+            balance_classes=params.balance_classes)
+        return float(np.mean([np.mean(classifier.predict(task[3]) == task[4])
+                              for classifier, task in zip(adapted, encoded)]))

@@ -1,42 +1,39 @@
 """Shared task-stacking substrate for fused multi-task training.
 
 One few-shot UIS-classifier task is far too small to saturate anything —
-its cost is Python/autograd overhead.  Both the *online* serving hot path
+its cost is Python overhead.  Both the *online* serving hot path
 (:func:`repro.core.framework.run_adapt_requests`) and the *offline*
 meta-training engine (:mod:`repro.train.engine`) therefore stack K
-structurally identical tasks into fused ``(K, ...)`` tensors and train
-them as ONE autograd program — K = 1 included: a lone task is a stack
-of one, not a second code path.  This module is the shared substrate
-both layers build on:
+structurally identical tasks into fused ``(K, ...)`` arrays and train
+them as ONE array program — K = 1 included: a lone task is a stack of
+one, not a second code path.  This module is the shared substrate both
+layers build on:
 
 * :class:`BatchedUISClassifier` — K per-task classifier copies fused
-  into stacked :class:`~repro.nn.BatchedLinear` blocks, mirroring
-  ``UISClassifier.forward`` over a leading batch axis (the conversion
-  matrices applied by blocks through the same
-  :func:`~repro.nn.functional.convert_embeddings`: no (K, n, 3Ne)
-  combined row exists, in the forward or the backward);
+  into stacked :class:`~repro.nn.BatchedLinear` blocks;
+* :func:`step_program` — the one stacked forward and backward of the
+  summed per-task BCE loss, with no autograd graph: each call's
+  forward and explicit backward run into buffers allocated once, with
+  the bits of the ``Tensor`` graph that ``UISClassifier.forward`` spells
+  (the conversion matrices applied by blocks, through the same
+  :func:`~repro.nn.functional.conversion_rows` and
+  :func:`~repro.nn.functional.conversion_grads`).  Every stacked step
+  runs it: the local phase of every variant, meta-training's query
+  pass and each joint-pretraining step;
 * :func:`fused_local_adapt` — the fused few-shot optimization loop
   (per-task-reduced BCE + pos-weight, one Adam/SGD over the stacks).
   For Meta and Meta*, online and in meta-training's inner loop alike,
-  it trains the tuple and classification blocks only, and its steps are
-  one array program with no autograd graph
-  (:func:`_fixed_retrieval_steps`) fed the retrieval's ``emb_R``,
-  ``W`` and ``c`` (:class:`Retrieval`), each step's forward and
-  explicit backward into buffers allocated once, with the graph's bits.
-  Basic trains all of its classifier through the graph;
+  it trains the tuple and classification blocks only, fed the
+  retrieval's ``emb_R``, ``W`` and ``c`` (:class:`Retrieval`); Basic
+  trains all of its classifier;
 * :func:`grad_stacks` — per-task gradient slices out of the stacked
   parameters, in the exact layout of the corresponding per-task model
   (the meta-training global phase and the parameter memory's EMA
   update consume these);
-* :func:`stacked_loss_backward` — one forward + backward of the summed
-  per-task BCE loss (the meta-training global phase and the pooled
-  pretraining step);
-* :func:`stacked_predict` — fused 0/1 predictions of the stacks just
-  trained (the training engine's query accuracy only);
 * :func:`inference_logits` — the no-grad forward of ONE classifier as
-  plain ``np.matmul`` products, no :class:`Tensor` nodes, through
-  :func:`constant_logits` over the classifier's leaf arrays
-  (:func:`block_leaves`) and its :class:`Retrieval` — ``emb_R``,
+  plain ``np.matmul`` products, no :class:`~repro.nn.tensor.Tensor`
+  nodes, through :func:`constant_logits` over the classifier's leaf
+  arrays (:func:`block_leaves`) and its :class:`Retrieval` — ``emb_R``,
   ``W = M2 + M3 * emb_R`` and ``c = emb_R @ M1^T``, computed once a
   task (:func:`retrieval_constants`).  Every prediction outside
   training goes through it: serving scores each session over the rows
@@ -46,7 +43,8 @@ Because the stacked computation is block-diagonal across tasks, every
 task receives exactly the gradients and optimizer updates an eager
 one-task loop would give it — bit for bit, at any K.  The parity suites
 in ``tests/serve`` and ``tests/train`` verify this end to end against
-the eager loops they keep as oracles.
+the eager loops they keep as oracles; ``tests/nn`` holds the step
+program to the stacked ``Tensor`` graph it replaced.
 
 The module is deliberately duck-typed: it touches only the
 ``uis_block`` / ``tuple_block`` / ``clf_block`` / ``config`` surface of
@@ -57,22 +55,20 @@ the models it stacks, so :mod:`repro.nn` does not import
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 
 import numpy as np
 
 from .functional import (batched_binary_cross_entropy_grad,
-                         batched_binary_cross_entropy_with_logits,
                          batched_pos_weight, conversion_constant,
-                         conversion_weight, convert_embeddings)
+                         conversion_grads, conversion_weight)
 from .layers import (BatchedLinear, Linear, Module, ReLU, Sequential,
                      batch_modules, unstack_modules)
 from .optim import SGD, Adam
-from .tensor import Parameter, Tensor, no_grad
+from .tensor import Parameter
 
-__all__ = ["BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
-           "load_flat_stack", "grad_stacks", "stacked_loss_backward",
-           "stacked_predict", "inference_logits", "inference_constants",
+__all__ = ["BatchedUISClassifier", "fused_local_adapt", "step_program",
+           "stack_conversions", "load_flat_stack", "grad_stacks",
+           "inference_logits", "inference_constants",
            "constant_logits", "Retrieval", "retrieval_constants",
            "stack_retrievals", "block_leaves", "flat_leaves",
            "stack_leaves"]
@@ -88,12 +84,12 @@ Retrieval = namedtuple("Retrieval", ["emb_r", "weight", "constant"])
 class BatchedUISClassifier(Module):
     """K structurally identical UIS classifiers fused into stacked blocks.
 
-    Mirrors ``UISClassifier.forward`` over a leading batch axis:
-    features (K, ku) and tuples (K, n, width) map to logits (K, n).
-    Built from per-task model instances (whose parameters seed the
-    stacks) and unstacked back into them after training.  It exists to
-    *train* K tasks as one autograd program; nothing is stacked to
-    predict (:func:`inference_logits`).
+    Features (K, ku) and tuples (K, n, width) map to logits (K, n)
+    through :func:`step_program`, ``UISClassifier.forward`` over a
+    leading batch axis.  Built from per-task model instances (whose
+    parameters seed the stacks) and unstacked back into them after
+    training.  It exists to *train* K tasks as one array program;
+    nothing is stacked to predict (:func:`inference_logits`).
     """
 
     def __init__(self, models):
@@ -132,46 +128,6 @@ class BatchedUISClassifier(Module):
         unstack_modules(self.uis_block, [m.uis_block for m in models])
         unstack_modules(self.tuple_block, [m.tuple_block for m in models])
         unstack_modules(self.clf_block, [m.clf_block for m in models])
-
-    def forward(self, feature_vectors, tuple_vectors, conversion=None):
-        """Stacked interestingness logits.
-
-        Parameters
-        ----------
-        feature_vectors:
-            (K, ku) UIS feature vectors, one per task.
-        tuple_vectors:
-            (K, n, input_width) preprocessed tuple batches.
-        conversion:
-            Optional (K, Ne, 3Ne) stacked conversion matrices.
-
-        Returns
-        -------
-        Tensor of shape (K, n) with raw logits.
-        """
-        if self.use_conversion and conversion is None:
-            raise ValueError("use_conversion=True requires conversion")
-        if not self.use_conversion and conversion is not None:
-            raise ValueError("conversion given but use_conversion=False")
-        v_r = Tensor._wrap(feature_vectors)
-        x = Tensor._wrap(tuple_vectors)
-        n = x.shape[1]
-
-        emb_r = self.uis_block(v_r.reshape(self.k, 1, self.ku))  # (K, 1, Ne)
-        emb_x = self.tuple_block(x)                              # (K, n, Ne)
-        if conversion is not None:
-            combined = convert_embeddings(emb_r, emb_x,
-                                          conversion)            # (K, n, Ne)
-        else:
-            # Differentiable broadcast of each task's emb_R to its n rows
-            # — same tiler trick as the per-task forward, batched by
-            # numpy's matmul broadcasting: (n, 1) @ (K, 1, Ne).
-            tiler = Tensor(np.ones((n, 1)))
-            emb_r_rows = tiler @ emb_r                           # (K, n, Ne)
-            combined = Tensor.concat([emb_r_rows, emb_x, emb_r_rows * emb_x],
-                                     axis=-1)                    # (K, n, 3Ne)
-        logits = self.clf_block(combined)                        # (K, n, 1)
-        return logits.reshape(self.k, n)
 
 
 def stack_conversions(conversions):
@@ -217,152 +173,150 @@ def load_flat_stack(module, flat_stack):
             flat_stack.shape[1], offset))
 
 
-def fused_local_adapt(models, features, xs, ys, *, conversions=None,
-                      steps=1, lr=0.01, optimizer_kind="adam",
-                      balance_classes=True, batched=None, retrieved=None):
+def fused_local_adapt(batched, features, xs, ys, *, steps, lr,
+                      optimizer_kind="adam", balance_classes=True,
+                      retrieved=None):
     """Fused few-shot optimization of K stacked tasks (the local phase).
 
-    Stacks ``models`` (and their task-wise conversion matrices, if any)
-    and runs ``steps`` iterations of per-task-reduced BCE descent: the
-    loss is the *sum of per-task mean losses*, which is block-diagonal,
-    so each task's parameters see exactly their own sequential gradient
-    and one Adam/SGD instance updates all K tasks at once.
+    Runs ``steps`` iterations of per-task-reduced BCE descent on the
+    stacks of ``batched``, in place: the loss is the *sum of per-task
+    mean losses*, which is block-diagonal, so each task's parameters see
+    exactly their own sequential gradient and one Adam/SGD instance
+    updates all K tasks at once.  Each step is one call of the
+    :func:`step_program` built here.
 
-    Given ``retrieved``, the task-wise initialization the memories
-    retrieved -- the UIS block (theta_R = phi_R - sigma * omega_R, Eq. 6)
-    and the conversion matrices (M_cp, Eq. 10) -- keeps its values and
-    the optimizer steps the tuple and classification blocks only: the
-    local phase of Meta and Meta*, online and in meta-training's inner
-    loop.  Its steps build no autograd graph: they are one array program
-    (:func:`_fixed_retrieval_steps`) fed those constants that runs each
-    step's forward and backward into buffers allocated once, with the
-    autograd graph's bits.  Basic,
-    which retrieved nothing, trains all of its classifier through the
-    graph.
+    Given ``retrieved``, the stack's :class:`Retrieval` -- what the UIS
+    block (theta_R = phi_R - sigma * omega_R, Eq. 6) and the conversion
+    matrices (M_cp, Eq. 10) give every row -- those keep their values
+    and the optimizer steps the tuple and classification blocks only:
+    the local phase of Meta and Meta*, online and in meta-training's
+    inner loop.  Serving stacks its classifiers' (:func:`stack_retrievals`),
+    meta-training computes it from its stack
+    (:func:`retrieval_constants`); the stack then needs no UIS block.
+    Without it (Basic, which retrieved nothing and has no conversion)
+    every block of the stack trains.
 
-    Parameters
-    ----------
-    models:
-        K per-task classifier instances (already task-wise initialized);
-        their parameters seed the stacks and are **not** written back —
-        call ``batched.unstack_into(models)`` for that.
-    features / xs / ys:
-        (K, ku) feature vectors, (K, n, width) labelled tuples, (K, n)
-        0/1 targets.
-    conversions:
-        Optional per-task (Ne, 3Ne) matrices (see
-        :func:`stack_conversions`), or an already stacked (K, Ne, 3Ne)
-        array; either way the trained stack is a copy.
-    batched:
-        Optional pre-built :class:`BatchedUISClassifier` whose stacks
-        already hold the task-wise initializations (``models`` is then
-        ignored); the offline engine uses this to stack straight off the
-        meta-learned template without constructing K model copies.
-    retrieved:
-        The stack's :class:`Retrieval`, whose values the UIS block and
-        the conversion matrices keep (above); None trains every block.
-        Serving stacks its classifiers' (:func:`stack_retrievals`),
-        meta-training computes it from its stack
-        (:func:`retrieval_constants`).  The stacks then need no UIS
-        block, and ``conversions`` trains nothing.
-
-    Returns
-    -------
-    ``(batched, conversion, task_losses)`` — the trained
-    :class:`BatchedUISClassifier`, the stacked conversion
-    :class:`Parameter` (or ``None``) and the (K,) per-task loss vector
-    of the *last* step (``None`` when ``steps`` is 0).
+    ``features`` / ``xs`` / ``ys`` are the (K, ku) feature vectors, (K,
+    n, width) labelled tuples and (K, n) 0/1 targets.  Returns the (K,)
+    per-task loss vector of the *last* step (None when ``steps`` is 0).
     """
-    if batched is None:
-        batched = BatchedUISClassifier(models)
-    if isinstance(conversions, np.ndarray):
-        # The optimizer updates parameters in place: never train the
-        # caller's buffer.
-        conversion = Parameter(conversions.copy())
-    else:
-        conversion = stack_conversions(conversions)
-
-    features = np.asarray(features, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     pos_weight = batched_pos_weight(ys) if balance_classes else None
-
-    if retrieved is not None:
-        trainable = [*batched.tuple_block.parameters(),
-                     *batched.clf_block.parameters()]
-        loss_backward = _fixed_retrieval_steps(batched, retrieved, xs, ys,
-                                               pos_weight)
-    else:
-        trainable = list(batched.parameters())
-        if conversion is not None:
-            trainable.append(conversion)
-        loss_backward = partial(
-            _loss_backward,
-            partial(batched.forward, features, conversion=conversion),
-            trainable, xs, ys, pos_weight)
+    blocks = [batched.tuple_block, batched.clf_block]
+    if retrieved is None:
+        blocks.insert(0, batched.uis_block)
+    trainable = [param for block in blocks for param in block.parameters()]
+    loss_backward = step_program(batched, xs.shape, retrieved=retrieved)
     optimizer = (Adam if optimizer_kind == "adam" else SGD)(trainable, lr=lr)
     task_losses = None
     for _ in range(steps):
-        task_losses = loss_backward()
+        task_losses = loss_backward(features, xs, ys, pos_weight)
         optimizer.step()
-    return batched, conversion, task_losses
+    return task_losses
 
 
-def _fixed_retrieval_steps(batched, retrieved, xs, ys, pos_weight):
-    """The online local phase's step without an autograd graph: a
-    function that runs one forward and backward of the summed per-task
-    BCE loss, sets the tuple and classification blocks' ``.grad`` and
-    returns the (K,) per-task losses.
+def step_program(batched, shape, retrieved=None, conversion=None):
+    """Every stacked training forward and backward, as one array program
+    with no autograd graph: a function ``loss_backward(features, xs, ys,
+    pos_weight)`` of (K, ku), (K, n, width), (K, n) and (K, 1) or None
+    inputs of ``shape`` = (K, n, width), new on each call, that sets the
+    trained blocks' ``.grad`` and returns the (K,) per-task losses of
+    the summed per-task BCE loss.
 
-    ``retrieved`` is the stack's :class:`Retrieval`: ``emb_R``, ``W``
-    and ``c`` (the helpers of
-    :func:`~repro.nn.functional.conversion_rows`) do not change while
-    the UIS block and the conversion do not train.  A step
-    walks the blocks' leaf layers, stacked Linear or ReLU (anything else
-    is a ``TypeError``), into buffers allocated here.  Each operation is
-    the one the Tensor graph of :meth:`BatchedUISClassifier.forward`
-    runs on the same operands, so losses, gradients and parameters keep
-    its bits (``tests/nn/test_fixed_retrieval_steps.py``).
+    Given ``retrieved`` (the stack's :class:`Retrieval`, the local phase
+    of Meta and Meta*), ``emb_R``, ``W`` and ``c`` (the helpers of
+    :func:`~repro.nn.functional.conversion_rows`) are constants and the
+    tuple and classification blocks train; ``features`` is not read.
+    Otherwise the UIS block trains too, and ``conversion`` is the stack's
+    M_cp: None for the combined row ``[emb_R, emb_tau, emb_R * emb_tau]``
+    (Basic, and Meta without memories), a (K, Ne, 3Ne) array for a
+    constant (joint pretraining's), or a :class:`Parameter`, which gets
+    its gradient (meta-training's query pass, Eqs. 15-16).
+
+    A call walks the blocks' leaf layers, stacked Linear or ReLU
+    (anything else is a ``TypeError``), into buffers allocated here.
+    Each operation is the one the Tensor graph of the stacked forward
+    runs on the same operands -- the conversion's backward is
+    :func:`~repro.nn.functional.conversion_grads`, which its autograd op
+    runs -- so losses and gradients keep that graph's bits
+    (``tests/nn/test_step_program.py``, against the graph kept as
+    ``tests/nn/_graph_oracle.py``).
     """
-    k, n, _ = xs.shape
-    emb_r, w, constant = retrieved                               # (K, 1, Ne)
-    ne = emb_r.shape[-1]
-    tuple_plan = _step_plan(batched.tuple_block, k, n, xs.shape[-1], False)
-    if w is not None:
-        w_t = np.swapaxes(w, -1, -2)                             # (K, Ne, Ne)
-        combined = np.empty((k, n, ne))
+    k, n, width = shape
+    ne = batched.embed_size
+    trains_r, trains_m = retrieved is None, isinstance(conversion, Parameter)
+    if trains_r:
+        uis_plan = _step_plan(batched.uis_block, k, 1, batched.ku, False)
+        blocked = conversion is not None
     else:
-        combined = np.empty((k, n, 3 * ne))
-        combined[..., :ne] = emb_r
+        blocked = retrieved.weight is not None
+    if blocked != batched.use_conversion:
+        raise ValueError("use_conversion={} but {} conversion given".format(
+            batched.use_conversion, "a" if blocked else "no"))
+    tuple_plan = _step_plan(batched.tuple_block, k, n, width, False)
+    combined = np.empty((k, n, ne if blocked else 3 * ne))
     clf_plan = _step_plan(batched.clf_block, k, n, combined.shape[-1], True)
     grad_x = np.empty((k, n, ne))
+    grad_rows = np.empty((k, n, ne)) if trains_r and not blocked else None
+    tiler = np.ones((n, 1))
 
-    def loss_backward():
-        emb_x = _step_forward(tuple_plan, xs)                    # (K, n, Ne)
-        if w is not None:
-            np.add(np.matmul(emb_x, w_t, out=combined), constant,
-                   out=combined)
+    def retrieve(features):
+        """``emb_R``, ``W``, ``c`` and, without a conversion, emb_R's
+        rows: the graph's broadcast ``(n, 1) @ (K, 1, Ne)``."""
+        if retrieved is not None:
+            emb_r, w, constant = retrieved
         else:
+            emb_r = _step_forward(uis_plan, np.asarray(
+                features, dtype=np.float64).reshape(k, 1, batched.ku))
+            w = constant = None
+            if blocked:
+                matrix = conversion.data if trains_m else conversion
+                w = conversion_weight(emb_r, matrix)
+                constant = conversion_constant(emb_r, matrix)
+        return emb_r, w, constant, None if blocked else tiler @ emb_r
+
+    fixed = None if trains_r else retrieve(None)
+
+    def loss_backward(features, xs, ys, pos_weight):
+        emb_r, w, constant, rows = fixed or retrieve(features)
+        emb_x = _step_forward(tuple_plan, xs)                # (K, n, Ne)
+        if blocked:
+            np.add(np.matmul(emb_x, np.swapaxes(w, -1, -2), out=combined),
+                   constant, out=combined)
+        else:
+            combined[..., :ne] = rows
             combined[..., ne:2 * ne] = emb_x
-            np.multiply(emb_r, emb_x, out=combined[..., 2 * ne:])
-        logits = _step_forward(clf_plan, combined)               # (K, n, 1)
+            np.multiply(rows, emb_x, out=combined[..., 2 * ne:])
+        logits = _step_forward(clf_plan, combined)           # (K, n, 1)
         task_losses, grad = batched_binary_cross_entropy_grad(
             logits.reshape(k, n), ys, pos_weight)
         grad = _step_backward(clf_plan, grad.reshape(k, n, 1))
-        if w is not None:
-            np.matmul(grad, w, out=grad_x)
+        if blocked:
+            grad_r, _, grad_m = conversion_grads(
+                grad, emb_r, emb_x, conversion.data if trains_m
+                else conversion, w, trains_r, True, trains_m, out=grad_x)
+            if trains_m:
+                conversion.grad = grad_m
         else:
             np.add(grad[..., ne:2 * ne],
-                   np.multiply(grad[..., 2 * ne:], emb_r, out=grad_x),
+                   np.multiply(grad[..., 2 * ne:], rows, out=grad_x),
                    out=grad_x)
+            if trains_r:
+                np.add(grad[..., :ne],
+                       np.multiply(grad[..., 2 * ne:], emb_x, out=grad_rows),
+                       out=grad_rows)
+                grad_r = np.swapaxes(tiler, -1, -2) @ grad_rows
         _step_backward(tuple_plan, grad_x)
+        if trains_r:
+            _step_backward(uis_plan, grad_r)
         return task_losses
 
     return loss_backward
 
 
 def _step_plan(module, k, n, width, input_grad):
-    """The buffers of :func:`_fixed_retrieval_steps` for one block over
+    """The buffers of :func:`step_program` for one block over
     (K, n, ``width``) inputs, one entry per leaf layer: a Linear's
     ``[layer, input, output, weight grad, bias grad, input grad]`` (the
     input grad None where nothing below it trains and ``input_grad`` is
@@ -413,7 +367,13 @@ def _step_backward(plan, grad):
             continue
         layer, x, _, grad_w, grad_b, grad_in = entry
         if grad_b is not None:
-            layer.bias.grad = np.sum(grad, axis=1, keepdims=True, out=grad_b)
+            # Over one row the graph sums nothing: the bias takes the
+            # gradient as it is, a -0.0 included.
+            if grad.shape[1] == 1:
+                np.copyto(grad_b, grad)
+            else:
+                np.sum(grad, axis=1, keepdims=True, out=grad_b)
+            layer.bias.grad = grad_b
         layer.weight.grad = np.matmul(np.swapaxes(x, -1, -2), grad,
                                       out=grad_w)
         if grad_in is None:
@@ -432,45 +392,6 @@ def grad_stacks(batched):
     accumulates for task k.
     """
     return {name: param.grad for name, param in batched.named_parameters()}
-
-
-def stacked_loss_backward(batched, conversion, features, xs, ys, pos_weight):
-    """One forward + backward of the summed per-task BCE loss.
-
-    The sum of per-task mean losses is block-diagonal, so each task's
-    parameters see exactly their own one-task gradient.  Zeroes the
-    gradients of ``batched`` (and of ``conversion`` when it is a
-    :class:`Parameter`; a plain array is a constant input), leaves the
-    new gradients on them and returns the (K,) per-task loss vector.
-    """
-    params = list(batched.parameters())
-    if isinstance(conversion, Parameter):
-        params.append(conversion)
-    return _loss_backward(partial(batched.forward, features,
-                                  conversion=conversion),
-                          params, xs, ys, pos_weight)
-
-
-def _loss_backward(forward, params, xs, ys, pos_weight):
-    """Zero ``params``' gradients, then one forward (``forward(xs)``, the
-    (K, n) logits) and backward of the summed per-task BCE loss; the
-    (K,) per-task loss vector."""
-    for param in params:
-        param.zero_grad()
-    task_losses = batched_binary_cross_entropy_with_logits(
-        forward(xs), ys, pos_weight=pos_weight)
-    task_losses.sum().backward()
-    return task_losses.data
-
-
-def stacked_predict(batched, features, xs, conversion=None, threshold=0.5):
-    """Fused no-grad 0/1 predictions of trained stacks, shape (K, n)."""
-    if isinstance(conversion, Parameter):
-        conversion = conversion.data
-    with no_grad():
-        logits = batched.forward(features, xs, conversion=conversion)
-    proba = logits.sigmoid().numpy()
-    return (proba >= threshold).astype(np.int64)
 
 
 def _leaf_layers(module):

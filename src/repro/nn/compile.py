@@ -1,6 +1,6 @@
 """Name of the one nn executor, for the end-to-end benchmark's record.
 
-There is a single execution path — the eager autograd engine behind
+There is a single execution path — the stacked array program of
 :mod:`repro.nn.batching`.  ``benchmarks/e2e/run.py`` imports
 ``get_backend`` from this module for the ``nn_backend`` field of its
 environment block, and benchmark files are frozen between PRs; nothing

@@ -49,14 +49,16 @@ as fast as whole.  The policy, stated once here the way
 * **Subspace preparation fans out too.**  ``LTE.fit_offline`` and the
   refresh path hand :func:`fan_out` two contiguous halves of their
   subspace list when one subspace's clustering work reaches
-  ``core.framework._PREPARE_SPLIT_WORK``; a prepared state is a function
-  of its table, config, subspace and index alone.  A half prepares on
-  one BLAS thread, like every fan-out, and that costs no bits: the
-  clustering step's products (k-means distances, the quantization
-  baseline) gave equal states held at one thread and at the default two
-  in every case sized — paper and small cluster counts, table and store,
-  one to five subspaces (``tests/train/test_fan_out.py``).  A
-  preparation below the threshold runs serially, unheld.
+  ``core.framework._PREPARE_SPLIT_WORK`` (650 000, the paper's cluster
+  counts; ``shard_fleet``'s 75 000 prepare serially); a prepared state
+  is a function of its table, config, subspace and index alone.  A half
+  prepares on one BLAS thread, like every fan-out, and that costs no
+  bits: the clustering step's products (k-means distances, the
+  quantization baseline) gave equal states held at one thread and at
+  the default two in every case sized — paper and small cluster counts,
+  table and store, one to five subspaces
+  (``tests/train/test_fan_out.py``).  A preparation below the threshold
+  runs serially, unheld.
 
 A fan-out that cannot take the lock — another thread is fanning out, or
 this call is nested inside a half — runs whole, and so does every

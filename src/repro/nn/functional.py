@@ -19,7 +19,7 @@ __all__ = [
     "batched_binary_cross_entropy_with_logits",
     "batched_binary_cross_entropy_grad", "batched_pos_weight",
     "cosine_similarity", "conversion_constant", "conversion_weight",
-    "conversion_rows", "convert_embeddings",
+    "conversion_rows", "convert_embeddings", "conversion_grads",
 ]
 
 _EPS = 1e-12
@@ -106,8 +106,8 @@ def batched_binary_cross_entropy_with_logits(logits, targets, pos_weight=None,
                                              reduction="mean"):
     """Per-task BCE over a stacked (K, n) logit batch.
 
-    The serving hot path trains K independent few-shot tasks in one
-    autograd graph; each task's loss must reduce over *its own* examples
+    A stacked program trains K independent few-shot tasks at once; each
+    task's loss must reduce over *its own* examples
     only, so the reduction runs along the last axis and returns a (K,)
     tensor (one loss per task).  Summing that vector and calling backward
     yields for every task exactly the gradient the sequential per-task
@@ -270,10 +270,10 @@ def conversion_rows(emb_r, emb_tau, conversion, constant):
     over leading task axes: (..., n, Ne) rows and a (..., Ne, 3Ne)
     matrix give (..., n, Ne), slice k the bits of the per-task call.
     These three functions are the only place in ``src/`` that spells the
-    formula: the autograd op below, hence both classifiers' ``forward``,
-    :func:`repro.nn.batching.inference_logits` and the online local
-    phase's array steps call them, which is what keeps stacked ==
-    per-task and inference == forward bit for bit.
+    formula: the autograd op below (hence ``UISClassifier.forward``),
+    :func:`repro.nn.batching.inference_logits` and the stacked step
+    program call them, which is what keeps stacked == per-task and
+    inference == forward bit for bit.
     """
     w = conversion_weight(emb_r, conversion)
     z = emb_tau @ np.swapaxes(w, -1, -2)
@@ -291,8 +291,9 @@ def convert_embeddings(emb_r, emb_tau, conversion):
     (dW * M3).sum(rows)`` and ``dM = [dc^T emb_R | dW | dW * emb_R]``,
     written by slices into one C-contiguous array so the optimizer's
     flat blocks view it without a copy (the conversion matrix is half of
-    all trained elements).  A side that takes no gradient is skipped —
-    joint pretraining's conversion is a constant.
+    all trained elements); :func:`conversion_grads` spells it.  A side
+    that takes no gradient is skipped — joint pretraining's conversion
+    is a constant.
     """
     emb_r, emb_tau = Tensor._wrap(emb_r), Tensor._wrap(emb_tau)
     conversion = Tensor._wrap(conversion)
@@ -309,25 +310,38 @@ def convert_embeddings(emb_r, emb_tau, conversion):
     def backward(grad):
         need_r, need_x, need_m = (t.requires_grad or t._backward is not None
                                   for t in (emb_r, emb_tau, conversion))
-        grad_r = grad_m = None
-        if need_r or need_m:
-            r = emb_r.data
-            col = grad.sum(axis=-2, keepdims=True)             # dc
-            grad_t = np.swapaxes(grad, -1, -2)
-            if need_m:
-                grad_m = np.empty(conversion.shape)
-                g1, d_w, g3 = _conversion_blocks(grad_m)
-                np.multiply(np.swapaxes(col, -1, -2), r, out=g1)
-                np.matmul(grad_t, emb_tau.data, out=d_w)
-                np.multiply(d_w, r, out=g3)
-            else:
-                d_w = grad_t @ emb_tau.data
-            if need_r:
-                m1, _, m3 = _conversion_blocks(conversion.data)
-                # (dW * M3).sum(rows) without the (..., Ne, Ne) product:
-                # the same row-by-row accumulation, hence the same bits.
-                grad_r = np.einsum("...ij,...ij->...j", d_w, m3)[..., None, :]
-                grad_r += col @ m1
-        return (grad_r, grad @ w if need_x else None, grad_m)
+        return conversion_grads(grad, emb_r.data, emb_tau.data,
+                                conversion.data, w, need_r, need_x, need_m)
 
     return Tensor._from_op(z, (emb_r, emb_tau, conversion), backward)
+
+
+def conversion_grads(grad, emb_r, emb_tau, conversion, weight, need_r=True,
+                     need_x=True, need_m=True, out=None):
+    """The backward of :func:`conversion_rows` on raw arrays, the one
+    :func:`convert_embeddings` and the stacked step program
+    (:func:`repro.nn.batching.step_program`) both run: ``(d emb_R, d
+    emb_tau, dM)`` of the incoming gradient ``grad``, each None where
+    its ``need_*`` is false, ``d emb_tau`` written into ``out`` when
+    given.  ``weight`` is the forward's ``W``.
+    """
+    grad_r = grad_m = None
+    if need_r or need_m:
+        col = grad.sum(axis=-2, keepdims=True)                 # dc
+        grad_t = np.swapaxes(grad, -1, -2)
+        if need_m:
+            grad_m = np.empty(conversion.shape)
+            g1, d_w, g3 = _conversion_blocks(grad_m)
+            np.multiply(np.swapaxes(col, -1, -2), emb_r, out=g1)
+            np.matmul(grad_t, emb_tau, out=d_w)
+            np.multiply(d_w, emb_r, out=g3)
+        else:
+            d_w = grad_t @ emb_tau
+        if need_r:
+            m1, _, m3 = _conversion_blocks(conversion)
+            # (dW * M3).sum(rows) without the (..., Ne, Ne) product:
+            # the same row-by-row accumulation, hence the same bits.
+            grad_r = np.einsum("...ij,...ij->...j", d_w, m3)[..., None, :]
+            grad_r += col @ m1
+    grad_x = np.matmul(grad, weight, out=out) if need_x else None
+    return grad_r, grad_x, grad_m

@@ -192,7 +192,7 @@ class BatchedLinear(Module):
     Holds ``weight`` of shape (K, in, out) and ``bias`` of shape
     (K, 1, out); ``forward`` maps a stacked input (K, n, in) to
     (K, n, out) with a single batched matmul, so K per-task layers train
-    in one autograd graph.  Slice k computes exactly what the k-th
+    as one stacked program.  Slice k computes exactly what the k-th
     source :class:`Linear` would — the serving layer relies on this for
     bit-level parity with sequential adaptation.
     """

@@ -4,7 +4,7 @@ The online phase of LTE is the product: a user labels a handful of tuples
 per subspace and the pretrained meta-learner adapts in sub-second time.
 This package serves that loop for *many users at once* over one shared
 :class:`~repro.core.framework.LTE`: label submissions from all sessions
-queue up, one fused tensor program adapts every pending (session,
+queue up, one fused array program adapts every pending (session,
 subspace) task in stacked batches, and predictions — each session's
 conjunction over its subspaces, rows encoded only where a classifier
 will read them — are computed for all sessions of a call at once.  The

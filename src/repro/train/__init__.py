@@ -5,14 +5,14 @@ Fig. 8b measures exactly that — yet every meta-task is tiny and
 mutually independent within an Eq. 13 batch, and so are the per-subspace
 trainers.  This package runs the offline phase the way
 :mod:`repro.serve` already runs the online one: as fused stacked
-autograd programs over the shared substrate in :mod:`repro.nn.batching`.
+array programs over the shared substrate in :mod:`repro.nn.batching`.
 
 * :mod:`engine <repro.train.engine>` — the executors, one per job:
   one whole meta-batch (local steps + global query backward) as one
-  ``(K, ...)`` program, joint pretraining fused across subspaces,
-  batched evaluation — each run at K = 1 when there is one task or one
-  subspace.  Bit-identical to the task-at-a-time loops kept as the
-  oracle ``tests/train/_sequential_oracle.py`` (property-fuzzed in
+  ``(K, ...)`` program, joint pretraining fused across subspaces — each
+  run at K = 1 when there is one task or one subspace.  Bit-identical to
+  the task-at-a-time loops kept as the oracle
+  ``tests/train/_sequential_oracle.py`` (property-fuzzed in
   ``tests/train``), and factored into retrieval / partition-invariant
   compute / ordered reduction phases, so a large stack's compute
   trains as two halves on two threads (:func:`repro.nn.cores.run_stack`).
@@ -34,8 +34,7 @@ process.
 from .engine import (MetaBatchSlot, apply_meta_batch,
                      build_meta_batch_inputs, compute_meta_batch,
                      concat_meta_batch_results, encode_task_sets,
-                     evaluate_batched, run_meta_batch_fused,
-                     run_pretrain_epoch_pooled)
+                     run_meta_batch_fused, run_pretrain_epoch_pooled)
 from .offline import OfflineRun, TrainerSchedule, run_offline_training
 from .stream import EncodedTaskSet
 
@@ -44,5 +43,5 @@ __all__ = [
     "MetaBatchSlot", "run_meta_batch_fused", "encode_task_sets",
     "build_meta_batch_inputs", "compute_meta_batch",
     "concat_meta_batch_results", "apply_meta_batch",
-    "run_pretrain_epoch_pooled", "evaluate_batched", "EncodedTaskSet",
+    "run_pretrain_epoch_pooled", "EncodedTaskSet",
 ]

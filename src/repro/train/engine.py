@@ -2,20 +2,21 @@
 
 The paper's offline phase dominates end-to-end cost (Fig. 8b): |TM|
 meta-tasks per meta-subspace, each adapted for ``local_steps`` and
-meta-stepped through its query loss.  One task is tiny — all Python /
-autograd overhead — but the tasks inside one Eq. 13 batch are mutually
+meta-stepped through its query loss.  One task is tiny — all Python
+overhead — but the tasks inside one Eq. 13 batch are mutually
 independent, and so are entire *meta-subspaces*.  This module therefore
 runs:
 
 * the **local + global phase of a whole meta-batch** over ``(K, ...)``
   parameter stacks (:func:`run_meta_batch_fused`), where K pools the
   batches of every shape-compatible subspace trained this round: the
-  local phase is serving's graph-free array program, the global phase
-  one stacked autograd forward/backward;
-* one **joint-pretraining step of S subspaces** as one stacked program
-  (:func:`run_pretrain_epoch_pooled`) — the pretrain *task* loop shares
-  phi and is inherently sequential, but the S per-subspace models are
-  independent slices.
+  local phase is serving's, the global phase one stacked forward and
+  backward of the same array program
+  (:func:`repro.nn.batching.step_program`);
+* one **joint-pretraining step of S subspaces** as one call of that
+  program (:func:`run_pretrain_epoch_pooled`) — the pretrain *task*
+  loop shares phi and is inherently sequential, but the S per-subspace
+  models are independent slices.
 
 Everything rides :mod:`repro.nn.batching` (the substrate shared with the
 online serving path).  These are the only executors: a batch of one task
@@ -36,7 +37,7 @@ import numpy as np
 from ..nn.batching import (BatchedUISClassifier, block_leaves,
                            fused_local_adapt, grad_stacks, load_flat_stack,
                            retrieval_constants, stack_conversions,
-                           stacked_loss_backward, stacked_predict)
+                           step_program)
 from ..nn.cores import run_stack, step_macs
 from ..nn.functional import batched_pos_weight
 from ..nn.optim import Adam
@@ -46,7 +47,7 @@ __all__ = ["encode_task_sets", "MetaBatchSlot", "MetaBatchInputs",
            "slice_meta_batch_inputs", "compute_meta_batch",
            "concat_meta_batch_results", "apply_meta_batch",
            "run_meta_batch_fused", "run_pretrain_group",
-           "run_pretrain_epoch_pooled", "evaluate_batched"]
+           "run_pretrain_epoch_pooled"]
 
 
 def encode_task_sets(tasks, encode, rows_per_block=8192, spill=None):
@@ -234,11 +235,12 @@ def _compute_stack(models, params, inputs):
 
     The local phase (Eq. 12) is the online one: the UIS block holds the
     retrieved theta_R and the conversion the retrieved M_cp, and
-    ``local_steps`` graph-free steps train the tuple and classification
-    blocks (``fused_local_adapt(..., retrieved=...)``).  The global
-    phase (Eq. 13) is one stacked query forward/backward: it yields every
-    block's gradient, theta_R's included, and M_cp's, by which the
-    retrieved M_cp takes one ``rho`` step for the conversion memory.
+    ``local_steps`` steps train the tuple and classification blocks
+    (``fused_local_adapt(..., retrieved=...)``).  The global phase (Eq.
+    13) is one stacked query forward/backward of the same step program:
+    it yields every block's gradient, theta_R's included, and M_cp's, by
+    which the retrieved M_cp takes one ``rho`` step for the conversion
+    memory.
     """
     batched = BatchedUISClassifier(models)
     if inputs.shifts is not None:
@@ -247,18 +249,18 @@ def _compute_stack(models, params, inputs):
     conversion, retrieved = _stack_retrieval(batched, features,
                                              inputs.conversions)
     fused_local_adapt(
-        models, features, np.stack(inputs.sx), np.stack(inputs.sy),
-        batched=batched, steps=params.local_steps, lr=params.rho,
+        batched, features, np.stack(inputs.sx), np.stack(inputs.sy),
+        steps=params.local_steps, lr=params.rho,
         optimizer_kind=params.local_optimizer,
         balance_classes=params.balance_classes, retrieved=retrieved)
 
     # Global phase (Eq. 13): all K query losses in one forward/backward.
-    qy_stack = np.stack(inputs.qy)
+    qx_stack, qy_stack = np.stack(inputs.qx), np.stack(inputs.qy)
     pos_weight = batched_pos_weight(qy_stack) \
         if params.balance_classes else None
-    task_losses = stacked_loss_backward(
-        batched, conversion, features, np.stack(inputs.qx), qy_stack,
-        pos_weight)
+    task_losses = step_program(batched, qx_stack.shape,
+                               conversion=conversion)(
+        features, qx_stack, qy_stack, pos_weight)
     return MetaBatchResult(
         [float(value) for value in task_losses], grad_stacks(batched),
         None if conversion is None
@@ -398,8 +400,9 @@ def run_pretrain_epoch_pooled(schedules, orders=None):
 
     Each trainer's task loop is sequential (consecutive steps share its
     phi), but the S per-subspace models are independent: step t trains
-    every trainer's t-th task (per its own shuffle) in one stacked
-    forward/backward and one stacked Adam step.  Slice s is bit-identical
+    every trainer's t-th task (per its own shuffle) in one call of a
+    stacked :func:`~repro.nn.batching.step_program`, built once an epoch,
+    and one stacked Adam step.  Slice s is bit-identical
     to a task-at-a-time epoch of trainer s alone — at ANY subset of
     trainers, S = 1 included, which is why :func:`run_pretrain_group`
     can split a group into halves.  ``orders`` (optional) supplies the
@@ -418,8 +421,8 @@ def run_pretrain_epoch_pooled(schedules, orders=None):
     conversion = None if conversions[0] is None else np.stack(conversions)
     if orders is None:
         orders = [schedule.next_pretrain_order() for schedule in schedules]
-    n_tasks = len(schedules[0].pretrain_sets)
-    for t in range(n_tasks):
+    loss_backward = None
+    for t in range(len(schedules[0].pretrain_sets)):
         picks = [schedule.pretrain_sets[orders[s][t]]
                  for s, schedule in enumerate(schedules)]
         features = np.stack([pick[0] for pick in picks])
@@ -427,11 +430,12 @@ def run_pretrain_epoch_pooled(schedules, orders=None):
         ys = np.stack([pick[2] for pick in picks])
         pos_weight = batched_pos_weight(ys) \
             if params.balance_classes else None
-        # One stacked forward/backward (it zeroes and repopulates the
-        # parameter gradients), then the persistent stacked Adam
-        # consumes them.
-        stacked_loss_backward(batched, conversion, features, xs, ys,
-                              pos_weight)
+        # One stacked forward/backward (it sets the parameter
+        # gradients), then the persistent stacked Adam consumes them.
+        if loss_backward is None:
+            loss_backward = step_program(batched, xs.shape,
+                                         conversion=conversion)
+        loss_backward(features, xs, ys, pos_weight)
         optimizer.step()
 
     batched.unstack_into(models)
@@ -471,37 +475,3 @@ def _store_stacked_adam(optimizer, schedules, models):
                     np.asarray(stacked[key][i])[s].reshape(p.data.shape))
                 for i, p in enumerate(model.parameters())]
         schedule.pretrain_opt_state = state
-
-
-# ----------------------------------------------------------------------
-# Batched evaluation
-# ----------------------------------------------------------------------
-def evaluate_batched(trainer, tasks, encode, steps):
-    """The body of :meth:`MetaTrainer.evaluate`: every task adapted
-    online for ``steps`` steps (theta_R and M_cp fixed) and scored in one
-    stacked program."""
-    encoded = encode_task_sets(tasks, encode)
-    if not encoded:
-        return 0.0
-    params = trainer.params
-    models = [trainer.model] * len(encoded)
-    shifts, conversions = [], []
-    for v_r, _, _, _, _ in encoded:
-        theta_r, conversion, _ = trainer.retrieved_init(v_r)
-        shifts.append(theta_r)
-        conversions.append(conversion)
-    batched = BatchedUISClassifier(models)
-    load_flat_stack(batched.uis_block, np.stack(shifts))
-    features = np.stack([task[0] for task in encoded])
-    sx = np.stack([task[1] for task in encoded])
-    sy = np.stack([np.asarray(task[2], dtype=np.float64).ravel()
-                   for task in encoded])
-    conversion, retrieved = _stack_retrieval(batched, features, conversions)
-    fused_local_adapt(
-        models, features, sx, sy, batched=batched, steps=steps,
-        lr=params.rho, optimizer_kind=params.local_optimizer,
-        balance_classes=params.balance_classes, retrieved=retrieved)
-    qx = np.stack([task[3] for task in encoded])
-    preds = stacked_predict(batched, features, qx, conversion=conversion)
-    return float(np.mean([np.mean(pred == task[4])
-                          for pred, task in zip(preds, encoded)]))

@@ -46,7 +46,7 @@ def forward(model, feature_vector, tuple_vectors, conversion):
 
 def batched_forward(batched, feature_vectors, tuple_vectors, conversion=None):
     """``BatchedUISClassifier.forward`` as it was (``use_conversion=True``);
-    patched over the class, ``fused_local_adapt`` runs the old program."""
+    handed to ``_graph_oracle.local_adapt``, the old program trains."""
     v_r = Tensor._wrap(feature_vectors)
     x = Tensor._wrap(tuple_vectors)
     n = x.shape[1]

@@ -24,10 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _concat_oracle as oracle
+import _graph_oracle as graph
 from test_gradcheck import numeric_grad
 from repro.core.meta_learner import UISClassifier
-from repro.nn import (BatchedUISClassifier, Tensor, fused_local_adapt,
-                      no_grad)
+from repro.nn import BatchedUISClassifier, Tensor, no_grad
 from repro.nn.batching import inference_logits
 from repro.nn.functional import convert_embeddings
 from repro.nn.tensor import stable_sigmoid
@@ -217,19 +217,21 @@ def test_classifier_logits_and_parameter_gradients_match_the_oracle():
 
 
 @pytest.mark.parametrize("optimizer_kind, lr", [("adam", 0.01), ("sgd", 0.1)])
-def test_thirty_adapt_steps_stay_within_1e9_of_the_oracle(
-        optimizer_kind, lr, monkeypatch):
+def test_thirty_adapt_steps_stay_within_1e9_of_the_oracle(optimizer_kind, lr):
+    """Every block and M_cp trained thirty steps through the stacked
+    graph (``_graph_oracle.local_adapt``), its conversion by blocks
+    against the combined row."""
     models, features, xs, ys, conversions = task_batch(4, seed=8)
 
-    def adapt():
-        return fused_local_adapt(models, features, xs, ys,
-                                 conversions=conversions, steps=30, lr=lr,
-                                 optimizer_kind=optimizer_kind)
+    def adapt(forward):
+        batched = BatchedUISClassifier(models)
+        conversion, losses = graph.local_adapt(
+            batched, features, xs, ys, conversions, steps=30, lr=lr,
+            optimizer_kind=optimizer_kind, forward=forward)
+        return batched, conversion, losses
 
-    batched, conversion, losses = adapt()
-    monkeypatch.setattr(BatchedUISClassifier, "forward",
-                        oracle.batched_forward)
-    batched_o, conversion_o, losses_o = adapt()
+    batched, conversion, losses = adapt(graph.forward)
+    batched_o, conversion_o, losses_o = adapt(oracle.batched_forward)
 
     assert not np.array_equal(conversion.data, conversions)   # it trained
     assert_close(conversion.data, conversion_o.data, 1e-9, "conversion")

@@ -17,10 +17,12 @@ import numpy as np
 
 from repro.geometry.engine import union_masks
 from repro.nn import no_grad
-from repro.nn.batching import BatchedUISClassifier, stacked_predict
+from repro.nn.batching import BatchedUISClassifier
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "train"))
+for _oracles in ("train", "nn"):
+    sys.path.insert(0, os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, _oracles))
+from _graph_oracle import stacked_predict  # noqa: E402
 from _sequential_oracle import whole_model  # noqa: E402
 
 

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 import _adapt_oracle as adapt_oracle
+from _predict_oracle import stacked_predict
 from repro.core import VARIANTS, run_adapt_requests
 from repro.core.meta_learner import UISClassifier
 from repro.explore import run_concurrent_explorations, score_session
-from repro.nn import (BatchedUISClassifier, fused_local_adapt, grad_stacks,
-                      stacked_predict)
+from repro.nn import BatchedUISClassifier, fused_local_adapt, grad_stacks
 from repro.serve import SessionManager
 
 pytestmark = pytest.mark.smoke
@@ -239,9 +239,9 @@ def test_lone_session_matches_sequential(serve_lte, make_oracle, variant):
 
 def test_concurrent_same_bucket_adapts_stay_bit_exact():
     """Threads adapting the same shape bucket at once through
-    ``fused_local_adapt`` share no optimizer state — and, ``no_grad()``
-    being per thread, a thread predicting with its result does not
-    switch off the graph of one still adapting: each result and its
+    ``fused_local_adapt`` share no optimizer state or step buffers, and a
+    thread predicting with its result (under ``no_grad()``, which is per
+    thread) disturbs none still adapting: each result and its
     predictions equal the serial run's bit for bit."""
     def adapt(seed, k=4, n=6, ku=6, width=5):
         rng = np.random.default_rng(seed)
@@ -252,8 +252,8 @@ def test_concurrent_same_bucket_adapts_stay_bit_exact():
         xs = rng.normal(size=(k, n, width))
         ys = (rng.random(size=(k, n)) < 0.4).astype(np.float64)
         ys[:, 0], ys[:, 1] = 1.0, 0.0   # both classes in every task
-        batched, _, _ = fused_local_adapt(models, features, xs, ys, steps=3,
-                                          lr=0.05)
+        batched = BatchedUISClassifier(models)
+        fused_local_adapt(batched, features, xs, ys, steps=3, lr=0.05)
         return batched, stacked_predict(batched, features, xs)
 
     seeds = list(range(6))
