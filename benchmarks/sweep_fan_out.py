@@ -20,11 +20,14 @@ whole and whether the halves returned the whole stack's bits.
 subspaces of a 10 000-row SDSS table, for cluster counts from the
 ``shard_fleet`` nets' to the paper's: the serial loop on the process's
 BLAS threads (whole) against two halves of two subspaces each on two
-threads (halves).  Each line gives one subspace's clustering work
-(``LTE._clustering_work``, ``n · (ku + ks + kq)``), the medians, the
-halves' speed-up and whether every prepared state — data, scaler,
-cluster summary, pickled preprocessor, quantization baseline — is the
-whole loop's, bit for bit.
+threads (halves).  Each of ``--repeats`` pairs runs one whole fit and
+one fit of halves, each after a 0.3 s pause, the side that goes first
+alternating, so host drift lands on both sides alike.  Each line gives
+one subspace's clustering work (``LTE._clustering_work``, ``n · (ku +
+ks + kq)``), the medians of each side, the median of the per-pair
+speed-ups of the halves, the pairs the halves won and whether every
+prepared state — data, scaler, cluster summary, pickled preprocessor,
+quantization baseline — is the whole loop's, bit for bit.
 
 **OpenBLAS's spinning worker** (``--only spin``).  After a product that
 ran on two BLAS threads, OpenBLAS's worker spins on the other core for
@@ -139,6 +142,20 @@ def timed(run, repeats):
     return 1e3 * float(np.median(seconds)), out
 
 
+def paired(first, second, repeats):
+    """``repeats`` pairs of one ``first()`` and one ``second()`` run, each
+    after an ``IDLE_S`` pause, the side that goes first alternating from
+    pair to pair: the (repeats, 2) milliseconds and the last results."""
+    pairs, out = np.empty((repeats, 2)), [None, None]
+    for i in range(repeats):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            time.sleep(IDLE_S)
+            start = time.perf_counter()
+            out[side] = (first, second)[side]()
+            pairs[i, side] = 1e3 * (time.perf_counter() - start)
+    return pairs, out
+
+
 def sweep_stacks(repeats):
     print("{:6} {:>3} {:>4} {:>8} {:>9} {:>9} {:>9} {:>6} {}".format(
         "nets", "K", "rows", "Mmac", "default", "1-thread", "split",
@@ -182,8 +199,8 @@ def prepared_fields(lte):
 def sweep_preparation(repeats):
     table = make_sdss(PREP_ROWS, seed=0)
     subspaces = random_decomposition(table, dim=2, seed=7)[:PREP_SUBSPACES]
-    print("{:>4} {:>4} {:>8} {:>9} {:>9} {:>6} {}".format(
-        "ku", "kq", "work", "whole", "halves", "x", "bits"))
+    print("{:>4} {:>4} {:>8} {:>9} {:>9} {:>6} {:>5} {}".format(
+        "ku", "kq", "work", "whole", "halves", "x", "won", "bits"))
     saved = framework._PREPARE_SPLIT_WORK
     try:
         for ku, kq in CLUSTERS:
@@ -194,13 +211,17 @@ def sweep_preparation(repeats):
                 return LTE(config).fit_offline(table, subspaces=subspaces,
                                                train=False)
 
-            whole, a = timed(lambda: prepare(False), repeats)
-            halves, b = timed(lambda: prepare(True), repeats)
+            pairs, (a, b) = paired(lambda: prepare(False),
+                                   lambda: prepare(True), repeats)
+            whole, halves = np.median(pairs, axis=0)
+            ratios = pairs[:, 0] / pairs[:, 1]
             same = all(np.array_equal(x, y) for x, y in
                        zip(prepared_fields(a), prepared_fields(b)))
-            print("{:4d} {:4d} {:8d} {:9.1f} {:9.1f} {:6.2f} {}".format(
+            print("{:4d} {:4d} {:8d} {:9.1f} {:9.1f} {:6.2f} {:>5} {}".format(
                 ku, kq, LTE(config)._clustering_work(table), whole, halves,
-                whole / halves, "equal" if same else "DIFFER"))
+                float(np.median(ratios)),
+                "{}/{}".format(int((ratios > 1.0).sum()), repeats),
+                "equal" if same else "DIFFER"))
     finally:
         framework._PREPARE_SPLIT_WORK = saved
 

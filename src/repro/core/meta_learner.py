@@ -24,12 +24,17 @@ other interface.
 What is computed: with a conversion matrix the 3Ne-wide row is never
 built.  ``emb_R`` is one row per task, so ``M_cp = [M1 | M2 | M3]`` is
 applied by blocks — ``emb_tau @ (M2 + M3 * emb_R)^T + emb_R @ M1^T``,
-one differentiable op (:func:`repro.nn.functional.convert_embeddings`)
-shared with the stacked classifier and the inference kernel: a third of
-the largest product, the same sums in another association.  Only
-``use_conversion=False`` (Basic, and Meta without memories), whose 3Ne
-input *is* the first ``Linear`` of the classification block, still
-tiles, multiplies and concatenates.
+through the same array functions
+(:func:`repro.nn.functional.conversion_weight` /
+:func:`~repro.nn.functional.conversion_constant`) in the stacked step
+program and the inference kernel: a third of the largest product, the
+same sums in another association.  Only ``use_conversion=False``
+(Basic, and Meta without memories), whose 3Ne input *is* the first
+``Linear`` of the classification block, still writes the combined row.
+
+The classifier holds its three blocks' parameters and has one forward,
+the inference kernel (:func:`repro.nn.batching.inference_logits`);
+training runs the stacked step program over its blocks.
 """
 
 from __future__ import annotations
@@ -37,9 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..nn.batching import inference_logits
-from ..nn.functional import convert_embeddings
-from ..nn.tensor import Tensor, stable_sigmoid
+from ..nn.batching import inference_logits, stable_sigmoid
 
 __all__ = ["UISClassifier"]
 
@@ -59,7 +62,7 @@ class UISClassifier(nn.Module):
         Hidden width of the classification block.
     use_conversion:
         When True the classifier expects a task-wise (Ne x 3Ne) conversion
-        matrix at forward time (the memory-augmented variants Meta/Meta*);
+        matrix at prediction time (the memory-augmented variants Meta/Meta*);
         when False (Basic) the classification block consumes the raw 3Ne
         concatenation ``[emb_R, emb_tau, emb_R * emb_tau]``.
     """
@@ -116,49 +119,9 @@ class UISClassifier(nn.Module):
         self.uis_block.load_flat_parameters(vector)
 
     # ------------------------------------------------------------------
-    def forward(self, feature_vector, tuple_vectors, conversion=None):
-        """Interestingness logits for a batch of tuples.
-
-        Parameters
-        ----------
-        feature_vector:
-            The UIS feature vector ``v_R`` (length ku) for the current task.
-        tuple_vectors:
-            (n x input_width) preprocessed tuple representations.
-        conversion:
-            Optional (embed_size x 3*embed_size) task-wise conversion
-            matrix ``M_cp`` (required iff ``use_conversion``).
-
-        Returns
-        -------
-        Tensor of shape (n,) with raw logits.
-        """
-        if self.use_conversion and conversion is None:
-            raise ValueError("use_conversion=True requires a conversion matrix")
-        if not self.use_conversion and conversion is not None:
-            raise ValueError("conversion given but use_conversion=False")
-        v_r = Tensor._wrap(feature_vector)
-        x = Tensor._wrap(tuple_vectors)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
-
-        emb_r = self.uis_block(v_r.reshape(1, self.ku))      # (1, Ne)
-        emb_x = self.tuple_block(x)                          # (n, Ne)
-        if conversion is not None:
-            combined = convert_embeddings(emb_r, emb_x, conversion)  # (n, Ne)
-        else:
-            # Differentiable broadcast of emb_R to every row.
-            tiler = Tensor(np.ones((len(x), 1)))
-            emb_r_rows = tiler @ emb_r                        # (n, Ne)
-            combined = Tensor.concat([emb_r_rows, emb_x, emb_r_rows * emb_x],
-                                     axis=1)                  # (n, 3Ne)
-        logits = self.clf_block(combined)                     # (n, 1)
-        return logits.reshape(-1)
-
-    # ------------------------------------------------------------------
     def predict_proba(self, feature_vector, tuple_vectors, conversion=None):
-        """Interest probabilities in [0, 1], through the Tensor-free
-        inference kernel (:func:`repro.nn.batching.inference_logits`)."""
+        """Interest probabilities in [0, 1], through the inference
+        kernel (:func:`repro.nn.batching.inference_logits`)."""
         return stable_sigmoid(inference_logits(
             self, feature_vector, tuple_vectors, conversion=conversion))
 

@@ -48,9 +48,8 @@ import numpy as np
 
 from ..nn.batching import (BatchedUISClassifier, block_leaves,
                            constant_logits, flat_leaves, fused_local_adapt,
-                           retrieval_constants, stack_leaves,
+                           retrieval_constants, stable_sigmoid, stack_leaves,
                            stack_retrievals)
-from ..nn.tensor import stable_sigmoid
 from .memory import MetaMemories
 from .meta_learner import UISClassifier
 

@@ -1,22 +1,25 @@
-"""From-scratch neural-network substrate (autograd, layers, optimizers).
+"""From-scratch neural-network substrate (parameters, layers, the stacked
+step program, optimizers).
 
-The paper implements its meta-learner on PyTorch; this package provides the
-equivalent functionality on plain numpy so the reproduction has no deep
-learning framework dependency.
+The paper implements its meta-learner on PyTorch; this package provides
+what the reproduction needs of it on plain numpy, with no deep learning
+framework dependency and no autograd graph: modules hold parameters,
+every stacked training step is one array program with an explicit
+backward (:func:`step_program`) and every prediction a raw-array kernel
+(:func:`repro.nn.batching.inference_logits`).
 """
 
 from . import functional, init
 from .alloc import retain_freed_memory
 from .batching import (BatchedUISClassifier, fused_local_adapt, grad_stacks,
                        load_flat_stack, stack_conversions, step_program)
-from .layers import (MLP, BatchedLinear, Linear, Module, ReLU, Sequential,
-                     Sigmoid, batch_modules, unstack_modules)
+from .layers import (MLP, BatchedLinear, Linear, Module, Parameter, ReLU,
+                     Sequential, batch_modules, unstack_modules)
 from .optim import Adam, Optimizer, SGD
-from .tensor import Parameter, Tensor, no_grad
 
 __all__ = [
-    "Tensor", "Parameter", "no_grad",
-    "Module", "Linear", "ReLU", "Sigmoid", "Sequential", "MLP",
+    "Parameter",
+    "Module", "Linear", "ReLU", "Sequential", "MLP",
     "BatchedLinear", "batch_modules", "unstack_modules",
     "BatchedUISClassifier", "fused_local_adapt", "stack_conversions",
     "load_flat_stack", "grad_stacks", "step_program",

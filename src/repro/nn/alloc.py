@@ -1,9 +1,9 @@
 """Allocator policy of the array engine: freed memory stays in the process.
 
-Every stacked forward/backward builds its working set out of fresh
-arrays and frees it when the graph dies — tens of MB a training step,
-over 100 MB for a paper-size meta-batch.  glibc's default policy hands
-such memory back to the kernel as soon as it lies free at the top of the
+Every stacked step program builds its working set out of fresh arrays
+and frees it when its adapt bucket, query pass or pretrain epoch ends —
+tens of MB, over 100 MB for a paper-size meta-batch.  glibc's default
+policy hands such memory back to the kernel as soon as it lies free at the top of the
 heap (``M_TRIM_THRESHOLD``: 128 KiB, later twice the largest block it
 has seen freed) and maps every block above ``M_MMAP_THRESHOLD`` afresh,
 so the next step faults the same pages in again, zero-filled.  Whether a

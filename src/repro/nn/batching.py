@@ -13,10 +13,10 @@ layers build on:
   into stacked :class:`~repro.nn.BatchedLinear` blocks;
 * :func:`step_program` — the one stacked forward and backward of the
   summed per-task BCE loss, with no autograd graph: each call's
-  forward and explicit backward run into buffers allocated once, with
-  the bits of the ``Tensor`` graph that ``UISClassifier.forward`` spells
-  (the conversion matrices applied by blocks, through the same
-  :func:`~repro.nn.functional.conversion_rows` and
+  forward and explicit backward run into buffers allocated once (the
+  conversion matrices applied by blocks, through
+  :func:`~repro.nn.functional.conversion_weight`,
+  :func:`~repro.nn.functional.conversion_constant` and
   :func:`~repro.nn.functional.conversion_grads`).  Every stacked step
   runs it: the local phase of every variant, meta-training's query
   pass and each joint-pretraining step;
@@ -30,10 +30,10 @@ layers build on:
   parameters, in the exact layout of the corresponding per-task model
   (the meta-training global phase and the parameter memory's EMA
   update consume these);
-* :func:`inference_logits` — the no-grad forward of ONE classifier as
-  plain ``np.matmul`` products, no :class:`~repro.nn.tensor.Tensor`
-  nodes, through :func:`constant_logits` over the classifier's leaf
-  arrays (:func:`block_leaves`) and its :class:`Retrieval` — ``emb_R``,
+* :func:`inference_logits` — the forward of ONE classifier as plain
+  ``np.matmul`` products, through :func:`constant_logits` over the
+  classifier's leaf arrays (:func:`block_leaves`) and its
+  :class:`Retrieval` — ``emb_R``,
   ``W = M2 + M3 * emb_R`` and ``c = emb_R @ M1^T``, computed once a
   task (:func:`retrieval_constants`).  Every prediction outside
   training goes through it: serving scores each session over the rows
@@ -44,7 +44,8 @@ task receives exactly the gradients and optimizer updates an eager
 one-task loop would give it — bit for bit, at any K.  The parity suites
 in ``tests/serve`` and ``tests/train`` verify this end to end against
 the eager loops they keep as oracles; ``tests/nn`` holds the step
-program to the stacked ``Tensor`` graph it replaced.
+program to the stacked autograd graph it replaced, which lives on only
+there (``tests/nn/_autograd_oracle.py``).
 
 The module is deliberately duck-typed: it touches only the
 ``uis_block`` / ``tuple_block`` / ``clf_block`` / ``config`` surface of
@@ -61,17 +62,16 @@ import numpy as np
 from .functional import (batched_binary_cross_entropy_grad,
                          batched_pos_weight, conversion_constant,
                          conversion_grads, conversion_weight)
-from .layers import (BatchedLinear, Linear, Module, ReLU, Sequential,
-                     batch_modules, unstack_modules)
+from .layers import (BatchedLinear, Linear, Module, Parameter, ReLU,
+                     Sequential, batch_modules, unstack_modules)
 from .optim import SGD, Adam
-from .tensor import Parameter
 
 __all__ = ["BatchedUISClassifier", "fused_local_adapt", "step_program",
            "stack_conversions", "load_flat_stack", "grad_stacks",
            "inference_logits", "inference_constants",
-           "constant_logits", "Retrieval", "retrieval_constants",
-           "stack_retrievals", "block_leaves", "flat_leaves",
-           "stack_leaves"]
+           "constant_logits", "stable_sigmoid", "Retrieval",
+           "retrieval_constants", "stack_retrievals", "block_leaves",
+           "flat_leaves", "stack_leaves"]
 
 #: What a task's fixed retrieval gives every row, one task's or a (K,
 #: ...) stack of them: ``emb_r`` = the UIS block of ``v_R``, (..., 1, Ne);
@@ -85,7 +85,7 @@ class BatchedUISClassifier(Module):
     """K structurally identical UIS classifiers fused into stacked blocks.
 
     Features (K, ku) and tuples (K, n, width) map to logits (K, n)
-    through :func:`step_program`, ``UISClassifier.forward`` over a
+    through :func:`step_program`, one classifier's forward over a
     leading batch axis.  Built from per-task model instances (whose
     parameters seed the stacks) and unstacked back into them after
     training.  It exists to *train* K tasks as one array program;
@@ -225,8 +225,7 @@ def step_program(batched, shape, retrieved=None, conversion=None):
     the summed per-task BCE loss.
 
     Given ``retrieved`` (the stack's :class:`Retrieval`, the local phase
-    of Meta and Meta*), ``emb_R``, ``W`` and ``c`` (the helpers of
-    :func:`~repro.nn.functional.conversion_rows`) are constants and the
+    of Meta and Meta*), ``emb_R``, ``W`` and ``c`` are constants and the
     tuple and classification blocks train; ``features`` is not read.
     Otherwise the UIS block trains too, and ``conversion`` is the stack's
     M_cp: None for the combined row ``[emb_R, emb_tau, emb_R * emb_tau]``
@@ -236,10 +235,10 @@ def step_program(batched, shape, retrieved=None, conversion=None):
 
     A call walks the blocks' leaf layers, stacked Linear or ReLU
     (anything else is a ``TypeError``), into buffers allocated here.
-    Each operation is the one the Tensor graph of the stacked forward
-    runs on the same operands -- the conversion's backward is
+    Each operation is the one the autograd graph of the stacked forward
+    ran on the same operands -- the conversion's backward is
     :func:`~repro.nn.functional.conversion_grads`, which its autograd op
-    runs -- so losses and gradients keep that graph's bits
+    ran -- so losses and gradients keep that graph's bits
     (``tests/nn/test_step_program.py``, against the graph kept as
     ``tests/nn/_graph_oracle.py``).
     """
@@ -404,11 +403,11 @@ def _leaf_layers(module):
 
 
 def _infer_layers(leaves, x):
-    """A block's :func:`block_leaves` applied to ``x``, on raw arrays.
-    Each step is the array operation the layer's ``forward`` performs,
-    in place on the running activation (the input is never written);
-    the rectifier is ``x * (x > 0)``, not ``maximum``, which keeps the
-    ``-0.0`` and NaN the autograd op yields.
+    """A block's :func:`block_leaves` applied to ``x``, on raw arrays:
+    ``x @ W + b`` per Linear, in place on the running activation (the
+    input is never written); the rectifier is ``x * (x > 0)``, not
+    ``maximum``, which keeps the ``-0.0`` and NaN the training step's
+    rectifier yields.
     """
     owned = False
     for leaf in leaves:
@@ -548,23 +547,36 @@ def constant_logits(constants, tuple_vectors):
     return _infer_layers(clf_leaves, combined).reshape(-1)
 
 
-def inference_logits(model, feature_vector, tuple_vectors, conversion=None):
-    """No-grad logits of one UIS classifier over a row set, shape (n,).
+def stable_sigmoid(data):
+    """Logistic function of a raw array (exp of non-positive values
+    only): the interest probability of a logit."""
+    out = np.empty_like(data)
+    pos = data >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-data[pos]))
+    exp_x = np.exp(data[~pos])
+    out[~pos] = exp_x / (1.0 + exp_x)
+    return out
 
-    The products of ``UISClassifier.forward`` in the same order (hence
-    the same bits for the same rows in one call): the two embedding
-    blocks, then — with a conversion matrix — ``emb_tau @ (M2 + M3 *
-    emb_R)^T + emb_R @ M1^T`` (the sums of
-    :func:`~repro.nn.functional.conversion_rows`, the very function
-    under the autograd op; no 3Ne-wide row), then the classification
-    block.  Without one, ``[emb_R, emb_tau, emb_R * emb_tau]`` is
-    written straight into one ``(n, 3Ne)`` array, the block's input.
-    No ``Tensor`` node, no concatenation, no parameter stack.
+
+def inference_logits(model, feature_vector, tuple_vectors, conversion=None):
+    """Logits of one UIS classifier over a row set, shape (n,): its one
+    forward.
+
+    The two embedding blocks, then — with a conversion matrix —
+    ``emb_tau @ (M2 + M3 * emb_R)^T + emb_R @ M1^T`` (no 3Ne-wide
+    row), then the classification block.  Without one, ``[emb_R,
+    emb_tau, emb_R * emb_tau]`` is written straight into one ``(n,
+    3Ne)`` array, the block's input.  These are the products of the
+    autograd forward that trained and scored before the array program
+    (``tests/nn/_autograd_oracle.forward``), in the same order, hence
+    its bits for the same rows in one call.
     A logit may differ in the last place between calls of different row
     counts (BLAS picks its kernel by shape), so callers compare
     *answers* across row sets, not logits.  ``model`` is anything with
     the ``uis_block`` / ``tuple_block`` / ``clf_block`` / ``ku`` /
-    ``use_conversion`` surface; the arguments are those of ``forward``.
+    ``use_conversion`` surface; ``feature_vector`` is ``v_R`` (length
+    ku), ``tuple_vectors`` (n, width) and ``conversion`` the (Ne, 3Ne)
+    ``M_cp`` (required iff ``use_conversion``).
     """
     return constant_logits(
         inference_constants(model, feature_vector, conversion=conversion),

@@ -1,9 +1,13 @@
-"""Neural-network modules: Linear, activations, Sequential, MLP.
+"""Neural-network modules: Parameter, Linear, ReLU, Sequential, MLP.
 
-A :class:`Module` owns named :class:`~repro.nn.tensor.Parameter` objects and
-supports the state-dict save/load protocol used by the meta-training loop to
-reset local (task-wise) parameters from the meta-learned initialization
-(Algorithm 2, lines 4-5).
+A :class:`Module` owns named :class:`Parameter` objects and supports the
+state-dict save/load protocol used by the meta-training loop to reset
+local (task-wise) parameters from the meta-learned initialization
+(Algorithm 2, lines 4-5).  Modules hold parameters; they compute
+nothing: every stacked training step is
+:func:`repro.nn.batching.step_program` and every prediction
+:func:`repro.nn.batching.inference_logits`, both over the layers'
+arrays.
 """
 
 from __future__ import annotations
@@ -13,10 +17,54 @@ from collections import OrderedDict
 import numpy as np
 
 from . import init
-from .tensor import Parameter, Tensor
 
-__all__ = ["Module", "Linear", "ReLU", "Sigmoid", "Sequential", "MLP",
+__all__ = ["Parameter", "Module", "Linear", "ReLU", "Sequential", "MLP",
            "BatchedLinear", "batch_modules", "unstack_modules"]
+
+
+class Parameter:
+    """A trainable float64 array and its gradient.
+
+    ``data`` wraps the given array without copying it when it already
+    is float64 (any other dtype is converted), and the optimizers update
+    ``data`` in place: hand over a copy of any array that must survive
+    training.  ``grad`` is None until a step program sets it.
+    """
+
+    __slots__ = ("data", "grad")
+
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = None
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def size(self):
+        return self.data.size
+
+    def zero_grad(self):
+        self.grad = None
+
+    def copy_(self, data):
+        """In-place overwrite of the parameter value (keeps identity)."""
+        array = np.asarray(data)
+        if array.shape != self.data.shape:
+            raise ValueError("shape mismatch in copy_: {} vs {}".format(
+                array.shape, self.data.shape))
+        self.data = array.astype(np.float64).copy()
+        return self
+
+    # -- state dict protocol (mirrors Module, for standalone parameters) --
+    def state_dict(self):
+        """Deep copy of the parameter value (checkpointable leaf)."""
+        return self.data.copy()
+
+    def load_state_dict(self, state):
+        """Inverse of :meth:`state_dict`; in-place, keeps identity."""
+        return self.copy_(state)
 
 
 class Module:
@@ -111,13 +159,6 @@ class Module:
     def _has_params(self):
         return any(True for _ in self.parameters())
 
-    # -- call protocol -----------------------------------------------------
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError
-
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
-
 
 class Linear(Module):
     """Affine map ``y = x W + b`` with Kaiming-uniform initialization."""
@@ -131,13 +172,6 @@ class Linear(Module):
             init.kaiming_uniform(in_features, out_features, rng))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
-    def forward(self, x):
-        x = Tensor._wrap(x)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
     def __repr__(self):
         return "Linear({}, {})".format(self.in_features, self.out_features)
 
@@ -145,21 +179,8 @@ class Linear(Module):
 class ReLU(Module):
     """Elementwise rectified linear activation."""
 
-    def forward(self, x):
-        return Tensor._wrap(x).relu()
-
     def __repr__(self):
         return "ReLU()"
-
-
-class Sigmoid(Module):
-    """Elementwise logistic activation."""
-
-    def forward(self, x):
-        return Tensor._wrap(x).sigmoid()
-
-    def __repr__(self):
-        return "Sigmoid()"
 
 
 class Sequential(Module):
@@ -173,11 +194,6 @@ class Sequential(Module):
             setattr(self, name, module)
             self._order.append(name)
 
-    def forward(self, x):
-        for name in self._order:
-            x = getattr(self, name)(x)
-        return x
-
     def __iter__(self):
         return (getattr(self, name) for name in self._order)
 
@@ -190,7 +206,7 @@ class BatchedLinear(Module):
     """K independent affine maps fused into one stacked tensor op.
 
     Holds ``weight`` of shape (K, in, out) and ``bias`` of shape
-    (K, 1, out); ``forward`` maps a stacked input (K, n, in) to
+    (K, 1, out); the step program maps a stacked input (K, n, in) to
     (K, n, out) with a single batched matmul, so K per-task layers train
     as one stacked program.  Slice k computes exactly what the k-th
     source :class:`Linear` would — the serving layer relies on this for
@@ -246,13 +262,6 @@ class BatchedLinear(Module):
             if lin.bias is not None:
                 lin.bias.copy_(self.bias.data[i, 0])
 
-    def forward(self, x):
-        x = Tensor._wrap(x)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
     def __repr__(self):
         return "BatchedLinear(k={}, {}, {})".format(
             self.k, self.in_features, self.out_features)
@@ -263,8 +272,8 @@ def batch_modules(modules):
 
     ``Linear`` layers become a :class:`BatchedLinear`; ``Sequential``
     containers (including :class:`MLP`) are batched child by child;
-    stateless activations pass through.  The result consumes stacked
-    (K, n, features) inputs.
+    a ``ReLU`` passes through; anything else is a ``TypeError``.  The
+    result consumes stacked (K, n, features) inputs.
     """
     first = modules[0]
     if isinstance(first, Linear):
@@ -273,8 +282,8 @@ def batch_modules(modules):
         children = [batch_modules([getattr(m, name) for m in modules])
                     for name in first._order]
         return Sequential(*children)
-    if isinstance(first, (ReLU, Sigmoid)):
-        return type(first)()
+    if isinstance(first, ReLU):
+        return ReLU()
     raise TypeError("cannot batch modules of type {}".format(type(first)))
 
 
@@ -287,7 +296,7 @@ def unstack_modules(batched, modules):
             child = getattr(batched, b_name)
             if isinstance(child, (BatchedLinear, Sequential)):
                 unstack_modules(child, [getattr(m, s_name) for m in modules])
-    elif not isinstance(batched, (ReLU, Sigmoid)):
+    elif not isinstance(batched, ReLU):
         raise TypeError("cannot unstack module of type {}".format(
             type(batched)))
 

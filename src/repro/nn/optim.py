@@ -48,11 +48,12 @@ element of ``m`` and ``v``, which moves the last ulp of a parameter
 update against the textbook form; that form survives as the
 plain-numpy oracle of the tests.
 
-**Aliasing.**  ``step`` mutates ``param.data`` instead of rebinding it:
-whoever hands an array to :class:`~repro.nn.tensor.Parameter` and wants
-to keep it copies it first.  A non-contiguous or read-only
-``param.data`` (a ``swapaxes`` view, a stride-0 broadcast) is replaced
-by a contiguous copy on its first step, once.  Gradients are only read;
+**Aliasing.**  ``step`` mutates ``param.data`` instead of rebinding it,
+and :class:`~repro.nn.Parameter` wraps a float64 array without a copy:
+whoever hands it one and wants to keep it copies it first.  A
+non-contiguous or read-only ``param.data`` (a ``swapaxes`` view, a
+stride-0 broadcast) is replaced by a contiguous copy on its first step,
+once.  Gradients are only read;
 one that is strided or broadcast is copied contiguous for the compiled
 loop, which the training paths never need.
 
@@ -71,7 +72,7 @@ import numpy as np
 
 from ..native import Kernel
 from ..obs import default_registry
-from .tensor import Parameter
+from .layers import Parameter
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 

@@ -9,8 +9,8 @@ subspace) task in stacked batches, and predictions — each session's
 conjunction over its subspaces, rows encoded only where a classifier
 will read them — are computed for all sessions of a call at once.  The
 adaptation hot path is
-:func:`~repro.core.framework.run_adapt_requests` (re-exported here with
-:class:`~repro.nn.BatchedUISClassifier`), the one executor a lone
+:func:`~repro.core.framework.run_adapt_requests` (re-exported here),
+the one executor a lone
 :class:`~repro.core.framework.ExplorationSession` also runs — as a
 stack of one — so batched sessions are bit-compatible with sessions
 driven on their own; the parity suite in ``tests/serve`` holds for all
@@ -53,7 +53,6 @@ restored manager serves bit-identically, watermarks and all
 """
 
 from ..core.framework import run_adapt_requests
-from ..nn.batching import BatchedUISClassifier
 from .manager import SessionManager
 
-__all__ = ["SessionManager", "BatchedUISClassifier", "run_adapt_requests"]
+__all__ = ["SessionManager", "run_adapt_requests"]

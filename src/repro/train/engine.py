@@ -268,7 +268,7 @@ def _compute_stack(models, params, inputs):
 
 
 def _stack_retrieval(batched, features, conversions):
-    """The stacked M_cp :class:`~repro.nn.tensor.Parameter` (None
+    """The stacked M_cp :class:`~repro.nn.Parameter` (None
     without memories) and the :class:`~repro.nn.batching.Retrieval` of a
     stack whose UIS block holds each task's retrieved theta_R."""
     conversion = stack_conversions(list(conversions))

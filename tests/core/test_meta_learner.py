@@ -1,10 +1,19 @@
-"""Tests for the UIS classifier architecture."""
+"""Tests for the UIS classifier architecture.  The classifier's one
+forward is the inference kernel (``predict_proba``); ``TestForward``
+checks the graph forward of the oracle (``tests/nn/_autograd_oracle.py``)
+that the parity suites hold it to."""
+
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core.meta_learner import UISClassifier
-from repro.nn import no_grad
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "nn"))
+from _autograd_oracle import apply, forward, no_grad  # noqa: E402
 
 
 def make_model(use_conversion=False):
@@ -23,32 +32,37 @@ class TestForward:
     def test_logit_shape(self):
         model = make_model()
         v_r, x = inputs()
-        assert model.forward(v_r, x).shape == (7,)
+        assert forward(model, v_r, x).shape == (7,)
 
     def test_single_row_input(self):
         model = make_model()
         v_r, x = inputs()
-        assert model.forward(v_r, x[0]).shape == (1,)
+        assert forward(model, v_r, x[0]).shape == (1,)
 
     def test_conversion_required_when_enabled(self):
         model = make_model(use_conversion=True)
         v_r, x = inputs()
         with pytest.raises(ValueError):
-            model.forward(v_r, x)
+            forward(model, v_r, x)
+        with pytest.raises(ValueError):
+            model.predict_proba(v_r, x)
         conv = np.random.default_rng(0).normal(size=(8, 24)) * 0.1
-        assert model.forward(v_r, x, conversion=conv).shape == (7,)
+        assert forward(model, v_r, x, conversion=conv).shape == (7,)
+        assert model.predict_proba(v_r, x, conversion=conv).shape == (7,)
 
     def test_conversion_rejected_when_disabled(self):
         model = make_model(use_conversion=False)
         v_r, x = inputs()
         with pytest.raises(ValueError):
-            model.forward(v_r, x, conversion=np.zeros((8, 24)))
+            forward(model, v_r, x, conversion=np.zeros((8, 24)))
+        with pytest.raises(ValueError):
+            model.predict_proba(v_r, x, conversion=np.zeros((8, 24)))
 
     def test_feature_vector_changes_output(self):
         model = make_model()
         _, x = inputs()
-        out_a = model.forward(np.zeros(10), x).data
-        out_b = model.forward(np.ones(10), x).data
+        out_a = forward(model, np.zeros(10), x).data
+        out_b = forward(model, np.ones(10), x).data
         assert not np.allclose(out_a, out_b)
 
 
@@ -92,7 +106,7 @@ class TestCloneAndThetaR:
         model = make_model(use_conversion=use_conversion)
         conversion = np.ones((8, 24)) / 24 if use_conversion else None
         v_r, x = inputs()
-        model.forward(v_r, x, conversion=conversion).sum().backward()
+        forward(model, v_r, x, conversion=conversion).sum().backward()
         rebuilt = UISClassifier.from_config(model.config, seed=3)
         rebuilt.load_state_dict(model.state_dict())
 
@@ -108,8 +122,8 @@ class TestCloneAndThetaR:
             assert ours.data.flags["C_CONTIGUOUS"] and ours.grad is None
             assert not np.shares_memory(ours.data, source.data)
         assert np.array_equal(
-            twin.forward(v_r, x, conversion=conversion).data,
-            rebuilt.forward(v_r, x, conversion=conversion).data)
+            forward(twin, v_r, x, conversion=conversion).data,
+            forward(rebuilt, v_r, x, conversion=conversion).data)
         assert np.array_equal(twin.get_theta_r_flat(),
                               rebuilt.get_theta_r_flat())
 
@@ -150,5 +164,5 @@ class TestArchitecture:
         model = make_model()
         v_r, x = inputs()
         with no_grad():
-            emb = model.tuple_block(x)
+            emb = apply(model.tuple_block, x)
         assert (emb.data >= 0).all()

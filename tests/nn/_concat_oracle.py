@@ -2,7 +2,7 @@
 then one product with the whole ``M_cp``.
 
 Until the conversion was applied by blocks
-(:func:`repro.nn.functional.convert_embeddings`), both classifiers built
+(``_autograd_oracle.convert_embeddings``), both classifiers built
 the 3Ne-wide combined row ``[emb_R, emb_tau, emb_R * emb_tau]`` for every
 tuple and pushed it through ``M_cp^T``.  The bodies below are that code,
 moved here verbatim when ``src/`` stopped using it (the product
@@ -15,7 +15,7 @@ imports this module.
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from _autograd_oracle import Tensor, apply
 
 
 def concat_conversion(emb_r, emb_tau, conversion):
@@ -37,10 +37,10 @@ def forward(model, feature_vector, tuple_vectors, conversion):
     x = Tensor._wrap(tuple_vectors)
     if x.ndim == 1:
         x = x.reshape(1, -1)
-    emb_r = model.uis_block(v_r.reshape(1, model.ku))        # (1, Ne)
-    emb_x = model.tuple_block(x)                             # (n, Ne)
-    combined = concat_conversion(emb_r, emb_x, conversion)   # (n, Ne)
-    logits = model.clf_block(combined)                       # (n, 1)
+    emb_r = apply(model.uis_block, v_r.reshape(1, model.ku))  # (1, Ne)
+    emb_x = apply(model.tuple_block, x)                       # (n, Ne)
+    combined = concat_conversion(emb_r, emb_x, conversion)    # (n, Ne)
+    logits = apply(model.clf_block, combined)                 # (n, 1)
     return logits.reshape(-1)
 
 
@@ -50,8 +50,8 @@ def batched_forward(batched, feature_vectors, tuple_vectors, conversion=None):
     v_r = Tensor._wrap(feature_vectors)
     x = Tensor._wrap(tuple_vectors)
     n = x.shape[1]
-    emb_r = batched.uis_block(v_r.reshape(batched.k, 1, batched.ku))
-    emb_x = batched.tuple_block(x)                           # (K, n, Ne)
-    combined = concat_conversion(emb_r, emb_x, conversion)   # (K, n, Ne)
-    logits = batched.clf_block(combined)                     # (K, n, 1)
+    emb_r = apply(batched.uis_block, v_r.reshape(batched.k, 1, batched.ku))
+    emb_x = apply(batched.tuple_block, x)                     # (K, n, Ne)
+    combined = concat_conversion(emb_r, emb_x, conversion)    # (K, n, Ne)
+    logits = apply(batched.clf_block, combined)               # (K, n, 1)
     return logits.reshape(batched.k, n)

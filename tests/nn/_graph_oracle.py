@@ -8,7 +8,8 @@ graph, and the training engine scored its query sets with
 ``stacked_predict``.  The bodies below are that code, moved here
 verbatim when ``src/`` stopped using it (``BatchedUISClassifier.forward``
 became :func:`forward` of a ``batched`` argument, and ``local_adapt`` is
-the graph branch of the old ``fused_local_adapt``).  The suites hold the
+the graph branch of the old ``fused_local_adapt``), on the graph of
+``_autograd_oracle.py``.  The suites hold the
 array program to it, raw bytes equal.  Nothing in ``src/`` imports this
 module.
 """
@@ -17,10 +18,12 @@ from functools import partial
 
 import numpy as np
 
-from repro.nn.functional import (batched_binary_cross_entropy_with_logits,
-                                 batched_pos_weight, convert_embeddings)
+from _autograd_oracle import (Tensor, apply,
+                              batched_binary_cross_entropy_with_logits,
+                              convert_embeddings, no_grad)
+from repro.nn import Parameter
+from repro.nn.functional import batched_pos_weight
 from repro.nn.optim import SGD, Adam
-from repro.nn.tensor import Parameter, Tensor, no_grad
 
 
 def forward(batched, feature_vectors, tuple_vectors, conversion=None):
@@ -47,8 +50,8 @@ def forward(batched, feature_vectors, tuple_vectors, conversion=None):
     x = Tensor._wrap(tuple_vectors)
     n = x.shape[1]
 
-    emb_r = batched.uis_block(v_r.reshape(batched.k, 1, batched.ku))
-    emb_x = batched.tuple_block(x)                           # (K, n, Ne)
+    emb_r = apply(batched.uis_block, v_r.reshape(batched.k, 1, batched.ku))
+    emb_x = apply(batched.tuple_block, x)                    # (K, n, Ne)
     if conversion is not None:
         combined = convert_embeddings(emb_r, emb_x,
                                       conversion)            # (K, n, Ne)
@@ -60,7 +63,7 @@ def forward(batched, feature_vectors, tuple_vectors, conversion=None):
         emb_r_rows = tiler @ emb_r                           # (K, n, Ne)
         combined = Tensor.concat([emb_r_rows, emb_x, emb_r_rows * emb_x],
                                  axis=-1)                    # (K, n, 3Ne)
-    logits = batched.clf_block(combined)                     # (K, n, 1)
+    logits = apply(batched.clf_block, combined)              # (K, n, 1)
     return logits.reshape(batched.k, n)
 
 

@@ -16,8 +16,7 @@ import pytest
 
 import repro
 from repro import native
-from repro.nn import Adam, optim
-from repro.nn.tensor import Parameter
+from repro.nn import Adam, Parameter, optim
 from repro.obs import default_registry
 
 BLOCK = optim._BLOCK

@@ -1,7 +1,7 @@
 """Aliasing at the boundaries of the stacked adapt.
 
 The optimizer updates parameters in place, so anything that hands an
-array to a trained :class:`~repro.nn.tensor.Parameter` must hand it a
+array to a trained :class:`~repro.nn.Parameter` must hand it a
 copy — a caller's buffers are never trained: a stack trains, the models
 it was built from and the retrieval it was fed do not.
 """
@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import _graph_oracle as graph
+from _autograd_oracle import is_grad_enabled, no_grad
 from repro.core.meta_learner import UISClassifier
 from repro.core.meta_training import AdaptedClassifier
-from repro.nn import (BatchedUISClassifier, Parameter, fused_local_adapt,
-                      no_grad)
-from repro.nn.batching import block_leaves, retrieval_constants
-from repro.nn.tensor import is_grad_enabled
+from repro.nn import (MLP, BatchedLinear, BatchedUISClassifier, Parameter,
+                      ReLU, batch_modules, fused_local_adapt)
+from repro.nn.batching import (block_leaves, flat_leaves, load_flat_stack,
+                               retrieval_constants, stable_sigmoid,
+                               stack_conversions, stack_leaves)
 
 K, N, KU, WIDTH, NE = 3, 6, 6, 5, 4
 
@@ -132,3 +134,116 @@ def test_no_grad_in_one_thread_leaves_a_training_thread_its_graph():
     assert is_grad_enabled()
     for param in list(batched.parameters()) + [conversion]:
         assert param.grad is not None and np.any(param.grad != 0)
+
+
+def test_stack_conversions_of_no_matrix_is_none():
+    assert stack_conversions(None) is None
+    assert stack_conversions([None, None]) is None
+
+
+def test_stack_conversions_rejects_a_mixed_list():
+    with pytest.raises(ValueError):
+        stack_conversions([np.zeros((NE, 3 * NE)), None])
+
+
+def test_stack_conversions_stacks_copies():
+    *_, conversions = task_batch()
+    stacked = stack_conversions(list(conversions))
+    assert isinstance(stacked, Parameter)
+    assert stacked.shape == (K, NE, 3 * NE)
+    assert np.array_equal(stacked.data, conversions)
+    assert not np.shares_memory(stacked.data, conversions)
+
+
+def test_stack_leaves_copies_each_task_into_its_slice():
+    models = [MLP([WIDTH, 4, 2], rng=np.random.default_rng(i))
+              for i in range(K)]
+    per_task = [block_leaves(model) for model in models]
+    stacked = stack_leaves(per_task)
+    layers = list(stacked)
+    assert isinstance(layers[0], BatchedLinear)
+    assert isinstance(layers[1], ReLU)
+    assert isinstance(layers[2], BatchedLinear)
+    for i, model in enumerate(models):
+        for layer, source in ((layers[0], model.m0), (layers[2], model.m2)):
+            assert layer.weight.shape == (K,) + source.weight.shape
+            assert np.array_equal(layer.weight.data[i], source.weight.data)
+            assert np.array_equal(layer.bias.data[i, 0], source.bias.data)
+            assert not np.shares_memory(layer.weight.data,
+                                        source.weight.data)
+
+
+def test_flat_leaves_reads_the_flat_layout_as_views():
+    model = MLP([WIDTH, 4, 2], rng=np.random.default_rng(0))
+    flat = model.flat_parameters()
+    leaves = flat_leaves(model, flat)
+    for got, want in zip(leaves, block_leaves(model)):
+        if want is None:
+            assert got is None
+            continue
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert np.shares_memory(g, flat)
+    with pytest.raises(ValueError):
+        flat_leaves(model, np.zeros(flat.size + 1))
+
+
+def test_load_flat_stack_matches_per_task_loading():
+    models = [MLP([WIDTH, 4, 2], rng=np.random.default_rng(i))
+              for i in range(K)]
+    batched = batch_modules(models)
+    rng = np.random.default_rng(9)
+    flat_stack = rng.normal(size=(K, models[0].num_parameters()))
+    load_flat_stack(batched, flat_stack)
+    for model, row in zip(models, flat_stack):
+        model.load_flat_parameters(row)
+    want = batch_modules(models)
+    for (name, got), (_, ref) in zip(batched.named_parameters(),
+                                     want.named_parameters()):
+        assert np.array_equal(got.data, ref.data), name
+
+
+@pytest.mark.parametrize("bad_shape", ["height", "width"])
+def test_load_flat_stack_checks_its_shape(bad_shape):
+    models = [MLP([WIDTH, 4, 2], rng=np.random.default_rng(i))
+              for i in range(K)]
+    batched = batch_modules(models)
+    size = models[0].num_parameters()
+    shape = (K + 1, size) if bad_shape == "height" else (K, size + 1)
+    with pytest.raises(ValueError):
+        load_flat_stack(batched, np.zeros(shape))
+
+
+class TestStableSigmoid:
+    """The interest probability of a logit, on raw arrays."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 4)])
+    def test_matches_the_logistic_formula(self, shape):
+        x = np.random.default_rng(0).normal(size=shape) * 5.0
+        out = stable_sigmoid(x)
+        assert out.shape == shape and out.dtype == np.float64
+        assert np.allclose(out, 1.0 / (1.0 + np.exp(-x)), rtol=1e-14,
+                           atol=0.0)
+
+    def test_saturates_without_overflow(self):
+        x = np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = stable_sigmoid(x)   # exp(-1000) underflows to 0: fine
+        assert out[0] == 0.0 and out[-1] == 1.0 and out[2] == 0.5
+        assert np.all(np.diff(out) >= 0)
+
+    def test_is_symmetric_about_zero(self):
+        x = np.linspace(-20.0, 20.0, 81)
+        assert np.allclose(stable_sigmoid(-x), 1.0 - stable_sigmoid(x),
+                           rtol=0.0, atol=1e-15)
+
+    def test_empty_input(self):
+        out = stable_sigmoid(np.zeros(0))
+        assert out.shape == (0,)
+
+    def test_leaves_its_input_unchanged(self):
+        x = np.array([-3.0, 0.5, 2.0])
+        kept = x.copy()
+        out = stable_sigmoid(x)
+        assert np.array_equal(x, kept)
+        assert not np.shares_memory(out, x)

@@ -3,9 +3,10 @@
 
 Three contracts.  Two are old and stay exact: slice k of the stacked op
 is the per-task op bit for bit, and ``inference_logits`` returns the
-bits of ``forward`` for the same rows in one call — both hold because
-two functions (:func:`repro.nn.functional.conversion_constant` and
-:func:`~repro.nn.functional.conversion_rows`) are the only place the
+bits of the oracle's ``forward`` (``_autograd_oracle.py``) for the same
+rows in one call — both hold because two functions
+(:func:`repro.nn.functional.conversion_constant` and
+:func:`~repro.nn.functional.conversion_weight`) are the only place the
 formula is written.  The third is new: against the
 oracle the block form adds the same products in another association, so
 logits and gradients agree to a tolerance fixed here from the dtype
@@ -25,12 +26,11 @@ from hypothesis import strategies as st
 
 import _concat_oracle as oracle
 import _graph_oracle as graph
+from _autograd_oracle import Tensor, convert_embeddings, forward, no_grad
 from test_gradcheck import numeric_grad
 from repro.core.meta_learner import UISClassifier
-from repro.nn import BatchedUISClassifier, Tensor, no_grad
-from repro.nn.batching import inference_logits
-from repro.nn.functional import convert_embeddings
-from repro.nn.tensor import stable_sigmoid
+from repro.nn import BatchedUISClassifier
+from repro.nn.batching import inference_logits, stable_sigmoid
 
 NAMES = ("emb_r", "emb_tau", "conversion")
 #: 2-D (one task) and stacked operands, one row and several.
@@ -165,7 +165,7 @@ def test_inference_kernel_returns_the_forward_bits(n):
     conversion = rng.normal(size=(16, 48)) * 0.3
     logits = inference_logits(model, feature, rows, conversion=conversion)
     assert np.array_equal(
-        logits, model.forward(feature, rows, conversion=conversion).data)
+        logits, forward(model, feature, rows, conversion=conversion).data)
 
 
 # ----------------------------------------------------------------------
@@ -200,11 +200,11 @@ def test_classifier_logits_and_parameter_gradients_match_the_oracle():
     models, features, xs, ys, conversions = task_batch(1, seed=7)
     model, weights = models[0], np.linspace(-1.0, 1.0, xs.shape[1])
     results = []
-    for forward in (lambda *a: model.forward(*a[:2], conversion=a[2]),
-                    lambda *a: oracle.forward(model, *a)):
+    for run in (lambda *a: forward(model, *a[:2], conversion=a[2]),
+                lambda *a: oracle.forward(model, *a)):
         model.zero_grad()
         conversion = Tensor(conversions[0].copy(), requires_grad=True)
-        logits = forward(features[0], xs[0], conversion)
+        logits = run(features[0], xs[0], conversion)
         (logits * weights).sum().backward()
         results.append((logits.data, conversion.grad,
                         {name: param.grad

@@ -1,14 +1,12 @@
-"""Tests for functional ops: losses, softmax, cosine similarity."""
+"""Tests for the oracle's graph loss (``_autograd_oracle.py``): the
+BCE every eager oracle trains with."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor
-from repro.nn.functional import (binary_cross_entropy_with_logits,
-                                 cosine_similarity, log_softmax, mse_loss,
-                                 relu, sigmoid, softmax)
+from _autograd_oracle import Tensor, binary_cross_entropy_with_logits
 
 
 class TestBCE:
@@ -47,57 +45,6 @@ class TestBCE:
         assert np.isclose(loss.item(), np.log(2))
 
 
-class TestSoftmax:
-    def test_sums_to_one(self):
-        out = softmax(Tensor(np.random.default_rng(0).normal(size=(3, 5))))
-        assert np.allclose(out.data.sum(axis=-1), 1.0)
-
-    def test_shift_invariance(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(softmax(Tensor(x)).data,
-                           softmax(Tensor(x + 100)).data)
-
-    def test_stable_for_large_inputs(self):
-        out = softmax(Tensor([1e4, 0.0]))
-        assert np.isfinite(out.data).all()
-
-    def test_log_softmax_consistent(self):
-        x = np.random.default_rng(1).normal(size=6)
-        assert np.allclose(log_softmax(Tensor(x)).data,
-                           np.log(softmax(Tensor(x)).data))
-
-
-class TestCosine:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=4)
-        m = rng.normal(size=(3, 4))
-        out = cosine_similarity(Tensor(v), Tensor(m)).data
-        expected = m @ v / (np.linalg.norm(v) * np.linalg.norm(m, axis=1))
-        assert np.allclose(out, expected, atol=1e-9)
-
-    def test_self_similarity_is_one(self):
-        v = np.array([1.0, 2.0, 3.0])
-        out = cosine_similarity(Tensor(v), Tensor(v[None, :]))
-        assert np.isclose(out.data[0], 1.0)
-
-    def test_zero_vector_does_not_nan(self):
-        out = cosine_similarity(Tensor(np.zeros(3)), Tensor(np.ones((2, 3))))
-        assert np.isfinite(out.data).all()
-
-
-class TestSimpleWrappers:
-    def test_sigmoid_and_relu_accept_arrays(self):
-        assert np.isclose(sigmoid(np.array([0.0])).data[0], 0.5)
-        assert np.allclose(relu(np.array([-1.0, 2.0])).data, [0.0, 2.0])
-
-    def test_mse(self):
-        loss = mse_loss(Tensor([1.0, 2.0]), np.array([0.0, 0.0]))
-        assert np.isclose(loss.item(), 2.5)
-        with pytest.raises(ValueError):
-            mse_loss(Tensor([1.0]), np.array([0.0]), reduction="bad")
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
        st.lists(st.integers(0, 1), min_size=1, max_size=8))
@@ -106,11 +53,3 @@ def test_property_bce_nonnegative(logits, bits):
     loss = binary_cross_entropy_with_logits(
         Tensor(np.asarray(logits[:n])), np.asarray(bits[:n], dtype=float))
     assert loss.item() >= -1e-12
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-10, 10), min_size=2, max_size=8))
-def test_property_softmax_is_distribution(values):
-    out = softmax(Tensor(np.asarray(values))).data
-    assert np.all(out >= 0)
-    assert np.isclose(out.sum(), 1.0)

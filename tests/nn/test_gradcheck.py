@@ -1,8 +1,9 @@
-"""Gradient checks: autograd vs central finite differences.
+"""Gradient checks: the oracle's autograd vs central finite differences.
 
-These are the load-bearing correctness tests of the NN substrate — every
-differentiable op and the full composite meta-learner forward pass are
-verified against numerical differentiation.
+The autograd graph of ``_autograd_oracle.py`` is what the parity suites
+hold ``src/`` to, so every op it keeps and the full composite
+meta-learner forward pass are verified against numerical
+differentiation.
 """
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor
-from repro.nn.functional import (binary_cross_entropy_with_logits,
-                                 cosine_similarity, mse_loss, softmax)
+from _autograd_oracle import (Tensor, apply, balanced_pos_weight,
+                              batched_binary_cross_entropy_with_logits,
+                              binary_cross_entropy_with_logits, forward)
+from repro.nn.functional import batched_pos_weight
 
 EPS = 1e-6
 ATOL = 1e-5
@@ -52,23 +54,17 @@ RNG = np.random.default_rng(42)
     lambda t: t + 2.0,
     lambda t: 3.0 - t,
     lambda t: t * t,
-    lambda t: t / 2.5,
-    lambda t: 1.0 / (t + 3.0),
     lambda t: -t,
-    lambda t: t ** 3,
     lambda t: t.relu(),
     lambda t: t.sigmoid(),
-    lambda t: t.tanh(),
     lambda t: t.exp(),
     lambda t: (t + 3.0).log(),
-    lambda t: (t + 3.0).sqrt(),
     lambda t: (t * t + 0.1).abs(),
     lambda t: t.mean(),
     lambda t: t.mean(axis=0),
     lambda t: t.sum(axis=1, keepdims=True),
     lambda t: t.reshape(-1),
-    lambda t: t.T,
-    lambda t: t[1:],
+    lambda t: t.swapaxes(0, 1),
 ], ids=lambda op: "op")
 def test_elementwise_and_shape_ops(op):
     check(op, RNG.normal(size=(3, 4)) * 0.7)
@@ -78,8 +74,9 @@ def test_matmul_grad_both_sides():
     a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
     (a @ b).sum().backward()
-    na = numeric_grad(lambda v: (Tensor(v) @ b.detach()).sum().item(), a.data)
-    nb = numeric_grad(lambda v: (a.detach() @ Tensor(v)).sum().item(), b.data)
+    na = numeric_grad(lambda v: (Tensor(v) @ b.data).sum().item(), a.data)
+    nb = numeric_grad(
+        lambda v: (Tensor(a.data) @ Tensor(v)).sum().item(), b.data)
     assert np.allclose(a.grad, na, atol=ATOL)
     assert np.allclose(b.grad, nb, atol=ATOL)
 
@@ -88,8 +85,9 @@ def test_matmul_vector_matrix_grad():
     v = Tensor(RNG.normal(size=4), requires_grad=True)
     m = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
     (v @ m).sum().backward()
-    nv = numeric_grad(lambda x: (Tensor(x) @ m.detach()).sum().item(), v.data)
-    nm = numeric_grad(lambda x: (v.detach() @ Tensor(x)).sum().item(), m.data)
+    nv = numeric_grad(lambda x: (Tensor(x) @ m.data).sum().item(), v.data)
+    nm = numeric_grad(
+        lambda x: (Tensor(v.data) @ Tensor(x)).sum().item(), m.data)
     assert np.allclose(v.grad, nv, atol=ATOL)
     assert np.allclose(m.grad, nm, atol=ATOL)
 
@@ -105,25 +103,22 @@ def test_matmul_dot_grad():
 def test_concat_grad():
     a = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
-    (Tensor.concat([a, b], axis=1) ** 2).sum().backward()
+    combined = Tensor.concat([a, b], axis=1)
+    (combined * combined).sum().backward()
     assert np.allclose(a.grad, 2 * a.data, atol=ATOL)
     assert np.allclose(b.grad, 2 * b.data, atol=ATOL)
-
-
-def test_stack_grad():
-    a = Tensor(RNG.normal(size=3), requires_grad=True)
-    b = Tensor(RNG.normal(size=3), requires_grad=True)
-    (Tensor.stack([a, b]) * np.array([[1.0], [2.0]])).sum().backward()
-    assert np.allclose(a.grad, 1.0)
-    assert np.allclose(b.grad, 2.0)
 
 
 def test_broadcast_add_grad():
     a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(RNG.normal(size=4), requires_grad=True)
-    ((a + b) ** 2).sum().backward()
+
+    def square(t):
+        return t * t
+
+    square(a + b).sum().backward()
     nb = numeric_grad(
-        lambda v: ((a.detach() + Tensor(v)) ** 2).sum().item(), b.data)
+        lambda v: square(Tensor(a.data) + Tensor(v)).sum().item(), b.data)
     assert np.allclose(b.grad, nb, atol=ATOL)
 
 
@@ -147,37 +142,6 @@ def test_bce_grad_equals_sigmoid_minus_target():
     assert np.allclose(t.grad, sig - targets, atol=ATOL)
 
 
-def test_mse_grad():
-    pred = RNG.normal(size=5)
-    target = RNG.normal(size=5)
-    t = Tensor(pred.copy(), requires_grad=True)
-    mse_loss(t, target).backward()
-    assert np.allclose(t.grad, 2 * (pred - target) / 5, atol=ATOL)
-
-
-def test_softmax_grad():
-    x = RNG.normal(size=5)
-    t = Tensor(x.copy(), requires_grad=True)
-    (softmax(t) * np.arange(5.0)).sum().backward()
-    expected = numeric_grad(
-        lambda v: (softmax(Tensor(v)) * np.arange(5.0)).sum().item(), x)
-    assert np.allclose(t.grad, expected, atol=ATOL)
-
-
-def test_cosine_similarity_grad_both_inputs():
-    v = RNG.normal(size=4)
-    m = RNG.normal(size=(3, 4))
-    tv = Tensor(v.copy(), requires_grad=True)
-    tm = Tensor(m.copy(), requires_grad=True)
-    cosine_similarity(tv, tm).sum().backward()
-    nv = numeric_grad(
-        lambda x: cosine_similarity(Tensor(x), Tensor(m)).sum().item(), v)
-    nm = numeric_grad(
-        lambda x: cosine_similarity(Tensor(v), Tensor(x)).sum().item(), m)
-    assert np.allclose(tv.grad, nv, atol=ATOL)
-    assert np.allclose(tm.grad, nm, atol=ATOL)
-
-
 # ----------------------------------------------------------------------
 # Batched ops (the serving hot path): stacked matmul, swapaxes, batched
 # linear layers and the per-task-reduced BCE.
@@ -186,8 +150,9 @@ def test_batched_matmul_grad_both_sides():
     a = Tensor(RNG.normal(size=(3, 4, 5)), requires_grad=True)
     b = Tensor(RNG.normal(size=(3, 5, 2)), requires_grad=True)
     (a @ b).sum().backward()
-    na = numeric_grad(lambda v: (Tensor(v) @ b.detach()).sum().item(), a.data)
-    nb = numeric_grad(lambda v: (a.detach() @ Tensor(v)).sum().item(), b.data)
+    na = numeric_grad(lambda v: (Tensor(v) @ b.data).sum().item(), a.data)
+    nb = numeric_grad(
+        lambda v: (Tensor(a.data) @ Tensor(v)).sum().item(), b.data)
     assert np.allclose(a.grad, na, atol=ATOL)
     assert np.allclose(b.grad, nb, atol=ATOL)
 
@@ -197,9 +162,9 @@ def test_batched_matmul_broadcast_grad():
     tiler = Tensor(np.ones((4, 1)), requires_grad=True)
     emb = Tensor(RNG.normal(size=(3, 1, 5)), requires_grad=True)
     (tiler @ emb).sum().backward()
-    nt = numeric_grad(lambda v: (Tensor(v) @ emb.detach()).sum().item(),
+    nt = numeric_grad(lambda v: (Tensor(v) @ emb.data).sum().item(),
                       tiler.data)
-    ne = numeric_grad(lambda v: (tiler.detach() @ Tensor(v)).sum().item(),
+    ne = numeric_grad(lambda v: (Tensor(tiler.data) @ Tensor(v)).sum().item(),
                       emb.data)
     assert np.allclose(tiler.grad, nt, atol=ATOL)
     assert np.allclose(emb.grad, ne, atol=ATOL)
@@ -210,8 +175,9 @@ def test_batched_matmul_single_element_batch_grad():
     a = Tensor(RNG.normal(size=(1, 3, 4)), requires_grad=True)
     b = Tensor(RNG.normal(size=(1, 4, 2)), requires_grad=True)
     (a @ b).sum().backward()
-    na = numeric_grad(lambda v: (Tensor(v) @ b.detach()).sum().item(), a.data)
-    nb = numeric_grad(lambda v: (a.detach() @ Tensor(v)).sum().item(), b.data)
+    na = numeric_grad(lambda v: (Tensor(v) @ b.data).sum().item(), a.data)
+    nb = numeric_grad(
+        lambda v: (Tensor(a.data) @ Tensor(v)).sum().item(), b.data)
     assert np.allclose(a.grad, na, atol=ATOL)
     assert np.allclose(b.grad, nb, atol=ATOL)
 
@@ -224,7 +190,7 @@ def test_batched_matmul_non_contiguous_grad():
     b = Tensor(RNG.normal(size=(3, 5, 2)), requires_grad=True)
     (a @ b).sum().backward()
     na = numeric_grad(
-        lambda v: (Tensor(v) @ b.detach()).sum().item(),
+        lambda v: (Tensor(v) @ b.data).sum().item(),
         np.ascontiguousarray(a.data))
     assert np.allclose(a.grad, na, atol=ATOL)
 
@@ -243,9 +209,9 @@ def test_batched_linear_matches_stacked_linears():
                for i in range(3)]
     batched = BatchedLinear.from_linears(linears)
     x = rng.normal(size=(3, 5, 4))
-    out = batched(Tensor(x))
+    out = apply(batched, x)
     for i, lin in enumerate(linears):
-        assert np.allclose(out.data[i], lin(Tensor(x[i])).data, atol=1e-12)
+        assert np.allclose(out.data[i], apply(lin, x[i]).data, atol=1e-12)
 
 
 def test_batched_linear_gradcheck():
@@ -259,11 +225,13 @@ def test_batched_linear_gradcheck():
         for p in batched.parameters():
             p.copy_(flat[offset:offset + p.size].reshape(p.data.shape))
             offset += p.size
-        return (batched(Tensor(x)) ** 2).sum().item()
+        out = apply(batched, x)
+        return (out * out).sum().item()
 
     flat0 = batched.flat_parameters().copy()
     batched.zero_grad()
-    (batched(Tensor(x)) ** 2).sum().backward()
+    out = apply(batched, x)
+    (out * out).sum().backward()
     auto = np.concatenate([p.grad.ravel() for p in batched.parameters()])
     numeric = numeric_grad(loss_at, flat0)
     batched.load_flat_parameters(flat0)
@@ -271,8 +239,6 @@ def test_batched_linear_gradcheck():
 
 
 def test_batched_bce_grad_matches_numeric():
-    from repro.nn.functional import batched_binary_cross_entropy_with_logits
-
     logits = RNG.normal(size=(3, 6)) * 2
     targets = RNG.integers(0, 2, size=(3, 6)).astype(float)
     pos_weight = np.array([[1.0], [2.5], [4.0]])
@@ -287,10 +253,6 @@ def test_batched_bce_grad_matches_numeric():
 
 def test_batched_bce_matches_per_task_sequential():
     """Summed batched loss gradient == per-task sequential loss gradients."""
-    from repro.nn.functional import (balanced_pos_weight,
-                                     batched_binary_cross_entropy_with_logits,
-                                     batched_pos_weight)
-
     logits = RNG.normal(size=(4, 7))
     targets = RNG.integers(0, 2, size=(4, 7)).astype(float)
     pos_weight = batched_pos_weight(targets)
@@ -307,8 +269,6 @@ def test_batched_bce_matches_per_task_sequential():
 
 
 def test_batched_bce_single_task_edge_case():
-    from repro.nn.functional import batched_binary_cross_entropy_with_logits
-
     logits = RNG.normal(size=(1, 5))
     targets = np.ones((1, 5))   # single class -> pos_weight path disabled
     t = Tensor(logits.copy(), requires_grad=True)
@@ -334,12 +294,12 @@ def test_full_classifier_forward_gradcheck():
 
     def loss_at(flat):
         model.load_flat_parameters(flat)
-        logits = model.forward(v_r, x)
+        logits = forward(model, v_r, x)
         return binary_cross_entropy_with_logits(logits, y).item()
 
     flat0 = model.flat_parameters().copy()
     model.zero_grad()
-    loss = binary_cross_entropy_with_logits(model.forward(v_r, x), y)
+    loss = binary_cross_entropy_with_logits(forward(model, v_r, x), y)
     loss.backward()
     auto = np.concatenate([
         (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()

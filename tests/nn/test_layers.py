@@ -1,9 +1,88 @@
-"""Tests for Module bookkeeping, Linear/MLP layers and state dicts."""
+"""Tests for the Parameter holder, Module bookkeeping, Linear/MLP layers
+and state dicts.  Modules compute nothing; where a case needs a layer's
+output it applies the oracle's forward (``_autograd_oracle.apply``)."""
 
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Linear, Module, ReLU, Sequential, Sigmoid, Tensor
+from _autograd_oracle import Sigmoid, apply
+from repro.core.meta_learner import UISClassifier
+from repro.nn import (MLP, BatchedLinear, Linear, Module, Parameter, ReLU,
+                      Sequential, batch_modules)
+
+
+class TestParameter:
+    def test_wraps_a_float64_array_without_a_copy(self):
+        array = np.arange(6, dtype=np.float64).reshape(2, 3)
+        param = Parameter(array)
+        assert param.data is array
+        assert param.shape == (2, 3) and param.size == 6
+
+    @pytest.mark.parametrize("data", [np.arange(3), [1, 2, 3],
+                                      np.full(3, 0.1, dtype=np.float32)])
+    def test_int_and_float32_become_float64(self, data):
+        param = Parameter(data)
+        assert param.data.dtype == np.float64
+        assert np.array_equal(param.data, np.asarray(data).astype(np.float64))
+
+    def test_grad_starts_as_none(self):
+        assert Parameter(np.zeros(2)).grad is None
+
+    def test_copy_keeps_identity_and_checks_shape(self):
+        param = Parameter(np.zeros(3))
+        assert param.copy_(np.ones(3)) is param
+        assert np.array_equal(param.data, np.ones(3))
+        data = param.data
+        with pytest.raises(ValueError):
+            param.copy_(np.ones(4))
+        assert param.data is data
+
+    def test_state_dict_is_a_copy(self):
+        param = Parameter(np.ones(3))
+        state = param.state_dict()
+        state[:] = 5.0
+        assert np.array_equal(param.data, np.ones(3))
+        assert not np.shares_memory(state, param.data)
+
+    def test_module_clone_shares_no_array(self):
+        model = UISClassifier(ku=4, input_width=3, embed_size=5,
+                              hidden_size=2, use_conversion=True, seed=0)
+        twin = model.clone()
+        for (name, ours), (_, source) in zip(twin.named_parameters(),
+                                             model.named_parameters()):
+            assert ours is not source, name
+            assert np.array_equal(ours.data, source.data), name
+            assert not np.shares_memory(ours.data, source.data), name
+            assert ours.grad is None, name
+
+    def test_is_a_slotted_holder(self):
+        """Only ``data`` and ``grad``: the graph's ``requires_grad`` flag
+        (and any other attribute) has nowhere to go."""
+        param = Parameter(np.zeros(2))
+        assert not hasattr(param, "__dict__")
+        with pytest.raises(AttributeError):
+            param.requires_grad = True
+
+    def test_zero_grad_drops_the_gradient(self):
+        param = Parameter(np.zeros(2))
+        param.grad = np.ones(2)
+        param.zero_grad()
+        assert param.grad is None
+
+    def test_copy_converts_and_decouples_from_its_source(self):
+        param = Parameter(np.zeros(3))
+        source = np.arange(3)
+        param.copy_(source)
+        source[:] = 7
+        assert param.data.dtype == np.float64
+        assert np.array_equal(param.data, [0.0, 1.0, 2.0])
+
+    def test_load_state_dict_keeps_identity(self):
+        param = Parameter(np.zeros(3))
+        assert param.load_state_dict(np.full(3, 2.0)) is param
+        assert np.array_equal(param.data, np.full(3, 2.0))
+        with pytest.raises(ValueError):
+            param.load_state_dict(np.zeros(2))
 
 
 class TestModuleBookkeeping:
@@ -19,15 +98,11 @@ class TestModuleBookkeeping:
 
     def test_zero_grad_clears_all(self):
         mlp = MLP([2, 3, 1], rng=np.random.default_rng(0))
-        out = mlp(Tensor(np.ones((5, 2)))).sum()
+        out = apply(mlp, np.ones((5, 2))).sum()
         out.backward()
         assert any(p.grad is not None for p in mlp.parameters())
         mlp.zero_grad()
         assert all(p.grad is None for p in mlp.parameters())
-
-    def test_forward_not_implemented_on_base(self):
-        with pytest.raises(NotImplementedError):
-            Module()(1)
 
 
 class TestStateDict:
@@ -37,7 +112,7 @@ class TestStateDict:
         b = MLP([3, 4, 2], rng=np.random.default_rng(2))
         b.load_state_dict(a.state_dict())
         x = np.ones((2, 3))
-        assert np.allclose(a(Tensor(x)).data, b(Tensor(x)).data)
+        assert np.allclose(apply(a, x).data, apply(b, x).data)
 
     def test_state_dict_is_deep_copy(self):
         mlp = MLP([2, 2], rng=np.random.default_rng(0))
@@ -68,7 +143,7 @@ class TestLinear:
         rng = np.random.default_rng(0)
         layer = Linear(3, 4, rng=rng)
         x = rng.normal(size=(5, 3))
-        out = layer(Tensor(x))
+        out = apply(layer, x)
         assert out.shape == (5, 4)
         assert np.allclose(out.data, x @ layer.weight.data + layer.bias.data)
 
@@ -88,7 +163,7 @@ class TestSequentialAndMLP:
         rng = np.random.default_rng(0)
         seq = Sequential(Linear(2, 2, rng=rng), ReLU())
         x = np.array([[-10.0, -10.0]])
-        out = seq(Tensor(x))
+        out = apply(seq, x)
         assert np.all(out.data >= 0)
 
     def test_sequential_iterable_and_repr(self):
@@ -104,14 +179,68 @@ class TestSequentialAndMLP:
     def test_mlp_hidden_relu_final_linear(self):
         mlp = MLP([2, 4, 1], rng=np.random.default_rng(0))
         # Negative-going output is possible => final layer is not ReLU'd.
-        out = mlp(Tensor(np.random.default_rng(1).normal(size=(50, 2))))
+        out = apply(mlp, np.random.default_rng(1).normal(size=(50, 2)))
         assert (out.data < 0).any() or (out.data > 0).any()
 
     def test_mlp_final_activation(self):
         mlp = MLP([2, 3, 2], rng=np.random.default_rng(0),
                   final_activation=Sigmoid())
-        out = mlp(Tensor(np.random.default_rng(1).normal(size=(10, 2)) * 10))
+        out = apply(mlp, np.random.default_rng(1).normal(size=(10, 2)) * 10)
         assert np.all(out.data >= 0) and np.all(out.data <= 1)
 
     def test_mlp_sizes_recorded(self):
         assert MLP([4, 3, 2], rng=np.random.default_rng(0)).sizes == (4, 3, 2)
+
+
+class TestBatchedLinear:
+    def linears(self, k=3, bias=True):
+        rng = np.random.default_rng(0)
+        return [Linear(3, 2, rng=rng, bias=bias) for _ in range(k)]
+
+    def test_from_linears_stacks_copies_of_its_sources(self):
+        linears = self.linears()
+        batched = BatchedLinear.from_linears(linears)
+        assert batched.weight.shape == (3, 3, 2)
+        assert batched.bias.shape == (3, 1, 2)
+        for i, lin in enumerate(linears):
+            assert np.array_equal(batched.weight.data[i], lin.weight.data)
+            assert np.array_equal(batched.bias.data[i, 0], lin.bias.data)
+            assert not np.shares_memory(batched.weight.data, lin.weight.data)
+            assert not np.shares_memory(batched.bias.data, lin.bias.data)
+
+    def test_from_linears_rejects_mixed_shapes(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            BatchedLinear.from_linears([Linear(3, 2, rng=rng),
+                                        Linear(3, 4, rng=rng)])
+
+    def test_from_linears_rejects_mixed_bias(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            BatchedLinear.from_linears([Linear(3, 2, rng=rng),
+                                        Linear(3, 2, rng=rng, bias=False)])
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_unstack_into_writes_each_slice_back(self, bias):
+        linears = self.linears(bias=bias)
+        batched = BatchedLinear.from_linears(linears)
+        batched.weight.data += 1.0
+        if bias:
+            batched.bias.data -= 1.0
+        batched.unstack_into(linears)
+        for i, lin in enumerate(linears):
+            assert np.array_equal(lin.weight.data, batched.weight.data[i])
+            if bias:
+                assert np.array_equal(lin.bias.data, batched.bias.data[i, 0])
+            else:
+                assert lin.bias is None
+
+    def test_unstack_into_checks_the_count(self):
+        linears = self.linears()
+        batched = BatchedLinear.from_linears(linears)
+        with pytest.raises(ValueError):
+            batched.unstack_into(linears[:2])
+
+    def test_batch_modules_rejects_an_unknown_module(self):
+        with pytest.raises(TypeError):
+            batch_modules([Module(), Module()])

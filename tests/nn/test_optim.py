@@ -1,15 +1,17 @@
 """Tests for SGD and Adam optimizers.
 
 Every case runs twice: with Adam's compiled loop, and with the numpy
-kernel alone, as on a host without a C compiler.
+kernel alone, as on a host without a C compiler.  Where a case needs
+gradients of a loss, the oracle's autograd graph
+(``_autograd_oracle.py``) leaves them on the parameters.
 """
 
 import numpy as np
 import pytest
 
+from _autograd_oracle import Tensor, apply
 from repro import native
-from repro.nn import Adam, SGD, Tensor, optim
-from repro.nn.tensor import Parameter
+from repro.nn import Adam, SGD, Parameter, optim
 
 
 @pytest.fixture(autouse=True, params=["compiled", "numpy"])
@@ -25,7 +27,7 @@ def kernel(request, monkeypatch):
 
 
 def quadratic_loss(param, target):
-    diff = param - target
+    diff = Tensor._wrap(param) - target
     return (diff * diff).sum()
 
 
@@ -93,7 +95,7 @@ class TestAdam:
         p2 = Parameter(np.ones(1))
         opt = Adam([p1, p2], lr=0.1)
         opt.zero_grad()
-        (p1 * 2.0).sum().backward()  # only p1 gets a gradient
+        (Tensor._wrap(p1) * 2.0).sum().backward()  # only p1 gets a gradient
         opt.step()
         assert p1.data[0] != 1.0
         assert p2.data[0] == 1.0
@@ -101,15 +103,15 @@ class TestAdam:
     def test_zero_grad_via_optimizer(self):
         p = Parameter(np.ones(1))
         opt = Adam([p], lr=0.1)
-        (p * 2).sum().backward()
+        (Tensor._wrap(p) * 2).sum().backward()
         opt.zero_grad()
         assert p.grad is None
 
 
 def test_optimizers_train_small_net_to_fit_xor():
     """Integration: Adam fits XOR (non-linearly separable)."""
+    from _autograd_oracle import binary_cross_entropy_with_logits
     from repro.nn import MLP
-    from repro.nn.functional import binary_cross_entropy_with_logits
 
     rng = np.random.default_rng(0)
     x = np.array([[0.0, 0], [0, 1], [1, 0], [1, 1]])
@@ -118,10 +120,10 @@ def test_optimizers_train_small_net_to_fit_xor():
     opt = Adam(net.parameters(), lr=0.05)
     for _ in range(400):
         opt.zero_grad()
-        logits = net(Tensor(x)).reshape(-1)
+        logits = apply(net, x).reshape(-1)
         binary_cross_entropy_with_logits(logits, y).backward()
         opt.step()
-    pred = (net(Tensor(x)).data.ravel() > 0).astype(int)
+    pred = (apply(net, x).data.ravel() > 0).astype(int)
     assert np.array_equal(pred, y.astype(int))
 
 
@@ -231,13 +233,13 @@ def test_updates_in_place_and_only_reads_gradients(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_gradient_array_shared_by_two_parameters(kind):
-    """``Tensor.__add__``'s backward hands one array to both parents."""
+    """The graph's ``__add__`` backward hands one array to both parents."""
     rng = np.random.default_rng(2)
     a_start, b_start = rng.normal(size=(2, 9))
     a, b = Parameter(a_start.copy()), Parameter(b_start.copy())
     weights = rng.normal(size=9)
     optimizer = make_optimizer(kind, [a, b])
-    ((a + b) * weights).sum().backward()
+    ((Tensor._wrap(a) + b) * weights).sum().backward()
     assert a.grad is b.grad
     optimizer.step()
     assert np.array_equal(a.grad, weights)

@@ -1,13 +1,12 @@
-"""Tests for class-balanced BCE (pos_weight / balanced_pos_weight)."""
+"""Tests for class-balanced BCE (pos_weight / balanced_pos_weight) of
+the oracle's graph loss (``_autograd_oracle.py``)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor
-from repro.nn.functional import (balanced_pos_weight,
-                                 binary_cross_entropy_with_logits)
+from _autograd_oracle import (Tensor, balanced_pos_weight,
+                              binary_cross_entropy_with_logits)
 
 
 class TestPosWeight:

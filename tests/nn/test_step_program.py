@@ -28,11 +28,12 @@ import numpy as np
 import pytest
 
 import _graph_oracle as graph
+from _autograd_oracle import Sigmoid
 from repro.core.meta_learner import UISClassifier
 from repro.core.meta_training import (MetaHyperParams, MetaTrainer,
                                       adapt_stack)
-from repro.nn import (Adam, BatchedUISClassifier, Linear, Parameter,
-                      Sequential, Sigmoid, fused_local_adapt, step_program)
+from repro.nn import (Adam, BatchedUISClassifier, Parameter, Sequential,
+                      fused_local_adapt, step_program)
 from repro.nn.batching import block_leaves, retrieval_constants
 from repro.nn.functional import batched_pos_weight
 
@@ -222,11 +223,10 @@ def test_a_leaf_other_than_linear_or_relu_is_a_type_error():
     models, conversions = [], []
     for feature in features:
         model, conversion, _ = oracle.retrieved_model(trainer, feature)
-        model.tuple_block = Sequential(Linear(model.input_width,
-                                              model.embed_size), Sigmoid())
         models.append(model)
         conversions.append(conversion)
     batched, retrieved = stacked(models, features, conversions)
+    batched.tuple_block = Sequential(batched.tuple_block, Sigmoid())
     with pytest.raises(TypeError, match="Sigmoid"):
         fused_local_adapt(batched, features, xs, ys, steps=1, lr=0.01,
                           retrieved=retrieved)

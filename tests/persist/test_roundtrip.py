@@ -6,18 +6,26 @@ Three layers of the guarantee:
   arrays, dtypes and scalar types across ~50 fuzzed cases;
 * every ``nn.Module`` subclass round-trips its ``state_dict`` through a
   checkpoint file bit-for-bit, and the restored module computes an
-  identical forward pass;
+  identical forward pass (the oracle's, ``tests/nn/_autograd_oracle.py``,
+  for a bare layer);
 * the optimizers (Adam step counts + moment buffers, SGD velocity)
   resume mid-training bit-identically to never having been serialized.
 """
+
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core import UISClassifier
-from repro.nn.functional import binary_cross_entropy_with_logits
 from repro.persist import load_checkpoint, save_checkpoint
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "nn"))
+from _autograd_oracle import (Sigmoid, apply,  # noqa: E402
+                              binary_cross_entropy_with_logits, no_grad)
 
 DTYPES = [np.float64, np.float32, np.int64, np.int32, np.int8, np.uint8,
           np.bool_]
@@ -103,7 +111,7 @@ def _module_cases(rng):
         "linear_nobias": nn.Linear(4, 2, rng=rng, bias=False),
         "sequential": nn.Sequential(nn.Linear(6, 4, rng=rng), nn.ReLU(),
                                     nn.Linear(4, 1, rng=rng)),
-        "mlp": nn.MLP([5, 8, 3], rng=rng, final_activation=nn.Sigmoid()),
+        "mlp": nn.MLP([5, 8, 3], rng=rng, final_activation=Sigmoid()),
         "batched_linear": nn.BatchedLinear(3, 4, 2, rng=rng),
         "uis_classifier": UISClassifier(ku=6, input_width=5, embed_size=4,
                                         hidden_size=3, seed=11),
@@ -140,19 +148,19 @@ def test_module_state_roundtrip(tmp_path, name):
                  "mlp": 5}.get(name)
         x = x_rng.normal(size=(3, 2, 4)) if name == "batched_linear" \
             else x_rng.normal(size=(7, width))
-        with nn.no_grad():
-            assert np.array_equal(module(x).numpy(), twin(x).numpy())
+        with no_grad():
+            assert np.array_equal(apply(module, x).numpy(),
+                                  apply(twin, x).numpy())
 
 
 def test_parameter_state_roundtrip(tmp_path):
-    from repro.nn.tensor import Parameter
-    param = Parameter(np.random.default_rng(0).normal(size=(3, 2)))
+    param = nn.Parameter(np.random.default_rng(0).normal(size=(3, 2)))
     save_checkpoint(tmp_path / "ck", "param", {"p": param.state_dict()})
     loaded, _ = load_checkpoint(tmp_path / "ck")
-    twin = Parameter(np.zeros((3, 2)))
+    twin = nn.Parameter(np.zeros((3, 2)))
     twin.load_state_dict(loaded["p"])
     assert np.array_equal(param.data, twin.data)
-    assert twin.requires_grad
+    assert twin.grad is None
 
 
 def test_module_fuzzed_mlp_roundtrip(tmp_path):
@@ -168,8 +176,9 @@ def test_module_fuzzed_mlp_roundtrip(tmp_path):
         twin = nn.MLP(sizes, rng=np.random.default_rng(1234))
         twin.load_state_dict(loaded)
         x = rng.normal(size=(4, sizes[0]))
-        with nn.no_grad():
-            assert np.array_equal(module(x).numpy(), twin(x).numpy())
+        with no_grad():
+            assert np.array_equal(apply(module, x).numpy(),
+                                  apply(twin, x).numpy())
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +187,8 @@ def test_module_fuzzed_mlp_roundtrip(tmp_path):
 def _train_steps(model, optimizer, x, y, steps):
     for _ in range(steps):
         optimizer.zero_grad()
-        loss = binary_cross_entropy_with_logits(model(x).reshape(-1), y)
+        loss = binary_cross_entropy_with_logits(
+            apply(model, x).reshape(-1), y)
         loss.backward()
         optimizer.step()
 

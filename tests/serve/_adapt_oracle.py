@@ -26,11 +26,12 @@ import sys
 from repro.core.meta_learner import UISClassifier
 from repro.core.optimizer import FewShotOptimizer
 from repro.nn import SGD, Adam, Parameter
-from repro.nn.functional import (balanced_pos_weight,
-                                 binary_cross_entropy_with_logits)
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "train"))
+for _oracles in ("train", "nn"):
+    sys.path.insert(0, os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, _oracles))
+from _autograd_oracle import (balanced_pos_weight,  # noqa: E402
+                              binary_cross_entropy_with_logits, forward)
 from _sequential_oracle import (adapt, adapted_of,  # noqa: E402
                                 assert_same_classifier, classifier_arrays,
                                 whole_model)
@@ -50,7 +51,7 @@ def _train_basic_classifier(request):
         if cfg.meta.balance_classes else None
     for _ in range(cfg.basic_steps):
         optimizer.zero_grad()
-        logits = model.forward(request.feature, request.encoded)
+        logits = forward(model, request.feature, request.encoded)
         loss = binary_cross_entropy_with_logits(logits, targets,
                                                 pos_weight=pos_weight)
         loss.backward()
@@ -77,8 +78,8 @@ def _continue(request):
         if request.balance_classes else None
     for _ in range(request.steps):
         optimizer.zero_grad()
-        logits = model.forward(request.feature, request.encoded,
-                               conversion=conversion)
+        logits = forward(model, request.feature, request.encoded,
+                         conversion=conversion)
         loss = binary_cross_entropy_with_logits(logits, targets,
                                                 pos_weight=pos_weight)
         loss.backward()

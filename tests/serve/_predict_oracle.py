@@ -16,12 +16,12 @@ import sys
 import numpy as np
 
 from repro.geometry.engine import union_masks
-from repro.nn import no_grad
 from repro.nn.batching import BatchedUISClassifier
 
 for _oracles in ("train", "nn"):
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.abspath(__file__)), os.pardir, _oracles))
+from _autograd_oracle import forward, no_grad  # noqa: E402
 from _graph_oracle import stacked_predict  # noqa: E402
 from _sequential_oracle import whole_model  # noqa: E402
 
@@ -39,11 +39,11 @@ def _whole(subsession):
 
 
 def _forward(subsession, tuple_vectors):
-    """The ``Tensor`` forward under ``no_grad``: (n,) logits."""
+    """The autograd forward under ``no_grad``: (n,) logits."""
     model, conv = _whole(subsession)
     with no_grad():
-        return model.forward(subsession.adapted.feature_vector,
-                             tuple_vectors, conversion=conv)
+        return forward(model, subsession.adapted.feature_vector,
+                       tuple_vectors, conversion=conv)
 
 
 def tensor_logits(subsession, tuple_vectors):

@@ -44,9 +44,8 @@ from repro.core.meta_training import (AdaptedClassifier, MetaHyperParams,
                                       MetaTrainer)
 from repro.core.optimizer import FewShotOptimizer
 from repro.data.schema import Table
-from repro.nn.batching import inference_logits
+from repro.nn.batching import inference_logits, stable_sigmoid
 from repro.nn.layers import Linear, ReLU, Sequential
-from repro.nn.tensor import stable_sigmoid
 from repro.serve import SessionManager
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),

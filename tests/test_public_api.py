@@ -64,6 +64,60 @@ def test_nn_has_one_executor():
     assert not [name for name in nn.__all__ if "backend" in name]
 
 
+def test_src_has_no_autograd():
+    """The autograd graph is a test oracle (``tests/nn/_autograd_oracle.py``)
+    and nothing else: ``src/`` neither imports it nor any test module,
+    ships no ``Tensor`` engine, and its modules hold parameters without a
+    forward of their own -- training is the step program, prediction the
+    inference kernel."""
+    import ast
+    import pathlib
+    import re
+
+    import repro
+    from repro import nn
+    from repro.core import UISClassifier
+
+    oracle = re.compile(r"\b_\w+_oracle\b")     # _graph_oracle, ...
+    root = pathlib.Path(repro.__file__).parent
+    for path in root.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.value) for node in ast.walk(tree)
+                      if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and id(node) not in docstrings:
+                assert not oracle.search(node.value), (path, node.value)
+                continue
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] != "tests", (path, name)
+                assert not oracle.search(name), (path, name)
+    assert importlib.util.find_spec("repro.nn.tensor") is None
+    assert not {"Tensor", "no_grad", "is_grad_enabled"} & set(dir(nn))
+    assert not hasattr(nn.Parameter, "backward")
+    assert not hasattr(nn.Parameter, "__matmul__")
+    for cls in (nn.Module, UISClassifier):
+        assert not hasattr(cls, "forward"), cls
+        assert not callable(cls.__new__(cls)), cls
+
+
+def test_serve_reexports_no_batched_classifier():
+    """The stacked classifier is ``repro.nn``'s; ``repro.serve`` keeps no
+    alias of it."""
+    import repro.nn
+    import repro.serve
+    assert not hasattr(repro.serve, "BatchedUISClassifier")
+    assert "BatchedUISClassifier" not in repro.serve.__all__
+    assert repro.nn.BatchedUISClassifier.__module__ == "repro.nn.batching"
+
+
 def test_one_executor_per_job():
     """No option chooses between executors or asks for worker processes,
     and none is left to choose:

@@ -8,9 +8,10 @@ now the ``trainer`` argument) from ``MetaTrainer.adapt`` /
 ``pretrain_step`` / ``train_batch_sequential`` / ``_update_memories`` /
 ``evaluate`` and ``repro.train.engine.run_pretrain_epoch_sequential``
 when ``engine=`` went away: one task, one ``UISClassifier``, one
-optimizer at a time.  The parity suites compare every stacked executor
-against them bit for bit, at K = 1 as well as K > 1.  Nothing in
-``src/`` imports this module.
+optimizer at a time, each forward and backward the autograd graph of
+``tests/nn/_autograd_oracle.py``.  The parity suites compare every
+stacked executor against them bit for bit, at K = 1 as well as K > 1.
+Nothing in ``src/`` imports this module.
 
 :func:`train_sequential` / :func:`fit_offline_sequential` are what
 ``MetaTrainer.train(engine="sequential")`` and
@@ -19,17 +20,22 @@ from the :class:`~repro.train.TrainerSchedule`'s RNG, in the order the
 pooled driver draws them.
 """
 
+import os
+import sys
+
 import numpy as np
 
 from repro.core.meta_learner import UISClassifier
 from repro.core.meta_training import AdaptedClassifier, retrieval_digest
-from repro.nn import Adam, SGD
+from repro.nn import Adam, SGD, Parameter
 from repro.nn.batching import (_leaf_layers, block_leaves,
                                retrieval_constants)
-from repro.nn.functional import (balanced_pos_weight,
-                                 binary_cross_entropy_with_logits)
-from repro.nn.tensor import Parameter
 from repro.train import TrainerSchedule, encode_task_sets
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "nn"))
+from _autograd_oracle import (balanced_pos_weight,  # noqa: E402
+                              binary_cross_entropy_with_logits, forward)
 
 
 def retrieved_model(trainer, feature_vector):
@@ -142,8 +148,8 @@ def adapt(trainer, feature_vector, support_x, support_y, local_steps=None,
         if params.balance_classes else None
     for _ in range(steps):
         optimizer.zero_grad()
-        logits = local.forward(feature_vector, support_x,
-                               conversion=conversion)
+        logits = forward(local, feature_vector, support_x,
+                         conversion=conversion)
         loss = binary_cross_entropy_with_logits(logits, support_y,
                                                 pos_weight=pos_weight)
         loss.backward()
@@ -173,7 +179,7 @@ def pretrain_step(trainer, optimizer, conversion, feature_vector, x, y):
     pos_weight = balanced_pos_weight(y) \
         if trainer.params.balance_classes else None
     optimizer.zero_grad()
-    logits = trainer.model.forward(feature_vector, x, conversion=conversion)
+    logits = forward(trainer.model, feature_vector, x, conversion=conversion)
     loss = binary_cross_entropy_with_logits(
         logits, y, pos_weight=pos_weight)
     loss.backward()
@@ -207,7 +213,7 @@ def train_batch_sequential(trainer, encoded, batch):
         local.zero_grad()
         if conversion is not None:
             conversion.zero_grad()
-        logits = local.forward(v_r, qx, conversion=conversion)
+        logits = forward(local, v_r, qx, conversion=conversion)
         query_pos_weight = balanced_pos_weight(qy) \
             if params.balance_classes else None
         query_loss = binary_cross_entropy_with_logits(
