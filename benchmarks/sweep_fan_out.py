@@ -71,9 +71,10 @@ from repro.data.subspaces import random_decomposition
 from repro.explore import ConjunctiveOracle
 from repro.geometry.engine import HullPackCache
 from repro.nn import Adam, cores
-from repro.nn.batching import (BatchedUISClassifier, block_leaves,
-                               fused_local_adapt, inference_logits,
-                               retrieval_constants, step_program)
+from repro.nn.batching import (BLOCKS, block_leaves, fused_local_adapt,
+                               inference_logits, retrieval_constants,
+                               stack_arrays, stack_leaves, stack_parameters,
+                               step_program)
 from repro.nn.functional import batched_pos_weight
 
 #: (name, ku, representation width, Ne, H) of the two workloads' nets.
@@ -116,21 +117,24 @@ def train(stack, tasks, steps=STEPS, keep_retrieved=False):
     """The trained parameters of ``tasks`` of the stack, as arrays: the
     online local phase with ``keep_retrieved``, else pretrain steps."""
     models, conversions, features, xs, ys = stack
-    batched = BatchedUISClassifier([models[i] for i in tasks])
+    config = models[0].config
+    batched = {name: stack_leaves([block_leaves(getattr(models[i], name))
+                                   for i in tasks]) for name in BLOCKS}
     conversion = np.stack([conversions[i] for i in tasks])
     features, xs, ys = features[tasks], xs[tasks], ys[tasks]
     if keep_retrieved:
-        fused_local_adapt(batched, features, xs, ys, steps=steps, lr=0.01,
-                          retrieved=retrieval_constants(
-                              block_leaves(batched.uis_block),
+        fused_local_adapt(config, batched, features, xs, ys, steps=steps,
+                          lr=0.01, retrieved=retrieval_constants(
+                              stack_arrays(batched["uis_block"]),
                               features[:, None], conversion))
     else:
-        loss_backward = step_program(batched, xs.shape, conversion=conversion)
-        optimizer = Adam(batched.parameters(), lr=0.01)
+        loss_backward = step_program(config, batched, xs.shape,
+                                     conversion=conversion)
+        optimizer = Adam(stack_parameters(batched), lr=0.01)
         for _ in range(steps):
             loss_backward(features, xs, ys, batched_pos_weight(ys))
             optimizer.step()
-    return [p.data for p in batched.parameters()]
+    return [p.data for p in stack_parameters(batched)]
 
 
 def timed(run, repeats):

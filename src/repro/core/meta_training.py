@@ -26,7 +26,9 @@ still learns, through theta_R's query gradient.
 **Stacked execution.**  Meta-tasks inside one Eq. 13 batch are mutually
 independent, so :meth:`MetaTrainer.train` runs the whole batch's local
 phase as ONE stacked array program over ``(K, ...)`` parameter stacks
-and computes all K query losses in one fused forward/backward
+(each task's leaf arrays stacked by
+:func:`~repro.nn.batching.stack_leaves`, as :func:`adapt_stack` stacks a
+flush's) and computes all K query losses in one fused forward/backward
 (:mod:`repro.train.engine`, built on :mod:`repro.nn.batching` — the same
 substrate the online serving path uses).  **Eq. 13 semantics are
 unchanged**: the fused global phase accumulates the per-task query
@@ -46,10 +48,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..nn.batching import (BatchedUISClassifier, block_leaves,
-                           constant_logits, flat_leaves, fused_local_adapt,
-                           retrieval_constants, stable_sigmoid, stack_leaves,
-                           stack_retrievals)
+from ..nn.batching import (BLOCKS, block_leaves, constant_logits,
+                           flat_leaves, fused_local_adapt,
+                           retrieval_constants, stable_sigmoid, stack_arrays,
+                           stack_leaves, stack_retrievals)
 from .memory import MetaMemories
 from .meta_learner import UISClassifier
 
@@ -130,8 +132,7 @@ class MetaHyperParams:
 
 #: The blocks an adapted classifier keeps: what its local phase trains.
 #: Basic trains its UIS block too; Meta and Meta* keep its retrieval.
-_TRAINED = ("tuple_block", "clf_block")
-_BASIC_TRAINED = ("uis_block",) + _TRAINED
+_TRAINED = BLOCKS[1:]
 
 
 def retrieval_digest(retrieval):
@@ -244,7 +245,7 @@ class AdaptedClassifier:
         block.  A missing field is a ``KeyError`` naming it."""
         config = state["config"]
         feature_vector = np.array(state["feature_vector"], dtype=np.float64)
-        names = _BASIC_TRAINED if trainer is None else _TRAINED
+        names = BLOCKS if trainer is None else _TRAINED
         blocks = {name: tuple(None if leaf is None else tuple(
             None if array is None else np.array(array, dtype=np.float64)
             for array in leaf) for leaf in state[name]) for name in names}
@@ -269,18 +270,16 @@ def adapt_stack(config, starts, features, xs, ys, *, steps, lr,
     blocks are stacked and unstacked; each classifier carries its
     retrieval by reference."""
     retrievals = [retrieval for _, retrieval in starts]
-    names = list(starts[0][0])
-    batched = BatchedUISClassifier.from_blocks(config, len(starts), {
-        name: stack_leaves([blocks[name] for blocks, _ in starts])
-        for name in names})
+    stack = {name: stack_leaves([blocks[name] for blocks, _ in starts])
+             for name in starts[0][0]}
     losses = fused_local_adapt(
-        batched, features, xs, ys, steps=steps, lr=lr,
+        config, stack, features, xs, ys, steps=steps, lr=lr,
         optimizer_kind=optimizer_kind, balance_classes=balance_classes,
         retrieved=None if retrievals[0] is None
         else stack_retrievals(retrievals))
     return [AdaptedClassifier(
         config, features[j],
-        {name: block_leaves(getattr(batched, name), j) for name in names},
+        {name: stack_arrays(leaves, j) for name, leaves in stack.items()},
         retrievals[j]) for j in range(len(starts))], losses
 
 

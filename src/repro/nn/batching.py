@@ -9,8 +9,9 @@ them as ONE array program — K = 1 included: a lone task is a stack of
 one, not a second code path.  This module is the shared substrate both
 layers build on:
 
-* :class:`BatchedUISClassifier` — K per-task classifier copies fused
-  into stacked :class:`~repro.nn.BatchedLinear` blocks;
+* :func:`stack_leaves` — K per-task copies of a block's leaf arrays
+  (:func:`block_leaves`) stacked into (K, ...) :class:`~repro.nn.Parameter`
+  leaves; a *stack* maps block names to these;
 * :func:`step_program` — the one stacked forward and backward of the
   summed per-task BCE loss, with no autograd graph: each call's
   forward and explicit backward run into buffers allocated once (the
@@ -26,10 +27,6 @@ layers build on:
   it trains the tuple and classification blocks only, fed the
   retrieval's ``emb_R``, ``W`` and ``c`` (:class:`Retrieval`); Basic
   trains all of its classifier;
-* :func:`grad_stacks` — per-task gradient slices out of the stacked
-  parameters, in the exact layout of the corresponding per-task model
-  (the meta-training global phase and the parameter memory's EMA
-  update consume these);
 * :func:`inference_logits` — the forward of ONE classifier as plain
   ``np.matmul`` products, through :func:`constant_logits` over the
   classifier's leaf arrays (:func:`block_leaves`) and its
@@ -49,7 +46,7 @@ there (``tests/nn/_autograd_oracle.py``).
 
 The module is deliberately duck-typed: it touches only the
 ``uis_block`` / ``tuple_block`` / ``clf_block`` / ``config`` surface of
-the models it stacks, so :mod:`repro.nn` does not import
+the models it reads, so :mod:`repro.nn` does not import
 :mod:`repro.core`.
 """
 
@@ -62,16 +59,18 @@ import numpy as np
 from .functional import (batched_binary_cross_entropy_grad,
                          batched_pos_weight, conversion_constant,
                          conversion_grads, conversion_weight)
-from .layers import (BatchedLinear, Linear, Module, Parameter, ReLU,
-                     Sequential, batch_modules, unstack_modules)
+from .layers import Linear, Parameter, ReLU, Sequential
 from .optim import SGD, Adam
 
-__all__ = ["BatchedUISClassifier", "fused_local_adapt", "step_program",
-           "stack_conversions", "load_flat_stack", "grad_stacks",
+__all__ = ["BLOCKS", "fused_local_adapt", "step_program",
            "inference_logits", "inference_constants",
            "constant_logits", "stable_sigmoid", "Retrieval",
            "retrieval_constants", "stack_retrievals", "block_leaves",
-           "flat_leaves", "stack_leaves"]
+           "flat_leaves", "stack_leaves", "stack_parameters",
+           "stack_arrays"]
+
+#: A classifier's blocks in the order of its parameters.
+BLOCKS = ("uis_block", "tuple_block", "clf_block")
 
 #: What a task's fixed retrieval gives every row, one task's or a (K,
 #: ...) stack of them: ``emb_r`` = the UIS block of ``v_R``, (..., 1, Ne);
@@ -81,106 +80,15 @@ __all__ = ["BatchedUISClassifier", "fused_local_adapt", "step_program",
 Retrieval = namedtuple("Retrieval", ["emb_r", "weight", "constant"])
 
 
-class BatchedUISClassifier(Module):
-    """K structurally identical UIS classifiers fused into stacked blocks.
-
-    Features (K, ku) and tuples (K, n, width) map to logits (K, n)
-    through :func:`step_program`, one classifier's forward over a
-    leading batch axis.  Built from per-task model instances (whose
-    parameters seed the stacks) and unstacked back into them after
-    training.  It exists to *train* K tasks as one array program;
-    nothing is stacked to predict (:func:`inference_logits`).
-    """
-
-    def __init__(self, models):
-        super().__init__()
-        first = models[0]
-        for model in models:
-            if model.config != first.config:
-                raise ValueError("cannot batch UISClassifiers of mixed "
-                                 "configuration")
-        self.k = len(models)
-        self.ku = first.ku
-        self.embed_size = first.embed_size
-        self.use_conversion = first.use_conversion
-        self.uis_block = batch_modules([m.uis_block for m in models])
-        self.tuple_block = batch_modules([m.tuple_block for m in models])
-        self.clf_block = batch_modules([m.clf_block for m in models])
-
-    @classmethod
-    def from_blocks(cls, config, k, blocks):
-        """K tasks whose blocks are already stacked: ``blocks`` maps some
-        of ``uis_block`` / ``tuple_block`` / ``clf_block`` to a
-        :func:`stack_leaves` module.  The online local phase of Meta and
-        Meta* stacks only the two blocks it trains."""
-        out = cls.__new__(cls)
-        Module.__init__(out)
-        out.k = int(k)
-        out.ku = config["ku"]
-        out.embed_size = config["embed_size"]
-        out.use_conversion = config["use_conversion"]
-        for name, block in blocks.items():
-            setattr(out, name, block)
-        return out
-
-    def unstack_into(self, models):
-        """Copy the adapted per-slice parameters back into K models."""
-        unstack_modules(self.uis_block, [m.uis_block for m in models])
-        unstack_modules(self.tuple_block, [m.tuple_block for m in models])
-        unstack_modules(self.clf_block, [m.clf_block for m in models])
-
-
-def stack_conversions(conversions):
-    """Stack per-task conversion matrices into one (K, Ne, 3Ne) Parameter.
-
-    ``conversions`` may be ``None`` or a list of matrices; a list must be
-    all-``None`` (returns ``None``) or all-present — mixed tasks cannot
-    share one fused program.
-    """
-    if conversions is None:
-        return None
-    present = [c is not None for c in conversions]
-    if not any(present):
-        return None
-    if not all(present):
-        raise ValueError("cannot fuse tasks with and without conversion "
-                         "matrices into one program")
-    return Parameter(np.stack(conversions))
-
-
-def load_flat_stack(module, flat_stack):
-    """Write (K, S) per-slice flat parameter vectors into a batched module.
-
-    The inverse relationship to ``Module.load_flat_parameters`` applied
-    slice-wise: row k lands in slice k of every stacked parameter, in
-    declaration order — so stacking K flat vectors produced by the
-    per-task rule gives every slice exactly the parameters the per-task
-    ``load_flat_parameters`` would.
-    """
-    flat_stack = np.asarray(flat_stack, dtype=np.float64)
-    k = flat_stack.shape[0]
-    offset = 0
-    for param in module.parameters():
-        if param.data.shape[0] != k:
-            raise ValueError("parameter stack height {} != {} rows".format(
-                param.data.shape[0], k))
-        size = param.size // k
-        param.copy_(flat_stack[:, offset:offset + size].reshape(
-            param.data.shape))
-        offset += size
-    if offset != flat_stack.shape[1]:
-        raise ValueError("flat stack width mismatch: {} != {}".format(
-            flat_stack.shape[1], offset))
-
-
-def fused_local_adapt(batched, features, xs, ys, *, steps, lr,
+def fused_local_adapt(config, stack, features, xs, ys, *, steps, lr,
                       optimizer_kind="adam", balance_classes=True,
                       retrieved=None):
     """Fused few-shot optimization of K stacked tasks (the local phase).
 
-    Runs ``steps`` iterations of per-task-reduced BCE descent on the
-    stacks of ``batched``, in place: the loss is the *sum of per-task
-    mean losses*, which is block-diagonal, so each task's parameters see
+    Runs ``steps`` iterations of per-task-reduced BCE descent on
+    ``stack`` (``{block name: stack_leaves(...)}`` of classifiers of
+    ``config``), in place: the loss is the *sum of per-task mean
+    losses*, which is block-diagonal, so each task's parameters see
     exactly their own sequential gradient and one Adam/SGD instance
     updates all K tasks at once.  Each step is one call of the
     :func:`step_program` built here.
@@ -203,11 +111,10 @@ def fused_local_adapt(batched, features, xs, ys, *, steps, lr,
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     pos_weight = batched_pos_weight(ys) if balance_classes else None
-    blocks = [batched.tuple_block, batched.clf_block]
-    if retrieved is None:
-        blocks.insert(0, batched.uis_block)
-    trainable = [param for block in blocks for param in block.parameters()]
-    loss_backward = step_program(batched, xs.shape, retrieved=retrieved)
+    trainable = stack_parameters(
+        stack, BLOCKS if retrieved is None else BLOCKS[1:])
+    loss_backward = step_program(config, stack, xs.shape,
+                                 retrieved=retrieved)
     optimizer = (Adam if optimizer_kind == "adam" else SGD)(trainable, lr=lr)
     task_losses = None
     for _ in range(steps):
@@ -216,7 +123,7 @@ def fused_local_adapt(batched, features, xs, ys, *, steps, lr,
     return task_losses
 
 
-def step_program(batched, shape, retrieved=None, conversion=None):
+def step_program(config, stack, shape, retrieved=None, conversion=None):
     """Every stacked training forward and backward, as one array program
     with no autograd graph: a function ``loss_backward(features, xs, ys,
     pos_weight)`` of (K, ku), (K, n, width), (K, n) and (K, 1) or None
@@ -224,17 +131,18 @@ def step_program(batched, shape, retrieved=None, conversion=None):
     trained blocks' ``.grad`` and returns the (K,) per-task losses of
     the summed per-task BCE loss.
 
-    Given ``retrieved`` (the stack's :class:`Retrieval`, the local phase
-    of Meta and Meta*), ``emb_R``, ``W`` and ``c`` are constants and the
-    tuple and classification blocks train; ``features`` is not read.
-    Otherwise the UIS block trains too, and ``conversion`` is the stack's
-    M_cp: None for the combined row ``[emb_R, emb_tau, emb_R * emb_tau]``
-    (Basic, and Meta without memories), a (K, Ne, 3Ne) array for a
-    constant (joint pretraining's), or a :class:`Parameter`, which gets
-    its gradient (meta-training's query pass, Eqs. 15-16).
+    ``stack`` maps block names to :func:`stack_leaves` of classifiers of
+    ``config``.  Given ``retrieved`` (the stack's :class:`Retrieval`,
+    the local phase of Meta and Meta*), ``emb_R``, ``W`` and ``c`` are
+    constants and the tuple and classification blocks train;
+    ``features`` is not read.  Otherwise the UIS block trains too, and
+    ``conversion`` is the stack's M_cp: None for the combined row
+    ``[emb_R, emb_tau, emb_R * emb_tau]`` (Basic, and Meta without
+    memories), a (K, Ne, 3Ne) array for a constant (joint pretraining's),
+    or a :class:`Parameter`, which gets its gradient (meta-training's
+    query pass, Eqs. 15-16).
 
-    A call walks the blocks' leaf layers, stacked Linear or ReLU
-    (anything else is a ``TypeError``), into buffers allocated here.
+    A call walks the blocks' stacked leaves into buffers allocated here.
     Each operation is the one the autograd graph of the stacked forward
     ran on the same operands -- the conversion's backward is
     :func:`~repro.nn.functional.conversion_grads`, which its autograd op
@@ -243,19 +151,19 @@ def step_program(batched, shape, retrieved=None, conversion=None):
     ``tests/nn/_graph_oracle.py``).
     """
     k, n, width = shape
-    ne = batched.embed_size
+    ku, ne = config["ku"], config["embed_size"]
     trains_r, trains_m = retrieved is None, isinstance(conversion, Parameter)
     if trains_r:
-        uis_plan = _step_plan(batched.uis_block, k, 1, batched.ku, False)
+        uis_plan = _step_plan(stack["uis_block"], k, 1, ku, False)
         blocked = conversion is not None
     else:
         blocked = retrieved.weight is not None
-    if blocked != batched.use_conversion:
+    if blocked != config["use_conversion"]:
         raise ValueError("use_conversion={} but {} conversion given".format(
-            batched.use_conversion, "a" if blocked else "no"))
-    tuple_plan = _step_plan(batched.tuple_block, k, n, width, False)
+            config["use_conversion"], "a" if blocked else "no"))
+    tuple_plan = _step_plan(stack["tuple_block"], k, n, width, False)
     combined = np.empty((k, n, ne if blocked else 3 * ne))
-    clf_plan = _step_plan(batched.clf_block, k, n, combined.shape[-1], True)
+    clf_plan = _step_plan(stack["clf_block"], k, n, combined.shape[-1], True)
     grad_x = np.empty((k, n, ne))
     grad_rows = np.empty((k, n, ne)) if trains_r and not blocked else None
     tiler = np.ones((n, 1))
@@ -267,7 +175,7 @@ def step_program(batched, shape, retrieved=None, conversion=None):
             emb_r, w, constant = retrieved
         else:
             emb_r = _step_forward(uis_plan, np.asarray(
-                features, dtype=np.float64).reshape(k, 1, batched.ku))
+                features, dtype=np.float64).reshape(k, 1, ku))
             w = constant = None
             if blocked:
                 matrix = conversion.data if trains_m else conversion
@@ -314,28 +222,25 @@ def step_program(batched, shape, retrieved=None, conversion=None):
     return loss_backward
 
 
-def _step_plan(module, k, n, width, input_grad):
-    """The buffers of :func:`step_program` for one block over
-    (K, n, ``width``) inputs, one entry per leaf layer: a Linear's
-    ``[layer, input, output, weight grad, bias grad, input grad]`` (the
-    input grad None where nothing below it trains and ``input_grad`` is
-    false, the bias grad None without a bias), a ReLU's ``[layer, mask]``.
+def _step_plan(leaves, k, n, width, input_grad):
+    """The buffers of :func:`step_program` for one block's stacked leaves
+    over (K, n, ``width``) inputs, one entry per leaf: a Linear's
+    ``[(weight, bias), input, output, weight grad, bias grad, input
+    grad]`` (the input grad None where nothing below it trains and
+    ``input_grad`` is false, the bias grad None without a bias), a
+    ReLU's ``[None, mask]``.
     """
     plan, below = [], input_grad
-    for layer in _leaf_layers(module):
-        if isinstance(layer, BatchedLinear):
-            out = layer.out_features
-            plan.append([layer, None, np.empty((k, n, out)),
-                         np.empty((k, width, out)),
-                         None if layer.bias is None
-                         else np.empty((k, 1, out)),
-                         np.empty((k, n, width)) if below else None])
-            width, below = out, True
-        elif isinstance(layer, ReLU):
-            plan.append([layer, np.empty((k, n, width), dtype=bool)])
-        else:
-            raise TypeError("cannot step through module of type {}".format(
-                type(layer)))
+    for leaf in leaves:
+        if leaf is None:
+            plan.append([None, np.empty((k, n, width), dtype=bool)])
+            continue
+        out = leaf[0].shape[-1]
+        plan.append([leaf, None, np.empty((k, n, out)),
+                     np.empty((k, width, out)),
+                     None if leaf[1] is None else np.empty((k, 1, out)),
+                     np.empty((k, n, width)) if below else None])
+        width, below = out, True
     return plan
 
 
@@ -344,15 +249,15 @@ def _step_forward(plan, x):
     keeps its input, each ReLU its mask (and rectifies in place what the
     block owns, as :func:`_infer_layers` does)."""
     for i, entry in enumerate(plan):
-        if isinstance(entry[0], ReLU):
+        if entry[0] is None:
             mask = np.greater(x, 0, out=entry[1])
             x = np.multiply(x, mask, out=x if i else None)
         else:
-            layer = entry[0]
+            weight, bias = entry[0]
             entry[1] = x
-            x = np.matmul(x, layer.weight.data, out=entry[2])
-            if layer.bias is not None:
-                x += layer.bias.data
+            x = np.matmul(x, weight.data, out=entry[2])
+            if bias is not None:
+                x += bias.data
     return x
 
 
@@ -361,10 +266,10 @@ def _step_backward(plan, grad):
     (which this may overwrite): sets each Linear's ``.grad`` and returns
     the gradient of the block's input, or None when it is not needed."""
     for entry in reversed(plan):
-        if isinstance(entry[0], ReLU):
+        if entry[0] is None:
             grad = np.multiply(grad, entry[1], out=grad)
             continue
-        layer, x, _, grad_w, grad_b, grad_in = entry
+        (weight, bias), x, _, grad_w, grad_b, grad_in = entry
         if grad_b is not None:
             # Over one row the graph sums nothing: the bias takes the
             # gradient as it is, a -0.0 included.
@@ -372,25 +277,13 @@ def _step_backward(plan, grad):
                 np.copyto(grad_b, grad)
             else:
                 np.sum(grad, axis=1, keepdims=True, out=grad_b)
-            layer.bias.grad = grad_b
-        layer.weight.grad = np.matmul(np.swapaxes(x, -1, -2), grad,
-                                      out=grad_w)
+            bias.grad = grad_b
+        weight.grad = np.matmul(np.swapaxes(x, -1, -2), grad, out=grad_w)
         if grad_in is None:
             return None
-        grad = np.matmul(grad, np.swapaxes(layer.weight.data, -1, -2),
+        grad = np.matmul(grad, np.swapaxes(weight.data, -1, -2),
                          out=grad_in)
     return grad
-
-
-def grad_stacks(batched):
-    """``{dotted_name: (K, ...) gradient}`` over the three stacked blocks.
-
-    The dotted names equal those of the per-task model
-    (``uis_block.m0.weight`` ...), so slice k reshaped to the per-task
-    parameter shape is exactly the gradient a one-task global phase
-    accumulates for task k.
-    """
-    return {name: param.grad for name, param in batched.named_parameters()}
 
 
 def _leaf_layers(module):
@@ -422,28 +315,20 @@ def _infer_layers(leaves, x):
     return x
 
 
-def block_leaves(module, k=None):
+def block_leaves(module):
     """A block's leaf layers as plain arrays, in application order: a
     ``(weight, bias)`` pair per Linear (the bias a (1, out) row, None
-    without one) and None per ReLU; anything else is a ``TypeError``.
-    Of a stacked block, the whole (K, ...) stacks, or with ``k`` copies
-    of slice k — what an adapted classifier keeps of what it trained."""
+    without one) and None per ReLU; anything else is a ``TypeError``."""
     leaves = []
     for layer in _leaf_layers(module):
         if isinstance(layer, ReLU):
             leaves.append(None)
             continue
-        if not isinstance(layer, (Linear, BatchedLinear)):
+        if not isinstance(layer, Linear):
             raise TypeError("cannot infer through module of type {}".format(
                 type(layer)))
-        weight = layer.weight.data
-        bias = None if layer.bias is None else layer.bias.data
-        if isinstance(layer, Linear) and bias is not None:
-            bias = bias.reshape(1, -1)
-        if k is not None:
-            weight = weight[k].copy()
-            bias = None if bias is None else bias[k].copy()
-        leaves.append((weight, bias))
+        leaves.append((layer.weight.data, None if layer.bias is None
+                       else layer.bias.data.reshape(1, -1)))
     return tuple(leaves)
 
 
@@ -472,23 +357,45 @@ def flat_leaves(module, flat):
 
 
 def stack_leaves(per_task):
-    """K tasks' :func:`block_leaves` of one block stacked into a trainable
-    ``Sequential`` of :class:`BatchedLinear` / :class:`ReLU` layers (each
-    slice a copy)."""
-    layers = []
+    """K tasks' :func:`block_leaves` of one block stacked for training,
+    each slice a copy: :func:`block_leaves`' layout with a leading K
+    axis, a Linear's ``(weight, bias)`` :class:`Parameter` pair of
+    shapes (K, in, out) and (K, 1, out) (the bias None without one) and
+    None per ReLU.  Tasks whose blocks differ in depth, in a layer's kind
+    or in a Linear's bias are a ``ValueError``, as are differing shapes
+    (``np.stack``'s)."""
+    if len({len(leaves) for leaves in per_task}) > 1:
+        raise ValueError("cannot stack blocks of different depths")
+    stacked = []
     for leaves in zip(*per_task):
+        if len({None if leaf is None else leaf[1] is None
+                for leaf in leaves}) > 1:
+            raise ValueError("cannot stack a ReLU with a Linear or a Linear "
+                             "with a bias with one without")
         if leaves[0] is None:
-            layers.append(ReLU())
+            stacked.append(None)
             continue
-        layer = BatchedLinear.__new__(BatchedLinear)
-        Module.__init__(layer)
-        layer.k = len(leaves)
-        layer.in_features, layer.out_features = leaves[0][0].shape
-        layer.weight = Parameter(np.stack([leaf[0] for leaf in leaves]))
-        layer.bias = None if leaves[0][1] is None else Parameter(np.stack(
-            [leaf[1].reshape(1, -1) for leaf in leaves]))
-        layers.append(layer)
-    return Sequential(*layers)
+        stacked.append((Parameter(np.stack([leaf[0] for leaf in leaves])),
+                        None if leaves[0][1] is None else Parameter(np.stack(
+                            [leaf[1].reshape(1, -1) for leaf in leaves]))))
+    return tuple(stacked)
+
+
+def stack_parameters(stack, names=BLOCKS):
+    """The :class:`Parameter` objects of ``stack``'s blocks ``names``, in
+    block order, each weight before its bias: the order of the per-task
+    model's ``parameters()``."""
+    return [param for name in names for leaf in stack[name]
+            if leaf is not None for param in leaf if param is not None]
+
+
+def stack_arrays(leaves, k=None):
+    """Stacked leaves as arrays in :func:`block_leaves`' layout: the whole
+    (K, ...) stacks or, with ``k``, copies of slice k -- what an adapted
+    classifier keeps of what it trained."""
+    return tuple(None if leaf is None else tuple(
+        None if param is None else param.data if k is None
+        else param.data[k].copy() for param in leaf) for leaf in leaves)
 
 
 def retrieval_constants(uis_leaves, feature_vectors, conversion=None):

@@ -3,11 +3,12 @@
 A :class:`Module` owns named :class:`Parameter` objects and supports the
 state-dict save/load protocol used by the meta-training loop to reset
 local (task-wise) parameters from the meta-learned initialization
-(Algorithm 2, lines 4-5).  Modules hold parameters; they compute
-nothing: every stacked training step is
-:func:`repro.nn.batching.step_program` and every prediction
-:func:`repro.nn.batching.inference_logits`, both over the layers'
-arrays.
+(Algorithm 2, lines 4-5), and a module tree is the checkpoint layout of
+phi.  Modules hold parameters; they compute nothing: every stacked
+training step is :func:`repro.nn.batching.step_program`, over leaf
+arrays stacked out of the layers (:func:`repro.nn.batching.stack_leaves`),
+and every prediction :func:`repro.nn.batching.inference_logits`, over
+the layers' arrays.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 
 from . import init
 
-__all__ = ["Parameter", "Module", "Linear", "ReLU", "Sequential", "MLP",
-           "BatchedLinear", "batch_modules", "unstack_modules"]
+__all__ = ["Parameter", "Module", "Linear", "ReLU", "Sequential", "MLP"]
 
 
 class Parameter:
@@ -200,105 +200,6 @@ class Sequential(Module):
     def __repr__(self):
         inner = ", ".join(repr(m) for m in self)
         return "Sequential({})".format(inner)
-
-
-class BatchedLinear(Module):
-    """K independent affine maps fused into one stacked tensor op.
-
-    Holds ``weight`` of shape (K, in, out) and ``bias`` of shape
-    (K, 1, out); the step program maps a stacked input (K, n, in) to
-    (K, n, out) with a single batched matmul, so K per-task layers train
-    as one stacked program.  Slice k computes exactly what the k-th
-    source :class:`Linear` would — the serving layer relies on this for
-    bit-level parity with sequential adaptation.
-    """
-
-    def __init__(self, k, in_features, out_features, rng=None, bias=True):
-        super().__init__()
-        rng = rng or np.random.default_rng()
-        self.k = int(k)
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(np.stack(
-            [init.kaiming_uniform(in_features, out_features, rng)
-             for _ in range(self.k)]))
-        self.bias = Parameter(np.zeros((self.k, 1, out_features))) \
-            if bias else None
-
-    @classmethod
-    def from_linears(cls, linears):
-        """Stack structurally identical :class:`Linear` layers.
-
-        Built directly from the source parameters (no throwaway random
-        initialization) — this runs on the serving hot path for every
-        adaptation bucket.
-        """
-        first = linears[0]
-        for lin in linears:
-            if (lin.in_features, lin.out_features) != (first.in_features,
-                                                       first.out_features):
-                raise ValueError("cannot batch Linear layers of mixed shape")
-            if (lin.bias is None) != (first.bias is None):
-                raise ValueError("cannot batch Linear layers of mixed bias")
-        out = cls.__new__(cls)
-        Module.__init__(out)
-        out.k = len(linears)
-        out.in_features = first.in_features
-        out.out_features = first.out_features
-        out.weight = Parameter(np.stack([lin.weight.data
-                                         for lin in linears]))
-        out.bias = Parameter(np.stack([lin.bias.data[None, :]
-                                       for lin in linears])) \
-            if first.bias is not None else None
-        return out
-
-    def unstack_into(self, linears):
-        """Write the per-slice parameters back into K Linear layers."""
-        if len(linears) != self.k:
-            raise ValueError("expected {} layers, got {}".format(
-                self.k, len(linears)))
-        for i, lin in enumerate(linears):
-            lin.weight.copy_(self.weight.data[i])
-            if lin.bias is not None:
-                lin.bias.copy_(self.bias.data[i, 0])
-
-    def __repr__(self):
-        return "BatchedLinear(k={}, {}, {})".format(
-            self.k, self.in_features, self.out_features)
-
-
-def batch_modules(modules):
-    """Fuse K structurally identical modules into one batched module.
-
-    ``Linear`` layers become a :class:`BatchedLinear`; ``Sequential``
-    containers (including :class:`MLP`) are batched child by child;
-    a ``ReLU`` passes through; anything else is a ``TypeError``.  The
-    result consumes stacked (K, n, features) inputs.
-    """
-    first = modules[0]
-    if isinstance(first, Linear):
-        return BatchedLinear.from_linears(modules)
-    if isinstance(first, Sequential):
-        children = [batch_modules([getattr(m, name) for m in modules])
-                    for name in first._order]
-        return Sequential(*children)
-    if isinstance(first, ReLU):
-        return ReLU()
-    raise TypeError("cannot batch modules of type {}".format(type(first)))
-
-
-def unstack_modules(batched, modules):
-    """Inverse of :func:`batch_modules`: copy slice k back into module k."""
-    if isinstance(batched, BatchedLinear):
-        batched.unstack_into(modules)
-    elif isinstance(batched, Sequential):
-        for b_name, s_name in zip(batched._order, modules[0]._order):
-            child = getattr(batched, b_name)
-            if isinstance(child, (BatchedLinear, Sequential)):
-                unstack_modules(child, [getattr(m, s_name) for m in modules])
-    elif not isinstance(batched, ReLU):
-        raise TypeError("cannot unstack module of type {}".format(
-            type(batched)))
 
 
 class MLP(Sequential):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -214,7 +215,7 @@ def _read_arrays(path):
     try:
         with np.load(arrays_path, allow_pickle=False) as npz:
             return {name: npz[name] for name in npz.files}
-    except Exception as error:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as error:
         raise CheckpointError(
             "checkpoint archive {!r} cannot be read ({}: {}); the file is "
             "missing, truncated or corrupt — restore it from a backup or "

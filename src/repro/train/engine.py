@@ -19,7 +19,10 @@ runs:
   models are independent slices.
 
 Everything rides :mod:`repro.nn.batching` (the substrate shared with the
-online serving path).  These are the only executors: a batch of one task
+online serving path): a stack is each task's leaf arrays stacked by
+:func:`~repro.nn.batching.stack_leaves`, as a flush stacks its
+classifiers, and its parameters go back into phi's modules only by
+name or by slice.  These are the only executors: a batch of one task
 or a fusion group of one subspace is the same program at K = 1.  The
 stacked computation is block-diagonal, so every task sees exactly the
 gradients and optimizer updates of a task-at-a-time loop — the loop
@@ -34,12 +37,13 @@ from collections import namedtuple
 
 import numpy as np
 
-from ..nn.batching import (BatchedUISClassifier, block_leaves,
-                           fused_local_adapt, grad_stacks, load_flat_stack,
-                           retrieval_constants, stack_conversions,
+from ..nn.batching import (BLOCKS, block_leaves, flat_leaves,
+                           fused_local_adapt, retrieval_constants,
+                           stack_arrays, stack_leaves, stack_parameters,
                            step_program)
 from ..nn.cores import run_stack, step_macs
 from ..nn.functional import batched_pos_weight
+from ..nn.layers import Parameter
 from ..nn.optim import Adam
 
 __all__ = ["encode_task_sets", "MetaBatchSlot", "MetaBatchInputs",
@@ -242,14 +246,24 @@ def _compute_stack(models, params, inputs):
     which the retrieved M_cp takes one ``rho`` step for the conversion
     memory.
     """
-    batched = BatchedUISClassifier(models)
-    if inputs.shifts is not None:
-        load_flat_stack(batched.uis_block, np.asarray(inputs.shifts))
+    config = models[0].config
+    uis = [block_leaves(model.uis_block) for model in models] \
+        if inputs.shifts is None else \
+        [flat_leaves(model.uis_block, shift)
+         for model, shift in zip(models, inputs.shifts)]
+    stack = {"uis_block": stack_leaves(uis)}
+    for name in BLOCKS[1:]:
+        stack[name] = stack_leaves([block_leaves(getattr(model, name))
+                                    for model in models])
     features = np.asarray(inputs.features)
-    conversion, retrieved = _stack_retrieval(batched, features,
-                                             inputs.conversions)
+    conversion = None if inputs.conversions[0] is None \
+        else Parameter(np.stack(inputs.conversions))
+    retrieved = retrieval_constants(
+        stack_arrays(stack["uis_block"]),
+        features.reshape(len(models), 1, config["ku"]),
+        None if conversion is None else conversion.data)
     fused_local_adapt(
-        batched, features, np.stack(inputs.sx), np.stack(inputs.sy),
+        config, stack, features, np.stack(inputs.sx), np.stack(inputs.sy),
         steps=params.local_steps, lr=params.rho,
         optimizer_kind=params.local_optimizer,
         balance_classes=params.balance_classes, retrieved=retrieved)
@@ -258,24 +272,15 @@ def _compute_stack(models, params, inputs):
     qx_stack, qy_stack = np.stack(inputs.qx), np.stack(inputs.qy)
     pos_weight = batched_pos_weight(qy_stack) \
         if params.balance_classes else None
-    task_losses = step_program(batched, qx_stack.shape,
+    task_losses = step_program(config, stack, qx_stack.shape,
                                conversion=conversion)(
         features, qx_stack, qy_stack, pos_weight)
     return MetaBatchResult(
-        [float(value) for value in task_losses], grad_stacks(batched),
+        [float(value) for value in task_losses],
+        {name: param.grad for (name, _), param in zip(
+            models[0].named_parameters(), stack_parameters(stack))},
         None if conversion is None
         else conversion.data - params.rho * conversion.grad)
-
-
-def _stack_retrieval(batched, features, conversions):
-    """The stacked M_cp :class:`~repro.nn.Parameter` (None
-    without memories) and the :class:`~repro.nn.batching.Retrieval` of a
-    stack whose UIS block holds each task's retrieved theta_R."""
-    conversion = stack_conversions(list(conversions))
-    return conversion, retrieval_constants(
-        block_leaves(batched.uis_block),
-        features.reshape(batched.k, 1, batched.ku),
-        None if conversion is None else conversion.data)
 
 
 def concat_meta_batch_results(parts):
@@ -412,10 +417,12 @@ def run_pretrain_epoch_pooled(schedules, orders=None):
     """
     trainers = [schedule.trainer for schedule in schedules]
     models = [trainer.model for trainer in trainers]
-    batched = BatchedUISClassifier(models)
+    stack = {name: stack_leaves([block_leaves(getattr(model, name))
+                                 for model in models]) for name in BLOCKS}
+    stacked = stack_parameters(stack)
     params = trainers[0].params
-    optimizer = Adam(batched.parameters(), lr=params.pretrain_lr)
-    _load_stacked_adam(optimizer, schedules, batched)
+    optimizer = Adam(stacked, lr=params.pretrain_lr)
+    _load_stacked_adam(optimizer, schedules, stacked)
 
     conversions = [trainer.pretrain_conversion() for trainer in trainers]
     conversion = None if conversions[0] is None else np.stack(conversions)
@@ -433,17 +440,20 @@ def run_pretrain_epoch_pooled(schedules, orders=None):
         # One stacked forward/backward (it sets the parameter
         # gradients), then the persistent stacked Adam consumes them.
         if loss_backward is None:
-            loss_backward = step_program(batched, xs.shape,
+            loss_backward = step_program(models[0].config, stack, xs.shape,
                                          conversion=conversion)
         loss_backward(features, xs, ys, pos_weight)
         optimizer.step()
 
-    batched.unstack_into(models)
+    for s, model in enumerate(models):
+        for param, stacked_param in zip(model.parameters(), stacked):
+            param.copy_(stacked_param.data[s].reshape(param.shape))
     _store_stacked_adam(optimizer, schedules, models)
 
 
-def _load_stacked_adam(optimizer, schedules, batched):
-    """Stack the per-schedule Adam moment slices into the fused optimizer."""
+def _load_stacked_adam(optimizer, schedules, stacked):
+    """Stack the per-schedule Adam moment slices into the fused optimizer
+    of the stack's parameters ``stacked``."""
     states = [schedule.pretrain_opt_state for schedule in schedules]
     if all(state is None for state in states):
         return
@@ -454,14 +464,13 @@ def _load_stacked_adam(optimizer, schedules, batched):
     if len(steps) > 1:
         raise ValueError("cannot pool pretrain optimizers at different "
                          "step counts: {}".format(sorted(steps)))
-    batched_params = list(batched.parameters())
-    stacked = dict(states[0])
+    pooled = dict(states[0])
     for key in ("m", "v"):
-        stacked[key] = [
+        pooled[key] = [
             np.stack([np.asarray(state[key][i]).reshape(p.data.shape[1:])
                       for state in states])
-            for i, p in enumerate(batched_params)]
-    optimizer.load_state_dict(stacked)
+            for i, p in enumerate(stacked)]
+    optimizer.load_state_dict(pooled)
 
 
 def _store_stacked_adam(optimizer, schedules, models):

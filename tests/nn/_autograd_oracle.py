@@ -33,8 +33,7 @@ import numpy as np
 from repro.nn.batching import stable_sigmoid
 from repro.nn.functional import (conversion_constant, conversion_grads,
                                  conversion_weight)
-from repro.nn.layers import (BatchedLinear, Linear, Module, Parameter, ReLU,
-                             Sequential)
+from repro.nn.layers import Linear, Module, Parameter, ReLU, Sequential
 
 
 class _GradMode(threading.local):
@@ -582,9 +581,15 @@ class Sigmoid(Module):
 
 def apply(module, x):
     """``module(x)`` as the layers' ``forward`` methods computed it: a
-    ``Linear`` / ``BatchedLinear`` is ``x @ weight + bias``, a ``ReLU``
-    and a :class:`Sigmoid` their activation, a ``Sequential`` its
-    children in order."""
+    ``Linear`` is ``x @ weight + bias``, a ``ReLU`` and a
+    :class:`Sigmoid` their activation, a ``Sequential`` its children in
+    order.  A stack's leaves (``repro.nn.batching.stack_leaves``) run as
+    the stacked layers they stand for: a ``(weight, bias)`` pair is
+    ``x @ weight + bias``, a None the rectifier."""
+    if isinstance(module, tuple):
+        for leaf in module:
+            x = Tensor._wrap(x).relu() if leaf is None else _affine(x, *leaf)
+        return x
     if isinstance(module, Sequential):
         for child in module:
             x = apply(child, x)
@@ -593,13 +598,17 @@ def apply(module, x):
         return Tensor._wrap(x).relu()
     if isinstance(module, Sigmoid):
         return Tensor._wrap(x).sigmoid()
-    if not isinstance(module, (Linear, BatchedLinear)):
+    if not isinstance(module, Linear):
         raise TypeError("no forward for module of type {}".format(
             type(module)))
+    return _affine(x, module.weight, module.bias)
+
+
+def _affine(x, weight, bias):
     x = Tensor._wrap(x)
-    out = x @ module.weight
-    if module.bias is not None:
-        out = out + module.bias
+    out = x @ weight
+    if bias is not None:
+        out = out + bias
     return out
 
 

@@ -44,14 +44,16 @@ def forward(model, feature_vector, tuple_vectors, conversion):
     return logits.reshape(-1)
 
 
-def batched_forward(batched, feature_vectors, tuple_vectors, conversion=None):
-    """``BatchedUISClassifier.forward`` as it was (``use_conversion=True``);
-    handed to ``_graph_oracle.local_adapt``, the old program trains."""
+def batched_forward(config, stack, feature_vectors, tuple_vectors,
+                    conversion=None):
+    """``BatchedUISClassifier.forward`` as it was (``use_conversion=True``),
+    over a stack; handed to ``_graph_oracle.local_adapt``, the old
+    program trains."""
     v_r = Tensor._wrap(feature_vectors)
     x = Tensor._wrap(tuple_vectors)
-    n = x.shape[1]
-    emb_r = apply(batched.uis_block, v_r.reshape(batched.k, 1, batched.ku))
-    emb_x = apply(batched.tuple_block, x)                     # (K, n, Ne)
+    k, n = x.shape[:2]
+    emb_r = apply(stack["uis_block"], v_r.reshape(k, 1, config["ku"]))
+    emb_x = apply(stack["tuple_block"], x)                    # (K, n, Ne)
     combined = concat_conversion(emb_r, emb_x, conversion)    # (K, n, Ne)
-    logits = apply(batched.clf_block, combined)               # (K, n, 1)
-    return logits.reshape(batched.k, n)
+    logits = apply(stack["clf_block"], combined)              # (K, n, 1)
+    return logits.reshape(k, n)

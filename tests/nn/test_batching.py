@@ -15,11 +15,11 @@ import _graph_oracle as graph
 from _autograd_oracle import is_grad_enabled, no_grad
 from repro.core.meta_learner import UISClassifier
 from repro.core.meta_training import AdaptedClassifier
-from repro.nn import (MLP, BatchedLinear, BatchedUISClassifier, Parameter,
-                      ReLU, batch_modules, fused_local_adapt)
-from repro.nn.batching import (block_leaves, flat_leaves, load_flat_stack,
+from repro.nn import (MLP, Linear, Module, Parameter, ReLU, Sequential,
+                      fused_local_adapt)
+from repro.nn.batching import (block_leaves, flat_leaves,
                                retrieval_constants, stable_sigmoid,
-                               stack_conversions, stack_leaves)
+                               stack_arrays, stack_leaves, stack_parameters)
 
 K, N, KU, WIDTH, NE = 3, 6, 6, 5, 4
 
@@ -44,13 +44,14 @@ def test_adapt_trains_neither_the_callers_retrieval_nor_its_models(
     models, features, xs, ys, conversions = task_batch()
     kept_conversions = conversions.copy()
     kept_models = [model.state_dict() for model in models]
-    batched = BatchedUISClassifier(models)
-    retrieved = retrieval_constants(block_leaves(batched.uis_block),
+    batched = graph.stack_models(models)
+    retrieved = retrieval_constants(stack_arrays(batched["uis_block"]),
                                     features.reshape(K, 1, KU), conversions)
     kept_retrieval = [part.copy() for part in retrieved]
 
-    fused_local_adapt(batched, features, xs, ys, steps=3, lr=0.05,
-                      optimizer_kind=optimizer_kind, retrieved=retrieved)
+    fused_local_adapt(models[0].config, batched, features, xs, ys, steps=3,
+                      lr=0.05, optimizer_kind=optimizer_kind,
+                      retrieved=retrieved)
 
     assert np.array_equal(conversions, kept_conversions)
     for part, kept in zip(retrieved, kept_retrieval):
@@ -59,7 +60,7 @@ def test_adapt_trains_neither_the_callers_retrieval_nor_its_models(
         for name, array in model.state_dict().items():
             assert np.array_equal(array, kept[name]), name
     for i, model in enumerate(models):   # ... and the stacks did train
-        assert not np.array_equal(batched.tuple_block.m0.weight.data[i],
+        assert not np.array_equal(batched["tuple_block"][0][0].data[i],
                                   model.tuple_block.m0.weight.data)
 
 
@@ -69,12 +70,13 @@ def test_prebuilt_stack_is_trained_in_place_and_its_sources_are_not():
     block of it — and its source models never do."""
     models, features, xs, ys, _ = task_batch(2, use_conversion=False)
     kept_models = [model.state_dict() for model in models]
-    prebuilt = BatchedUISClassifier(models)
-    fused_local_adapt(prebuilt, features, xs, ys, steps=2, lr=0.01)
+    prebuilt = graph.stack_models(models)
+    fused_local_adapt(models[0].config, prebuilt, features, xs, ys, steps=2,
+                      lr=0.01)
     for model, kept in zip(models, kept_models):
         for name, array in model.state_dict().items():
             assert np.array_equal(array, kept[name]), name
-    assert not np.array_equal(prebuilt.uis_block.m0.weight.data, np.stack(
+    assert not np.array_equal(prebuilt["uis_block"][0][0].data, np.stack(
         [model.uis_block.m0.weight.data for model in models]))
 
 
@@ -99,7 +101,7 @@ def test_no_grad_in_one_thread_leaves_a_training_thread_its_graph():
     B's forward (the stacked graph of ``_graph_oracle.py``) still records
     its graph, so ``backward`` leaves a gradient on every parameter."""
     models, features, xs, ys, conversions = task_batch(2)
-    batched = BatchedUISClassifier(models)
+    batched = graph.stack_models(models)
     conversion = Parameter(conversions.copy())
     parked, release = threading.Event(), threading.Event()
     seen = {}
@@ -116,8 +118,8 @@ def test_no_grad_in_one_thread_leaves_a_training_thread_its_graph():
     def train():
         parked.wait(timeout=30)
         enabled = [is_grad_enabled()]
-        graph.stacked_loss_backward(batched, conversion, features, xs, ys,
-                                    None)
+        graph.stacked_loss_backward(models[0].config, batched, conversion,
+                                    features, xs, ys, None)
         enabled.append(is_grad_enabled())
         seen["training"] = enabled
         release.set()
@@ -132,45 +134,28 @@ def test_no_grad_in_one_thread_leaves_a_training_thread_its_graph():
     assert seen == {"inside": False, "after": True,
                     "training": [True, True]}
     assert is_grad_enabled()
-    for param in list(batched.parameters()) + [conversion]:
+    for param in stack_parameters(batched) + [conversion]:
         assert param.grad is not None and np.any(param.grad != 0)
-
-
-def test_stack_conversions_of_no_matrix_is_none():
-    assert stack_conversions(None) is None
-    assert stack_conversions([None, None]) is None
-
-
-def test_stack_conversions_rejects_a_mixed_list():
-    with pytest.raises(ValueError):
-        stack_conversions([np.zeros((NE, 3 * NE)), None])
-
-
-def test_stack_conversions_stacks_copies():
-    *_, conversions = task_batch()
-    stacked = stack_conversions(list(conversions))
-    assert isinstance(stacked, Parameter)
-    assert stacked.shape == (K, NE, 3 * NE)
-    assert np.array_equal(stacked.data, conversions)
-    assert not np.shares_memory(stacked.data, conversions)
 
 
 def test_stack_leaves_copies_each_task_into_its_slice():
     models = [MLP([WIDTH, 4, 2], rng=np.random.default_rng(i))
               for i in range(K)]
     per_task = [block_leaves(model) for model in models]
-    stacked = stack_leaves(per_task)
-    layers = list(stacked)
-    assert isinstance(layers[0], BatchedLinear)
-    assert isinstance(layers[1], ReLU)
-    assert isinstance(layers[2], BatchedLinear)
+    layers = stack_leaves(per_task)
+    assert all(isinstance(param, Parameter)
+               for layer in (layers[0], layers[2]) for param in layer)
+    assert layers[1] is None
     for i, model in enumerate(models):
-        for layer, source in ((layers[0], model.m0), (layers[2], model.m2)):
-            assert layer.weight.shape == (K,) + source.weight.shape
-            assert np.array_equal(layer.weight.data[i], source.weight.data)
-            assert np.array_equal(layer.bias.data[i, 0], source.bias.data)
-            assert not np.shares_memory(layer.weight.data,
-                                        source.weight.data)
+        for (weight, bias), source in ((layers[0], model.m0),
+                                       (layers[2], model.m2)):
+            assert weight.shape == (K,) + source.weight.shape
+            assert np.array_equal(weight.data[i], source.weight.data)
+            assert np.array_equal(bias.data[i, 0], source.bias.data)
+            assert not np.shares_memory(weight.data, source.weight.data)
+        kept = stack_arrays(layers, i)
+        assert np.array_equal(kept[2][1], block_leaves(model)[2][1])
+        assert not np.shares_memory(kept[0][0], layers[0][0].data)
 
 
 def test_flat_leaves_reads_the_flat_layout_as_views():
@@ -188,30 +173,109 @@ def test_flat_leaves_reads_the_flat_layout_as_views():
         flat_leaves(model, np.zeros(flat.size + 1))
 
 
-def test_load_flat_stack_matches_per_task_loading():
+@pytest.mark.parametrize("bad_size", ["short", "long"])
+def test_flat_leaves_checks_its_size(bad_size):
+    model = MLP([WIDTH, 4, 2], rng=np.random.default_rng(0))
+    size = model.num_parameters() + (-1 if bad_size == "short" else 1)
+    with pytest.raises(ValueError):
+        flat_leaves(model, np.zeros(size))
+
+
+def test_stacked_flat_leaves_match_per_task_loading():
+    """A stack of retrieved theta_R rows read by :func:`flat_leaves` is
+    the stack of the models loaded with those rows, bit for bit."""
     models = [MLP([WIDTH, 4, 2], rng=np.random.default_rng(i))
               for i in range(K)]
-    batched = batch_modules(models)
-    rng = np.random.default_rng(9)
-    flat_stack = rng.normal(size=(K, models[0].num_parameters()))
-    load_flat_stack(batched, flat_stack)
+    flat_stack = np.random.default_rng(9).normal(
+        size=(K, models[0].num_parameters()))
+    got = stack_leaves([flat_leaves(model, row)
+                        for model, row in zip(models, flat_stack)])
     for model, row in zip(models, flat_stack):
         model.load_flat_parameters(row)
-    want = batch_modules(models)
-    for (name, got), (_, ref) in zip(batched.named_parameters(),
-                                     want.named_parameters()):
-        assert np.array_equal(got.data, ref.data), name
+    want = stack_leaves([block_leaves(model) for model in models])
+    for g, w in zip(stack_parameters({"b": got}, ["b"]),
+                    stack_parameters({"b": want}, ["b"])):
+        assert np.array_equal(g.data, w.data)
+        assert not np.shares_memory(g.data, flat_stack)
 
 
-@pytest.mark.parametrize("bad_shape", ["height", "width"])
-def test_load_flat_stack_checks_its_shape(bad_shape):
-    models = [MLP([WIDTH, 4, 2], rng=np.random.default_rng(i))
+@pytest.mark.parametrize("bias", [True, False])
+def test_stack_arrays_gives_back_each_tasks_leaves(bias):
+    models = [Sequential(Linear(WIDTH, 4, rng=np.random.default_rng(i),
+                                bias=bias), ReLU(),
+                         Linear(4, 2, rng=np.random.default_rng(K + i),
+                                bias=bias))
               for i in range(K)]
-    batched = batch_modules(models)
-    size = models[0].num_parameters()
-    shape = (K + 1, size) if bad_shape == "height" else (K, size + 1)
+    stacked = stack_leaves([block_leaves(model) for model in models])
+    assert stack_arrays(stacked)[1] is None
+    for i, model in enumerate(models):
+        kept = stack_arrays(stacked, i)
+        for got, want in zip(kept, block_leaves(model)):
+            if want is None:
+                assert got is None
+                continue
+            assert (got[1] is None) == (want[1] is None) == (not bias)
+            for g, w in zip(got, want):
+                if w is not None:
+                    assert np.array_equal(g, w)
+                    assert not np.shares_memory(g, stacked[0][0].data)
+
+
+def test_stack_leaves_rejects_mixed_shapes():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        load_flat_stack(batched, np.zeros(shape))
+        stack_leaves([block_leaves(Linear(3, 2, rng=rng)),
+                      block_leaves(Linear(3, 4, rng=rng))])
+
+
+def test_stack_leaves_rejects_mixed_bias():
+    rng = np.random.default_rng(0)
+    for order in (1, -1):
+        with pytest.raises(ValueError):
+            stack_leaves([block_leaves(Linear(3, 2, rng=rng)),
+                          block_leaves(Linear(3, 2, rng=rng, bias=False))
+                          ][::order])
+
+
+@pytest.mark.parametrize("mismatch", ["kind", "depth"])
+def test_stack_leaves_rejects_mixed_layers(mismatch):
+    rng = np.random.default_rng(0)
+    first = Sequential(Linear(3, 3, rng=rng), ReLU())
+    second = Sequential(Linear(3, 3, rng=rng), Linear(3, 3, rng=rng)) \
+        if mismatch == "kind" else Linear(3, 3, rng=rng)
+    with pytest.raises(ValueError):
+        stack_leaves([block_leaves(first), block_leaves(second)])
+
+
+def test_block_leaves_rejects_an_unknown_module():
+    with pytest.raises(TypeError):
+        block_leaves(Module())
+
+
+def test_stack_parameters_follow_the_models_parameter_order():
+    """Meta-training keys its gradient stacks by zipping a model's
+    ``named_parameters()`` with :func:`stack_parameters`: slice k of
+    each stacked parameter is model k's parameter of that name."""
+    models, *_ = task_batch()
+    stack = graph.stack_models(models)
+    named = list(models[0].named_parameters())
+    stacked = stack_parameters(stack)
+    assert len(stacked) == len(named)
+    for k, model in enumerate(models):
+        for (name, param), stacked_param in zip(model.named_parameters(),
+                                                stacked):
+            assert np.array_equal(stacked_param.data[k].reshape(param.shape),
+                                  param.data), name
+
+
+def test_a_stack_shares_no_memory_with_its_models():
+    """Meta-training stacks phi's own leaves every batch, so no stacked
+    weight or bias may be a view of a model's parameter."""
+    models, *_ = task_batch()
+    for param in stack_parameters(graph.stack_models(models)):
+        for model in models:
+            for name, source in model.named_parameters():
+                assert not np.shares_memory(param.data, source.data), name
 
 
 class TestStableSigmoid:

@@ -29,7 +29,6 @@ import _graph_oracle as graph
 from _autograd_oracle import Tensor, convert_embeddings, forward, no_grad
 from test_gradcheck import numeric_grad
 from repro.core.meta_learner import UISClassifier
-from repro.nn import BatchedUISClassifier
 from repro.nn.batching import inference_logits, stable_sigmoid
 
 NAMES = ("emb_r", "emb_tau", "conversion")
@@ -224,10 +223,10 @@ def test_thirty_adapt_steps_stay_within_1e9_of_the_oracle(optimizer_kind, lr):
     models, features, xs, ys, conversions = task_batch(4, seed=8)
 
     def adapt(forward):
-        batched = BatchedUISClassifier(models)
+        batched = graph.stack_models(models)
         conversion, losses = graph.local_adapt(
-            batched, features, xs, ys, conversions, steps=30, lr=lr,
-            optimizer_kind=optimizer_kind, forward=forward)
+            models[0].config, batched, features, xs, ys, conversions,
+            steps=30, lr=lr, optimizer_kind=optimizer_kind, forward=forward)
         return batched, conversion, losses
 
     batched, conversion, losses = adapt(graph.forward)
@@ -236,8 +235,8 @@ def test_thirty_adapt_steps_stay_within_1e9_of_the_oracle(optimizer_kind, lr):
     assert not np.array_equal(conversion.data, conversions)   # it trained
     assert_close(conversion.data, conversion_o.data, 1e-9, "conversion")
     assert_close(losses, losses_o, 1e-9, "losses")
-    trained_o = dict(batched_o.named_parameters())
-    for name, param in batched.named_parameters():
+    trained_o = dict(graph.named_stack(batched_o))
+    for name, param in graph.named_stack(batched):
         assert_close(param.data, trained_o[name].data, 1e-9, name)
 
 

@@ -201,40 +201,43 @@ def test_swapaxes_grad():
     check(lambda t: t.swapaxes(0, 2) * weights, RNG.normal(size=(2, 3, 4)))
 
 
-def test_batched_linear_matches_stacked_linears():
-    from repro.nn import BatchedLinear, Linear
+def test_stacked_linear_matches_stacked_linears():
+    from repro.nn import Linear
+    from repro.nn.batching import block_leaves, stack_leaves
 
     rng = np.random.default_rng(3)
     linears = [Linear(4, 3, rng=np.random.default_rng(10 + i))
                for i in range(3)]
-    batched = BatchedLinear.from_linears(linears)
+    batched = stack_leaves([block_leaves(lin) for lin in linears])
     x = rng.normal(size=(3, 5, 4))
     out = apply(batched, x)
     for i, lin in enumerate(linears):
         assert np.allclose(out.data[i], apply(lin, x[i]).data, atol=1e-12)
 
 
-def test_batched_linear_gradcheck():
-    from repro.nn import BatchedLinear
+def test_stacked_linear_gradcheck():
+    from repro.nn import Linear
+    from repro.nn.batching import block_leaves, stack_leaves
 
-    batched = BatchedLinear(2, 3, 2, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    batched = stack_leaves([block_leaves(Linear(3, 2, rng=rng))
+                            for _ in range(2)])
+    params = list(batched[0])
     x = RNG.normal(size=(2, 4, 3))
 
     def loss_at(flat):
         offset = 0
-        for p in batched.parameters():
+        for p in params:
             p.copy_(flat[offset:offset + p.size].reshape(p.data.shape))
             offset += p.size
         out = apply(batched, x)
         return (out * out).sum().item()
 
-    flat0 = batched.flat_parameters().copy()
-    batched.zero_grad()
+    flat0 = np.concatenate([p.data.ravel() for p in params])
     out = apply(batched, x)
     (out * out).sum().backward()
-    auto = np.concatenate([p.grad.ravel() for p in batched.parameters()])
+    auto = np.concatenate([p.grad.ravel() for p in params])
     numeric = numeric_grad(loss_at, flat0)
-    batched.load_flat_parameters(flat0)
     assert np.allclose(auto, numeric, atol=1e-4)
 
 

@@ -7,8 +7,7 @@ import pytest
 
 from _autograd_oracle import Sigmoid, apply
 from repro.core.meta_learner import UISClassifier
-from repro.nn import (MLP, BatchedLinear, Linear, Module, Parameter, ReLU,
-                      Sequential, batch_modules)
+from repro.nn import MLP, Linear, Parameter, ReLU, Sequential
 
 
 class TestParameter:
@@ -190,57 +189,3 @@ class TestSequentialAndMLP:
 
     def test_mlp_sizes_recorded(self):
         assert MLP([4, 3, 2], rng=np.random.default_rng(0)).sizes == (4, 3, 2)
-
-
-class TestBatchedLinear:
-    def linears(self, k=3, bias=True):
-        rng = np.random.default_rng(0)
-        return [Linear(3, 2, rng=rng, bias=bias) for _ in range(k)]
-
-    def test_from_linears_stacks_copies_of_its_sources(self):
-        linears = self.linears()
-        batched = BatchedLinear.from_linears(linears)
-        assert batched.weight.shape == (3, 3, 2)
-        assert batched.bias.shape == (3, 1, 2)
-        for i, lin in enumerate(linears):
-            assert np.array_equal(batched.weight.data[i], lin.weight.data)
-            assert np.array_equal(batched.bias.data[i, 0], lin.bias.data)
-            assert not np.shares_memory(batched.weight.data, lin.weight.data)
-            assert not np.shares_memory(batched.bias.data, lin.bias.data)
-
-    def test_from_linears_rejects_mixed_shapes(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            BatchedLinear.from_linears([Linear(3, 2, rng=rng),
-                                        Linear(3, 4, rng=rng)])
-
-    def test_from_linears_rejects_mixed_bias(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            BatchedLinear.from_linears([Linear(3, 2, rng=rng),
-                                        Linear(3, 2, rng=rng, bias=False)])
-
-    @pytest.mark.parametrize("bias", [True, False])
-    def test_unstack_into_writes_each_slice_back(self, bias):
-        linears = self.linears(bias=bias)
-        batched = BatchedLinear.from_linears(linears)
-        batched.weight.data += 1.0
-        if bias:
-            batched.bias.data -= 1.0
-        batched.unstack_into(linears)
-        for i, lin in enumerate(linears):
-            assert np.array_equal(lin.weight.data, batched.weight.data[i])
-            if bias:
-                assert np.array_equal(lin.bias.data, batched.bias.data[i, 0])
-            else:
-                assert lin.bias is None
-
-    def test_unstack_into_checks_the_count(self):
-        linears = self.linears()
-        batched = BatchedLinear.from_linears(linears)
-        with pytest.raises(ValueError):
-            batched.unstack_into(linears[:2])
-
-    def test_batch_modules_rejects_an_unknown_module(self):
-        with pytest.raises(TypeError):
-            batch_modules([Module(), Module()])

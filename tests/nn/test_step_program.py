@@ -32,9 +32,10 @@ from _autograd_oracle import Sigmoid
 from repro.core.meta_learner import UISClassifier
 from repro.core.meta_training import (MetaHyperParams, MetaTrainer,
                                       adapt_stack)
-from repro.nn import (Adam, BatchedUISClassifier, Parameter, Sequential,
-                      fused_local_adapt, step_program)
-from repro.nn.batching import block_leaves, retrieval_constants
+from repro.nn import (Adam, Parameter, Sequential, fused_local_adapt,
+                      step_program)
+from repro.nn.batching import (retrieval_constants, stack_arrays,
+                               stack_parameters)
 from repro.nn.functional import batched_pos_weight
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -73,9 +74,9 @@ def make_tasks(trainer, k, seed=0):
 def stacked(models, features, conversions):
     """The stack of ``models`` and its retrieval, computed from the
     stack as meta-training computes it."""
-    batched = BatchedUISClassifier(models)
+    batched = graph.stack_models(models)
     return batched, retrieval_constants(
-        block_leaves(batched.uis_block),
+        stack_arrays(batched["uis_block"]),
         features.reshape(len(models), 1, -1),
         None if conversions[0] is None else np.stack(conversions))
 
@@ -91,11 +92,11 @@ def array_phase(trainer, features, xs, ys, steps=None):
         conversions.append(conversion)
     batched, retrieved = stacked(models, features, conversions)
     losses = fused_local_adapt(
-        batched, features, xs, ys,
+        trainer.model.config, batched, features, xs, ys,
         steps=params.local_steps if steps is None else steps,
         lr=params.rho, optimizer_kind=params.local_optimizer,
         balance_classes=params.balance_classes, retrieved=retrieved)
-    batched.unstack_into(models)
+    graph.unstack_into(batched, models)
     return models, None if conversions[0] is None \
         else np.stack(conversions), losses
 
@@ -166,21 +167,22 @@ def test_first_step_gradients_equal_the_autograd_graph(conversion, nets):
         model, matrix, _ = oracle.retrieved_model(trainer, feature)
         models.append(model)
         conversions.append(matrix)
-    reference = BatchedUISClassifier(models)
-    graph.stacked_loss_backward(reference, None if not conversion
+    config = models[0].config
+    reference = graph.stack_models(models)
+    graph.stacked_loss_backward(config, reference, None if not conversion
                                 else np.stack(conversions), features, xs,
                                 ys, batched_pos_weight(ys))
     batched, retrieved = stacked(models, features, conversions)
-    fused_local_adapt(batched, features, xs, ys, steps=1, lr=0.02,
+    fused_local_adapt(config, batched, features, xs, ys, steps=1, lr=0.02,
                       retrieved=retrieved)
 
-    want = dict(reference.named_parameters())
-    trained = [(name, param) for name, param in batched.named_parameters()
+    want = dict(graph.named_stack(reference))
+    trained = [(name, param) for name, param in graph.named_stack(batched)
                if not name.startswith("uis_block.")]
     assert len(trained) == 6
     for name, param in trained:
         assert np.array_equal(param.grad, want[name].grad), name
-    for param in batched.uis_block.parameters():
+    for param in stack_parameters(batched, ["uis_block"]):
         assert param.grad is None
 
 
@@ -218,18 +220,16 @@ def test_logits_exactly_zero(conversion, steps):
 
 
 def test_a_leaf_other_than_linear_or_relu_is_a_type_error():
+    """A block holding another layer has no leaves to stack: a Sigmoid
+    is refused where a model's block is read, before any stack is
+    built."""
     trainer = make_trainer("small", True, seed=7)
-    features, xs, ys = make_tasks(trainer, 2, seed=7)
-    models, conversions = [], []
-    for feature in features:
-        model, conversion, _ = oracle.retrieved_model(trainer, feature)
-        models.append(model)
-        conversions.append(conversion)
-    batched, retrieved = stacked(models, features, conversions)
-    batched.tuple_block = Sequential(batched.tuple_block, Sigmoid())
+    features = make_tasks(trainer, 2, seed=7)[0]
+    models = [oracle.retrieved_model(trainer, feature)[0]
+              for feature in features]
+    models[1].tuple_block = Sequential(models[1].tuple_block, Sigmoid())
     with pytest.raises(TypeError, match="Sigmoid"):
-        fused_local_adapt(batched, features, xs, ys, steps=1, lr=0.01,
-                          retrieved=retrieved)
+        graph.stack_models(models)
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +283,7 @@ def near_averaging(k, ne, seed):
 
 
 def assert_same_stacks(got, want, grads=True):
-    pairs = list(zip(got.named_parameters(), want.named_parameters()))
+    pairs = list(zip(graph.named_stack(got), graph.named_stack(want)))
     assert len(pairs) == 8
     for (name, mine), (_, theirs) in pairs:
         assert same_bytes(mine.data, theirs.data), name
@@ -302,10 +302,11 @@ def test_basic_local_phase_equals_the_graph(k, nets, edge, optimizer):
     seed = EDGE_CASES.index((k, nets, edge))
     models = seeded_stack(nets, False, k, edge, seed)
     features, xs, ys = edge_inputs(nets, k, edge, seed)
-    got, want = BatchedUISClassifier(models), BatchedUISClassifier(models)
-    losses = fused_local_adapt(got, features, xs, ys, steps=4, lr=0.02,
-                               optimizer_kind=optimizer)
-    _, losses_g = graph.local_adapt(want, features, xs, ys, steps=4,
+    config = models[0].config
+    got, want = graph.stack_models(models), graph.stack_models(models)
+    losses = fused_local_adapt(config, got, features, xs, ys, steps=4,
+                               lr=0.02, optimizer_kind=optimizer)
+    _, losses_g = graph.local_adapt(config, want, features, xs, ys, steps=4,
                                     lr=0.02, optimizer_kind=optimizer)
     assert same_bytes(losses, losses_g)
     assert_same_stacks(got, want)
@@ -321,14 +322,15 @@ def test_query_pass_equals_the_graph(k, nets, edge, conversion):
     features, xs, ys = edge_inputs(nets, k, edge, seed)
     matrices = near_averaging(k, NETS[nets][2], seed) if conversion \
         else None
-    got, want = BatchedUISClassifier(models), BatchedUISClassifier(models)
+    config = models[0].config
+    got, want = graph.stack_models(models), graph.stack_models(models)
     m_cp, m_cp_g = (None, None) if matrices is None else (
         Parameter(matrices.copy()), Parameter(matrices.copy()))
     pos_weight = batched_pos_weight(ys)
-    losses = step_program(got, xs.shape, conversion=m_cp)(
+    losses = step_program(config, got, xs.shape, conversion=m_cp)(
         features, xs, ys, pos_weight)
-    losses_g = graph.stacked_loss_backward(want, m_cp_g, features, xs, ys,
-                                           pos_weight)
+    losses_g = graph.stacked_loss_backward(config, want, m_cp_g, features,
+                                           xs, ys, pos_weight)
     assert same_bytes(losses, losses_g)
     assert_same_stacks(got, want)
     if conversion:
@@ -345,19 +347,20 @@ def test_pretrain_epoch_equals_the_graph(k, nets, edge, conversion):
     models = seeded_stack(nets, conversion, k, edge, seed)
     constant = np.stack([np.hstack([np.eye(ne)] * 3) / 3.0] * k) \
         if conversion else None
-    got, want = BatchedUISClassifier(models), BatchedUISClassifier(models)
-    optimizers = [Adam(got.parameters(), lr=0.01),
-                  Adam(want.parameters(), lr=0.01)]
+    config = models[0].config
+    got, want = graph.stack_models(models), graph.stack_models(models)
+    optimizers = [Adam(stack_parameters(got), lr=0.01),
+                  Adam(stack_parameters(want), lr=0.01)]
     first = edge_inputs(nets, k, edge, seed)
     steps = [first] + [edge_inputs(nets, k, edge, seed + t,
                                    n=first[1].shape[1]) for t in (1, 2)]
-    loss_backward = step_program(got, steps[0][1].shape,
+    loss_backward = step_program(config, got, steps[0][1].shape,
                                  conversion=constant)
     for features, xs, ys in steps:
         pos_weight = batched_pos_weight(ys)
         losses = loss_backward(features, xs, ys, pos_weight)
-        losses_g = graph.stacked_loss_backward(want, constant, features, xs,
-                                               ys, pos_weight)
+        losses_g = graph.stacked_loss_backward(config, want, constant,
+                                               features, xs, ys, pos_weight)
         assert same_bytes(losses, losses_g)
         assert_same_stacks(got, want)
         for optimizer in optimizers:
@@ -369,8 +372,8 @@ def test_a_stack_and_its_conversion_must_agree():
     models = seeded_stack("small", True, 2, "both classes", 0)
     features, xs, ys = edge_inputs("small", 2, "both classes", 0)
     with pytest.raises(ValueError, match="use_conversion=True"):
-        step_program(BatchedUISClassifier(models), xs.shape)
+        step_program(models[0].config, graph.stack_models(models), xs.shape)
     models = seeded_stack("small", False, 2, "both classes", 0)
     with pytest.raises(ValueError, match="use_conversion=False"):
-        step_program(BatchedUISClassifier(models), xs.shape,
+        step_program(models[0].config, graph.stack_models(models), xs.shape,
                      conversion=near_averaging(2, NETS["small"][2], 0))

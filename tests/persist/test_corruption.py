@@ -54,6 +54,17 @@ def test_missing_npz_raises(checkpoint):
         load_checkpoint(checkpoint)
 
 
+def test_running_out_of_memory_is_not_corruption(checkpoint, monkeypatch):
+    """Only what missing or damaged bytes raise reads as a bad archive: a
+    load that runs out of memory says so, not "restore from a backup"."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room for the arrays")
+
+    monkeypatch.setattr(np, "load", exhausted)
+    with pytest.raises(MemoryError, match="no room"):
+        load_checkpoint(checkpoint)
+
+
 def test_digest_mismatch_raises(checkpoint):
     # Rewrite the archive with one tampered value: structurally valid,
     # but the contents no longer match the manifest digest.

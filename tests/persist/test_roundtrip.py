@@ -112,7 +112,6 @@ def _module_cases(rng):
         "sequential": nn.Sequential(nn.Linear(6, 4, rng=rng), nn.ReLU(),
                                     nn.Linear(4, 1, rng=rng)),
         "mlp": nn.MLP([5, 8, 3], rng=rng, final_activation=Sigmoid()),
-        "batched_linear": nn.BatchedLinear(3, 4, 2, rng=rng),
         "uis_classifier": UISClassifier(ku=6, input_width=5, embed_size=4,
                                         hidden_size=3, seed=11),
     }
@@ -145,9 +144,8 @@ def test_module_state_roundtrip(tmp_path, name):
                               twin.predict_proba(v_r, x))
     else:
         width = {"linear": 5, "linear_nobias": 4, "sequential": 6,
-                 "mlp": 5}.get(name)
-        x = x_rng.normal(size=(3, 2, 4)) if name == "batched_linear" \
-            else x_rng.normal(size=(7, width))
+                 "mlp": 5}[name]
+        x = x_rng.normal(size=(7, width))
         with no_grad():
             assert np.array_equal(apply(module, x).numpy(),
                                   apply(twin, x).numpy())

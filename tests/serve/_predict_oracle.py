@@ -2,8 +2,8 @@
 
 Until the geometry-first change, a Meta* prediction ran the classifier
 over *every* row as an autograd program under ``no_grad`` (one
-``UISClassifier.forward`` for a lone session, one stacked
-``BatchedUISClassifier`` forward for a group) and only then let the
+``UISClassifier.forward`` for a lone session, one stacked forward
+for a group) and only then let the
 few-shot hulls overrule it (``refine_batch``).  The bodies below are
 that code, moved here verbatim when the serving path stopped using it:
 the parity suite compares every serving path's 0/1 answers against
@@ -16,13 +16,12 @@ import sys
 import numpy as np
 
 from repro.geometry.engine import union_masks
-from repro.nn.batching import BatchedUISClassifier
 
 for _oracles in ("train", "nn"):
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.abspath(__file__)), os.pardir, _oracles))
 from _autograd_oracle import forward, no_grad  # noqa: E402
-from _graph_oracle import stacked_predict  # noqa: E402
+from _graph_oracle import stack_models, stacked_predict  # noqa: E402
 from _sequential_oracle import whole_model  # noqa: E402
 
 
@@ -67,17 +66,18 @@ def predict_adapted_batch(subsessions, tuple_vectors, threshold=0.5):
     structurally identical models stacked into one forward over the
     stride-0 broadcast rows."""
     wholes = [_whole(subsession) for subsession in subsessions]
-    batched = BatchedUISClassifier([model for model, _ in wholes])
+    config = wholes[0][0].config
+    stack = stack_models([model for model, _ in wholes])
     features = np.stack([subsession.adapted.feature_vector
                          for subsession in subsessions])
     conversion = None
-    if batched.use_conversion:
+    if config["use_conversion"]:
         conversion = np.stack([conv for _, conv in wholes])
     tuple_vectors = np.asarray(tuple_vectors, dtype=np.float64)
     xs = np.broadcast_to(tuple_vectors,
-                         (batched.k,) + tuple_vectors.shape)
-    return stacked_predict(batched, features, xs, conversion=conversion,
-                           threshold=threshold)
+                         (len(wholes),) + tuple_vectors.shape)
+    return stacked_predict(config, stack, features, xs,
+                           conversion=conversion, threshold=threshold)
 
 
 def refine_batch(optimizers, points, predictions_list, pack_cache=None):

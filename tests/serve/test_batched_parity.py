@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 import _adapt_oracle as adapt_oracle
-from _predict_oracle import stacked_predict
+from _graph_oracle import named_stack, stack_models, stacked_predict
 from repro.core import VARIANTS, run_adapt_requests
 from repro.core.meta_learner import UISClassifier
 from repro.explore import run_concurrent_explorations, score_session
-from repro.nn import BatchedUISClassifier, fused_local_adapt, grad_stacks
+from repro.nn import fused_local_adapt
 from repro.serve import SessionManager
 
 pytestmark = pytest.mark.smoke
@@ -237,6 +237,16 @@ def test_lone_session_matches_sequential(serve_lte, make_oracle, variant):
     assert_sessions_identical()
 
 
+def values(stack):
+    """A stack's parameter values by name."""
+    return {name: param.data for name, param in named_stack(stack)}
+
+
+def grads(stack):
+    """A stack's parameter gradients by name."""
+    return {name: param.grad for name, param in named_stack(stack)}
+
+
 def test_concurrent_same_bucket_adapts_stay_bit_exact():
     """Threads adapting the same shape bucket at once through
     ``fused_local_adapt`` share no optimizer state or step buffers, and a
@@ -252,9 +262,10 @@ def test_concurrent_same_bucket_adapts_stay_bit_exact():
         xs = rng.normal(size=(k, n, width))
         ys = (rng.random(size=(k, n)) < 0.4).astype(np.float64)
         ys[:, 0], ys[:, 1] = 1.0, 0.0   # both classes in every task
-        batched = BatchedUISClassifier(models)
-        fused_local_adapt(batched, features, xs, ys, steps=3, lr=0.05)
-        return batched, stacked_predict(batched, features, xs)
+        config, batched = models[0].config, stack_models(models)
+        fused_local_adapt(config, batched, features, xs, ys, steps=3,
+                          lr=0.05)
+        return batched, stacked_predict(config, batched, features, xs)
 
     seeds = list(range(6))
     serial = {seed: adapt(seed) for seed in seeds}
@@ -273,7 +284,7 @@ def test_concurrent_same_bucket_adapts_stay_bit_exact():
     assert sorted(concurrent) == seeds
     for seed in seeds:
         (want, predicted), (got, answers) = serial[seed], concurrent[seed]
-        for view in (BatchedUISClassifier.state_dict, grad_stacks):
+        for view in (values, grads):
             assert view(want).keys() == view(got).keys()
             for name, array in view(want).items():
                 assert np.array_equal(array, view(got)[name]), name

@@ -23,7 +23,8 @@ import pytest
 
 from repro.core import VARIANTS, framework
 from repro.core.meta_learner import UISClassifier
-from repro.nn.batching import flat_leaves, retrieval_constants
+from repro.nn.batching import (flat_leaves, retrieval_constants,
+                               stack_parameters)
 from repro.serve import SessionManager
 from repro.shard import ShardGateway
 from repro.train import (MetaBatchSlot, apply_meta_batch,
@@ -207,7 +208,7 @@ def test_meta_training_keeps_the_retrieval_and_feeds_the_memories(
 
     def kept(*args, **kwargs):
         out = real_adapt(*args, **kwargs)
-        adapted.append((args[0], kwargs["retrieved"]))
+        adapted.append((args[1], kwargs["retrieved"]))
         return out
 
     monkeypatch.setattr(engine, "fused_local_adapt", kept)
@@ -215,7 +216,7 @@ def test_meta_training_keeps_the_retrieval_and_feeds_the_memories(
     (batched, retrieved), = adapted
     for k in range(3):
         uis = np.concatenate([param.data[k].ravel() for param in
-                              batched.uis_block.parameters()])
+                              stack_parameters(batched, ["uis_block"])])
         assert np.array_equal(uis, inputs.shifts[k])
         want = retrieval_constants(
             flat_leaves(trainer.model.uis_block, inputs.shifts[k]),

@@ -109,13 +109,19 @@ def test_src_has_no_autograd():
 
 
 def test_serve_reexports_no_batched_classifier():
-    """The stacked classifier is ``repro.nn``'s; ``repro.serve`` keeps no
-    alias of it."""
+    """A stack is leaf arrays (``repro.nn.batching.stack_leaves``): no
+    stacked classifier or layer is left to build one another way, in
+    ``repro.serve``, ``repro.nn`` or ``repro.nn.batching``."""
     import repro.nn
+    import repro.nn.batching
     import repro.serve
     assert not hasattr(repro.serve, "BatchedUISClassifier")
     assert "BatchedUISClassifier" not in repro.serve.__all__
-    assert repro.nn.BatchedUISClassifier.__module__ == "repro.nn.batching"
+    for module in (repro.nn, repro.nn.batching):
+        for name in ("BatchedUISClassifier", "BatchedLinear",
+                     "batch_modules", "unstack_modules", "load_flat_stack",
+                     "grad_stacks", "stack_conversions"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_one_executor_per_job():
